@@ -46,8 +46,10 @@ def sweep():
     raw = []
     for eps in EPS_SWEEP:
         opts = SRSOptions(tol=eps, leaf_size=64)
+        # one measurement per eps; every p schedules the same task durations
+        measured = shared_memory_factor(prob.kernel, 1, opts)
         for p in P_SWEEP:
-            sm = shared_memory_factor(prob.kernel, p, opts)
+            sm = measured.schedule(p)
             dist = parallel_srs_factor(prob.kernel, p, opts=opts)
             x = dist.solve(b)
             relres = prob.relres(x, b)

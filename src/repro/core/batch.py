@@ -1,20 +1,22 @@
-"""Level-batched skeletonization: the factor sweep as stacked tensor ops.
+"""Stacked compression for the level sweep: a colour phase as tensor ops.
 
-The strict sweep (:func:`repro.core.skel.skeletonize_box` in a loop)
-interleaves three stages per box: gather the compression matrix, run
-the column ID, eliminate. The batched sweep restructures one level's
-work so the first two stages run *across boxes*:
+The strict sweep interleaves three stages per box: gather the
+compression matrix, run the column ID, eliminate. This module is the
+compress stage of the *batched* schedule of
+:func:`repro.core.factorization.sweep_level`, which runs the first two
+stages across boxes:
 
-1. **Color** — partition the level's boxes into the nine ``(x mod 3,
-   y mod 3)`` classes. Two boxes of one class are Chebyshev distance
-   >= 3 apart, so eliminating one cannot touch anything the other's
-   compression reads: Schur deltas land only on pairs whose endpoints
-   are within distance 1 of the eliminated box, and a compression reads
-   pairs involving the box itself (distance <= 2 away) plus the active
-   sets of its ``M(B)`` ring — all out of reach. This is the same
-   independence argument behind the distributed color loop (Sec. III-B),
-   applied within one process.
-2. **Plan** — per color phase, snapshot every live box's active set,
+1. **Color** (:func:`color_phases`) — partition the boxes into the nine
+   ``(x mod 3, y mod 3)`` classes. Two boxes of one class are Chebyshev
+   distance >= 3 apart, so eliminating one cannot touch anything the
+   other's compression reads: Schur deltas land only on pairs whose
+   endpoints are within distance 1 of the eliminated box, and a
+   compression reads pairs involving the box itself (distance <= 2
+   away) plus the active sets of its ``M(B)`` ring — all out of reach
+   (``tests/test_interactions.py`` checks the commutation directly).
+   The distributed rank-colour loop (Sec. III-B) rests on the same
+   argument and drives the same sweep, one call per phase of its own.
+2. **Plan** (:func:`compress_phase`) — snapshot every box's active set,
    ``M(B)`` ring and proxy circle, and group boxes whose compression
    matrices have identical shape: the signature is (active size, proxy
    count, the ordered tuple of ``M(B)`` active sizes).
@@ -27,12 +29,15 @@ work so the first two stages run *across boxes*:
 4. **Grouped ID** — one :func:`~repro.linalg.interpolative.interp_decomp_stack`
    call per group (shared CPQR workspace, one sketch for the
    randomized method).
-5. **Eliminate** — the phase's boxes are eliminated *one at a time, in
-   todo order*, through the very same
-   :func:`~repro.core.skel.eliminate_box` (sparsification GEMMs,
-   partial LU, BLAS-3 Schur delta), so the ``InteractionStore`` update
-   contract and the ``update_log`` replication stream for distributed
-   workers are bit-for-bit the strict protocol.
+5. **Prefill** — the near-field pairs the phase's eliminations will
+   read are evaluated stacked as well.
+
+The sweep then eliminates the phase's boxes *one at a time, in todo
+order*, through the very same :func:`~repro.core.skel.eliminate_box`
+(sparsification GEMMs, partial LU, BLAS-3 Schur delta) as the strict
+schedule, so the ``InteractionStore`` update contract and the
+``update_log`` replication stream for distributed workers are
+bit-for-bit the strict protocol.
 
 Batching reorders *assembly and compression*, not elimination: every
 box still sees exactly the store state a strict per-box sweep over the
@@ -48,32 +53,21 @@ skeletons that may differ within tolerance — while
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.core.interactions import Coord, InteractionStore, PairKey
 from repro.core.options import SRSOptions
 from repro.core.proxy import proxy_circle_stack, proxy_point_count
-from repro.core.skel import BoxRecord, eliminate_box
 from repro.kernels.base import KernelMatrix
-from repro.linalg.interpolative import interp_decomp_stack
-from repro.obs import COUNT_BUCKETS, REGISTRY, health, trace
+from repro.linalg.interpolative import InterpolativeDecomposition, interp_decomp_stack
+from repro.obs import COUNT_BUCKETS, REGISTRY, trace
 from repro.tree.quadtree import QuadTree
 
 _BATCH_OCCUPANCY = REGISTRY.histogram(
     "repro_factor_batch_occupancy",
     "Boxes per batched compression group",
-    buckets=COUNT_BUCKETS,
-)
-# same families as the strict path in repro.core.skel — the registry is
-# get-or-create, so both sweeps feed one counter/histogram
-_ID_COMPRESSIONS = REGISTRY.counter(
-    "repro_id_compressions_total",
-    "Interpolative decompositions performed during factorization",
-)
-_SKELETON_RANK = REGISTRY.histogram(
-    "repro_skeleton_rank",
-    "Skeleton count kept per compressed box",
     buckets=COUNT_BUCKETS,
 )
 
@@ -88,98 +82,17 @@ EVAL_CHUNK_ELEMENTS = 1 << 22
 
 @dataclass
 class _BoxPlan:
-    """Level-start snapshot of everything one box's compression needs."""
+    """Phase-start snapshot of everything one box's compression needs."""
 
     box: Coord
     bidx: np.ndarray
     m_boxes: list[Coord]
     m_sizes: list[int]
-    proxy: np.ndarray | None
-    comp: np.ndarray | None = None  # view into the group stack
-    dec: object | None = None
+    proxy: np.ndarray | None = None
+    dec: InterpolativeDecomposition | None = None
 
 
-def skeletonize_level_batched(
-    store: InteractionStore,
-    kernel: KernelMatrix,
-    tree: QuadTree,
-    level: int,
-    boxes: list[Coord],
-    opts: SRSOptions,
-    *,
-    update_log: list | None = None,
-) -> list[tuple[int, BoxRecord]]:
-    """Factor ``boxes`` at ``level`` with level-batched compression.
-
-    Returns ``(size_before, record)`` pairs in elimination order —
-    color phase by color phase, todo order within a phase — with the
-    same skip rules and store/update-log side effects as the strict
-    per-box loop; only assembly and ID are batched.
-    """
-    has_far_field = tree.nside(level) >= 4
-    results: list[tuple[int, BoxRecord]] = []
-    for phase in _color_phases(boxes):
-        plans: list[_BoxPlan] = []
-        for box in phase:
-            if box not in store.active:
-                continue
-            bidx = store.active_of(box)
-            if bidx.size == 0:
-                continue
-            m_boxes = [
-                mb
-                for mb in (tree.dist2_neighbors(level, *box) if has_far_field else [])
-                if mb in store.active and store.nactive(mb) > 0
-            ]
-            plans.append(
-                _BoxPlan(
-                    box=box,
-                    bidx=bidx,
-                    m_boxes=m_boxes,
-                    m_sizes=[store.nactive(mb) for mb in m_boxes],
-                    proxy=None,
-                )
-            )
-        if not plans:
-            continue
-
-        if has_far_field:
-            radius = opts.proxy_radius_factor * tree.box_side(level)
-            n_proxy = proxy_point_count(kernel, radius, opts)
-            centers = np.stack([tree.box_center(level, *p.box) for p in plans])
-            circles = proxy_circle_stack(centers, radius, n_proxy)
-            for i, plan in enumerate(plans):
-                plan.proxy = circles[i]
-
-        _assemble_and_compress(store, kernel, level, plans, opts)
-        _prefill_near(store, kernel, tree, level, plans)
-
-        for plan in plans:
-            nbrs = [
-                n
-                for n in tree.neighbors(level, *plan.box)
-                if n in store.active and store.nactive(n) > 0
-            ]
-            with trace.span(
-                "factor.skeletonize",
-                level=level,
-                box=str(plan.box),
-                size=int(plan.bidx.size),
-            ):
-                _ID_COMPRESSIONS.inc()
-                _SKELETON_RANK.observe(plan.dec.skeleton.size)
-                health.record_box(
-                    level, int(plan.bidx.size), int(plan.dec.skeleton.size)
-                )
-                rec = eliminate_box(
-                    store, plan.box, plan.bidx, nbrs, plan.dec, kernel.dtype,
-                    opts, level=level, update_log=update_log,
-                )
-            results.append((plan.bidx.size, rec))
-    return results
-
-
-def _color_phases(boxes: list[Coord]) -> list[list[Coord]]:
+def color_phases(boxes: list[Coord]) -> list[list[Coord]]:
     """Partition ``boxes`` into the nine mod-3 color classes.
 
     Phases are ordered by color key ``(x mod 3, y mod 3)``; within a
@@ -193,6 +106,51 @@ def _color_phases(boxes: list[Coord]) -> list[list[Coord]]:
     return [classes[key] for key in sorted(classes)]
 
 
+def compress_phase(
+    store: InteractionStore,
+    kernel: KernelMatrix,
+    tree: QuadTree,
+    level: int,
+    boxes: list[Coord],
+    opts: SRSOptions,
+) -> dict[Coord, InterpolativeDecomposition]:
+    """Compress one color phase's ``boxes`` (all live) in stacked groups.
+
+    Returns each box's decomposition — what a per-box compression
+    against the phase-start store would yield — and leaves the
+    near-field pairs the phase's eliminations read materialized in the
+    store.
+    """
+    has_far_field = tree.nside(level) >= 4
+    plans: list[_BoxPlan] = []
+    for box in boxes:
+        m_boxes = [
+            mb
+            for mb in (tree.dist2_neighbors(level, *box) if has_far_field else [])
+            if mb in store.active and store.nactive(mb) > 0
+        ]
+        plans.append(
+            _BoxPlan(
+                box=box,
+                bidx=store.active_of(box),
+                m_boxes=m_boxes,
+                m_sizes=[store.nactive(mb) for mb in m_boxes],
+            )
+        )
+
+    if has_far_field:
+        radius = opts.proxy_radius_factor * tree.box_side(level)
+        n_proxy = proxy_point_count(kernel, radius, opts)
+        centers = np.stack([tree.box_center(level, *p.box) for p in plans])
+        circles = proxy_circle_stack(centers, radius, n_proxy)
+        for i, plan in enumerate(plans):
+            plan.proxy = circles[i]
+
+    _assemble_and_compress(store, kernel, level, plans, opts)
+    _prefill_near(store, tree, level, boxes)
+    return {plan.box: plan.dec for plan in plans}
+
+
 def _assemble_and_compress(
     store: InteractionStore,
     kernel: KernelMatrix,
@@ -200,7 +158,7 @@ def _assemble_and_compress(
     plans: list[_BoxPlan],
     opts: SRSOptions,
 ) -> None:
-    """Stages 2–3: fill the group stacks, run the grouped IDs."""
+    """Stages 3–4: fill the group stacks, run the grouped IDs."""
     groups: dict[tuple, list[_BoxPlan]] = {}
     for plan in plans:
         p = 0 if plan.proxy is None else plan.proxy.shape[0]
@@ -212,7 +170,8 @@ def _assemble_and_compress(
     # deltas inherit the symmetry — so one copy carries the full ID
     # constraint set at half the evaluation and CPQR cost.
     herm = kernel.hermitian
-    block_reqs: dict[tuple[int, int], list] = {}
+    #: unmodified pair -> (destination rows, stored conjugate-transposed?)
+    block_dests: dict[PairKey, tuple[np.ndarray, bool]] = {}
     proxy_reqs: dict[tuple[int, int], list] = {}
     stacks: list[tuple[np.ndarray, list[_BoxPlan]]] = []
     for (k, p, m_sizes), members in groups.items():
@@ -222,10 +181,8 @@ def _assemble_and_compress(
             comp = np.empty((len(chunk), m_total, k), dtype=kernel.dtype)
             stacks.append((comp, chunk))
             for slot, plan in enumerate(chunk):
-                plan.comp = comp[slot]
                 r0 = 0
                 for mb, msize in zip(plan.m_boxes, plan.m_sizes):
-                    midx = store.active_of(mb)
                     if store.is_modified(mb, plan.box):
                         comp[slot, r0 : r0 + msize, :] = store.get(mb, plan.box)
                     elif herm and store.is_modified(plan.box, mb):
@@ -233,8 +190,9 @@ def _assemble_and_compress(
                             store.get(plan.box, mb).conj().T
                         )
                     else:
-                        _defer(block_reqs, midx, plan.bidx,
-                               comp[slot, r0 : r0 + msize, :], False)
+                        block_dests[mb, plan.box] = (
+                            comp[slot, r0 : r0 + msize, :], False
+                        )
                     r0 += msize
                     if herm:
                         continue
@@ -243,8 +201,9 @@ def _assemble_and_compress(
                             store.get(plan.box, mb).conj().T
                         )
                     else:
-                        _defer(block_reqs, plan.bidx, midx,
-                               comp[slot, r0 : r0 + msize, :], True)
+                        block_dests[plan.box, mb] = (
+                            comp[slot, r0 : r0 + msize, :], True
+                        )
                     r0 += msize
                 if p:
                     proxy_reqs.setdefault((p, k), []).append(
@@ -253,7 +212,9 @@ def _assemble_and_compress(
                          comp[slot, r0 + p : r0 + 2 * p, :])
                     )
 
-    _flush_block_requests(kernel, block_reqs)
+    for key, blk in _eval_pairs(store, block_dests):
+        dest, conj_t = block_dests[key]
+        dest[...] = blk.conj().T if conj_t else blk
     _flush_proxy_requests(kernel, proxy_reqs)
 
     for comp, chunk in stacks:
@@ -271,11 +232,7 @@ def _assemble_and_compress(
 
 
 def _prefill_near(
-    store: InteractionStore,
-    kernel: KernelMatrix,
-    tree: QuadTree,
-    level: int,
-    plans: list[_BoxPlan],
+    store: InteractionStore, tree: QuadTree, level: int, boxes: list[Coord]
 ) -> None:
     """Materialize the near-field blocks this phase's eliminations read.
 
@@ -288,90 +245,77 @@ def _prefill_near(
     Pairs a ``store_predicate`` rejects are left alone: non-holder ranks
     must keep discarding updates to them via scratch blocks.
     """
-    reqs: dict[tuple[int, int], list[PairKey]] = {}
-    seen: set[PairKey] = set()
-    # Hermitian kernels fill each off-diagonal pair once: g is bitwise
-    # symmetric (hypot/log of the same distances) and the weights are
-    # uniform, so the stored transpose equals a direct evaluation.
-    herm = kernel.hermitian
-    mirror: set[PairKey] = set()
     pred = store.store_predicate
-    for plan in plans:
-        members = [plan.box] + [
+    wanted: dict[PairKey, None] = {}
+    for box in boxes:
+        members = [box] + [
             n
-            for n in tree.neighbors(level, *plan.box)
+            for n in tree.neighbors(level, *box)
             if n in store.active and store.nactive(n) > 0
         ]
         for bi in members:
             for bj in members:
-                key = (bi, bj)
-                if key in seen or store.is_modified(bi, bj):
+                if store.is_modified(bi, bj) or (pred is not None and not pred(bi, bj)):
                     continue
-                if pred is not None and not pred(bi, bj):
-                    continue
-                seen.add(key)
-                rev = (bj, bi)
-                if (
-                    herm
-                    and bi != bj
-                    and rev not in seen
-                    and not store.is_modified(bj, bi)
-                    and (pred is None or pred(bj, bi))
-                ):
-                    seen.add(rev)
-                    mirror.add(key)
-                reqs.setdefault(
-                    (store.nactive(bi), store.nactive(bj)), []
-                ).append(key)
-    with trace.span("factor.prefill", level=level, pairs=len(seen)):
-        for (r, c), keys in reqs.items():
-            step = max(1, EVAL_CHUNK_ELEMENTS // max(1, r * c))
-            for i0 in range(0, len(keys), step):
-                part = keys[i0 : i0 + step]
-                rows_stack = np.stack([store.active_of(bi) for bi, _ in part])
-                cols_stack = np.stack([store.active_of(bj) for _, bj in part])
-                blks = kernel.block_stack(rows_stack, cols_stack)
-                for (bi, bj), blk in zip(part, blks):
-                    # contiguous copy: stored blocks are mutated in place
-                    # by Schur updates and must not alias the eval stack
-                    store.set(bi, bj, np.ascontiguousarray(blk))
-                    if (bi, bj) in mirror:
-                        store.set(bj, bi, np.ascontiguousarray(blk.conj().T))
+                wanted[bi, bj] = None
+    with trace.span("factor.prefill", level=level, pairs=len(wanted)):
+        for (bi, bj), blk in _eval_pairs(store, wanted):
+            # contiguous copy: stored blocks are mutated in place by Schur
+            # updates and must not alias the eval stack
+            store.set(bi, bj, np.ascontiguousarray(blk))
 
 
 def batch_pair_blocks(
-    store: InteractionStore, pairs: list[PairKey]
+    store: InteractionStore, pairs: Iterable[PairKey]
 ) -> dict[PairKey, np.ndarray]:
     """Evaluate many store pairs at once, preserving ``store.get`` values.
 
     Modified pairs come straight from the store; unmodified ones are
-    pure kernel blocks and get stacked, shape-grouped evaluations (one
-    direction per unordered pair for Hermitian kernels, the transpose
-    serving the reverse). Used by the batched parent transition, whose
-    reassembly otherwise walks child pairs one scalar ``kernel.block``
-    at a time. Returned blocks may be store-owned or stack views —
-    callers copy (``hstack``/``vstack``) and must not mutate them.
+    pure kernel blocks and get stacked, shape-grouped evaluations. Used
+    by the batched parent assembly, whose reassembly otherwise walks
+    child pairs one scalar ``kernel.block`` at a time. Returned blocks
+    may be store-owned or stack views — callers copy
+    (``hstack``/``vstack``) and must not mutate them.
+    """
+    out: dict[PairKey, np.ndarray] = {}
+    wanted: dict[PairKey, None] = {}
+    for key in pairs:
+        if store.is_modified(*key):
+            out[key] = store.get(*key)
+        else:
+            wanted[key] = None
+    out.update(_eval_pairs(store, wanted))
+    return out
+
+
+def _eval_pairs(
+    store: InteractionStore, pairs: dict[PairKey, object]
+) -> Iterator[tuple[PairKey, np.ndarray]]:
+    """Evaluate unmodified store ``pairs`` in same-shape stacks.
+
+    The one stacked-evaluation loop of the batched path: pairs are
+    grouped by block shape (first-seen order), each group is cut into
+    chunks of at most ``EVAL_CHUNK_ELEMENTS`` outputs, and every chunk
+    is one :meth:`~repro.kernels.base.KernelMatrix.block_stack` call.
+    For Hermitian kernels a pair whose reverse is also asked for is
+    evaluated once — the first direction met — and the conjugate
+    transpose serves the other: the Green's function is bitwise
+    symmetric (hypot/log of the same distances) and the weights are
+    uniform, so the transpose equals a direct evaluation. Yields
+    ``(key, block)``; blocks are views into the evaluation stack, so
+    consumers copy what they keep.
     """
     kernel = store.kernel
     herm = kernel.hermitian
-    out: dict[PairKey, np.ndarray] = {}
-    reqs: dict[tuple[int, int], list[PairKey]] = {}
-    mirror: set[PairKey] = set()
-    pending: set[PairKey] = set()
+    groups: dict[tuple[int, int], list[PairKey]] = {}
+    queued: set[PairKey] = set()
     for key in pairs:
-        if key in out or key in pending or key in mirror:
-            continue
         bi, bj = key
-        if store.is_modified(bi, bj):
-            out[key] = store.get(bi, bj)
-            continue
-        rev = (bj, bi)
-        if herm and rev in pending:
-            mirror.add(key)  # produced as the transpose of ``rev``
-            continue
-        pending.add(key)
-        reqs.setdefault((store.nactive(bi), store.nactive(bj)), []).append(key)
-    for (r, c), keys in reqs.items():
+        if herm and (bj, bi) in queued:
+            continue  # emitted below as the transpose of (bj, bi)
+        queued.add(key)
+        groups.setdefault((store.nactive(bi), store.nactive(bj)), []).append(key)
+    for (r, c), keys in groups.items():
         step = max(1, EVAL_CHUNK_ELEMENTS // max(1, r * c))
         for i0 in range(0, len(keys), step):
             part = keys[i0 : i0 + step]
@@ -379,40 +323,9 @@ def batch_pair_blocks(
             cols_stack = np.stack([store.active_of(bj) for _, bj in part])
             blks = kernel.block_stack(rows_stack, cols_stack)
             for (bi, bj), blk in zip(part, blks):
-                out[(bi, bj)] = blk
-                if (bj, bi) in mirror:
-                    out[(bj, bi)] = blk.conj().T
-    return out
-
-
-def _defer(
-    reqs: dict[tuple[int, int], list],
-    rows: np.ndarray,
-    cols: np.ndarray,
-    dest: np.ndarray,
-    conj_t: bool,
-) -> None:
-    """Queue one pure-kernel block for a shape-batched evaluation."""
-    reqs.setdefault((rows.size, cols.size), []).append((rows, cols, dest, conj_t))
-
-
-def _flush_block_requests(
-    kernel: KernelMatrix, reqs: dict[tuple[int, int], list]
-) -> None:
-    """Evaluate queued blocks in same-shape stacks (chunked by volume)."""
-    for (r, c), entries in reqs.items():
-        step = max(1, EVAL_CHUNK_ELEMENTS // max(1, r * c))
-        for i0 in range(0, len(entries), step):
-            part = entries[i0 : i0 + step]
-            rows_stack = np.stack([e[0] for e in part])
-            cols_stack = np.stack([e[1] for e in part])
-            blks = kernel.block_stack(rows_stack, cols_stack)
-            for entry, blk in zip(part, blks):
-                dest, conj_t = entry[2], entry[3]
-                if conj_t:
-                    dest[...] = blk.conj().T
-                else:
-                    dest[...] = blk
+                yield (bi, bj), blk
+                if (bj, bi) in pairs and (bj, bi) not in queued:
+                    yield (bj, bi), blk.conj().T
 
 
 def _flush_proxy_requests(

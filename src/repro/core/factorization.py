@@ -7,6 +7,10 @@ near-field blocks are re-assembled on parent pairs (Sec. II-E). The
 result is a sequence of :class:`~repro.core.skel.BoxRecord`, which is
 an implicit factorization ``A ~= V_1^{-1} ... V_K^{-1} W_K^{-1} ... W_1^{-1}``
 whose inverse applies in O(N) (Sec. II-F).
+
+What happens *inside* a level exists once, here — :func:`sweep_level`
+and :func:`assemble_parents` — behind two outer drivers: ``srs_factor``
+(sequential) and :func:`repro.parallel.worker.factor_worker` (Sec. III).
 """
 
 from __future__ import annotations
@@ -15,16 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batch import batch_pair_blocks, skeletonize_level_batched
+from repro.core.batch import batch_pair_blocks, color_phases, compress_phase
 from repro.core.interactions import Coord, InteractionStore, PairKey
 from repro.core.options import SRSOptions
 from repro.core.proxy import proxy_points_for_box
-from repro.core.skel import BoxRecord, skeletonize_box
+from repro.core.skel import BoxRecord, eliminate_box, skeletonize_box
 from repro.core.stats import RankStats
 from repro.kernels.base import KernelMatrix
 from repro.obs import REGISTRY, stopwatch, trace
 from repro.tree.quadtree import QuadTree
-from repro.util.timing import TimingBreakdown
 
 _BOXES_FACTORED = REGISTRY.counter(
     "repro_factor_boxes_total",
@@ -42,7 +45,6 @@ class SRSFactorization:
     dtype: np.dtype
     opts: SRSOptions
     stats: RankStats = field(default_factory=RankStats)
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply the compressed inverse: ``x ~= A^{-1} b``.
@@ -102,6 +104,8 @@ def srs_factor(
     kernel: KernelMatrix,
     tree: QuadTree | None = None,
     opts: SRSOptions | None = None,
+    *,
+    task_times: list | None = None,
 ) -> SRSFactorization:
     """Factorize the kernel matrix (Algorithm 1).
 
@@ -114,6 +118,10 @@ def srs_factor(
         when omitted.
     opts:
         Compression/proxy options.
+    task_times:
+        When a list, collects ``(level, box, seconds)`` per
+        skeletonization (see :func:`sweep_level`); requires
+        ``opts`` to resolve to the strict sweep.
     """
     opts = opts or SRSOptions()
     if tree is None:
@@ -136,15 +144,16 @@ def srs_factor(
                 blocks=seed_blocks,
                 max_modified_distance=2 if opts.check_locality else None,
             )
-            factor_level(fact, store, kernel, tree, level, opts)
+            boxes = tree.boxes(level)
+            with trace.span("factor.level", level=level, boxes=len(boxes)) as lspan:
+                factored = sweep_level(
+                    store, kernel, tree, level, boxes, opts, fact.records, fact.stats,
+                    task_times=task_times,
+                )
+                lspan.set(factored=factored)
             if level > 1:
                 with trace.span("factor.transition", level=level):
-                    active, seed_blocks = transition_to_parent(
-                        store,
-                        tree,
-                        level,
-                        batched=opts.resolved_factor_mode() == "batched",
-                    )
+                    active, seed_blocks = assemble_parents(store, tree, level, opts)
             else:
                 remaining = sum(v.size for v in store.active.values())
                 if remaining:  # pragma: no cover - indicates an algorithmic bug
@@ -157,129 +166,176 @@ def srs_factor(
     return fact
 
 
-def factor_level(
-    fact: SRSFactorization,
+def sweep_level(
     store: InteractionStore,
     kernel: KernelMatrix,
     tree: QuadTree,
     level: int,
+    boxes: list[Coord],
     opts: SRSOptions,
-    boxes: list[Coord] | None = None,
+    records: list[BoxRecord],
+    stats: RankStats,
+    *,
+    update_log: list | None = None,
     task_times: list | None = None,
-) -> None:
-    """Skeletonize ``boxes`` (default: every box) at ``level`` in order.
+) -> int:
+    """Skeletonize ``boxes`` at ``level``: the one per-level loop.
+
+    The level runs as an ordered *schedule* of box groups; per group the
+    live boxes are compressed, then eliminated one at a time in todo
+    order, each record appended to ``records`` and its rank to
+    ``stats``. The resolved ``opts.factor_mode`` picks the schedule:
+
+    * ``strict`` — singletons in todo order; each box is compressed
+      against the store state its predecessors left
+      (:func:`~repro.core.skel.skeletonize_box`);
+    * ``batched`` — the nine mod-3 colour phases; a phase's boxes are
+      compressed together against the phase-start state
+      (:func:`~repro.core.batch.compress_phase`), which the
+      distance-3 independence argument makes exact.
+
+    Elimination, the store update contract and the ``update_log`` stream
+    are the same under both. Returns the number of boxes factored.
 
     ``task_times`` (when a list) collects ``(level, box, seconds)`` per
     skeletonization — the shared-memory comparator schedules these
-    measured task durations onto simulated threads (Table VI). Collecting
-    them requires the per-box strict sweep, so a ``task_times`` list
-    forces strict even when ``opts`` resolves to batched.
+    measured task durations onto simulated threads (Table VI). A per-box
+    duration is defined for the singleton schedule only, so asking for
+    one with ``opts`` that resolve to batched raises ``ValueError``.
     """
-    todo = boxes if boxes is not None else tree.boxes(level)
-    if task_times is None and opts.resolved_factor_mode() == "batched":
-        with fact.timings.measure(f"level_{level}"), trace.span(
-            "factor.level", level=level, boxes=len(todo)
-        ) as lspan:
-            results = skeletonize_level_batched(
-                store, kernel, tree, level, todo, opts
-            )
-            for size_before, rec in results:
-                fact.stats.record(level, size_before, rec.rank)
-                fact.records.append(rec)
-            lspan.set(factored=len(results))
-        if results:
-            _BOXES_FACTORED.inc(len(results), level=str(level))
-        return
-
+    batched = opts.resolved_factor_mode() == "batched"
+    if batched and task_times is not None:
+        raise ValueError(
+            "task_times needs factor_mode='strict': the batched sweep "
+            "compresses a colour phase at once, so there is no per-box duration"
+        )
     has_far_field = tree.nside(level) >= 4
     side = tree.box_side(level)
-    factored = 0
-    with fact.timings.measure(f"level_{level}"), trace.span(
-        "factor.level", level=level, boxes=len(todo)
-    ) as lspan:
-        for box in todo:
-            if box not in store.active:
-                continue
-            nbrs = tree.neighbors(level, *box)
-            m_boxes = tree.dist2_neighbors(level, *box) if has_far_field else []
-            proxy = (
-                proxy_points_for_box(kernel, tree.box_center(level, *box), side, opts)
-                if has_far_field
-                else None
-            )
+    before = len(records)
+    for group in color_phases(boxes) if batched else ([box] for box in boxes):
+        live = [b for b in group if b in store.active and store.nactive(b) > 0]
+        if not live:
+            continue
+        # strict compresses per box, below, against the state its predecessor left
+        decs = compress_phase(store, kernel, tree, level, live, opts) if batched else {}
+        for box in live:
             size_before = store.nactive(box)
+            nbrs = tree.neighbors(level, *box)
             with stopwatch() as sw:
-                rec = skeletonize_box(
-                    store, kernel, box, nbrs, m_boxes, proxy, opts, level=level
-                )
+                if batched:
+                    with trace.span(
+                        "factor.skeletonize", level=level, box=str(box), size=size_before
+                    ):
+                        rec = eliminate_box(
+                            store, box, nbrs, decs[box], level=level, update_log=update_log
+                        )
+                else:
+                    m_boxes = tree.dist2_neighbors(level, *box) if has_far_field else []
+                    proxy = (
+                        proxy_points_for_box(kernel, tree.box_center(level, *box), side, opts)
+                        if has_far_field
+                        else None
+                    )
+                    rec = skeletonize_box(
+                        store, kernel, box, nbrs, m_boxes, proxy, opts,
+                        level=level, update_log=update_log,
+                    )
             if task_times is not None:
                 task_times.append((level, box, sw.elapsed))
-            if rec is None:
-                continue
-            factored += 1
-            fact.stats.record(level, size_before, rec.rank)
-            fact.records.append(rec)
-        lspan.set(factored=factored)
+            stats.record(level, size_before, rec.rank)
+            records.append(rec)
+    factored = len(records) - before
     if factored:
         _BOXES_FACTORED.inc(factored, level=str(level))
+    return factored
 
 
-def transition_to_parent(
-    store: InteractionStore, tree: QuadTree, level: int, *, batched: bool = False
+def assemble_parents(
+    store: InteractionStore,
+    tree: QuadTree,
+    level: int,
+    opts: SRSOptions,
+    own: list[Coord] | None = None,
 ) -> tuple[dict[Coord, np.ndarray], dict[PairKey, np.ndarray]]:
     """Regroup skeletons under parents and reassemble near-field blocks.
 
-    Only parent pairs at Chebyshev distance <= 1 can contain modified
-    child blocks (child pairs at distance <= 2 have parents at distance
+    Returns the parent level's ``(active, blocks)``. With ``own=None``
+    every parent with surviving children is regrouped and every parent
+    pair at Chebyshev distance <= 1 assembled. A distributed rank passes
+    the parents it owns: only those are regrouped, and each pair of an
+    owned parent and a near one is assembled in *both* key orders (a
+    rank holds a pair when it owns either side).
+
+    Only parent pairs at distance <= 1 can contain modified child
+    blocks (child pairs at distance <= 2 have parents at distance
     <= 1); distance-2 parent pairs assemble from child pairs at
     distance >= 3, which Theorem 2 guarantees are pure kernel — they
     are left to lazy kernel evaluation at the parent level.
 
-    ``batched`` evaluates the unmodified child pairs through the stacked
-    kernel API (:func:`repro.core.batch.batch_pair_blocks`) instead of
-    one scalar ``store.get`` at a time; strict mode keeps the scalar
-    path so its assembly stays bitwise-reproducible.
+    Under batched the unmodified child pairs are evaluated through the
+    stacked kernel API (:func:`repro.core.batch.batch_pair_blocks`)
+    instead of one scalar ``store.get`` at a time; strict keeps the
+    scalar path so its assembly stays bitwise-reproducible.
     """
     parent_level = level - 1
-    parent_children: dict[Coord, list[Coord]] = {}
-    for box, idx in store.active.items():
-        if idx.size == 0:
-            continue
-        parent_children.setdefault((box[0] >> 1, box[1] >> 1), []).append(box)
-    parent_active: dict[Coord, np.ndarray] = {}
-    for parent in parent_children:
-        ordered = [
-            c
-            for c in tree.children(parent_level, *parent)
-            if c in store.active and store.nactive(c) > 0
-        ]
-        parent_children[parent] = ordered
-        parent_active[parent] = np.concatenate([store.active_of(c) for c in ordered])
-
-    pair_lists: list[tuple[PairKey, list[Coord], list[Coord]]] = []
-    nside = 1 << parent_level
-    for p1, c1s in parent_children.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                p2 = (p1[0] + dx, p1[1] + dy)
-                if not (0 <= p2[0] < nside and 0 <= p2[1] < nside):
-                    continue
-                c2s = parent_children.get(p2)
-                if not c2s:
-                    continue
-                pair_lists.append(((p1, p2), c1s, c2s))
-
-    blocks: dict[PairKey, np.ndarray] | None = None
-    if batched:
-        blocks = batch_pair_blocks(
-            store,
-            [(c1, c2) for _, c1s, c2s in pair_lists for c1 in c1s for c2 in c2s],
+    both_orders = own is not None
+    if own is None:
+        own = list(
+            dict.fromkeys(
+                (box[0] >> 1, box[1] >> 1)
+                for box, idx in store.active.items()
+                if idx.size
+            )
         )
-    new_blocks: dict[PairKey, np.ndarray] = {}
-    for (p1, p2), c1s, c2s in pair_lists:
-        if blocks is None:
-            rows = [np.hstack([store.get(c1, c2) for c2 in c2s]) for c1 in c1s]
-        else:
-            rows = [np.hstack([blocks[c1, c2] for c2 in c2s]) for c1 in c1s]
-        new_blocks[(p1, p2)] = np.vstack(rows)
-    return parent_active, new_blocks
+
+    live_children: dict[Coord, list[Coord]] = {}
+
+    def children_of(parent: Coord) -> list[Coord]:
+        if parent not in live_children:
+            live_children[parent] = [
+                c
+                for c in tree.children(parent_level, *parent)
+                if c in store.active and store.nactive(c) > 0
+            ]
+        return live_children[parent]
+
+    pairs: dict[PairKey, None] = {}
+    for p1 in own:
+        if not children_of(p1):
+            continue
+        for p2 in tree.near_and_self(parent_level, *p1):
+            if children_of(p2):
+                pairs[p1, p2] = None
+                if both_orders:
+                    pairs[p2, p1] = None
+
+    child_block = store.get
+    if opts.resolved_factor_mode() == "batched":
+        stacked = batch_pair_blocks(
+            store,
+            [
+                (c1, c2)
+                for p1, p2 in pairs
+                for c1 in live_children[p1]
+                for c2 in live_children[p2]
+            ],
+        )
+
+        def child_block(c1: Coord, c2: Coord) -> np.ndarray:
+            return stacked[c1, c2]
+
+    blocks = {
+        (p1, p2): np.vstack(
+            [
+                np.hstack([child_block(c1, c2) for c2 in live_children[p2]])
+                for c1 in live_children[p1]
+            ]
+        )
+        for p1, p2 in pairs
+    }
+    active = {
+        parent: np.concatenate([store.active_of(c) for c in live_children[parent]])
+        for parent in own
+        if live_children[parent]
+    }
+    return active, blocks

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.interactions import Coord, InteractionStore
 from repro.core.options import SRSOptions
 from repro.kernels.base import KernelMatrix
-from repro.linalg.interpolative import interp_decomp
+from repro.linalg.interpolative import InterpolativeDecomposition, interp_decomp
 from repro.linalg.lu import PartialLU
 from repro.obs import COUNT_BUCKETS, REGISTRY, health, trace
 
@@ -175,36 +175,38 @@ def skeletonize_box(
     bidx = store.active_of(box)
     if bidx.size == 0:
         return None
-    nbrs = [n for n in neighbors if n in store.active and store.nactive(n) > 0]
-
-    # -- 1. compression ------------------------------------------------
     with trace.span("factor.skeletonize", level=level, box=str(box), size=int(bidx.size)):
         with trace.span("factor.id", rows=int(bidx.size)):
             stacked = compression_matrix(store, kernel, box, m_boxes, proxy_points)
             dec = interp_decomp(stacked, opts.tol, method=opts.id_method)
-        _ID_COMPRESSIONS.inc()
-        _SKELETON_RANK.observe(dec.skeleton.size)
-        health.record_box(level, int(bidx.size), int(dec.skeleton.size))
         return eliminate_box(
-            store, box, bidx, nbrs, dec, stacked.dtype, opts,
-            level=level, update_log=update_log,
+            store, box, neighbors, dec, level=level, update_log=update_log
         )
 
 
 def eliminate_box(
     store: InteractionStore,
     box: Coord,
-    bidx: np.ndarray,
-    nbrs: list[Coord],
-    dec,
-    dtype,
-    opts: SRSOptions,
+    neighbors: list[Coord],
+    dec: InterpolativeDecomposition,
     *,
     level: int,
     update_log: list | None = None,
-) -> BoxRecord | None:
-    """Partial-LU elimination + Schur updates for one compressed box."""
+) -> BoxRecord:
+    """The elimination half of ``Z(A; B)`` for an already compressed box.
+
+    Records the compression (ID count, skeleton rank, solver health),
+    then runs the partial-LU elimination and the Schur updates. The
+    level sweep calls it directly when a colour phase's compressions
+    were hoisted out and stacked (:mod:`repro.core.batch`).
+    """
+    bidx = store.active_of(box)
+    nbrs = [n for n in neighbors if n in store.active and store.nactive(n) > 0]
     s_loc, r_loc, t_mat = dec.skeleton, dec.redundant, dec.T
+    dtype = t_mat.dtype  # the compression matrix's dtype
+    _ID_COMPRESSIONS.inc()
+    _SKELETON_RANK.observe(s_loc.size)
+    health.record_box(level, int(bidx.size), int(s_loc.size))
     if r_loc.size == 0:
         # nothing to eliminate; keep the box as is
         return BoxRecord(

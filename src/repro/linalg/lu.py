@@ -37,18 +37,25 @@ class PartialLU:
         return int(self._lu.nbytes + self._piv.nbytes)
 
     # -- full solves ----------------------------------------------------
+    # ``lu_solve`` gets a private copy of the pivots: scipy's getrs
+    # wrapper shifts the array it is handed to 1-based in place around
+    # the LAPACK call and back afterwards, so two threads solving on one
+    # cached factorization would read each other's half-shifted pivots —
+    # wrong results, and a pivot array left off by one for good.
     def solve_left(self, b: np.ndarray) -> np.ndarray:
         """``X_RR^{-1} @ b``."""
         if self.n == 0 or b.size == 0:
             return np.zeros_like(b)
-        return scipy.linalg.lu_solve((self._lu, self._piv), b, check_finite=False)
+        return scipy.linalg.lu_solve((self._lu, self._piv.copy()), b, check_finite=False)
 
     def solve_right(self, b: np.ndarray) -> np.ndarray:
         """``b @ X_RR^{-1}``."""
         if self.n == 0 or b.size == 0:
             return np.zeros_like(b)
         # b X^{-1} = (X^{-T} b^T)^T ; trans=1 solves X^T y = rhs
-        return scipy.linalg.lu_solve((self._lu, self._piv), b.T, trans=1, check_finite=False).T
+        return scipy.linalg.lu_solve(
+            (self._lu, self._piv.copy()), b.T, trans=1, check_finite=False
+        ).T
 
     # -- triangular half-solves (for applying the factorization) -------
     def apply_lower_inverse(self, v: np.ndarray) -> np.ndarray:

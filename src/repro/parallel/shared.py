@@ -18,20 +18,19 @@ barrier, modeled by ``sync_overhead``).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.factorization import (
-    SRSFactorization,
-    factor_level,
-    transition_to_parent,
-)
-from repro.core.interactions import Coord, InteractionStore
+from repro.core.factorization import SRSFactorization, srs_factor
+from repro.core.interactions import Coord
 from repro.core.options import SRSOptions
 from repro.kernels.base import KernelMatrix
+from repro.obs import stopwatch
 from repro.tree.quadtree import QuadTree
+
+#: one measured task: ``(level, box, seconds)``
+TaskTime = tuple[int, Coord, float]
 
 
 def box_color(box: Coord) -> int:
@@ -50,6 +49,22 @@ def lpt_makespan(durations: list[float], nthreads: int) -> float:
     return float(loads.max())
 
 
+def _schedule(
+    times: list[TaskTime], nthreads: int, sync_overhead: float
+) -> list[tuple[int, float]]:
+    """Simulated time per level (finest first): every color batch is
+    LPT-scheduled onto the threads and ends in a barrier."""
+    batches: dict[tuple[int, int], list[float]] = {}
+    for level, box, seconds in times:
+        batches.setdefault((level, box_color(box)), []).append(seconds)
+    per_level: dict[int, float] = {}
+    for (level, _color), durations in batches.items():
+        per_level[level] = (
+            per_level.get(level, 0.0) + lpt_makespan(durations, nthreads) + sync_overhead
+        )
+    return sorted(per_level.items(), reverse=True)
+
+
 @dataclass
 class SharedMemoryResult:
     """Outcome of the shared-memory comparator.
@@ -60,15 +75,37 @@ class SharedMemoryResult:
     can run it as ``SolveConfig(execution="shared", ranks=nthreads)``;
     ``t_fact``/``t_solve`` are the simulated thread-schedule times the
     facade surfaces as ``sim_t_fact``/``sim_t_solve``.
+
+    The measured durations are kept, and the simulated times are a
+    function of them and ``nthreads`` alone: :meth:`schedule` puts the
+    *same* measurement on another thread count without factoring again.
     """
 
     factorization: SRSFactorization
     nthreads: int
-    t_fact: float
-    t_solve: float
+    #: measured per-box skeletonization times
+    task_times: list[TaskTime]
+    #: measured per-record apply times (upward plus downward pass)
+    apply_times: list[TaskTime]
     sequential_t_fact: float
     sequential_t_solve: float
-    per_level: list[tuple[int, float]] = field(default_factory=list)
+    sync_overhead: float = 5.0e-6
+    t_fact: float = field(init=False)
+    t_solve: float = field(init=False)
+    per_level: list[tuple[int, float]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.nthreads < 1:
+            raise ValueError(f"nthreads must be >= 1, got {self.nthreads}")
+        self.per_level = _schedule(self.task_times, self.nthreads, self.sync_overhead)
+        self.t_fact = sum(t for _lvl, t in self.per_level)
+        self.t_solve = sum(
+            t for _lvl, t in _schedule(self.apply_times, self.nthreads, self.sync_overhead)
+        )
+
+    def schedule(self, nthreads: int) -> "SharedMemoryResult":
+        """The same measured durations scheduled onto ``nthreads`` threads."""
+        return replace(self, nthreads=nthreads)
 
     @property
     def speedup(self) -> float:
@@ -96,76 +133,43 @@ def shared_memory_factor(
     """Factor with the box-coloring shared-memory strategy.
 
     Returns the (numerically identical) factorization plus the
-    simulated ``t_fact``/``t_solve`` on ``nthreads`` threads.
+    simulated ``t_fact``/``t_solve`` on ``nthreads`` threads. The
+    strategy schedules *per-box* tasks, so the factorization runs the
+    strict sweep whatever ``opts.factor_mode`` or ``REPRO_FACTOR_MODE``
+    say — pinned here, in the comparator's own options.
     """
-    if nthreads < 1:
+    if nthreads < 1:  # before the measurement, not after it
         raise ValueError(f"nthreads must be >= 1, got {nthreads}")
-    opts = opts or SRSOptions()
+    opts = replace(opts or SRSOptions(), factor_mode="strict")
     if tree is None:
         tree = QuadTree.for_leaf_size(kernel.points, opts.leaf_size)
 
-    fact = SRSFactorization([], kernel.n, kernel.dtype, opts)
-    active = {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()}
-    seed_blocks = None
-    task_times: list[tuple[int, Coord, float]] = []
-    seq_fact_time = 0.0
+    task_times: list[TaskTime] = []
+    with stopwatch() as sw_fact:
+        fact = srs_factor(kernel, tree, opts, task_times=task_times)
 
-    for level in range(tree.nlevels, 0, -1):
-        store = InteractionStore(kernel, active, blocks=seed_blocks, max_modified_distance=None)
-        t0 = time.perf_counter()
-        factor_level(fact, store, kernel, tree, level, opts, task_times=task_times)
-        seq_fact_time += time.perf_counter() - t0
-        if level > 1:
-            t0 = time.perf_counter()
-            active, seed_blocks = transition_to_parent(store, tree, level)
-            seq_fact_time += time.perf_counter() - t0
-
-    # --- schedule measured tasks: per level, per color batch, LPT ------
-    t_fact = 0.0
-    per_level: list[tuple[int, float]] = []
-    levels = sorted({lvl for lvl, _b, _d in task_times}, reverse=True)
-    for lvl in levels:
-        level_time = 0.0
-        for color in range(4):
-            batch = [d for (lv, b, d) in task_times if lv == lvl and box_color(b) == color]
-            if not batch:
-                continue
-            level_time += lpt_makespan(batch, nthreads) + sync_overhead
-        per_level.append((lvl, level_time))
-        t_fact += level_time
-
-    # --- solve: measure per-record apply times, schedule the same way --
+    # --- solve: measure per-record apply times -------------------------
     rng = np.random.default_rng(0)
     shape = (kernel.n,) if nrhs_probe == 1 else (kernel.n, nrhs_probe)
-    probe = rng.standard_normal(shape).astype(np.result_type(kernel.dtype, float))
-    x = probe.astype(np.result_type(kernel.dtype, probe.dtype), copy=True)
-    apply_times: dict[tuple[int, Coord], float] = {}
-    t0_all = time.perf_counter()
-    for rec in fact.records:
-        t0 = time.perf_counter()
-        rec.apply_v(x)
-        apply_times[(rec.level, rec.box)] = time.perf_counter() - t0
-    for rec in reversed(fact.records):
-        t0 = time.perf_counter()
-        rec.apply_w(x)
-        apply_times[(rec.level, rec.box)] += time.perf_counter() - t0
-    seq_solve_time = time.perf_counter() - t0_all
-
-    t_solve = 0.0
-    for lvl in levels:
-        for color in range(4):
-            batch = [
-                d for (lv, b), d in apply_times.items() if lv == lvl and box_color(b) == color
-            ]
-            if batch:
-                t_solve += lpt_makespan(batch, nthreads) + sync_overhead
+    x = rng.standard_normal(shape).astype(np.result_type(kernel.dtype, float))
+    upward: list[float] = []
+    apply_times: list[TaskTime] = []
+    with stopwatch() as sw_solve:
+        for rec in fact.records:
+            with stopwatch() as sw:
+                rec.apply_v(x)
+            upward.append(sw.elapsed)
+        for rec, up in zip(reversed(fact.records), reversed(upward)):
+            with stopwatch() as sw:
+                rec.apply_w(x)
+            apply_times.append((rec.level, rec.box, up + sw.elapsed))
 
     return SharedMemoryResult(
         factorization=fact,
         nthreads=nthreads,
-        t_fact=t_fact,
-        t_solve=t_solve,
-        sequential_t_fact=seq_fact_time,
-        sequential_t_solve=seq_solve_time,
-        per_level=per_level,
+        task_times=task_times,
+        apply_times=apply_times,
+        sequential_t_fact=sw_fact.elapsed,
+        sequential_t_solve=sw_solve.elapsed,
+        sync_overhead=sync_overhead,
     )

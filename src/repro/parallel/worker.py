@@ -18,6 +18,12 @@ Every rank executes :func:`factor_worker`. Per tree level:
    sibling-group leader), a halo refresh of skeleton coordinates among
    the surviving ranks, and local re-assembly of parent-level blocks.
 
+This file is the *protocol* — which boxes when, which messages. The
+work inside a phase is the sequential solver's
+(:func:`~repro.core.factorization.sweep_level` in steps 1 and 3,
+:func:`~repro.core.factorization.assemble_parents` in step 4), so with
+``p = 1`` the records are bitwise those of ``srs_factor``.
+
 All state a rank touches arrives either from the initial scatter or
 from neighbor messages — the :class:`~repro.parallel.localkernel.LocalKernel`
 raises if the protocol ever under-delivers.
@@ -29,11 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batch import skeletonize_level_batched
+from repro.core.factorization import assemble_parents, sweep_level
 from repro.core.interactions import Coord, InteractionStore, PairKey
 from repro.core.options import SRSOptions
-from repro.core.proxy import proxy_points_for_box
-from repro.core.skel import BoxRecord, skeletonize_box
+from repro.core.skel import BoxRecord
 from repro.core.stats import RankStats
 from repro.geometry.domain import Square
 from repro.geometry.morton import morton_encode
@@ -190,8 +195,9 @@ def factor_worker(
         interior_log: list = []
         with trace.span("factor.interior", level=level, boxes=len(interior)):
             with comm.clock.compute():
-                _factor_boxes(
-                    records, stats, store, local, geometry, level, interior, opts, interior_log
+                sweep_level(
+                    store, local, geometry, level, interior, opts, records, stats,
+                    update_log=interior_log,
                 )
         i1 = len(records)
 
@@ -213,8 +219,9 @@ def factor_worker(
                 if color == my_color:
                     log: list = []
                     with comm.clock.compute():
-                        _factor_boxes(
-                            records, stats, store, local, geometry, level, boundary, opts, log
+                        sweep_level(
+                            store, local, geometry, level, boundary, opts, records, stats,
+                            update_log=log,
                         )
                     for w in nbr_ranks:
                         comm.send(
@@ -291,9 +298,15 @@ def factor_worker(
         )
 
         # -- parent assembly ----------------------------------------------
+        # the next level's active map holds own parents only; its halo is
+        # refilled by the level-start halo refresh at the parent level
         with trace.span("factor.transition", level=level), comm.clock.compute():
-            active, seed_blocks, own_boxes = _assemble_parent(
-                store, geometry, level, own_boxes
+            own_boxes = sorted(
+                {(b[0] >> 1, b[1] >> 1) for b in own_boxes},
+                key=lambda c: morton_encode(c[0], c[1]),
+            )
+            active, seed_blocks = assemble_parents(
+                store, geometry, level, opts, own=own_boxes
             )
 
     return WorkerResult(
@@ -309,48 +322,6 @@ def factor_worker(
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def _factor_boxes(
-    records: list[BoxRecord],
-    stats: RankStats,
-    store: InteractionStore,
-    local: LocalKernel,
-    geometry: QuadTree,
-    level: int,
-    boxes: list[Coord],
-    opts: SRSOptions,
-    update_log: list,
-) -> None:
-    if opts.resolved_factor_mode() == "batched":
-        # same elimination order and update-log stream as the loop below;
-        # only assembly + ID are level-batched (phase boxes = one batch)
-        for size_before, rec in skeletonize_level_batched(
-            store, local, geometry, level, boxes, opts, update_log=update_log
-        ):
-            stats.record(level, size_before, rec.rank)
-            records.append(rec)
-        return
-    has_far_field = geometry.nside(level) >= 4
-    side = geometry.box_side(level)
-    for box in boxes:
-        if box not in store.active:
-            continue
-        nbrs = geometry.neighbors(level, *box)
-        m_boxes = geometry.dist2_neighbors(level, *box) if has_far_field else []
-        proxy = (
-            proxy_points_for_box(local, geometry.box_center(level, *box), side, opts)
-            if has_far_field
-            else None
-        )
-        size_before = store.nactive(box)
-        rec = skeletonize_box(
-            store, local, box, nbrs, m_boxes, proxy, opts, level=level, update_log=update_log
-        )
-        if rec is None:
-            continue
-        stats.record(level, size_before, rec.rank)
-        records.append(rec)
-
-
 def _filter_ops(log: list, w: int, layout: LevelLayout) -> list:
     """Entries of an update log relevant to neighbor rank ``w``."""
     out = []
@@ -465,68 +436,3 @@ def _strip_refresh(
             store.active[b] = np.asarray(ids, dtype=np.int64)
             if len(ids):
                 local.extend(ids, coords, per_point)
-
-
-def _assemble_parent(
-    store: InteractionStore,
-    geometry: QuadTree,
-    level: int,
-    own_boxes: list[Coord],
-) -> tuple[dict[Coord, np.ndarray], dict[PairKey, np.ndarray], list[Coord]]:
-    """Regroup surviving skeletons under parents and assemble near blocks.
-
-    Assembles every parent pair ``(P, Q)`` with Chebyshev distance <= 1
-    where at least one side is owned; child sub-blocks come from the
-    store (modified or replicated) or fall back to kernel evaluation —
-    legal because child pairs at distance >= 3 are untouched (Thm. 2).
-    """
-    parent_level = level - 1
-    parent_own = sorted(
-        {(b[0] >> 1, b[1] >> 1) for b in own_boxes},
-        key=lambda c: morton_encode(c[0], c[1]),
-    )
-    own_set = set(parent_own)
-    nside = 1 << parent_level
-
-    def children_of(parent: Coord) -> list[Coord]:
-        kids = geometry.children(parent_level, *parent)
-        return [c for c in kids if c in store.active and store.active[c].size > 0]
-
-    # parent actives for own and near-known parents
-    parent_active: dict[Coord, np.ndarray] = {}
-    candidates: set[Coord] = set(parent_own)
-    for pxy in parent_own:
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                q = (pxy[0] + dx, pxy[1] + dy)
-                if 0 <= q[0] < nside and 0 <= q[1] < nside:
-                    candidates.add(q)
-    for parent in candidates:
-        kids = children_of(parent)
-        if not kids:
-            continue
-        parent_active[parent] = np.concatenate([store.active[c] for c in kids])
-
-    blocks: dict[PairKey, np.ndarray] = {}
-    for p1 in parent_own:
-        if p1 not in parent_active:
-            continue
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                p2 = (p1[0] + dx, p1[1] + dy)
-                if p2 not in parent_active:
-                    continue
-                for key in ((p1, p2), (p2, p1)):
-                    if key in blocks:
-                        continue
-                    c1s = children_of(key[0])
-                    c2s = children_of(key[1])
-                    rows = [
-                        np.hstack([store.get(c1, c2) for c2 in c2s]) for c1 in c1s
-                    ]
-                    blocks[key] = np.vstack(rows)
-
-    # next level's active map: own parents only (halo refilled by the
-    # level-start halo refresh at the parent level)
-    next_active = {pxy: parent_active[pxy] for pxy in parent_own if pxy in parent_active}
-    return next_active, blocks, parent_own

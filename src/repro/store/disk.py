@@ -21,8 +21,9 @@ import numpy as np
 
 #: bumped whenever the spill envelope or the pickled payload layout
 #: changes incompatibly; part of both the filename digest and the
-#: envelope check
-STORE_FORMAT = 1
+#: envelope check. 2: ``SRSFactorization`` lost its ``timings`` field
+#: (a format-1 payload pickles a class that no longer exists).
+STORE_FORMAT = 2
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 

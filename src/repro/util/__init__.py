@@ -1,6 +1,5 @@
-"""Shared utilities: configuration, timers, and small helpers."""
+"""Shared utilities: configuration and small helpers."""
 
-from repro.util.timing import Timer, TimingBreakdown
 from repro.util.config import bench_scale, env_flag, env_int
 
-__all__ = ["Timer", "TimingBreakdown", "bench_scale", "env_flag", "env_int"]
+__all__ = ["bench_scale", "env_flag", "env_int"]

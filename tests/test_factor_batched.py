@@ -10,6 +10,7 @@ kernel family and execution backend, including the Hermitian fast path
 import numpy as np
 import pytest
 
+from repro.apps import LaplaceVolumeProblem, ScatteringProblem
 from repro.bie import InteriorDirichletProblem, StarCurve, harmonic_exponential
 from repro.core import SRSOptions, srs_factor
 from repro.core.proxy import proxy_circle, proxy_circle_stack
@@ -87,15 +88,20 @@ def test_ranks_close_to_strict(laplace32):
 # strict reproducibility and mode resolution
 # ----------------------------------------------------------------------
 def _record_state(fact):
+    """Every array a ``BoxRecord`` holds, LU factors and pivots included."""
     return [
         (
             rec.box,
             rec.level,
+            rec.cluster_segments,
             rec.redundant.tobytes(),
             rec.skeleton.tobytes(),
+            rec.cluster.tobytes(),
             rec.T.tobytes(),
             rec.x_cr.tobytes(),
             rec.x_rc.tobytes(),
+            rec.lu._lu.tobytes(),
+            rec.lu._piv.tobytes(),
         )
         for rec in fact.records
     ]
@@ -175,6 +181,27 @@ def test_parallel_backend_mode_matrix(backend, mode, gaussian16, rng):
     a = dense_matrix(gaussian16)
     b = rng.standard_normal(gaussian16.n)
     assert relres(a, fact.solve(b), b) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["strict", "batched"])
+@pytest.mark.parametrize(
+    "make_problem",
+    [lambda: LaplaceVolumeProblem(m=32), lambda: ScatteringProblem(32, 10.0)],
+    ids=["laplace-hermitian", "scattering-two-sided"],
+)
+def test_one_rank_is_the_sequential_sweep_bitwise(make_problem, mode):
+    # the gate on "one sweep engine": with p=1 every box is interior, the
+    # halo is empty and no message is sent, so the distributed driver
+    # must reduce to srs_factor — same sweep, same parent assembly, in
+    # either mode — down to the last bit of every record
+    prob = make_problem()
+    opts = SRSOptions(tol=1e-6, leaf_size=16, factor_mode=mode)
+    seq = srs_factor(prob.kernel, opts=opts)
+    par = parallel_srs_factor(
+        prob.kernel, 1, opts=opts, backend="thread", domain=prob.parallel_domain
+    )
+    assert par.factor_run.total_messages == 0
+    assert _record_state(par.workers[0]) == _record_state(seq)
 
 
 def test_parallel_batched_matches_sequential_quality(laplace32, laplace32_dense, rng):

@@ -135,6 +135,3 @@ def test_identity_like_kernel_solves_exactly(rng):
     x = fact.solve(b)
     assert relres(dense_matrix(k), x, b) < 1e-13
 
-
-def test_timings_populated(laplace32_fact):
-    assert laplace32_fact.timings.total() > 0

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.core import SRSOptions
 from repro.core.interactions import InteractionStore
+from repro.core.proxy import proxy_points_for_box
+from repro.core.skel import skeletonize_box
 from repro.geometry import uniform_grid
-from repro.kernels import GaussianKernelMatrix
+from repro.kernels import GaussianKernelMatrix, LaplaceKernelMatrix
 from repro.tree import QuadTree
 
 
@@ -116,3 +120,81 @@ def test_memory_accounting(setup):
     assert store.memory_bytes() == 0
     store.get_writable((0, 0), (0, 1))
     assert store.memory_bytes() > 0
+
+
+# ----------------------------------------------------------------------
+# independence: skeletonizations at Chebyshev distance >= 3 commute
+# ----------------------------------------------------------------------
+# The batched sweep's colour phases and the distributed rank-colour loop
+# both factor boxes >= 3 apart "at once". That is only the sequential
+# algorithm if order does not matter between them: eliminating one may
+# not touch anything the other's compression or elimination reads.
+def _skeletonize_in_order(kernel, tree, level, order):
+    opts = SRSOptions(tol=1e-4, leaf_size=16)
+    store = InteractionStore(
+        kernel,
+        {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()},
+        max_modified_distance=None,
+    )
+    records = {}
+    for box in order:
+        proxy = proxy_points_for_box(
+            kernel, tree.box_center(level, *box), tree.box_side(level), opts
+        )
+        records[box] = skeletonize_box(
+            store, kernel, box,
+            tree.neighbors(level, *box), tree.dist2_neighbors(level, *box),
+            proxy, opts, level=level,
+        )
+    return store, records
+
+
+def _record_arrays(rec):
+    return (
+        rec.cluster_segments,
+        *(
+            (arr.shape, arr.tobytes())
+            for arr in (rec.redundant, rec.skeleton, rec.cluster, rec.T,
+                        rec.x_cr, rec.x_rc, rec.lu._lu, rec.lu._piv)
+        ),
+    )
+
+
+_leaf_coord = st.tuples(st.integers(0, 7), st.integers(0, 7))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), a=_leaf_coord, b=_leaf_coord)
+def test_far_skeletonizations_commute_bitwise(seed, a, b):
+    assume(max(abs(a[0] - b[0]), abs(a[1] - b[1])) >= 3)
+    pts = np.random.default_rng(seed).random((1200, 2))
+    tree = QuadTree(pts, 3)  # 8x8 leaves, ~19 points each
+    kernel = LaplaceKernelMatrix(pts, 1.0 / 35)
+    store_ab, rec_ab = _skeletonize_in_order(kernel, tree, 3, [a, b])
+    store_ba, rec_ba = _skeletonize_in_order(kernel, tree, 3, [b, a])
+    # both boxes really eliminate something, so both orders really
+    # write Schur updates into the store
+    assume(all(rec is not None and rec.redundant.size for rec in rec_ab.values()))
+    for box in (a, b):
+        assert _record_arrays(rec_ab[box]) == _record_arrays(rec_ba[box])
+    assert store_ab.active.keys() == store_ba.active.keys()
+    for box, idx in store_ab.active.items():
+        assert np.array_equal(idx, store_ba.active[box])
+    assert store_ab.blocks.keys() == store_ba.blocks.keys()
+    for key, blk in store_ab.blocks.items():
+        assert blk.shape == store_ba.blocks[key].shape
+        assert blk.tobytes() == store_ba.blocks[key].tobytes()
+
+
+def test_distance_two_skeletonizations_do_not_commute():
+    # the counter-example that keeps the property above from being
+    # vacuous: at distance 2 each box sits in the other's M ring, so the
+    # second one compresses against the first one's *skeleton* rows only
+    pts = uniform_grid(32)
+    tree = QuadTree(pts, 3)  # 8x8 leaves, 16 points each
+    kernel = LaplaceKernelMatrix(pts, 1.0 / 32)
+    a, b = (2, 2), (4, 2)
+    _, rec_ab = _skeletonize_in_order(kernel, tree, 3, [a, b])
+    _, rec_ba = _skeletonize_in_order(kernel, tree, 3, [b, a])
+    assert _record_arrays(rec_ab[b]) != _record_arrays(rec_ba[b])
+    assert _record_arrays(rec_ab[a]) != _record_arrays(rec_ba[a])

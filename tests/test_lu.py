@@ -68,3 +68,49 @@ def test_pivoting_matters():
     lu = PartialLU(a)
     b = np.array([1.0, 2.0])
     assert np.allclose(a @ lu.solve_left(b), b, atol=1e-12)
+
+
+def test_concurrent_solves_share_one_factorization():
+    """Threads solving on one cached ``PartialLU`` must not see each other.
+
+    scipy's getrs wrapper shifts the pivot array it is given in place
+    around the LAPACK call; handing it the shared ``_piv`` let two
+    threads corrupt each other's solves and leave the pivots off by one
+    for every later solve.
+    """
+    import sys
+    import threading
+
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((40, 40)) + 40 * np.eye(40)
+    lu = PartialLU(a)
+    piv0 = lu._piv.copy()
+    b_left = rng.standard_normal((40, 3))
+    b_right = rng.standard_normal((3, 40))
+    want_left = lu.solve_left(b_left)
+    want_right = lu.solve_right(b_right)
+
+    wrong = []
+    start = threading.Barrier(3)
+
+    def hammer():
+        start.wait()
+        bad = 0
+        for _ in range(4000):
+            bad += not np.array_equal(lu.solve_left(b_left), want_left)
+            bad += not np.array_equal(lu.solve_right(b_right), want_right)
+        wrong.append(bad)
+
+    threads = [threading.Thread(target=hammer) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [0, 0, 0]
+    assert np.array_equal(lu._piv, piv0)

@@ -1,9 +1,11 @@
 """Tests for the shared-memory (box-coloring) comparator (Table VI)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import SRSOptions
+from repro.core import SRSOptions, srs_factor
 from repro.geometry import uniform_grid
 from repro.kernels import LaplaceKernelMatrix, dense_matrix
 from repro.parallel import shared_memory_factor
@@ -50,11 +52,47 @@ def test_factorization_identical_to_sequential(rng):
 
 
 def test_speedup_monotone_in_threads():
+    # measure once, schedule the *same* durations three times: the
+    # makespans are then a function of one measurement, and what is
+    # asserted about them is a property of LPT list scheduling on fixed
+    # positive durations (re-measuring per thread count compared three
+    # noisy runs). A second thread always shortens a batch of >= 2
+    # tasks; more threads never lengthen one.
     m = 32
     k = LaplaceKernelMatrix(uniform_grid(m), 1.0 / m)
+    one = shared_memory_factor(k, 1, SRSOptions(tol=1e-6, leaf_size=16))
+    four, sixteen = one.schedule(4), one.schedule(16)
+    assert four.task_times is one.task_times and four.factorization is one.factorization
+    assert (one.nthreads, four.nthreads, sixteen.nthreads) == (1, 4, 16)
+    assert one.sequential_t_fact == sixteen.sequential_t_fact
+    assert one.t_fact > four.t_fact >= sixteen.t_fact
+    assert one.t_solve > four.t_solve >= sixteen.t_solve
+    # strictly all the way where no outlier task can dominate its batch:
+    # 16 unit tasks in each of the four color batches of an 8x8 level
+    even = replace(
+        one,
+        task_times=[(3, (i, j), 1.0) for i in range(8) for j in range(8)],
+        sync_overhead=0.0,
+    )
+    assert [even.schedule(t).t_fact for t in (1, 4, 16)] == [64.0, 16.0, 4.0]
+    with pytest.raises(ValueError):
+        one.schedule(0)
+
+
+def test_comparator_pins_strict_in_its_own_options(monkeypatch):
+    # per-box durations exist for the singleton schedule only; the
+    # comparator says so in the options it factors with, instead of the
+    # sweep overriding the caller's mode when handed a task_times list
+    monkeypatch.setenv("REPRO_FACTOR_MODE", "batched")
+    k = LaplaceKernelMatrix(uniform_grid(16), 1.0 / 16)
     opts = SRSOptions(tol=1e-6, leaf_size=16)
-    times = [shared_memory_factor(k, t, opts).t_fact for t in (1, 4, 16)]
-    assert times[0] > times[1] > times[2]
+    res = shared_memory_factor(k, 4, opts)
+    assert res.factorization.opts.factor_mode == "strict"
+    boxes = {(rec.level, rec.box) for rec in res.factorization.records}
+    assert {(lvl, box) for lvl, box, _s in res.task_times} == boxes
+    assert {(lvl, box) for lvl, box, _s in res.apply_times} == boxes
+    with pytest.raises(ValueError, match="task_times"):
+        srs_factor(k, opts=opts, task_times=[])
 
 
 def test_single_thread_close_to_sequential():

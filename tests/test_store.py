@@ -94,13 +94,21 @@ def test_spill_rejects_truncation(tmp_path):
 
 def test_spill_rejects_format_and_version_mismatch(tmp_path):
     key = "some-key"
+    # what a format-1 spill carries: every SRSFactorization pickled a
+    # TimingBreakdown, a class this tree no longer has. Each mismatch
+    # must be caught before the payload is unpickled ("payload" would
+    # mean it was tried).
+    stale = b"\x80\x04crepro.util.timing\nTimingBreakdown\n."
+    with pytest.raises(ModuleNotFoundError):
+        pickle.loads(stale)
     for field, value, expect in (
         ("format", STORE_FORMAT + 1, "format"),
+        ("format", STORE_FORMAT - 1, "format"),
         ("numpy", "0.0.0", "version"),
         ("key", repr("other-key"), "key"),
     ):
-        path = str(tmp_path / f"{field}.spill")
-        env = envelope(key, pickle.dumps(np.ones(8)))
+        path = str(tmp_path / f"{field}-{value}.spill")
+        env = envelope(key, stale)
         env[field] = value
         write_atomic(path, pickle.dumps(env))
         loaded, reason = load_spill(path, key)

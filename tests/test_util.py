@@ -1,57 +1,8 @@
-"""Tests for timers and environment configuration."""
-
-import time
+"""Tests for environment configuration."""
 
 import pytest
 
-from repro.util import Timer, TimingBreakdown, bench_scale, env_flag, env_int
-
-
-def test_timer_accumulates():
-    t = Timer()
-    with t:
-        time.sleep(0.01)
-    with t:
-        time.sleep(0.01)
-    assert t.elapsed >= 0.02
-    t.reset()
-    assert t.elapsed == 0.0
-
-
-def test_timer_reentrant_counts_outermost_only():
-    t = Timer()
-    with t:
-        with t:  # nested use must not corrupt the start stamp
-            time.sleep(0.005)
-        time.sleep(0.005)
-    assert 0.01 <= t.elapsed < 10.0
-    # one more plain use still works after the nested exit
-    with t:
-        time.sleep(0.002)
-    assert t.elapsed >= 0.012
-
-
-def test_timer_unbalanced_exit_raises():
-    t = Timer()
-    with pytest.raises(RuntimeError):
-        t.__exit__(None, None, None)
-
-
-def test_breakdown_buckets():
-    tb = TimingBreakdown()
-    tb.add("a", 1.0)
-    tb.add("a", 0.5)
-    tb.add("b", 2.0)
-    assert tb["a"] == pytest.approx(1.5)
-    assert tb["missing"] == 0.0
-    assert tb.total() == pytest.approx(3.5)
-
-
-def test_breakdown_measure():
-    tb = TimingBreakdown()
-    with tb.measure("work"):
-        time.sleep(0.005)
-    assert tb["work"] >= 0.005
+from repro.util import bench_scale, env_flag, env_int
 
 
 def test_env_int(monkeypatch):
@@ -134,20 +85,6 @@ def test_vmpi_pool_max_config(monkeypatch):
     monkeypatch.setenv("REPRO_VMPI_POOL_MAX", "0")
     with pytest.raises(ValueError):
         vmpi_pool_max()
-
-
-def test_breakdown_mirrors_metrics_registry():
-    from repro.obs import REGISTRY
-
-    counter = REGISTRY.counter(
-        "repro_timing_seconds_total",
-        "Seconds accumulated per timing bucket",
-        labelnames=("bucket",),
-    )
-    before = counter.value(bucket="mirror_test")
-    tb = TimingBreakdown()
-    tb.add("mirror_test", 1.25)
-    assert counter.value(bucket="mirror_test") == pytest.approx(before + 1.25)
 
 
 def test_obs_config(monkeypatch):
