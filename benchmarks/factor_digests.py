@@ -1,0 +1,64 @@
+"""Digests of factor records and solutions, for "same bits" claims.
+
+Prints one BLAKE2b digest over every ``BoxRecord`` array (index sets,
+``T``, LU factors and pivots, ``X_CR``/``X_RC``, with dtype, shape and
+memory order) and one over the solution ``x``, for Laplace m=32 and
+scattering m=32 kappa=10, strict and batched sweeps, on sequential,
+thread p=4 and process p=4 execution. Run it against two commits and
+diff the output:
+
+    PYTHONPATH=src python benchmarks/factor_digests.py
+"""
+
+import hashlib
+
+import numpy as np
+
+import repro
+from repro.apps import LaplaceVolumeProblem, ScatteringProblem
+
+
+def _feed(h, arr: np.ndarray) -> None:
+    order = "F" if arr.flags.f_contiguous and not arr.flags.c_contiguous else "C"
+    h.update(f"{arr.dtype.str}{arr.shape}{order}".encode())
+    h.update(arr.tobytes(order=order))
+
+
+def _records(fact) -> list:
+    if hasattr(fact, "workers"):
+        return [rec for w in fact.workers for rec in w.records]
+    return list(fact.records)
+
+
+def digests(problem, execution: str, factor_mode: str) -> tuple[str, str]:
+    ranks = {} if execution == "sequential" else {"ranks": 4}
+    report = repro.solve(
+        problem, problem.random_rhs(0), method="direct", execution=execution,
+        srs=repro.SRSOptions(factor_mode=factor_mode), **ranks,
+    )
+    h = hashlib.blake2b(digest_size=12)
+    for rec in _records(report.factorization):
+        h.update(f"{rec.box}{rec.level}{rec.cluster_segments}".encode())
+        for arr in (rec.redundant, rec.skeleton, rec.cluster, rec.T,
+                    rec.lu._lu, rec.lu._piv, rec.x_cr, rec.x_rc):
+            _feed(h, arr)
+    hx = hashlib.blake2b(digest_size=12)
+    _feed(hx, np.asarray(report.x))
+    return h.hexdigest(), hx.hexdigest()
+
+
+def main() -> None:
+    problems = {
+        "laplace m=32": LaplaceVolumeProblem(m=32),
+        "scattering m=32 kappa=10": ScatteringProblem(32, 10.0),
+    }
+    for name, problem in problems.items():
+        for mode in ("strict", "batched"):
+            for execution in ("sequential", "thread", "process"):
+                rec, x = digests(problem, execution, mode)
+                print(f"{name:26s} {mode:8s} {execution:10s} records {rec}  x {x}")
+    repro.vmpi.shutdown_all_pools()
+
+
+if __name__ == "__main__":
+    main()

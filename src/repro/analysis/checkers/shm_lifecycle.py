@@ -1,19 +1,21 @@
 """shm-lifecycle: confine the shared-memory lifetime protocol to its codec.
 
 The process backend's create->registry->unlink protocol only stays
-auditable if every block is born in one place. Enforced:
+auditable if every segment is born in one place. Enforced:
 
 * ``SharedMemory(create=True)`` construction is confined to the codec
   module (``repro.vmpi.process_backend``), and inside it to the single
   ``_create_shm`` helper (the one spot that knows about the 3.13
   ``track=False`` split).
 * ``.unlink()`` calls are confined to the codec module — everyone else
-  must go through the registry sweep (``_unlink_registered``) or the
-  receive path, so a stray unlink can never race the lifetime protocol.
-* every ``_create_shm`` call site must register the new block's name
-  (an ``.append``/``.add`` into a registry collection in the same
-  function) *before* anything can fail — otherwise a crash mid-copy
-  strands the block in ``/dev/shm`` forever.
+  must go through ``release_segment``, the registry sweep
+  (``_unlink_registered``) or the receive path, so a stray unlink can
+  never race the lifetime protocol.
+* every ``_create_shm`` call site (``pack`` is the one that ships
+  payloads) must hand the new segment's ``.name`` to a registry in the
+  same function — ``registry.put(shm.name)`` into the registry pipe, or
+  an ``.append``/``.add`` into a collection — otherwise a crash
+  mid-copy strands the segment in ``/dev/shm`` forever.
 """
 
 from __future__ import annotations
@@ -62,10 +64,15 @@ def _is_unlink(call: ast.Call) -> bool:
 
 
 def _registers_name(fn: ast.AST) -> bool:
-    """Does this function feed a registry collection (append/add)?"""
+    """Does this function hand a ``.name`` to a registry (put/append/add)?"""
     for call in iter_calls(fn):
-        if isinstance(call.func, ast.Attribute) and call.func.attr in (
-            "append", "add"
+        if (
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("put", "append", "add")
+            and any(
+                isinstance(arg, ast.Attribute) and arg.attr == "name"
+                for arg in call.args
+            )
         ):
             return True
     return False
@@ -76,7 +83,7 @@ class ShmLifecycleChecker(Checker):
     name = "shm-lifecycle"
     description = (
         "SharedMemory(create=True)/unlink() confined to the vmpi codec; "
-        "every created block is registered for the sweep"
+        "every created segment is registered for the sweep"
     )
 
     def run(self, project: Project) -> Iterable[Finding]:
@@ -125,9 +132,10 @@ class ShmLifecycleChecker(Checker):
                             findings.append(mod.finding(
                                 call, self.name,
                                 f"{CREATE_HELPER}() call in {fn_name}() does "
-                                "not register the block name "
-                                "(no .append/.add into a registry collection) "
-                                "— a crash here strands the block in /dev/shm",
+                                "not register the segment name (no "
+                                ".put/.append/.add of its .name into a "
+                                "registry) — a crash here strands the "
+                                "segment in /dev/shm",
                                 f"unregistered-create:{fn_name}",
                             ))
         return findings

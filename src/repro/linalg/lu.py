@@ -16,10 +16,6 @@ import scipy.linalg
 class PartialLU:
     """LU factorization ``P X = L U`` of a (small, dense) diagonal block."""
 
-    #: opt in to the process backend's shared-memory codec: the stored
-    #: factors (``_lu``/``_piv``) travel zero-copy instead of pickling
-    __shm_walk__ = True
-
     def __init__(self, x_rr: np.ndarray):
         x_rr = np.asarray(x_rr)
         if x_rr.ndim != 2 or x_rr.shape[0] != x_rr.shape[1]:

@@ -14,6 +14,7 @@ call this directly when driving a bare kernel matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,21 +181,13 @@ def parallel_srs_factor(
     if nlevels is None:
         nlevels = QuadTree.for_leaf_size(kernel.points, opts.leaf_size, domain=domain).nlevels
         # ensure every rank owns at least 2x2 leaves
-        import math
-
         g = int(round(math.log(max(p, 1), 4)))
         nlevels = max(nlevels, g + 1)
     if p > max_ranks_for_tree(nlevels):
         raise ValueError(
             f"p={p} too large for nlevels={nlevels}: need p <= {max_ranks_for_tree(nlevels)}"
         )
-    # validates p is a power-of-two squared
-    LevelLayout(nlevels, p).grid_side  # noqa: B018 - validation side effect
-
-    import math
-
-    if math.isqrt(p) ** 2 != p or (math.isqrt(p) & (math.isqrt(p) - 1)) != 0:
-        raise ValueError(f"p must be a power-of-two squared (1, 4, 16, ...), got {p}")
+    LevelLayout(nlevels, p)  # rejects a p that is not a power-of-two squared
 
     # kernels with locally corrected quadrature (repro.bie) constrain the
     # leaf size; validate against the tree geometry the workers will use,

@@ -14,7 +14,8 @@ its group index cleared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from repro.geometry.morton import morton_decode, morton_encode
 
@@ -33,51 +34,53 @@ def max_ranks_for_tree(nlevels: int) -> int:
 class LevelLayout:
     """Ownership layout of one tree level for ``p`` total ranks.
 
+    Every lookup a rank makes per box or per box pair — owner, region
+    distance, boundary test, colour — is integer arithmetic on fields
+    computed once here; none of them reaches numpy.
+
     Attributes
     ----------
     level:
         Tree level (root = 0).
     p:
-        Total ranks in the communicator.
+        Total ranks in the communicator: a power-of-two squared.
+    nside:
+        Boxes per side of the level's grid, ``2**level``.
     active:
         Number of active ranks at this level, ``min(p, 4**(level-1))``.
     stride:
         ``p // active`` — rank ``r`` is active iff ``r % stride == 0``.
+    grid_side:
+        Side of the active process grid.
     region_side:
         Boxes per side owned by each active rank.
     """
 
     level: int
     p: int
+    nside: int = field(init=False, compare=False)
+    active: int = field(init=False, compare=False)
+    stride: int = field(init=False, compare=False)
+    grid_side: int = field(init=False, compare=False)
+    region_side: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"layouts exist for levels >= 1, got {self.level}")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-
-    @property
-    def nside(self) -> int:
-        return 1 << self.level
-
-    @property
-    def active(self) -> int:
-        return min(self.p, 4 ** (self.level - 1)) if self.level > 1 else 1
-
-    @property
-    def stride(self) -> int:
-        return self.p // self.active
-
-    @property
-    def grid_side(self) -> int:
-        """Side of the active process grid."""
-        import math
-
-        return math.isqrt(self.active)
-
-    @property
-    def region_side(self) -> int:
-        return self.nside // self.grid_side
+        level, p = self.level, self.p
+        if level < 1:
+            raise ValueError(f"layouts exist for levels >= 1, got {level}")
+        side = math.isqrt(max(p, 0))
+        if p < 1 or side * side != p or side & (side - 1):
+            raise ValueError(f"p must be a power-of-two squared (1, 4, 16, ...), got {p}")
+        active = min(p, 4 ** (level - 1))
+        grid_side = math.isqrt(active)
+        for name, value in (
+            ("nside", 1 << level),
+            ("active", active),
+            ("stride", p // active),
+            ("grid_side", grid_side),
+            ("region_side", (1 << level) // grid_side),
+        ):
+            object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
     def is_active(self, rank: int) -> bool:
@@ -95,8 +98,7 @@ class LevelLayout:
     def owner(self, box: Coord) -> int:
         """Active rank owning ``box`` at this level."""
         w = self.region_side
-        ox, oy = box[0] // w, box[1] // w
-        return morton_encode(ox, oy) * self.stride
+        return morton_encode(box[0] // w, box[1] // w) * self.stride
 
     def owned_boxes(self, rank: int) -> list[Coord]:
         """Boxes owned by ``rank``, Morton order within the region."""
@@ -122,16 +124,20 @@ class LevelLayout:
         return max(dx, dy)
 
     def is_boundary(self, box: Coord, rank: int) -> bool:
-        """True when some neighbor of ``box`` is owned by another rank."""
-        n = self.nside
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                q = (box[0] + dx, box[1] + dy)
-                if 0 <= q[0] < n and 0 <= q[1] < n and self.owner(q) != rank:
-                    return True
-        return False
+        """True when some neighbor of ``box`` is owned by another rank.
+
+        The neighbors of ``box`` fill its 3x3 block clipped to the
+        domain; one of them belongs to another rank exactly when that
+        block leaves ``rank``'s region.
+        """
+        x0, y0, x1, y1 = self.region_bounds(rank)
+        last = self.nside - 1
+        return (
+            max(box[0] - 1, 0) < x0
+            or min(box[0] + 1, last) >= x1
+            or max(box[1] - 1, 0) < y0
+            or min(box[1] + 1, last) >= y1
+        )
 
     def neighbor_ranks(self, rank: int) -> list[int]:
         """Active ranks whose regions are adjacent to ``rank``'s."""

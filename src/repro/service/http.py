@@ -56,6 +56,7 @@ fingerprint and one cached factorization.
 
 from __future__ import annotations
 
+import io
 import json
 import uuid
 from collections import OrderedDict
@@ -271,12 +272,22 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         pass
 
     def _reply_raw(self, status: int, body: bytes, content_type: str, request_id: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Request-Id", request_id)
-        self.end_headers()
-        self.wfile.write(body)
+        # Head and body leave in ONE write. ``end_headers()`` flushes the
+        # head to the (unbuffered) socket file on its own; a body written
+        # after it is a second small segment that Nagle holds back until
+        # the client's delayed ACK of the first — ~40 ms on every reply of
+        # a kept-alive connection. So the head is composed off the socket.
+        sock_file, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.send_header("X-Request-Id", request_id)
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = sock_file
+        self.wfile.write(head + body)
 
     def _reply(self, status: int, payload: dict, request_id: str) -> None:
         self._reply_raw(

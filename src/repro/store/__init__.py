@@ -9,8 +9,8 @@ refactored per restart. This package keeps it resident at three tiers:
    workers retain their ``PartialLU``/``BoxRecord`` shards; repeated
    solves dispatch O(rhs) bytes instead of O(factorization).
 2. **cross-process shared** (:mod:`repro.store.shared`) — cache entries
-   published through the vmpi shm codec as named blocks + a sidecar
-   index; other serving processes attach zero-copy, with refcounted
+   published in the vmpi message format as one named segment + a sidecar
+   file; other serving processes attach zero-copy, with refcounted
    unlink and a lockfile single-flight protocol.
 3. **disk spill / warm start** (:mod:`repro.store.disk`) — evicted and
    shutdown-time entries persist as checksummed files under

@@ -22,8 +22,10 @@ import numpy as np
 #: bumped whenever the spill envelope or the pickled payload layout
 #: changes incompatibly; part of both the filename digest and the
 #: envelope check. 2: ``SRSFactorization`` lost its ``timings`` field
-#: (a format-1 payload pickles a class that no longer exists).
-STORE_FORMAT = 2
+#: (a format-1 payload pickles a class that no longer exists). 3: a
+#: shared sidecar holds one ``Packed`` (pickle stream + one segment)
+#: where format 2 held a tree of per-array block references.
+STORE_FORMAT = 3
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 

@@ -102,7 +102,7 @@ def factor_retain_worker(comm: Comm, kernel, nlevels, domain, opts, entry_id: st
     """:func:`~repro.parallel.worker.factor_worker`, retaining the shard.
 
     The retained object is the very ``WorkerResult`` the job returns
-    (the result channel's shm codec clones along carved paths and never
+    (packing it for the result channel copies the arrays out and never
     mutates the original), so retention adds zero communication and the
     factor job's counters are unchanged.
     """
@@ -116,9 +116,9 @@ def factor_retain_worker(comm: Comm, kernel, nlevels, domain, opts, entry_id: st
 def seed_worker(comm: Comm, workers: list[WorkerResult], entry_id: str):
     """(Re)materialize the shards: each rank retains its slice.
 
-    ``workers`` arrives through the pool's shared-dispatch shm blocks;
-    the decoded arrays keep their mappings alive after the dispatcher's
-    post-job sweep unlinks the names, so the retained shard stays valid
+    ``workers`` arrives through the pool's shared dispatch segment; the
+    decoded arrays keep its mapping alive after the dispatcher's
+    post-job sweep unlinks the name, so the retained shard stays valid
     for the lifetime of the worker process.
     """
     _retain(entry_id, workers[comm.rank])

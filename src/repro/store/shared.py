@@ -1,29 +1,31 @@
 """Tier 2 of the resident store: cross-process shared-memory entries.
 
-A published cache entry is the existing zero-copy shm codec applied at
-rest: ``encode_payload(fact, shared=True)`` carves every large array
-into a named ``/dev/shm`` block, and the leftover pickle (the encoded
-tree, full of :class:`~repro.vmpi.process_backend.ShmRef` placeholders)
-lands in a sidecar file under the store root, wrapped in the same
-self-verifying envelope as a disk spill. Another front-end process
-attaches by unpickling the sidecar and running ``decode_payload`` —
-every block maps zero-copy, so N servers share one resident
-factorization instead of holding N copies.
+A published cache entry is the process backend's message format applied
+at rest: ``pack(fact, shared=True)`` lays every large array of the
+factorization into **one** named ``/dev/shm`` segment, and the
+resulting :class:`~repro.vmpi.process_backend.Packed` (the pickle
+stream, the segment's name, the array offsets) lands in a sidecar file
+under the store root, wrapped in the same self-verifying envelope as a
+disk spill. Another front-end process attaches by unpickling the
+sidecar and running ``unpack`` — the segment maps once, every array is
+a zero-copy view of it, so N servers share one resident factorization
+instead of holding N copies. The mapping stays open in a process while
+any array of the attached factorization is alive there.
 
-Block lifetime is refcounted through per-process marker files
+Segment lifetime is refcounted through per-process marker files
 (``<digest>.ref.<pid>``) next to the sidecar: publish and attach each
-write their marker *before* touching blocks, release removes its own
-marker and — when no marker belongs to a live process — unlinks the
-blocks through the codec's ``_release_refs`` and removes the sidecar.
-``/dev/shm`` is left exactly as found once the last holder releases;
-a crashed holder's marker is reaped by the next releaser's liveness
-scan.
+write their marker *before* touching the segment, release removes its
+own marker and — when no marker belongs to a live process — unlinks the
+segment and removes the sidecar. ``/dev/shm`` is left exactly as found
+once the last holder releases; a crashed holder's marker is reaped by
+the next releaser's liveness scan.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+from typing import NamedTuple
 
 from repro.store.disk import (
     check_envelope,
@@ -32,15 +34,18 @@ from repro.store.disk import (
     remove_quiet,
     write_atomic,
 )
-from repro.vmpi.process_backend import (
-    _release_refs,
-    collect_refs,
-    decode_payload,
-    encode_payload,
-    ref_nbytes,
-)
+from repro.vmpi.process_backend import pack, release_segment, unpack
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
+
+
+class SharedHold(NamedTuple):
+    """What a holder keeps of a published/attached entry: the segment's
+    name (``None`` when no array reached the shm threshold) and the
+    array bytes in it."""
+
+    segment: str | None
+    nbytes: int
 
 
 def sidecar_path(root: str, digest: str) -> str:
@@ -78,42 +83,32 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def shared_nbytes(refs: list) -> int:
-    """Bytes held in shm blocks by one published/attached entry."""
-    return sum(ref_nbytes(r) for r in refs)
-
-
-def publish_entry(root: str, digest: str, key, fact, min_bytes: int) -> list:
-    """Carve ``fact`` into shared blocks + sidecar; returns the ref list.
+def publish_entry(root: str, digest: str, key, fact, min_bytes: int) -> SharedHold:
+    """Pack ``fact`` into one shared segment + sidecar; returns the hold.
 
     The refcount marker is written before the sidecar becomes visible,
     so no attacher can ever observe a sidecar with zero markers.
     """
-    created: list = []
-    try:
-        encoded = encode_payload(fact, min_bytes, created, shared=True)
-        payload = pickle.dumps(encoded, protocol=_PICKLE)
-    except Exception:
-        _release_refs(created)
-        raise
+    packed = pack(fact, min_bytes, shared=True)
     try:
         with open(_ref_path(root, digest), "wb") as fh:
             fh.write(b"1")
+        payload = pickle.dumps(packed, protocol=_PICKLE)
         write_atomic(
             sidecar_path(root, digest),
             pickle.dumps(envelope(key, payload), protocol=_PICKLE),
         )
     except Exception:
-        _release_refs(created)
+        release_segment(packed.segment)
         remove_quiet(_ref_path(root, digest))
         raise
-    return list(created)
+    return SharedHold(packed.segment, packed.shm_nbytes)
 
 
 def attach_entry(root: str, digest: str, key):
-    """``(fact, refs, None)`` mapped zero-copy, or ``(None, None, reason)``.
+    """``(fact, hold, None)`` mapped zero-copy, or ``(None, None, reason)``.
 
-    A sidecar whose blocks are gone (every holder crashed after the
+    A sidecar whose segment is gone (every holder crashed after the
     last clean release) is stale: it is cleaned up and reported as
     ``"stale"`` so the caller falls through to the disk tier.
     """
@@ -125,21 +120,21 @@ def attach_entry(root: str, digest: str, key):
     if reason is not None:
         remove_quiet(path)
         return None, None, reason
-    encoded = pickle.loads(env["payload"])
-    refs = collect_refs(encoded)
-    # visible to concurrent releasers before we start mapping blocks
+    packed = pickle.loads(env["payload"])
+    hold = SharedHold(packed.segment, packed.shm_nbytes)
+    # visible to concurrent releasers before we start mapping the segment
     with open(_ref_path(root, digest), "wb") as fh:
         fh.write(b"1")
     try:
-        fact = decode_payload(encoded)
+        fact = unpack(packed)
     except FileNotFoundError:
-        release_entry(root, digest, refs)
+        release_entry(root, digest, hold)
         return None, None, "stale"
-    return fact, refs, None
+    return fact, hold, None
 
 
-def release_entry(root: str, digest: str, refs: list) -> None:
-    """Drop this process's hold; the last live holder unlinks the blocks."""
+def release_entry(root: str, digest: str, hold: SharedHold) -> None:
+    """Drop this process's hold; the last live holder unlinks the segment."""
     remove_quiet(_ref_path(root, digest))
     live = False
     for path, pid in _ref_pids(root, digest):
@@ -148,5 +143,5 @@ def release_entry(root: str, digest: str, refs: list) -> None:
         else:
             remove_quiet(path)  # reap a crashed holder's marker
     if not live:
-        _release_refs(refs)
+        release_segment(hold.segment)
         remove_quiet(sidecar_path(root, digest))

@@ -5,7 +5,7 @@
 objects) and extends it across process and restart boundaries:
 
 * **shared** (tier 2, :mod:`repro.store.shared`) — entries published as
-  named shm blocks + sidecar; other processes attach zero-copy.
+  one named shm segment + sidecar; other processes attach zero-copy.
 * **disk** (tier 3, :mod:`repro.store.disk`) — checksummed spill files
   under ``REPRO_STORE_DIR``; cache misses consult them before
   factoring, giving warm restarts.
@@ -35,7 +35,6 @@ from repro.store.shared import (
     attach_entry,
     publish_entry,
     release_entry,
-    shared_nbytes,
     sidecar_path,
 )
 from repro.util.config import (
@@ -122,9 +121,10 @@ class FactorizationStore:
         )
         os.makedirs(self.root, exist_ok=True)
         self._lock = make_lock("store.index")
-        #: digest -> [refs, holds] for entries this process published or
-        #: attached; ``holds`` counts in-process holders so two caches in
-        #: one process release the shm refcount exactly once
+        #: digest -> [hold, holds] for entries this process published or
+        #: attached (``hold``: the entry's :class:`~repro.store.shared.SharedHold`);
+        #: ``holds`` counts in-process holders so two caches in one
+        #: process release the shm refcount exactly once
         self._held: dict[str, list] = {}
 
     @classmethod
@@ -148,10 +148,10 @@ class FactorizationStore:
     def shared_bytes(self) -> int:
         """Bytes this process holds in store shm blocks."""
         with self._lock:
-            return sum(shared_nbytes(refs) for refs, _ in self._held.values())
+            return sum(hold.nbytes for hold, _ in self._held.values())
 
     def _account_locked(self) -> None:
-        _SHARED_BYTES.set(sum(shared_nbytes(refs) for refs, _ in self._held.values()))
+        _SHARED_BYTES.set(sum(hold.nbytes for hold, _ in self._held.values()))
 
     def residency(self) -> dict[str, int]:
         """``{tier: bytes}`` across the store's tiers (watchdog feed).
@@ -181,10 +181,10 @@ class FactorizationStore:
         digest = key_digest(key)
         if self.shared:
             with trace.span("store.attach"):
-                fact, refs, reason = attach_entry(self.root, digest, key)
+                fact, hold, reason = attach_entry(self.root, digest, key)
             if fact is not None:
                 with self._lock:
-                    held = self._held.setdefault(digest, [refs, 0])
+                    held = self._held.setdefault(digest, [hold, 0])
                     held[1] += 1
                     self._account_locked()
                 _HITS.inc(tier="shared")
@@ -236,11 +236,11 @@ class FactorizationStore:
         try:
             if self.shared:
                 with trace.span("store.publish"):
-                    refs = publish_entry(
+                    hold = publish_entry(
                         self.root, digest, key, _publishable(fact), self.min_shm_bytes
                     )
                 with self._lock:
-                    held = self._held.setdefault(digest, [refs, 0])
+                    held = self._held.setdefault(digest, [hold, 0])
                     held[1] += 1
                     self._account_locked()
                 _PUBLISHES.inc()
@@ -299,10 +299,10 @@ class FactorizationStore:
             last = held[1] <= 0
             if last:
                 del self._held[digest]
-            refs = held[0]
+            hold = held[0]
             self._account_locked()
         if last:
-            release_entry(self.root, digest, refs)
+            release_entry(self.root, digest, hold)
 
     def holds_shared(self, key) -> bool:
         """Whether this process currently holds ``key``'s shm entry."""
@@ -318,5 +318,5 @@ class FactorizationStore:
         with self._lock:
             held, self._held = self._held, {}
             self._account_locked()
-        for digest, (refs, _holds) in held.items():
-            release_entry(self.root, digest, refs)
+        for digest, (hold, _holds) in held.items():
+            release_entry(self.root, digest, hold)

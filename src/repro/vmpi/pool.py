@@ -9,25 +9,26 @@ the result queue all stay alive across dispatches.
 
 Protocol per dispatch (one *job*):
 
-1. The parent encodes ``(fn, args, cost_model, copy_payloads)`` through
-   the shm codec (large arrays — e.g. the ``WorkerResult`` list a
-   distributed solve re-ships — travel as shared-memory blocks, mapped
-   zero-copy by each worker) and writes one pre-pickled command blob
+1. The parent packs ``(fn, args, cost_model, copy_payloads)`` once
+   (large arrays — e.g. the ``WorkerResult`` list a distributed solve
+   re-ships — go into one *shared* shared-memory segment, mapped
+   zero-copy by every worker) and writes one pre-pickled command blob
    per rank to that rank's command queue.
 2. Each worker builds a fresh :class:`~repro.vmpi.comm.Comm` over the
    persistent mailboxes, stamped with the job id as the transport
    *epoch*: a message stranded by an earlier job (sent but never
-   received) is discarded on receipt — with its shm blocks unlinked —
+   received) is discarded on receipt — with its segment unlinked —
    instead of corrupting a later program that reuses the same
    (source, tag) pair.
-3. Workers run ``fn(comm, *args)``, encode the result through the shm
-   codec (factorization dataclasses travel zero-copy), and pre-pickle
+3. Workers run ``fn(comm, *args)``, pack the result (factorization
+   dataclasses travel zero-copy, one segment per rank), and pre-pickle
    the outcome — so an unpicklable result is reported as that rank's
    failure instead of dying silently in a queue feeder thread.
-4. The parent collects one outcome per rank, decodes results, and
-   sweeps the registry: with all workers idle, any registered block
-   that still has a name is an orphan and is unlinked — repeated
-   dispatches leave ``/dev/shm`` exactly as they found it.
+4. The parent collects one outcome per rank, unpacks the results, and
+   sweeps the registry: with all workers idle, any registered segment
+   that still has a name — the dispatch segment, or an orphan — is
+   unlinked, so repeated dispatches leave ``/dev/shm`` exactly as they
+   found it.
 
 Failure policy: if every rank reported an outcome the pool survives a
 failed job (workers are idle again; mailboxes are drained and stale
@@ -62,12 +63,11 @@ from repro.vmpi.process_backend import (
     _drain_mailbox,
     _drain_registry,
     _ensure_resource_tracker,
-    _RegisteredRefs,
-    _release_refs,
     _teardown_procs,
     _unlink_registered,
-    decode_payload,
-    encode_payload,
+    pack,
+    release_segment,
+    unpack,
 )
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
@@ -113,13 +113,13 @@ def _pool_worker_main(
 def _execute_job(rank: int, cmd, mailboxes: list, registry, min_shm_bytes: int) -> bytes:
     """Run one dispatched SPMD program; returns the pre-pickled outcome.
 
-    The command's payload arrives as a nested pickle blob, opened *here*
-    inside the failure-reporting try: unpickling the program triggers
+    The command's payload arrives packed, opened *here* inside the
+    failure-reporting try: unpickling the program triggers
     module imports in this process (by-reference functions under spawn),
     and an import/decode error must surface as a clean rank failure —
     traceback preserved, pool kept alive — not a dead worker.
     """
-    _, job_id, payload_blob = cmd[:3]
+    _, job_id, payload = cmd[:3]
     # the dispatcher forwards its live tracing flag per job, so tracing
     # toggled after the pool started (or enabled without REPRO_OBS in
     # the environment, under the spawn start method) still reaches
@@ -133,9 +133,9 @@ def _execute_job(rank: int, cmd, mailboxes: list, registry, min_shm_bytes: int) 
     profile.clear()
     if profile_hz > 0:
         profile.start(profile_hz)
-    created = _RegisteredRefs(registry)
+    packed = None
     try:
-        fn, args, cost_model, copy_payloads = decode_payload(pickle.loads(payload_blob))
+        fn, args, cost_model, copy_payloads = unpack(payload)
         transport = ProcessTransport(
             mailboxes, min_shm_bytes, registry=registry, epoch=job_id
         )
@@ -149,18 +149,13 @@ def _execute_job(rank: int, cmd, mailboxes: list, registry, min_shm_bytes: int) 
         if profile_hz > 0:
             profile.stop()
             report.profile = profile.drain_table()
-        out = (
-            rank,
-            job_id,
-            True,
-            encode_payload(result, min_shm_bytes, created),
-            report,
-        )
-        return pickle.dumps(out, protocol=_PICKLE)
+        packed = pack(result, min_shm_bytes, registry)
+        return pickle.dumps((rank, job_id, True, packed, report), protocol=_PICKLE)
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
         if profile_hz > 0:
             profile.stop()
-        _release_refs(created)
+        if packed is not None:
+            release_segment(packed.segment)
         return pickle.dumps(
             (rank, job_id, False, _describe(exc), None), protocol=_PICKLE
         )
@@ -388,38 +383,36 @@ class RankPool:
                 f"SPMD program could not be pickled for dispatch: {exc!r}"
             ) from exc
         # args are shared read-only across ranks (the run_spmd contract;
-        # the thread backend shares the very same objects), so encode
-        # them ONCE into multi-receiver shm blocks: every rank maps the
+        # the thread backend shares the very same objects), so pack
+        # them ONCE into a multi-receiver segment: every rank maps the
         # same copy, and a distributed solve re-shipping the whole
-        # factorization costs one memcpy instead of p
-        created = _RegisteredRefs(self._registry_q)
+        # factorization costs one memcpy instead of p. The payload stays
+        # a nested blob: the outer control tuple is always loadable in
+        # the worker, the payload is unpickled inside the worker's
+        # failure-reporting path (see _execute_job)
         try:
             with trace.span("vmpi.encode", ranks=self.nranks) as esp:
-                payload = encode_payload(
+                payload = pack(
                     (fn, args, cost_model, copy_payloads),
                     self.min_shm_bytes,
-                    created,
+                    self._registry_q,
                     shared=True,
                 )
-                # nested blob: the outer control tuple is always loadable in
-                # the worker; the payload is unpickled inside the worker's
-                # failure-reporting path (see _execute_job)
-                payload_blob = pickle.dumps(payload, protocol=_PICKLE)
-                esp.set(bytes=len(payload_blob), shm_blocks=len(created))
+                esp.set(
+                    bytes=len(payload.blob),
+                    shm_blocks=int(payload.segment is not None),
+                    arrays=len(payload.spans),
+                )
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            _release_refs(created)
             raise DispatchEncodeError(
                 f"SPMD job payload could not be pickled for dispatch: {exc!r}"
             ) from exc
-        except Exception:
-            _release_refs(created)
-            raise
         # the job exists only once its payload is dispatchable
         self._job_id += 1
         self.jobs_run += 1
         job = self._job_id
         blob = pickle.dumps(
-            ("run", job, payload_blob, trace.enabled, profile.active_hz),
+            ("run", job, payload, trace.enabled, profile.active_hz),
             protocol=_PICKLE,
         )
         try:
@@ -442,7 +435,7 @@ class RankPool:
             else:
                 # every rank reported, so the workers are idle again:
                 # the pool survives a clean failure. Drain stranded
-                # messages and sweep; blocks of the never-decoded
+                # messages and sweep; segments of the never-unpacked
                 # successful results are reclaimed by the registry sweep
                 for q in self._mailboxes:
                     _drain_mailbox(q)
@@ -450,7 +443,7 @@ class RankPool:
             rank, _job, _ok, desc, _rep = min(failures, key=lambda o: o[0])
             self._retire_if_orphaned()
             raise RuntimeError(f"rank {rank} failed: {desc}")
-        results = [decode_payload(outcomes[r][3]) for r in range(self.nranks)]
+        results = [unpack(outcomes[r][3]) for r in range(self.nranks)]
         reports: list[RankReport] = [outcomes[r][4] for r in range(self.nranks)]
         self._sweep()
         self._retire_if_orphaned()
@@ -500,7 +493,8 @@ class RankPool:
                     ) from None
             item = pickle.loads(blob)
             if item[1] != job:  # pragma: no cover - job aborted earlier
-                _release_refs(item[3])
+                if item[2]:
+                    release_segment(item[3].segment)
                 continue
             outcomes[item[0]] = item
             if not item[2] and fail_grace is None:

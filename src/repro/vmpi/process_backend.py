@@ -1,43 +1,48 @@
 """Process-parallel execution backend with shared-memory array transport.
 
 Every rank is an OS process, so rank compute runs truly in parallel
-(no GIL). Messages travel through per-rank ``multiprocessing`` queues,
-but ``np.ndarray`` payloads above a size threshold are carved out of
-the message and shipped through ``multiprocessing.shared_memory``
-blocks: the sender pays one copy into the block, the receiver maps the
-block and wraps it in an ndarray *without copying*. Small control
-payloads (tags, box coordinates, op logs) ride the pickle channel.
+(no GIL). Messages travel through per-rank ``multiprocessing`` queues
+as a :class:`Packed` pair: a pickle protocol-5 stream, and — when the
+message holds arrays of at least ``REPRO_VMPI_SHM_MIN_BYTES`` — **one**
+``multiprocessing.shared_memory`` segment into which :func:`pack` lays
+all of those arrays at aligned offsets. The sender pays one segment
+creation and one copy per array; the receiver maps the segment once and
+:func:`unpack` rebuilds every array as a view of it *without copying*.
+Small arrays and control data (tags, box coordinates, op logs) ride the
+pickle stream, and a message with no large array creates no segment.
 
-Lifetime protocol for a shared block: the sender creates it, copies the
-array in, and closes its handle; exactly one receiver attaches, unlinks
-the name immediately (POSIX keeps the mapping alive until the last
-handle closes), and ties the handle's lifetime to the zero-copy ndarray
-view with a ``weakref.finalize`` — resident shared memory tracks the
-receiver's working set, not total traffic. Mailboxes are drained on
-shutdown so blocks of never-received messages are still unlinked.
+Lifetime protocol for a segment: the sender creates it, writes its name
+to the registry pipe (below), copies the arrays in, and closes its
+handle. A point-to-point segment has exactly one receiver, which
+attaches, unlinks the name at once (POSIX keeps the mapping alive until
+the last handle closes) and ties the handle to the one ``uint8`` array
+every decoded array is a view of: the mapping closes when the last
+decoded array dies, so resident shared memory tracks the receiver's
+working set, not total traffic. A *shared* segment (pool dispatch
+arguments, store entries) is attached by every reader and unlinked by
+its owner — the dispatcher's post-job sweep, the store's last live
+holder. Mailboxes are drained on shutdown so segments of never-received
+messages are still unlinked.
 
 As a backstop for *abnormal* teardown — a terminated rank whose
 queue-feeder thread still buffered messages nobody will ever attach —
-every sender also registers the names of the blocks it creates on a
-feeder-less ``SimpleQueue`` (a synchronous pipe write, so the names
-survive the sender's death); the parent drains it while collecting
-results and unlinks whatever still exists once all ranks are gone.
-Without this, on Python 3.13+ (where blocks are created untracked)
-such orphans persist in /dev/shm until reboot.
+every sender also registers the name of each segment it creates on a
+feeder-less ``SimpleQueue`` (a synchronous pipe write made *before* the
+copy, so the name survives the sender's death); the parent drains it
+while collecting results and unlinks whatever still exists once all
+ranks are gone. Without this, on Python 3.13+ (where segments are
+created untracked) such orphans persist in /dev/shm until reboot.
 """
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import multiprocessing
 import pickle
 import queue
 import time
 import traceback
 import weakref
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -54,54 +59,33 @@ _SHM_BYTES = REGISTRY.counter(
 )
 _SHM_BLOCK_BYTES = REGISTRY.histogram(
     "repro_vmpi_shm_block_bytes",
-    "Size distribution of shared-memory blocks carved per array",
+    "Size distribution of shared-memory segments (one per message holding large arrays)",
     buckets=BYTES_BUCKETS,
 )
 
+#: arrays start on cache-line boundaries inside a segment
+_ALIGN = 64
+
 
 # ----------------------------------------------------------------------
-# shared-memory codec
+# shared-memory segments
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShmRef:
-    """Placeholder for an ndarray that travels out-of-band in a shm block.
-
-    ``order`` preserves Fortran contiguity across the transport —
-    LAPACK products (e.g. LU factors) are F-ordered, and normalizing
-    them to C order would route later BLAS calls down different code
-    paths, breaking bitwise cross-backend parity.
-
-    ``shared`` switches the lifetime protocol: the default (point-to-
-    point message payloads) is exactly-one-receiver — the receiver
-    unlinks on attach. Shared refs (pool dispatch args, which
-    ``run_spmd`` documents as shared read-only across ranks) are
-    attached by *every* rank without unlinking; the dispatcher owns the
-    name and reclaims it in the post-job registry sweep.
-    """
-
-    name: str
-    shape: tuple
-    dtype: str
-    order: str = "C"
-    shared: bool = False
-
-
 def _close_when_collected(shm) -> None:
     try:
         shm.close()
-    except BufferError:  # pragma: no cover - a rogue export outlived the array
+    except BufferError:  # pragma: no cover - a rogue export outlived the arrays
         pass
 
 
 def _create_shm(nbytes: int):
-    """Allocate a block whose lifetime crosses processes.
+    """Allocate a segment whose lifetime crosses processes.
 
     On 3.13+ tracking is disabled outright (the creator is not the
     destroyer, which the resource tracker cannot express). Before that,
     the fork start method means every rank shares the parent's tracker
     process, so the creator's implicit REGISTER is balanced by the
     receiver's ``unlink()`` UNREGISTER and no manual bookkeeping is
-    needed; blocks orphaned by a crash get cleaned (with a warning) at
+    needed; segments orphaned by a crash get cleaned (with a warning) at
     tracker shutdown.
     """
     from multiprocessing import shared_memory
@@ -126,14 +110,14 @@ def _attach_shm(name: str):
 def _ensure_resource_tracker() -> None:
     """Start the parent's resource tracker before launching ranks.
 
-    Pre-3.13 every block creation REGISTERs with a tracker. If the
+    Pre-3.13 every segment creation REGISTERs with a tracker. If the
     first tracker use happens *inside* a rank, each rank lazily spawns
-    its own — and a block created in rank A but unlinked in rank B (the
-    normal lifetime protocol) leaves A's tracker convinced the block
+    its own — and a segment created in rank A but unlinked in rank B
+    (the normal lifetime protocol) leaves A's tracker convinced it
     leaked, warning at shutdown. Starting the tracker here makes every
     rank inherit the one shared instance, so REGISTER and UNREGISTER
-    pair up no matter which process performs them. On 3.13+ blocks are
-    created untracked and this is a harmless no-op.
+    pair up no matter which process performs them. On 3.13+ segments
+    are created untracked and this is a harmless no-op.
     """
     try:
         from multiprocessing import resource_tracker
@@ -143,219 +127,137 @@ def _ensure_resource_tracker() -> None:
         pass
 
 
-def _walkable_fields(obj: Any) -> dict | None:
-    """Attribute dict of payload objects the codec recurses into.
+class Packed(NamedTuple):
+    """Wire form of one message: a pickle stream and at most one segment.
 
-    Dataclass *instances* are walked automatically (``WorkerResult``,
-    ``BoxRecord``, ``LevelPlan``, ``RankStats``, ...); plain classes opt
-    in by setting ``__shm_walk__ = True`` (:class:`~repro.linalg.lu.PartialLU`).
-    :class:`ShmRef` itself and anything without an instance ``__dict__``
-    stay on the pickle channel.
+    ``spans`` lists ``(offset, nbytes)`` of every array laid into the
+    segment, in the order the pickle stream asks for them. ``shared``
+    switches the lifetime protocol: the default (point-to-point message
+    payloads, rank results) is exactly-one-receiver — :func:`unpack`
+    unlinks on attach. A shared segment (pool dispatch args, which
+    ``run_spmd`` documents as shared read-only across ranks; store
+    entries) is attached by *every* reader without unlinking; its owner
+    reclaims the name.
     """
-    if isinstance(obj, (ShmRef, type)):
-        return None
-    if dataclasses.is_dataclass(obj) or getattr(type(obj), "__shm_walk__", False):
-        try:
-            return vars(obj)
-        except TypeError:  # pragma: no cover - slots-only classes
-            return None
-    return None
+
+    blob: bytes
+    segment: str | None = None
+    spans: tuple = ()
+    shared: bool = False
+
+    @property
+    def shm_nbytes(self) -> int:
+        """Array bytes held in the segment (alignment padding excluded)."""
+        return sum(n for _, n in self.spans)
 
 
-def encode_payload(
-    obj: Any, min_bytes: int, created: list | None = None, *, shared: bool = False
-) -> Any:
-    """Replace large ndarrays in a payload tree with :class:`ShmRef` s.
+def pack(obj: Any, min_bytes: int, registry=None, *, shared: bool = False) -> Packed:
+    """Snapshot ``obj`` as a pickle stream plus one shared-memory segment.
 
-    Containers (tuple/list/dict) and dataclass payloads (see
-    :func:`_walkable_fields`) are walked recursively; anything else is
-    left in place for the pickle channel. The fallback is deterministic
-    — it depends only on the array's properties, never on a runtime
-    failure: 0-byte and 0-d arrays (SharedMemory rejects size-0 blocks;
-    scalars are control-message sized anyway), arrays below
-    ``min_bytes``, object dtypes (not flat memory), and void/structured
-    dtypes (field layout would be lost through the ``dtype.str``
-    round-trip) all ride the pickle channel. Non-contiguous views are
-    supported: they are carved through one contiguous copy.
+    Pickle protocol 5 does the walk: every C- or F-contiguous ndarray
+    anywhere in ``obj`` — containers, dataclasses, plain classes such as
+    :class:`~repro.linalg.lu.PartialLU` — is offered out-of-band, with
+    dtype, shape, order and writability carried by the stream, and an
+    array that appears twice is sent once. Of those, flat numeric
+    buffers of at least ``min_bytes`` go into the segment; the choice
+    depends only on the array's properties, never on a runtime failure:
+    0-byte and 0-d arrays, arrays below ``min_bytes`` and structured
+    dtypes stay in the stream, as do the arrays pickle never offers
+    (object dtypes, and non-contiguous views, which travel as one
+    contiguous copy). ``obj`` is never mutated.
 
-    Unchanged subtrees are returned *by identity*, so walked containers
-    and dataclasses are only rebuilt (shallow copies — the originals
-    are never mutated) along paths that actually carved an array.
-    ``created`` (when given) collects every :class:`ShmRef` made, so a
-    caller that fails partway — mid-tree ``_create_shm`` ENOSPC, or a
-    later pickling error — can unlink the blocks already carved.
+    The stream is complete before the segment exists, so a pickling
+    failure leaves nothing behind; the name goes into ``registry``
+    (when given) before the first byte is copied, so a crash or
+    ``terminate()`` mid-copy leaves the segment reclaimable; a failing
+    copy unlinks it.
     """
-    if isinstance(obj, np.ndarray):
-        if (
-            obj.nbytes == 0
-            or obj.ndim == 0
-            or obj.nbytes < min_bytes
-            or obj.dtype.hasobject
-            or obj.dtype.kind == "V"
-        ):
-            return obj
-        if obj.flags.f_contiguous and not obj.flags.c_contiguous:
-            arr, order = np.asfortranarray(obj), "F"
-        else:
-            arr, order = np.ascontiguousarray(obj), "C"
-        shm = _create_shm(arr.nbytes)
-        ref = ShmRef(shm.name, arr.shape, arr.dtype.str, order, shared)
-        _SHM_BYTES.inc(arr.nbytes)
-        _SHM_BLOCK_BYTES.observe(arr.nbytes)
-        # record the name before the (possibly large) copy: a crash or
-        # terminate() mid-copy must still leave the block reclaimable
-        if created is not None:
-            created.append(ref)
-        np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf, order=order)[...] = arr
+    buffers: list = []
+
+    def keep_in_stream(pb) -> bool:
+        view = memoryview(pb)
+        if view.nbytes < max(min_bytes, 1) or view.ndim == 0 or view.format.startswith("T{"):
+            return True
+        buffers.append(pb.raw())
+        return False  # pickle's contract: falsy = out-of-band
+
+    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL, buffer_callback=keep_in_stream)
+    if not buffers:
+        return Packed(blob)
+    spans, size = [], 0
+    for buf in buffers:
+        spans.append((size, buf.nbytes))
+        size += -(-buf.nbytes // _ALIGN) * _ALIGN
+    shm = _create_shm(size)
+    try:
+        if registry is not None:
+            registry.put(shm.name)
+        for (offset, nbytes), buf in zip(spans, buffers):
+            shm.buf[offset : offset + nbytes] = buf
+    except BaseException:
+        shm.unlink()
+        raise
+    finally:
         shm.close()
-        return ref
-    if isinstance(obj, tuple):
-        items = [encode_payload(x, min_bytes, created, shared=shared) for x in obj]
-        if all(a is b for a, b in zip(items, obj)):
-            return obj
-        return tuple(items) if type(obj) is tuple else type(obj)(*items)
-    if isinstance(obj, list):
-        items = [encode_payload(x, min_bytes, created, shared=shared) for x in obj]
-        return obj if all(a is b for a, b in zip(items, obj)) else items
-    if isinstance(obj, dict):
-        out = {
-            k: encode_payload(v, min_bytes, created, shared=shared)
-            for k, v in obj.items()
-        }
-        return obj if all(out[k] is v for k, v in obj.items()) else out
-    fields = _walkable_fields(obj)
-    if fields is not None:
-        clone = None
-        for name, val in fields.items():
-            enc = encode_payload(val, min_bytes, created, shared=shared)
-            if enc is not val:
-                if clone is None:
-                    clone = copy.copy(obj)
-                object.__setattr__(clone, name, enc)
-        return obj if clone is None else clone
-    return obj
+    packed = Packed(blob, shm.name, tuple(spans), shared)
+    _SHM_BYTES.inc(packed.shm_nbytes)
+    _SHM_BLOCK_BYTES.observe(size)
+    return packed
 
 
-def decode_payload(obj: Any) -> Any:
-    """Resolve :class:`ShmRef` s back into (zero-copy, writable) ndarrays.
+def unpack(packed: Packed) -> Any:
+    """Rebuild the object :func:`pack` took, arrays mapped zero-copy.
 
-    The block's handle lives exactly as long as the decoded array (a
-    ``weakref.finalize`` closes it on collection), so resident shared
-    memory tracks the receiver's *working set*, not the total bytes
-    ever received. Walked dataclass payloads are patched in place —
-    the decoded object graph belongs exclusively to the receiver.
+    The segment is attached once and wrapped in one ``uint8`` array; the
+    pickle stream turns slices of it into the (writable) arrays, so
+    every decoded array is a view whose base chain ends at that one
+    array, and a ``weakref.finalize`` on it closes the mapping when the
+    last of them is collected. The decoded object graph belongs
+    exclusively to the caller.
     """
-    if isinstance(obj, ShmRef):
-        shm = _attach_shm(obj.name)
-        if not obj.shared:
-            try:
-                shm.unlink()  # name released; mapping lives while handle does
-            except FileNotFoundError:  # pragma: no cover - duplicate cleanup
-                pass
-        # shared refs (multi-receiver dispatch args): the name stays —
-        # the dispatcher unlinks it in the post-job registry sweep
-        arr = np.ndarray(
-            obj.shape, dtype=np.dtype(obj.dtype), buffer=shm.buf, order=obj.order
-        )
-        weakref.finalize(arr, _close_when_collected, shm)
-        return arr
-    if isinstance(obj, tuple):
-        items = [decode_payload(x) for x in obj]
-        if all(a is b for a, b in zip(items, obj)):
-            return obj
-        return tuple(items) if type(obj) is tuple else type(obj)(*items)
-    if isinstance(obj, list):
-        items = [decode_payload(x) for x in obj]
-        return obj if all(a is b for a, b in zip(items, obj)) else items
-    if isinstance(obj, dict):
-        out = {k: decode_payload(v) for k, v in obj.items()}
-        return obj if all(out[k] is v for k, v in obj.items()) else out
-    fields = _walkable_fields(obj)
-    if fields is not None:
-        for name, val in list(fields.items()):
-            dec = decode_payload(val)
-            if dec is not val:
-                object.__setattr__(obj, name, dec)
-        return obj
-    return obj
-
-
-def _release_refs(obj: Any) -> None:
-    """Unlink every shm block referenced by an (undelivered) payload."""
-    if isinstance(obj, ShmRef):
+    if packed.segment is None:
+        return pickle.loads(packed.blob)
+    shm = _attach_shm(packed.segment)
+    if not packed.shared:
         try:
-            shm = _attach_shm(obj.name)
-            shm.unlink()
-            shm.close()
-        except FileNotFoundError:
+            shm.unlink()  # name released; mapping lives while the handle does
+        except FileNotFoundError:  # pragma: no cover - duplicate cleanup
             pass
+    whole = np.ndarray((shm.size,), dtype=np.uint8, buffer=shm.buf)
+    weakref.finalize(whole, _close_when_collected, shm)
+    return pickle.loads(packed.blob, buffers=[whole[o : o + n] for o, n in packed.spans])
+
+
+def release_segment(name: str | None) -> None:
+    """Unlink the segment of an undelivered :class:`Packed` (if it has one)."""
+    if name is None:
         return
-    if isinstance(obj, (tuple, list, set)):
-        for x in obj:
-            _release_refs(x)
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _release_refs(v)
-    else:
-        fields = _walkable_fields(obj)
-        if fields is not None:
-            for v in fields.values():
-                _release_refs(v)
-
-
-def collect_refs(obj: Any, out: list | None = None) -> list:
-    """Every :class:`ShmRef` reachable in a payload tree.
-
-    The read-only companion of :func:`_release_refs`: holders of
-    at-rest encoded payloads (``repro.store``'s shared tier) keep this
-    list so they can account and later reclaim the blocks without
-    retaining — or re-walking — the whole encoded tree.
-    """
-    if out is None:
-        out = []
-    if isinstance(obj, ShmRef):
-        out.append(obj)
-    elif isinstance(obj, (tuple, list, set)):
-        for x in obj:
-            collect_refs(x, out)
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            collect_refs(v, out)
-    else:
-        fields = _walkable_fields(obj)
-        if fields is not None:
-            for v in fields.values():
-                collect_refs(v, out)
-    return out
-
-
-def ref_nbytes(ref: ShmRef) -> int:
-    """Bytes of the shm block behind one :class:`ShmRef`."""
-    n = 1
-    for s in ref.shape:
-        n *= int(s)
-    return n * np.dtype(ref.dtype).itemsize
+    try:
+        shm = _attach_shm(name)
+    except FileNotFoundError:
+        return
+    try:
+        shm.unlink()
+    except FileNotFoundError:  # pragma: no cover - receiver race
+        pass
+    shm.close()
 
 
 def _drain_mailbox(q) -> None:
-    """Throw away queued messages, unlinking their shared blocks."""
+    """Throw away queued messages, unlinking their segments."""
     while True:
         try:
             item = q.get_nowait()
         except (queue.Empty, OSError, ValueError):
             return
-        if isinstance(item, tuple) and len(item) == 2:  # (epoch, blob) wire format
-            item = item[1]
-        try:
-            msg = pickle.loads(item) if isinstance(item, bytes) else item
-        except Exception:  # pragma: no cover - truncated blob on teardown
-            continue
-        if isinstance(msg, Message):
-            _release_refs(msg.payload)
+        # (epoch, Packed) is the mailbox wire format; result-queue items
+        # are left to the registry sweep
+        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], Packed):
+            release_segment(item[1].segment)
 
 
 def _drain_registry(registry, names: set) -> None:
-    """Move sender-registered block names out of the registry pipe."""
+    """Move sender-registered segment names out of the registry pipe."""
     try:
         while not registry.empty():
             names.add(registry.get())
@@ -393,60 +295,36 @@ def _teardown_procs(procs: list, mailboxes: list, results_q, registry, registere
 
 
 def _unlink_registered(names: set) -> None:
-    """Unlink every registered block that still has a name.
+    """Unlink every registered segment that still has a name.
 
-    Blocks that were delivered normally are already unlinked by their
-    receiver (or by :func:`_drain_mailbox`), so attaching raises
-    ``FileNotFoundError`` and they are skipped; anything left is an
-    orphan of an abnormal teardown.
+    Segments that were delivered normally are already unlinked by their
+    receiver (or by :func:`_drain_mailbox`) and are skipped; anything
+    left is an orphan of an abnormal teardown.
     """
     for name in names:
-        try:
-            shm = _attach_shm(name)
-        except FileNotFoundError:
-            continue
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - receiver race
-            pass
-        shm.close()
+        release_segment(name)
 
 
 # ----------------------------------------------------------------------
 # transport + backend
 # ----------------------------------------------------------------------
-class _RegisteredRefs(list):
-    """Collects :class:`ShmRef` s, mirroring each name into the registry
-    pipe the moment the block is created — before its payload copy — so
-    a rank killed mid-send leaves no unregistered orphan."""
-
-    def __init__(self, registry):
-        super().__init__()
-        self._registry = registry
-
-    def append(self, ref) -> None:
-        if self._registry is not None:
-            self._registry.put(ref.name)
-        super().append(ref)
-
-
 class ProcessTransport:
-    """Per-rank ``multiprocessing`` queues with the shm array codec.
+    """Per-rank ``multiprocessing`` queues carrying :class:`Packed` messages.
 
     Process isolation makes deep-copying payloads on ``put`` redundant,
     hence ``needs_copy = False`` (:class:`~repro.vmpi.comm.Comm` skips
     ``sanitize``). Buffered-send semantics still require snapshotting
-    the payload *at put time*: large arrays are copied into their shm
-    blocks synchronously by ``encode_payload``, and the remainder is
-    pickled here rather than lazily in the queue's feeder thread —
-    otherwise a sender mutating a small array after ``send`` would leak
-    the mutation to the receiver.
+    the payload *at put time*: :func:`pack` copies large arrays into the
+    message's segment and pickles the remainder synchronously, rather
+    than lazily in the queue's feeder thread — otherwise a sender
+    mutating a small array after ``send`` would leak the mutation to
+    the receiver.
 
     ``epoch`` stamps every message on the wire. Long-lived pool workers
     bump it per dispatched job, so a message stranded by one SPMD
     program (sent but never received) can never be matched by a *later*
     program reusing the same (source, tag) pair — stale messages are
-    discarded on receipt and their shm blocks unlinked. Per-call
+    discarded on receipt and their segment unlinked. Per-call
     backends use the constant epoch 0 on both sides.
     """
 
@@ -462,19 +340,8 @@ class ProcessTransport:
     def put(self, message: Message) -> None:
         if not (0 <= message.dest < self.nranks):
             raise ValueError(f"invalid destination rank {message.dest}")
-        created = _RegisteredRefs(self._registry)
-        try:
-            payload = encode_payload(message.payload, self._min_shm_bytes, created)
-            blob = pickle.dumps(
-                dataclasses.replace(message, payload=payload),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        except Exception:
-            # encoding or pickling failed after some arrays were carved
-            # into shm blocks — unlink them or they outlive the run
-            _release_refs(created)
-            raise
-        self._mailboxes[message.dest].put((self.epoch, blob))
+        packed = pack(message, self._min_shm_bytes, self._registry)
+        self._mailboxes[message.dest].put((self.epoch, packed))
 
     def get(self, rank: int, timeout: float) -> Message:
         # one overall deadline: discarding stale-epoch strays must not
@@ -484,13 +351,13 @@ class ProcessTransport:
         with trace.span("vmpi.recv", rank=rank) as sp:
             while True:
                 remaining = max(deadline - time.monotonic(), 0.0)
-                epoch, blob = self._mailboxes[rank].get(timeout=remaining)
-                msg = pickle.loads(blob)
+                epoch, packed = self._mailboxes[rank].get(timeout=remaining)
                 if epoch != self.epoch:  # stranded by an earlier pool job
-                    _release_refs(msg.payload)
+                    release_segment(packed.segment)
                     continue
-                sp.set(source=msg.source, bytes=len(blob))
-                return dataclasses.replace(msg, payload=decode_payload(msg.payload))
+                msg = unpack(packed)
+                sp.set(source=msg.source, bytes=len(packed.blob))
+                return msg
 
 
 def _describe(exc: BaseException) -> str:
@@ -521,7 +388,7 @@ def _rank_main(
         profile.start(profile_hz)
     transport = ProcessTransport(mailboxes, min_shm_bytes, registry=registry)
     comm = Comm(transport, rank, cost_model=cost_model, copy_payloads=copy_payloads)
-    created = _RegisteredRefs(registry)
+    packed = None
     try:
         with trace.track(f"rank{rank}"), trace.span("vmpi.rank", rank=rank):
             result = fn(comm, *args)
@@ -532,14 +399,15 @@ def _rank_main(
         if profile_hz > 0:
             profile.stop()
             report.profile = profile.drain_table()
-        # results round-trip through the shm codec too: factorization
-        # products (WorkerResult trees of BoxRecord/PartialLU arrays)
-        # travel zero-copy, leaving only control-message-sized pickles
-        # on the result queue
-        payload = encode_payload(result, min_shm_bytes, created)
-        results_q.put((rank, True, payload, report))
+        # results are packed like messages: factorization products
+        # (WorkerResult trees of BoxRecord/PartialLU arrays) travel
+        # zero-copy in one segment, leaving only a control-message-sized
+        # pickle on the result queue
+        packed = pack(result, min_shm_bytes, registry)
+        results_q.put((rank, True, packed, report))
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        _release_refs(created)
+        if packed is not None:
+            release_segment(packed.segment)
         results_q.put((rank, False, _describe(exc), None))
     finally:
         _drain_mailbox(mailboxes[rank])
@@ -749,10 +617,10 @@ class ProcessBackend(ExecutionBackend):
             if failures:
                 rank, _ok, desc, _rep = min(failures, key=lambda o: o[0])
                 raise RuntimeError(f"rank {rank} failed: {desc}")
-            # results came through the shm codec; attach/unlink now.
-            # (On the failure path above, successful ranks' undecoded
-            # blocks are reclaimed by the registry sweep in finally.)
-            results = [decode_payload(outcomes[r][2]) for r in range(nranks)]
+            # attach/unlink each rank's result segment now. (On the
+            # failure path above, successful ranks' unopened segments
+            # are reclaimed by the registry sweep in finally.)
+            results = [unpack(outcomes[r][2]) for r in range(nranks)]
             reports: list[RankReport] = [outcomes[r][3] for r in range(nranks)]
             return SPMDRun(results, reports)
         finally:

@@ -104,8 +104,22 @@ def test_shm_lifecycle_codec_rules(tmp_path):
             created.append(shm.name)
             return shm
 
+        def pack(buffers, registry):
+            spans = []
+            for buf in buffers:
+                spans.append(buf.nbytes)
+            shm = _create_shm(sum(spans))
+            registry.put(shm.name)
+            return shm
+
         def forgetful(n):
             return _create_shm(n)
+
+        def collects_something_else(buffers):
+            spans = []
+            for buf in buffers:
+                spans.append(buf.nbytes)
+            return _create_shm(sum(spans))
     """
     result = run(
         tmp_path, {"src/repro/vmpi/process_backend.py": codec}, ["shm-lifecycle"]
@@ -113,8 +127,10 @@ def test_shm_lifecycle_codec_rules(tmp_path):
     symbols = {f.symbol for f in result.findings}
     assert "create-outside-helper" in symbols
     assert "unregistered-create:forgetful" in symbols
-    assert not any("encode" in s for s in symbols)
-    assert len(result.findings) == 2
+    # an .append of anything but the segment's name registers nothing
+    assert "unregistered-create:collects_something_else" in symbols
+    assert not any("encode" in s or "pack" in s for s in symbols)
+    assert len(result.findings) == 3
 
 
 def test_shm_lifecycle_clean(tmp_path):

@@ -43,6 +43,45 @@ def test_out_of_range_rejected():
         morton_encode(2**24, 0)
 
 
+def _interleave_reference(ix, iy):
+    """The definition, bit by bit."""
+    return sum(
+        (((ix >> b) & 1) << (2 * b)) | (((iy >> b) & 1) << (2 * b + 1)) for b in range(24)
+    )
+
+
+@given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=50))
+def test_scalar_path_equals_array_path(coords):
+    """Python ints take the pure-integer path, arrays the vectorized
+    one: same codes element for element, and the scalar result is a
+    Python ``int`` (not a 0-d array or a numpy scalar)."""
+    ix = np.array([c[0] for c in coords])
+    iy = np.array([c[1] for c in coords])
+    codes = morton_encode(ix, iy)
+    for (x, y), code in zip(coords, codes):
+        scalar = morton_encode(x, y)
+        assert type(scalar) is int
+        assert scalar == int(code) == _interleave_reference(x, y)
+        decoded = morton_decode(scalar)
+        assert decoded == (x, y) and all(type(v) is int for v in decoded)
+        # numpy integer scalars are scalars too
+        assert morton_encode(np.int64(x), np.int64(y)) == scalar
+
+
+@pytest.mark.parametrize("bad", [-1, -(2**24), 2**24, 2**24 + 5, 2**63])
+def test_scalar_out_of_range_is_a_value_error(bad):
+    """Negative and too-wide scalars raise ``ValueError`` on either
+    axis (a negative int used to escape as numpy's ``OverflowError``)."""
+    with pytest.raises(ValueError):
+        morton_encode(bad, 0)
+    with pytest.raises(ValueError):
+        morton_encode(0, bad)
+    with pytest.raises(ValueError):
+        morton_decode(-1)
+    with pytest.raises(ValueError):
+        morton_decode(2**48)
+
+
 def test_argsort_produces_z_order():
     ii, jj = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
     ix, iy = ii.ravel(), jj.ravel()

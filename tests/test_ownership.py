@@ -1,8 +1,11 @@
 """Tests for the level layouts: ownership, boundaries, reduction schedule."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.geometry.morton as morton
 from repro.parallel.ownership import LevelLayout, max_ranks_for_tree
 
 
@@ -138,3 +141,84 @@ def test_same_color_boundary_boxes_far_apart():
                 if r1 != r2:
                     d = max(abs(b1[0] - b2[0]), abs(b1[1] - b2[1]))
                     assert d > 2, (b1, b2, c)
+
+
+# ----------------------------------------------------------------------
+# the O(1) lookups against brute force, and off numpy
+# ----------------------------------------------------------------------
+LAYOUTS = [(level, p) for level in range(1, 7) for p in (1, 4, 16, 64)]
+
+
+def _deinterleave(code):
+    """(x, y) with x on the even bits of ``code``, bit by bit."""
+    x = sum(((code >> (2 * b)) & 1) << b for b in range(12))
+    y = sum(((code >> (2 * b + 1)) & 1) << b for b in range(12))
+    return x, y
+
+
+@pytest.mark.parametrize("level, p", LAYOUTS)
+def test_lookups_agree_with_brute_force(level, p):
+    lay = LevelLayout(level, p)
+    assert lay.active == min(p, 4 ** (level - 1))
+    assert lay.stride * lay.active == p
+    assert lay.grid_side**2 == lay.active
+    assert lay.region_side * lay.grid_side == lay.nside == 2**level
+    ranks = lay.active_ranks()
+    owned = {r: set(lay.owned_boxes(r)) for r in ranks}
+    xs = {r: {qx for qx, _ in owned[r]} for r in ranks}
+    ys = {r: {qy for _, qy in owned[r]} for r in ranks}
+    coords = {r: _deinterleave(r // lay.stride) for r in ranks}
+    for r in ranks:
+        assert lay.rank_coords(r) == coords[r]
+        assert lay.color(r) == coords[r][0] % 2 + 2 * (coords[r][1] % 2)
+        adjacent = sorted(
+            w
+            for w in ranks
+            if w != r
+            and max(abs(coords[w][0] - coords[r][0]), abs(coords[w][1] - coords[r][1])) == 1
+        )
+        assert lay.neighbor_ranks(r) == adjacent
+    for box in itertools.product(range(lay.nside), repeat=2):
+        (holder,) = [r for r in ranks if box in owned[r]]
+        assert lay.owner(box) == holder
+        neighbors = [
+            (box[0] + dx, box[1] + dy)
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            if (dx or dy)
+            and 0 <= box[0] + dx < lay.nside
+            and 0 <= box[1] + dy < lay.nside
+        ]
+        for r in ranks if level <= 4 else (holder,):
+            assert lay.is_boundary(box, r) == any(q not in owned[r] for q in neighbors)
+            # a region is a product of two coordinate sets, so the
+            # Chebyshev distance to it splits by axis
+            assert lay.region_distance(box, r) == max(
+                min(abs(box[0] - qx) for qx in xs[r]),
+                min(abs(box[1] - qy) for qy in ys[r]),
+            )
+
+
+@pytest.mark.parametrize("p", [0, -4, 2, 3, 8, 12, 32, 36])
+def test_p_must_be_a_power_of_two_squared(p):
+    with pytest.raises(ValueError, match="power-of-two squared"):
+        LevelLayout(3, p)
+
+
+def test_per_box_lookups_never_reach_numpy(monkeypatch):
+    """owner / is_boundary / region_distance / color run once or more
+    per box pair a rank touches; they must stay integer arithmetic."""
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"per-box ownership lookup reached numpy.{name}")
+
+    monkeypatch.setattr(morton, "np", NoNumpy())
+    for level, p in LAYOUTS:
+        lay = LevelLayout(level, p)
+        for r in lay.active_ranks():
+            assert isinstance(lay.color(r), int)
+            for box in ((0, 0), (lay.nside - 1, 0), (lay.nside // 2, lay.nside - 1)):
+                assert isinstance(lay.owner(box), int)
+                assert isinstance(lay.region_distance(box, r), int)
+                assert lay.is_boundary(box, r) in (True, False)

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.service import SolveService
-from repro.service.http import build_problem, make_server
+from repro.service.http import ServiceRequestHandler, build_problem, make_server
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,49 @@ def _request(server, method, path, body=None):
 def test_healthz(server):
     status, payload = _request(server, "GET", "/healthz")
     assert status == 200 and payload == {"ok": True}
+
+
+def test_keepalive_replies_leave_in_one_write(server, monkeypatch):
+    """Two requests on one connection both succeed, and each reply
+    reaches the socket as a single write: a head flushed apart from its
+    body is two small segments, and the second waits out the client's
+    delayed ACK on a kept-alive connection."""
+    writes = []
+
+    class Recording:
+        def __init__(self, raw):
+            self._raw = raw
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return self._raw.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self._raw, name)
+
+    plain_setup = ServiceRequestHandler.setup
+
+    def recording_setup(handler):
+        plain_setup(handler)
+        handler.wfile = Recording(handler.wfile)
+
+    monkeypatch.setattr(ServiceRequestHandler, "setup", recording_setup)
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=120)
+    try:
+        conn.request("GET", "/healthz")
+        first = conn.getresponse()
+        assert first.status == 200 and json.loads(first.read()) == {"ok": True}
+        body = {"problem": {"type": "laplace_volume", "m": 16}, "rhs": {"seed": 1}}
+        conn.request("POST", "/solve", json.dumps(body), {"Content-Type": "application/json"})
+        second = conn.getresponse()
+        solved = json.loads(second.read())
+        assert second.status == 200 and solved["report"]["relres"] < 1e-2
+    finally:
+        conn.close()
+    assert len(writes) == 2  # one per reply, on the one connection
+    for reply in writes:
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200") and json.loads(payload)
 
 
 def test_solve_roundtrip_matches_facade(server):

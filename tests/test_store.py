@@ -193,6 +193,76 @@ def test_shared_publish_release_leaves_shm_as_found(tmp_path):
 
 
 @needs_process
+def test_published_factorization_is_one_segment(tmp_path):
+    """Publishing a real factorization adds exactly one /dev/shm entry
+    however many arrays it holds; a second process maps it with every
+    array bitwise equal, and an old-format sidecar is refused."""
+    import hashlib
+
+    from repro.store.disk import read_envelope
+    from repro.store.shared import sidecar_path
+
+    def digest_of(fact):
+        h = hashlib.blake2b(digest_size=16)
+        for rec in fact.records:
+            for arr in (rec.T, rec.lu._lu, rec.lu._piv, rec.x_cr, rec.x_rc):
+                h.update(np.ascontiguousarray(arr).tobytes())
+        return h.hexdigest()
+
+    root = str(tmp_path / "store")
+    prob = LaplaceVolumeProblem(m=16)
+    before = _shm_blocks()
+    store = FactorizationStore(root, shared=True, spill=False)
+    fact, tier = store.fetch_or_build(
+        "k", lambda: repro.srs_factor(prob.kernel, prob.factor_tree)
+    )
+    assert tier is None and len(fact.records) > 10
+    assert len(_shm_blocks() - before) == 1
+
+    code = textwrap.dedent(
+        f"""
+        import hashlib
+        import numpy as np
+        from repro.store import FactorizationStore
+
+        store = FactorizationStore({root!r}, shared=True, spill=False)
+        fact, tier = store.load("k")
+        assert tier == "shared", tier
+        assert not fact.records[0].T.flags.owndata  # mapped, not copied
+        h = hashlib.blake2b(digest_size=16)
+        for rec in fact.records:
+            for arr in (rec.T, rec.lu._lu, rec.lu._piv, rec.x_cr, rec.x_rc):
+                h.update(np.ascontiguousarray(arr).tobytes())
+        print(h.hexdigest())
+        store.close()
+        """
+    )
+    cwd = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(cwd, "src")},
+        cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == digest_of(fact)
+    # the child's one mapping closed quietly when its arrays died
+    assert "BufferError" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+    # a sidecar written under the previous format number is rejected as
+    # such — never unpickled into classes that no longer exist
+    path = sidecar_path(root, key_digest("k"))
+    env = read_envelope(path)
+    write_atomic(path, pickle.dumps({**env, "format": STORE_FORMAT - 1}))
+    assert FactorizationStore(root, shared=True, spill=False).load("k") is None
+    assert not os.path.exists(path)
+
+    store.close()
+    assert _shm_blocks() == before
+
+
+@needs_process
 def test_shared_attach_in_second_process_is_bitwise(tmp_path):
     """A fresh interpreter attaches the published entry, no refactor."""
     root = str(tmp_path / "store")

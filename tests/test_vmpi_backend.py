@@ -1,11 +1,14 @@
-"""Thread/process execution-backend parity and shared-memory codec tests.
+"""Thread/process execution-backend parity and shared-memory transport tests.
 
 The two backends must be observationally identical: bitwise-equal
 results and equal message/byte counters — only the physics of delivery
 (threads + deep copies vs processes + shared-memory blocks) differs.
 """
 
+import multiprocessing
+import os
 import pickle
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from repro.vmpi import (
     resolve_backend,
     run_spmd,
 )
-from repro.vmpi.process_backend import decode_payload, encode_payload
+from repro.vmpi.process_backend import pack, release_segment, unpack
 
 needs_process = pytest.mark.skipif(
     not process_backend_available(),
@@ -62,8 +65,28 @@ def test_resolve_backend_normalizes_strings(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# shared-memory codec
+# pack / unpack: one pickle stream + at most one shared-memory segment
 # ----------------------------------------------------------------------
+def _shm_names() -> set:
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+def _registry():
+    return multiprocessing.get_context().SimpleQueue()
+
+
+def _registered(registry) -> list:
+    names = []
+    while not registry.empty():
+        names.append(registry.get())
+    return names
+
+
+def _roundtrip(packed):
+    """``unpack`` after the wire trip every Packed makes through a queue."""
+    return unpack(pickle.loads(pickle.dumps(packed)))
+
+
 @needs_process
 def test_shm_codec_roundtrip_nested():
     payload = {
@@ -72,28 +95,31 @@ def test_shm_codec_roundtrip_nested():
         "small": np.arange(4, dtype=np.int32),
         "scalars": [1, 2.5, "tag", None, (3, 4)],
     }
-    encoded = encode_payload(payload, min_bytes=2048)
-    # the large arrays were carved out, the small one rides the pickle channel
-    assert not isinstance(encoded["big"], np.ndarray)
-    assert not isinstance(encoded["complex"], np.ndarray)
-    assert isinstance(encoded["small"], np.ndarray)
-    decoded = decode_payload(pickle.loads(pickle.dumps(encoded)))
+    packed = pack(payload, min_bytes=2048)
+    # the two large arrays went into the segment, the small one rides the stream
+    assert packed.segment is not None
+    assert [n for _, n in packed.spans] == [4096 * 8, 64 * 64 * 16]
+    assert packed.shm_nbytes == 4096 * 8 + 64 * 64 * 16
+    decoded = _roundtrip(packed)
     np.testing.assert_array_equal(decoded["big"], payload["big"])
     assert decoded["big"].dtype == payload["big"].dtype
     np.testing.assert_array_equal(decoded["complex"], payload["complex"])
     np.testing.assert_array_equal(decoded["small"], payload["small"])
     assert decoded["scalars"] == payload["scalars"]
+    # zero-copy: both large arrays are views of the one mapping
+    assert decoded["big"].base is not None and not decoded["big"].flags.owndata
+    assert packed.segment not in _shm_names()  # the single receiver unlinked it
 
 
 @needs_process
 def test_shm_codec_structured_dtype_rides_pickle_channel():
-    """Structured dtypes lose their field layout through dtype.str, so
-    they must stay on the pickle channel regardless of size."""
+    """Structured dtypes stay in the stream regardless of size, field
+    layout intact."""
     rec = np.zeros(1000, dtype=[("a", "f8"), ("b", "i8")])
     rec["a"] = 1.5
-    encoded = encode_payload({"rec": rec}, min_bytes=0)
-    assert isinstance(encoded["rec"], np.ndarray)
-    decoded = decode_payload(pickle.loads(pickle.dumps(encoded)))
+    packed = pack({"rec": rec}, min_bytes=0)
+    assert packed.segment is None and packed.spans == ()
+    decoded = _roundtrip(packed)
     assert decoded["rec"].dtype.names == ("a", "b")
     np.testing.assert_array_equal(decoded["rec"]["a"], rec["a"])
 
@@ -117,15 +143,16 @@ def test_process_backend_structured_dtype_parity():
 
 @needs_process
 def test_shm_codec_empty_arrays_at_zero_threshold():
-    """0-byte arrays must stay on the pickle channel even when the
-    threshold is 0 (SharedMemory rejects size-0 blocks)."""
+    """0-byte arrays must stay in the stream even when the threshold is
+    0 (SharedMemory rejects size-0 segments)."""
     payload = {"empty": np.empty(0, dtype=np.int64), "data": np.arange(8.0)}
-    encoded = encode_payload(payload, min_bytes=0)
-    assert isinstance(encoded["empty"], np.ndarray)
-    assert not isinstance(encoded["data"], np.ndarray)
-    decoded = decode_payload(encoded)
-    assert decoded["empty"].size == 0
+    packed = pack(payload, min_bytes=0)
+    assert packed.spans == ((0, 64),)  # "data" alone
+    decoded = unpack(packed)
+    assert decoded["empty"].size == 0 and decoded["empty"].dtype == np.int64
     np.testing.assert_array_equal(decoded["data"], payload["data"])
+    # nothing but 0-byte arrays: no segment at all
+    assert pack({"empty": np.empty((0, 3))}, min_bytes=0).segment is None
 
 
 def _empty_send_prog(comm):
@@ -146,21 +173,27 @@ def test_process_backend_zero_threshold_run():
 @needs_process
 def test_shm_codec_noncontiguous_and_isolation():
     base = np.arange(10000, dtype=np.float64).reshape(100, 100)
-    view = base[::2, ::2]  # non-contiguous
-    decoded = decode_payload(encode_payload(view, min_bytes=0))
+    view = base[::2, ::2]  # non-contiguous: travels as one contiguous copy
+    decoded = unpack(pack(view, min_bytes=0))
     np.testing.assert_array_equal(decoded, view)
     decoded[0, 0] = -1.0  # writable, and isolated from the source
+    assert base[0, 0] == 0.0
+    # a contiguous array through the segment is just as isolated
+    decoded = unpack(pack(base, min_bytes=0))
+    assert decoded.flags.writeable
+    decoded[0, 0] = -1.0
     assert base[0, 0] == 0.0
 
 
 @needs_process
 def test_shm_codec_zero_dim_rides_pickle_channel():
-    """0-d arrays stay on the pickle channel deterministically (they are
-    control-message sized; SharedMemory blocks are for real buffers)."""
-    scalar = np.array(3.5)
-    encoded = encode_payload({"s": scalar}, min_bytes=0)
-    assert encoded["s"] is scalar
-    assert decode_payload(encoded)["s"] == 3.5
+    """0-d arrays and numpy scalars stay in the stream deterministically
+    (they are control-message sized; segments are for real buffers)."""
+    packed = pack({"s": np.array(3.5), "g": np.float64(2.5)}, min_bytes=0)
+    assert packed.segment is None
+    decoded = unpack(packed)
+    assert decoded["s"] == 3.5 and decoded["s"].ndim == 0
+    assert decoded["g"] == 2.5 and isinstance(decoded["g"], np.float64)
 
 
 @needs_process
@@ -170,10 +203,61 @@ def test_shm_codec_preserves_fortran_order():
     down different kernels and break bitwise cross-backend parity."""
     f_arr = np.asfortranarray(np.arange(10000, dtype=np.float64).reshape(100, 100))
     c_arr = np.ascontiguousarray(f_arr)
-    dec_f, dec_c = decode_payload(encode_payload((f_arr, c_arr), min_bytes=0))
+    packed = pack((f_arr, c_arr), min_bytes=0)
+    assert len(packed.spans) == 2
+    dec_f, dec_c = unpack(packed)
     assert dec_f.flags.f_contiguous and not dec_f.flags.c_contiguous
-    assert dec_c.flags.c_contiguous
+    assert dec_c.flags.c_contiguous and not dec_c.flags.f_contiguous
     np.testing.assert_array_equal(dec_f, f_arr)
+    np.testing.assert_array_equal(dec_c, c_arr)
+
+
+@needs_process
+def test_shm_codec_one_segment_for_fifty_arrays():
+    """However many arrays clear the threshold, a message registers
+    exactly one name — and adds exactly one /dev/shm entry."""
+    arrays = [np.full(300 + i, float(i)) for i in range(50)]
+    registry = _registry()
+    before = _shm_names()
+    packed = pack({"arrays": arrays, "tag": 3}, min_bytes=2048, registry=registry)
+    assert _registered(registry) == [packed.segment]
+    assert _shm_names() - before == {packed.segment}
+    assert len(packed.spans) == 50
+    assert all(offset % 64 == 0 for offset, _ in packed.spans)
+    decoded = unpack(packed)
+    assert _shm_names() == before
+    for got, want in zip(decoded["arrays"], arrays):
+        np.testing.assert_array_equal(got, want)
+    registry.close()
+
+
+@needs_process
+def test_shm_codec_aliased_array_arrives_once():
+    """The same array object twice in a payload is laid out once and
+    arrives as one object, as it would through a plain pickle."""
+    a = np.arange(5000.0)
+    packed = pack({"x": a, "y": [a, a[:10]]}, min_bytes=2048)
+    assert len(packed.spans) == 1
+    decoded = unpack(packed)
+    assert decoded["x"] is decoded["y"][0]
+    np.testing.assert_array_equal(decoded["y"][1], a[:10])
+
+
+@needs_process
+def test_shm_codec_mapping_lives_as_long_as_any_array():
+    """The one mapping closes when the last decoded array dies — not
+    before (a surviving array stays readable), and silently."""
+    import gc
+
+    packed = pack([np.arange(4096.0), np.ones(4096)], min_bytes=2048)
+    first, second = unpack(packed)
+    del first
+    gc.collect()
+    assert second.sum() == 4096.0  # still mapped
+    tail = second[-8:]
+    del second
+    gc.collect()
+    assert tail.sum() == 8.0  # a view of a view keeps it alive too
 
 
 # ----------------------------------------------------------------------
@@ -200,81 +284,131 @@ def _make_box_record():
 
 @needs_process
 def test_shm_codec_walks_dataclass_payloads():
-    """BoxRecord (a dataclass holding a PartialLU) travels with its big
-    arrays carved into shm blocks; the original is never mutated."""
+    """BoxRecord (a dataclass holding a PartialLU, a plain class) travels
+    with its big arrays in one segment; the original is never mutated."""
     rec = _make_box_record()
     t_before, lu_before = rec.T, rec.lu._lu
-    created = []
-    enc = encode_payload(rec, min_bytes=256, created=created)
-    assert enc is not rec and created  # rebuilt along changed paths only
+    registry = _registry()
+    packed = pack(rec, min_bytes=256, registry=registry)
+    assert _registered(registry) == [packed.segment]
     assert rec.T is t_before and rec.lu._lu is lu_before  # source intact
-    assert not isinstance(enc.T, np.ndarray)
-    assert not isinstance(enc.lu._lu, np.ndarray)  # __shm_walk__ opt-in
-    dec = decode_payload(pickle.loads(pickle.dumps(enc)))
+    # cluster, T, lu._lu, x_cr, x_rc clear 256 bytes; redundant/skeleton/_piv do not
+    assert sorted(n for _, n in packed.spans) == sorted(
+        a.nbytes for a in (rec.cluster, rec.T, rec.lu._lu, rec.x_cr, rec.x_rc)
+    )
+    dec = _roundtrip(packed)
     np.testing.assert_array_equal(dec.T, rec.T)
     np.testing.assert_array_equal(dec.x_cr, rec.x_cr)
     np.testing.assert_array_equal(dec.lu._lu, rec.lu._lu)
+    np.testing.assert_array_equal(dec.lu._piv, rec.lu._piv)
     assert dec.lu._lu.flags.f_contiguous == rec.lu._lu.flags.f_contiguous
+    assert not dec.T.flags.owndata and not dec.lu._lu.flags.owndata  # mapped
     assert dec.cluster_segments == rec.cluster_segments
     # the reassembled PartialLU still solves
     rhs = np.ones(24)
     np.testing.assert_array_equal(dec.lu.solve_left(rhs), rec.lu.solve_left(rhs))
+    registry.close()
+
+
+@dataclass
+class _EdgePayload:
+    empty: np.ndarray = field(default_factory=lambda: np.empty(0))
+    zero_d: np.ndarray = field(default_factory=lambda: np.array(1.5))
+    objs: np.ndarray = field(
+        default_factory=lambda: np.array([{"a": 1}, None], dtype=object)
+    )
+    rec: np.ndarray = field(
+        default_factory=lambda: np.zeros(500, dtype=[("a", "f8"), ("b", "i8")])
+    )
+    big: np.ndarray = field(default_factory=lambda: np.arange(4096.0))
 
 
 @needs_process
 def test_shm_codec_dataclass_edge_fields_ride_pickle_channel():
-    """Edge cases inside walked dataclasses — empty, 0-d, object-dtype,
-    and structured fields — deterministically stay on the pickle
-    channel instead of raising."""
-    from dataclasses import dataclass, field
-
-    @dataclass
-    class Payload:
-        empty: np.ndarray = field(default_factory=lambda: np.empty(0))
-        zero_d: np.ndarray = field(default_factory=lambda: np.array(1.5))
-        objs: np.ndarray = field(
-            default_factory=lambda: np.array([{"a": 1}, None], dtype=object)
-        )
-        rec: np.ndarray = field(
-            default_factory=lambda: np.zeros(500, dtype=[("a", "f8"), ("b", "i8")])
-        )
-        big: np.ndarray = field(default_factory=lambda: np.arange(4096.0))
-
-    p = Payload()
-    enc = encode_payload(p, min_bytes=0)
-    assert enc.empty is p.empty and enc.zero_d is p.zero_d
-    assert enc.objs is p.objs and enc.rec is p.rec
-    assert not isinstance(enc.big, np.ndarray)  # only the real buffer carved
-    dec = decode_payload(enc)
+    """Edge cases inside dataclasses — empty, 0-d, object-dtype, and
+    structured fields — deterministically stay in the stream instead of
+    raising."""
+    p = _EdgePayload()
+    packed = pack(p, min_bytes=0)
+    assert packed.spans == ((0, 4096 * 8),)  # only the real buffer
+    dec = unpack(packed)
     np.testing.assert_array_equal(dec.big, p.big)
+    assert dec.empty.size == 0 and dec.zero_d == 1.5
+    assert dec.objs[0] == {"a": 1} and dec.objs[1] is None
+    assert dec.rec.dtype == p.rec.dtype
 
 
 @needs_process
 def test_shm_codec_identity_on_arrayless_payloads():
-    """Payloads without carvable arrays pass through by identity — no
-    container/dataclass rebuilds on the fast path."""
+    """A payload with nothing above the threshold creates nothing: no
+    segment, no registry entry, no /dev/shm traffic."""
     rec = _make_box_record()
     payload = {"tag": 7, "coords": [(1, 2), (3, 4)], "rec": rec}
-    assert encode_payload(payload, min_bytes=10**9) is payload
-    assert decode_payload(payload) is payload
+    registry = _registry()
+    before = _shm_names()
+    packed = pack(payload, min_bytes=10**9, registry=registry)
+    assert packed.segment is None and packed.spans == () and packed.shm_nbytes == 0
+    assert _registered(registry) == [] and _shm_names() == before
+    decoded = unpack(packed)
+    assert decoded["tag"] == 7 and decoded["coords"] == payload["coords"]
+    np.testing.assert_array_equal(decoded["rec"].T, rec.T)
+    registry.close()
+
+
+@needs_process
+def test_shm_codec_pickling_failure_leaves_no_segment():
+    """The stream is complete before a segment exists, so an unpicklable
+    payload — even one holding large arrays — registers and leaves
+    nothing."""
+    registry = _registry()
+    before = _shm_names()
+    with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+        pack({"big": np.zeros(5000), "cb": lambda: 1}, min_bytes=0, registry=registry)
+    assert _registered(registry) == [] and _shm_names() == before
+    registry.close()
+
+
+@needs_process
+def test_shm_codec_failure_after_create_unlinks_segment(monkeypatch):
+    """A failure between creating the segment and finishing the copy —
+    here the registry write — unlinks it; ENOSPC at creation has nothing
+    to unlink."""
+    import errno
+
+    import repro.vmpi.process_backend as codec
+
+    class BrokenPipe:
+        def put(self, name):
+            raise OSError(errno.EPIPE, "registry pipe closed")
+
+    before = _shm_names()
+    with pytest.raises(OSError):
+        pack(np.zeros(5000), min_bytes=0, registry=BrokenPipe())
+    assert _shm_names() == before
+
+    def no_space(nbytes):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(codec, "_create_shm", no_space)
+    registry = _registry()
+    with pytest.raises(OSError):
+        pack(np.zeros(5000), min_bytes=0, registry=registry)
+    assert _registered(registry) == [] and _shm_names() == before
+    registry.close()
 
 
 def test_worker_result_shm_codec_shrinks_pickle_channel(factor_pair):
-    """Acceptance probe: encoding a WorkerResult through the codec drops
-    the pickle-channel byte count to control-message size — the array
-    payload (records, LU factors) travels out-of-band."""
-    from repro.vmpi.process_backend import _release_refs
-
+    """Acceptance probe: packing a WorkerResult list drops the pickle
+    stream to control-message size — the array payload (records, LU
+    factors) travels out-of-band, in one segment."""
     workers = factor_pair["thread"][0].workers
     raw = len(pickle.dumps(workers, protocol=pickle.HIGHEST_PROTOCOL))
-    created = []
-    enc = encode_payload(workers, min_bytes=2048, created=created)
+    packed = pack(workers, min_bytes=2048)
     try:
-        carved = len(pickle.dumps(enc, protocol=pickle.HIGHEST_PROTOCOL))
-        assert created, "no arrays were carved out of the factorization"
-        assert carved < raw / 2, (carved, raw)
+        assert packed.segment is not None, "no arrays left the pickle stream"
+        assert len(packed.blob) < raw / 2, (len(packed.blob), raw)
     finally:
-        _release_refs(enc)  # unlink the blocks this probe carved
+        release_segment(packed.segment)  # the probe never unpacks it
 
 
 # ----------------------------------------------------------------------
@@ -461,11 +595,21 @@ def _unpicklable_prog(comm):
     return lambda: 1  # unpicklable: dies shipping the result, not in fn
 
 
+def _silent_exit_prog(comm):
+    os._exit(0)  # the rank vanishes without an outcome on the result queue
+
+
 @needs_process
 def test_process_backend_unpicklable_result_fails_fast():
-    """Per-call: a result the queue cannot pickle dies in the child's
-    feeder thread; the parent must detect the silent exit, not hang."""
+    """Per-call: a rank that exits without reporting must be detected by
+    the parent, not waited on; an unpicklable result is not such a
+    case — packing pickles it inside the rank's failure-reporting path,
+    so it surfaces as that rank's failure with the pickling error."""
     with pytest.raises(RuntimeError, match="without reporting a result"):
+        run_spmd(
+            2, _silent_exit_prog, backend=ProcessBackend(pool=False), timeout=30.0
+        )
+    with pytest.raises(RuntimeError, match="rank [01] failed"):
         run_spmd(
             2, _unpicklable_prog, backend=ProcessBackend(pool=False), timeout=30.0
         )

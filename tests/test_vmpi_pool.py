@@ -11,6 +11,7 @@ import glob
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -91,6 +92,43 @@ def test_run_spmd_reuses_one_pool():
     r2 = run_spmd(2, _echo_prog, 1.0, backend=be)
     assert r1.results == r2.results
     assert _shm_blocks() - before == set()
+
+
+@dataclass
+class _ThirtyArrays:
+    rank: int
+    arrays: list
+
+
+def _thirty_arrays_prog(comm, table):
+    return _ThirtyArrays(
+        comm.rank, [table[: 400 + i] * (comm.rank + 1) for i in range(30)]
+    )
+
+
+def test_job_registers_one_segment_per_dispatch_and_per_result(monkeypatch):
+    """A job over 4 ranks whose args hold one large array and whose
+    results each hold 30 registers 1 + 4 names: the dispatch segment,
+    and one per rank result — counted in the registry pipe's sweep."""
+    import repro.vmpi.pool as pool_mod
+
+    swept = []
+    plain_unlink = pool_mod._unlink_registered
+
+    def counting_unlink(names):
+        swept.append(set(names))
+        plain_unlink(names)
+
+    monkeypatch.setattr(pool_mod, "_unlink_registered", counting_unlink)
+    before = _shm_blocks()
+    table = np.arange(1000, dtype=np.float64)
+    run = run_spmd(4, _thirty_arrays_prog, table, backend=ProcessBackend(pool=True))
+    assert len(swept) == 1 and len(swept[0]) == 1 + 4
+    for rank, result in enumerate(run.results):
+        assert result.rank == rank and len(result.arrays) == 30
+        for i, arr in enumerate(result.arrays):
+            np.testing.assert_array_equal(arr, table[: 400 + i] * (rank + 1))
+    assert _shm_blocks() == before
 
 
 def test_string_spec_shares_the_registry_pool():
