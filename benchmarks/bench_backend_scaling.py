@@ -2,16 +2,13 @@
 
 The thread backend simulates distributed time faithfully but its rank
 *compute* is GIL-serialized; the process backend runs ranks as OS
-processes with shared-memory ndarray transport, so factorization
-wall-clock scales with cores. The process backend is measured in both
-lifecycles: ``process`` (per-call: fork + teardown every dispatch) and
-``process_pool`` (persistent :class:`~repro.vmpi.pool.RankPool`: the
-ranks are spawned once, then ``factor`` and every ``solve`` reuse
-them — the repeated-solve column is where the pool's no-respawn
-dividend shows). This bench runs the Table II Laplace volume workload
-and the PR-1 BIE star workload at ``p = 4`` under every backend,
-checks they are observationally identical (bitwise solutions, equal
-message/byte counters), and writes machine-readable results to
+processes — a persistent :class:`~repro.vmpi.pool.RankPool`, spawned
+once, then serving ``factor`` and every ``solve`` from worker-resident
+shards — with shared-memory ndarray transport, so factorization
+wall-clock scales with cores. This bench runs the Table II Laplace
+volume workload and the PR-1 BIE star workload at ``p = 4`` under both
+backends, checks they are observationally identical (bitwise solutions,
+equal message/byte counters), and writes machine-readable results to
 ``BENCH_backend_scaling.json`` at the repository root so the perf
 trajectory accumulates across commits/CI artifacts.
 """
@@ -32,7 +29,7 @@ from repro.geometry.domain import Square
 from repro.obs import REGISTRY
 from repro.parallel import parallel_srs_factor
 from repro.reporting import Table, format_sci, format_seconds
-from repro.vmpi import ProcessBackend, process_backend_available
+from repro.vmpi import process_backend_available
 
 P = 4
 #: N = LAPLACE_M^2 — at least 4096 unknowns at every scale
@@ -43,16 +40,8 @@ JSON_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_backend_sc
 
 def _backends() -> list[str]:
     if process_backend_available():
-        return ["thread", "process", "process_pool"]
+        return ["thread", "process"]
     return ["thread"]
-
-
-def _backend_spec(name: str):
-    if name == "process":
-        return ProcessBackend(pool=False)
-    if name == "process_pool":
-        return ProcessBackend(pool=True)
-    return name
 
 
 #: the process-backend codec's cumulative shm-traffic counter — sampling
@@ -64,16 +53,13 @@ _SHM_BYTES = REGISTRY.counter("repro_vmpi_shm_bytes_total")
 
 def _time_backend(kernel, b, opts, domain, backend, relres):
     t0 = time.perf_counter()
-    fact = parallel_srs_factor(
-        kernel, P, opts=opts, domain=domain, backend=_backend_spec(backend)
-    )
+    fact = parallel_srs_factor(kernel, P, opts=opts, domain=domain, backend=backend)
     wall_fact = time.perf_counter() - t0
     t0 = time.perf_counter()
     x = fact.solve(b)
     wall_solve = time.perf_counter() - t0
-    # repeated solve on the cached factorization: per-call backends pay
-    # fork/teardown (and a full-tree re-ship) again, the persistent pool
-    # dispatches O(rhs) bytes to its worker-resident shards
+    # repeated solve on the cached factorization: the pool dispatches
+    # O(rhs) bytes to its worker-resident shards
     shm_before = _SHM_BYTES.value()
     t0 = time.perf_counter()
     fact.solve(b)
@@ -89,16 +75,13 @@ def _time_backend(kernel, b, opts, domain, backend, relres):
         messages=fact.factor_run.total_messages,
         bytes=fact.factor_run.total_bytes,
         # shm bytes the repeated solve shipped parent -> workers (0 for
-        # the thread backend, whose ranks share the parent's memory, and
-        # for per-call fork, which duplicates the tree by COW inheritance
-        # instead of the codec — its cost shows in wall_solve_repeat)
+        # the thread backend, whose ranks share the parent's memory)
         dispatch_bytes_per_solve=int(_SHM_BYTES.value() - shm_before),
         resident=fact.resident is not None,
     )
     if stats["resident"]:
-        # the counterfactual this subsystem removes: the same pool
-        # dispatching the full factorization tree per solve (what every
-        # pooled solve shipped before worker-resident shards existed)
+        # the counterfactual worker-resident shards remove: the same
+        # pool dispatching the full factorization tree per solve
         from repro.parallel.solve import solve_worker
 
         shm_before = _SHM_BYTES.value()
@@ -129,10 +112,7 @@ def _run_workload(name, kernel, b, opts, relres, domain=None) -> dict:
                 "relres_equal": t["relres"] == s["relres"],
             }
             entry["speedup_over_thread"][backend] = t["wall_total"] / s["wall_total"]
-        pc, pp = entry["backends"]["process"], entry["backends"]["process_pool"]
-        entry["pool_solve_speedup_over_per_call"] = (
-            pc["wall_solve_repeat"] / pp["wall_solve_repeat"]
-        )
+        pp = entry["backends"]["process"]
         entry["pool_dispatch_bytes_drop"] = pp["dispatch_bytes_full_tree"] / max(
             pp["dispatch_bytes_per_solve"], 1
         )
@@ -242,10 +222,8 @@ def render(result: dict) -> str:
             )
             lines.append(
                 f"{wl['workload']}: wall-clock speedup over thread ({speed}); "
-                f"pool repeated-solve speedup over per-call "
-                f"{wl['pool_solve_speedup_over_per_call']:.2f}x "
-                f"(dispatch payload {wl['pool_dispatch_bytes_drop']:.0f}x "
-                f"smaller via worker-resident shards); parity "
+                f"dispatch payload {wl['pool_dispatch_bytes_drop']:.0f}x "
+                f"smaller via worker-resident shards; parity "
                 f"{wl['parity']}"
             )
     fm = result["factor_mode"]
@@ -321,8 +299,8 @@ def test_pool_repeated_solve_dispatches_o_rhs_bytes(sweep):
         pytest.skip("process backend unavailable")
     laplace = next(w for w in sweep["workloads"] if w["workload"] == "laplace_volume")
     assert laplace["n"] >= 4096
-    pp = laplace["backends"]["process_pool"]
-    assert pp["resident"] and not laplace["backends"]["process"]["resident"]
+    pp = laplace["backends"]["process"]
+    assert pp["resident"] and not laplace["backends"]["thread"]["resident"]
     assert pp["dispatch_bytes_full_tree"] >= 10 * pp["dispatch_bytes_per_solve"], (
         pp["dispatch_bytes_full_tree"],
         pp["dispatch_bytes_per_solve"],
@@ -352,7 +330,7 @@ def test_process_backend_scales_with_cores(sweep):
             f"only {effective_cpu_count()} usable core(s): recorded speedup "
             f"{best:.2f}x is informational"
         )
-    assert laplace["speedup_over_thread"]["process_pool"] > 1.0
+    assert laplace["speedup_over_thread"]["process"] > 1.0
 
 
 def test_batched_factor_not_slower(sweep):

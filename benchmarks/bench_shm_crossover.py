@@ -47,7 +47,7 @@ def _pingpong(comm, sizes, reps):
 def main() -> None:
     rows = {}
     for label, threshold in (("in-band", 1 << 40), ("segment", 0)):
-        backend = ProcessBackend(min_shm_bytes=threshold, pool=False)
+        backend = ProcessBackend(min_shm_bytes=threshold)
         rows[label] = run_spmd(2, _pingpong, SIZES, REPS, backend=backend).results[0]
     print(f"{'bytes':>9} {'in-band us':>11} {'segment us':>11} {'segment/in-band':>16}")
     for size in SIZES:

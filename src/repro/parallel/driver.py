@@ -50,16 +50,16 @@ class ParallelFactorization:
     cost_model: CostModel | None = None
     #: the resolved :class:`~repro.vmpi.backend.ExecutionBackend`
     #: *instance* the factorization ran on. ``solve`` dispatches through
-    #: the same instance, so a process backend in persistent-pool mode
-    #: reuses its :class:`~repro.vmpi.pool.RankPool` — repeated solves
-    #: spawn no processes (the facade's ``Solver`` caches this object
-    #: alongside the factorization).
+    #: the same instance, so a process backend reuses its
+    #: :class:`~repro.vmpi.pool.RankPool` — repeated solves spawn no
+    #: processes (the facade's ``Solver`` caches this object alongside
+    #: the factorization).
     backend: object = None
     last_solve_run: SPMDRun | None = None
     #: parent-side :class:`~repro.store.resident.ResidentHandle` when the
-    #: rank workers retain this factorization's shards (persistent
-    #: process pool + ``REPRO_STORE_RESIDENT``); process-local — dropped
-    #: on pickling and lazily rebuilt by ``solve`` in the new process
+    #: rank workers retain this factorization's shards (the process
+    #: backend); process-local — dropped on pickling and lazily rebuilt
+    #: by ``solve`` in the new process
     resident: object = field(default=None, repr=False)
     _merged_stats: RankStats | None = field(default=None, repr=False)
 
@@ -91,12 +91,12 @@ class ParallelFactorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Distributed application of the compressed inverse to ``b``.
 
-        On a persistent process pool the dispatch goes through the
-        resident store (tier 1): workers solve from their retained
-        shards and only ``(entry id, leaf ownership, rhs)`` crosses the
-        process boundary. The communication pattern inside the solve is
-        identical either way, so results and per-rank counters are
-        bitwise-stable across dispatch modes.
+        On rank processes the dispatch goes through the resident store
+        (tier 1): workers solve from their retained shards and only
+        ``(entry id, leaf ownership, rhs)`` crosses the process
+        boundary; rank threads are handed the shards directly. The
+        communication pattern inside the solve is identical either way,
+        so results and per-rank counters are the same on both backends.
         """
         b = np.asarray(b)
         if b.shape[0] != self.n:
@@ -172,8 +172,11 @@ def parallel_srs_factor(
     ``None`` uses the ``REPRO_VMPI_BACKEND`` default. The spec is
     resolved to an instance here and pinned on the returned
     factorization, so later ``solve`` calls run on the same backend —
-    and, in persistent-pool mode, on the same rank-process pool.
-    Results, message counts, and byte counts are backend-independent.
+    for rank processes, on the same pool of workers. Results, message
+    counts, and byte counts are backend-independent. On
+    ``backend="process"`` the kernel travels to the workers by pickling:
+    one built on a lambda or closure raises
+    :class:`~repro.vmpi.pool.DispatchEncodeError` before anything runs.
     """
     backend = resolve_backend(backend)
     opts = opts or SRSOptions()
@@ -224,10 +227,7 @@ def parallel_srs_factor(
     )
     if use_resident:
         handle = ResidentHandle(entry_id, p, backend, workers)
-        # backend.pool is None when the dispatch fell back to per-call
-        # fork (unpicklable payload): the handle stays unseeded and the
-        # first solve ships the tree once
-        handle.adopt_pool(backend.pool)
+        handle.adopt_pool(backend.pool)  # that cohort retained the shards
         fact.resident = handle
     eliminated = fact.eliminated_count()
     if eliminated != kernel.n:  # pragma: no cover - invariant

@@ -16,9 +16,9 @@ refactored per restart. This package keeps it resident at three tiers:
    shutdown-time entries persist as checksummed files under
    ``REPRO_STORE_DIR``; cache misses consult them before factoring.
 
-Tiers 2 and 3 activate only when ``REPRO_STORE_DIR`` is set; tier 1 is
-on by default for the persistent process backend (``REPRO_STORE_*``
-knobs, documented in the README "Resident store" section).
+Tiers 2 and 3 are on exactly when ``REPRO_STORE_DIR`` is set; tier 1 is
+how the process backend solves, always (``REPRO_STORE_*`` knobs,
+documented in the README "Resident store" section).
 """
 
 from repro.store.resident import (

@@ -1,11 +1,12 @@
 """Tier 1 of the resident store: factorization shards living in rank workers.
 
-After a pooled ``factor``, each rank worker already *holds* its
-``WorkerResult`` — the ``PartialLU``/``BoxRecord`` tree it just built.
-Re-shipping that tree parent -> worker on every ``solve`` dispatch is
-the dominant cost of repeated pooled solves (the ``BENCH_backend_scaling``
-regression this subsystem exists to fix). This module keeps the shards
-where the work is:
+After a ``factor`` on rank processes, each pool worker already *holds*
+its ``WorkerResult`` — the ``PartialLU``/``BoxRecord`` tree it just
+built. Re-shipping that tree parent -> worker on every ``solve``
+dispatch would be the dominant cost of repeated solves, and the
+paper's workers never do it: they are started once and keep what they
+factored. This module keeps the shards where the work is, and it is
+how *every* solve on the process backend runs:
 
 * **worker side** — a per-process registry maps entry ids to retained
   :class:`~repro.parallel.worker.WorkerResult` shards, LRU-capped by
@@ -23,10 +24,10 @@ where the work is:
 
 The resident solve runs :func:`~repro.parallel.solve.solve_shards` —
 the identical scatter / color-round / reduction / gather communication
-pattern as a full-tree dispatch — so per-rank message and byte
-counters, and the solution bits, are indistinguishable from the
-non-resident path. Only the *dispatch payload* shrinks, from
-O(factorization) to O(rhs).
+pattern as the thread backend's full-tree ``solve_worker`` — so
+per-rank message and byte counters, and the solution bits, are the
+same on both backends. Only the *dispatch payload* differs:
+O(rhs) instead of O(factorization).
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from typing import TYPE_CHECKING
 
 from repro.obs import REGISTRY, trace
 from repro.obs.lockwatch import make_lock
-from repro.util.config import store_resident, store_resident_max
+from repro.util.config import store_resident_max
+from repro.vmpi.backend import adopt_rank_reports
 
 # the parallel engine imports this module (driver dispatches the
 # retaining factor worker), so its symbols are imported at call time —
@@ -155,17 +157,11 @@ def new_entry_id() -> str:
 
 
 def resident_supported(backend) -> bool:
-    """Whether ``backend`` can host worker-resident shards.
-
-    Requires the persistent-pool process backend (per-call workers die
-    with their job; thread ranks already share the parent's memory) and
-    the ``REPRO_STORE_RESIDENT`` knob (default on).
-    """
-    if not store_resident():
-        return False
+    """Whether ``backend`` hosts worker-resident shards: rank processes
+    do (thread ranks already share the parent's memory)."""
     from repro.vmpi.process_backend import ProcessBackend
 
-    return isinstance(backend, ProcessBackend) and backend.pool_mode == "persistent"
+    return isinstance(backend, ProcessBackend)
 
 
 class ResidentHandle:
@@ -244,13 +240,7 @@ class ResidentHandle:
                         cost_model=cost_model, timeout=timeout,
                     )
         _RES_SOLVES.inc()
-        # adopt rank-shipped spans like run_spmd does for normal dispatches
-        for report in run.reports:
-            spans = getattr(report, "spans", None)
-            if spans:
-                trace.adopt(spans)
-                report.spans = []
-        return run
+        return adopt_rank_reports(run)
 
     def drop(self) -> None:
         """Invalidate the worker-side entries (cache eviction hook).

@@ -18,7 +18,11 @@ write their marker *before* touching the segment, release removes its
 own marker and — when no marker belongs to a live process — unlinks the
 segment and removes the sidecar. ``/dev/shm`` is left exactly as found
 once the last holder releases; a crashed holder's marker is reaped by
-the next releaser's liveness scan.
+the next releaser's liveness scan. The markers are the *only* owner:
+publish and attach each take the segment out of their process's
+resource tracker (:func:`~repro.vmpi.process_backend.untrack`), which
+on Python < 3.13 would otherwise unlink it when that process exits —
+under every other holder.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro.store.disk import (
     remove_quiet,
     write_atomic,
 )
-from repro.vmpi.process_backend import pack, release_segment, unpack
+from repro.vmpi.process_backend import pack, release_segment, unpack, untrack
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
@@ -90,6 +94,7 @@ def publish_entry(root: str, digest: str, key, fact, min_bytes: int) -> SharedHo
     so no attacher can ever observe a sidecar with zero markers.
     """
     packed = pack(fact, min_bytes, shared=True)
+    untrack(packed.segment)
     try:
         with open(_ref_path(root, digest), "wb") as fh:
             fh.write(b"1")
@@ -130,6 +135,7 @@ def attach_entry(root: str, digest: str, key):
     except FileNotFoundError:
         release_entry(root, digest, hold)
         return None, None, "stale"
+    untrack(packed.segment)
     return fact, hold, None
 
 

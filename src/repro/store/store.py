@@ -37,13 +37,7 @@ from repro.store.shared import (
     release_entry,
     sidecar_path,
 )
-from repro.util.config import (
-    store_dir,
-    store_lock_timeout_s,
-    store_shared,
-    store_spill,
-    vmpi_shm_min_bytes,
-)
+from repro.util.config import store_dir, store_lock_timeout_s, vmpi_shm_min_bytes
 
 _HITS = REGISTRY.counter(
     "repro_store_hits_total",
@@ -105,14 +99,14 @@ class FactorizationStore:
         self,
         root: str,
         *,
-        shared: bool | None = None,
-        spill: bool | None = None,
+        shared: bool = True,
+        spill: bool = True,
         lock_timeout: float | None = None,
         min_shm_bytes: int | None = None,
     ):
         self.root = str(root)
-        self.shared = store_shared() if shared is None else bool(shared)
-        self.spill_enabled = store_spill() if spill is None else bool(spill)
+        self.shared = bool(shared)
+        self.spill_enabled = bool(spill)
         self.lock_timeout = (
             store_lock_timeout_s() if lock_timeout is None else float(lock_timeout)
         )
@@ -129,7 +123,8 @@ class FactorizationStore:
 
     @classmethod
     def from_env(cls) -> "FactorizationStore | None":
-        """The store configured by ``REPRO_STORE_*``, or ``None``."""
+        """The store under ``REPRO_STORE_DIR`` (both tiers on), or
+        ``None`` when it is unset."""
         root = store_dir()
         return None if root is None else cls(root)
 

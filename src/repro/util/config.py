@@ -96,31 +96,6 @@ def vmpi_shm_min_bytes() -> int:
     return n
 
 
-#: rank-process lifecycle policies of the process backend
-VMPI_POOL_MODES = ("persistent", "per_call")
-
-
-def vmpi_pool() -> str:
-    """Rank-process lifecycle of the process backend (``REPRO_VMPI_POOL``).
-
-    * ``persistent`` (default) — ranks are long-lived workers in a
-      :class:`~repro.vmpi.pool.RankPool`: spawned once, then successive
-      ``run_spmd`` dispatches (``factor`` followed by many ``solve`` s)
-      reuse them without re-forking.
-    * ``per_call`` — the pre-pool behavior: every ``run_spmd`` call
-      spawns fresh rank processes and tears them down afterwards.
-    """
-    raw = os.environ.get("REPRO_VMPI_POOL")
-    if raw is None or raw.strip() == "":
-        return "persistent"
-    name = raw.strip().lower().replace("-", "_")
-    if name not in VMPI_POOL_MODES:
-        raise ValueError(
-            f"REPRO_VMPI_POOL={raw!r} is not one of {'/'.join(VMPI_POOL_MODES)}"
-        )
-    return name
-
-
 def vmpi_pool_max() -> int:
     """Most rank pools kept alive at once (``REPRO_VMPI_POOL_MAX``).
 
@@ -261,38 +236,18 @@ def store_dir() -> str | None:
     """Root directory of the cross-process factorization store
     (``REPRO_STORE_DIR``).
 
-    Unset (default) disables tiers 2 and 3: no shared-memory publishing
-    and no disk spill — the cache behaves exactly as before. When set,
-    the directory holds sidecar indexes for shm-published entries,
-    spill files for warm restarts, and the cross-process single-flight
-    lockfiles. Created on first use.
+    Tiers 2 and 3 are on exactly when it is set. Unset (default): no
+    shared-memory publishing and no disk spill. Set: cache entries are
+    published as named shared-memory segments for other processes to
+    attach, evicted and shutdown-time entries spill to disk for warm
+    restarts, and the directory holds the sidecar indexes, the spill
+    files and the cross-process single-flight lockfiles. Created on
+    first use.
     """
     raw = os.environ.get("REPRO_STORE_DIR")
     if raw is None or raw.strip() == "":
         return None
     return raw
-
-
-def store_shared() -> bool:
-    """Whether cache entries are published as named shared-memory
-    blocks for other processes to attach (``REPRO_STORE_SHARED``,
-    default on; only meaningful when ``REPRO_STORE_DIR`` is set)."""
-    return env_flag("REPRO_STORE_SHARED", True)
-
-
-def store_spill() -> bool:
-    """Whether evicted / shutdown-time cache entries spill to disk for
-    warm restart (``REPRO_STORE_SPILL``, default on; only meaningful
-    when ``REPRO_STORE_DIR`` is set)."""
-    return env_flag("REPRO_STORE_SPILL", True)
-
-
-def store_resident() -> bool:
-    """Whether pooled rank workers retain their factorization shards so
-    repeated solves dispatch only ``(entry_id, rhs)`` instead of
-    re-shipping the whole tree (``REPRO_STORE_RESIDENT``, default on;
-    applies to the persistent process backend only)."""
-    return env_flag("REPRO_STORE_RESIDENT", True)
 
 
 def store_resident_max() -> int:

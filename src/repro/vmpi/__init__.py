@@ -8,7 +8,9 @@ mpi4py-shaped API (``send``/``recv``, ``bcast``, ``gather``,
 
 * every rank has strictly private state — with the default **thread
   backend** each rank is an OS thread and payloads are deep-copied on
-  send; with the **process backend** each rank is an OS process and
+  send; with the **process backend** each rank is an OS process of a
+  persistent :class:`RankPool` — started once, then serving the
+  factorization and every later solve, like the paper's workers — and
   ndarray payloads travel through ``multiprocessing.shared_memory``
   blocks (zero-copy on receive), so compute is GIL-free and wall-clock
   scales with cores;
@@ -21,7 +23,9 @@ mpi4py-shaped API (``send``/``recv``, ``bcast``, ``gather``,
   delivery, never the protocol.
 
 Pick a backend per call (``run_spmd(..., backend="process")``) or
-globally (``REPRO_VMPI_BACKEND=process``).
+globally (``REPRO_VMPI_BACKEND=process``). Rank processes receive the
+program and its arguments by pickling; what cannot be pickled raises
+:class:`DispatchEncodeError` before anything is dispatched.
 """
 
 from repro.vmpi.backend import (
@@ -34,10 +38,14 @@ from repro.vmpi.backend import (
 )
 from repro.vmpi.clock import CostModel, SimClock, INTRA_NODE, INTER_NODE
 from repro.vmpi.comm import Comm, DeadlockError
-from repro.vmpi.darray import DArray
-from repro.vmpi.grid import ProcessGrid2D
 from repro.vmpi.launcher import run_spmd
-from repro.vmpi.pool import RankPool, active_pools, get_pool, shutdown_all_pools
+from repro.vmpi.pool import (
+    DispatchEncodeError,
+    RankPool,
+    active_pools,
+    get_pool,
+    shutdown_all_pools,
+)
 from repro.vmpi.process_backend import ProcessBackend, process_backend_available
 
 __all__ = [
@@ -46,12 +54,11 @@ __all__ = [
     "INTRA_NODE",
     "INTER_NODE",
     "Comm",
-    "DArray",
     "DeadlockError",
+    "DispatchEncodeError",
     "run_spmd",
     "SPMDRun",
     "RankReport",
-    "ProcessGrid2D",
     "ExecutionBackend",
     "ThreadBackend",
     "ProcessBackend",

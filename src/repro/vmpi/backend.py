@@ -9,10 +9,12 @@ Two interchangeable implementations sit behind
   wall-clock does not scale (simulated time still does). This is the
   default and what the test suite runs on.
 * :class:`~repro.vmpi.process_backend.ProcessBackend` — every rank is
-  an OS process; ``np.ndarray`` payloads travel through
-  ``multiprocessing.shared_memory`` blocks (one producer copy, zero
-  receiver copies) and everything else is pickled. Rank compute runs
-  truly in parallel, so wall-clock scales with cores.
+  a long-lived OS process of a :class:`~repro.vmpi.pool.RankPool`,
+  started once and reused by every later run; ``np.ndarray`` payloads
+  travel through ``multiprocessing.shared_memory`` blocks (one producer
+  copy, zero receiver copies) and everything else — the rank program
+  included — is pickled. Rank compute runs truly in parallel, so
+  wall-clock scales with cores.
 
 Both backends drive the exact same :class:`~repro.vmpi.comm.Comm`
 protocol code, so message/byte counters and all computed results are
@@ -28,7 +30,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs import trace
+from repro.obs import profile, trace
 from repro.util.config import vmpi_backend
 from repro.vmpi.clock import CostModel
 from repro.vmpi.comm import Comm
@@ -47,11 +49,11 @@ class RankReport:
     bytes_sent: int
     messages_received: int
     bytes_received: int
-    #: spans recorded on this rank while tracing was enabled; process
-    #: backends ship them back over the result channel, and ``run_spmd``
-    #: adopts them into the parent tracer (empty when tracing is off,
-    #: and for the thread backend, whose spans land in the parent
-    #: tracer directly)
+    #: spans recorded on this rank while tracing was enabled; rank
+    #: processes ship them back over the result channel, and
+    #: :func:`adopt_rank_reports` merges them into the parent tracer
+    #: (empty when tracing is off, and for the thread backend, whose
+    #: spans land in the parent tracer directly)
     spans: list = field(default_factory=list)
     #: profiler sample table recorded on this rank while the parent was
     #: profiling — shipped and adopted exactly like ``spans`` (empty for
@@ -97,6 +99,21 @@ class SPMDRun:
 
     def max_bytes_per_rank(self) -> int:
         return max(r.bytes_sent for r in self.reports)
+
+
+def adopt_rank_reports(run: SPMDRun) -> SPMDRun:
+    """Merge what rank processes shipped back on their reports — spans
+    and profiler samples, on per-rank tracks — into this process's
+    tracer and profiler, leaving the reports empty of both. Every
+    dispatch whose reports reach a caller goes through here."""
+    for report in run.reports:
+        if report.spans:
+            trace.adopt(report.spans)
+            report.spans = []
+        if report.profile:
+            profile.adopt(report.profile)
+            report.profile = {}
+    return run
 
 
 def report_from_comm(comm: Comm) -> RankReport:

@@ -4,8 +4,8 @@
 ``p`` ranks a :class:`~repro.vmpi.comm.Comm` and collects the per-rank
 return values plus a :class:`RankReport` of simulated time and
 communication counters. *How* the ranks execute — threads in this
-process (default) or one OS process per rank with shared-memory array
-transport — is delegated to an :mod:`~repro.vmpi.backend`
+process (default) or one pooled OS process per rank with shared-memory
+array transport — is delegated to an :mod:`~repro.vmpi.backend`
 implementation, selected per call (``backend=``) or globally
 (``REPRO_VMPI_BACKEND``).
 """
@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.obs import profile, trace
 from repro.vmpi.backend import (  # noqa: F401 - re-exported for compatibility
     ExecutionBackend,
     SPMDRun,
+    adopt_rank_reports,
     resolve_backend,
 )
 from repro.vmpi.clock import CostModel
@@ -38,27 +38,17 @@ def run_spmd(
     rank identified. ``args`` are shared (read-only by convention; pass
     rank-specific data through scatter instead). ``backend`` picks the
     execution strategy ("thread" or "process"); ``None`` uses the
-    configured default.
+    configured default. On rank processes ``fn`` and ``args`` travel by
+    pickling: a closure, lambda or locally defined class raises
+    :class:`~repro.vmpi.pool.DispatchEncodeError` before anything runs.
     """
-    run = resolve_backend(backend).run(
-        nranks,
-        fn,
-        args,
-        cost_model=cost_model,
-        copy_payloads=copy_payloads,
-        timeout=timeout,
+    return adopt_rank_reports(
+        resolve_backend(backend).run(
+            nranks,
+            fn,
+            args,
+            cost_model=cost_model,
+            copy_payloads=copy_payloads,
+            timeout=timeout,
+        )
     )
-    # merge spans the rank processes shipped back through their reports
-    # into this process's timeline (per-rank tracks); thread-backend
-    # ranks record into the parent tracer directly, so their reports
-    # carry none
-    for report in run.reports:
-        spans = getattr(report, "spans", None)
-        if spans:
-            trace.adopt(spans)
-            report.spans = []
-        table = getattr(report, "profile", None)
-        if table:
-            profile.adopt(table)
-            report.profile = {}
-    return run

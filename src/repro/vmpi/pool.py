@@ -1,19 +1,24 @@
-"""Persistent rank-process pool for the process execution backend.
+"""The rank-process lifecycle: a persistent pool of ``p`` workers.
 
-A :class:`RankPool` spawns ``p`` long-lived worker processes *once* and
-then dispatches successive SPMD programs to them — ``factor`` followed
-by many ``solve`` s through one :class:`~repro.api.facade.Solver` pays
-the fork/spawn + interpreter-warmup cost exactly one time instead of
-per call. The per-rank mailboxes, the shared-memory name registry, and
-the result queue all stay alive across dispatches.
+This module is the only place that starts, feeds, collects from and
+tears down rank processes. A :class:`RankPool` spawns ``p`` long-lived
+workers *once* and then dispatches successive SPMD programs to them —
+``factor`` followed by many ``solve`` s through one
+:class:`~repro.api.facade.Solver` pays the fork/spawn +
+interpreter-warmup cost exactly one time, and the workers keep the
+factorization shards they built (:mod:`repro.store.resident`). The
+per-rank mailboxes, the shared-memory name registry, and the result
+queue all stay alive across dispatches.
 
 Protocol per dispatch (one *job*):
 
 1. The parent packs ``(fn, args, cost_model, copy_payloads)`` once
-   (large arrays — e.g. the ``WorkerResult`` list a distributed solve
-   re-ships — go into one *shared* shared-memory segment, mapped
-   zero-copy by every worker) and writes one pre-pickled command blob
-   per rank to that rank's command queue.
+   (large arrays — e.g. the ``WorkerResult`` list a seeding dispatch
+   ships — go into one *shared* shared-memory segment, mapped zero-copy
+   by every worker) and writes one pre-pickled command blob per rank to
+   that rank's command queue. A program, kernel or argument that cannot
+   be pickled raises :class:`DispatchEncodeError` here, on every start
+   method, before any worker saw the job.
 2. Each worker builds a fresh :class:`~repro.vmpi.comm.Comm` over the
    persistent mailboxes, stamped with the job id as the transport
    *epoch*: a message stranded by an earlier job (sent but never
@@ -35,7 +40,12 @@ failed job (workers are idle again; mailboxes are drained and stale
 messages are epoch-guarded). If ranks are missing — stuck in a receive
 that can never complete, or dead — the pool is torn down hard
 (terminate + drain + registry sweep) and the caller gets the error;
-the next dispatch transparently starts a fresh pool.
+the next dispatch transparently starts a fresh pool. The registry pipe
+is the backstop of that teardown: a terminated rank whose queue-feeder
+thread still buffered messages nobody will ever attach has already
+written their segment names to it, so the parent unlinks them once all
+ranks are gone (on Python 3.13+, where segments are untracked, such
+orphans would otherwise persist in /dev/shm until reboot).
 
 Pools are cached process-wide by ``(nranks, start_method,
 min_shm_bytes)`` in an LRU registry capped at ``REPRO_VMPI_POOL_MAX``
@@ -48,6 +58,7 @@ import atexit
 import pickle
 import queue
 import time
+import traceback
 from collections import OrderedDict
 from typing import Any, Callable
 
@@ -59,12 +70,7 @@ from repro.vmpi.clock import CostModel
 from repro.vmpi.comm import Comm
 from repro.vmpi.process_backend import (
     ProcessTransport,
-    _describe,
     _drain_mailbox,
-    _drain_registry,
-    _ensure_resource_tracker,
-    _teardown_procs,
-    _unlink_registered,
     pack,
     release_segment,
     unpack,
@@ -74,13 +80,101 @@ _PICKLE = pickle.HIGHEST_PROTOCOL
 
 
 class DispatchEncodeError(Exception):
-    """The job payload could not be encoded/pickled for dispatch.
+    """The rank program, kernel or an argument could not be pickled.
 
-    Raised *before* any worker saw the job, so the pool is untouched —
-    the guarantee :class:`~repro.vmpi.process_backend.ProcessBackend`
-    relies on to fall back to the per-call fork path for closure/lambda
-    programs. Chains the original pickling error as ``__cause__``.
+    Rank processes receive everything by pickling, on every start
+    method. Raised *before* any worker saw the job: the pool is
+    untouched, nothing is registered or left in ``/dev/shm``, and the
+    next dispatch runs normally. Chains the original pickling error as
+    ``__cause__``.
     """
+
+
+def _encode_error(what: str, fn, exc: BaseException) -> DispatchEncodeError:
+    name = getattr(fn, "__qualname__", type(fn).__name__)
+    return DispatchEncodeError(
+        f"{what} {name!r} could not be pickled for dispatch to rank processes ({exc!r}); "
+        "define the function or class at module level (closures, lambdas and "
+        'locally defined classes cannot be pickled), or run with backend="thread"'
+    )
+
+
+# ----------------------------------------------------------------------
+# end of life: what a cohort of rank processes leaves behind
+# ----------------------------------------------------------------------
+def _ensure_resource_tracker() -> None:
+    """Start the parent's resource tracker before launching ranks.
+
+    Pre-3.13 every segment creation REGISTERs with a tracker. If the
+    first tracker use happens *inside* a rank, each rank lazily spawns
+    its own — and a segment created in rank A but unlinked in rank B
+    (the normal lifetime protocol) leaves A's tracker convinced it
+    leaked, warning at shutdown. Starting the tracker here makes every
+    rank inherit the one shared instance, so REGISTER and UNREGISTER
+    pair up no matter which process performs them. On 3.13+ segments
+    are created untracked and this is a harmless no-op.
+    """
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+    except Exception:  # pragma: no cover - tracker internals shifted
+        pass
+
+
+def _drain_registry(registry, names: set) -> None:
+    """Move sender-registered segment names out of the registry pipe."""
+    try:
+        while not registry.empty():
+            names.add(registry.get())
+    except (OSError, ValueError, EOFError):  # pragma: no cover - closing
+        pass
+
+
+def _unlink_registered(names: set) -> None:
+    """Unlink every registered segment that still has a name.
+
+    Segments that were delivered normally are already unlinked by their
+    receiver (or by the mailbox drain) and are skipped; anything left
+    is an orphan of an abnormal teardown.
+    """
+    for name in names:
+        release_segment(name)
+
+
+def _teardown_procs(procs: list, mailboxes: list, results_q, registry, registered: set) -> None:
+    """Join/terminate rank processes and reclaim every transport resource.
+
+    Pre-drain mailboxes (unblocks child queue feeders + frees shm), give
+    ranks a short grace to exit, terminate survivors (stuck ranks must
+    not wait out receive timeouts), drain + close every queue, then
+    sweep the registry so blocks stranded in killed feeders or
+    never-drained pipes are unlinked.
+    """
+    for q in mailboxes:
+        _drain_mailbox(q)
+    for pr in procs:
+        pr.join(timeout=1.0)
+    for pr in procs:
+        if pr.is_alive():
+            pr.terminate()
+    for pr in procs:
+        if pr.is_alive():
+            pr.join(timeout=10.0)
+    for q in [*mailboxes, results_q]:
+        _drain_mailbox(q)
+        q.close()
+        q.join_thread()
+    _drain_registry(registry, registered)
+    _unlink_registered(registered)
+    registry.close()
+
+
+# ----------------------------------------------------------------------
+# the worker
+# ----------------------------------------------------------------------
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
 
 
 def _pool_worker_main(
@@ -119,17 +213,16 @@ def _execute_job(rank: int, cmd, mailboxes: list, registry, min_shm_bytes: int) 
     and an import/decode error must surface as a clean rank failure —
     traceback preserved, pool kept alive — not a dead worker.
     """
-    _, job_id, payload = cmd[:3]
+    _, job_id, payload, trace_on, profile_hz = cmd
     # the dispatcher forwards its live tracing flag per job, so tracing
     # toggled after the pool started (or enabled without REPRO_OBS in
     # the environment, under the spawn start method) still reaches
     # long-lived workers
-    trace.set_enabled(bool(cmd[3]) if len(cmd) > 3 else False)
+    trace.set_enabled(trace_on)
     trace.clear()
     # the parent's live profiling rate travels the same way: the worker
     # profiles only while a job runs (an idle worker would accumulate
     # unattributable samples between jobs) and ships its table back
-    profile_hz = float(cmd[4]) if len(cmd) > 4 else 0.0
     profile.clear()
     if profile_hz > 0:
         profile.start(profile_hz)
@@ -184,9 +277,8 @@ class RankPool:
         self._registered: set = set()
         # one job at a time per pool: the mailboxes/result queue carry a
         # single SPMD program, so concurrent run_spmd calls from
-        # different threads serialize here (the per-call backend, whose
-        # state is all call-local, stays fully reentrant). RLock because
-        # run() calls ensure_started()/shutdown() internally.
+        # different threads serialize here. RLock because run() calls
+        # ensure_started()/shutdown() internally.
         self._lock = make_lock("vmpi.pool", reentrant=True)
         #: registry membership: _origin_registry is sticky (ever owned a
         #: slot), _in_registry is current. A registry pool revived after
@@ -375,13 +467,11 @@ class RankPool:
         self.ensure_started()
         # probe the program itself before touching the (possibly huge)
         # args: a closure/lambda fn fails cheaply here, before any array
-        # is copied into shm — the fork fallback then costs nothing
+        # is copied into shm
         try:
             pickle.dumps((fn, cost_model), protocol=_PICKLE)
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            raise DispatchEncodeError(
-                f"SPMD program could not be pickled for dispatch: {exc!r}"
-            ) from exc
+            raise _encode_error("rank program", fn, exc) from exc
         # args are shared read-only across ranks (the run_spmd contract;
         # the thread backend shares the very same objects), so pack
         # them ONCE into a multi-receiver segment: every rank maps the
@@ -404,9 +494,7 @@ class RankPool:
                     arrays=len(payload.spans),
                 )
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            raise DispatchEncodeError(
-                f"SPMD job payload could not be pickled for dispatch: {exc!r}"
-            ) from exc
+            raise _encode_error("an argument of rank program", fn, exc) from exc
         # the job exists only once its payload is dispatchable
         self._job_id += 1
         self.jobs_run += 1

@@ -251,7 +251,7 @@ def _traced_rank_prog(comm):
 
 @needs_process
 def test_process_ranks_merge_into_parent_tracer(global_trace):
-    run = run_spmd(2, _traced_rank_prog, backend=ProcessBackend(pool=False))
+    run = run_spmd(2, _traced_rank_prog, backend=ProcessBackend())
     assert run.results == [0, 1]
     spans = global_trace.snapshot()
     tracks = {s.track for s in spans}
@@ -264,7 +264,7 @@ def test_process_ranks_merge_into_parent_tracer(global_trace):
 
 @needs_process
 def test_persistent_pool_ranks_merge(global_trace):
-    be = ProcessBackend(pool=True)
+    be = ProcessBackend()
     try:
         run = run_spmd(2, _traced_rank_prog, backend=be)
     finally:

@@ -180,7 +180,7 @@ def test_process_ranks_ship_profile_tables(global_trace):
     profile.clear()
     assert profile.start(250)
     try:
-        run = run_spmd(2, _profiled_rank_prog, backend=ProcessBackend(pool=False))
+        run = run_spmd(2, _profiled_rank_prog, backend=ProcessBackend())
     finally:
         profile.stop()
     assert run.results == [0, 1]
@@ -191,6 +191,24 @@ def test_process_ranks_ship_profile_tables(global_trace):
     assert "work.burn" in spans
     # adopted into the parent profiler, not left behind on the reports
     assert all(not r.profile for r in run.reports)
+
+    # a warm solve is dispatched by the resident store, not by run_spmd:
+    # what its ranks sampled must arrive the same way
+    prob = repro.LaplaceVolumeProblem(m=32)
+    fact = repro.parallel_srs_factor(prob.kernel, 4, backend="process")
+    b = np.random.default_rng(0).standard_normal((prob.n, 64))
+    fact.solve(b)
+    assert profile.start(250)
+    try:
+        for _ in range(50):
+            fact.solve(b)
+            if any(track.startswith("rank") for (track, _, _) in profile.snapshot_table()):
+                break
+    finally:
+        profile.stop()
+    tracks = {track for (track, _span, _frames) in profile.drain_table()}
+    assert any(track.startswith("rank") for track in tracks), tracks
+    assert all(not r.profile for r in fact.last_solve_run.reports)
 
 
 # ----------------------------------------------------------------------

@@ -87,6 +87,8 @@ def test_neighbor_ranks_adjacency():
         for w in lay.neighbor_ranks(r):
             assert r in lay.neighbor_ranks(w)
             assert w != r
+    counts = sorted(len(lay.neighbor_ranks(r)) for r in lay.active_ranks())
+    assert counts[0] == 3 and counts[-1] == 8  # grid corners have 3, interior ranks 8
 
 
 def test_colors_differ_between_neighbors():
@@ -163,6 +165,7 @@ def test_lookups_agree_with_brute_force(level, p):
     assert lay.stride * lay.active == p
     assert lay.grid_side**2 == lay.active
     assert lay.region_side * lay.grid_side == lay.nside == 2**level
+    assert lay.colors_in_use() == list(range(min(lay.active, 4)))  # one rank: one colour
     ranks = lay.active_ranks()
     owned = {r: set(lay.owned_boxes(r)) for r in ranks}
     xs = {r: {qx for qx, _ in owned[r]} for r in ranks}

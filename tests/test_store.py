@@ -312,6 +312,91 @@ def test_shared_attach_in_second_process_is_bitwise(tmp_path):
     assert _residue(root) == []
 
 
+_FOREIGN = """
+import hashlib, sys
+import numpy as np
+from repro.store import FactorizationStore
+
+def digest(fact):
+    return hashlib.blake2b(np.ascontiguousarray(fact["a"]).tobytes(), digest_size=16).hexdigest()
+
+root, role = sys.argv[1:3]
+store = FactorizationStore(root, shared=True, spill=False, min_shm_bytes=128)
+if role == "publish":  # build, then hold until told to go
+    fact, tier = store.fetch_or_build("k", lambda: {"a": np.arange(4096, dtype=np.float64)})
+    print(tier, digest(fact), flush=True)
+    sys.stdin.readline()
+else:
+    fact, tier = store.load("k") or (None, None)
+    print(tier, digest(fact) if fact else None)
+del fact
+store.close()
+"""
+
+
+def _foreign(root, role, **popen):
+    cwd = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return subprocess.Popen(
+        [sys.executable, "-c", _FOREIGN, root, role],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.path.join(cwd, "src")}, **popen,
+    )
+
+
+@needs_process
+def test_shared_segment_outlives_foreign_holders(tmp_path):
+    """The ref markers are a store segment's only owner. On Python <
+    3.13 a ``SharedMemory`` handle also registers the name with its
+    process's resource tracker, which unlinks it when that process
+    exits: a front end that attached and left — or published and left —
+    must not take the entry from the holders that remain."""
+    import hashlib
+
+    root = str(tmp_path / "store")
+    before = _shm_blocks()
+    payload = np.arange(4096, dtype=np.float64)
+    want = hashlib.blake2b(payload.tobytes(), digest_size=16).hexdigest()
+    stderr = []
+
+    def attach_and_leave():
+        out, err = _foreign(root, "attach").communicate(timeout=120)
+        stderr.append(err)
+        assert out.split() == ["shared", want], (out, err)
+        assert _shm_blocks() - before == {segment}  # still listed
+
+    def publish():
+        publisher = _foreign(root, "publish", stdin=subprocess.PIPE)
+        assert publisher.stdout.readline().split() == ["None", want]
+        return publisher
+
+    def leave(publisher):
+        _out, err = publisher.communicate("go\n", timeout=120)
+        stderr.append(err)
+        assert publisher.returncode == 0, err
+
+    # two attachers come and go, one after the other, under a publisher
+    publisher = publish()
+    (segment,) = _shm_blocks() - before
+    attach_and_leave()
+    attach_and_leave()
+    leave(publisher)
+    assert _shm_blocks() == before and _residue(root) == []
+
+    # the mirrored order: the publisher leaves while this process holds
+    publisher = publish()
+    (segment,) = _shm_blocks() - before
+    store = FactorizationStore(root, shared=True, spill=False, min_shm_bytes=128)
+    held, tier = store.load("k")
+    assert tier == "shared"
+    leave(publisher)
+    attach_and_leave()
+    assert np.array_equal(held["a"], payload)
+    del held
+    store.close()
+    assert _shm_blocks() == before and _residue(root) == []
+    assert not any("resource_tracker" in err for err in stderr), stderr
+
+
 def test_warm_restart_from_disk_in_fresh_process(tmp_path):
     """serve -> shutdown -> serve again: the restart factors nothing."""
     root = str(tmp_path / "store")

@@ -59,22 +59,6 @@ def test_vmpi_shm_min_bytes_config(monkeypatch):
         vmpi_shm_min_bytes()
 
 
-def test_vmpi_pool_config(monkeypatch):
-    from repro.util.config import vmpi_pool
-
-    monkeypatch.delenv("REPRO_VMPI_POOL", raising=False)
-    assert vmpi_pool() == "persistent"
-    monkeypatch.setenv("REPRO_VMPI_POOL", "Per-Call")
-    assert vmpi_pool() == "per_call"
-    monkeypatch.setenv("REPRO_VMPI_POOL", "per_call")
-    assert vmpi_pool() == "per_call"
-    monkeypatch.setenv("REPRO_VMPI_POOL", "")
-    assert vmpi_pool() == "persistent"
-    monkeypatch.setenv("REPRO_VMPI_POOL", "leaky")
-    with pytest.raises(ValueError):
-        vmpi_pool()
-
-
 def test_vmpi_pool_max_config(monkeypatch):
     from repro.util.config import vmpi_pool_max
 

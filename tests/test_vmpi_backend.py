@@ -569,12 +569,8 @@ def test_unlink_registered_sweeps_orphans():
     """The registry sweep unlinks live blocks and skips consumed names."""
     import multiprocessing
 
-    from repro.vmpi.process_backend import (
-        _attach_shm,
-        _create_shm,
-        _drain_registry,
-        _unlink_registered,
-    )
+    from repro.vmpi.pool import _drain_registry, _unlink_registered
+    from repro.vmpi.process_backend import _attach_shm, _create_shm
 
     shm = _create_shm(4096)
     name = shm.name
@@ -601,18 +597,28 @@ def _silent_exit_prog(comm):
 
 @needs_process
 def test_process_backend_unpicklable_result_fails_fast():
-    """Per-call: a rank that exits without reporting must be detected by
-    the parent, not waited on; an unpicklable result is not such a
-    case — packing pickles it inside the rank's failure-reporting path,
-    so it surfaces as that rank's failure with the pickling error."""
-    with pytest.raises(RuntimeError, match="without reporting a result"):
-        run_spmd(
-            2, _silent_exit_prog, backend=ProcessBackend(pool=False), timeout=30.0
-        )
+    """A worker that vanishes *inside* a job — no outcome on the result
+    queue — must be detected by the parent, not waited on: the pool is
+    torn down with nothing left in /dev/shm, and the next dispatch
+    through the same backend starts fresh workers. An unpicklable
+    result is not such a case — packing pickles it inside the rank's
+    failure-reporting path, so it surfaces as that rank's failure with
+    the pickling error."""
+    import glob
+
+    be = ProcessBackend()
+    assert run_spmd(2, _empty_send_prog, backend=be).results[1] == 0
+    doomed = be.pool
+    before = set(glob.glob("/dev/shm/psm_*"))
+    with pytest.raises(RuntimeError, match="pool rank [01] died with exit code 0"):
+        run_spmd(2, _silent_exit_prog, backend=be, timeout=30.0)
+    assert not doomed.alive
+    assert set(glob.glob("/dev/shm/psm_*")) == before
+    assert run_spmd(2, _empty_send_prog, backend=be).results[1] == 0
+    # two workers lost, two started: the dead cohort's pool was dropped
+    assert be.pool is not doomed and be.pool.alive and be.pool.spawn_count == 2
     with pytest.raises(RuntimeError, match="rank [01] failed"):
-        run_spmd(
-            2, _unpicklable_prog, backend=ProcessBackend(pool=False), timeout=30.0
-        )
+        run_spmd(2, _unpicklable_prog, backend=be, timeout=30.0)
 
 
 @needs_process
@@ -620,7 +626,7 @@ def test_pool_unpicklable_result_reported_as_rank_failure():
     """Pool workers pre-pickle outcomes, so an unpicklable result is a
     clean rank failure (with the pickling error named) — the worker
     survives to take the next dispatch."""
-    be = ProcessBackend(pool=True)
+    be = ProcessBackend()
     with pytest.raises(RuntimeError, match="rank [01] failed"):
         run_spmd(2, _unpicklable_prog, backend=be, timeout=30.0)
     # the pool is still usable afterwards
@@ -648,9 +654,7 @@ def test_process_backend_spawn_parity():
     args, and queues all cross by pickling. Results and counters must
     match the thread backend exactly."""
     t = run_spmd(2, _mutate_after_send_prog, backend="thread")
-    p = run_spmd(
-        2, _mutate_after_send_prog, backend=ProcessBackend(start_method="spawn", pool=False)
-    )
+    p = run_spmd(2, _mutate_after_send_prog, backend=ProcessBackend(start_method="spawn"))
     assert t.results == p.results
     for rt, rp in zip(t.reports, p.reports):
         assert (rt.messages_sent, rt.bytes_sent) == (rp.messages_sent, rp.bytes_sent)

@@ -1,9 +1,9 @@
-"""Tests for the simulated clock, cost model, and process grid."""
+"""Tests for the simulated clock and cost model."""
 
 import numpy as np
 import pytest
 
-from repro.vmpi import INTER_NODE, INTRA_NODE, CostModel, ProcessGrid2D, SimClock, run_spmd
+from repro.vmpi import INTER_NODE, INTRA_NODE, CostModel, SimClock, run_spmd
 
 
 def test_cost_model_transfer_time():
@@ -41,77 +41,20 @@ def test_compute_scale():
     assert clk.local_time == pytest.approx(10.0)
 
 
+def _one_message_prog(comm, payload):
+    if comm.rank == 0:
+        comm.send(payload, 1)
+    else:
+        comm.recv(0)
+
+
 def test_simulated_latency_visible_in_run():
     cm = CostModel(alpha=0.5, beta=0.0, sender_overhead=0.0)
-
-    def prog(comm):
-        if comm.rank == 0:
-            comm.send(1, 1)
-        else:
-            comm.recv(0)
-
-    run = run_spmd(2, prog, cost_model=cm)
+    run = run_spmd(2, _one_message_prog, 1, cost_model=cm)
     assert run.reports[1].sim_time >= 0.5
 
 
 def test_bandwidth_term():
     cm = CostModel(alpha=0.0, beta=1.0e-6, sender_overhead=0.0)  # 1 us per byte
-
-    def prog(comm):
-        if comm.rank == 0:
-            comm.send(np.zeros(125_000), 1)  # 1 MB -> 1 s
-        else:
-            comm.recv(0)
-
-    run = run_spmd(2, prog, cost_model=cm)
+    run = run_spmd(2, _one_message_prog, np.zeros(125_000), cost_model=cm)  # 1 MB -> 1 s
     assert run.reports[1].sim_time == pytest.approx(1.0, rel=0.01)
-
-
-# -- process grid ------------------------------------------------------
-@pytest.mark.parametrize("p", [1, 4, 16, 64])
-def test_grid_construction(p):
-    g = ProcessGrid2D(p)
-    assert g.side**2 == p
-
-
-@pytest.mark.parametrize("p", [2, 3, 8, 12])
-def test_invalid_grid_sizes(p):
-    with pytest.raises(ValueError):
-        ProcessGrid2D(p)
-
-
-def test_coords_roundtrip():
-    g = ProcessGrid2D(16)
-    for r in range(16):
-        assert g.rank_of(*g.coords_of(r)) == r
-
-
-def test_four_coloring_valid():
-    g = ProcessGrid2D(64)
-    for r in range(64):
-        for nb in g.neighbor_ranks(r):
-            assert g.color(nb) != g.color(r)
-
-
-def test_colors_in_use():
-    assert ProcessGrid2D(1).colors_in_use() == [0]
-    assert ProcessGrid2D(4).colors_in_use() == [0, 1, 2, 3]
-
-
-def test_neighbor_counts():
-    g = ProcessGrid2D(16)
-    counts = sorted(len(g.neighbor_ranks(r)) for r in range(16))
-    assert counts[0] == 3 and counts[-1] == 8  # corners have 3, interior 8
-
-
-def test_group_leader():
-    assert ProcessGrid2D.group_leader(0) == 0
-    assert ProcessGrid2D.group_leader(3) == 0
-    assert ProcessGrid2D.group_leader(7) == 4
-    assert ProcessGrid2D.group_leader(9) == 8
-
-
-def test_reduction_activity():
-    assert ProcessGrid2D.is_active_at_reduction(0, 2)
-    assert not ProcessGrid2D.is_active_at_reduction(4, 2)
-    assert ProcessGrid2D.is_active_at_reduction(16, 2)

@@ -3,7 +3,7 @@
 The acceptance contract of the pool: after the first dispatch through a
 ``Solver``/``ParallelFactorization``, no further process spawns happen
 (probed via ``RankPool.spawn_count``), results stay bitwise identical
-to the per-call path, and repeated dispatches leave zero orphaned
+to the thread backend, and repeated dispatches leave zero orphaned
 ``/dev/shm`` blocks.
 """
 
@@ -18,10 +18,15 @@ import pytest
 
 import repro
 from repro import SolveConfig, Solver
-from repro.apps import LaplaceVolumeProblem
+from repro.apps import LaplaceVolumeProblem, ScatteringProblem
 from repro.core import SRSOptions
 from repro.parallel import parallel_srs_factor
-from repro.vmpi import ProcessBackend, process_backend_available, run_spmd
+from repro.vmpi import (
+    DispatchEncodeError,
+    ProcessBackend,
+    process_backend_available,
+    run_spmd,
+)
 from repro.vmpi.pool import RankPool, active_pools
 
 needs_process = pytest.mark.skipif(
@@ -72,14 +77,9 @@ def _partial_boom_prog(comm):
 # ----------------------------------------------------------------------
 # dispatch reuse
 # ----------------------------------------------------------------------
-def test_default_pool_mode_is_persistent(monkeypatch):
-    monkeypatch.delenv("REPRO_VMPI_POOL", raising=False)
-    assert ProcessBackend().pool_mode == "persistent"
-
-
 def test_run_spmd_reuses_one_pool():
     before = _shm_blocks()
-    be = ProcessBackend(pool=True)
+    be = ProcessBackend()
     r1 = run_spmd(2, _echo_prog, 1.0, backend=be)
     pool = be._pool
     assert pool is not None and pool.alive
@@ -122,7 +122,7 @@ def test_job_registers_one_segment_per_dispatch_and_per_result(monkeypatch):
     monkeypatch.setattr(pool_mod, "_unlink_registered", counting_unlink)
     before = _shm_blocks()
     table = np.arange(1000, dtype=np.float64)
-    run = run_spmd(4, _thirty_arrays_prog, table, backend=ProcessBackend(pool=True))
+    run = run_spmd(4, _thirty_arrays_prog, table, backend=ProcessBackend())
     assert len(swept) == 1 and len(swept[0]) == 1 + 4
     for rank, result in enumerate(run.results):
         assert result.rank == rank and len(result.arrays) == 30
@@ -145,11 +145,10 @@ def test_string_spec_shares_the_registry_pool():
 
 def test_concurrent_dispatches_serialize_safely():
     """run_spmd from several threads at once: jobs must serialize on
-    the shared pool without cross-talk (the per-call path was reentrant
-    by construction; the pool must not regress that)."""
+    the shared pool without cross-talk."""
     import threading
 
-    be = ProcessBackend(pool=True)
+    be = ProcessBackend()
     results: dict[int, object] = {}
 
     def dispatch(i: int) -> None:
@@ -166,29 +165,55 @@ def test_concurrent_dispatches_serialize_safely():
         assert res == expected
 
 
-def test_closure_program_falls_back_to_per_call_on_fork():
-    """A closure/lambda rank program cannot ride the pool's pickled
-    dispatch, but under fork the per-call path still runs it by
-    inheritance — exactly the pre-pool behavior."""
-    be = ProcessBackend(pool=True)
-    if be.start_method != "fork":
-        pytest.skip("fallback only exists where fork inheritance works")
-    local = np.arange(100.0)
+@pytest.mark.parametrize("start_method", [None, "spawn"])
+def test_closure_program_raises_dispatch_encode_error(start_method):
+    """Rank processes get their program by pickling on every start
+    method: a closure is refused before anything is dispatched — pool
+    unharmed, nothing registered — and the message names the remedies."""
+    import multiprocessing
+
+    if start_method == "spawn" and "spawn" not in multiprocessing.get_all_start_methods():
+        pytest.skip("spawn start method unavailable")
+    before = _shm_blocks()
+    be = ProcessBackend(start_method=start_method)
+    assert run_spmd(2, _pid_prog, backend=be).results
+    pool = be.pool
+    jobs, spawns = pool.jobs_run, pool.spawn_count
+    local = np.arange(4000.0)
 
     def prog(comm):  # closure over `local`: unpicklable by reference
         return float(local.sum()) + comm.rank
 
-    run = run_spmd(2, prog, backend=be)
-    assert run.results == [4950.0, 4951.0]
+    with pytest.raises(DispatchEncodeError, match='module level.*backend="thread"') as err:
+        run_spmd(2, prog, backend=be)
+    assert "prog" in str(err.value)
+    with pytest.raises(DispatchEncodeError, match="argument of rank program '_echo_prog'"):
+        run_spmd(2, _echo_prog, lambda: 1.0, backend=be)
+    assert be.pool is pool and pool.alive
+    assert (pool.jobs_run, pool.spawn_count) == (jobs, spawns)
+    assert pool.registered_shm_names() == set() and _shm_blocks() == before
+    assert run_spmd(2, _pid_prog, backend=be).results  # still dispatches
+    assert (pool.jobs_run, pool.spawn_count) == (jobs + 1, spawns)
+    if start_method == "spawn":
+        pool.shutdown()
 
 
-def test_per_call_env_opt_out(monkeypatch):
-    monkeypatch.setenv("REPRO_VMPI_POOL", "per_call")
-    be = ProcessBackend()
-    assert be.pool_mode == "per_call"
-    run = run_spmd(2, _echo_prog, 1.0, backend=be)
-    assert be._pool is None  # no pool was created or touched
-    assert run.results[0][0] == run.results[1][0]
+def test_unpicklable_kernel_raises_dispatch_encode_error():
+    """The same contract one layer up. A problem built on a lambda is
+    fine — its kernel holds the sampled potential, not the function —
+    but a kernel of a locally defined class cannot reach rank processes,
+    and says so instead of forking."""
+    prob = ScatteringProblem(16, 5.0, potential=lambda pts: np.full(len(pts), 0.5))
+    fact = parallel_srs_factor(prob.kernel, 4, backend="process")
+    assert fact.eliminated_count() == prob.n
+
+    class LocalKernel(type(prob.kernel)):
+        pass
+
+    kernel = LocalKernel(prob.points, prob.h, prob.kappa, b=prob.b)
+    with pytest.raises(DispatchEncodeError, match="argument of rank program"):
+        parallel_srs_factor(kernel, 4, backend="process")
+    assert fact.solve(prob.rhs()).shape == (prob.n,)  # the pool is unharmed
 
 
 # ----------------------------------------------------------------------
@@ -230,18 +255,6 @@ def test_solver_pool_no_shm_orphans(solver_runs):
     assert _shm_blocks() - solver_runs["before"] == set()
 
 
-def test_solver_pool_bitwise_matches_per_call(solver_runs):
-    prob, bs = solver_runs["prob"], solver_runs["bs"]
-    fact_pc = parallel_srs_factor(
-        prob.kernel,
-        4,
-        opts=SRSOptions(tol=1e-9, leaf_size=32),
-        backend=ProcessBackend(pool=False),
-    )
-    for b, report in zip(bs, solver_runs["reports"]):
-        assert np.array_equal(report.x, fact_pc.solve(b))
-
-
 def test_solver_pool_counters_match_thread(solver_runs):
     prob, bs = solver_runs["prob"], solver_runs["bs"]
     fact_th = parallel_srs_factor(
@@ -250,7 +263,8 @@ def test_solver_pool_counters_match_thread(solver_runs):
     fact = solver_runs["fact"]
     for a, c in zip(fact_th.factor_run.reports, fact.factor_run.reports):
         assert (a.messages_sent, a.bytes_sent) == (c.messages_sent, c.bytes_sent)
-    fact_th.solve(bs[-1])
+    for b, report in zip(bs, solver_runs["reports"]):
+        assert np.array_equal(report.x, fact_th.solve(b))  # the pool's bits
     assert fact_th.last_solve_run.total_messages == fact.last_solve_run.total_messages
     assert fact_th.last_solve_run.total_bytes == fact.last_solve_run.total_bytes
 
@@ -263,7 +277,7 @@ def test_stale_messages_cannot_cross_jobs():
     matched by job k+1 reusing the same (source, tag) — the epoch stamp
     discards it and unlinks its block."""
     before = _shm_blocks()
-    be = ProcessBackend(pool=True)
+    be = ProcessBackend()
     run_spmd(2, _fire_and_forget_prog, -1.0, backend=be)
     got = run_spmd(2, _recv_prog, 42.0, backend=be).results[1]
     assert got == 42.0  # job 2's payload, not job 1's strays
@@ -272,7 +286,7 @@ def test_stale_messages_cannot_cross_jobs():
 
 def test_pool_survives_clean_rank_failure():
     before = _shm_blocks()
-    be = ProcessBackend(pool=True)
+    be = ProcessBackend()
     with pytest.raises(RuntimeError, match="rank 0 failed"):
         run_spmd(2, _partial_boom_prog, backend=be)
     pool = be._pool
@@ -305,7 +319,7 @@ def test_revived_registry_pool_reclaims_or_retires():
     live replacement owns the slot, never idling unowned workers."""
     from repro.vmpi.pool import get_pool
 
-    start = ProcessBackend(pool=False).start_method
+    start = ProcessBackend().start_method
     pool = get_pool(2, start, 3333)
     assert pool._in_registry and pool._origin_registry
     pool.shutdown()  # simulates the eviction: deregistered, workers down
@@ -355,7 +369,7 @@ def test_pool_shutdown_reclaims_everything():
 # ----------------------------------------------------------------------
 _EXIT_SCRIPT = """
 import numpy as np
-from repro.apps import LaplaceVolumeProblem
+from repro.apps import LaplaceVolumeProblem, ScatteringProblem
 from repro.core import SRSOptions
 from repro import SolveConfig, Solver
 

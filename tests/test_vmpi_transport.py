@@ -67,96 +67,101 @@ def test_transport_validation():
         Transport(0)
 
 
+# Rank programs are module-level functions (parameters travel as
+# ``run_spmd`` arguments), so the contract below runs unchanged on rank
+# processes — ``REPRO_VMPI_BACKEND=process``, any start method.
+def _mutate_received_prog(comm):
+    data = np.arange(100)
+    if comm.rank == 0:
+        comm.send(data, 1, tag=1)
+        comm.barrier()
+        return data.sum()
+    if comm.rank == 1:
+        got = comm.recv(0, tag=1)
+        got[:] = -1
+        comm.barrier()
+        return got.sum()
+    comm.barrier()
+    return None
+
+
 def test_message_isolation_between_ranks():
     """A rank mutating received data must not affect the sender."""
-
-    def prog(comm):
-        data = np.arange(100)
-        if comm.rank == 0:
-            comm.send(data, 1, tag=1)
-            comm.barrier()
-            return data.sum()
-        if comm.rank == 1:
-            got = comm.recv(0, tag=1)
-            got[:] = -1
-            comm.barrier()
-            return got.sum()
-        comm.barrier()
-        return None
-
-    run = run_spmd(2, prog)
+    run = run_spmd(2, _mutate_received_prog)
     assert run.results[0] == np.arange(100).sum()  # sender unaffected
     assert run.results[1] == -100
 
 
-def test_out_of_order_tags_buffered():
-    def prog(comm):
-        if comm.rank == 0:
-            comm.send("second", 1, tag=2)
-            comm.send("first", 1, tag=1)
-            return None
-        a = comm.recv(0, tag=1)
-        b = comm.recv(0, tag=2)
-        return (a, b)
+def _reversed_tags_prog(comm):
+    if comm.rank == 0:
+        comm.send("second", 1, tag=2)
+        comm.send("first", 1, tag=1)
+        return None
+    a = comm.recv(0, tag=1)
+    b = comm.recv(0, tag=2)
+    return (a, b)
 
-    run = run_spmd(2, prog)
+
+def test_out_of_order_tags_buffered():
+    run = run_spmd(2, _reversed_tags_prog)
     assert run.results[1] == ("first", "second")
 
 
-def test_fifo_per_source_tag():
-    def prog(comm):
-        if comm.rank == 0:
-            for i in range(5):
-                comm.send(i, 1, tag=7)
-            return None
-        return [comm.recv(0, tag=7) for _ in range(5)]
+def _five_in_a_row_prog(comm):
+    if comm.rank == 0:
+        for i in range(5):
+            comm.send(i, 1, tag=7)
+        return None
+    return [comm.recv(0, tag=7) for _ in range(5)]
 
-    run = run_spmd(2, prog)
+
+def test_fifo_per_source_tag():
+    run = run_spmd(2, _five_in_a_row_prog)
     assert run.results[1] == [0, 1, 2, 3, 4]
 
 
+def _recv_from_nobody_prog(comm, patience):
+    if comm.rank == 1:
+        # shadows Comm.TIMEOUT on this rank's communicator only, which
+        # also reaches a rank living in a long-started worker process
+        comm.TIMEOUT = patience
+        comm.recv(0, tag=9)  # nobody sends
+
+
 def test_deadlock_detection():
-    def prog(comm):
-        if comm.rank == 1:
-            comm.recv(0, tag=9)  # nobody sends
+    with pytest.raises(RuntimeError, match="rank 1"):
+        run_spmd(2, _recv_from_nobody_prog, 0.2)
 
-    from repro.vmpi.comm import Comm
 
-    old = Comm.TIMEOUT
-    Comm.TIMEOUT = 0.2
-    try:
-        with pytest.raises(RuntimeError, match="rank 1"):
-            run_spmd(2, prog)
-    finally:
-        Comm.TIMEOUT = old
+def _self_send_prog(comm):
+    comm.send(1, comm.rank)
 
 
 def test_self_send_rejected():
-    def prog(comm):
-        comm.send(1, comm.rank)
-
     with pytest.raises(RuntimeError):
-        run_spmd(1, prog)
+        run_spmd(1, _self_send_prog)
+
+
+def _rank_two_booms_prog(comm):
+    if comm.rank == 2:
+        raise ValueError("boom")
+    return comm.rank
 
 
 def test_worker_exception_propagates():
-    def prog(comm):
-        if comm.rank == 2:
-            raise ValueError("boom")
-        return comm.rank
-
     with pytest.raises(RuntimeError, match="rank 2"):
-        run_spmd(4, prog)
+        run_spmd(4, _rank_two_booms_prog)
+
+
+def _one_kilobyte_prog(comm):
+    if comm.rank == 0:
+        comm.send(np.zeros(125), 1, tag=3)  # 1000 bytes
+    elif comm.rank == 1:
+        comm.recv(0, tag=3)
 
 
 def test_counters_track_messages():
-    def prog(comm):
-        if comm.rank == 0:
-            comm.send(np.zeros(125), 1, tag=3)  # 1000 bytes
-        elif comm.rank == 1:
-            comm.recv(0, tag=3)
-
-    run = run_spmd(2, prog)
+    run = run_spmd(2, _one_kilobyte_prog)
     assert run.reports[0].messages_sent == 1
     assert run.reports[0].bytes_sent == 1000
     assert run.reports[1].messages_received == 1
