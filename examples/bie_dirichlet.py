@@ -49,7 +49,9 @@ def main(n: int = 2048) -> None:
     pre = solver.solve(scat.rhs_plane_wave())
     print(f"factorization: {solver.setup_time:.2f} s")
     print(f"point-source validation error: {scat.point_source_error(solver.factorization):.2e}")
-    plain = scat.unpreconditioned_gmres(scat.rhs_plane_wave())
+    plain = repro.solve(
+        scat, scat.rhs_plane_wave(), method="gmres", tol=1e-10, restart=50, maxiter=2000
+    )
     print(f"preconditioned GMRES:   {pre.iterations} iterations")
     print(f"unpreconditioned GMRES: {plain.iterations} iterations")
 

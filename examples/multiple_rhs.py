@@ -52,7 +52,9 @@ def main(m: int = 64, n_angles: int = 8) -> None:
     total_its = 0
     n_probe = min(3, n_angles)
     for j in range(n_probe):
-        res = prob.unpreconditioned_gmres(rhs[:, j], tol=1e-6, maxiter=2000)
+        res = repro.solve(
+            prob, rhs[:, j], method="gmres", tol=1e-6, restart=20, maxiter=2000
+        )
         total_its += res.iterations
     t_iter = time.perf_counter() - t0
     est_all = t_iter / n_probe * n_angles

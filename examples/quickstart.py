@@ -36,7 +36,7 @@ def main(m: int = 64) -> None:
     pcg = repro.solve(prob, b, method="pcg", tol=1e-12, factorization=solver.factorization)
     print(f"pcg:     {pcg.summary()}  (converged={pcg.converged})")
 
-    plain = prob.unpreconditioned_cg(b, maxiter=20 * m)
+    plain = repro.solve(prob, b, method="cg", tol=1e-12, maxiter=20 * m)
     status = plain.iterations if plain.converged else f">{plain.iterations}"
     print(f"plain CG: {status} iterations (paper: ~5 sqrt(N) = {5 * m})")
 

@@ -102,7 +102,7 @@ def solve(
         (``solve(prob, b, method="pcg", tol=1e-10)``).
     factorization:
         Pre-built setup product to reuse (skips the setup stage; this
-        is the :class:`Solver` cache path and the legacy-shim path).
+        is the :class:`Solver` cache path).
     operator:
         Forward matvec for the iterative strategies: a callable
         overrides ``config.operator`` directly, a string

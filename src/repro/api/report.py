@@ -23,8 +23,8 @@ class SolveReport:
     relres:
         True relative residual ``||A x - b|| / ||b||`` measured with the
         problem's forward operator — computed lazily on first access
-        (one operator apply), so callers that never read it (the legacy
-        shims, iteration-count sweeps) pay nothing.
+        (one operator apply), so callers that never read it
+        (iteration-count sweeps) pay nothing.
     iterations:
         Krylov iteration count (0 for the direct methods).
     converged:

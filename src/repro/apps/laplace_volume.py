@@ -1,8 +1,9 @@
 """First-kind Laplace volume integral equation (Sec. V-A, Eq. 14).
 
-Bundles the collocation grid, the kernel matrix, the FFT matvec, and
-the paper's solve protocol: factor once, then refine with PCG to a
-``1e-12`` residual, reporting ``relres`` and ``nit`` (Tables II/III).
+Bundles the collocation grid, the kernel matrix and the FFT matvec.
+The paper's solve protocol — factor once, then refine with PCG to a
+``1e-12`` residual, reporting ``relres`` and ``nit`` (Tables II/III) —
+is ``repro.solve(prob, b, method="pcg")``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.problem import ProblemBase
-from repro.core.factorization import SRSFactorization, srs_factor
-from repro.core.options import SRSOptions
 from repro.geometry.points import uniform_grid
-from repro.iterative.cg import CGResult, cg
 from repro.kernels.laplace import LaplaceKernelMatrix
 from repro.matvec.toeplitz import FFTMatVec
 
@@ -46,30 +44,5 @@ class LaplaceVolumeProblem(ProblemBase):
 
     # random_rhs (standard-uniform, Table I) comes from ProblemBase
 
-    def factor(self, opts: SRSOptions | None = None) -> SRSFactorization:
-        return srs_factor(self.kernel, opts=opts or SRSOptions())
-
     def relres(self, x: np.ndarray, b: np.ndarray) -> float:
         return self.matvec.residual_norm(x, b)
-
-    def pcg(
-        self,
-        fact,
-        b: np.ndarray,
-        *,
-        tol: float = 1e-12,
-        maxiter: int = 500,
-    ) -> CGResult:
-        """Preconditioned CG with the factorization, to the paper's 1e-12.
-
-        Thin shim over ``repro.solve(self, b, method="pcg")`` reusing
-        ``fact`` as the cached factorization.
-        """
-        from repro.api import SolveConfig, solve
-
-        cfg = SolveConfig(method="pcg", tol=tol, maxiter=maxiter)
-        return solve(self, b, cfg, factorization=fact).krylov
-
-    def unpreconditioned_cg(self, b: np.ndarray, *, tol: float = 1e-12, maxiter: int = 100_000) -> CGResult:
-        """Plain CG baseline (the paper reports ~5 sqrt(N) iterations)."""
-        return cg(self.matvec, b, tol=tol, maxiter=maxiter)

@@ -14,10 +14,7 @@ from typing import Callable
 import numpy as np
 
 from repro.api.problem import ProblemBase
-from repro.core.factorization import SRSFactorization, srs_factor
-from repro.core.options import SRSOptions
 from repro.geometry.points import uniform_grid
-from repro.iterative.gmres import GMRESResult, gmres
 from repro.kernels.helmholtz import (
     HelmholtzKernelMatrix,
     gaussian_bump,
@@ -74,28 +71,8 @@ class ScatteringProblem(ProblemBase):
     # random_rhs (complex uniform, matching the kernel dtype) comes
     # from ProblemBase
 
-    def factor(self, opts: SRSOptions | None = None) -> SRSFactorization:
-        return srs_factor(self.kernel, opts=opts or SRSOptions())
-
     def relres(self, x: np.ndarray, b: np.ndarray) -> float:
         return self.matvec.residual_norm(x, b)
-
-    def pgmres(self, fact, b: np.ndarray, *, tol: float = 1e-12, maxiter: int = 500) -> GMRESResult:
-        """Preconditioned GMRES to 1e-12 (Tables IV/V ``nit``).
-
-        Thin shim over ``repro.solve(self, b, method="pgmres")`` reusing
-        ``fact`` as the cached factorization.
-        """
-        from repro.api import SolveConfig, solve
-
-        cfg = SolveConfig(method="pgmres", tol=tol, restart=50, maxiter=maxiter)
-        return solve(self, b, cfg, factorization=fact).krylov
-
-    def unpreconditioned_gmres(
-        self, b: np.ndarray, *, tol: float = 1e-12, restart: int = 20, maxiter: int = 10_000
-    ) -> GMRESResult:
-        """Table V baseline ``~nit``: GMRES(20) without a preconditioner."""
-        return gmres(self.matvec, b, tol=tol, restart=restart, maxiter=maxiter)
 
     # ------------------------------------------------------------------
     def sigma_from_mu(self, mu: np.ndarray) -> np.ndarray:

@@ -10,22 +10,22 @@ Two drivers, mirroring the volume apps in :mod:`repro.apps`:
   ``(1/2 I + D - i eta S) sigma = g``; validated against the field of a
   point source placed inside the obstacle.
 
-Both build a quadtree from the curve's bounding box and solve either
-directly with the RS-S factorization or iteratively with (RS-S
-preconditioned) GMRES.
+Both build a quadtree from the curve's bounding box; ``repro.solve``
+runs them directly with the RS-S factorization (``method="direct"``) or
+iteratively with (RS-S preconditioned) GMRES (``method="pgmres"``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.api.facade import solve
 from repro.api.problem import ProblemBase
 from repro.bie.curves import Curve
 from repro.bie.layers import HelmholtzCFIE, LaplaceDLP
-from repro.core.factorization import SRSFactorization, srs_factor
+from repro.core.factorization import SRSFactorization
 from repro.core.options import SRSOptions
 from repro.geometry.domain import Square
-from repro.iterative.gmres import GMRESResult, gmres
 from repro.kernels.base import dense_matrix
 from repro.kernels.helmholtz import helmholtz_greens, plane_wave
 from repro.matvec.dense import DenseMatVec
@@ -55,6 +55,11 @@ def point_source_field(targets: np.ndarray, source, kappa: float) -> np.ndarray:
     return helmholtz_greens(np.atleast_2d(targets), src, kappa)[:, 0]
 
 
+#: factorization options of the validation solves when no ``fact`` is
+#: handed in: second-kind operators track the ID tolerance closely
+_DEFAULT_SRS = SRSOptions(tol=1e-10)
+
+
 # ----------------------------------------------------------------------
 class _BoundaryProblem(ProblemBase):
     """Shared plumbing: discretization, tree, factorization, matvecs.
@@ -77,11 +82,6 @@ class _BoundaryProblem(ProblemBase):
     def _build_kernel(self):
         raise NotImplementedError
 
-    def factor(self, opts: SRSOptions | None = None) -> SRSFactorization:
-        """RS-S factorization of the boundary operator over the curve tree."""
-        opts = opts or SRSOptions(tol=1e-10)
-        return srs_factor(self.kernel, tree=self.tree, opts=opts)
-
     @property
     def parallel_domain(self) -> Square:
         return Square.bounding(self.bd.points)
@@ -89,12 +89,6 @@ class _BoundaryProblem(ProblemBase):
     def dense(self) -> np.ndarray:
         """Full Nystrom matrix (small problems / reference only)."""
         return dense_matrix(self.kernel)
-
-    def solve_dense(self, rhs: np.ndarray) -> np.ndarray:
-        """Dense-LU reference solve (shim over ``method="dense_lu"``)."""
-        from repro.api import SolveConfig, solve
-
-        return solve(self, rhs, SolveConfig(method="dense_lu")).x
 
     def treecode(self, **kwargs) -> TreecodeMatVec:
         """O(N log N) matvec sharing the factorization's tree."""
@@ -149,8 +143,8 @@ class InteriorDirichletProblem(_BoundaryProblem):
         targets: np.ndarray | None = None,
     ) -> float:
         """Relative max-norm error of the RS-S direct solve vs ``u_exact``."""
-        fact = fact or self.factor()
-        tau = fact.solve(self.boundary_data(u_exact))
+        f = self.boundary_data(u_exact)
+        tau = solve(self, f, srs=_DEFAULT_SRS, factorization=fact).x
         tgt = self.interior_targets() if targets is None else targets
         u = self.evaluate(tau, tgt)
         ref = np.asarray(u_exact(tgt), dtype=float)
@@ -213,32 +207,6 @@ class SoundSoftScattering(_BoundaryProblem):
         """Canonical rhs: sound-soft data of the unit-direction plane wave."""
         return self.rhs_plane_wave()
 
-    # -- solves ---------------------------------------------------------
-    def pgmres(
-        self,
-        fact: SRSFactorization,
-        b: np.ndarray,
-        *,
-        tol: float = 1e-10,
-        maxiter: int = 300,
-        matvec=None,
-    ) -> GMRESResult:
-        """GMRES with the RS-S factorization as right preconditioner.
-
-        Thin shim over ``repro.solve(self, b, method="pgmres")`` reusing
-        ``fact``; ``matvec`` overrides the forward operator (e.g. a
-        treecode).
-        """
-        from repro.api import SolveConfig, solve
-
-        cfg = SolveConfig(method="pgmres", tol=tol, restart=50, maxiter=maxiter)
-        return solve(self, b, cfg, factorization=fact, operator=matvec).krylov
-
-    def unpreconditioned_gmres(
-        self, b: np.ndarray, *, tol: float = 1e-10, maxiter: int = 2000, matvec=None
-    ) -> GMRESResult:
-        return gmres(matvec or self.matvec, b, tol=tol, restart=50, maxiter=maxiter)
-
     # -- fields ----------------------------------------------------------
     def scattered_field(self, sigma: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """``u_s = (D - i eta S) sigma`` at exterior targets."""
@@ -261,9 +229,9 @@ class SoundSoftScattering(_BoundaryProblem):
         self, fact: SRSFactorization | None = None, *, source=None
     ) -> float:
         """Relative error of the direct CFIE solve vs an interior source."""
-        fact = fact or self.factor()
         src = self.curve.interior_point() if source is None else source
-        sigma = fact.solve(self.rhs_point_source(src))
+        g = self.rhs_point_source(src)
+        sigma = solve(self, g, srs=_DEFAULT_SRS, factorization=fact).x
         tgt = self.exterior_targets()
         u = self.scattered_field(sigma, tgt)
         ref = point_source_field(tgt, src, self.kappa)

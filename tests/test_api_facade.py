@@ -2,8 +2,8 @@
 
 Every registered method must produce the same solution (to its
 tolerance) on one volume problem and one BIE problem, return a
-well-formed :class:`SolveReport`, and agree bitwise-or-tolerance with
-the legacy call path it replaced. The registry must reject unknown
+well-formed :class:`SolveReport`, and agree bitwise with the
+engine-level call (``srs_factor`` + ``cg``) it wraps. The registry must reject unknown
 method/execution names with errors that name the alternatives.
 """
 
@@ -134,7 +134,7 @@ def test_operator_string_is_config_shorthand(boundary):
 
 
 # ----------------------------------------------------------------------
-# legacy-path equivalence (the shims must not change numerics)
+# engine-path equivalence (the facade must not change numerics)
 # ----------------------------------------------------------------------
 def test_direct_matches_legacy_bitwise(volume):
     prob, b, _ = volume
@@ -150,16 +150,7 @@ def test_pcg_matches_legacy_bitwise(volume):
     report = solve(prob, b, SolveConfig(method="pcg", tol=1e-12), factorization=fact)
     assert np.array_equal(report.x, legacy.x)
     assert report.iterations == legacy.iterations
-    # ... and the shim itself returns the identical CGResult shape
-    shim = prob.pcg(fact, b)
-    assert np.array_equal(shim.x, legacy.x)
-    assert shim.residual_history == legacy.residual_history
-
-
-def test_dense_lu_matches_legacy(boundary):
-    prob, b, x_ref = boundary
-    shim = prob.solve_dense(b)
-    assert np.allclose(shim, x_ref, rtol=1e-10, atol=1e-12)
+    assert report.krylov.residual_history == legacy.residual_history
 
 
 # ----------------------------------------------------------------------

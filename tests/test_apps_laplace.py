@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.apps import LaplaceVolumeProblem
 from repro.core import SRSOptions
+
+OPTS = SRSOptions(tol=1e-6, leaf_size=64)
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +17,7 @@ def prob():
 
 @pytest.fixture(scope="module")
 def fact(prob):
-    return prob.factor(SRSOptions(tol=1e-6, leaf_size=64))
+    return repro.Solver(prob, srs=OPTS).factorization
 
 
 def test_setup(prob):
@@ -32,7 +35,7 @@ def test_direct_solve_accuracy(prob, fact):
 def test_pcg_constant_iterations(prob, fact):
     """Paper: PCG reaches 1e-12 in ~4-6 iterations at eps = 1e-6."""
     b = prob.random_rhs()
-    res = prob.pcg(fact, b)
+    res = repro.solve(prob, b, method="pcg", tol=1e-12, maxiter=500, factorization=fact)
     assert res.converged
     assert res.iterations <= 10
     assert prob.relres(res.x, b) < 1e-11
@@ -41,8 +44,8 @@ def test_pcg_constant_iterations(prob, fact):
 def test_unpreconditioned_cg_much_slower(prob, fact):
     """Paper: plain CG needs ~5 sqrt(N) iterations."""
     b = prob.random_rhs()
-    pre = prob.pcg(fact, b)
-    plain = prob.unpreconditioned_cg(b, maxiter=5000)
+    pre = repro.solve(prob, b, method="pcg", tol=1e-12, maxiter=500, factorization=fact)
+    plain = repro.solve(prob, b, method="cg", tol=1e-12, maxiter=5000)
     assert plain.iterations > 10 * pre.iterations
     # 5 sqrt(N) = 160 at N = 1024; allow generous band
     assert 50 <= plain.iterations <= 1000
@@ -63,6 +66,6 @@ def test_pcg_iterations_roughly_constant_in_n():
     nits = []
     for m in (16, 32):
         p = LaplaceVolumeProblem(m)
-        f = p.factor(SRSOptions(tol=1e-6, leaf_size=64))
-        nits.append(p.pcg(f, p.random_rhs()).iterations)
+        report = repro.solve(p, p.random_rhs(), method="pcg", tol=1e-12, maxiter=500, srs=OPTS)
+        nits.append(report.iterations)
     assert abs(nits[1] - nits[0]) <= 3

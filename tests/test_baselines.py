@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import LaplaceVolumeProblem
 from repro.baselines import BlockJacobiPreconditioner
-from repro.core import SRSOptions
+from repro.core import SRSOptions, srs_factor
 from repro.geometry import uniform_grid
 from repro.iterative import cg
 from repro.kernels import GaussianKernelMatrix, LaplaceKernelMatrix
@@ -38,7 +38,7 @@ def test_reduces_cg_iterations_vs_plain():
 def test_weaker_than_srs_preconditioner():
     """RS-S converges in O(1) iterations; block-Jacobi needs far more."""
     prob = LaplaceVolumeProblem(32)
-    fact = prob.factor(SRSOptions(tol=1e-6, leaf_size=64))
+    fact = srs_factor(prob.kernel, opts=SRSOptions(tol=1e-6, leaf_size=64))
     pre = BlockJacobiPreconditioner(prob.kernel, leaf_size=64)
     b = prob.random_rhs()
     srs = cg(prob.matvec, b, preconditioner=fact.solve, tol=1e-10, maxiter=5000)

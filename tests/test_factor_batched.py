@@ -70,7 +70,8 @@ def test_bie_parity_scalar_fallback():
     # BIE kernels are not greens_vectorized: the batched sweep must
     # fall back to per-box evaluation inside the stacked API
     prob = InteriorDirichletProblem(StarCurve(1.0, 0.3, 5), 512)
-    fact = prob.factor(SRSOptions(tol=1e-10, factor_mode="batched"))
+    opts = SRSOptions(tol=1e-10, factor_mode="batched")
+    fact = srs_factor(prob.kernel, tree=prob.tree, opts=opts)
     assert fact.eliminated_count() == 512
     assert prob.solve_error(harmonic_exponential, fact) <= 1e-8
 

@@ -479,6 +479,33 @@ def test_eviction_invalidates_worker_registry():
 
 
 @needs_process
+def test_resident_solve_dispatches_o_rhs_bytes():
+    """A warm pooled solve ships the rhs to worker-resident shards; the
+    same pool handed the factorization tree ships >= 10x the bytes
+    (byte counts are deterministic, unlike the wall-clock crossover)."""
+    from repro.obs import REGISTRY
+    from repro.parallel.solve import solve_worker
+
+    shm_bytes = REGISTRY.counter("repro_vmpi_shm_bytes_total")
+    prob = LaplaceVolumeProblem(m=64)
+    b = prob.random_rhs(0)
+    fact = repro.solve(
+        prob, b, method="direct", execution="process", ranks=4,
+        srs=repro.SRSOptions(tol=1e-6, leaf_size=64),
+    ).factorization
+    assert fact.resident is not None
+    mark = shm_bytes.value()
+    fact.solve(b)
+    per_solve = shm_bytes.value() - mark
+    mark = shm_bytes.value()
+    fact.backend.pool.run(solve_worker, (fact.workers, prob.n, b))
+    full_tree = shm_bytes.value() - mark
+    assert per_solve > 0 and full_tree >= 10 * per_solve, (full_tree, per_solve)
+    fact.resident.drop()
+    fact.backend.pool.shutdown()
+
+
+@needs_process
 def test_worker_respawn_rematerializes_shards():
     from repro.store.resident import _SEEDS
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.apps import LaplaceVolumeProblem
+from repro.bie import InteriorDirichletProblem, StarCurve
 from repro.core import SRSOptions
 from repro.parallel import parallel_srs_factor
 from repro.vmpi import (
@@ -731,39 +732,52 @@ def test_auto_backend_multi_core_picks_process(monkeypatch):
 # ----------------------------------------------------------------------
 # distributed factorization parity (small Table II configuration)
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def factor_pair():
+def _factor_on_both_backends(prob, b, opts):
     if not process_backend_available():
         pytest.skip("process backend unavailable")
-    prob = LaplaceVolumeProblem(32)
-    b = prob.random_rhs()
-    opts = SRSOptions(tol=1e-9, leaf_size=32)
     out = {}
     for be in ("thread", "process"):
-        fact = parallel_srs_factor(prob.kernel, 4, opts=opts, backend=be)
+        fact = parallel_srs_factor(
+            prob.kernel, 4, opts=opts, domain=prob.parallel_domain, backend=be
+        )
         out[be] = (fact, fact.solve(b))
     return out
 
 
-def test_factorization_bitwise_parity(factor_pair):
-    x_thread = factor_pair["thread"][1]
-    x_process = factor_pair["process"][1]
-    assert np.array_equal(x_thread, x_process)  # bitwise, not allclose
+@pytest.fixture(scope="module")
+def factor_pair():
+    prob = LaplaceVolumeProblem(32)
+    return _factor_on_both_backends(prob, prob.random_rhs(), SRSOptions(tol=1e-9, leaf_size=32))
 
 
-def test_factorization_counter_parity(factor_pair):
-    rt = factor_pair["thread"][0].factor_run.reports
-    rp = factor_pair["process"][0].factor_run.reports
-    for a, c in zip(rt, rp):
-        assert (a.messages_sent, a.bytes_sent) == (c.messages_sent, c.bytes_sent)
-        assert (a.messages_received, a.bytes_received) == (
-            c.messages_received,
-            c.bytes_received,
-        )
-    st = factor_pair["thread"][0].last_solve_run
-    sp = factor_pair["process"][0].last_solve_run
-    assert st.total_messages == sp.total_messages
-    assert st.total_bytes == sp.total_bytes
+@pytest.fixture(scope="module")
+def star_factor_pair():
+    """The same parity on a curve kernel (rank-local BIE reconstruction)."""
+    prob = InteriorDirichletProblem(StarCurve(1.0, 0.3, 5), 2048)
+    return _factor_on_both_backends(prob, prob.default_rhs(), SRSOptions(tol=1e-10))
+
+
+def test_factorization_bitwise_parity(factor_pair, star_factor_pair):
+    for pair in (factor_pair, star_factor_pair):
+        x_thread = pair["thread"][1]
+        x_process = pair["process"][1]
+        assert np.array_equal(x_thread, x_process)  # bitwise, not allclose
+
+
+def test_factorization_counter_parity(factor_pair, star_factor_pair):
+    for pair in (factor_pair, star_factor_pair):
+        rt = pair["thread"][0].factor_run.reports
+        rp = pair["process"][0].factor_run.reports
+        for a, c in zip(rt, rp):
+            assert (a.messages_sent, a.bytes_sent) == (c.messages_sent, c.bytes_sent)
+            assert (a.messages_received, a.bytes_received) == (
+                c.messages_received,
+                c.bytes_received,
+            )
+        st = pair["thread"][0].last_solve_run
+        sp = pair["process"][0].last_solve_run
+        assert st.total_messages == sp.total_messages
+        assert st.total_bytes == sp.total_bytes
 
 
 def test_factorization_skeleton_parity(factor_pair):
