@@ -23,7 +23,10 @@ from repro.core.batch import batch_pair_blocks, color_phases, compress_phase
 from repro.core.interactions import Coord, InteractionStore, PairKey
 from repro.core.options import SRSOptions
 from repro.core.proxy import proxy_points_for_box
-from repro.core.skel import BoxRecord, eliminate_box, skeletonize_box
+from repro.core.skel import (
+    BoxRecord, eliminate_box, skeletonize_box,
+    sweep_down, sweep_up, sweep_view, unsweep_down, unsweep_up,
+)
 from repro.core.stats import RankStats
 from repro.kernels.base import KernelMatrix
 from repro.obs import REGISTRY, stopwatch, trace
@@ -45,6 +48,7 @@ class SRSFactorization:
     dtype: np.dtype
     opts: SRSOptions
     stats: RankStats = field(default_factory=RankStats)
+    _memory_bytes: int | None = field(default=None, repr=False, compare=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Apply the compressed inverse: ``x ~= A^{-1} b``.
@@ -53,14 +57,9 @@ class SRSFactorization:
         ``(N, nrhs)`` — the multiple-RHS use case the direct solver is
         built for (Sec. I-A).
         """
-        b = np.asarray(b)
-        if b.shape[0] != self.n:
-            raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
-        x = b.astype(np.result_type(self.dtype, b.dtype), copy=True)
-        for rec in self.records:
-            rec.apply_v(x)
-        for rec in reversed(self.records):
-            rec.apply_w(x)
+        x, xs = self._working_copy(b, "rhs")
+        sweep_up(self.records, xs)
+        sweep_down(self.records, xs)
         return x
 
     __call__ = solve
@@ -79,22 +78,30 @@ class SRSFactorization:
         dtype like :meth:`solve` (complex RHS on a real factorization
         stays complex).
         """
-        x = np.asarray(x)
-        if x.shape[0] != self.n:
-            raise ValueError(f"operand has {x.shape[0]} rows, expected {self.n}")
-        y = x.astype(np.result_type(self.dtype, x.dtype), copy=True)
-        for rec in self.records:
-            rec.unapply_w(y)
-        for rec in reversed(self.records):
-            rec.unapply_v(y)
+        y, ys = self._working_copy(x, "operand")
+        unsweep_down(self.records, ys)
+        unsweep_up(self.records, ys)
         return y
+
+    def _working_copy(self, b: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """A promoted copy of ``b`` for the in-place sweeps, and its sweep view."""
+        b = np.asarray(b)
+        if b.shape[0] != self.n:
+            raise ValueError(f"{what} has {b.shape[0]} rows, expected {self.n}")
+        mixed = b.dtype.kind == "c" and np.dtype(self.dtype).kind != "c"
+        # the real view of a mixed operand needs C order; else keep the caller's
+        x = b.astype(np.result_type(self.dtype, b.dtype), order="C" if mixed else "K")
+        return x, sweep_view(x, self.dtype)
 
     def eliminated_count(self) -> int:
         """Total number of redundant indices (must equal ``n``)."""
         return int(sum(rec.redundant.size for rec in self.records))
 
     def memory_bytes(self) -> int:
-        return sum(rec.memory_bytes() for rec in self.records)
+        """Bytes of all records; walked once, they are immutable after the build."""
+        if self._memory_bytes is None:
+            self._memory_bytes = sum(rec.memory_bytes() for rec in self.records)
+        return self._memory_bytes
 
     def skeleton_sizes(self, level: int) -> list[int]:
         return [rec.rank for rec in self.records if rec.level == level]

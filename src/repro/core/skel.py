@@ -16,6 +16,7 @@ One call to :func:`skeletonize_box`:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.core.interactions import Coord, InteractionStore
 from repro.core.options import SRSOptions
 from repro.kernels.base import KernelMatrix
 from repro.linalg.interpolative import InterpolativeDecomposition, interp_decomp
-from repro.linalg.lu import PartialLU
+from repro.linalg.lu import PartialLU, singular
 from repro.obs import COUNT_BUCKETS, REGISTRY, health, trace
 
 _ID_COMPRESSIONS = REGISTRY.counter(
@@ -81,68 +82,102 @@ class BoxRecord:
         total += self.redundant.nbytes + self.skeleton.nbytes + self.cluster.nbytes
         return int(total)
 
-    # ------------------------------------------------------------------
-    # solve-phase operators (Sec. II-F); operate in place on the global
-    # right-hand-side array ``x`` (shape (N,) or (N, nrhs)).
-    # ------------------------------------------------------------------
-    def apply_v(self, x: np.ndarray, *, collect: bool = False):
-        """Upward sweep: apply ``V = L S* P^T`` of this box to ``x``.
 
-        With ``collect=True``, returns ``(cluster, update)`` where
-        ``update`` is the amount *subtracted* from ``x[cluster]`` — the
-        distributed solve forwards the remote-owned part to neighbors.
-        """
-        if self.redundant.size == 0:
-            return (self.cluster, None) if collect else None
-        v_r = x[self.redundant]
-        if self.skeleton.size:
-            v_r = v_r - self.T.conj().T @ x[self.skeleton]
-        t = self.lu.solve_left(v_r)
-        update = None
-        if self.cluster.size:
-            update = self.x_cr @ t
-            x[self.cluster] -= update
-        x[self.redundant] = self.lu.apply_lower_inverse(v_r)
-        if collect:
-            return (self.cluster, update)
-        return None
+# ----------------------------------------------------------------------
+# solve-phase sweeps (Sec. II-F), in place on the global right-hand-side
+# array ``x`` of shape (N,) or (N, ncols): the one implementation behind
+# the sequential, shared-memory and distributed solves
+# ----------------------------------------------------------------------
+def sweep_view(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The array the sweeps run on for a right-hand side ``x``.
 
-    def apply_w(self, x: np.ndarray) -> None:
-        """Downward sweep: apply ``W = P S U`` of this box to ``x``."""
-        if self.redundant.size == 0:
-            return
-        x_r = self.lu.apply_upper_inverse(x[self.redundant])
-        if self.cluster.size:
-            x_r = x_r - self.lu.solve_left(self.x_rc @ x[self.cluster])
-        x[self.redundant] = x_r
-        if self.skeleton.size:
-            x[self.skeleton] -= self.T @ x_r
+    ``x`` itself, unless it is complex on a real factorization: every
+    sweep step is real-linear then, so the view presents the same
+    (C-contiguous) memory as twice as many real columns and no stored
+    block is ever cast to complex.
+    """
+    if x.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        return x.view(x.real.dtype).reshape(x.shape[0], -1)
+    return x
 
-    # ------------------------------------------------------------------
-    # forward-apply operators: exact inverses of apply_v / apply_w, used
-    # by SRSFactorization.matvec to apply the *compressed A* itself.
-    # ------------------------------------------------------------------
-    def unapply_v(self, x: np.ndarray) -> None:
-        """Invert :meth:`apply_v` in place (apply ``V^{-1}``)."""
-        if self.redundant.size == 0:
-            return
-        v_r = self.lu.apply_lower(x[self.redundant])
-        if self.cluster.size:
-            x[self.cluster] += self.x_cr @ self.lu.solve_left(v_r)
-        if self.skeleton.size:
-            v_r = v_r + self.T.conj().T @ x[self.skeleton]
-        x[self.redundant] = v_r
 
-    def unapply_w(self, x: np.ndarray) -> None:
-        """Invert :meth:`apply_w` in place (apply ``W^{-1}``)."""
-        if self.redundant.size == 0:
-            return
-        x_r = x[self.redundant]
-        if self.skeleton.size:
-            x[self.skeleton] += self.T @ x_r
-        if self.cluster.size:
-            x_r = x_r + self.lu.solve_left(self.x_rc @ x[self.cluster])
-        x[self.redundant] = self.lu.apply_upper(x_r)
+def sweep_up(
+    records: Sequence[BoxRecord], x: np.ndarray, *, collect: bool = False
+) -> list[tuple[BoxRecord, np.ndarray]]:
+    """Upward sweep: apply ``V = L S* P^T`` of each record, in order.
+
+    With ``collect=True``, returns ``(record, update)`` pairs where
+    ``update`` is the amount *subtracted* from ``x[record.cluster]`` — the
+    distributed solve forwards the remote-owned part to neighbors.
+    """
+    conj = x.dtype.kind == "c"
+    updates = []
+    for rec in records:
+        red = rec.redundant
+        if not red.size:
+            continue
+        lu, perm, trtrs = rec.lu.solve_state()
+        v_r = x[red]
+        if rec.skeleton.size:
+            y = x[rec.skeleton]
+            # T^H y without materialising conj(T)
+            v_r -= (rec.T.T @ y.conj()).conj() if conj else rec.T.T @ y
+        w, _ = trtrs(lu, v_r[perm], lower=1, unitdiag=1)  # L^{-1} P v, once
+        if rec.cluster.size:
+            t, info = trtrs(lu, w)
+            if info:
+                raise singular(info)
+            update = rec.x_cr @ t
+            x[rec.cluster] -= update
+            if collect:
+                updates.append((rec, update))
+        x[red] = w
+    return updates
+
+
+def sweep_down(records: Sequence[BoxRecord], x: np.ndarray) -> None:
+    """Downward sweep: apply ``W = P S U`` of each record, in reverse order."""
+    for rec in reversed(records):
+        red = rec.redundant
+        if not red.size:
+            continue
+        lu, perm, trtrs = rec.lu.solve_state()
+        x_r, info = trtrs(lu, x[red])
+        if info:  # depends on U alone: checked once per record
+            raise singular(info)
+        if rec.cluster.size:
+            z, _ = trtrs(lu, (rec.x_rc @ x[rec.cluster])[perm], lower=1, unitdiag=1)
+            z, _ = trtrs(lu, z)
+            x_r -= z
+        x[red] = x_r
+        if rec.skeleton.size:
+            x[rec.skeleton] -= rec.T @ x_r
+
+
+def unsweep_down(records: Sequence[BoxRecord], x: np.ndarray) -> None:
+    """Exact inverse of :func:`sweep_down` (apply each ``W^{-1}``, in order)."""
+    for rec in records:
+        if rec.redundant.size == 0:
+            continue
+        x_r = x[rec.redundant]
+        if rec.skeleton.size:
+            x[rec.skeleton] += rec.T @ x_r
+        if rec.cluster.size:
+            x_r = x_r + rec.lu.solve_left(rec.x_rc @ x[rec.cluster])
+        x[rec.redundant] = rec.lu.apply_upper(x_r)
+
+
+def unsweep_up(records: Sequence[BoxRecord], x: np.ndarray) -> None:
+    """Exact inverse of :func:`sweep_up` (apply each ``V^{-1}``, in reverse order)."""
+    for rec in reversed(records):
+        if rec.redundant.size == 0:
+            continue
+        v_r = rec.lu.apply_lower(x[rec.redundant])
+        if rec.cluster.size:
+            x[rec.cluster] += rec.x_cr @ rec.lu.solve_left(v_r)
+        if rec.skeleton.size:
+            v_r = v_r + rec.T.conj().T @ x[rec.skeleton]
+        x[rec.redundant] = v_r
 
 
 def skeletonize_box(

@@ -20,10 +20,13 @@ class RankStats:
     ranks: dict[int, list[int]] = field(default_factory=dict)
     #: level -> list of box sizes (active counts) before compression
     box_sizes: dict[int, list[int]] = field(default_factory=dict)
+    #: :meth:`table` of the boxes recorded so far (every solve report reads it)
+    _table: list | None = field(default=None, repr=False, compare=False)
 
     def record(self, level: int, box_size: int, rank: int) -> None:
         self.ranks.setdefault(level, []).append(rank)
         self.box_sizes.setdefault(level, []).append(box_size)
+        self._table = None
 
     def average_rank(self, level: int) -> float:
         vals = self.ranks.get(level)
@@ -38,14 +41,14 @@ class RankStats:
 
     def table(self) -> list[tuple[int, float, int, float]]:
         """Rows ``(level, avg_rank, max_rank, avg_box_size)`` (Fig. 9 data)."""
-        out = []
-        for lvl in self.levels():
-            out.append(
+        if self._table is None:
+            self._table = [
                 (
                     lvl,
                     self.average_rank(lvl),
                     self.max_rank(lvl),
                     float(np.mean(self.box_sizes[lvl])),
                 )
-            )
-        return out
+                for lvl in self.levels()
+            ]
+        return list(self._table)

@@ -1,16 +1,29 @@
 """Partial LU elimination of the redundant diagonal block.
 
-Wraps LAPACK ``getrf``/``getrs`` and provides both left solves
-``X_RR^{-1} B`` and right solves ``B X_RR^{-1}`` (needed because the
-Schur update is ``A[C1, C2] -= X[C1, R] X_RR^{-1} X[R, C2]``), plus the
-triangular half-solves ``L_R^{-1} v`` and ``U_R^{-1} v`` used when
-applying the factorization (Sec. II-D, the ``L``/``U`` operators).
+``P X = L U`` by LAPACK ``getrf``; every application afterwards is a row
+permutation plus direct ``trtrs`` calls on the packed factors: the left
+solve ``X_RR^{-1} B`` of the Schur update
+``A[C1, C2] -= X[C1, R] X_RR^{-1} X[R, C2]`` and the triangular
+half-solves ``L_R^{-1} P v`` and ``U_R^{-1} v`` used when applying the
+factorization (Sec. II-D, the ``L``/``U`` operators). The pivots are
+turned into a permutation once, at construction, and never reach LAPACK
+again, so nothing reachable from a solve writes to a ``PartialLU``.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import Callable
+
 import numpy as np
 import scipy.linalg
+
+
+@functools.cache
+def trtrs_for(dtype: np.dtype) -> Callable:
+    """LAPACK ``?trtrs`` for ``dtype``, looked up once and kept here, not on the
+    instances: factorizations travel by pickle, a bound f2py routine does not."""
+    return scipy.linalg.get_lapack_funcs(("trtrs",), dtype=dtype)[0]
 
 
 class PartialLU:
@@ -27,47 +40,62 @@ class PartialLU:
         else:
             self._lu = np.zeros((0, 0), dtype=x_rr.dtype)
             self._piv = np.zeros(0, dtype=np.int32)
+        self._perm = _perm_from_piv(self._piv)
 
     def memory_bytes(self) -> int:
-        """Bytes held by the stored factors (``_lu`` and ``_piv``)."""
-        return int(self._lu.nbytes + self._piv.nbytes)
+        """Bytes held by the stored factors (``_lu``, ``_piv``, ``_perm``)."""
+        return int(self._lu.nbytes + self._piv.nbytes + self._perm.nbytes)
 
-    # -- full solves ----------------------------------------------------
-    # ``lu_solve`` gets a private copy of the pivots: scipy's getrs
-    # wrapper shifts the array it is handed to 1-based in place around
-    # the LAPACK call and back afterwards, so two threads solving on one
-    # cached factorization would read each other's half-shifted pivots —
-    # wrong results, and a pivot array left off by one for good.
+    def solve_state(self) -> tuple[np.ndarray, np.ndarray, Callable]:
+        """``(lu, perm, trtrs)`` for a caller that inlines the half-solves:
+        ``L^{-1} P v`` is ``trtrs(lu, v[perm], lower=1, unitdiag=1)``, ``U^{-1} w``
+        is ``trtrs(lu, w)``; both return ``(x, info)`` and take operands of the
+        block's dtype kind with ``n`` rows — the caller owns both checks."""
+        return self._lu, self._perm, trtrs_for(self._lu.dtype)
+
+    def _passthrough(self, b: np.ndarray) -> bool:
+        """Whether there is nothing to solve. A wrong row count raises here:
+        LAPACK only prints an XERBLA line, a gather drops surplus rows."""
+        if b.shape[0] != self.n:
+            raise ValueError(f"operand has {b.shape[0]} rows, expected {self.n}")
+        return self.n == 0 or b.size == 0
+
+    def _tri(self, b: np.ndarray, *, lower: bool) -> np.ndarray:
+        """``L^{-1} b`` (unit diagonal) or ``U^{-1} b``, straight through LAPACK."""
+        if b.dtype.kind == "c" and self._lu.dtype.kind != "c":
+            # real factors: two real solves, the block is never cast to complex
+            out = np.zeros(b.shape, dtype=np.result_type(self._lu.dtype, b.dtype))
+            out.real = self._tri(b.real, lower=lower)
+            out.imag = self._tri(b.imag, lower=lower)
+            return out
+        x, info = trtrs_for(self._lu.dtype)(self._lu, b, lower=lower, unitdiag=lower)
+        if info:
+            raise singular(info)
+        return x
+
     def solve_left(self, b: np.ndarray) -> np.ndarray:
         """``X_RR^{-1} @ b``."""
-        if self.n == 0 or b.size == 0:
+        if self._passthrough(b):
             return np.zeros_like(b)
-        return scipy.linalg.lu_solve((self._lu, self._piv.copy()), b, check_finite=False)
-
-    def solve_right(self, b: np.ndarray) -> np.ndarray:
-        """``b @ X_RR^{-1}``."""
-        if self.n == 0 or b.size == 0:
-            return np.zeros_like(b)
-        # b X^{-1} = (X^{-T} b^T)^T ; trans=1 solves X^T y = rhs
-        return scipy.linalg.lu_solve(
-            (self._lu, self._piv.copy()), b.T, trans=1, check_finite=False
-        ).T
+        return self._tri(self._tri(b[self._perm], lower=True), lower=False)
 
     # -- triangular half-solves (for applying the factorization) -------
     def apply_lower_inverse(self, v: np.ndarray) -> np.ndarray:
         """``L_R^{-1} P v`` — the forward-substitution half of the solve."""
-        if self.n == 0 or v.size == 0:
+        if self._passthrough(v):
             return v.copy()
-        vp = v[_perm_from_piv(self._piv)]
-        return scipy.linalg.solve_triangular(
-            self._lu, vp, lower=True, unit_diagonal=True, check_finite=False
-        )
+        # unit L is never singular, but a block with a singular U has no
+        # inverse to apply half of: fail like the two solves that reach U
+        diag = self._lu.diagonal()
+        if not diag.all():
+            raise singular(int(np.argmin(diag != 0)) + 1)
+        return self._tri(v[self._perm], lower=True)
 
     def apply_upper_inverse(self, v: np.ndarray) -> np.ndarray:
         """``U_R^{-1} v`` — the backward-substitution half of the solve."""
-        if self.n == 0 or v.size == 0:
+        if self._passthrough(v):
             return v.copy()
-        return scipy.linalg.solve_triangular(self._lu, v, lower=False, check_finite=False)
+        return self._tri(v, lower=False)
 
     # -- triangular forward applications (for the forward matvec) -------
     def apply_lower(self, v: np.ndarray) -> np.ndarray:
@@ -76,7 +104,7 @@ class PartialLU:
             return v.copy()
         lv = v + np.tril(self._lu, -1) @ v
         out = np.empty(lv.shape, dtype=np.result_type(self._lu.dtype, v.dtype))
-        out[_perm_from_piv(self._piv)] = lv
+        out[self._perm] = lv
         return out
 
     def apply_upper(self, v: np.ndarray) -> np.ndarray:
@@ -86,10 +114,15 @@ class PartialLU:
         return np.triu(self._lu) @ v
 
 
+def singular(info: int) -> np.linalg.LinAlgError:
+    """The error for a nonzero ``trtrs`` return code: ``U[info-1, info-1] == 0``."""
+    return np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+
+
 def _perm_from_piv(piv: np.ndarray) -> np.ndarray:
-    """Convert LAPACK sequential row swaps into a permutation vector."""
-    perm = np.arange(piv.size)
-    for i, p in enumerate(piv):
+    """Convert LAPACK sequential row swaps into an ``int32`` permutation vector."""
+    perm = list(range(piv.size))
+    for i, p in enumerate(piv.tolist()):
         if i != p:
             perm[i], perm[p] = perm[p], perm[i]
-    return perm
+    return np.array(perm, dtype=np.int32)

@@ -62,6 +62,7 @@ class ParallelFactorization:
     #: by ``solve`` in the new process
     resident: object = field(default=None, repr=False)
     _merged_stats: RankStats | None = field(default=None, repr=False)
+    _memory_bytes: int | None = field(default=None, repr=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -150,7 +151,12 @@ class ParallelFactorization:
         return self._merged_stats
 
     def memory_bytes(self) -> int:
-        return sum(rec.memory_bytes() for w in self.workers for rec in w.records)
+        """Bytes of every rank's records; walked once, they are immutable."""
+        if self._memory_bytes is None:
+            self._memory_bytes = sum(
+                rec.memory_bytes() for w in self.workers for rec in w.records
+            )
+        return self._memory_bytes
 
 
 def parallel_srs_factor(

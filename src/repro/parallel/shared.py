@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.factorization import SRSFactorization, srs_factor
 from repro.core.interactions import Coord
 from repro.core.options import SRSOptions
+from repro.core.skel import sweep_down, sweep_up
 from repro.kernels.base import KernelMatrix
 from repro.obs import stopwatch
 from repro.tree.quadtree import QuadTree
@@ -157,11 +158,11 @@ def shared_memory_factor(
     with stopwatch() as sw_solve:
         for rec in fact.records:
             with stopwatch() as sw:
-                rec.apply_v(x)
+                sweep_up([rec], x)
             upward.append(sw.elapsed)
         for rec, up in zip(reversed(fact.records), reversed(upward)):
             with stopwatch() as sw:
-                rec.apply_w(x)
+                sweep_down([rec], x)
             apply_times.append((rec.level, rec.box, up + sw.elapsed))
 
     return SharedMemoryResult(

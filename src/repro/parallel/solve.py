@@ -6,13 +6,17 @@ forwarding the additive updates that land on remote-owned skeleton
 entries to the owning neighbor; reductions ship the surviving entries
 of retiring ranks to their leader. The downward sweep reverses
 everything, with a value *refresh* before each reverse color round
-(``apply_w`` reads neighbor entries instead of writing them).
+(the downward sweep reads neighbor entries instead of writing them).
+The sweeps themselves are the sequential solver's
+(:func:`~repro.core.skel.sweep_up` / :func:`~repro.core.skel.sweep_down`)
+over this rank's slice of records.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.skel import sweep_down, sweep_up, sweep_view
 from repro.parallel.ownership import LevelLayout
 from repro.parallel.worker import WorkerResult
 from repro.vmpi.comm import Comm
@@ -68,8 +72,11 @@ def solve_shards(
         dtype = np.result_type(my.dtype, b.dtype)
         payloads = [(ids, np.asarray(b)[ids].astype(dtype), b.shape[1:]) for ids in leaf_ids_list]
     ids, vals, tail_shape = comm.scatter(payloads, 0)
-    x = np.zeros((n, *tail_shape), dtype=vals.dtype)
-    x[ids] = vals
+    rhs = np.zeros((n, *tail_shape), dtype=vals.dtype)
+    rhs[ids] = vals
+    # the sweeps and every message below work on ``rhs``'s own memory, as
+    # real columns when a complex rhs meets a real factorization
+    x = sweep_view(rhs, my.dtype)
 
     comm.barrier()
     comm.clock.local_time = 0.0
@@ -82,16 +89,13 @@ def solve_shards(
     for plan in my.plans:
         layout = LevelLayout(plan.level, p)
         with comm.clock.compute():
-            for rec in my.records[plan.rec_interior[0] : plan.rec_interior[1]]:
-                rec.apply_v(x)
+            sweep_up(my.records[plan.rec_interior[0] : plan.rec_interior[1]], x)
         for color in plan.colors:
             if color == plan.my_color:
                 per: dict[int, tuple[list, list]] = {w: ([], []) for w in plan.neighbor_ranks}
                 with comm.clock.compute():
-                    for rec in my.records[plan.rec_boundary[0] : plan.rec_boundary[1]]:
-                        cluster, upd = rec.apply_v(x, collect=True)
-                        if upd is None:
-                            continue
+                    boundary = my.records[plan.rec_boundary[0] : plan.rec_boundary[1]]
+                    for rec, upd in sweep_up(boundary, x, collect=True):
                         for seg_box, s, e in rec.cluster_segments:
                             owner = layout.owner(seg_box)
                             if owner != comm.rank:
@@ -148,10 +152,7 @@ def solve_shards(
                     if rid.size:
                         x[rid] = rv
                 with comm.clock.compute():
-                    for rec in reversed(
-                        my.records[plan.rec_boundary[0] : plan.rec_boundary[1]]
-                    ):
-                        rec.apply_w(x)
+                    sweep_down(my.records[plan.rec_boundary[0] : plan.rec_boundary[1]], x)
             else:
                 for w in plan.neighbor_ranks:
                     if plan.neighbor_colors[w] == color:
@@ -167,15 +168,14 @@ def solve_shards(
                             msg = (np.empty(0, dtype=np.int64), None)
                         comm.send(msg, w, tag=_tag(TAG_DOWN_REFRESH, plan.level, color))
         with comm.clock.compute():
-            for rec in reversed(my.records[plan.rec_interior[0] : plan.rec_interior[1]]):
-                rec.apply_w(x)
+            sweep_down(my.records[plan.rec_interior[0] : plan.rec_interior[1]], x)
 
     # ------------------------------ gather ------------------------------
-    gathered = comm.gather((my.leaf_ids, x[my.leaf_ids]), 0)
+    gathered = comm.gather((my.leaf_ids, rhs[my.leaf_ids]), 0)
     if comm.rank != 0:
         return None
     assert gathered is not None
-    out = np.zeros_like(x)
+    out = np.zeros_like(rhs)
     for rid, rv in gathered:
         out[rid] = rv
     return out

@@ -24,8 +24,10 @@ import numpy as np
 #: envelope check. 2: ``SRSFactorization`` lost its ``timings`` field
 #: (a format-1 payload pickles a class that no longer exists). 3: a
 #: shared sidecar holds one ``Packed`` (pickle stream + one segment)
-#: where format 2 held a tree of per-array block references.
-STORE_FORMAT = 3
+#: where format 2 held a tree of per-array block references. 4: a
+#: pickled ``PartialLU`` carries its row permutation (``_perm``); a
+#: format-3 one would fail with ``AttributeError`` at its first solve.
+STORE_FORMAT = 4
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 

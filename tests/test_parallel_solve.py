@@ -35,6 +35,19 @@ def test_multi_rhs_matches_single(pfact, rng):
         assert np.allclose(xs[:, j], fact.solve(bs[:, j]), rtol=1e-12, atol=1e-14)
 
 
+def test_complex_rhs_on_real_factorization(pfact, rng):
+    """The ranks sweep a complex rhs as real columns and exchange it as
+    such; rank 0 hands back the complex solution of both halves."""
+    k, a, fact = pfact
+    b = rng.standard_normal((k.n, 2)) + 1j * rng.standard_normal((k.n, 2))
+    for rhs in (b, b[:, 0]):
+        x = fact.solve(rhs)
+        assert x.dtype == np.complex128 and x.shape == rhs.shape
+        assert np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs) < 1e-10
+        want = fact.solve(rhs.real) + 1j * fact.solve(rhs.imag)
+        assert np.allclose(x, want, rtol=1e-12, atol=1e-14)
+
+
 def test_solve_records_timing(pfact, rng):
     k, a, fact = pfact
     fact.solve(rng.standard_normal(k.n))

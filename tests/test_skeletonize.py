@@ -6,7 +6,7 @@ import pytest
 from repro.core import SRSOptions
 from repro.core.interactions import InteractionStore
 from repro.core.proxy import proxy_points_for_box
-from repro.core.skel import skeletonize_box
+from repro.core.skel import skeletonize_box, sweep_down, sweep_up
 from repro.geometry import uniform_grid
 from repro.kernels import GaussianKernelMatrix
 from repro.tree import QuadTree
@@ -116,17 +116,17 @@ def test_elimination_correctness_against_dense(env):
     bidx = store.active_of(box).copy()
     rec = _skel(env, box)
     rng = np.random.default_rng(0)
-    # verify: apply_v then apply_w with no other boxes processed should
+    # verify: the up then down sweep with no other boxes processed should
     # be equivalent to eliminating R exactly (check via residual on a
     # system restricted to R)
     b = rng.standard_normal(kernel.n)
     x = b.copy()
-    rec.apply_v(x)
-    rec.apply_w(x)
+    sweep_up([rec], x)
+    sweep_down([rec], x)
     # rows of R should now satisfy the original equation approximately:
     # A[R, :] x ~= b[R] requires the full solve; instead check the
     # eliminated-variable reconstruction identity:
-    # X_RR x_R_final + X_RC x_C = v_R  is built into apply_w; here we
-    # simply assert that apply_v/apply_w ran and changed only R, S, N
+    # X_RR x_R_final + X_RC x_C = v_R  is built into the down sweep; here
+    # we simply assert that both sweeps ran and changed only R, S, N
     untouched = np.setdiff1d(np.arange(kernel.n), np.concatenate([rec.redundant, rec.cluster]))
     assert np.allclose(x[untouched], b[untouched])

@@ -263,6 +263,68 @@ def test_published_factorization_is_one_segment(tmp_path):
 
 
 @needs_process
+@pytest.mark.parametrize("execution", ["sequential", "thread"])
+def test_round_trip_through_every_tier_solves_bitwise(tmp_path, execution):
+    """Spilled, reloaded, published and attached, a factorization solves
+    bitwise like the in-memory one and reports the same memory — the
+    cached ``memory_bytes`` equals a fresh walk at every stop."""
+    prob = LaplaceVolumeProblem(m=16)
+    ranks = {} if execution == "sequential" else {"ranks": 4}
+    fact = repro.solve(
+        prob, prob.random_rhs(0), method="direct", execution=execution, **ranks
+    ).factorization
+    rhs = [prob.random_rhs(1), prob.random_rhs(2, 3)]
+    want = [fact.solve(b) for b in rhs]
+
+    def check(other):
+        records = (
+            [rec for w in other.workers for rec in w.records]
+            if execution == "thread" else other.records
+        )
+        assert other.memory_bytes() == sum(rec.memory_bytes() for rec in records)
+        assert other.memory_bytes() == fact.memory_bytes()
+        for b, x in zip(rhs, want):
+            assert np.array_equal(other.solve(b), x)
+
+    check(fact)
+    before = _shm_blocks()
+    disk = FactorizationStore(str(tmp_path / "disk"), shared=False, spill=True)
+    assert disk.spill("k", fact)
+    reloaded, tier = disk.load("k")
+    assert tier == "disk"
+    check(reloaded)
+
+    shm = FactorizationStore(str(tmp_path / "shm"), shared=True, spill=False)
+    _, tier = shm.fetch_or_build("k", lambda: reloaded)  # publishes the build
+    assert tier is None and shm.shared_published("k")
+    attached, tier = shm.load("k")
+    assert tier == "shared"
+    check(attached)
+    del attached
+    shm.close()
+    assert _shm_blocks() == before
+
+
+def test_previous_format_payload_is_a_format_miss(tmp_path):
+    """What format 3 pickled — a ``PartialLU`` without its permutation —
+    would only fail at its first solve; the envelope check refuses it
+    first, so an old spill is a miss and a rebuild."""
+    from repro.linalg import PartialLU
+
+    lu = PartialLU(np.eye(3) + 1.0)
+    del lu._perm
+    stale = pickle.loads(pickle.dumps(lu))
+    with pytest.raises(AttributeError):
+        stale.solve_left(np.ones(3))
+
+    path = str(tmp_path / "old.spill")
+    env = envelope("k", pickle.dumps(lu))
+    write_atomic(path, pickle.dumps({**env, "format": STORE_FORMAT - 1}))
+    assert load_spill(path, "k") == (None, "format")
+    assert not os.path.exists(path)
+
+
+@needs_process
 def test_shared_attach_in_second_process_is_bitwise(tmp_path):
     """A fresh interpreter attaches the published entry, no refactor."""
     root = str(tmp_path / "store")
