@@ -109,7 +109,7 @@ def _volume_potential(m: int, h: float, kappa: float, density: np.ndarray) -> np
     pts = np.column_stack([ox.ravel(), oy.ravel()])
     with np.errstate(divide="ignore", invalid="ignore"):
         table = helmholtz_greens(pts, np.zeros((1, 2)), kappa)[:, 0].reshape(2 * m, 2 * m)
-    table *= h * h
+        table *= h * h
     table[0, 0] = hankel_cell_self_integral(kappa, h)
     table[~np.isfinite(table)] = 0.0
     ghat = np.fft.fft2(table)

@@ -168,7 +168,7 @@ def _assemble_and_compress(
     # For Hermitian kernel matrices (A == A^H) the outgoing rows
     # A[B, M]^* duplicate the incoming rows A[M, B] exactly — Schur
     # deltas inherit the symmetry — so one copy carries the full ID
-    # constraint set at half the evaluation and CPQR cost.
+    # constraint set at half the CPQR cost.
     herm = kernel.hermitian
     #: unmodified pair -> (destination rows, stored conjugate-transposed?)
     block_dests: dict[PairKey, tuple[np.ndarray, bool]] = {}
@@ -297,21 +297,19 @@ def _eval_pairs(
     grouped by block shape (first-seen order), each group is cut into
     chunks of at most ``EVAL_CHUNK_ELEMENTS`` outputs, and every chunk
     is one :meth:`~repro.kernels.base.KernelMatrix.block_stack` call.
-    For Hermitian kernels a pair whose reverse is also asked for is
-    evaluated once — the first direction met — and the conjugate
-    transpose serves the other: the Green's function is bitwise
-    symmetric (hypot/log of the same distances) and the weights are
-    uniform, so the transpose equals a direct evaluation. Yields
-    ``(key, block)``; blocks are views into the evaluation stack, so
-    consumers copy what they keep.
+    For ``symmetric`` kernels a pair whose reverse is also asked for is
+    evaluated once — the first direction met — and the transpose
+    serves the other: by the kernel's declaration it equals a direct
+    evaluation bit for bit. Yields ``(key, block)``; blocks are views
+    into the evaluation stack, so consumers copy what they keep.
     """
     kernel = store.kernel
-    herm = kernel.hermitian
+    share = kernel.symmetric
     groups: dict[tuple[int, int], list[PairKey]] = {}
     queued: set[PairKey] = set()
     for key in pairs:
         bi, bj = key
-        if herm and (bj, bi) in queued:
+        if share and (bj, bi) in queued:
             continue  # emitted below as the transpose of (bj, bi)
         queued.add(key)
         groups.setdefault((store.nactive(bi), store.nactive(bj)), []).append(key)
@@ -325,7 +323,7 @@ def _eval_pairs(
             for (bi, bj), blk in zip(part, blks):
                 yield (bi, bj), blk
                 if (bj, bi) in pairs and (bj, bi) not in queued:
-                    yield (bj, bi), blk.conj().T
+                    yield (bj, bi), blk.T
 
 
 def _flush_proxy_requests(

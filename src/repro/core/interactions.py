@@ -82,6 +82,24 @@ class InteractionStore:
             return blk
         return self.kernel.block(self.active[bi], self.active[bj])
 
+    def get_pair(self, bi: Coord, bj: Coord) -> tuple[np.ndarray, np.ndarray]:
+        """``(get(bi, bj), get(bj, bi))`` at one kernel evaluation if possible.
+
+        Modified blocks are returned as stored. When neither direction
+        is modified and the kernel is ``symmetric``, the reverse block
+        is a C-ordered copy of the transpose — the array a direct
+        evaluation returns, bit for bit and in memory layout.
+        """
+        fwd = self.blocks.get((bi, bj))
+        rev = self.blocks.get((bj, bi))
+        if fwd is None:
+            fwd = self.kernel.block(self.active[bi], self.active[bj])
+            if rev is None and self.kernel.symmetric:
+                return fwd, fwd.T.copy()
+        if rev is None:
+            rev = self.kernel.block(self.active[bj], self.active[bi])
+        return fwd, rev
+
     def get_writable(self, bi: Coord, bj: Coord) -> np.ndarray:
         """Like :meth:`get` but materialized in the store for in-place update.
 

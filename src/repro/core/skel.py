@@ -275,9 +275,8 @@ def eliminate_box(
     cluster_parts = [bidx[s_loc]]
     segment_boxes = [box]
     for n in nbrs:
-        a_nb = store.get(n, box)
+        a_nb, a_bn = store.get_pair(n, box)
         cr_segments.append(a_nb[:, r_loc] - a_nb[:, s_loc] @ t_mat)
-        a_bn = store.get(box, n)
         rc_segments.append(a_bn[r_loc, :] - t_h @ a_bn[s_loc, :])
         cluster_parts.append(store.active_of(n))
         segment_boxes.append(n)
@@ -333,8 +332,9 @@ def compression_matrix(
     rows: list[np.ndarray] = []
     for mb in m_boxes:
         if mb in store.active and store.nactive(mb) > 0:
-            rows.append(store.get(mb, box))
-            rows.append(store.get(box, mb).conj().T)
+            a_mb, a_bm = store.get_pair(mb, box)
+            rows.append(a_mb)
+            rows.append(a_bm.conj().T)
     if proxy_points is not None and proxy_points.shape[0] > 0:
         rows.append(kernel.proxy_row_block(proxy_points, bidx))
         rows.append(kernel.proxy_col_block(bidx, proxy_points).conj().T)

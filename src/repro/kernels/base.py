@@ -68,30 +68,71 @@ class KernelMatrix(ABC):
     #: quadrature corrections) leave it False and take the per-box loop.
     greens_vectorized: bool = False
 
-    #: True when ``A == A^H`` exactly: ``g`` real and symmetric with
-    #: uniform real row/column weights (Laplace, Gaussian, Yukawa). The
-    #: batched sweep then assembles only ``A[M, B]`` in the compression
-    #: matrix — ``A[B, M]^*`` duplicates it row for row, so dropping it
-    #: halves both the far-field evaluation and the CPQR row count
-    #: without changing the constraint set of the ID — and fills each
-    #: near pair once, storing the transpose for the reverse direction.
-    #: Complex-symmetric kernels (Helmholtz: ``A == A^T != A^H``) must
-    #: leave this False.
+    #: True when ``A == A^T`` *bitwise*: ``g(x, y)`` and ``g(y, x)`` are
+    #: the same floats and ``row_w[i] * col_w[j] == row_w[j] * col_w[i]``
+    #: (the weights enter every block as that one commutative product).
+    #: Both sweeps then evaluate an unmodified box pair once and hand
+    #: out the transpose for the reverse direction — identical to a
+    #: direct evaluation, so who asks first cannot matter. Laplace,
+    #: Yukawa, Gaussian and the (complex symmetric) Helmholtz volume
+    #: kernel declare it; layer potentials weight columns only and
+    #: leave it False.
+    symmetric: bool = False
+
+    #: True when ``A == A^H`` exactly: a ``symmetric`` kernel with real
+    #: entries (Laplace, Gaussian, Yukawa). The batched sweep then
+    #: assembles only ``A[M, B]`` in the compression matrix —
+    #: ``A[B, M]^*`` duplicates it row for row, so dropping it halves
+    #: the CPQR row count without changing the constraint set of the
+    #: ID. Complex-symmetric kernels (Helmholtz: ``A == A^T != A^H``)
+    #: must leave this False.
     hermitian: bool = False
 
-    def greens_stack(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def greens_stack(
+        self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Green's function over stacked ``(nb, m, 2)`` point sets.
 
+        Writes into ``out`` (shape ``(nb, m, k)``, the kernel's dtype)
+        when given and returns it; the stacked block methods pass their
+        result array so no full-size temporary outlives the call.
         Defaults to :meth:`greens` (which broadcasts when
         ``greens_vectorized`` is set). Radial kernels whose ``g`` has a
         closed form in the *squared* distance override this to skip the
-        square-root pass over the whole ``(nb, m, k)`` stack; such
-        overrides may differ from :meth:`greens` in the last float ulp
-        (e.g. ``log(sqrt(s))`` vs ``log(s)/2``), which is why only the
-        batched sweep uses this entry point — the strict per-box path
-        always goes through :meth:`greens`.
+        square-root pass over the whole stack and to run every pass in
+        place; such overrides may differ from :meth:`greens` in the
+        last float ulp (e.g. ``log(sqrt(s))`` vs ``log(s)/2``), which
+        is why only the batched sweep uses this entry point — the
+        strict per-box path always goes through :meth:`greens`.
         """
-        return self.greens(x, y)
+        g = self.greens(x, y)
+        if out is None:
+            return g
+        out[...] = g
+        return out
+
+    def _weighted(self, g, rows=None, cols=None, out=None) -> np.ndarray:
+        """``g`` times the row/column weights of a block, in the kernel dtype.
+
+        ``rows`` / ``cols`` are index arrays of shape ``(..., r)`` /
+        ``(..., c)``; ``None`` leaves that side unweighted (the proxy
+        surrogates). Both sides enter as the one commutative product
+        ``g * (row_w * col_w)`` — which is what makes a ``symmetric``
+        kernel's transposed block a direct evaluation bit for bit — and
+        the all-ones default row weight is not multiplied in at all.
+        Callers evaluating coincident pairs hold ``np.errstate`` open:
+        ``g`` may be ``inf`` there, and ``inf`` times a complex weight
+        is an invalid operation.
+        """
+        w = None
+        if rows is not None and type(self).row_weights is not KernelMatrix.row_weights:
+            w = self.row_weights(rows.reshape(-1)).reshape(rows.shape + (1,))
+        if cols is not None:
+            cw = self.col_weights(cols.reshape(-1)).reshape(cols.shape[:-1] + (1, -1))
+            w = cw if w is None else w * cw
+        if w is not None:
+            g = np.multiply(g, w, out=out)
+        return g.astype(self.dtype, copy=False)
 
     def check_tree_resolution(self, tree) -> None:
         """Validate a quadtree against this kernel's locality assumptions.
@@ -136,9 +177,7 @@ class KernelMatrix(ABC):
         same = rows[:, None] == cols[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             g = self.greens(self.points[rows], self.points[cols])
-        blk = (
-            self.row_weights(rows)[:, None] * g * self.col_weights(cols)[None, :]
-        ).astype(self.dtype, copy=False)
+            blk = self._weighted(g, rows, cols)
         if same.any():
             d = self.diagonal()
             ii, jj = np.nonzero(same)
@@ -150,16 +189,14 @@ class KernelMatrix(ABC):
         cols = np.asarray(cols, dtype=np.int64)
         if proxy_points.shape[0] == 0 or cols.size == 0:
             return np.zeros((proxy_points.shape[0], cols.size), dtype=self.dtype)
-        g = self.greens(proxy_points, self.points[cols])
-        return (g * self.col_weights(cols)[None, :]).astype(self.dtype, copy=False)
+        return self._weighted(self.greens(proxy_points, self.points[cols]), cols=cols)
 
     def proxy_col_block(self, rows: np.ndarray, proxy_points: np.ndarray) -> np.ndarray:
         """Surrogate for the columns of ``A[rows, F]``: ``diag(row_w) g(x_rows, proxy)``."""
         rows = np.asarray(rows, dtype=np.int64)
         if proxy_points.shape[0] == 0 or rows.size == 0:
             return np.zeros((rows.size, proxy_points.shape[0]), dtype=self.dtype)
-        g = self.greens(self.points[rows], proxy_points)
-        return (self.row_weights(rows)[:, None] * g).astype(self.dtype, copy=False)
+        return self._weighted(self.greens(self.points[rows], proxy_points), rows=rows)
 
     # ------------------------------------------------------------------
     # multi-box (stacked) blocks — the level-batched factor sweep
@@ -168,13 +205,16 @@ class KernelMatrix(ABC):
     # return ``(nb, rows, cols)``. The defaults loop over the per-box
     # methods (and therefore respect any subclass overrides of
     # ``block``/``proxy_*_block``); kernels with ``greens_vectorized``
-    # get a single broadcast kernel evaluation instead.
+    # get a single broadcast kernel evaluation instead, every pass of
+    # it written ``out=`` into the result: a stack costs its
+    # transcendental calls, not a dozen faulted-in temporaries.
     # ------------------------------------------------------------------
     def block_stack(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Stacked submatrices ``A[rows[b]][:, cols[b]]`` for every box ``b``.
 
         ``rows``/``cols`` are integer index stacks of shape ``(nb, r)``
-        and ``(nb, c)``.
+        and ``(nb, c)``. Equal to per-box :meth:`block` calls — bitwise
+        where ``greens_stack`` is ``greens``, else to the last ulp.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -182,21 +222,23 @@ class KernelMatrix(ABC):
         c = cols.shape[1]
         if nb == 0 or r == 0 or c == 0:
             return np.zeros((nb, r, c), dtype=self.dtype)
+        blk = np.empty((nb, r, c), dtype=self.dtype)
         if not self.greens_vectorized:
-            out = np.empty((nb, r, c), dtype=self.dtype)
             for b in range(nb):
-                out[b, :, :] = self.block(rows[b], cols[b])
-            return out
+                blk[b, :, :] = self.block(rows[b], cols[b])
+            return blk
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = self.greens_stack(self.points[rows], self.points[cols])
-        rw = self.row_weights(rows.reshape(-1)).reshape(nb, r, 1)
-        cw = self.col_weights(cols.reshape(-1)).reshape(nb, 1, c)
-        blk = (rw * g * cw).astype(self.dtype, copy=False)
-        same = rows[:, :, None] == cols[:, None, :]
-        if same.any():
-            d = self.diagonal()
-            bb, ii, jj = np.nonzero(same)
-            blk[bb, ii, jj] = d[rows[bb, ii]]
+            g = self.greens_stack(self.points[rows], self.points[cols], out=blk)
+            self._weighted(g, rows, cols, out=blk)
+        # a diagonal entry needs overlapping row/column index ranges:
+        # compare elementwise only in those stack elements (self pairs)
+        lo = np.maximum(rows.min(axis=1), cols.min(axis=1))
+        hi = np.minimum(rows.max(axis=1), cols.max(axis=1))
+        cand = np.nonzero(lo <= hi)[0]
+        if cand.size:
+            bb, ii, jj = np.nonzero(rows[cand][:, :, None] == cols[cand][:, None, :])
+            bb = cand[bb]
+            blk[bb, ii, jj] = self.diagonal()[rows[bb, ii]]
         return blk
 
     def proxy_row_block_stack(
@@ -208,14 +250,13 @@ class KernelMatrix(ABC):
         c = cols.shape[1]
         if nb == 0 or p == 0 or c == 0:
             return np.zeros((nb, p, c), dtype=self.dtype)
+        blk = np.empty((nb, p, c), dtype=self.dtype)
         if not self.greens_vectorized:
-            out = np.empty((nb, p, c), dtype=self.dtype)
             for b in range(nb):
-                out[b, :, :] = self.proxy_row_block(proxy_points[b], cols[b])
-            return out
-        g = self.greens_stack(proxy_points, self.points[cols])
-        cw = self.col_weights(cols.reshape(-1)).reshape(nb, 1, c)
-        return (g * cw).astype(self.dtype, copy=False)
+                blk[b, :, :] = self.proxy_row_block(proxy_points[b], cols[b])
+            return blk
+        g = self.greens_stack(proxy_points, self.points[cols], out=blk)
+        return self._weighted(g, cols=cols, out=blk)
 
     def proxy_col_block_stack(
         self, rows: np.ndarray, proxy_points: np.ndarray
@@ -226,14 +267,13 @@ class KernelMatrix(ABC):
         r = rows.shape[1]
         if nb == 0 or p == 0 or r == 0:
             return np.zeros((nb, r, p), dtype=self.dtype)
+        blk = np.empty((nb, r, p), dtype=self.dtype)
         if not self.greens_vectorized:
-            out = np.empty((nb, r, p), dtype=self.dtype)
             for b in range(nb):
-                out[b, :, :] = self.proxy_col_block(rows[b], proxy_points[b])
-            return out
-        g = self.greens_stack(self.points[rows], proxy_points)
-        rw = self.row_weights(rows.reshape(-1)).reshape(nb, r, 1)
-        return (rw * g).astype(self.dtype, copy=False)
+                blk[b, :, :] = self.proxy_col_block(rows[b], proxy_points[b])
+            return blk
+        g = self.greens_stack(self.points[rows], proxy_points, out=blk)
+        return self._weighted(g, rows=rows, out=blk)
 
 
 def dense_matrix(kernel: KernelMatrix) -> np.ndarray:
@@ -255,11 +295,17 @@ def pairwise_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
-def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def squared_distances(
+    x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Squared Euclidean distance matrix; broadcasts like
     :func:`pairwise_distances` but without the square root (or
     ``hypot``'s overflow guards) — the cheap input for ``greens_stack``
-    overrides of kernels radial in ``r^2``."""
-    dx = x[..., :, None, 0] - y[..., None, :, 0]
-    dy = x[..., :, None, 1] - y[..., None, :, 1]
-    return dx * dx + dy * dy
+    overrides of kernels radial in ``r^2``. Fills ``out`` when given;
+    ``dx*dx + dy*dy`` runs pass by pass in place, ``dy`` being the one
+    temporary."""
+    out = np.subtract(x[..., :, None, 0], y[..., None, :, 0], out=out)
+    dy = np.subtract(x[..., :, None, 1], y[..., None, :, 1])
+    np.multiply(out, out, out=out)
+    np.multiply(dy, dy, out=dy)
+    return np.add(out, dy, out=out)

@@ -18,7 +18,8 @@ class GaussianKernelMatrix(KernelMatrix):
     """``A = shift * I + h^2 * exp(-r^2 / (2 sigma^2))`` on any planar cloud."""
 
     greens_vectorized = True
-    hermitian = True  # real symmetric: rw = 1, cw = h^2, g radial
+    symmetric = True  # rw = 1, cw = h^2, g radial
+    hermitian = True  # and real
 
     def __init__(self, points: np.ndarray, h: float, *, sigma: float = 0.1, shift: float = 1.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -34,9 +35,12 @@ class GaussianKernelMatrix(KernelMatrix):
         r = pairwise_distances(np.atleast_2d(x), np.atleast_2d(y))
         return np.exp(-(r**2) / (2.0 * self.sigma**2))
 
-    def greens_stack(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def greens_stack(self, x, y, out=None) -> np.ndarray:
         # g is radial in r^2 already: skip the sqrt/re-square round trip
-        return np.exp(-squared_distances(x, y) / (2.0 * self.sigma**2))
+        s = squared_distances(x, y, out=out)
+        np.negative(s, out=s)
+        np.divide(s, 2.0 * self.sigma**2, out=s)
+        return np.exp(s, out=s)
 
     def col_weights(self, index: np.ndarray) -> np.ndarray:
         return np.full(len(index), self.h * self.h, dtype=self.dtype)

@@ -24,17 +24,25 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.special import hankel1
+from scipy.special import hankel1, j0, y0
 
 from repro.kernels.base import KernelMatrix, pairwise_distances
 from repro.kernels.selfquad import square_self_integral
 
 
 def helmholtz_greens(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
-    """``(i/4) H0^(1)(kappa |x - y|)`` (coincident entries are nan/inf)."""
-    r = pairwise_distances(np.atleast_2d(x), np.atleast_2d(y))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 0.25j * hankel1(0, kappa * r)
+    """``(i/4) H0^(1)(kappa |x - y|)`` (coincident entries are ``nan + nanj``).
+
+    For real argument ``H0^(1) = J0 + i Y0``: the two real Bessel calls
+    cost a fifth of AMOS ``hankel1`` at the same absolute accuracy (max
+    ``|error|`` of ``H0`` 1.4e-15 against ``hankel1``'s 9e-16, 30-digit
+    ``mpmath``, ``kappa r`` in [1e-3, 1e3]: ``tests/test_kernel_contracts.py``).
+    """
+    z = kappa * pairwise_distances(np.atleast_2d(x), np.atleast_2d(y))
+    z[z == 0.0] = np.nan  # not y0(0) = -inf: every part non-finite, as hankel1 gave
+    g = 0.25j * j0(z)
+    g -= 0.25 * y0(z)
+    return g
 
 
 def hankel_cell_self_integral(kappa: float, h: float, *, order: int = 64) -> complex:
@@ -79,6 +87,7 @@ class HelmholtzKernelMatrix(KernelMatrix):
     """
 
     greens_vectorized = True
+    symmetric = True  # rw = cw, g(x, y) = g(y, x); complex, so not Hermitian
 
     def __init__(
         self,

@@ -38,7 +38,8 @@ class LaplaceKernelMatrix(KernelMatrix):
     """
 
     greens_vectorized = True
-    hermitian = True  # real symmetric: rw = 1, cw = h^2, g(x, y) = g(y, x)
+    symmetric = True  # rw = 1, cw = h^2, g(x, y) = g(y, x)
+    hermitian = True  # and real
 
     def __init__(self, points: np.ndarray, h: float):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -53,11 +54,14 @@ class LaplaceKernelMatrix(KernelMatrix):
     def greens(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return laplace_greens(x, y)
 
-    def greens_stack(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def greens_stack(self, x, y, out=None) -> np.ndarray:
         # -(1/2 pi) ln r == -(1/4 pi) ln r^2: same function of the
         # squared distance, sparing the sqrt pass over the whole stack
+        s = squared_distances(x, y, out=out)
         with np.errstate(divide="ignore"):
-            return -np.log(squared_distances(x, y)) / (4.0 * np.pi)
+            np.log(s, out=s)
+        np.negative(s, out=s)
+        return np.divide(s, 4.0 * np.pi, out=s)
 
     def col_weights(self, index: np.ndarray) -> np.ndarray:
         return np.full(len(index), self.h * self.h, dtype=self.dtype)

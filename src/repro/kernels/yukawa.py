@@ -26,7 +26,8 @@ class YukawaKernelMatrix(KernelMatrix):
     """Second-kind volume IE matrix ``A = I + h^2 G_lambda`` on a uniform grid."""
 
     greens_vectorized = True
-    hermitian = True  # real symmetric: rw = 1, cw = h^2, K0 radial
+    symmetric = True  # rw = 1, cw = h^2, K0 radial
+    hermitian = True  # and real
 
     def __init__(self, points: np.ndarray, h: float, lam: float, *, identity_shift: float = 1.0):
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -85,6 +85,11 @@ class LocalKernel:
         return getattr(self.inner, "kappa", None)
 
     @property
+    def symmetric(self) -> bool:
+        """Whether the underlying kernel matrix is bitwise symmetric."""
+        return self.inner.symmetric
+
+    @property
     def hermitian(self) -> bool:
         """Whether the underlying kernel matrix is exactly Hermitian."""
         return self.inner.hermitian

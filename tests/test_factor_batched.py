@@ -57,8 +57,9 @@ def test_gaussian_parity_machine_precision(gaussian16, gaussian16_dense, rng):
 
 def test_helmholtz_parity_complex_two_sided(helmholtz24, helmholtz24_dense, rng):
     # complex symmetric but NOT Hermitian: exercises the two-sided
-    # assembly (A[M,B] and A[B,M]^* both evaluated)
-    assert not helmholtz24.hermitian
+    # assembly (A[M,B] and A[B,M]^* both in the compression matrix,
+    # from one evaluation of the pair)
+    assert helmholtz24.symmetric and not helmholtz24.hermitian
     strict, batched = factor_pair(helmholtz24, tol=1e-8, leaf_size=24)
     b = rng.standard_normal(helmholtz24.n) + 1j * rng.standard_normal(helmholtz24.n)
     r_s = relres(helmholtz24_dense, strict.solve(b), b)
