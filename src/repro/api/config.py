@@ -74,8 +74,8 @@ class SolveConfig:
         parameters) passed to the RS-S engines, and the leaf size used
         by ``block_jacobi``.
     factor_mode:
-        Shorthand for ``srs.factor_mode`` (``"strict"``, ``"batched"``
-        or ``"auto"``): when set, ``srs`` is rewritten with this sweep
+        Shorthand for ``srs.factor_mode`` (``"strict"`` or
+        ``"batched"``): when set, ``srs`` is rewritten with this sweep
         mode at construction, so ``repro.solve(prob, b,
         factor_mode="batched")`` works without spelling out a full
         :class:`~repro.core.options.SRSOptions`. ``None`` (default)

@@ -27,18 +27,13 @@ import numpy as np
 from repro.api.config import SolveConfig
 from repro.api.problem import check_problem
 from repro.api.report import SolveReport
-from repro.api.strategies import resolve_execution, resolve_strategy
+from repro.api.strategies import StrategyResult, resolve_execution, resolve_strategy
 from repro.obs import REGISTRY, health, solve_health, trace
 
 _SOLVES = REGISTRY.counter(
     "repro_solve_total",
     "Facade solves by method and execution",
     labelnames=("method", "execution"),
-)
-_ITERATIONS = REGISTRY.counter(
-    "repro_solve_iterations_total",
-    "Refinement/Krylov iterations spent by method",
-    labelnames=("method",),
 )
 
 
@@ -76,6 +71,53 @@ def _parallel_extras(fact) -> dict:
         "messages": fact.factor_run.total_messages,
         "comm_bytes": fact.factor_run.total_bytes,
     }
+
+
+def make_report(
+    problem,
+    rhs: np.ndarray,
+    config: SolveConfig,
+    execution: str,
+    fact,
+    out: StrategyResult,
+    *,
+    t_setup: float,
+    t_solve: float,
+    memory_bytes: int | None = None,
+    **serving,
+) -> SolveReport:
+    """Count one finished solve and assemble its :class:`SolveReport`.
+
+    The only place a report is built: :func:`solve` and the service's
+    coalesced direct path both end here, so health, memory, the parallel
+    extras and the solve / Krylov counters cannot drift between them.
+    ``memory_bytes`` takes a size the caller already holds (the service
+    cache computes it once at insert); ``serving`` carries the service's
+    ``cache_hit`` / ``batch_size`` / ``t_queue`` stamps.
+    """
+    _SOLVES.inc(method=config.method, execution=execution)
+    if out.krylov is not None:
+        health.observe_krylov(config.method, out.krylov)
+    if memory_bytes is None and hasattr(fact, "memory_bytes"):
+        memory_bytes = int(fact.memory_bytes())
+    return SolveReport(
+        health=solve_health(fact, out.krylov),
+        x=out.x,
+        method=config.method,
+        execution=execution,
+        problem=problem,
+        rhs=rhs,
+        iterations=out.iterations,
+        converged=out.converged,
+        t_setup=t_setup,
+        t_solve=t_solve,
+        memory_bytes=memory_bytes,
+        krylov=out.krylov,
+        config=config,
+        factorization=fact,
+        **serving,
+        **_parallel_extras(fact),
+    )
 
 
 def solve(
@@ -145,30 +187,8 @@ def solve(
         t_solve = time.perf_counter() - t0
         root.set(iterations=out.iterations, converged=out.converged)
 
-    _SOLVES.inc(method=config.method, execution=execution)
-    if out.iterations:
-        _ITERATIONS.inc(out.iterations, method=config.method)
-    if out.krylov is not None:
-        health.observe_krylov(config.method, out.krylov)
-
-    return SolveReport(
-        health=solve_health(fact, out.krylov),
-        x=out.x,
-        method=config.method,
-        execution=execution,
-        problem=problem,
-        rhs=rhs,
-        iterations=out.iterations,
-        converged=out.converged,
-        t_setup=t_setup,
-        t_solve=t_solve,
-        memory_bytes=(
-            int(fact.memory_bytes()) if hasattr(fact, "memory_bytes") else None
-        ),
-        krylov=out.krylov,
-        config=config,
-        factorization=fact,
-        **_parallel_extras(fact),
+    return make_report(
+        problem, rhs, config, execution, fact, out, t_setup=t_setup, t_solve=t_solve
     )
 
 

@@ -127,10 +127,7 @@ def _srs_setup_key(config: SolveConfig) -> tuple:
     srs_key = tuple(
         (f.name, getattr(config.srs, f.name)) for f in fields(config.srs)
     )
-    # factor_mode="auto" aliases env-dependent behavior, so the
-    # *resolved* sweep mode joins the key: flipping REPRO_FACTOR_MODE
-    # between solves must never reuse the other mode's factorization
-    return ("srs", execution, ranks, config.srs.resolved_factor_mode(), srs_key)
+    return ("srs", execution, ranks, srs_key)
 
 
 def get_operator(

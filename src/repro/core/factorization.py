@@ -191,7 +191,7 @@ def sweep_level(
     The level runs as an ordered *schedule* of box groups; per group the
     live boxes are compressed, then eliminated one at a time in todo
     order, each record appended to ``records`` and its rank to
-    ``stats``. The resolved ``opts.factor_mode`` picks the schedule:
+    ``stats``. ``opts.factor_mode`` picks the schedule:
 
     * ``strict`` — singletons in todo order; each box is compressed
       against the store state its predecessors left
@@ -208,9 +208,9 @@ def sweep_level(
     skeletonization — the shared-memory comparator schedules these
     measured task durations onto simulated threads (Table VI). A per-box
     duration is defined for the singleton schedule only, so asking for
-    one with ``opts`` that resolve to batched raises ``ValueError``.
+    one with batched ``opts`` raises ``ValueError``.
     """
-    batched = opts.resolved_factor_mode() == "batched"
+    batched = opts.factor_mode == "batched"
     if batched and task_times is not None:
         raise ValueError(
             "task_times needs factor_mode='strict': the batched sweep "
@@ -317,7 +317,7 @@ def assemble_parents(
                     pairs[p2, p1] = None
 
     child_block = store.get
-    if opts.resolved_factor_mode() == "batched":
+    if opts.factor_mode == "batched":
         stacked = batch_pair_blocks(
             store,
             [

@@ -30,15 +30,15 @@ class SRSOptions:
         ``"cpqr"`` (deterministic, the paper's choice) or
         ``"randomized"`` (sketched, Sec. II-B's randomized alternative).
     factor_mode:
-        How a level's boxes are swept: ``"strict"`` assembles and
-        compresses one box at a time against the current store state
-        (bitwise-reproducible, the historical path); ``"batched"``
-        assembles same-level compression matrices in stacked groups at
-        level start and runs grouped CPQR IDs (faster; agrees with
-        strict to the ID tolerance). ``"auto"`` (default) defers to the
-        ``REPRO_FACTOR_MODE`` environment knob, which defaults to
-        strict. Elimination order and the store update contract are
-        identical in every mode — see :mod:`repro.core.batch`.
+        How a level's boxes are swept: ``"strict"`` (default)
+        assembles and compresses one box at a time against the current
+        store state (bitwise-reproducible, the historical path);
+        ``"batched"`` assembles same-level compression matrices in
+        stacked groups at level start and runs grouped CPQR IDs (faster;
+        agrees with strict to the ID tolerance). This field is the only
+        place the mode is said. Elimination order and the store update
+        contract are identical in both modes — see
+        :mod:`repro.core.batch`.
     check_locality:
         Debug switch: assert that the factorization never touches a
         far-field block (Remarks 1–2). Costs a little bookkeeping.
@@ -50,7 +50,7 @@ class SRSOptions:
     n_proxy: int = 64
     proxy_oversampling: float = 3.0
     id_method: str = "cpqr"
-    factor_mode: str = "auto"
+    factor_mode: str = "strict"
     check_locality: bool = False
 
     def __post_init__(self) -> None:
@@ -67,17 +67,5 @@ class SRSOptions:
             raise ValueError(f"n_proxy too small: {self.n_proxy}")
         if self.id_method not in ("cpqr", "randomized"):
             raise ValueError(f"unknown id_method {self.id_method!r}")
-        if self.factor_mode not in ("auto", "strict", "batched"):
+        if self.factor_mode not in ("strict", "batched"):
             raise ValueError(f"unknown factor_mode {self.factor_mode!r}")
-
-    def resolved_factor_mode(self) -> str:
-        """The effective sweep mode: ``"strict"`` or ``"batched"``.
-
-        ``"auto"`` resolves through the ``REPRO_FACTOR_MODE`` knob
-        (:func:`repro.util.config.factor_mode`), explicit settings win.
-        """
-        if self.factor_mode != "auto":
-            return self.factor_mode
-        from repro.util.config import factor_mode
-
-        return factor_mode()

@@ -26,17 +26,7 @@ from repro.core.options import SRSOptions
 from repro.kernels.base import KernelMatrix
 from repro.linalg.interpolative import InterpolativeDecomposition, interp_decomp
 from repro.linalg.lu import PartialLU, singular
-from repro.obs import COUNT_BUCKETS, REGISTRY, health, trace
-
-_ID_COMPRESSIONS = REGISTRY.counter(
-    "repro_id_compressions_total",
-    "Interpolative decompositions performed during factorization",
-)
-_SKELETON_RANK = REGISTRY.histogram(
-    "repro_skeleton_rank",
-    "Skeleton count kept per compressed box",
-    buckets=COUNT_BUCKETS,
-)
+from repro.obs import health, trace
 
 
 @dataclass
@@ -230,7 +220,7 @@ def eliminate_box(
 ) -> BoxRecord:
     """The elimination half of ``Z(A; B)`` for an already compressed box.
 
-    Records the compression (ID count, skeleton rank, solver health),
+    Records the compression (skeleton rank per level, solver health),
     then runs the partial-LU elimination and the Schur updates. The
     level sweep calls it directly when a colour phase's compressions
     were hoisted out and stacked (:mod:`repro.core.batch`).
@@ -239,8 +229,6 @@ def eliminate_box(
     nbrs = [n for n in neighbors if n in store.active and store.nactive(n) > 0]
     s_loc, r_loc, t_mat = dec.skeleton, dec.redundant, dec.T
     dtype = t_mat.dtype  # the compression matrix's dtype
-    _ID_COMPRESSIONS.inc()
-    _SKELETON_RANK.observe(s_loc.size)
     health.record_box(level, int(bidx.size), int(s_loc.size))
     if r_loc.size == 0:
         # nothing to eliminate; keep the box as is

@@ -1,7 +1,7 @@
 """Opt-in resource watchdog: RSS, /dev/shm drift, pool liveness, residency.
 
 Slow leaks only surface as outages: /dev/shm residue from a missed
-sweep, RSS creep, a rank worker that died under a pinned pool. The
+sweep, RSS creep, a rank worker that died under a live pool. The
 :class:`ResourceWatchdog` samples the process's resource posture every
 ``REPRO_OBS_WATCHDOG_MS`` and publishes it as ``repro_watchdog_*``
 gauges, so dashboards see the drift long before the outage.

@@ -136,8 +136,8 @@ def shared_memory_factor(
     Returns the (numerically identical) factorization plus the
     simulated ``t_fact``/``t_solve`` on ``nthreads`` threads. The
     strategy schedules *per-box* tasks, so the factorization runs the
-    strict sweep whatever ``opts.factor_mode`` or ``REPRO_FACTOR_MODE``
-    say — pinned here, in the comparator's own options.
+    strict sweep whatever ``opts.factor_mode`` says — pinned here, in
+    the comparator's own options.
     """
     if nthreads < 1:  # before the measurement, not after it
         raise ValueError(f"nthreads must be >= 1, got {nthreads}")

@@ -13,11 +13,6 @@ to the built :class:`~repro.api.strategies.Factorization`:
   recently used finished entries. A single entry larger than the whole
   budget stays resident until displaced (the budget is a high-water
   mark, not a per-entry cap).
-* **pool pinning**: a cached factorization produced by the process
-  execution engine keeps its :class:`~repro.vmpi.pool.RankPool` pinned,
-  so the pool registry's idle LRU never tears down the rank processes
-  backing a resident entry; eviction unpins, letting the pool retire
-  normally.
 """
 
 from __future__ import annotations
@@ -36,17 +31,12 @@ _EVICTIONS = REGISTRY.counter(
 )
 
 
-def _backend_pool(fact: Any):
-    """The RankPool backing a factorization, or ``None``."""
-    return getattr(getattr(fact, "backend", None), "pool", None)
-
-
 class _Entry:
     """One cache slot: a finished factorization or an in-flight build."""
 
     __slots__ = (
         "key", "event", "fact", "error", "nbytes", "build_seconds",
-        "pinned_pool", "charge", "store_tier",
+        "charge", "store_tier",
     )
 
     def __init__(self, key: Hashable):
@@ -56,9 +46,6 @@ class _Entry:
         self.error: BaseException | None = None
         self.nbytes = 0
         self.build_seconds = 0.0
-        #: the exact RankPool pinned at insert time (unpinned on evict —
-        #: fact.backend.pool may point at a *replacement* pool by then)
-        self.pinned_pool: Any = None
         #: bytes charged against the LRU budget. Equals ``nbytes`` for
         #: privately owned entries; 0 for shm-attached store entries,
         #: whose blocks are counted once process-wide by the store's
@@ -203,19 +190,10 @@ class FactorizationCache:
         # blocks: charge them to the budget once process-wide (the
         # store's gauge), not once per cache
         entry.charge = 0 if tier == "shared" else entry.nbytes
-        pool = _backend_pool(fact)
-        if pool is not None:
-            # best-effort warmth: the pin lands after the build, so a
-            # registry LRU eviction racing the build can still shut the
-            # pool down first — that costs one respawn on the next
-            # solve (the pins die with the discarded pool object, so
-            # nothing leaks), it never costs correctness
-            pool.pin()
-            entry.pinned_pool = pool
         entry.event.set()
         with self._lock:
             # a build finishing after close() must not stay resident:
-            # nothing would ever unpin its pool or drop the entry
+            # nothing would ever drop the entry
             orphaned = self._closed and self._entries.get(key) is entry
             if orphaned:
                 del self._entries[key]
@@ -278,22 +256,23 @@ class FactorizationCache:
         After closing, entries are still buildable (callers already in
         flight complete normally) but are released immediately instead
         of becoming resident — so a factorization finishing after the
-        owning service shut down cannot pin its rank pool forever.
+        owning service shut down cannot keep its worker-resident shards
+        forever.
         """
         with self._lock:
             self._closed = True
         self.clear()
 
     def _release(self, entry: _Entry) -> None:
-        """Free an evicted entry: spill, invalidate, unpin, callback.
+        """Free an evicted entry: spill, invalidate, callback.
 
         Order matters: (1) spill to the store's disk tier while the
         arrays are certainly alive (skipped when the entry was *loaded*
         from disk — the file is already there); (2) invalidate the
         worker-resident shards so rank workers stop holding memory for
-        an entry the parent no longer serves; (3) unpin the rank pool;
-        (4) drop this process's hold on the shared shm entry (the last
-        live holder unlinks, leaving /dev/shm as found).
+        an entry the parent no longer serves; (3) drop this process's
+        hold on the shared shm entry (the last live holder unlinks,
+        leaving /dev/shm as found).
 
         ``entry.fact`` is deliberately left in place: a concurrent
         reader that found the entry ready before the eviction still
@@ -307,9 +286,6 @@ class FactorizationCache:
         handle = getattr(fact, "resident", None)
         if handle is not None and hasattr(handle, "drop"):
             handle.drop()
-        pool, entry.pinned_pool = entry.pinned_pool, None
-        if pool is not None:
-            pool.unpin()
         if self._store is not None:
             self._store.release(entry.key)
         if self._on_evict is not None and fact is not None:

@@ -29,13 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.config import SolveConfig
-from repro.api.facade import _make_config, _parallel_extras
+from repro.api.facade import _make_config, make_report
 from repro.api.facade import solve as facade_solve
 from repro.api.fingerprint import problem_fingerprint
 from repro.api.problem import check_problem
 from repro.api.report import SolveReport
-from repro.api.strategies import resolve_execution, resolve_strategy
-from repro.obs import REGISTRY, health, log_event, trace, watchdog
+from repro.api.strategies import StrategyResult, resolve_execution, resolve_strategy
+from repro.obs import health, log_event, trace, watchdog
 from repro.service.batcher import RhsBatcher
 from repro.service.cache import FactorizationCache
 from repro.service.stats import ServiceStats, StatsCollector
@@ -49,11 +49,6 @@ from repro.util.config import (
     service_max_pending,
     service_workers,
     store_dir,
-)
-
-_REJECTED = REGISTRY.counter(
-    "repro_service_rejected_total",
-    "Requests refused by admission control (pending queue at max_pending)",
 )
 
 
@@ -133,7 +128,7 @@ class SolveService:
     Thread-safe; one instance is meant to outlive many requests (the
     whole point is amortizing factorizations across them). Use as a
     context manager or call :meth:`close` to release the worker threads
-    and the cached factorizations (which unpins their rank pools).
+    and the cached factorizations.
     """
 
     def __init__(self, config: ServiceConfig | None = None, **overrides):
@@ -197,7 +192,6 @@ class SolveService:
         strategy.check_compatible(problem, cfg)
         if not self._stats.admit(self.config.max_pending):
             self._stats.incr("rejected")
-            _REJECTED.inc()
             raise ServiceOverloadedError(
                 f"pending queue full ({self.config.max_pending} requests in flight)"
             )
@@ -351,24 +345,16 @@ class SolveService:
                     # leader, the factorization build — reported separately
                     # as t_setup)
                     t_queue = time.perf_counter() - t_solve - req.t_submit
-                    report = SolveReport(
-                        x=x,
-                        method=cfg.method,
-                        execution=execution,
-                        problem=problem,
-                        rhs=b,
-                        iterations=0,
-                        converged=True,
+                    report = make_report(
+                        problem, b, cfg, execution, fact,
+                        StrategyResult(x, 0, True, None),
                         t_setup=lookup.build_seconds,
                         t_solve=t_solve,
                         # computed once at cache insert, not per request
                         memory_bytes=lookup.nbytes or None,
-                        config=cfg,
-                        factorization=fact,
                         cache_hit=lookup.hit,
                         batch_size=size,
                         t_queue=t_queue,
-                        **_parallel_extras(fact),
                     )
                     self._finish(req, report)
 

@@ -9,8 +9,8 @@ factored. This module keeps the shards where the work is, and it is
 how *every* solve on the process backend runs:
 
 * **worker side** — a per-process registry maps entry ids to retained
-  :class:`~repro.parallel.worker.WorkerResult` shards, LRU-capped by
-  ``REPRO_STORE_RESIDENT_MAX``. :func:`factor_retain_worker` populates
+  :class:`~repro.parallel.worker.WorkerResult` shards, LRU-capped at
+  :data:`RESIDENT_MAX`. :func:`factor_retain_worker` populates
   it as a free side effect of the factor job; :func:`seed_worker`
   (re)populates it explicitly (one full-tree ship) after a respawn or a
   cap eviction; :func:`resident_solve_worker` solves from it, shipping
@@ -18,8 +18,8 @@ how *every* solve on the process backend runs:
   invalidates on cache eviction.
 * **parent side** — a :class:`ResidentHandle` tracks *which* pool
   cohort holds the shards via the pool's ``generation`` epoch, reseeds
-  transparently when the cohort changed (worker death -> respawn, LRU
-  teardown), and retries exactly once when workers report the entry
+  transparently when the cohort changed (worker death -> respawn or
+  replacement), and retries exactly once when workers report the entry
   missing.
 
 The resident solve runs :func:`~repro.parallel.solve.solve_shards` —
@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING
 
 from repro.obs import REGISTRY, trace
 from repro.obs.lockwatch import make_lock
-from repro.util.config import store_resident_max
 from repro.vmpi.backend import adopt_rank_reports
 
 # the parallel engine imports this module (driver dispatches the
@@ -64,6 +63,12 @@ _RES_MISSES = REGISTRY.counter(
     "repro_store_resident_misses_total",
     "Resident solves that found the entry gone worker-side and reseeded",
 )
+
+#: most factorizations each rank worker keeps resident. The cap bounds
+#: shards whose parent-side object was collected without ``drop``; past
+#: it the least recently solved entry goes, and the next solve against
+#: it reseeds from the parent
+RESIDENT_MAX = 8
 
 #: substring the parent greps out of a failed rank's error description to
 #: distinguish "shards are gone, reseed and retry" from a real solve error
@@ -90,8 +95,7 @@ def _retain(entry_id: str, my: WorkerResult) -> None:
     """
     _RESIDENT[entry_id] = my
     _RESIDENT.move_to_end(entry_id)
-    cap = store_resident_max()
-    while len(_RESIDENT) > cap:
+    while len(_RESIDENT) > RESIDENT_MAX:
         _RESIDENT.popitem(last=False)
 
 
@@ -169,8 +173,8 @@ class ResidentHandle:
 
     Tracks the exact pool object and worker-cohort ``generation`` that
     hold the shards; ``solve`` reseeds before dispatching whenever the
-    cohort changed underneath it (pool LRU teardown, worker death ->
-    respawn) and retries once on a worker-reported miss (resident-cap
+    cohort changed underneath it (worker death -> respawn or
+    replacement) and retries once on a worker-reported miss (resident-cap
     eviction). The handle is process-local — it is dropped from pickled
     factorizations and lazily rebuilt in the attaching process.
     """
@@ -194,11 +198,7 @@ class ResidentHandle:
     def _get_pool(self):
         from repro.vmpi.pool import get_pool
 
-        be = self.backend
-        pool = get_pool(self.p, be.start_method, be.min_shm_bytes)
-        # keep the backend's pinned-pool view current for cache pinning
-        be._pool = pool
-        return pool
+        return get_pool(self.p, self.backend.start_method, self.backend.min_shm_bytes)
 
     def _seed_locked(self, pool) -> None:
         with trace.span("store.resident_seed", entry=self.entry_id):

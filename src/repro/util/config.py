@@ -96,20 +96,6 @@ def vmpi_shm_min_bytes() -> int:
     return n
 
 
-def vmpi_pool_max() -> int:
-    """Most rank pools kept alive at once (``REPRO_VMPI_POOL_MAX``).
-
-    Pools are keyed by (rank count, start method, shm threshold);
-    creating one beyond the cap shuts down the least recently used —
-    the idle policy that bounds resident worker processes (default 4
-    pools).
-    """
-    n = env_int("REPRO_VMPI_POOL_MAX", 4)
-    if n < 1:
-        raise ValueError(f"REPRO_VMPI_POOL_MAX must be >= 1, got {n}")
-    return n
-
-
 # ----------------------------------------------------------------------
 # solve service (repro.service) knobs
 # ----------------------------------------------------------------------
@@ -178,34 +164,6 @@ def service_batch_mode() -> str:
     return name
 
 
-#: factor sweep modes of the RS-S engine (see repro.core.batch)
-FACTOR_MODES = ("strict", "batched")
-
-
-def factor_mode() -> str:
-    """Default factor-sweep mode of the RS-S engine (``REPRO_FACTOR_MODE``).
-
-    Resolves ``SRSOptions.factor_mode="auto"``:
-
-    * ``strict`` (default) — the per-box sweep: every compression
-      matrix is assembled against the *current* store state, bitwise
-      identical to the historical path.
-    * ``batched`` — the level-batched sweep: same-level compression
-      matrices are assembled in stacked groups from the level-start
-      state and run through grouped CPQR IDs. Skeleton selection may
-      differ within the ID tolerance; elimination order is unchanged.
-    """
-    raw = os.environ.get("REPRO_FACTOR_MODE")
-    if raw is None or raw.strip() == "":
-        return "strict"
-    name = raw.strip().lower()
-    if name not in FACTOR_MODES:
-        raise ValueError(
-            f"REPRO_FACTOR_MODE={raw!r} is not one of {'/'.join(FACTOR_MODES)}"
-        )
-    return name
-
-
 def service_workers() -> int:
     """Solver threads of a :class:`~repro.service.SolveService`
     (``REPRO_SERVICE_WORKERS``, default 8). Requests beyond this
@@ -248,17 +206,6 @@ def store_dir() -> str | None:
     if raw is None or raw.strip() == "":
         return None
     return raw
-
-
-def store_resident_max() -> int:
-    """Most factorizations each rank worker keeps resident
-    (``REPRO_STORE_RESIDENT_MAX``, default 8). Beyond the cap the
-    least recently solved entry is dropped worker-side; the next solve
-    against it transparently re-seeds from the parent."""
-    n = env_int("REPRO_STORE_RESIDENT_MAX", 8)
-    if n < 1:
-        raise ValueError(f"REPRO_STORE_RESIDENT_MAX must be >= 1, got {n}")
-    return n
 
 
 def store_lock_timeout_s() -> float:

@@ -47,9 +47,10 @@ written their segment names to it, so the parent unlinks them once all
 ranks are gone (on Python 3.13+, where segments are untracked, such
 orphans would otherwise persist in /dev/shm until reboot).
 
-Pools are cached process-wide by ``(nranks, start_method,
-min_shm_bytes)`` in an LRU registry capped at ``REPRO_VMPI_POOL_MAX``
-(the idle policy), and shut down cleanly at interpreter exit.
+Pools are cached process-wide, one per ``(nranks, start_method,
+min_shm_bytes)`` shape, for the life of the interpreter: a shape's pool
+is replaced only when its workers died, and every pool is shut down
+cleanly at interpreter exit.
 """
 
 from __future__ import annotations
@@ -59,12 +60,10 @@ import pickle
 import queue
 import time
 import traceback
-from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.obs import profile, trace
 from repro.obs.lockwatch import make_lock
-from repro.util.config import vmpi_pool_max
 from repro.vmpi.backend import RankReport, SPMDRun, report_from_comm
 from repro.vmpi.clock import CostModel
 from repro.vmpi.comm import Comm
@@ -280,34 +279,6 @@ class RankPool:
         # different threads serialize here. RLock because run() calls
         # ensure_started()/shutdown() internally.
         self._lock = make_lock("vmpi.pool", reentrant=True)
-        #: registry membership: _origin_registry is sticky (ever owned a
-        #: slot), _in_registry is current. A registry pool revived after
-        #: a concurrent idle-eviction either reclaims its slot or
-        #: self-retires after its current job — never leaks workers.
-        self._origin_registry = False
-        self._in_registry = False
-        # pin count: holders of long-lived factorizations (the serving
-        # layer's cache) pin the pool so the registry's idle LRU
-        # eviction skips it — their resident ranks stay warm
-        self._pins = 0
-
-    # ------------------------------------------------------------------
-    # pinning
-    # ------------------------------------------------------------------
-    def pin(self) -> None:
-        """Protect this pool from registry LRU eviction (refcounted)."""
-        with self._lock:
-            self._pins += 1
-
-    def unpin(self) -> None:
-        """Release one :meth:`pin`; never drops below zero."""
-        with self._lock:
-            self._pins = max(0, self._pins - 1)
-
-    @property
-    def pinned(self) -> bool:
-        """Whether any holder currently pins this pool."""
-        return self._pins > 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -330,12 +301,9 @@ class RankPool:
     def _ensure_started_locked(self) -> None:
         if self.alive:
             return
-        if self._procs is not None:
-            # a worker died: rebuild from scratch, but stay registered —
-            # this pool object is being revived, and dropping it from
-            # the registry would orphan it from the atexit hook and let
-            # get_pool spawn a duplicate under the same key
-            self.shutdown(forget=False)
+        # if a worker died, reap the survivors and sweep what the cohort
+        # registered before rebuilding from scratch (a no-op otherwise)
+        self.shutdown()
         import multiprocessing
 
         _ensure_resource_tracker()
@@ -346,7 +314,10 @@ class RankPool:
         # feeder-less pipe: shm names written by a rank survive its death
         self._registry_q = ctx.SimpleQueue()
         self._registered = set()
-        self._procs = [
+        # self._procs is assigned only once every rank is up: the
+        # registry reads liveness lock-free, and a pool in the middle of
+        # its first spawn must read as never started, not as dead
+        procs = [
             ctx.Process(
                 target=_pool_worker_main,
                 args=(
@@ -364,7 +335,7 @@ class RankPool:
         ]
         started: list = []
         try:
-            for pr in self._procs:
+            for pr in procs:
                 pr.start()
                 started.append(pr)
         except BaseException:
@@ -374,59 +345,34 @@ class RankPool:
             # never-started Process objects
             self.spawn_count += len(started)
             self._procs = started
-            self.shutdown(forget=False)
+            self.shutdown()
             raise
-        self.spawn_count += len(self._procs)
+        self._procs = procs
+        self.spawn_count += len(procs)
         self.generation += 1
-        if self._origin_registry and not self._in_registry:
-            # concurrently evicted from the registry while idle, now
-            # revived: reclaim the slot if it is free or held by a dead
-            # pool; if a live replacement owns it, this pool finishes
-            # its current job and self-retires (_retire_if_orphaned)
-            key = (self.nranks, self.start_method, self.min_shm_bytes)
-            stale = None
-            with _POOLS_LOCK:
-                cur = _POOLS.get(key)
-                if cur is None or not (cur.alive or cur.never_started):
-                    if cur is not None:
-                        cur._in_registry = False
-                        stale = cur
-                    _POOLS[key] = self
-                    self._in_registry = True
-            if stale is not None:
-                # displaced dead pool: drain/sweep its resources like
-                # get_pool does, or its registry-recorded shm names
-                # would never be unlinked
-                stale.shutdown(forget=False)  # repro: allow(lock-discipline) -- stale is dead (not alive/never_started, checked under _POOLS_LOCK), so its workers hold no locks and its RLock is uncontended; ordering with our held _lock cannot deadlock
 
-    def shutdown(self, *, forget: bool = True) -> None:
+    def shutdown(self) -> None:
         """Stop the workers and reclaim every transport resource.
 
-        ``forget=False`` keeps the pool in the process-wide registry —
-        used by :meth:`ensure_started` when tearing down dead workers
-        immediately before respawning them.
+        The pool keeps its registry slot: a later dispatch through this
+        object respawns it in place, and :func:`get_pool` replaces it.
         """
         with self._lock:
-            self._shutdown_locked(forget=forget)
-
-    def _shutdown_locked(self, *, forget: bool) -> None:
-        if self._procs is None:
-            return
-        procs, self._procs = self._procs, None
-        stop = pickle.dumps(("stop",), protocol=_PICKLE)
-        for q in self._cmd_qs:
-            try:
-                q.put(stop)
-            except (OSError, ValueError):  # pragma: no cover - closing
-                pass
-        _teardown_procs(
-            procs, self._mailboxes, self._results_q, self._registry_q, self._registered
-        )
-        self._registered = set()
-        for q in self._cmd_qs:
-            q.close()
-        if forget:
-            _forget(self)
+            if self._procs is None:
+                return
+            procs, self._procs = self._procs, None
+            stop = pickle.dumps(("stop",), protocol=_PICKLE)
+            for q in self._cmd_qs:
+                try:
+                    q.put(stop)
+                except (OSError, ValueError):  # pragma: no cover - closing
+                    pass
+            _teardown_procs(
+                procs, self._mailboxes, self._results_q, self._registry_q, self._registered
+            )
+            self._registered = set()
+            for q in self._cmd_qs:
+                q.close()
 
     # ------------------------------------------------------------------
     # dispatch
@@ -529,21 +475,11 @@ class RankPool:
                     _drain_mailbox(q)
                 self._sweep()
             rank, _job, _ok, desc, _rep = min(failures, key=lambda o: o[0])
-            self._retire_if_orphaned()
             raise RuntimeError(f"rank {rank} failed: {desc}")
         results = [unpack(outcomes[r][3]) for r in range(self.nranks)]
         reports: list[RankReport] = [outcomes[r][4] for r in range(self.nranks)]
         self._sweep()
-        self._retire_if_orphaned()
         return SPMDRun(results, reports)
-
-    def _retire_if_orphaned(self) -> None:
-        """Shut down a revived registry pool that lost its slot to a
-        live replacement — nothing re-acquires it (``ProcessBackend``
-        always goes through ``get_pool``), so without this its workers
-        would idle unowned for the rest of the process."""
-        if self._origin_registry and not self._in_registry:
-            self._shutdown_locked(forget=False)
 
     def _collect(self, job: int, timeout: float) -> dict[int, tuple]:
         """One outcome per rank; stops early (1s grace) once a rank fails."""
@@ -623,53 +559,37 @@ class RankPool:
 
 
 # ----------------------------------------------------------------------
-# process-wide pool registry (LRU, capped by REPRO_VMPI_POOL_MAX)
+# process-wide pool registry: one pool per shape until exit
 # ----------------------------------------------------------------------
-_POOLS: "OrderedDict[tuple, RankPool]" = OrderedDict()
-#: guards _POOLS only. Lock order is always pool._lock -> _POOLS_LOCK
-#: (shutdown -> _forget); pools to shut down are collected under the
-#: registry lock but torn down after releasing it, never the reverse.
+_POOLS: dict[tuple, RankPool] = {}
+#: guards _POOLS only, and is a leaf: nothing is called while holding
+#: it, and no pool method takes it. A dead pool found under it is torn
+#: down after releasing it.
 _POOLS_LOCK = make_lock("vmpi.pool.registry")
 _ATEXIT_REGISTERED = False
 
 
 def get_pool(nranks: int, start_method: str, min_shm_bytes: int) -> RankPool:
-    """The shared pool for this shape, started; LRU-evicts beyond the cap."""
+    """The shared pool for this shape, started."""
     global _ATEXIT_REGISTERED
     key = (int(nranks), start_method, int(min_shm_bytes))
-    evict: list[RankPool] = []
+    dead = None
     with _POOLS_LOCK:
         pool = _POOLS.get(key)
-        # reuse live pools AND freshly inserted ones another thread has
-        # not finished starting (ensure_started below is idempotent)
-        if pool is not None and (pool.alive or pool.never_started):
-            _POOLS.move_to_end(key)
-        else:
-            if pool is not None:  # dead pool: replace it
-                evict.append(_POOLS.pop(key))
-            pool = RankPool(nranks, start_method, min_shm_bytes)
-            pool._origin_registry = pool._in_registry = True
-            _POOLS[key] = pool
-            # LRU-evict beyond the cap, skipping pinned pools (their
-            # ranks back factorizations resident in a serving cache);
-            # if every candidate is pinned the cap is allowed to bulge
-            while len(_POOLS) > vmpi_pool_max():
-                victim_key = next(
-                    (k for k, cand in _POOLS.items() if not cand.pinned and cand is not pool),
-                    None,
-                )
-                if victim_key is None:
-                    break
-                evict.append(_POOLS.pop(victim_key))
-        for old in evict:
-            old._in_registry = False
+        # reuse a live pool AND one another thread has not finished
+        # starting (ensure_started below is idempotent)
+        if pool is None or not (pool.alive or pool.never_started):
+            dead = pool
+            pool = _POOLS[key] = RankPool(nranks, start_method, min_shm_bytes)
         if not _ATEXIT_REGISTERED:
             # registered after multiprocessing's own atexit hook, so
             # (LIFO) this runs first, while worker teardown still works
             atexit.register(shutdown_all_pools)
             _ATEXIT_REGISTERED = True
-    for old in evict:
-        old.shutdown()
+    if dead is not None:
+        # reap a killed cohort's survivors and unlink the shm names it
+        # registered; a no-op for a pool that was already shut down
+        dead.shutdown()
     pool.ensure_started()
     return pool
 
@@ -701,20 +621,10 @@ def pools_health() -> list[dict]:
             "start_method": pool.start_method,
             "workers": len(procs) if procs is not None else 0,
             "alive": alive,
-            "pinned": pool.pinned,
             "jobs_run": pool.jobs_run,
             "generation": pool.generation,
         })
     return out
-
-
-def _forget(pool: RankPool) -> None:
-    """Drop a pool from the registry (called from ``shutdown``)."""
-    with _POOLS_LOCK:
-        pool._in_registry = False
-        for key, cached in list(_POOLS.items()):
-            if cached is pool:
-                del _POOLS[key]
 
 
 def shutdown_all_pools() -> None:
@@ -722,7 +632,5 @@ def shutdown_all_pools() -> None:
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
         _POOLS.clear()
-        for pool in pools:
-            pool._in_registry = False
     for pool in pools:
         pool.shutdown()

@@ -383,12 +383,8 @@ class ProcessBackend(ExecutionBackend):
 
     @property
     def pool(self):
-        """The :class:`~repro.vmpi.pool.RankPool` of the last dispatch.
-
-        ``None`` before the first ``run``. Holders of long-lived
-        factorizations (the serving cache) pin it so the registry's idle
-        LRU eviction keeps its ranks resident.
-        """
+        """The :class:`~repro.vmpi.pool.RankPool` of the last ``run``
+        through this backend; ``None`` before the first."""
         return self._pool
 
     def __getstate__(self) -> dict:
@@ -412,9 +408,7 @@ class ProcessBackend(ExecutionBackend):
         from repro.vmpi.pool import get_pool
 
         # always (re)acquire through the registry: it returns the same
-        # live pool, refreshing its LRU recency so an actively used pool
-        # is never the eviction candidate, and it replaces dead pools
-        # transparently
+        # live pool and replaces a dead one transparently
         self._pool = get_pool(nranks, self.start_method, self.min_shm_bytes)
         return self._pool.run(
             fn, args, cost_model=cost_model, copy_payloads=copy_payloads, timeout=timeout

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,19 @@ from repro.kernels.helmholtz import gaussian_bump
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def factor_mode():
+    """Sweep mode of the factorizations a test builds with ``srs_opts``;
+    a module's ``TestBatched`` twin overrides it to ``"batched"``."""
+    return "strict"
+
+
+@pytest.fixture
+def srs_opts(factor_mode):
+    """``SRSOptions`` with the run's sweep mode filled in."""
+    return functools.partial(SRSOptions, factor_mode=factor_mode)
 
 
 @pytest.fixture(scope="session")

@@ -376,8 +376,7 @@ def test_shared_execution_bitwise_matches_sequential(volume):
     """The box-coloring comparator runs the same sequential core.
 
     The comparator factors strict by construction (it measures per-box
-    task durations), so the sequential reference pins strict too —
-    bitwise identity must hold regardless of REPRO_FACTOR_MODE.
+    task durations), so the sequential reference pins strict too.
     """
     prob, b, _ = volume
     seq = solve(prob, b, SolveConfig(execution="sequential", factor_mode="strict"))

@@ -116,15 +116,6 @@ def test_strict_bitwise_reproducible(gaussian16):
     assert _record_state(a) == _record_state(b)
 
 
-def test_auto_defaults_to_strict_bitwise(gaussian16, monkeypatch):
-    monkeypatch.delenv("REPRO_FACTOR_MODE", raising=False)
-    auto = srs_factor(gaussian16, opts=SRSOptions(tol=1e-8, leaf_size=16))
-    strict = srs_factor(
-        gaussian16, opts=SRSOptions(tol=1e-8, leaf_size=16, factor_mode="strict")
-    )
-    assert _record_state(auto) == _record_state(strict)
-
-
 def test_batched_deterministic(gaussian16):
     opts = SRSOptions(tol=1e-8, leaf_size=16, factor_mode="batched")
     a = srs_factor(gaussian16, opts=opts)
@@ -132,22 +123,20 @@ def test_batched_deterministic(gaussian16):
     assert _record_state(a) == _record_state(b)
 
 
-def test_env_knob_resolves_auto(monkeypatch):
-    opts = SRSOptions()
-    monkeypatch.delenv("REPRO_FACTOR_MODE", raising=False)
-    assert opts.resolved_factor_mode() == "strict"
-    monkeypatch.setenv("REPRO_FACTOR_MODE", "batched")
-    assert opts.resolved_factor_mode() == "batched"
-    # explicit settings win over the environment
-    assert SRSOptions(factor_mode="strict").resolved_factor_mode() == "strict"
-    monkeypatch.setenv("REPRO_FACTOR_MODE", "sideways")
-    with pytest.raises(ValueError, match="REPRO_FACTOR_MODE"):
-        opts.resolved_factor_mode()
-
-
 def test_unknown_factor_mode_rejected():
     with pytest.raises(ValueError, match="factor_mode"):
         SRSOptions(factor_mode="sideways")
+
+
+def test_auto_is_not_a_factor_mode():
+    """The mode is said once, in the field: no deferral to anything else."""
+    from repro.api.config import SolveConfig
+
+    assert SRSOptions().factor_mode == "strict"
+    with pytest.raises(ValueError, match="factor_mode"):
+        SRSOptions(factor_mode="auto")
+    with pytest.raises(ValueError, match="factor_mode"):
+        SolveConfig(factor_mode="auto")
 
 
 def test_solveconfig_factor_mode_shorthand():
@@ -155,21 +144,22 @@ def test_solveconfig_factor_mode_shorthand():
 
     cfg = SolveConfig(factor_mode="batched")
     assert cfg.srs.factor_mode == "batched"
-    assert SolveConfig().srs.factor_mode == "auto"
+    assert SolveConfig().srs.factor_mode == "strict"
     with pytest.raises(ValueError, match="factor_mode"):
         SolveConfig(factor_mode="sideways")
 
 
-def test_setup_key_incorporates_resolved_mode(monkeypatch):
+def test_setup_key_incorporates_resolved_mode():
+    """Strict and batched configs never share a cached factorization:
+    their setup keys differ; the default config is the strict one."""
     from repro.api.config import SolveConfig
     from repro.api.strategies import _srs_setup_key
 
-    cfg = SolveConfig()  # srs.factor_mode == "auto"
-    monkeypatch.delenv("REPRO_FACTOR_MODE", raising=False)
-    key_strict = _srs_setup_key(cfg)
-    monkeypatch.setenv("REPRO_FACTOR_MODE", "batched")
-    key_batched = _srs_setup_key(cfg)
+    key_strict = _srs_setup_key(SolveConfig(factor_mode="strict"))
+    key_batched = _srs_setup_key(SolveConfig(factor_mode="batched"))
     assert key_strict != key_batched
+    assert _srs_setup_key(SolveConfig()) == key_strict
+    assert _srs_setup_key(SolveConfig(srs=SRSOptions(factor_mode="batched"))) == key_batched
 
 
 # ----------------------------------------------------------------------

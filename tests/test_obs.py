@@ -363,3 +363,36 @@ def test_factor_metrics_accumulate():
     assert boxes_total() > before
     samples = parse_prometheus(render_prometheus())
     assert "repro_solve_total" in samples
+
+
+def test_one_family_per_signal():
+    """Each deleted alias family had a survivor reading the same thing:
+    checked on one factor + pcg solve."""
+    survivors = (
+        "repro_health_krylov_iterations_total",  # was repro_solve_iterations_total
+        "repro_health_skeleton_rank_count",  # was repro_id_compressions_total
+        "repro_health_skeleton_rank_sum",  # was repro_skeleton_rank, per level
+    )
+
+    def totals():
+        samples = parse_prometheus(render_prometheus())
+        return samples, [sum(v for _l, v in samples.get(n, [])) for n in survivors]
+
+    _, before = totals()
+    prob = repro.LaplaceVolumeProblem(m=16)
+    report = repro.solve(prob, prob.random_rhs(0), method="pcg")
+    samples, after = totals()
+    ranks = report.factorization.stats.ranks.values()
+    assert report.iterations > 0
+    assert [a - b for a, b in zip(after, before)] == [
+        report.iterations,
+        sum(len(level) for level in ranks),  # one ID per compressed box
+        sum(sum(level) for level in ranks),
+    ]
+    for alias in (
+        "repro_solve_iterations_total",
+        "repro_service_rejected_total",
+        "repro_id_compressions_total",
+        "repro_skeleton_rank_count",
+    ):
+        assert alias not in samples

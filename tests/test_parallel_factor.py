@@ -20,18 +20,18 @@ def relres(a, x, b):
 
 
 @pytest.mark.parametrize("p", [1, 4, 16])
-def test_gaussian_all_p_machine_precision(p, rng):
+def test_gaussian_all_p_machine_precision(p, rng, srs_opts):
     m = 32
     k = GaussianKernelMatrix(uniform_grid(m), 1.0 / m, sigma=0.05, shift=1.0)
     a = dense_matrix(k)
     b = rng.standard_normal(k.n)
-    fact = parallel_srs_factor(k, p, opts=SRSOptions(tol=1e-10, leaf_size=16))
+    fact = parallel_srs_factor(k, p, opts=srs_opts(tol=1e-10, leaf_size=16))
     assert relres(a, fact.solve(b), b) < 1e-10
 
 
 @pytest.mark.parametrize("p", [1, 4])
-def test_laplace_matches_sequential_quality(p, laplace32, laplace32_dense, rng):
-    opts = SRSOptions(tol=1e-9, leaf_size=32)
+def test_laplace_matches_sequential_quality(p, laplace32, laplace32_dense, rng, srs_opts):
+    opts = srs_opts(tol=1e-9, leaf_size=32)
     seq = srs_factor(laplace32, opts=opts)
     par = parallel_srs_factor(laplace32, p, opts=opts)
     b = rng.standard_normal(laplace32.n)
@@ -40,22 +40,22 @@ def test_laplace_matches_sequential_quality(p, laplace32, laplace32_dense, rng):
     assert r_par < 10 * r_seq + 1e-12
 
 
-def test_helmholtz_parallel(helmholtz24, helmholtz24_dense, rng):
-    fact = parallel_srs_factor(helmholtz24, 4, opts=SRSOptions(tol=1e-8, leaf_size=36))
+def test_helmholtz_parallel(helmholtz24, helmholtz24_dense, rng, srs_opts):
+    fact = parallel_srs_factor(helmholtz24, 4, opts=srs_opts(tol=1e-8, leaf_size=36))
     b = rng.standard_normal(helmholtz24.n) + 1j * rng.standard_normal(helmholtz24.n)
     assert relres(helmholtz24_dense, fact.solve(b), b) < 1e-6
 
 
-def test_p1_identical_to_sequential(gaussian16, rng):
-    opts = SRSOptions(tol=1e-8, leaf_size=16)
+def test_p1_identical_to_sequential(gaussian16, rng, srs_opts):
+    opts = srs_opts(tol=1e-8, leaf_size=16)
     seq = srs_factor(gaussian16, opts=opts)
     par = parallel_srs_factor(gaussian16, 1, opts=opts)
     b = rng.standard_normal(gaussian16.n)
     assert np.allclose(seq.solve(b), par.solve(b), rtol=1e-13, atol=1e-15)
 
 
-def test_eliminated_count(gaussian16):
-    fact = parallel_srs_factor(gaussian16, 4, opts=SRSOptions(tol=1e-8, leaf_size=16))
+def test_eliminated_count(gaussian16, srs_opts):
+    fact = parallel_srs_factor(gaussian16, 4, opts=srs_opts(tol=1e-8, leaf_size=16))
     assert fact.eliminated_count() == gaussian16.n
 
 
@@ -66,24 +66,24 @@ def test_invalid_p_rejected(gaussian16):
         parallel_srs_factor(gaussian16, 8)
 
 
-def test_p_too_large_for_tree(gaussian16):
+def test_p_too_large_for_tree(gaussian16, srs_opts):
     with pytest.raises(ValueError):
-        parallel_srs_factor(gaussian16, 64, opts=SRSOptions(leaf_size=16), nlevels=3)
+        parallel_srs_factor(gaussian16, 64, opts=srs_opts(leaf_size=16), nlevels=3)
 
 
-def test_neighbor_only_communication(laplace32):
+def test_neighbor_only_communication(laplace32, srs_opts):
     """Every rank talks only to grid-adjacent ranks (+ rank 0 for setup
     and the reduction chain) — the paper's central claim."""
     p = 16
-    fact = parallel_srs_factor(laplace32, p, opts=SRSOptions(tol=1e-6, leaf_size=16))
+    fact = parallel_srs_factor(laplace32, p, opts=srs_opts(tol=1e-6, leaf_size=16))
     # reports exist for all ranks and message counts are modest:
     # O(log N + log p) per rank, far below all-to-all (p-1 per phase)
     run = fact.factor_run
     assert run.max_messages_per_rank() < 200
 
 
-def test_stats_match_sequential_totals(laplace32):
-    opts = SRSOptions(tol=1e-6, leaf_size=32)
+def test_stats_match_sequential_totals(laplace32, srs_opts):
+    opts = srs_opts(tol=1e-6, leaf_size=32)
     seq = srs_factor(laplace32, opts=opts)
     par = parallel_srs_factor(laplace32, 4, opts=opts)
     for level in seq.stats.levels():
@@ -95,24 +95,38 @@ def test_stats_match_sequential_totals(laplace32):
         assert abs(s_seq - s_par) <= max(5, 0.1 * s_seq)
 
 
-def test_timing_fields(gaussian16):
-    fact = parallel_srs_factor(gaussian16, 4, opts=SRSOptions(tol=1e-8, leaf_size=16))
+def test_timing_fields(gaussian16, srs_opts):
+    fact = parallel_srs_factor(gaussian16, 4, opts=srs_opts(tol=1e-8, leaf_size=16))
     assert fact.t_fact > 0
     assert fact.t_fact_comp >= 0
     assert fact.t_fact_other >= 0
     assert fact.t_fact == pytest.approx(fact.t_fact_comp + fact.t_fact_other, rel=1e-6)
 
 
-def test_deeper_tree_with_reduction_chain(rng):
+def test_deeper_tree_with_reduction_chain(rng, srs_opts):
     """p=16 on a 4-level tree exercises two 4-to-1 reductions."""
     m = 32
     k = GaussianKernelMatrix(uniform_grid(m), 1.0 / m, sigma=0.03, shift=1.0)
     a = dense_matrix(k)
-    fact = parallel_srs_factor(k, 16, opts=SRSOptions(tol=1e-10, leaf_size=8), nlevels=4)
+    fact = parallel_srs_factor(k, 16, opts=srs_opts(tol=1e-10, leaf_size=8), nlevels=4)
     b = rng.standard_normal(k.n)
     assert relres(a, fact.solve(b), b) < 1e-9
 
 
-def test_memory_accounting(gaussian16):
-    fact = parallel_srs_factor(gaussian16, 4, opts=SRSOptions(tol=1e-8, leaf_size=16))
+def test_memory_accounting(gaussian16, srs_opts):
+    fact = parallel_srs_factor(gaussian16, 4, opts=srs_opts(tol=1e-8, leaf_size=16))
     assert fact.memory_bytes() > 0
+
+
+class TestBatched:
+    """Every check of this module again, with each factorization built
+    by the level-batched sweep instead of the strict one."""
+
+    @pytest.fixture(scope="class")
+    def factor_mode(self):
+        return "batched"
+
+
+for _name, _check in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestBatched, _name, staticmethod(_check))

@@ -10,12 +10,16 @@ from repro.parallel import parallel_srs_factor
 from repro.vmpi import INTER_NODE
 
 
-@pytest.fixture(scope="module")
-def pfact():
+def _pfact(factor_mode):
     m = 32
     k = GaussianKernelMatrix(uniform_grid(m), 1.0 / m, sigma=0.05, shift=1.0)
-    fact = parallel_srs_factor(k, 4, opts=SRSOptions(tol=1e-10, leaf_size=32))
-    return k, dense_matrix(k), fact
+    opts = SRSOptions(tol=1e-10, leaf_size=32, factor_mode=factor_mode)
+    return k, dense_matrix(k), parallel_srs_factor(k, 4, opts=opts)
+
+
+@pytest.fixture(scope="module")
+def pfact():
+    return _pfact("strict")
 
 
 def test_multiple_rhs(pfact, rng):
@@ -74,12 +78,12 @@ def test_solve_cheaper_than_factor(pfact, rng):
     assert fact.t_solve < fact.t_fact
 
 
-def test_inter_node_cost_model_slower(rng):
+def test_inter_node_cost_model_slower(rng, srs_opts):
     """Same run under the 1-process-per-node cost model has larger
     t_other (Table VII's contrast)."""
     m = 32
     k = LaplaceKernelMatrix(uniform_grid(m), 1.0 / m)
-    opts = SRSOptions(tol=1e-6, leaf_size=32)
+    opts = srs_opts(tol=1e-6, leaf_size=32)
     fast = parallel_srs_factor(k, 4, opts=opts)
     slow = parallel_srs_factor(k, 4, opts=opts, cost_model=INTER_NODE)
     b = rng.standard_normal(k.n)
@@ -87,3 +91,21 @@ def test_inter_node_cost_model_slower(rng):
     assert np.allclose(x1, x2)  # identical numerics
     # comm bytes identical, simulated comm cost higher or equal
     assert slow.factor_run.total_bytes == fast.factor_run.total_bytes
+
+
+class TestBatched:
+    """Every check of this module again, with each factorization built
+    by the level-batched sweep instead of the strict one."""
+
+    @pytest.fixture(scope="class")
+    def factor_mode(self):
+        return "batched"
+
+    @pytest.fixture(scope="class")
+    def pfact(self):
+        return _pfact("batched")
+
+
+for _name, _check in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestBatched, _name, staticmethod(_check))

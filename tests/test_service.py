@@ -212,25 +212,19 @@ def test_lru_order_and_byte_budget():
 
 
 def test_build_finishing_after_close_is_released():
-    """A factorization completing post-close never stays pinned/resident."""
+    """A factorization completing post-close never stays resident: its
+    worker-side shards are dropped like an evicted entry's."""
     cache = FactorizationCache(max_bytes=1 << 20)
     gate = threading.Event()
     results = []
+    dropped = []
 
-    class Pool:
-        pins = 0
-
-        def pin(self):
-            Pool.pins += 1
-
-        def unpin(self):
-            Pool.pins -= 1
-
-    class Backend:
-        pool = Pool()
+    class Handle:
+        def drop(self):
+            dropped.append(True)
 
     class Fact:
-        backend = Backend()
+        resident = Handle()
 
         def memory_bytes(self):
             return 10
@@ -249,7 +243,7 @@ def test_build_finishing_after_close_is_released():
     t.join(10)
     assert results and results[0].fact is not None  # the caller still gets it
     assert len(cache) == 0  # but nothing stays resident
-    assert Pool.pins == 0  # and the pool pin was released
+    assert dropped == [True]  # and the rank workers let go of it
 
 
 def test_oversized_entry_stays_resident():
@@ -265,15 +259,15 @@ def test_oversized_entry_stays_resident():
 
 
 @needs_process
-def test_process_eviction_frees_shm_and_unpins_pool(prob):
+def test_process_eviction_frees_shm(prob):
     before = _shm_blocks()
     cfg = SolveConfig(method="direct", execution="process", ranks=4)
     svc = SolveService(workers=4, batch_window=0.005, batch_mode="strict")
     r1 = svc.solve(prob, prob.random_rhs(0), cfg)
     ref = repro.solve(prob, prob.random_rhs(0), cfg)
     assert np.array_equal(r1.x, ref.x)
-    pools = [p for p in active_pools() if p.pinned]
-    assert pools, "cached process factorization must pin its pool"
+    pool = r1.factorization.backend.pool
+    assert pool in active_pools() and pool.alive
     fact_ref = weakref.ref(r1.factorization)
     # evict by shrinking the budget and inserting another entry
     svc.cache.max_bytes = 1
@@ -284,28 +278,9 @@ def test_process_eviction_frees_shm_and_unpins_pool(prob):
     del r1, ref
     gc.collect()
     assert fact_ref() is None
-    assert not any(p.pinned for p in active_pools())
+    # the ranks outlive every entry they served: one pool per shape until exit
+    assert pool in active_pools() and pool.alive and pool.spawn_count == 4
     assert _shm_blocks() == before  # eviction leaves /dev/shm as found
-
-
-@needs_process
-def test_pinned_pool_survives_registry_pressure(monkeypatch, prob):
-    """The pool LRU never tears down a pool backing a cached entry."""
-    import repro.vmpi.pool as pool_mod
-
-    cfg = SolveConfig(method="direct", execution="process", ranks=4)
-    with SolveService(workers=2, batch_window=0.0) as svc:
-        svc.solve(prob, prob.random_rhs(0), cfg)
-        pinned = [p for p in active_pools() if p.pinned]
-        assert len(pinned) == 1
-        monkeypatch.setattr(pool_mod, "vmpi_pool_max", lambda: 1)
-        # creating another pool shape would evict the LRU; the pinned
-        # pool must be skipped
-        other = pool_mod.get_pool(1, pinned[0].start_method, pinned[0].min_shm_bytes)
-        try:
-            assert pinned[0].alive
-        finally:
-            other.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +327,31 @@ def test_default_rhs_and_report_shape(prob):
     assert d["batch_size"] == 1
     assert "t_queue" in d
     assert report.relres < 1e-2
+
+
+def test_direct_report_is_the_facade_report(prob):
+    """One report constructor: a direct request through the service
+    carries the health rows and bumps ``repro_solve_total`` exactly as
+    ``repro.solve`` does (it used to do neither)."""
+    from repro.obs import REGISTRY
+
+    solves = REGISTRY.counter("repro_solve_total", labelnames=("method", "execution"))
+
+    def count():
+        return solves.value(method="direct", execution="sequential")
+
+    b = prob.random_rhs(0)
+    before = count()
+    ref = repro.solve(prob, b)
+    assert count() == before + 1
+    with SolveService(workers=2, batch_window=0.0) as svc:
+        report = svc.solve(prob, b)
+        assert count() == before + 2
+        refined = svc.solve(prob, b, method="pcg")
+    assert ref.health is not None and ref.health.levels
+    assert report.health == ref.health
+    assert report.memory_bytes == ref.memory_bytes
+    assert refined.health.levels == ref.health.levels and refined.health.iterations > 0
 
 
 def test_stats_snapshot_sanity(prob):

@@ -208,6 +208,34 @@ def test_unknown_field_is_rejected_with_field_name(server):
     assert payload["request_id"]
 
 
+def test_auto_factor_mode_is_rejected_as_a_bad_field(server):
+    body = {
+        "problem": {"type": "laplace_volume", "m": 16},
+        "srs": {"factor_mode": "auto"},
+    }
+    status, payload = _request(server, "POST", "/solve", body)
+    assert status == 400
+    assert payload["code"] == "bad_field" and payload["field"] == "config"
+    assert "factor_mode" in payload["error"]
+
+
+def test_direct_request_carries_health_and_is_counted(server):
+    """The coalesced direct path builds its report where the facade
+    does: same health rows, same ``repro_solve_total`` bump."""
+    from repro.obs import REGISTRY
+
+    solves = REGISTRY.counter("repro_solve_total", labelnames=("method", "execution"))
+    before = solves.value(method="direct", execution="sequential")
+    body = {"problem": {"type": "laplace_volume", "m": 16}, "rhs": {"seed": 5}}
+    status, payload = _request(server, "POST", "/solve", body)
+    assert status == 200
+    assert solves.value(method="direct", execution="sequential") == before + 1
+    prob = repro.LaplaceVolumeProblem(16)
+    ref = repro.solve(prob, prob.random_rhs(5))
+    assert payload["report"]["health"] == ref.health.to_dict()
+    assert payload["report"]["health"]["levels"]
+
+
 def test_malformed_json_body(server):
     status, _headers, data = _request_full(
         server, "POST", "/solve", raw="{not json"

@@ -79,13 +79,12 @@ def test_speedup_monotone_in_threads():
         one.schedule(0)
 
 
-def test_comparator_pins_strict_in_its_own_options(monkeypatch):
+def test_comparator_pins_strict_in_its_own_options():
     # per-box durations exist for the singleton schedule only; the
     # comparator says so in the options it factors with, instead of the
     # sweep overriding the caller's mode when handed a task_times list
-    monkeypatch.setenv("REPRO_FACTOR_MODE", "batched")
     k = LaplaceKernelMatrix(uniform_grid(16), 1.0 / 16)
-    opts = SRSOptions(tol=1e-6, leaf_size=16)
+    opts = SRSOptions(tol=1e-6, leaf_size=16, factor_mode="batched")
     res = shared_memory_factor(k, 4, opts)
     assert res.factorization.opts.factor_mode == "strict"
     boxes = {(rec.level, rec.box) for rec in res.factorization.records}

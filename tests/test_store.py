@@ -570,6 +570,7 @@ def test_resident_solve_dispatches_o_rhs_bytes():
 @needs_process
 def test_worker_respawn_rematerializes_shards():
     from repro.store.resident import _SEEDS
+    from repro.vmpi.pool import get_pool
 
     prob = LaplaceVolumeProblem(m=24)
     fact = repro.solve(
@@ -580,18 +581,48 @@ def test_worker_respawn_rematerializes_shards():
     pool = fact.backend.pool
     gen = pool.generation
 
-    pool.shutdown(forget=False)  # simulate worker death / pool teardown
+    pool.shutdown()  # simulate worker death / pool teardown
     seeds_before = _SEEDS.value()
     x2 = fact.solve(b)  # new cohort -> reseed -> solve, same bits
     assert np.array_equal(x1, x2)
     # the handle saw a different cohort: a replacement pool object, or
     # the same object respawned with a bumped generation
-    new_pool = fact.backend.pool
+    new_pool = get_pool(pool.nranks, pool.start_method, pool.min_shm_bytes)
     assert new_pool is not pool or new_pool.generation > gen
     assert new_pool.alive
     assert _SEEDS.value() == seeds_before + 1
     fact.resident.drop()
-    fact.backend.pool.shutdown()
+    new_pool.shutdown()
+
+
+@needs_process
+def test_resident_cap_evicts_then_reseeds_on_miss():
+    """One factorization past ``RESIDENT_MAX`` pushes the oldest shards
+    out of every rank; solving against it again misses worker-side,
+    reseeds once and returns the thread backend's bits."""
+    from repro.store.resident import _RES_MISSES, _SEEDS, RESIDENT_MAX
+
+    prob = LaplaceVolumeProblem(m=16)
+    cfg = dict(method="direct", ranks=4, srs=repro.SRSOptions(leaf_size=16))
+    b = prob.random_rhs(3)
+    facts = [
+        repro.solve(prob, b, execution="process", **cfg).factorization
+        for _ in range(RESIDENT_MAX + 1)
+    ]
+    try:
+        pool = facts[0].backend.pool
+        resident = pool.run(_resident_ids_prog, ()).results
+        assert all(len(ids) == RESIDENT_MAX for ids in resident)
+        assert all(facts[0].resident.entry_id not in ids for ids in resident)
+        misses, seeds = _RES_MISSES.value(), _SEEDS.value()
+        x = facts[0].solve(b)
+        assert (_RES_MISSES.value(), _SEEDS.value()) == (misses + 1, seeds + 1)
+        assert np.array_equal(x, repro.solve(prob, b, execution="thread", **cfg).x)
+        facts[1].solve(b)  # displaced by the reseed in its turn: same path
+        assert (_RES_MISSES.value(), _SEEDS.value()) == (misses + 2, seeds + 2)
+    finally:
+        for fact in facts:
+            fact.resident.drop()
 
 
 # ----------------------------------------------------------------------
@@ -656,15 +687,14 @@ def test_http_429_overloaded(tmp_path):
 def test_rejected_total_counter_increments():
     from repro.obs import REGISTRY
 
-    counter = REGISTRY.counter(
-        "repro_service_rejected_total",
-        "Requests refused by admission control (pending queue at max_pending)",
-    )
+    # the one family admission control reports into
+    counter = REGISTRY.counter("repro_service_events_total", labelnames=("kind",))
     prob = LaplaceVolumeProblem(m=16)
     with SolveService(max_pending=1, store_dir=None) as service:
-        before = counter.value()
+        before = counter.value(kind="rejected")
         assert service._stats.admit(1)
         with pytest.raises(ServiceOverloadedError):
             service.submit(prob, prob.random_rhs(0))
-        assert counter.value() == before + 1
+        assert counter.value(kind="rejected") == before + 1
+        assert service.stats().rejected == 1
         service._stats.release()

@@ -59,18 +59,6 @@ def test_vmpi_shm_min_bytes_config(monkeypatch):
         vmpi_shm_min_bytes()
 
 
-def test_vmpi_pool_max_config(monkeypatch):
-    from repro.util.config import vmpi_pool_max
-
-    monkeypatch.delenv("REPRO_VMPI_POOL_MAX", raising=False)
-    assert vmpi_pool_max() == 4
-    monkeypatch.setenv("REPRO_VMPI_POOL_MAX", "1")
-    assert vmpi_pool_max() == 1
-    monkeypatch.setenv("REPRO_VMPI_POOL_MAX", "0")
-    with pytest.raises(ValueError):
-        vmpi_pool_max()
-
-
 def test_obs_config(monkeypatch):
     from repro.util.config import obs_enabled, obs_trace_path
 

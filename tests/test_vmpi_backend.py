@@ -167,8 +167,11 @@ def _empty_send_prog(comm):
 def test_process_backend_zero_threshold_run():
     from repro.vmpi import ProcessBackend
 
-    run = run_spmd(2, _empty_send_prog, backend=ProcessBackend(min_shm_bytes=0))
-    assert run.results[1] == 0
+    be = ProcessBackend(min_shm_bytes=0)
+    try:
+        assert run_spmd(2, _empty_send_prog, backend=be).results[1] == 0
+    finally:
+        be.pool.shutdown()  # an odd shape: nothing else would retire it
 
 
 @needs_process
@@ -655,7 +658,11 @@ def test_process_backend_spawn_parity():
     args, and queues all cross by pickling. Results and counters must
     match the thread backend exactly."""
     t = run_spmd(2, _mutate_after_send_prog, backend="thread")
-    p = run_spmd(2, _mutate_after_send_prog, backend=ProcessBackend(start_method="spawn"))
+    be = ProcessBackend(start_method="spawn")
+    try:
+        p = run_spmd(2, _mutate_after_send_prog, backend=be)
+    finally:
+        be.pool.shutdown()  # an odd shape: nothing else would retire it
     assert t.results == p.results
     for rt, rp in zip(t.reports, p.reports):
         assert (rt.messages_sent, rt.bytes_sent) == (rp.messages_sent, rp.bytes_sent)

@@ -176,26 +176,28 @@ def test_closure_program_raises_dispatch_encode_error(start_method):
         pytest.skip("spawn start method unavailable")
     before = _shm_blocks()
     be = ProcessBackend(start_method=start_method)
-    assert run_spmd(2, _pid_prog, backend=be).results
-    pool = be.pool
-    jobs, spawns = pool.jobs_run, pool.spawn_count
-    local = np.arange(4000.0)
+    try:
+        assert run_spmd(2, _pid_prog, backend=be).results
+        pool = be.pool
+        jobs, spawns = pool.jobs_run, pool.spawn_count
+        local = np.arange(4000.0)
 
-    def prog(comm):  # closure over `local`: unpicklable by reference
-        return float(local.sum()) + comm.rank
+        def prog(comm):  # closure over `local`: unpicklable by reference
+            return float(local.sum()) + comm.rank
 
-    with pytest.raises(DispatchEncodeError, match='module level.*backend="thread"') as err:
-        run_spmd(2, prog, backend=be)
-    assert "prog" in str(err.value)
-    with pytest.raises(DispatchEncodeError, match="argument of rank program '_echo_prog'"):
-        run_spmd(2, _echo_prog, lambda: 1.0, backend=be)
-    assert be.pool is pool and pool.alive
-    assert (pool.jobs_run, pool.spawn_count) == (jobs, spawns)
-    assert pool.registered_shm_names() == set() and _shm_blocks() == before
-    assert run_spmd(2, _pid_prog, backend=be).results  # still dispatches
-    assert (pool.jobs_run, pool.spawn_count) == (jobs + 1, spawns)
-    if start_method == "spawn":
-        pool.shutdown()
+        with pytest.raises(DispatchEncodeError, match='module level.*backend="thread"') as err:
+            run_spmd(2, prog, backend=be)
+        assert "prog" in str(err.value)
+        with pytest.raises(DispatchEncodeError, match="argument of rank program '_echo_prog'"):
+            run_spmd(2, _echo_prog, lambda: 1.0, backend=be)
+        assert be.pool is pool and pool.alive
+        assert (pool.jobs_run, pool.spawn_count) == (jobs, spawns)
+        assert pool.registered_shm_names() == set() and _shm_blocks() == before
+        assert run_spmd(2, _pid_prog, backend=be).results  # still dispatches
+        assert (pool.jobs_run, pool.spawn_count) == (jobs + 1, spawns)
+    finally:
+        if start_method == "spawn":  # an odd shape: nothing else would retire it
+            be.pool.shutdown()
 
 
 def test_unpicklable_kernel_raises_dispatch_encode_error():
@@ -313,43 +315,136 @@ def test_pool_restarts_after_worker_death():
     assert _shm_blocks() - before == set()
 
 
-def test_revived_registry_pool_reclaims_or_retires():
-    """A registry pool revived after a concurrent idle-eviction must
-    reclaim its slot when free — and self-retire after its job when a
-    live replacement owns the slot, never idling unowned workers."""
+# ----------------------------------------------------------------------
+# the registry: one pool per shape until exit
+# ----------------------------------------------------------------------
+def test_get_pool_is_single_flight_per_shape():
+    """Two threads asking for one never-seen shape get one pool object
+    whose workers were spawned exactly once."""
+    import threading
+
     from repro.vmpi.pool import get_pool
 
     start = ProcessBackend().start_method
-    pool = get_pool(2, start, 3333)
-    assert pool._in_registry and pool._origin_registry
-    pool.shutdown()  # simulates the eviction: deregistered, workers down
-    assert not pool._in_registry and not pool.alive
-    run = pool.run(_pid_prog, ())  # revival; slot free -> reclaimed
-    assert len(run.results) == 2
-    assert pool._in_registry and pool.alive
-    pool.shutdown()
-    replacement = get_pool(2, start, 3333)  # live replacement takes the slot
+    got: list = []
+    barrier = threading.Barrier(2)
+
+    def ask() -> None:
+        barrier.wait()
+        got.append(get_pool(2, start, 1111))
+
+    threads = [threading.Thread(target=ask) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
     try:
-        run = pool.run(_pid_prog, ())  # old pool revives, runs, retires
-        assert len(run.results) == 2
-        assert not pool._in_registry and not pool.alive
-        assert replacement.alive and replacement._in_registry
+        assert len(got) == 2 and got[0] is got[1]
+        assert got[0].alive and got[0].spawn_count == 2
+        assert [p for p in active_pools() if p.min_shm_bytes == 1111] == [got[0]]
     finally:
-        replacement.shutdown()
+        got[0].shutdown()
 
 
-def test_pool_registry_lru_eviction(monkeypatch):
+def test_dead_pool_is_replaced_and_swept():
+    """A pool whose worker was killed is replaced by the next
+    ``get_pool``; the names the old cohort registered are unlinked."""
     from repro.vmpi.pool import get_pool
+    from repro.vmpi.process_backend import _attach_shm, _create_shm
 
-    monkeypatch.setenv("REPRO_VMPI_POOL_MAX", "1")
+    before = _shm_blocks()
     start = ProcessBackend().start_method
-    a = get_pool(2, start, 1111)
-    assert a.alive
-    b = get_pool(2, start, 2222)
-    assert b.alive
-    assert not a.alive  # evicted and shut down
-    assert a not in active_pools() and b in active_pools()
-    b.shutdown()
+    old = get_pool(2, start, 2222)
+    replacement = None
+    try:
+        assert old.run(_pid_prog, ()).results
+        shm = _create_shm(4096)  # what a killed rank's feeder leaves behind
+        name = shm.name
+        shm.close()
+        old._registry_q.put(name)
+        old._procs[0].terminate()
+        old._procs[0].join(timeout=10.0)
+        assert not old.alive
+        replacement = get_pool(2, start, 2222)
+        assert replacement is not old and replacement.alive
+        assert replacement.spawn_count == 2 and old.spawn_count == 2
+        assert not old.alive and old._procs is None  # survivors reaped
+        with pytest.raises(FileNotFoundError):
+            _attach_shm(name)
+        assert [p for p in active_pools() if p.min_shm_bytes == 2222] == [replacement]
+    finally:
+        old.shutdown()
+        if replacement is not None:
+            replacement.shutdown()
+    assert _shm_blocks() == before
+
+
+def test_every_shape_stays_live_until_shutdown_all_pools():
+    """Nothing evicts: five shapes acquired in turn are all still up,
+    with their first cohort, until the exit hook runs."""
+    from repro.vmpi.pool import get_pool, shutdown_all_pools
+
+    before = _shm_blocks()
+    start = ProcessBackend().start_method
+    shapes = [(1, start, 3330 + i) for i in range(5)]
+    try:
+        pools = [get_pool(*shape) for shape in shapes]
+        for pool in pools:
+            assert pool.run(_pid_prog, ()).results
+        assert all(p.alive and p.spawn_count == 1 for p in pools)
+        assert [get_pool(*shape) for shape in shapes] == pools
+        assert set(pools) <= set(active_pools())
+    finally:
+        shutdown_all_pools()
+    assert active_pools() == []
+    assert not any(p.alive for p in pools)
+    assert _shm_blocks() == before
+
+
+def test_two_shapes_from_two_threads_spawn_once_each():
+    """200 dispatches alternating two shapes from two threads: exactly
+    those two pools exist for the shapes afterwards, each on its first
+    cohort. Under ``spawn``: a rank forked while another thread holds
+    an interpreter-internal lock (the resource tracker's, in
+    ``SharedMemory()``) inherits it locked, and this test makes that
+    window wide on purpose."""
+    import multiprocessing
+    import threading
+
+    if "spawn" not in multiprocessing.get_all_start_methods():
+        pytest.skip("spawn start method unavailable")
+    before = _shm_blocks()
+    sizes = (1111, 2222)
+    backends = [ProcessBackend(start_method="spawn", min_shm_bytes=n) for n in sizes]
+    errors: list = []
+
+    def loop(offset: int) -> None:
+        try:
+            for i in range(100):
+                be = backends[(i + offset) % 2]
+                total, _ = run_spmd(2, _echo_prog, 1.0, backend=be).results[0]
+                assert total == 3.0 * np.arange(3000.0).sum()
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=loop, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # widen every check-then-act window
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+        assert not any(t.is_alive() for t in threads) and not errors, errors
+        pools = [p for p in active_pools() if p.min_shm_bytes in sizes]
+        assert sorted(p.min_shm_bytes for p in pools) == list(sizes)
+        assert all(p.alive and p.spawn_count == p.nranks == 2 for p in pools)
+        assert sum(p.jobs_run for p in pools) == 200
+    finally:
+        sys.setswitchinterval(interval)
+        for be in backends:
+            be.pool.shutdown()
+    assert _shm_blocks() == before
 
 
 def test_pool_shutdown_reclaims_everything():
