@@ -15,7 +15,7 @@ from repro.core.options import SRSOptions
 from repro.core.factorization import SRSFactorization, srs_factor
 from repro.core.interactions import InteractionStore
 from repro.core.proxy import proxy_circle, proxy_point_count
-from repro.core.skel import skeletonize_box, BoxRecord
+from repro.core.skel import BoxRecord
 from repro.core.stats import RankStats
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "InteractionStore",
     "proxy_circle",
     "proxy_point_count",
-    "skeletonize_box",
     "BoxRecord",
     "RankStats",
 ]

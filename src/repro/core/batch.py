@@ -1,10 +1,11 @@
-"""Stacked compression for the level sweep: a colour phase as tensor ops.
+"""Stacked compression for the level sweep: a box group as tensor ops.
 
-The strict sweep interleaves three stages per box: gather the
-compression matrix, run the column ID, eliminate. This module is the
-compress stage of the *batched* schedule of
-:func:`repro.core.factorization.sweep_level`, which runs the first two
-stages across boxes:
+Skeletonizing a box has three stages: gather the compression matrix,
+run the column ID, eliminate. This module is the compress stage — the
+first two — of both schedules of
+:func:`repro.core.factorization.sweep_level`. The strict schedule
+passes one box at a time; the batched one passes a colour phase, which
+runs the stages across boxes:
 
 1. **Color** (:func:`color_phases`) — partition the boxes into the nine
    ``(x mod 3, y mod 3)`` classes. Two boxes of one class are Chebyshev
@@ -32,12 +33,11 @@ stages across boxes:
 5. **Prefill** — the near-field pairs the phase's eliminations will
    read are evaluated stacked as well.
 
-The sweep then eliminates the phase's boxes *one at a time, in todo
-order*, through the very same :func:`~repro.core.skel.eliminate_box`
-(sparsification GEMMs, partial LU, BLAS-3 Schur delta) as the strict
-schedule, so the ``InteractionStore`` update contract and the
-``update_log`` replication stream for distributed workers are
-bit-for-bit the strict protocol.
+The sweep then eliminates the group's boxes *one at a time, in todo
+order*, through :func:`~repro.core.skel.eliminate_box` (sparsification
+GEMMs, partial LU, BLAS-3 Schur delta), so the ``InteractionStore``
+update contract and the ``update_log`` replication stream for
+distributed workers are one protocol under both schedules.
 
 Batching reorders *assembly and compression*, not elimination: every
 box still sees exactly the store state a strict per-box sweep over the
@@ -46,8 +46,9 @@ sequential and exact. Reordering a level's eliminations is already part
 of the algorithm's contract (the distributed sweep factors interior
 boxes before boundary boxes), so batched agrees with strict to the ID
 tolerance — the two orders compress identical operators, picking
-skeletons that may differ within tolerance — while
-``factor_mode="strict"`` stays bitwise-reproducible.
+skeletons that may differ within tolerance. The one arithmetic
+difference is the Hermitian row halving, which only the batched
+schedule applies (:func:`_assemble_and_compress`).
 """
 
 from __future__ import annotations
@@ -114,12 +115,13 @@ def compress_phase(
     boxes: list[Coord],
     opts: SRSOptions,
 ) -> dict[Coord, InterpolativeDecomposition]:
-    """Compress one color phase's ``boxes`` (all live) in stacked groups.
+    """Compress ``boxes`` (all live) in stacked groups.
 
-    Returns each box's decomposition — what a per-box compression
-    against the phase-start store would yield — and leaves the
-    near-field pairs the phase's eliminations read materialized in the
-    store.
+    ``boxes`` is one group of the sweep's schedule: a colour phase, or a
+    single box under strict. Returns each box's decomposition — what a
+    per-box compression against the group-start store would yield — and
+    leaves the near-field pairs the group's eliminations read
+    materialized in the store.
     """
     has_far_field = tree.nside(level) >= 4
     plans: list[_BoxPlan] = []
@@ -169,7 +171,8 @@ def _assemble_and_compress(
     # A[B, M]^* duplicate the incoming rows A[M, B] exactly — Schur
     # deltas inherit the symmetry — so one copy carries the full ID
     # constraint set at half the CPQR cost.
-    herm = kernel.hermitian
+    # batched only: halving strict moves relres_max +23 % until it compares like modes
+    herm = kernel.hermitian and opts.factor_mode == "batched"
     #: unmodified pair -> (destination rows, stored conjugate-transposed?)
     block_dests: dict[PairKey, tuple[np.ndarray, bool]] = {}
     proxy_reqs: dict[tuple[int, int], list] = {}
@@ -272,7 +275,7 @@ def batch_pair_blocks(
 
     Modified pairs come straight from the store; unmodified ones are
     pure kernel blocks and get stacked, shape-grouped evaluations. Used
-    by the batched parent assembly, whose reassembly otherwise walks
+    by the parent assembly, whose reassembly otherwise walks
     child pairs one scalar ``kernel.block`` at a time. Returned blocks
     may be store-owned or stack views — callers copy
     (``hstack``/``vstack``) and must not mutate them.

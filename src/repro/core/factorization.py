@@ -11,6 +11,10 @@ whose inverse applies in O(N) (Sec. II-F).
 What happens *inside* a level exists once, here — :func:`sweep_level`
 and :func:`assemble_parents` — behind two outer drivers: ``srs_factor``
 (sequential) and :func:`repro.parallel.worker.factor_worker` (Sec. III).
+Every box is compressed by :func:`repro.core.batch.compress_phase` and
+eliminated by :func:`repro.core.skel.eliminate_box`; the factor modes
+differ in how :func:`sweep_level` groups a level's boxes (and batched
+alone halves a Hermitian kernel's compression rows).
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ import numpy as np
 from repro.core.batch import batch_pair_blocks, color_phases, compress_phase
 from repro.core.interactions import Coord, InteractionStore, PairKey
 from repro.core.options import SRSOptions
-from repro.core.proxy import proxy_points_for_box
 from repro.core.skel import (
-    BoxRecord, eliminate_box, skeletonize_box,
-    sweep_down, sweep_up, sweep_view, unsweep_down, unsweep_up,
+    BoxRecord, eliminate_box, sweep_down, sweep_up, sweep_view, unsweep_down, unsweep_up,
 )
 from repro.core.stats import RankStats
 from repro.kernels.base import KernelMatrix
@@ -160,7 +162,7 @@ def srs_factor(
                 lspan.set(factored=factored)
             if level > 1:
                 with trace.span("factor.transition", level=level):
-                    active, seed_blocks = assemble_parents(store, tree, level, opts)
+                    active, seed_blocks = assemble_parents(store, tree, level)
             else:
                 remaining = sum(v.size for v in store.active.values())
                 if remaining:  # pragma: no cover - indicates an algorithmic bug
@@ -189,26 +191,24 @@ def sweep_level(
     """Skeletonize ``boxes`` at ``level``: the one per-level loop.
 
     The level runs as an ordered *schedule* of box groups; per group the
-    live boxes are compressed, then eliminated one at a time in todo
-    order, each record appended to ``records`` and its rank to
-    ``stats``. ``opts.factor_mode`` picks the schedule:
+    live boxes are compressed together against the group-start store
+    (:func:`~repro.core.batch.compress_phase`), then eliminated one at a
+    time in todo order, each record appended to ``records`` and its
+    rank to ``stats``. ``opts.factor_mode`` picks the schedule:
 
-    * ``strict`` — singletons in todo order; each box is compressed
-      against the store state its predecessors left
-      (:func:`~repro.core.skel.skeletonize_box`);
-    * ``batched`` — the nine mod-3 colour phases; a phase's boxes are
-      compressed together against the phase-start state
-      (:func:`~repro.core.batch.compress_phase`), which the
-      distance-3 independence argument makes exact.
+    * ``strict`` — singletons in todo order;
+    * ``batched`` — the nine mod-3 colour phases, which the distance-3
+      independence argument makes exact.
 
-    Elimination, the store update contract and the ``update_log`` stream
-    are the same under both. Returns the number of boxes factored.
+    Everything else — save the batched-only Hermitian row halving — is
+    the same under both. Returns the number of boxes factored.
 
     ``task_times`` (when a list) collects ``(level, box, seconds)`` per
-    skeletonization — the shared-memory comparator schedules these
-    measured task durations onto simulated threads (Table VI). A per-box
-    duration is defined for the singleton schedule only, so asking for
-    one with batched ``opts`` raises ``ValueError``.
+    skeletonization (compression plus elimination) — the shared-memory
+    comparator schedules these measured task durations onto simulated
+    threads (Table VI). A per-box duration is defined for the singleton
+    schedule only, so asking for one with batched ``opts`` raises
+    ``ValueError``.
     """
     batched = opts.factor_mode == "batched"
     if batched and task_times is not None:
@@ -216,41 +216,26 @@ def sweep_level(
             "task_times needs factor_mode='strict': the batched sweep "
             "compresses a colour phase at once, so there is no per-box duration"
         )
-    has_far_field = tree.nside(level) >= 4
-    side = tree.box_side(level)
     before = len(records)
     for group in color_phases(boxes) if batched else ([box] for box in boxes):
         live = [b for b in group if b in store.active and store.nactive(b) > 0]
         if not live:
             continue
-        # strict compresses per box, below, against the state its predecessor left
-        decs = compress_phase(store, kernel, tree, level, live, opts) if batched else {}
-        for box in live:
-            size_before = store.nactive(box)
-            nbrs = tree.neighbors(level, *box)
-            with stopwatch() as sw:
-                if batched:
-                    with trace.span(
-                        "factor.skeletonize", level=level, box=str(box), size=size_before
-                    ):
-                        rec = eliminate_box(
-                            store, box, nbrs, decs[box], level=level, update_log=update_log
-                        )
-                else:
-                    m_boxes = tree.dist2_neighbors(level, *box) if has_far_field else []
-                    proxy = (
-                        proxy_points_for_box(kernel, tree.box_center(level, *box), side, opts)
-                        if has_far_field
-                        else None
-                    )
-                    rec = skeletonize_box(
-                        store, kernel, box, nbrs, m_boxes, proxy, opts,
+        with stopwatch() as sw:
+            decs = compress_phase(store, kernel, tree, level, live, opts)
+            for box in live:
+                size_before = store.nactive(box)
+                with trace.span(
+                    "factor.skeletonize", level=level, box=str(box), size=size_before
+                ):
+                    rec = eliminate_box(
+                        store, box, tree.neighbors(level, *box), decs[box],
                         level=level, update_log=update_log,
                     )
-            if task_times is not None:
-                task_times.append((level, box, sw.elapsed))
-            stats.record(level, size_before, rec.rank)
-            records.append(rec)
+                stats.record(level, size_before, rec.rank)
+                records.append(rec)
+        if task_times is not None:  # strict: ``live`` is the one box
+            task_times.append((level, live[0], sw.elapsed))
     factored = len(records) - before
     if factored:
         _BOXES_FACTORED.inc(factored, level=str(level))
@@ -261,7 +246,6 @@ def assemble_parents(
     store: InteractionStore,
     tree: QuadTree,
     level: int,
-    opts: SRSOptions,
     own: list[Coord] | None = None,
 ) -> tuple[dict[Coord, np.ndarray], dict[PairKey, np.ndarray]]:
     """Regroup skeletons under parents and reassemble near-field blocks.
@@ -279,10 +263,9 @@ def assemble_parents(
     distance >= 3, which Theorem 2 guarantees are pure kernel — they
     are left to lazy kernel evaluation at the parent level.
 
-    Under batched the unmodified child pairs are evaluated through the
-    stacked kernel API (:func:`repro.core.batch.batch_pair_blocks`)
-    instead of one scalar ``store.get`` at a time; strict keeps the
-    scalar path so its assembly stays bitwise-reproducible.
+    The unmodified child pairs are evaluated through the stacked kernel
+    API (:func:`repro.core.batch.batch_pair_blocks`), whatever the
+    sweep's schedule.
     """
     parent_level = level - 1
     both_orders = own is not None
@@ -316,25 +299,19 @@ def assemble_parents(
                 if both_orders:
                     pairs[p2, p1] = None
 
-    child_block = store.get
-    if opts.factor_mode == "batched":
-        stacked = batch_pair_blocks(
-            store,
-            [
-                (c1, c2)
-                for p1, p2 in pairs
-                for c1 in live_children[p1]
-                for c2 in live_children[p2]
-            ],
-        )
-
-        def child_block(c1: Coord, c2: Coord) -> np.ndarray:
-            return stacked[c1, c2]
-
+    child_blocks = batch_pair_blocks(
+        store,
+        [
+            (c1, c2)
+            for p1, p2 in pairs
+            for c1 in live_children[p1]
+            for c2 in live_children[p2]
+        ],
+    )
     blocks = {
         (p1, p2): np.vstack(
             [
-                np.hstack([child_block(c1, c2) for c2 in live_children[p2]])
+                np.hstack([child_blocks[c1, c2] for c2 in live_children[p2]])
                 for c1 in live_children[p1]
             ]
         )

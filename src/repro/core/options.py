@@ -30,15 +30,15 @@ class SRSOptions:
         ``"cpqr"`` (deterministic, the paper's choice) or
         ``"randomized"`` (sketched, Sec. II-B's randomized alternative).
     factor_mode:
-        How a level's boxes are swept: ``"strict"`` (default)
-        assembles and compresses one box at a time against the current
-        store state (bitwise-reproducible, the historical path);
-        ``"batched"`` assembles same-level compression matrices in
-        stacked groups at level start and runs grouped CPQR IDs (faster;
-        agrees with strict to the ID tolerance). This field is the only
-        place the mode is said. Elimination order and the store update
-        contract are identical in both modes — see
-        :mod:`repro.core.batch`.
+        The schedule of a level's boxes: ``"strict"`` (default)
+        compresses and eliminates one box at a time in todo order,
+        against the store state its predecessors left;
+        ``"batched"`` compresses each of the nine mod-3 colour phases
+        as stacked groups, then eliminates its boxes (faster; agrees
+        with strict to the ID tolerance). Both run the same compress
+        stage and elimination — see :mod:`repro.core.batch` — except
+        that only batched halves a Hermitian kernel's compression rows.
+        This field is the only place the mode is said.
     check_locality:
         Debug switch: assert that the factorization never touches a
         far-field block (Remarks 1–2). Costs a little bookkeeping.

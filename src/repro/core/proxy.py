@@ -43,7 +43,7 @@ def proxy_circle_stack(
     """Stacked proxy circles: ``(nbox, n_points, 2)`` for ``(nbox, 2)`` centers.
 
     At a given level every box shares one radius and point count, so the
-    batched sweep builds all circles in one broadcast instead of looping
+    compress stage builds a group's circles in one broadcast instead of looping
     :func:`proxy_circle` per box. Row ``i`` is bitwise-identical to
     ``proxy_circle(centers[i], radius, n_points)``.
     """
@@ -57,11 +57,3 @@ def proxy_circle_stack(
     out[:, :, 0] = centers[:, 0:1] + radius * np.cos(theta)[None, :]
     out[:, :, 1] = centers[:, 1:2] + radius * np.sin(theta)[None, :]
     return out
-
-
-def proxy_points_for_box(
-    kernel: KernelMatrix, center: np.ndarray, box_side: float, opts: SRSOptions
-) -> np.ndarray:
-    """Proxy circle for a box of side ``box_side`` centered at ``center``."""
-    radius = opts.proxy_radius_factor * box_side
-    return proxy_circle(center, radius, proxy_point_count(kernel, radius, opts))

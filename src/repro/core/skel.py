@@ -1,17 +1,20 @@
-"""The strong skeletonization operator ``Z(A; B)`` (Sec. II C–D).
+"""The elimination half of ``Z(A; B)`` (Sec. II C–D) and the solve sweeps.
 
-One call to :func:`skeletonize_box`:
+The compression half — one column ID of the stacked matrix
+``[A[M,B]; A[B,M]^*; K[proxy,B]; K[B,proxy]^*]`` (Eq. 5/7), reading only
+distance-2 neighbors and the proxy circle (Remark 1) — is
+:func:`repro.core.batch.compress_phase`. Given its decomposition,
+:func:`eliminate_box`:
 
-1. compresses the interaction between box ``B`` and its far field with
-   a single column ID of the stacked matrix
-   ``[A[M,B]; A[B,M]^*; K[proxy,B]; K[B,proxy]^*]`` (Eq. 5/7) — only
-   distance-2 neighbors and the proxy circle are ever read (Remark 1);
-2. sparsifies (Eq. 8) and eliminates the redundant indices ``R`` by a
+1. sparsifies (Eq. 8) and eliminates the redundant indices ``R`` by a
    partial LU, producing a Schur-complement update that touches only
    ``{S} ∪ N(B)`` (Remark 2);
-3. returns a :class:`BoxRecord` holding everything the solve phase
+2. returns a :class:`BoxRecord` holding everything the solve phase
    needs, and shrinks the box's active set to its skeleton in the
    interaction store.
+
+With an empty far field (grid < 4x4) every index is redundant, so one
+code path factors all levels down to the root (Eq. 12).
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.interactions import Coord, InteractionStore
-from repro.core.options import SRSOptions
-from repro.kernels.base import KernelMatrix
-from repro.linalg.interpolative import InterpolativeDecomposition, interp_decomp
+from repro.linalg.interpolative import InterpolativeDecomposition
 from repro.linalg.lu import PartialLU, singular
-from repro.obs import health, trace
+from repro.obs import health
 
 
 @dataclass
@@ -170,45 +171,6 @@ def unsweep_up(records: Sequence[BoxRecord], x: np.ndarray) -> None:
         x[rec.redundant] = v_r
 
 
-def skeletonize_box(
-    store: InteractionStore,
-    kernel: KernelMatrix,
-    box: Coord,
-    neighbors: list[Coord],
-    m_boxes: list[Coord],
-    proxy_points: np.ndarray | None,
-    opts: SRSOptions,
-    *,
-    level: int,
-    update_log: list | None = None,
-) -> BoxRecord | None:
-    """Apply the strong skeletonization operator to ``box``.
-
-    ``neighbors`` / ``m_boxes`` are the same-level ``N(B)`` / ``M(B)``
-    lists restricted to boxes present in the store. ``proxy_points`` is
-    ``None`` at levels whose far field is empty (grid < 4x4), which
-    makes the ID classify *every* index as redundant — skeletonization
-    then degenerates to plain block elimination, so one code path
-    factors all levels down to the root (Eq. 12).
-
-    When ``update_log`` is a list, every mutation of the store is also
-    appended to it, in execution order, as ``("restrict", box, keep)``
-    or ``("delta", bi, bj, delta)`` tuples — the distributed workers
-    forward the relevant entries to neighbor ranks so replicated blocks
-    stay consistent (Sec. III-B, "send data to neighbors").
-    """
-    bidx = store.active_of(box)
-    if bidx.size == 0:
-        return None
-    with trace.span("factor.skeletonize", level=level, box=str(box), size=int(bidx.size)):
-        with trace.span("factor.id", rows=int(bidx.size)):
-            stacked = compression_matrix(store, kernel, box, m_boxes, proxy_points)
-            dec = interp_decomp(stacked, opts.tol, method=opts.id_method)
-        return eliminate_box(
-            store, box, neighbors, dec, level=level, update_log=update_log
-        )
-
-
 def eliminate_box(
     store: InteractionStore,
     box: Coord,
@@ -221,9 +183,13 @@ def eliminate_box(
     """The elimination half of ``Z(A; B)`` for an already compressed box.
 
     Records the compression (skeleton rank per level, solver health),
-    then runs the partial-LU elimination and the Schur updates. The
-    level sweep calls it directly when a colour phase's compressions
-    were hoisted out and stacked (:mod:`repro.core.batch`).
+    then runs the partial-LU elimination and the Schur updates.
+
+    When ``update_log`` is a list, every mutation of the store is also
+    appended to it, in execution order, as ``("restrict", box, keep)``
+    or ``("delta", bi, bj, delta)`` tuples — the distributed workers
+    forward the relevant entries to neighbor ranks so replicated blocks
+    stay consistent (Sec. III-B, "send data to neighbors").
     """
     bidx = store.active_of(box)
     nbrs = [n for n in neighbors if n in store.active and store.nactive(n) > 0]
@@ -306,26 +272,3 @@ def eliminate_box(
             if update_log is not None:
                 update_log.append(("delta", bi, bj, d_ij.copy()))
     return record
-
-
-def compression_matrix(
-    store: InteractionStore,
-    kernel: KernelMatrix,
-    box: Coord,
-    m_boxes: list[Coord],
-    proxy_points: np.ndarray | None,
-) -> np.ndarray:
-    """Stack ``[A[M,B]; A[B,M]^*; K[proxy,B]; K[B,proxy]^*]`` (Eq. 7)."""
-    bidx = store.active_of(box)
-    rows: list[np.ndarray] = []
-    for mb in m_boxes:
-        if mb in store.active and store.nactive(mb) > 0:
-            a_mb, a_bm = store.get_pair(mb, box)
-            rows.append(a_mb)
-            rows.append(a_bm.conj().T)
-    if proxy_points is not None and proxy_points.shape[0] > 0:
-        rows.append(kernel.proxy_row_block(proxy_points, bidx))
-        rows.append(kernel.proxy_col_block(bidx, proxy_points).conj().T)
-    if not rows:
-        return np.zeros((0, bidx.size), dtype=kernel.dtype)
-    return np.vstack(rows)

@@ -80,12 +80,12 @@ class KernelMatrix(ABC):
     symmetric: bool = False
 
     #: True when ``A == A^H`` exactly: a ``symmetric`` kernel with real
-    #: entries (Laplace, Gaussian, Yukawa). The batched sweep then
+    #: entries (Laplace, Gaussian, Yukawa). The batched schedule then
     #: assembles only ``A[M, B]`` in the compression matrix —
     #: ``A[B, M]^*`` duplicates it row for row, so dropping it halves
     #: the CPQR row count without changing the constraint set of the
-    #: ID. Complex-symmetric kernels (Helmholtz: ``A == A^T != A^H``)
-    #: must leave this False.
+    #: ID; the strict schedule keeps both copies. Complex-symmetric
+    #: kernels (Helmholtz: ``A == A^T != A^H``) must leave this False.
     hermitian: bool = False
 
     def greens_stack(
@@ -101,9 +101,11 @@ class KernelMatrix(ABC):
         closed form in the *squared* distance override this to skip the
         square-root pass over the whole stack and to run every pass in
         place; such overrides may differ from :meth:`greens` in the
-        last float ulp (e.g. ``log(sqrt(s))`` vs ``log(s)/2``), which
-        is why only the batched sweep uses this entry point — the
-        strict per-box path always goes through :meth:`greens`.
+        last float ulp (e.g. ``log(sqrt(s))`` vs ``log(s)/2``). The
+        factor sweep (both schedules) evaluates its compression
+        matrices, near-field prefill and parent assembly through this
+        entry point; the lazy per-pair :meth:`block` path goes through
+        :meth:`greens`.
         """
         g = self.greens(x, y)
         if out is None:

@@ -157,11 +157,12 @@ def interp_decomp_stack(
 ) -> list[InterpolativeDecomposition]:
     """Grouped column IDs of a stack of equal-shape matrices.
 
-    The level-batched factor sweep assembles the compression matrices
+    The factor sweep's compress stage assembles the compression matrices
     of a whole group of same-shape boxes as one ``(nbox, m, k)`` array
-    and runs their IDs here. The per-matrix result is identical to
-    :func:`interp_decomp` up to the LAPACK driver (``geqp3`` is called
-    directly); the group amortizes two per-call costs:
+    and runs their IDs here. A stack of one is :func:`interp_decomp`'s
+    result bit for bit; otherwise the per-matrix result is identical to
+    it up to the LAPACK driver (``geqp3`` is called directly) and the
+    group amortizes two per-call costs:
 
     * one workspace-size query serves every matrix in the stack
       (``scipy.linalg.qr`` re-queries per call), and
@@ -180,6 +181,9 @@ def interp_decomp_stack(
         raise ValueError(f"unknown ID method {method!r}")
     if nb == 0:
         return []
+    if nb == 1:  # nothing to amortize: the scalar routine, bit for bit
+        kw = dict(max_rank=max_rank, method=method, oversample=oversample, rng=rng)
+        return [interp_decomp(stack[0], tol, **kw)]
     if m == 0 or n == 0:
         # degenerate shapes: the scalar path's early returns cover these
         return [

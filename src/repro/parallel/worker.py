@@ -306,7 +306,7 @@ def factor_worker(
                 key=lambda c: morton_encode(c[0], c[1]),
             )
             active, seed_blocks = assemble_parents(
-                store, geometry, level, opts, own=own_boxes
+                store, geometry, level, own=own_boxes
             )
 
     return WorkerResult(

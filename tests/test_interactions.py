@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import SRSOptions
+from repro.core.batch import compress_phase
 from repro.core.interactions import InteractionStore
-from repro.core.proxy import proxy_points_for_box
-from repro.core.skel import skeletonize_box
+from repro.core.skel import eliminate_box
 from repro.geometry import uniform_grid
 from repro.kernels import GaussianKernelMatrix, LaplaceKernelMatrix
 from repro.tree import QuadTree
@@ -137,14 +137,10 @@ def _skeletonize_in_order(kernel, tree, level, order):
         max_modified_distance=None,
     )
     records = {}
-    for box in order:
-        proxy = proxy_points_for_box(
-            kernel, tree.box_center(level, *box), tree.box_side(level), opts
-        )
-        records[box] = skeletonize_box(
-            store, kernel, box,
-            tree.neighbors(level, *box), tree.dist2_neighbors(level, *box),
-            proxy, opts, level=level,
+    for box in order:  # the strict sweep: one-box groups
+        dec = compress_phase(store, kernel, tree, level, [box], opts)[box]
+        records[box] = eliminate_box(
+            store, box, tree.neighbors(level, *box), dec, level=level
         )
     return store, records
 

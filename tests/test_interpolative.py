@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.linalg import interp_decomp
-from repro.linalg.interpolative import id_error
+from repro.linalg.interpolative import id_error, interp_decomp_stack
 
 
 def low_rank_matrix(m, n, r, seed, complex_=False):
@@ -95,6 +95,19 @@ def test_randomized_matches_cpqr_rank():
     rnd = interp_decomp(a, 1e-10, method="randomized", max_rank=20)
     assert rnd.rank == det.rank == 12
     assert id_error(a, rnd) < 1e-8
+
+
+@pytest.mark.parametrize("method", ["cpqr", "randomized"])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stack_of_one_is_the_scalar_id_bitwise(method, complex_):
+    # the strict sweep compresses one-box groups: its IDs are interp_decomp's
+    a = low_rank_matrix(60, 20, 6, 8, complex_=complex_)  # tall: the sketch applies
+    (got,) = interp_decomp_stack(a[None], 1e-10, method=method)
+    want = interp_decomp(a, 1e-10, method=method)
+    for field in ("skeleton", "redundant", "T"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 def test_unknown_method_rejected():

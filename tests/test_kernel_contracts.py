@@ -276,12 +276,15 @@ def test_undeclaring_a_symmetric_kernel_costs_evaluations_not_bits(mode):
         assert shared < both
 
 
-#: Green's / layer-kernel entries per factor read at 4af2780, the commit
-#: before pair sharing: equal counts = every direction still evaluated.
-#: (Record digests were equal too, at OPENBLAS_NUM_THREADS=1; they move
-#: with the BLAS thread count, so they are in CHANGES.md, not here.)
-LOPSIDED_AT_PARENT = {"strict": 147_456, "batched": 127_488}
-DLP_AT_PARENT = {"strict": 121_512, "batched": 113_952}
+#: Green's / layer-kernel entries per factor. Batched: read at 4af2780,
+#: the commit before pair sharing, so equal counts = every direction
+#: still evaluated. (Record digests were equal too, at
+#: OPENBLAS_NUM_THREADS=1; they move with the BLAS thread count, so they
+#: are in CHANGES.md, not here.) Strict: read since it compresses
+#: through the one-box compress stage, whose near-field prefill
+#: evaluates each neighbour pair once and stores it for elimination.
+LOPSIDED_AT_PARENT = {"strict": 117_760, "batched": 127_488}
+DLP_AT_PARENT = {"strict": 112_816, "batched": 113_952}
 
 
 @pytest.mark.parametrize("mode", ["strict", "batched"])
@@ -349,7 +352,7 @@ def test_helmholtz_factor_evaluates_each_pair_once():
     batched, _ = _factor_counting(HelmholtzKernelMatrix, "batched", *args, b=p.b)
     strict, _ = _factor_counting(HelmholtzKernelMatrix, "strict", *args, b=p.b)
     # what sharing cannot reach: the proxy stacks (73,728 entries either
-    # way) and, strict, get_writable's materialisations (185,329)
+    # way); strict reads 244,770 since its near field is prefilled too
     assert batched <= 0.62 * HELMHOLTZ24_AT_PARENT["batched"]
     assert strict <= 0.84 * HELMHOLTZ24_AT_PARENT["strict"]
 

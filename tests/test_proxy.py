@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SRSOptions, proxy_circle, proxy_point_count
-from repro.core.proxy import proxy_points_for_box
+from repro.core.proxy import proxy_circle_stack
 from repro.geometry import uniform_grid
 from repro.kernels import HelmholtzKernelMatrix, LaplaceKernelMatrix
 from repro.linalg import interp_decomp
@@ -77,7 +77,10 @@ def test_proxy_substitutes_far_field():
 
     # proxy compression
     opts = SRSOptions(tol=1e-8)
-    proxy = proxy_points_for_box(k, tree.box_center(3, *box), tree.box_side(3), opts)
+    radius = opts.proxy_radius_factor * tree.box_side(3)
+    proxy = proxy_circle_stack(
+        tree.box_center(3, *box)[None], radius, proxy_point_count(k, radius, opts)
+    )[0]
     m_idx = np.concatenate([tree.leaf_points(*c) for c in tree.dist2_neighbors(3, *box)])
     stacked = np.vstack([k.block(m_idx, bidx), k.proxy_row_block(proxy, bidx)])
     proxy_dec = interp_decomp(stacked, 1e-8)

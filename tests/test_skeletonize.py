@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import SRSOptions
+from repro.core.batch import compress_phase
 from repro.core.interactions import InteractionStore
-from repro.core.proxy import proxy_points_for_box
-from repro.core.skel import skeletonize_box, sweep_down, sweep_up
+from repro.core.skel import eliminate_box, sweep_down, sweep_up
 from repro.geometry import uniform_grid
 from repro.kernels import GaussianKernelMatrix
 from repro.tree import QuadTree
@@ -24,12 +24,17 @@ def env():
     return kernel, tree, store, opts
 
 
+def skeletonize(store, kernel, tree, level, box, opts, update_log=None):
+    """``Z(A; B)`` on one box: the strict sweep's one-box group."""
+    dec = compress_phase(store, kernel, tree, level, [box], opts)[box]
+    return eliminate_box(
+        store, box, tree.neighbors(level, *box), dec, level=level, update_log=update_log
+    )
+
+
 def _skel(env, box):
     kernel, tree, store, opts = env
-    nbrs = tree.neighbors(2, *box)
-    m_boxes = tree.dist2_neighbors(2, *box)
-    proxy = proxy_points_for_box(kernel, tree.box_center(2, *box), tree.box_side(2), opts)
-    return skeletonize_box(store, kernel, box, nbrs, m_boxes, proxy, opts, level=2)
+    return skeletonize(store, kernel, tree, 2, box, opts)
 
 
 def test_record_structure(env):
@@ -67,13 +72,7 @@ def test_neighbors_modified_far_untouched(env):
 def test_update_log_matches_mutations(env):
     kernel, tree, store, opts = env
     log = []
-    box = (2, 2)
-    nbrs = tree.neighbors(2, *box)
-    m_boxes = tree.dist2_neighbors(2, *box)
-    proxy = proxy_points_for_box(kernel, tree.box_center(2, *box), tree.box_side(2), opts)
-    rec = skeletonize_box(
-        store, kernel, box, nbrs, m_boxes, proxy, opts, level=2, update_log=log
-    )
+    skeletonize(store, kernel, tree, 2, (2, 2), opts, update_log=log)
     kinds = [op[0] for op in log]
     assert kinds[0] == "restrict"
     assert all(k == "delta" for k in kinds[1:])
@@ -91,14 +90,18 @@ def test_update_log_matches_mutations(env):
 
 
 def test_empty_far_field_eliminates_everything(env):
-    """With no compression rows, every index is redundant (plain LU)."""
-    kernel, tree, store, opts = env
-    box = (0, 0)
-    rec = skeletonize_box(
-        store, kernel, box, tree.neighbors(2, *box), [], None, opts, level=2
+    """Without a far field (2x2 grid) every index is redundant (plain LU)."""
+    kernel, _, _, opts = env
+    tree = QuadTree(kernel.points, 1)  # 2x2 leaves, 64 points each
+    store = InteractionStore(
+        kernel,
+        {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()},
+        max_modified_distance=None,
     )
+    box = (0, 0)
+    rec = skeletonize(store, kernel, tree, 1, box, opts)
     assert rec.skeleton.size == 0
-    assert rec.redundant.size == 16
+    assert rec.redundant.size == 64
     assert store.nactive(box) == 0
 
 
