@@ -1,11 +1,11 @@
 """Digests of factor records and solutions, for "same bits" claims.
 
 Prints one BLAKE2b digest over every ``BoxRecord`` array (index sets,
-``T``, LU factors and pivots, ``X_CR``/``X_RC``, with dtype, shape and
-memory order) and one over the solution ``x``, for Laplace m=32 and
-scattering m=32 kappa=10, strict and batched sweeps, on sequential,
-thread p=4 and process p=4 execution. Run it against two commits and
-diff the output:
+``T``, LU factors and pivots, the multipliers ``e_cr``/``g_rc``, with
+dtype, shape and memory order) and one over the solution ``x``, for
+Laplace m=32 and scattering m=32 kappa=10, strict and batched sweeps,
+on sequential, thread p=4 and process p=4 execution. Run it against two
+commits and diff the output:
 
     PYTHONPATH=src python benchmarks/factor_digests.py
 """
@@ -40,7 +40,7 @@ def digests(problem, execution: str, factor_mode: str) -> tuple[str, str]:
     for rec in _records(report.factorization):
         h.update(f"{rec.box}{rec.level}{rec.cluster_segments}".encode())
         for arr in (rec.redundant, rec.skeleton, rec.cluster, rec.T,
-                    rec.lu._lu, rec.lu._piv, rec.x_cr, rec.x_rc):
+                    rec.lu._lu, rec.lu._piv, rec.e_cr, rec.g_rc):
             _feed(h, arr)
     hx = hashlib.blake2b(digest_size=12)
     _feed(hx, np.asarray(report.x))

@@ -7,11 +7,18 @@ distance-2 neighbors and the proxy circle (Remark 1) — is
 :func:`eliminate_box`:
 
 1. sparsifies (Eq. 8) and eliminates the redundant indices ``R`` by a
-   partial LU, producing a Schur-complement update that touches only
-   ``{S} ∪ N(B)`` (Remark 2);
+   partial LU ``P X_RR = L U``, producing a Schur-complement update
+   that touches only ``{S} ∪ N(B)`` (Remark 2);
 2. returns a :class:`BoxRecord` holding everything the solve phase
    needs, and shrinks the box's active set to its skeleton in the
    interaction store.
+
+The record stores the elimination multipliers ``E = X[C, R] U^{-1}``
+and ``G = L^{-1} P X[R, C]`` rather than the sparsified blocks (as the
+RS-S factorization of Minden, Ho, Damle & Ying does): the factor needs
+exactly these two triangular solves for the Schur update ``E G``, and
+with them each solve sweep applies a box with one triangular solve —
+``L^{-1}`` going up, ``U^{-1}`` coming down — instead of five.
 
 With an empty far field (grid < 4x4) every index is redundant, so one
 code path factors all levels down to the root (Eq. 12).
@@ -26,7 +33,7 @@ import numpy as np
 
 from repro.core.interactions import Coord, InteractionStore
 from repro.linalg.interpolative import InterpolativeDecomposition
-from repro.linalg.lu import PartialLU, singular
+from repro.linalg.lu import PartialLU, singular, trtrs_for
 from repro.obs import health
 
 
@@ -35,11 +42,16 @@ class BoxRecord:
     """Solve-phase data for one skeletonized box.
 
     ``cluster`` concatenates the skeleton ``S`` of the box with the
-    active indices of its (nonempty) neighbors at processing time; the
-    stored blocks are indexed consistently:
+    active indices of its (nonempty) neighbors at processing time. With
+    ``P X_RR = L U`` the partial LU of the sparsified redundant block
+    (``lu``), the record keeps the elimination *multipliers*, not the
+    sparsified blocks ``X[C, R]`` / ``X[R, C]`` themselves:
 
-    * ``x_cr`` is ``X[C, R]`` (cluster rows, redundant columns),
-    * ``x_rc`` is ``X[R, C]``.
+    * ``e_cr`` is ``E = X[C, R] U^{-1}`` (cluster rows, redundant columns),
+    * ``g_rc`` is ``G = L^{-1} P X[R, C]``,
+
+    so ``E G`` is the Schur update ``X[C, R] X_RR^{-1} X[R, C]`` and each
+    sweep applies a box with one triangular solve.
     """
 
     box: Coord
@@ -49,8 +61,8 @@ class BoxRecord:
     cluster: np.ndarray
     T: np.ndarray
     lu: PartialLU
-    x_cr: np.ndarray
-    x_rc: np.ndarray
+    e_cr: np.ndarray
+    g_rc: np.ndarray
     #: (box, start, end) segments of ``cluster`` — first the skeleton of
     #: this box, then each neighbor's active slice. The distributed
     #: solve uses this to route updates to the owning rank.
@@ -68,7 +80,7 @@ class BoxRecord:
         index arrays — cache byte budgets and the store's accounting
         depend on this being the full footprint.
         """
-        total = self.T.nbytes + self.x_cr.nbytes + self.x_rc.nbytes
+        total = self.T.nbytes + self.e_cr.nbytes + self.g_rc.nbytes
         total += self.lu.memory_bytes()
         total += self.redundant.nbytes + self.skeleton.nbytes + self.cluster.nbytes
         return int(total)
@@ -77,7 +89,9 @@ class BoxRecord:
 # ----------------------------------------------------------------------
 # solve-phase sweeps (Sec. II-F), in place on the global right-hand-side
 # array ``x`` of shape (N,) or (N, ncols): the one implementation behind
-# the sequential, shared-memory and distributed solves
+# the sequential, shared-memory and distributed solves. A box costs one
+# triangular solve per sweep; ``x`` has the factorization's dtype (see
+# :func:`sweep_view`), so ``?trtrs`` is looked up once per sweep.
 # ----------------------------------------------------------------------
 def sweep_view(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """The array the sweeps run on for a right-hand side ``x``.
@@ -97,28 +111,27 @@ def sweep_up(
 ) -> list[tuple[BoxRecord, np.ndarray]]:
     """Upward sweep: apply ``V = L S* P^T`` of each record, in order.
 
+    Per box: ``w = L^{-1} P (x_R - T^H x_S)``, ``x_C -= E w``, ``x_R = w``.
     With ``collect=True``, returns ``(record, update)`` pairs where
     ``update`` is the amount *subtracted* from ``x[record.cluster]`` — the
     distributed solve forwards the remote-owned part to neighbors.
     """
     conj = x.dtype.kind == "c"
+    trtrs = trtrs_for(x.dtype)
     updates = []
     for rec in records:
         red = rec.redundant
         if not red.size:
             continue
-        lu, perm, trtrs = rec.lu.solve_state()
+        lu, perm = rec.lu.solve_state()
         v_r = x[red]
         if rec.skeleton.size:
             y = x[rec.skeleton]
             # T^H y without materialising conj(T)
             v_r -= (rec.T.T @ y.conj()).conj() if conj else rec.T.T @ y
-        w, _ = trtrs(lu, v_r[perm], lower=1, unitdiag=1)  # L^{-1} P v, once
+        w, _ = trtrs(lu, v_r[perm], lower=1, unitdiag=1, overwrite_b=1)
         if rec.cluster.size:
-            t, info = trtrs(lu, w)
-            if info:
-                raise singular(info)
-            update = rec.x_cr @ t
+            update = rec.e_cr @ w
             x[rec.cluster] -= update
             if collect:
                 updates.append((rec, update))
@@ -127,47 +140,54 @@ def sweep_up(
 
 
 def sweep_down(records: Sequence[BoxRecord], x: np.ndarray) -> None:
-    """Downward sweep: apply ``W = P S U`` of each record, in reverse order."""
+    """Downward sweep: apply ``W = P S U`` of each record, in reverse order.
+
+    Per box: ``x_R = U^{-1} (x_R - G x_C)``, then ``x_S -= T x_R``.
+    """
+    trtrs = trtrs_for(x.dtype)
     for rec in reversed(records):
         red = rec.redundant
         if not red.size:
             continue
-        lu, perm, trtrs = rec.lu.solve_state()
-        x_r, info = trtrs(lu, x[red])
-        if info:  # depends on U alone: checked once per record
-            raise singular(info)
+        lu, _ = rec.lu.solve_state()
+        v_r = x[red]
         if rec.cluster.size:
-            z, _ = trtrs(lu, (rec.x_rc @ x[rec.cluster])[perm], lower=1, unitdiag=1)
-            z, _ = trtrs(lu, z)
-            x_r -= z
+            v_r -= rec.g_rc @ x[rec.cluster]
+        x_r, info = trtrs(lu, v_r, overwrite_b=1)
+        if info:
+            raise singular(info)
         x[red] = x_r
         if rec.skeleton.size:
             x[rec.skeleton] -= rec.T @ x_r
 
 
 def unsweep_down(records: Sequence[BoxRecord], x: np.ndarray) -> None:
-    """Exact inverse of :func:`sweep_down` (apply each ``W^{-1}``, in order)."""
+    """Exact inverse of :func:`sweep_down` (apply each ``W^{-1}``, in order):
+    ``x_S += T x_R``, then ``x_R = U x_R + G x_C``."""
     for rec in records:
         if rec.redundant.size == 0:
             continue
         x_r = x[rec.redundant]
         if rec.skeleton.size:
             x[rec.skeleton] += rec.T @ x_r
+        x_r = rec.lu.apply_upper(x_r)
         if rec.cluster.size:
-            x_r = x_r + rec.lu.solve_left(rec.x_rc @ x[rec.cluster])
-        x[rec.redundant] = rec.lu.apply_upper(x_r)
+            x_r += rec.g_rc @ x[rec.cluster]
+        x[rec.redundant] = x_r
 
 
 def unsweep_up(records: Sequence[BoxRecord], x: np.ndarray) -> None:
-    """Exact inverse of :func:`sweep_up` (apply each ``V^{-1}``, in reverse order)."""
+    """Exact inverse of :func:`sweep_up` (apply each ``V^{-1}``, in reverse
+    order): ``x_C += E w``, then ``x_R = P^T L w + T^H x_S``."""
     for rec in reversed(records):
         if rec.redundant.size == 0:
             continue
-        v_r = rec.lu.apply_lower(x[rec.redundant])
+        w = x[rec.redundant]
         if rec.cluster.size:
-            x[rec.cluster] += rec.x_cr @ rec.lu.solve_left(v_r)
+            x[rec.cluster] += rec.e_cr @ w
+        v_r = rec.lu.apply_lower(w)
         if rec.skeleton.size:
-            v_r = v_r + rec.T.conj().T @ x[rec.skeleton]
+            v_r += rec.T.conj().T @ x[rec.skeleton]
         x[rec.redundant] = v_r
 
 
@@ -223,7 +243,7 @@ def eliminate_box(
     x_rs = a_rs - t_h @ a_ss
     lu = PartialLU(x_rr)
 
-    # -- cluster blocks X[C, R], X[R, C] with C = [S] + neighbor actives
+    # -- sparsified cluster blocks X[C, R], X[R, C], C = [S] + neighbor actives
     cr_segments = [x_sr]
     rc_segments = [x_rs]
     cluster_parts = [bidx[s_loc]]
@@ -234,8 +254,6 @@ def eliminate_box(
         rc_segments.append(a_bn[r_loc, :] - t_h @ a_bn[s_loc, :])
         cluster_parts.append(store.active_of(n))
         segment_boxes.append(n)
-    x_cr = np.vstack(cr_segments)
-    x_rc = np.hstack(rc_segments)
     cluster = np.concatenate(cluster_parts) if cluster_parts else np.empty(0, dtype=np.int64)
     seg_bounds = np.concatenate([[0], np.cumsum([part.size for part in cluster_parts])])
     cluster_segments = [
@@ -243,13 +261,22 @@ def eliminate_box(
         for k in range(len(segment_boxes))
     ]
 
+    # -- the multipliers E = X[C, R] U^{-1}, G = L^{-1} P X[R, C] --------
+    factors, perm = lu.solve_state()
+    trtrs = trtrs_for(factors.dtype)
+    # E^T = U^{-T} X[C, R]^T, in place on the fresh (Fortran-order) X[C, R]^T
+    e_t, info = trtrs(factors, np.vstack(cr_segments).T, trans=1, overwrite_b=1)
+    if info:
+        raise singular(info)
+    g_rc, _ = trtrs(factors, np.hstack(rc_segments)[perm], lower=1, unitdiag=1, overwrite_b=1)
+    e_cr = e_t.T
+
     record = BoxRecord(
-        box, level, bidx[r_loc], bidx[s_loc], cluster, t_mat, lu, x_cr, x_rc, cluster_segments
+        box, level, bidx[r_loc], bidx[s_loc], cluster, t_mat, lu, e_cr, g_rc, cluster_segments
     )
 
     # -- 3. Schur-complement update of {S} ∪ N(B) ----------------------
-    y = lu.solve_left(x_rc)  # X_RR^{-1} X[R, C]
-    delta = x_cr @ y  # (|C|, |C|)
+    delta = e_cr @ g_rc  # X[C, R] X_RR^{-1} X[R, C], (|C|, |C|)
 
     store.restrict(box, s_loc)
     if update_log is not None:

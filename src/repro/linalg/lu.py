@@ -1,13 +1,17 @@
 """Partial LU elimination of the redundant diagonal block.
 
 ``P X = L U`` by LAPACK ``getrf``; every application afterwards is a row
-permutation plus direct ``trtrs`` calls on the packed factors: the left
-solve ``X_RR^{-1} B`` of the Schur update
-``A[C1, C2] -= X[C1, R] X_RR^{-1} X[R, C2]`` and the triangular
-half-solves ``L_R^{-1} P v`` and ``U_R^{-1} v`` used when applying the
-factorization (Sec. II-D, the ``L``/``U`` operators). The pivots are
-turned into a permutation once, at construction, and never reach LAPACK
-again, so nothing reachable from a solve writes to a ``PartialLU``.
+permutation plus direct ``trtrs`` calls on the packed factors. The
+factorization itself forms the elimination multipliers
+``X[C, R] U^{-1}`` and ``L^{-1} P X[R, C]`` once per box (their product
+is the Schur update ``X[C, R] X_RR^{-1} X[R, C]``), so a solve sweep
+inlines one half-solve per box through :meth:`PartialLU.solve_state`:
+``L^{-1} P v`` going up, ``U^{-1} v`` coming down (Sec. II-D, the
+``L``/``U`` operators). The methods below — full and half solves, and
+their forward inverses for the matvec — are the checked, general-layout
+applications. The pivots are turned into a permutation once, at
+construction, and never reach LAPACK again, so nothing reachable from a
+solve writes to a ``PartialLU``.
 """
 
 from __future__ import annotations
@@ -46,12 +50,15 @@ class PartialLU:
         """Bytes held by the stored factors (``_lu``, ``_piv``, ``_perm``)."""
         return int(self._lu.nbytes + self._piv.nbytes + self._perm.nbytes)
 
-    def solve_state(self) -> tuple[np.ndarray, np.ndarray, Callable]:
-        """``(lu, perm, trtrs)`` for a caller that inlines the half-solves:
-        ``L^{-1} P v`` is ``trtrs(lu, v[perm], lower=1, unitdiag=1)``, ``U^{-1} w``
-        is ``trtrs(lu, w)``; both return ``(x, info)`` and take operands of the
-        block's dtype kind with ``n`` rows — the caller owns both checks."""
-        return self._lu, self._perm, trtrs_for(self._lu.dtype)
+    def solve_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lu, perm)`` for a caller that inlines the half-solves with
+        ``trtrs = trtrs_for(dtype)``, looked up once for many blocks:
+        ``L^{-1} P v`` is ``trtrs(lu, v[perm], lower=1, unitdiag=1)``,
+        ``U^{-1} w`` is ``trtrs(lu, w)`` and ``w U^{-1}`` is
+        ``trtrs(lu, w.T, trans=1)`` transposed; each returns ``(x, info)``
+        and takes operands of the block's dtype with ``n`` rows — the
+        caller owns both checks and ``info``."""
+        return self._lu, self._perm
 
     def _passthrough(self, b: np.ndarray) -> bool:
         """Whether there is nothing to solve. A wrong row count raises here:

@@ -27,7 +27,9 @@ import numpy as np
 #: where format 2 held a tree of per-array block references. 4: a
 #: pickled ``PartialLU`` carries its row permutation (``_perm``); a
 #: format-3 one would fail with ``AttributeError`` at its first solve.
-STORE_FORMAT = 4
+#: 5: a ``BoxRecord`` holds the multipliers ``e_cr`` / ``g_rc`` where
+#: format 4 held the sparsified blocks ``x_cr`` / ``x_rc``.
+STORE_FORMAT = 5
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 

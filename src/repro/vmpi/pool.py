@@ -56,6 +56,7 @@ cleanly at interpreter exit.
 from __future__ import annotations
 
 import atexit
+import os
 import pickle
 import queue
 import time
@@ -119,6 +120,31 @@ def _ensure_resource_tracker() -> None:
         resource_tracker.ensure_running()
     except Exception:  # pragma: no cover - tracker internals shifted
         pass
+
+
+def _hold_tracker_lock_across_fork() -> None:
+    """Never fork while another thread holds the resource tracker's lock.
+
+    ``fork()`` copies only the calling thread. A rank forked while some
+    other thread is inside ``SharedMemory()`` or ``ensure_running()``
+    (both take ``multiprocessing.resource_tracker``'s lock) inherits the
+    lock held by a thread that does not exist in it, and hangs in its
+    first segment creation. Taking the lock before every fork and
+    releasing it after, in parent and child, makes the child's copy
+    free. A no-op where the lock (a tracker internal) or fork handlers
+    do not exist.
+    """
+    from multiprocessing import resource_tracker
+
+    lock = getattr(getattr(resource_tracker, "_resource_tracker", None), "_lock", None)
+    if lock is None or not hasattr(os, "register_at_fork"):
+        return
+    os.register_at_fork(
+        before=lock.acquire, after_in_parent=lock.release, after_in_child=lock.release
+    )
+
+
+_hold_tracker_lock_across_fork()
 
 
 def _drain_registry(registry, names: set) -> None:

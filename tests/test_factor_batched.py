@@ -100,8 +100,8 @@ def _record_state(fact):
             rec.skeleton.tobytes(),
             rec.cluster.tobytes(),
             rec.T.tobytes(),
-            rec.x_cr.tobytes(),
-            rec.x_rc.tobytes(),
+            rec.e_cr.tobytes(),
+            rec.g_rc.tobytes(),
             rec.lu._lu.tobytes(),
             rec.lu._piv.tobytes(),
         )
@@ -301,8 +301,8 @@ def test_box_record_memory_bytes_counts_everything(gaussian16):
     rec = next(r for r in fact.records if r.redundant.size)
     expected = (
         rec.T.nbytes
-        + rec.x_cr.nbytes
-        + rec.x_rc.nbytes
+        + rec.e_cr.nbytes
+        + rec.g_rc.nbytes
         + rec.lu.memory_bytes()
         + rec.redundant.nbytes
         + rec.skeleton.nbytes

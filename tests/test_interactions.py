@@ -151,7 +151,7 @@ def _record_arrays(rec):
         *(
             (arr.shape, arr.tobytes())
             for arr in (rec.redundant, rec.skeleton, rec.cluster, rec.T,
-                        rec.x_cr, rec.x_rc, rec.lu._lu, rec.lu._piv)
+                        rec.e_cr, rec.g_rc, rec.lu._lu, rec.lu._piv)
         ),
     )
 

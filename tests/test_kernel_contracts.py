@@ -248,7 +248,7 @@ def _same_records(f1, f2) -> bool:
     return len(f1.records) == len(f2.records) and all(
         np.array_equal(getattr(r1, name), getattr(r2, name))
         for r1, r2 in zip(f1.records, f2.records)
-        for name in ("redundant", "skeleton", "cluster", "T", "x_cr", "x_rc")
+        for name in ("redundant", "skeleton", "cluster", "T", "e_cr", "g_rc")
     ) and all(
         np.array_equal(r1.lu._lu, r2.lu._lu) for r1, r2 in zip(f1.records, f2.records)
     )

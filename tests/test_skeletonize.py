@@ -7,8 +7,14 @@ from repro.core import SRSOptions
 from repro.core.batch import compress_phase
 from repro.core.interactions import InteractionStore
 from repro.core.skel import eliminate_box, sweep_down, sweep_up
-from repro.geometry import uniform_grid
-from repro.kernels import GaussianKernelMatrix
+from repro.geometry import Square, uniform_grid
+from repro.kernels import (
+    GaussianKernelMatrix,
+    HelmholtzKernelMatrix,
+    LaplaceKernelMatrix,
+    dense_matrix,
+)
+from repro.kernels.helmholtz import gaussian_bump
 from repro.tree import QuadTree
 
 
@@ -45,9 +51,9 @@ def test_record_structure(env):
     n_r, n_s = rec.redundant.size, rec.skeleton.size
     assert n_r + n_s == 16
     assert rec.T.shape == (n_s, n_r)
-    assert rec.x_cr.shape[1] == n_r
-    assert rec.x_rc.shape[0] == n_r
-    assert rec.x_cr.shape[0] == rec.cluster.size
+    assert rec.e_cr.shape[1] == n_r
+    assert rec.g_rc.shape[0] == n_r
+    assert rec.e_cr.shape[0] == rec.cluster.size
     # segments tile the cluster
     assert rec.cluster_segments[0][0] == (0, 0)
     assert rec.cluster_segments[-1][2] == rec.cluster.size
@@ -133,3 +139,58 @@ def test_elimination_correctness_against_dense(env):
     # we simply assert that both sweeps ran and changed only R, S, N
     untouched = np.setdiff1d(np.arange(kernel.n), np.concatenate([rec.redundant, rec.cluster]))
     assert np.allclose(x[untouched], b[untouched])
+
+
+def _relerr(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _first_box_record(kernel, tree, level, box):
+    """The record of the first box eliminated on a fresh store, whose
+    blocks are still the kernel's own entries."""
+    active = {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()}
+    store = InteractionStore(kernel, active, max_modified_distance=None)
+    return skeletonize(store, kernel, tree, level, box, SRSOptions(tol=1e-10, leaf_size=16))
+
+
+@pytest.mark.parametrize("name", ["laplace", "helmholtz"])
+def test_multipliers_rebuild_the_sparsified_blocks(name):
+    """``E U == X[C, R]`` and ``P^T L G == X[R, C]``, with ``X`` the
+    sparsification (Eq. 8) of the dense operator: ``X[C, R] = A[C, R] -
+    A[C, S] T`` and ``X[R, C] = A[R, C] - T^H A[S, C]``."""
+    m = 32  # 64 points a box at level 2
+    pts = uniform_grid(m)
+    if name == "laplace":
+        kernel = LaplaceKernelMatrix(pts, 1.0 / m)
+    else:
+        kernel = HelmholtzKernelMatrix(pts, 1.0 / m, 6.0, b=gaussian_bump(pts))
+    rec = _first_box_record(kernel, QuadTree(pts, 2), 2, (1, 2))
+    a = dense_matrix(kernel)
+    r, s, c, t = rec.redundant, rec.skeleton, rec.cluster, rec.T
+    assert r.size and s.size and c.size > s.size
+    assert rec.e_cr.dtype == rec.g_rc.dtype == kernel.dtype
+    x_cr = a[np.ix_(c, r)] - a[np.ix_(c, s)] @ t
+    x_rc = a[np.ix_(r, c)] - t.conj().T @ a[np.ix_(s, c)]
+    assert _relerr(rec.e_cr @ np.triu(rec.lu._lu), x_cr) < 1e-12
+    assert _relerr(rec.lu.apply_lower(rec.g_rc), x_rc) < 1e-12
+
+
+def test_multipliers_of_a_box_with_an_empty_cluster():
+    """A box alone in its tree has no skeleton and no neighbors: empty
+    multipliers, and its one record is a plain LU solve of ``A[B, B]``."""
+    pts = uniform_grid(6, domain=Square(0.0, 0.0, 0.5))  # one quadrant only
+    kernel = GaussianKernelMatrix(pts, 1.0 / 12, sigma=0.05, shift=1.0)
+    tree = QuadTree(pts, 1, domain=Square())
+    assert tree.nonempty_leaves() == [(0, 0)]
+    rec = _first_box_record(kernel, tree, 1, (0, 0))
+    n = kernel.n
+    assert rec.cluster.size == 0 and rec.redundant.size == n
+    assert rec.e_cr.shape == (0, n) and rec.g_rc.shape == (n, 0)
+    a = dense_matrix(kernel)
+    a_bb = a[np.ix_(rec.redundant, rec.redundant)]
+    assert _relerr(rec.lu.apply_lower(np.triu(rec.lu._lu)), a_bb) < 1e-12
+    b = np.random.default_rng(1).standard_normal(n)
+    x = b.copy()
+    sweep_up([rec], x)
+    sweep_down([rec], x)
+    assert _relerr(a @ x, b) < 1e-12

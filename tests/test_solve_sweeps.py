@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.apps import LaplaceVolumeProblem
-from repro.core import BoxRecord, SRSOptions, srs_factor
+from repro.core import BoxRecord, SRSOptions, skel, srs_factor
 from repro.core.skel import sweep_down, sweep_up, unsweep_down, unsweep_up
 from repro.geometry import uniform_grid
 from repro.kernels import (
@@ -102,6 +102,53 @@ def test_collected_updates_are_what_the_sweep_subtracted(laplace32_fact):
     np.testing.assert_array_equal(before - update, x[rec.cluster])
 
 
+@pytest.fixture(scope="module")
+def helmholtz24_fact(helmholtz24):
+    return srs_factor(helmholtz24, opts=SRSOptions(tol=1e-9, leaf_size=36))
+
+
+@pytest.fixture
+def trtrs_calls(monkeypatch):
+    """Every ``?trtrs`` call the sweeps (and ``eliminate_box``) make."""
+    calls: list[str] = []
+    lookup = skel.trtrs_for
+
+    def counting(dtype):
+        trtrs = lookup(dtype)
+
+        def counted(*args, **kwargs):
+            calls.append("L" if kwargs.get("lower") else "U")
+            return trtrs(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(skel, "trtrs_for", counting)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["laplace32_fact", "helmholtz24_fact"])
+def test_a_solve_makes_two_triangular_solves_per_box(which, request, trtrs_calls):
+    """The multipliers the factor stores leave one ``L^{-1}`` going up and
+    one ``U^{-1}`` coming down per box with redundant indices, whatever
+    the right-hand side: a vector, a block, complex on a real factor."""
+    fact = request.getfixturevalue(which)
+    boxes = sum(1 for rec in fact.records if rec.redundant.size)
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((fact.n, 8))
+    for rhs in (b[:, 0], b, b[:, 1] + 1j * b[:, 2]):
+        trtrs_calls.clear()
+        fact.solve(rhs)
+        assert trtrs_calls == ["L"] * boxes + ["U"] * boxes
+
+
+def test_the_factor_makes_two_triangular_solves_per_box(gaussian16, trtrs_calls):
+    """Forming ``E`` and ``G`` costs what the Schur update's ``X_RR^{-1}``
+    cost: two triangular solves per eliminated box."""
+    fact = srs_factor(gaussian16, opts=SRSOptions(tol=1e-8, leaf_size=16))
+    boxes = sum(1 for rec in fact.records if rec.redundant.size)
+    assert trtrs_calls == ["U", "L"] * boxes
+
+
 def test_solve_leaves_the_factorization_untouched(laplace32_fact):
     """Nothing reachable from a solve writes to the factorization."""
 
@@ -110,7 +157,7 @@ def test_solve_leaves_the_factorization_untouched(laplace32_fact):
             arr.tobytes("A")
             for rec in laplace32_fact.records
             for arr in (rec.redundant, rec.skeleton, rec.cluster, rec.T,
-                        rec.lu._lu, rec.lu._piv, rec.lu._perm, rec.x_cr, rec.x_rc)
+                        rec.lu._lu, rec.lu._piv, rec.lu._perm, rec.e_cr, rec.g_rc)
         ]
 
     rng = np.random.default_rng(5)

@@ -205,7 +205,7 @@ def test_published_factorization_is_one_segment(tmp_path):
     def digest_of(fact):
         h = hashlib.blake2b(digest_size=16)
         for rec in fact.records:
-            for arr in (rec.T, rec.lu._lu, rec.lu._piv, rec.x_cr, rec.x_rc):
+            for arr in (rec.T, rec.lu._lu, rec.lu._piv, rec.e_cr, rec.g_rc):
                 h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
@@ -231,7 +231,7 @@ def test_published_factorization_is_one_segment(tmp_path):
         assert not fact.records[0].T.flags.owndata  # mapped, not copied
         h = hashlib.blake2b(digest_size=16)
         for rec in fact.records:
-            for arr in (rec.T, rec.lu._lu, rec.lu._piv, rec.x_cr, rec.x_rc):
+            for arr in (rec.T, rec.lu._lu, rec.lu._piv, rec.e_cr, rec.g_rc):
                 h.update(np.ascontiguousarray(arr).tobytes())
         print(h.hexdigest())
         store.close()

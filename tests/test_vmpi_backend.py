@@ -280,8 +280,8 @@ def _make_box_record():
         cluster=np.arange(48, 120, dtype=np.int64),
         T=rng.standard_normal((24, 24)),
         lu=PartialLU(rng.standard_normal((24, 24)) + 24 * np.eye(24)),
-        x_cr=rng.standard_normal((72, 24)),
-        x_rc=rng.standard_normal((24, 72)),
+        e_cr=rng.standard_normal((72, 24)),
+        g_rc=np.asfortranarray(rng.standard_normal((24, 72))),  # as trtrs returns it
         cluster_segments=[((1, 2), 0, 24), ((1, 3), 24, 72)],
     )
 
@@ -296,16 +296,17 @@ def test_shm_codec_walks_dataclass_payloads():
     packed = pack(rec, min_bytes=256, registry=registry)
     assert _registered(registry) == [packed.segment]
     assert rec.T is t_before and rec.lu._lu is lu_before  # source intact
-    # cluster, T, lu._lu, x_cr, x_rc clear 256 bytes; redundant/skeleton/_piv do not
+    # cluster, T, lu._lu, e_cr, g_rc clear 256 bytes; redundant/skeleton/_piv do not
     assert sorted(n for _, n in packed.spans) == sorted(
-        a.nbytes for a in (rec.cluster, rec.T, rec.lu._lu, rec.x_cr, rec.x_rc)
+        a.nbytes for a in (rec.cluster, rec.T, rec.lu._lu, rec.e_cr, rec.g_rc)
     )
     dec = _roundtrip(packed)
     np.testing.assert_array_equal(dec.T, rec.T)
-    np.testing.assert_array_equal(dec.x_cr, rec.x_cr)
+    np.testing.assert_array_equal(dec.e_cr, rec.e_cr)
     np.testing.assert_array_equal(dec.lu._lu, rec.lu._lu)
     np.testing.assert_array_equal(dec.lu._piv, rec.lu._piv)
     assert dec.lu._lu.flags.f_contiguous == rec.lu._lu.flags.f_contiguous
+    assert dec.g_rc.flags.f_contiguous and not dec.g_rc.flags.owndata
     assert not dec.T.flags.owndata and not dec.lu._lu.flags.owndata  # mapped
     assert dec.cluster_segments == rec.cluster_segments
     # the reassembled PartialLU still solves

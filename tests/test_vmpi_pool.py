@@ -401,21 +401,23 @@ def test_every_shape_stays_live_until_shutdown_all_pools():
     assert _shm_blocks() == before
 
 
-def test_two_shapes_from_two_threads_spawn_once_each():
+@pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default", "spawn"])
+def test_two_shapes_from_two_threads_spawn_once_each(start_method):
     """200 dispatches alternating two shapes from two threads: exactly
     those two pools exist for the shapes afterwards, each on its first
-    cohort. Under ``spawn``: a rank forked while another thread holds
-    an interpreter-internal lock (the resource tracker's, in
-    ``SharedMemory()``) inherits it locked, and this test makes that
-    window wide on purpose."""
+    cohort. Under ``fork`` (the Linux default) a rank forked while
+    another thread holds the resource tracker's lock (taken in every
+    ``SharedMemory()``) would inherit it locked and hang, were the lock
+    not held across the fork; this test makes that window wide on
+    purpose."""
     import multiprocessing
     import threading
 
-    if "spawn" not in multiprocessing.get_all_start_methods():
-        pytest.skip("spawn start method unavailable")
+    if start_method and start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{start_method} start method unavailable")
     before = _shm_blocks()
     sizes = (1111, 2222)
-    backends = [ProcessBackend(start_method="spawn", min_shm_bytes=n) for n in sizes]
+    backends = [ProcessBackend(start_method=start_method, min_shm_bytes=n) for n in sizes]
     errors: list = []
 
     def loop(offset: int) -> None:
@@ -436,7 +438,10 @@ def test_two_shapes_from_two_threads_spawn_once_each():
         for t in threads:
             t.join(timeout=120.0)
         assert not any(t.is_alive() for t in threads) and not errors, errors
-        pools = [p for p in active_pools() if p.min_shm_bytes in sizes]
+        method = backends[0].start_method
+        pools = [
+            p for p in active_pools() if p.min_shm_bytes in sizes and p.start_method == method
+        ]
         assert sorted(p.min_shm_bytes for p in pools) == list(sizes)
         assert all(p.alive and p.spawn_count == p.nranks == 2 for p in pools)
         assert sum(p.jobs_run for p in pools) == 200
