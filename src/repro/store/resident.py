@@ -198,7 +198,7 @@ class ResidentHandle:
     def _get_pool(self):
         from repro.vmpi.pool import get_pool
 
-        return get_pool(self.p, self.backend.start_method, self.backend.min_shm_bytes)
+        return get_pool(self.p, self.backend.start_method)
 
     def _seed_locked(self, pool) -> None:
         with trace.span("store.resident_seed", entry=self.entry_id):

@@ -1,9 +1,10 @@
 """Tier 2 of the resident store: cross-process shared-memory entries.
 
 A published cache entry is the process backend's message format applied
-at rest: ``pack(fact, shared=True)`` lays every large array of the
-factorization into **one** named ``/dev/shm`` segment, and the
-resulting :class:`~repro.vmpi.process_backend.Packed` (the pickle
+at rest: ``pack(fact, shared=True, min_bytes=0)`` lays every array of
+the factorization, whatever their total, into **one** named
+``/dev/shm`` segment, and the resulting
+:class:`~repro.vmpi.process_backend.Packed` (the pickle
 stream, the segment's name, the array offsets) lands in a sidecar file
 under the store root, wrapped in the same self-verifying envelope as a
 disk spill. Another front-end process attaches by unpickling the
@@ -45,8 +46,8 @@ _PICKLE = pickle.HIGHEST_PROTOCOL
 
 class SharedHold(NamedTuple):
     """What a holder keeps of a published/attached entry: the segment's
-    name (``None`` when no array reached the shm threshold) and the
-    array bytes in it."""
+    name (``None`` when the entry holds no array) and the array bytes in
+    it."""
 
     segment: str | None
     nbytes: int
@@ -87,13 +88,13 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def publish_entry(root: str, digest: str, key, fact, min_bytes: int) -> SharedHold:
+def publish_entry(root: str, digest: str, key, fact) -> SharedHold:
     """Pack ``fact`` into one shared segment + sidecar; returns the hold.
 
     The refcount marker is written before the sidecar becomes visible,
     so no attacher can ever observe a sidecar with zero markers.
     """
-    packed = pack(fact, min_bytes, shared=True)
+    packed = pack(fact, shared=True, min_bytes=0)
     untrack(packed.segment)
     try:
         with open(_ref_path(root, digest), "wb") as fh:

@@ -37,7 +37,7 @@ from repro.store.shared import (
     release_entry,
     sidecar_path,
 )
-from repro.util.config import store_dir, store_lock_timeout_s, vmpi_shm_min_bytes
+from repro.util.config import store_dir, store_lock_timeout_s
 
 _HITS = REGISTRY.counter(
     "repro_store_hits_total",
@@ -102,16 +102,12 @@ class FactorizationStore:
         shared: bool = True,
         spill: bool = True,
         lock_timeout: float | None = None,
-        min_shm_bytes: int | None = None,
     ):
         self.root = str(root)
         self.shared = bool(shared)
         self.spill_enabled = bool(spill)
         self.lock_timeout = (
             store_lock_timeout_s() if lock_timeout is None else float(lock_timeout)
-        )
-        self.min_shm_bytes = (
-            vmpi_shm_min_bytes() if min_shm_bytes is None else int(min_shm_bytes)
         )
         os.makedirs(self.root, exist_ok=True)
         self._lock = make_lock("store.index")
@@ -231,9 +227,7 @@ class FactorizationStore:
         try:
             if self.shared:
                 with trace.span("store.publish"):
-                    hold = publish_entry(
-                        self.root, digest, key, _publishable(fact), self.min_shm_bytes
-                    )
+                    hold = publish_entry(self.root, digest, key, _publishable(fact))
                 with self._lock:
                     held = self._held.setdefault(digest, [hold, 0])
                     held[1] += 1

@@ -82,20 +82,6 @@ def vmpi_backend() -> str:
     return name
 
 
-def vmpi_shm_min_bytes() -> int:
-    """Arrays at or above this size travel via shared memory (process backend).
-
-    Per array: those at or above it share the message's one segment,
-    smaller ones ride its pickle stream, and a message with nothing
-    above it creates no segment (``REPRO_VMPI_SHM_MIN_BYTES``, default
-    2048; the README knob row records the measurement behind it).
-    """
-    n = env_int("REPRO_VMPI_SHM_MIN_BYTES", 2048)
-    if n < 0:
-        raise ValueError(f"REPRO_VMPI_SHM_MIN_BYTES must be >= 0, got {n}")
-    return n
-
-
 # ----------------------------------------------------------------------
 # solve service (repro.service) knobs
 # ----------------------------------------------------------------------

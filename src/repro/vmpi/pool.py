@@ -13,9 +13,10 @@ queue all stay alive across dispatches.
 Protocol per dispatch (one *job*):
 
 1. The parent packs ``(fn, args, cost_model, copy_payloads)`` once
-   (large arrays — e.g. the ``WorkerResult`` list a seeding dispatch
+   (bulk arrays — e.g. the ``WorkerResult`` list a seeding dispatch
    ships — go into one *shared* shared-memory segment, mapped zero-copy
-   by every worker) and writes one pre-pickled command blob per rank to
+   by every worker; a warm solve's right-hand side is not bulk and
+   rides the blob) and writes one pre-pickled command blob per rank to
    that rank's command queue. A program, kernel or argument that cannot
    be pickled raises :class:`DispatchEncodeError` here, on every start
    method, before any worker saw the job.
@@ -26,7 +27,8 @@ Protocol per dispatch (one *job*):
    instead of corrupting a later program that reuses the same
    (source, tag) pair.
 3. Workers run ``fn(comm, *args)``, pack the result (factorization
-   dataclasses travel zero-copy, one segment per rank), and pre-pickle
+   dataclasses travel zero-copy, one segment per rank; a solve's slice
+   of the solution rides the blob), and pre-pickle
    the outcome — so an unpicklable result is reported as that rank's
    failure instead of dying silently in a queue feeder thread.
 4. The parent collects one outcome per rank, unpacks the results, and
@@ -47,8 +49,8 @@ written their segment names to it, so the parent unlinks them once all
 ranks are gone (on Python 3.13+, where segments are untracked, such
 orphans would otherwise persist in /dev/shm until reboot).
 
-Pools are cached process-wide, one per ``(nranks, start_method,
-min_shm_bytes)`` shape, for the life of the interpreter: a shape's pool
+Pools are cached process-wide, one per ``(nranks, start_method)``
+shape, for the life of the interpreter: a shape's pool
 is replaced only when its workers died, and every pool is shut down
 cleanly at interpreter exit.
 """
@@ -208,7 +210,6 @@ def _pool_worker_main(
     results_q,
     mailboxes: list,
     registry,
-    min_shm_bytes: int,
 ) -> None:
     """Entry point of one persistent rank worker (module-level: must be
     importable under the spawn start method). One job per loop turn; the
@@ -226,10 +227,10 @@ def _pool_worker_main(
         cmd = pickle.loads(blob)
         if cmd[0] == "stop":
             return
-        results_q.put(_execute_job(rank, cmd, mailboxes, registry, min_shm_bytes))
+        results_q.put(_execute_job(rank, cmd, mailboxes, registry))
 
 
-def _execute_job(rank: int, cmd, mailboxes: list, registry, min_shm_bytes: int) -> bytes:
+def _execute_job(rank: int, cmd, mailboxes: list, registry) -> bytes:
     """Run one dispatched SPMD program; returns the pre-pickled outcome.
 
     The command's payload arrives packed, opened *here* inside the
@@ -254,9 +255,7 @@ def _execute_job(rank: int, cmd, mailboxes: list, registry, min_shm_bytes: int) 
     packed = None
     try:
         fn, args, cost_model, copy_payloads = unpack(payload)
-        transport = ProcessTransport(
-            mailboxes, min_shm_bytes, registry=registry, epoch=job_id
-        )
+        transport = ProcessTransport(mailboxes, registry=registry, epoch=job_id)
         comm = Comm(
             transport, rank, cost_model=cost_model, copy_payloads=copy_payloads
         )
@@ -267,7 +266,7 @@ def _execute_job(rank: int, cmd, mailboxes: list, registry, min_shm_bytes: int) 
         if profile_hz > 0:
             profile.stop()
             report.profile = profile.drain_table()
-        packed = pack(result, min_shm_bytes, registry)
+        packed = pack(result, registry)
         return pickle.dumps((rank, job_id, True, packed, report), protocol=_PICKLE)
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
         if profile_hz > 0:
@@ -282,12 +281,11 @@ def _execute_job(rank: int, cmd, mailboxes: list, registry, min_shm_bytes: int) 
 class RankPool:
     """``p`` long-lived rank processes dispatching SPMD programs."""
 
-    def __init__(self, nranks: int, start_method: str, min_shm_bytes: int):
+    def __init__(self, nranks: int, start_method: str):
         if nranks <= 0:
             raise ValueError(f"nranks must be positive, got {nranks}")
         self.nranks = int(nranks)
         self.start_method = start_method
-        self.min_shm_bytes = int(min_shm_bytes)
         #: total processes ever started by this pool (the spawn probe:
         #: stays at ``nranks`` across any number of dispatches)
         self.spawn_count = 0
@@ -352,7 +350,6 @@ class RankPool:
                     self._results_q,
                     self._mailboxes,
                     self._registry_q,
-                    self.min_shm_bytes,
                 ),
                 name=f"vmpi-pool-rank-{r}",
                 daemon=True,
@@ -455,15 +452,12 @@ class RankPool:
         try:
             with trace.span("vmpi.encode", ranks=self.nranks) as esp:
                 payload = pack(
-                    (fn, args, cost_model, copy_payloads),
-                    self.min_shm_bytes,
-                    self._registry_q,
-                    shared=True,
+                    (fn, args, cost_model, copy_payloads), self._registry_q, shared=True
                 )
                 esp.set(
-                    bytes=len(payload.blob),
+                    bytes=payload.nbytes,
                     shm_blocks=int(payload.segment is not None),
-                    arrays=len(payload.spans),
+                    arrays=len(payload.spans) + len(payload.inline),
                 )
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise _encode_error("an argument of rank program", fn, exc) from exc
@@ -595,10 +589,10 @@ _POOLS_LOCK = make_lock("vmpi.pool.registry")
 _ATEXIT_REGISTERED = False
 
 
-def get_pool(nranks: int, start_method: str, min_shm_bytes: int) -> RankPool:
+def get_pool(nranks: int, start_method: str) -> RankPool:
     """The shared pool for this shape, started."""
     global _ATEXIT_REGISTERED
-    key = (int(nranks), start_method, int(min_shm_bytes))
+    key = (int(nranks), start_method)
     dead = None
     with _POOLS_LOCK:
         pool = _POOLS.get(key)
@@ -606,7 +600,7 @@ def get_pool(nranks: int, start_method: str, min_shm_bytes: int) -> RankPool:
         # starting (ensure_started below is idempotent)
         if pool is None or not (pool.alive or pool.never_started):
             dead = pool
-            pool = _POOLS[key] = RankPool(nranks, start_method, min_shm_bytes)
+            pool = _POOLS[key] = RankPool(nranks, start_method)
         if not _ATEXIT_REGISTERED:
             # registered after multiprocessing's own atexit hook, so
             # (LIFO) this runs first, while worker teardown still works

@@ -4,15 +4,17 @@ Every rank is an OS process, so rank compute runs truly in parallel
 (no GIL). The processes themselves — how they start, take jobs, die and
 get cleaned up after — are the business of :mod:`repro.vmpi.pool`
 alone; this module is what travels between them. Messages go through
-per-rank ``multiprocessing`` queues as a :class:`Packed` pair: a pickle
-protocol-5 stream, and — when the message holds arrays of at least
-``REPRO_VMPI_SHM_MIN_BYTES`` — **one** ``multiprocessing.shared_memory``
-segment into which :func:`pack` lays all of those arrays at aligned
-offsets. The sender pays one segment creation and one copy per array;
-the receiver maps the segment once and :func:`unpack` rebuilds every
-array as a view of it *without copying*. Small arrays and control data
-(tags, box coordinates, op logs) ride the pickle stream, and a message
-with no large array creates no segment.
+per-rank ``multiprocessing`` queues as a :class:`Packed`: a pickle
+protocol-5 stream plus the message's arrays. The rule is per message.
+A message whose arrays total at least :data:`SEGMENT_MIN_BYTES` is
+*bulk*: :func:`pack` lays all of them at aligned offsets into **one**
+``multiprocessing.shared_memory`` segment, the sender paying one
+segment creation and one copy per array, and the receiver maps the
+segment once while :func:`unpack` rebuilds every array as a view of it
+*without copying*. Any other message creates no segment: its arrays,
+copied when it is packed, travel through the pipe with the stream. A
+segment costs about the same whatever it holds (create, register,
+attach, unlink), which the pipe beats below ~256 KiB.
 
 Lifetime protocol for a segment: the sender creates it, writes its name
 to the pool's registry pipe (a feeder-less ``SimpleQueue``: a
@@ -42,7 +44,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from repro.obs import BYTES_BUCKETS, REGISTRY, trace
-from repro.util.config import vmpi_shm_min_bytes, vmpi_start_method
+from repro.util.config import vmpi_start_method
 from repro.vmpi.backend import ExecutionBackend, SPMDRun
 from repro.vmpi.clock import CostModel
 from repro.vmpi.transport import Message
@@ -53,12 +55,16 @@ _SHM_BYTES = REGISTRY.counter(
 )
 _SHM_BLOCK_BYTES = REGISTRY.histogram(
     "repro_vmpi_shm_block_bytes",
-    "Size distribution of shared-memory segments (one per message holding large arrays)",
+    "Size distribution of shared-memory segments (one per bulk message)",
     buckets=BYTES_BUCKETS,
 )
 
 #: arrays start on cache-line boundaries inside a segment
 _ALIGN = 64
+
+#: a message whose arrays total at least this many bytes carries them in
+#: one shared-memory segment; a smaller one carries them in the pipe
+SEGMENT_MIN_BYTES = 256 * 1024
 
 
 # ----------------------------------------------------------------------
@@ -124,43 +130,57 @@ def untrack(name: str | None) -> None:
 
 
 class Packed(NamedTuple):
-    """Wire form of one message: a pickle stream and at most one segment.
+    """Wire form of one message: a pickle stream and its arrays, held
+    either in at most one segment or alongside the stream.
 
     ``spans`` lists ``(offset, nbytes)`` of every array laid into the
-    segment, in the order the pickle stream asks for them. ``shared``
-    switches the lifetime protocol: the default (point-to-point message
-    payloads, rank results) is exactly-one-receiver — :func:`unpack`
-    unlinks on attach. A shared segment (pool dispatch args, which
-    ``run_spmd`` documents as shared read-only across ranks; store
-    entries) is attached by *every* reader without unlinking; its owner
-    reclaims the name.
+    segment, in the order the pickle stream asks for them. A message
+    without a segment keeps those arrays in ``inline`` instead, one
+    ``bytes`` copy each, in the same order: they cross the process
+    boundary inside the pickle stream of whatever carries the Packed (a
+    mailbox, a command blob). ``shared`` switches the lifetime protocol:
+    the default (point-to-point message payloads, rank results) is
+    exactly-one-receiver — :func:`unpack` unlinks on attach. A shared
+    segment (pool dispatch args, which ``run_spmd`` documents as shared
+    read-only across ranks; store entries) is attached by *every* reader
+    without unlinking; its owner reclaims the name.
     """
 
     blob: bytes
     segment: str | None = None
     spans: tuple = ()
     shared: bool = False
+    inline: tuple = ()
 
     @property
     def shm_nbytes(self) -> int:
         """Array bytes held in the segment (alignment padding excluded)."""
         return sum(n for _, n in self.spans)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes the message carries: the stream plus its arrays,
+        wherever they travel."""
+        return len(self.blob) + self.shm_nbytes + sum(len(b) for b in self.inline)
 
-def pack(obj: Any, min_bytes: int, registry=None, *, shared: bool = False) -> Packed:
-    """Snapshot ``obj`` as a pickle stream plus one shared-memory segment.
 
-    Pickle protocol 5 does the walk: every C- or F-contiguous ndarray
-    anywhere in ``obj`` — containers, dataclasses, plain classes such as
-    :class:`~repro.linalg.lu.PartialLU` — is offered out-of-band, with
-    dtype, shape, order and writability carried by the stream, and an
-    array that appears twice is sent once. Of those, flat numeric
-    buffers of at least ``min_bytes`` go into the segment; the choice
-    depends only on the array's properties, never on a runtime failure:
-    0-byte and 0-d arrays, arrays below ``min_bytes`` and structured
-    dtypes stay in the stream, as do the arrays pickle never offers
-    (object dtypes, and non-contiguous views, which travel as one
-    contiguous copy). ``obj`` is never mutated.
+def pack(
+    obj: Any, registry=None, *, shared: bool = False, min_bytes: int = SEGMENT_MIN_BYTES
+) -> Packed:
+    """Snapshot ``obj`` as a pickle stream plus its arrays.
+
+    Pickle protocol 5 does the walk, once: every C- or F-contiguous
+    ndarray anywhere in ``obj`` — containers, dataclasses, plain classes
+    such as :class:`~repro.linalg.lu.PartialLU` — is offered
+    out-of-band, with dtype, shape, order and writability carried by the
+    stream, and an array that appears twice is sent once. 0-byte, 0-d
+    and structured arrays stay in the stream, as do the arrays pickle
+    never offers (object dtypes, and non-contiguous views, which travel
+    as one contiguous copy). If the offered arrays total at least
+    ``min_bytes`` they all go into one segment; otherwise each is copied
+    into the Packed's ``inline`` bytes. Either way the message is a
+    snapshot: mutating ``obj`` afterwards does not reach the receiver,
+    and ``obj`` is never mutated.
 
     The stream is complete before the segment exists, so a pickling
     failure leaves nothing behind; the name goes into ``registry``
@@ -172,14 +192,14 @@ def pack(obj: Any, min_bytes: int, registry=None, *, shared: bool = False) -> Pa
 
     def keep_in_stream(pb) -> bool:
         view = memoryview(pb)
-        if view.nbytes < max(min_bytes, 1) or view.ndim == 0 or view.format.startswith("T{"):
+        if view.nbytes == 0 or view.ndim == 0 or view.format.startswith("T{"):
             return True
         buffers.append(pb.raw())
         return False  # pickle's contract: falsy = out-of-band
 
     blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL, buffer_callback=keep_in_stream)
-    if not buffers:
-        return Packed(blob)
+    if not buffers or sum(buf.nbytes for buf in buffers) < min_bytes:
+        return Packed(blob, inline=tuple(bytes(buf) for buf in buffers))
     spans, size = [], 0
     for buf in buffers:
         spans.append((size, buf.nbytes))
@@ -208,11 +228,13 @@ def unpack(packed: Packed) -> Any:
     pickle stream turns slices of it into the (writable) arrays, so
     every decoded array is a view whose base chain ends at that one
     array, and a ``weakref.finalize`` on it closes the mapping when the
-    last of them is collected. The decoded object graph belongs
-    exclusively to the caller.
+    last of them is collected. Without a segment each ``inline`` buffer
+    is copied into a fresh ``bytearray``, so those arrays arrive
+    writable too. The decoded object graph belongs exclusively to the
+    caller.
     """
     if packed.segment is None:
-        return pickle.loads(packed.blob)
+        return pickle.loads(packed.blob, buffers=[bytearray(b) for b in packed.inline])
     shm = _attach_shm(packed.segment)
     if not packed.shared:
         try:
@@ -261,11 +283,11 @@ class ProcessTransport:
     Process isolation makes deep-copying payloads on ``put`` redundant,
     hence ``needs_copy = False`` (:class:`~repro.vmpi.comm.Comm` skips
     ``sanitize``). Buffered-send semantics still require snapshotting
-    the payload *at put time*: :func:`pack` copies large arrays into the
-    message's segment and pickles the remainder synchronously, rather
-    than lazily in the queue's feeder thread — otherwise a sender
-    mutating a small array after ``send`` would leak the mutation to
-    the receiver.
+    the payload *at put time*: :func:`pack` pickles the message and
+    copies its arrays — into the message's segment when it is bulk,
+    into its ``inline`` bytes otherwise — synchronously, rather than
+    lazily in the queue's feeder thread, so a sender mutating an array
+    after ``send`` never leaks the mutation to the receiver.
 
     ``epoch`` stamps every message on the wire. Long-lived pool workers
     bump it per dispatched job, so a message stranded by one SPMD
@@ -276,17 +298,16 @@ class ProcessTransport:
 
     needs_copy = False
 
-    def __init__(self, mailboxes: list, min_shm_bytes: int, registry=None, epoch: int = 0):
+    def __init__(self, mailboxes: list, registry=None, epoch: int = 0):
         self.nranks = len(mailboxes)
         self._mailboxes = mailboxes
-        self._min_shm_bytes = int(min_shm_bytes)
         self._registry = registry
         self.epoch = int(epoch)
 
     def put(self, message: Message) -> None:
         if not (0 <= message.dest < self.nranks):
             raise ValueError(f"invalid destination rank {message.dest}")
-        packed = pack(message, self._min_shm_bytes, self._registry)
+        packed = pack(message, self._registry)
         self._mailboxes[message.dest].put((self.epoch, packed))
 
     def get(self, rank: int, timeout: float) -> Message:
@@ -302,7 +323,9 @@ class ProcessTransport:
                     release_segment(packed.segment)
                     continue
                 msg = unpack(packed)
-                sp.set(source=msg.source, bytes=len(packed.blob))
+                sp.set(
+                    source=msg.source, bytes=msg.nbytes, segment=packed.segment is not None
+                )
                 return msg
 
 
@@ -361,8 +384,8 @@ def _pick_start_method() -> str:
 class ProcessBackend(ExecutionBackend):
     """One OS process per rank, shared-memory array transport.
 
-    A handle on ``(start_method, min_shm_bytes)``: every ``run`` goes to
-    the process-wide :class:`~repro.vmpi.pool.RankPool` of that shape,
+    A handle on a start method: every ``run`` goes to the process-wide
+    :class:`~repro.vmpi.pool.RankPool` of ``(nranks, start_method)``,
     whose workers are started once and then serve ``factor`` and every
     later ``solve`` — the paper's execution model (``Distributed.jl``
     workers outliving the factorization they hold). Rank program,
@@ -374,11 +397,8 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, start_method: str | None = None, min_shm_bytes: int | None = None):
+    def __init__(self, start_method: str | None = None):
         self.start_method = start_method or _pick_start_method()
-        self.min_shm_bytes = (
-            vmpi_shm_min_bytes() if min_shm_bytes is None else int(min_shm_bytes)
-        )
         self._pool = None  # the RankPool of the last dispatch
 
     @property
@@ -409,7 +429,7 @@ class ProcessBackend(ExecutionBackend):
 
         # always (re)acquire through the registry: it returns the same
         # live pool and replaces a dead one transparently
-        self._pool = get_pool(nranks, self.start_method, self.min_shm_bytes)
+        self._pool = get_pool(nranks, self.start_method)
         return self._pool.run(
             fn, args, cost_model=cost_model, copy_payloads=copy_payloads, timeout=timeout
         )

@@ -120,7 +120,7 @@ def test_project_locks_become_watched_under_obs(monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "1")
     from repro.vmpi.pool import RankPool
 
-    pool = RankPool(1, "spawn", 1 << 20)
+    pool = RankPool(1, "spawn")
     assert isinstance(pool._lock, WatchedLock)
     assert pool._lock.reentrant
     assert pool._lock.name == "vmpi.pool"

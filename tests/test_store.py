@@ -178,14 +178,15 @@ def test_lock_timeout_builds_privately(tmp_path):
 def test_shared_publish_release_leaves_shm_as_found(tmp_path):
     root = str(tmp_path)
     before = _shm_blocks()
-    store = FactorizationStore(root, shared=True, spill=False, min_shm_bytes=128)
+    store = FactorizationStore(root, shared=True, spill=False)
     fact, tier = store.fetch_or_build(
         "k", lambda: {"a": np.arange(4096, dtype=np.float64)}
     )
     assert tier is None
     assert store.shared_published("k") and store.holds_shared("k")
     assert store.shared_bytes() == 4096 * 8
-    assert _shm_blocks() > before  # blocks are live while held
+    # a publish is one segment, however few bytes, live while held
+    assert len(_shm_blocks() - before) == 1
     store.release("k")
     assert not store.holds_shared("k") and not store.shared_published("k")
     assert _shm_blocks() == before
@@ -383,7 +384,7 @@ def digest(fact):
     return hashlib.blake2b(np.ascontiguousarray(fact["a"]).tobytes(), digest_size=16).hexdigest()
 
 root, role = sys.argv[1:3]
-store = FactorizationStore(root, shared=True, spill=False, min_shm_bytes=128)
+store = FactorizationStore(root, shared=True, spill=False)
 if role == "publish":  # build, then hold until told to go
     fact, tier = store.fetch_or_build("k", lambda: {"a": np.arange(4096, dtype=np.float64)})
     print(tier, digest(fact), flush=True)
@@ -447,7 +448,7 @@ def test_shared_segment_outlives_foreign_holders(tmp_path):
     # the mirrored order: the publisher leaves while this process holds
     publisher = publish()
     (segment,) = _shm_blocks() - before
-    store = FactorizationStore(root, shared=True, spill=False, min_shm_bytes=128)
+    store = FactorizationStore(root, shared=True, spill=False)
     held, tier = store.load("k")
     assert tier == "shared"
     leave(publisher)
@@ -541,14 +542,15 @@ def test_eviction_invalidates_worker_registry():
 
 
 @needs_process
-def test_resident_solve_dispatches_o_rhs_bytes():
+def test_resident_solve_dispatches_o_rhs_bytes(monkeypatch):
     """A warm pooled solve ships the rhs to worker-resident shards; the
     same pool handed the factorization tree ships >= 10x the bytes
-    (byte counts are deterministic, unlike the wall-clock crossover)."""
-    from repro.obs import REGISTRY
+    (byte counts are deterministic, unlike the wall-clock crossover).
+    Counted over everything a dispatch packs — stream plus arrays,
+    whether they ride the stream or a segment."""
+    import repro.vmpi.pool as pool_mod
     from repro.parallel.solve import solve_worker
 
-    shm_bytes = REGISTRY.counter("repro_vmpi_shm_bytes_total")
     prob = LaplaceVolumeProblem(m=64)
     b = prob.random_rhs(0)
     fact = repro.solve(
@@ -556,13 +558,21 @@ def test_resident_solve_dispatches_o_rhs_bytes():
         srs=repro.SRSOptions(tol=1e-6, leaf_size=64),
     ).factorization
     assert fact.resident is not None
-    mark = shm_bytes.value()
+    sizes: list = []
+    plain_pack = pool_mod.pack
+
+    def counting_pack(*args, **kwargs):
+        packed = plain_pack(*args, **kwargs)
+        sizes.append(packed.nbytes)
+        return packed
+
+    monkeypatch.setattr(pool_mod, "pack", counting_pack)
     fact.solve(b)
-    per_solve = shm_bytes.value() - mark
-    mark = shm_bytes.value()
+    per_solve = sum(sizes)
+    sizes.clear()
     fact.backend.pool.run(solve_worker, (fact.workers, prob.n, b))
-    full_tree = shm_bytes.value() - mark
-    assert per_solve > 0 and full_tree >= 10 * per_solve, (full_tree, per_solve)
+    full_tree = sum(sizes)
+    assert per_solve >= b.nbytes and full_tree >= 10 * per_solve, (full_tree, per_solve)
     fact.resident.drop()
     fact.backend.pool.shutdown()
 
@@ -587,7 +597,7 @@ def test_worker_respawn_rematerializes_shards():
     assert np.array_equal(x1, x2)
     # the handle saw a different cohort: a replacement pool object, or
     # the same object respawned with a bumped generation
-    new_pool = get_pool(pool.nranks, pool.start_method, pool.min_shm_bytes)
+    new_pool = get_pool(pool.nranks, pool.start_method)
     assert new_pool is not pool or new_pool.generation > gen
     assert new_pool.alive
     assert _SEEDS.value() == seeds_before + 1

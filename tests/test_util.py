@@ -47,18 +47,6 @@ def test_vmpi_backend_config(monkeypatch):
         vmpi_backend()
 
 
-def test_vmpi_shm_min_bytes_config(monkeypatch):
-    from repro.util.config import vmpi_shm_min_bytes
-
-    monkeypatch.delenv("REPRO_VMPI_SHM_MIN_BYTES", raising=False)
-    assert vmpi_shm_min_bytes() == 2048
-    monkeypatch.setenv("REPRO_VMPI_SHM_MIN_BYTES", "0")
-    assert vmpi_shm_min_bytes() == 0
-    monkeypatch.setenv("REPRO_VMPI_SHM_MIN_BYTES", "-1")
-    with pytest.raises(ValueError):
-        vmpi_shm_min_bytes()
-
-
 def test_obs_config(monkeypatch):
     from repro.util.config import obs_enabled, obs_trace_path
 

@@ -24,7 +24,7 @@ from repro.vmpi import (
     resolve_backend,
     run_spmd,
 )
-from repro.vmpi.process_backend import pack, release_segment, unpack
+from repro.vmpi.process_backend import SEGMENT_MIN_BYTES, pack, release_segment, unpack
 
 needs_process = pytest.mark.skipif(
     not process_backend_available(),
@@ -88,6 +88,11 @@ def _roundtrip(packed):
     return unpack(pickle.loads(pickle.dumps(packed)))
 
 
+#: float64 counts of one-array messages on either side of the rule
+_INLINE = 200 * 1024 // 8  # 200 KiB: rides the stream
+_BULK = SEGMENT_MIN_BYTES // 8 + 1  # takes a segment
+
+
 @needs_process
 def test_shm_codec_roundtrip_nested():
     payload = {
@@ -97,10 +102,11 @@ def test_shm_codec_roundtrip_nested():
         "scalars": [1, 2.5, "tag", None, (3, 4)],
     }
     packed = pack(payload, min_bytes=2048)
-    # the two large arrays went into the segment, the small one rides the stream
-    assert packed.segment is not None
-    assert [n for _, n in packed.spans] == [4096 * 8, 64 * 64 * 16]
-    assert packed.shm_nbytes == 4096 * 8 + 64 * 64 * 16
+    # the rule is per message: past the threshold, the small array shares
+    # the segment with the two large ones
+    assert packed.segment is not None and packed.inline == ()
+    assert [n for _, n in packed.spans] == [4096 * 8, 64 * 64 * 16, 4 * 4]
+    assert packed.shm_nbytes == 4096 * 8 + 64 * 64 * 16 + 4 * 4
     decoded = _roundtrip(packed)
     np.testing.assert_array_equal(decoded["big"], payload["big"])
     assert decoded["big"].dtype == payload["big"].dtype
@@ -119,7 +125,7 @@ def test_shm_codec_structured_dtype_rides_pickle_channel():
     rec = np.zeros(1000, dtype=[("a", "f8"), ("b", "i8")])
     rec["a"] = 1.5
     packed = pack({"rec": rec}, min_bytes=0)
-    assert packed.segment is None and packed.spans == ()
+    assert packed.segment is None and packed.spans == () and packed.inline == ()
     decoded = _roundtrip(packed)
     assert decoded["rec"].dtype.names == ("a", "b")
     np.testing.assert_array_equal(decoded["rec"]["a"], rec["a"])
@@ -165,13 +171,9 @@ def _empty_send_prog(comm):
 
 @needs_process
 def test_process_backend_zero_threshold_run():
-    from repro.vmpi import ProcessBackend
-
-    be = ProcessBackend(min_shm_bytes=0)
-    try:
-        assert run_spmd(2, _empty_send_prog, backend=be).results[1] == 0
-    finally:
-        be.pool.shutdown()  # an odd shape: nothing else would retire it
+    """An empty array (which no segment can hold: SharedMemory rejects
+    size 0) travels on the default backend."""
+    assert run_spmd(2, _empty_send_prog, backend=ProcessBackend()).results[1] == 0
 
 
 @needs_process
@@ -187,6 +189,32 @@ def test_shm_codec_noncontiguous_and_isolation():
     assert decoded.flags.writeable
     decoded[0, 0] = -1.0
     assert base[0, 0] == 0.0
+
+
+@needs_process
+def test_shm_codec_below_threshold_travels_inline_and_isolated():
+    """A message whose arrays total less than SEGMENT_MIN_BYTES takes no
+    segment: a 200 KiB array rides the stream, copied at pack time, and
+    arrives writable; 0-byte, 0-d and structured arrays stay in the
+    stream itself."""
+    big = np.arange(_INLINE, dtype=np.float64)
+    rec = np.zeros(100, dtype=[("a", "f8"), ("b", "i8")])
+    registry = _registry()
+    before = _shm_names()
+    packed = pack(
+        {"big": big, "empty": np.empty(0), "s": np.array(1.5), "rec": rec},
+        registry=registry,
+    )
+    assert packed.segment is None and packed.spans == ()
+    assert [len(b) for b in packed.inline] == [big.nbytes]
+    assert _registered(registry) == [] and _shm_names() == before
+    big[:] = -1.0  # after pack: must not reach the receiver
+    decoded = _roundtrip(packed)
+    assert decoded["big"].flags.writeable
+    np.testing.assert_array_equal(decoded["big"], np.arange(_INLINE, dtype=np.float64))
+    assert decoded["empty"].size == 0 and decoded["s"] == 1.5
+    assert decoded["rec"].dtype == rec.dtype
+    registry.close()
 
 
 @needs_process
@@ -207,23 +235,26 @@ def test_shm_codec_preserves_fortran_order():
     down different kernels and break bitwise cross-backend parity."""
     f_arr = np.asfortranarray(np.arange(10000, dtype=np.float64).reshape(100, 100))
     c_arr = np.ascontiguousarray(f_arr)
-    packed = pack((f_arr, c_arr), min_bytes=0)
-    assert len(packed.spans) == 2
-    dec_f, dec_c = unpack(packed)
-    assert dec_f.flags.f_contiguous and not dec_f.flags.c_contiguous
-    assert dec_c.flags.c_contiguous and not dec_c.flags.f_contiguous
-    np.testing.assert_array_equal(dec_f, f_arr)
-    np.testing.assert_array_equal(dec_c, c_arr)
+    for min_bytes, in_segment in ((0, True), (SEGMENT_MIN_BYTES, False)):
+        packed = pack((f_arr, c_arr), min_bytes=min_bytes)
+        assert len(packed.spans if in_segment else packed.inline) == 2
+        dec_f, dec_c = _roundtrip(packed)
+        assert dec_f.flags.f_contiguous and not dec_f.flags.c_contiguous
+        assert dec_c.flags.c_contiguous and not dec_c.flags.f_contiguous
+        np.testing.assert_array_equal(dec_f, f_arr)
+        np.testing.assert_array_equal(dec_c, c_arr)
 
 
 @needs_process
 def test_shm_codec_one_segment_for_fifty_arrays():
-    """However many arrays clear the threshold, a message registers
-    exactly one name — and adds exactly one /dev/shm entry."""
-    arrays = [np.full(300 + i, float(i)) for i in range(50)]
+    """Fifty small arrays (5.6-5.9 KiB each) that together pass
+    SEGMENT_MIN_BYTES make a bulk message: it registers exactly one
+    name — and adds exactly one /dev/shm entry."""
+    arrays = [np.full(700 + i, float(i)) for i in range(50)]
+    assert sum(a.nbytes for a in arrays) >= SEGMENT_MIN_BYTES
     registry = _registry()
     before = _shm_names()
-    packed = pack({"arrays": arrays, "tag": 3}, min_bytes=2048, registry=registry)
+    packed = pack({"arrays": arrays, "tag": 3}, registry=registry)
     assert _registered(registry) == [packed.segment]
     assert _shm_names() - before == {packed.segment}
     assert len(packed.spans) == 50
@@ -241,7 +272,8 @@ def test_shm_codec_aliased_array_arrives_once():
     arrives as one object, as it would through a plain pickle."""
     a = np.arange(5000.0)
     packed = pack({"x": a, "y": [a, a[:10]]}, min_bytes=2048)
-    assert len(packed.spans) == 1
+    # `a` once; the slice is another array object, laid out on its own
+    assert [n for _, n in packed.spans] == [a.nbytes, 10 * 8]
     decoded = unpack(packed)
     assert decoded["x"] is decoded["y"][0]
     np.testing.assert_array_equal(decoded["y"][1], a[:10])
@@ -296,10 +328,11 @@ def test_shm_codec_walks_dataclass_payloads():
     packed = pack(rec, min_bytes=256, registry=registry)
     assert _registered(registry) == [packed.segment]
     assert rec.T is t_before and rec.lu._lu is lu_before  # source intact
-    # cluster, T, lu._lu, e_cr, g_rc clear 256 bytes; redundant/skeleton/_piv do not
-    assert sorted(n for _, n in packed.spans) == sorted(
-        a.nbytes for a in (rec.cluster, rec.T, rec.lu._lu, rec.e_cr, rec.g_rc)
-    )
+    # a bulk message: every array of the record shares the one segment,
+    # the small index arrays and pivots included
+    every = (rec.redundant, rec.skeleton, rec.cluster, rec.T, rec.lu._lu,
+             rec.lu._piv, rec.lu._perm, rec.e_cr, rec.g_rc)
+    assert sorted(n for _, n in packed.spans) == sorted(a.nbytes for a in every)
     dec = _roundtrip(packed)
     np.testing.assert_array_equal(dec.T, rec.T)
     np.testing.assert_array_equal(dec.e_cr, rec.e_cr)
@@ -345,14 +378,15 @@ def test_shm_codec_dataclass_edge_fields_ride_pickle_channel():
 
 @needs_process
 def test_shm_codec_identity_on_arrayless_payloads():
-    """A payload with nothing above the threshold creates nothing: no
-    segment, no registry entry, no /dev/shm traffic."""
+    """A payload whose arrays total less than the threshold creates
+    nothing: no segment, no registry entry, no /dev/shm traffic."""
     rec = _make_box_record()
     payload = {"tag": 7, "coords": [(1, 2), (3, 4)], "rec": rec}
     registry = _registry()
     before = _shm_names()
     packed = pack(payload, min_bytes=10**9, registry=registry)
     assert packed.segment is None and packed.spans == () and packed.shm_nbytes == 0
+    assert len(packed.inline) == 9  # the record's arrays ride the stream
     assert _registered(registry) == [] and _shm_names() == before
     decoded = unpack(packed)
     assert decoded["tag"] == 7 and decoded["coords"] == payload["coords"]
@@ -455,7 +489,7 @@ def test_collectives_parity_and_counters():
 
 
 def _mutate_prog(comm):
-    data = np.arange(5000, dtype=np.float64)
+    data = np.arange(_BULK, dtype=np.float64)
     if comm.rank == 0:
         comm.send(data, 1, tag=1)
         comm.barrier()
@@ -473,14 +507,14 @@ def _mutate_prog(comm):
 def test_process_rank_isolation_with_shm_arrays():
     """Mutating a received shm-backed array must not leak to the sender."""
     run = run_spmd(2, _mutate_prog, backend="process")
-    assert run.results[0] == float(np.arange(5000, dtype=np.float64).sum())
-    assert run.results[1] == -5000.0
+    assert run.results[0] == float(np.arange(_BULK, dtype=np.float64).sum())
+    assert run.results[1] == -float(_BULK)
 
 
 def _mutate_after_send_prog(comm):
-    # one array below the shm threshold (pickle channel), one above
-    small = np.arange(100, dtype=np.float64)
-    big = np.arange(5000, dtype=np.float64)
+    # one message below the shm threshold (pickle channel), one above
+    small = np.arange(_INLINE, dtype=np.float64)
+    big = np.arange(_BULK, dtype=np.float64)
     if comm.rank == 0:
         comm.send(small, 1, tag=1)
         comm.send(big, 1, tag=2)
@@ -503,8 +537,8 @@ def test_send_snapshots_payload_at_put_time():
     for backend in ("thread", "process"):
         run = run_spmd(2, _mutate_after_send_prog, backend=backend)
         assert run.results[1] == (
-            float(np.arange(100).sum()),
-            float(np.arange(5000).sum()),
+            float(np.arange(_INLINE).sum()),
+            float(np.arange(_BULK).sum()),
         ), backend
 
 
@@ -549,7 +583,7 @@ def test_put_releases_shm_blocks_on_pickle_failure():
 def _orphan_send_prog(comm):
     if comm.rank == 0:
         # large enough to ride a shm block; rank 1 never receives it
-        comm.send(np.arange(20000, dtype=float), 1, tag=3)
+        comm.send(np.arange(_BULK, dtype=float), 1, tag=3)
         raise ValueError("abort after send")
     return None  # rank 1 exits without receiving
 

@@ -27,7 +27,8 @@ from repro.vmpi import (
     process_backend_available,
     run_spmd,
 )
-from repro.vmpi.pool import RankPool, active_pools
+from repro.vmpi.pool import RankPool, active_pools, get_pool
+from repro.vmpi.process_backend import SEGMENT_MIN_BYTES
 
 needs_process = pytest.mark.skipif(
     not process_backend_available(),
@@ -36,9 +37,35 @@ needs_process = pytest.mark.skipif(
 
 pytestmark = needs_process
 
+#: float64 count of a message bulk enough for a shared-memory segment
+_BULK = SEGMENT_MIN_BYTES // 8 + 1
+
 
 def _shm_blocks() -> set:
     return set(glob.glob("/dev/shm/psm_*"))
+
+
+def _fresh_pool(nranks: int, start_method: str) -> None:
+    """Retire the registry's pool of this shape, so the next
+    ``get_pool`` starts a first cohort."""
+    for pool in active_pools():
+        if (pool.nranks, pool.start_method) == (nranks, start_method):
+            pool.shutdown()
+
+
+def _count_swept(monkeypatch) -> list:
+    """One set per job: the segment names its post-job sweep saw."""
+    import repro.vmpi.pool as pool_mod
+
+    swept: list = []
+    plain_unlink = pool_mod._unlink_registered
+
+    def counting_unlink(names):
+        swept.append(set(names))
+        plain_unlink(names)
+
+    monkeypatch.setattr(pool_mod, "_unlink_registered", counting_unlink)
+    return swept
 
 
 def _echo_prog(comm, scale):
@@ -55,15 +82,16 @@ def _pid_prog(comm):
 
 
 def _fire_and_forget_prog(comm, value):
-    """Unbalanced on purpose: rank 0's message is never received."""
+    """Unbalanced on purpose: rank 0's message (a bulk one, in a
+    segment) is never received."""
     if comm.rank == 0:
-        comm.send(np.full(4000, value), 1, tag=99)
+        comm.send(np.full(_BULK, value), 1, tag=99)
     return comm.rank
 
 
 def _recv_prog(comm, value):
     if comm.rank == 0:
-        comm.send(np.full(4000, float(value)), 1, tag=99)
+        comm.send(np.full(_BULK, float(value)), 1, tag=99)
         return None
     return float(comm.recv(0, tag=99)[0])
 
@@ -102,32 +130,48 @@ class _ThirtyArrays:
 
 def _thirty_arrays_prog(comm, table):
     return _ThirtyArrays(
-        comm.rank, [table[: 400 + i] * (comm.rank + 1) for i in range(30)]
+        comm.rank, [table[: 1200 + i] * (comm.rank + 1) for i in range(30)]
     )
 
 
 def test_job_registers_one_segment_per_dispatch_and_per_result(monkeypatch):
-    """A job over 4 ranks whose args hold one large array and whose
-    results each hold 30 registers 1 + 4 names: the dispatch segment,
-    and one per rank result — counted in the registry pipe's sweep."""
-    import repro.vmpi.pool as pool_mod
-
-    swept = []
-    plain_unlink = pool_mod._unlink_registered
-
-    def counting_unlink(names):
-        swept.append(set(names))
-        plain_unlink(names)
-
-    monkeypatch.setattr(pool_mod, "_unlink_registered", counting_unlink)
+    """A job over 4 ranks whose args hold one bulk array and whose
+    results each hold 30 that together are bulk registers 1 + 4 names:
+    the dispatch segment, and one per rank result — counted in the
+    registry pipe's sweep."""
+    swept = _count_swept(monkeypatch)
     before = _shm_blocks()
-    table = np.arange(1000, dtype=np.float64)
+    table = np.arange(_BULK, dtype=np.float64)
+    assert 30 * 1200 * 8 >= SEGMENT_MIN_BYTES
     run = run_spmd(4, _thirty_arrays_prog, table, backend=ProcessBackend())
     assert len(swept) == 1 and len(swept[0]) == 1 + 4
     for rank, result in enumerate(run.results):
         assert result.rank == rank and len(result.arrays) == 30
         for i, arr in enumerate(result.arrays):
-            np.testing.assert_array_equal(arr, table[: 400 + i] * (rank + 1))
+            np.testing.assert_array_equal(arr, table[: 1200 + i] * (rank + 1))
+    assert _shm_blocks() == before
+
+
+def test_only_bulk_messages_take_a_segment(monkeypatch):
+    """On a p = 4 factorization of ``LaplaceVolumeProblem(m=32)`` (the
+    ledger's ``dist_laplace_1k_p4`` operator), segments are created only
+    for messages of SEGMENT_MIN_BYTES or more: the factor job registers
+    at most 10, a warm solve and a 16-column block solve none — exact
+    counts from the registry sweep, not timings."""
+    prob = LaplaceVolumeProblem(m=32)
+    before = _shm_blocks()
+    assert run_spmd(4, _pid_prog, backend="process").results  # pool up first
+    swept = _count_swept(monkeypatch)
+    fact = parallel_srs_factor(
+        prob.kernel, 4, domain=prob.parallel_domain, backend="process"
+    )
+    x = fact.solve(prob.random_rhs(0))
+    block = fact.solve(prob.random_rhs(1, 16))
+    assert x.shape == (prob.n,) and block.shape == (prob.n, 16)
+    assert len(swept) == 3, swept
+    factor_job, warm_solve, block_solve = (len(names) for names in swept)
+    assert factor_job <= 10 and warm_solve == 0 and block_solve == 0, swept
+    fact.resident.drop()
     assert _shm_blocks() == before
 
 
@@ -301,7 +345,7 @@ def test_pool_survives_clean_rank_failure():
 
 def test_pool_restarts_after_worker_death():
     before = _shm_blocks()
-    pool = RankPool(2, ProcessBackend().start_method, 2048)
+    pool = RankPool(2, ProcessBackend().start_method)
     try:
         run = pool.run(_pid_prog, ())
         assert len(run.results) == 2 and pool.spawn_count == 2
@@ -323,15 +367,14 @@ def test_get_pool_is_single_flight_per_shape():
     whose workers were spawned exactly once."""
     import threading
 
-    from repro.vmpi.pool import get_pool
-
     start = ProcessBackend().start_method
+    _fresh_pool(3, start)
     got: list = []
     barrier = threading.Barrier(2)
 
     def ask() -> None:
         barrier.wait()
-        got.append(get_pool(2, start, 1111))
+        got.append(get_pool(3, start))
 
     threads = [threading.Thread(target=ask) for _ in range(2)]
     for t in threads:
@@ -340,8 +383,9 @@ def test_get_pool_is_single_flight_per_shape():
         t.join(timeout=60.0)
     try:
         assert len(got) == 2 and got[0] is got[1]
-        assert got[0].alive and got[0].spawn_count == 2
-        assert [p for p in active_pools() if p.min_shm_bytes == 1111] == [got[0]]
+        assert got[0].alive and got[0].spawn_count == 3
+        shape = [p for p in active_pools() if (p.nranks, p.start_method) == (3, start)]
+        assert shape == [got[0]]
     finally:
         got[0].shutdown()
 
@@ -349,12 +393,12 @@ def test_get_pool_is_single_flight_per_shape():
 def test_dead_pool_is_replaced_and_swept():
     """A pool whose worker was killed is replaced by the next
     ``get_pool``; the names the old cohort registered are unlinked."""
-    from repro.vmpi.pool import get_pool
     from repro.vmpi.process_backend import _attach_shm, _create_shm
 
     before = _shm_blocks()
     start = ProcessBackend().start_method
-    old = get_pool(2, start, 2222)
+    _fresh_pool(3, start)
+    old = get_pool(3, start)
     replacement = None
     try:
         assert old.run(_pid_prog, ()).results
@@ -365,13 +409,14 @@ def test_dead_pool_is_replaced_and_swept():
         old._procs[0].terminate()
         old._procs[0].join(timeout=10.0)
         assert not old.alive
-        replacement = get_pool(2, start, 2222)
+        replacement = get_pool(3, start)
         assert replacement is not old and replacement.alive
-        assert replacement.spawn_count == 2 and old.spawn_count == 2
+        assert replacement.spawn_count == 3 and old.spawn_count == 3
         assert not old.alive and old._procs is None  # survivors reaped
         with pytest.raises(FileNotFoundError):
             _attach_shm(name)
-        assert [p for p in active_pools() if p.min_shm_bytes == 2222] == [replacement]
+        shape = [p for p in active_pools() if (p.nranks, p.start_method) == (3, start)]
+        assert shape == [replacement]
     finally:
         old.shutdown()
         if replacement is not None:
@@ -382,16 +427,17 @@ def test_dead_pool_is_replaced_and_swept():
 def test_every_shape_stays_live_until_shutdown_all_pools():
     """Nothing evicts: five shapes acquired in turn are all still up,
     with their first cohort, until the exit hook runs."""
-    from repro.vmpi.pool import get_pool, shutdown_all_pools
+    from repro.vmpi.pool import shutdown_all_pools
 
     before = _shm_blocks()
     start = ProcessBackend().start_method
-    shapes = [(1, start, 3330 + i) for i in range(5)]
+    shapes = [(n, start) for n in range(1, 6)]
+    shutdown_all_pools()  # every shape below starts on its first cohort
     try:
         pools = [get_pool(*shape) for shape in shapes]
         for pool in pools:
             assert pool.run(_pid_prog, ()).results
-        assert all(p.alive and p.spawn_count == 1 for p in pools)
+        assert all(p.alive and p.spawn_count == p.nranks for p in pools)
         assert [get_pool(*shape) for shape in shapes] == pools
         assert set(pools) <= set(active_pools())
     finally:
@@ -416,16 +462,19 @@ def test_two_shapes_from_two_threads_spawn_once_each(start_method):
     if start_method and start_method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{start_method} start method unavailable")
     before = _shm_blocks()
-    sizes = (1111, 2222)
-    backends = [ProcessBackend(start_method=start_method, min_shm_bytes=n) for n in sizes]
+    be = ProcessBackend(start_method=start_method)
+    method = be.start_method
+    sizes = (2, 4)  # _echo_prog pairs ranks: even counts only
+    for n in sizes:
+        _fresh_pool(n, method)
     errors: list = []
 
     def loop(offset: int) -> None:
         try:
             for i in range(100):
-                be = backends[(i + offset) % 2]
-                total, _ = run_spmd(2, _echo_prog, 1.0, backend=be).results[0]
-                assert total == 3.0 * np.arange(3000.0).sum()
+                n = sizes[(i + offset) % 2]
+                total, _ = run_spmd(n, _echo_prog, 1.0, backend=be).results[0]
+                assert total == n * (n + 1) / 2 * np.arange(3000.0).sum()
         except Exception as exc:  # noqa: BLE001 - reported by the main thread
             errors.append(exc)
 
@@ -438,23 +487,22 @@ def test_two_shapes_from_two_threads_spawn_once_each(start_method):
         for t in threads:
             t.join(timeout=120.0)
         assert not any(t.is_alive() for t in threads) and not errors, errors
-        method = backends[0].start_method
         pools = [
-            p for p in active_pools() if p.min_shm_bytes in sizes and p.start_method == method
+            p for p in active_pools() if p.nranks in sizes and p.start_method == method
         ]
-        assert sorted(p.min_shm_bytes for p in pools) == list(sizes)
-        assert all(p.alive and p.spawn_count == p.nranks == 2 for p in pools)
+        assert sorted(p.nranks for p in pools) == list(sizes)
+        assert all(p.alive and p.spawn_count == p.nranks for p in pools)
         assert sum(p.jobs_run for p in pools) == 200
     finally:
         sys.setswitchinterval(interval)
-        for be in backends:
-            be.pool.shutdown()
+        for n in sizes:
+            _fresh_pool(n, method)
     assert _shm_blocks() == before
 
 
 def test_pool_shutdown_reclaims_everything():
     before = _shm_blocks()
-    pool = RankPool(2, ProcessBackend().start_method, 2048)
+    pool = RankPool(2, ProcessBackend().start_method)
     try:
         pool.run(_echo_prog, (1.0,))
         assert pool.alive
@@ -523,7 +571,7 @@ def test_pool_amortizes_spawn_start_method():
     if "spawn" not in multiprocessing.get_all_start_methods():
         pytest.skip("spawn start method unavailable")
     before = _shm_blocks()
-    pool = RankPool(2, "spawn", 2048)
+    pool = RankPool(2, "spawn")
     try:
         r1 = pool.run(_echo_prog, (1.0,))
         r2 = pool.run(_echo_prog, (1.0,))
