@@ -188,10 +188,6 @@ def _assemble_and_compress(
                 for mb, msize in zip(plan.m_boxes, plan.m_sizes):
                     if store.is_modified(mb, plan.box):
                         comp[slot, r0 : r0 + msize, :] = store.get(mb, plan.box)
-                    elif herm and store.is_modified(plan.box, mb):
-                        comp[slot, r0 : r0 + msize, :] = (
-                            store.get(plan.box, mb).conj().T
-                        )
                     else:
                         block_dests[mb, plan.box] = (
                             comp[slot, r0 : r0 + msize, :], False
@@ -245,8 +241,9 @@ def _prefill_near(
     Same-phase boxes cannot touch each other's near pairs (module
     docstring), so evaluating them all here — stacked, grouped by shape
     — stores exactly the values the lazy path would have produced.
-    Pairs a ``store_predicate`` rejects are left alone: non-holder ranks
-    must keep discarding updates to them via scratch blocks.
+    Only stored orientations are asked for (one per pair of a hermitian
+    store), and pairs a ``store_predicate`` rejects are left alone:
+    this rank does not hold them.
     """
     pred = store.store_predicate
     wanted: dict[PairKey, None] = {}
@@ -258,9 +255,10 @@ def _prefill_near(
         ]
         for bi in members:
             for bj in members:
-                if store.is_modified(bi, bj) or (pred is not None and not pred(bi, bj)):
+                key = store.stored_key(bi, bj)
+                if store.is_modified(*key) or (pred is not None and not pred(*key)):
                     continue
-                wanted[bi, bj] = None
+                wanted[key] = None
     with trace.span("factor.prefill", level=level, pairs=len(wanted)):
         for (bi, bj), blk in _eval_pairs(store, wanted):
             # contiguous copy: stored blocks are mutated in place by Schur

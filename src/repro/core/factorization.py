@@ -254,8 +254,10 @@ def assemble_parents(
     every parent with surviving children is regrouped and every parent
     pair at Chebyshev distance <= 1 assembled. A distributed rank passes
     the parents it owns: only those are regrouped, and each pair of an
-    owned parent and a near one is assembled in *both* key orders (a
-    rank holds a pair when it owns either side).
+    owned parent and a near one is assembled in both key orders (a rank
+    holds a pair when it owns either side). Keys follow the store's
+    orientation rule (:meth:`~repro.core.interactions.InteractionStore.stored_key`),
+    so for a hermitian store both orders are one block.
 
     Only parent pairs at distance <= 1 can contain modified child
     blocks (child pairs at distance <= 2 have parents at distance
@@ -295,9 +297,9 @@ def assemble_parents(
             continue
         for p2 in tree.near_and_self(parent_level, *p1):
             if children_of(p2):
-                pairs[p1, p2] = None
+                pairs[store.stored_key(p1, p2)] = None
                 if both_orders:
-                    pairs[p2, p1] = None
+                    pairs[store.stored_key(p2, p1)] = None
 
     child_blocks = batch_pair_blocks(
         store,

@@ -207,9 +207,11 @@ def eliminate_box(
 
     When ``update_log`` is a list, every mutation of the store is also
     appended to it, in execution order, as ``("restrict", box, keep)``
-    or ``("delta", bi, bj, delta)`` tuples — the distributed workers
-    forward the relevant entries to neighbor ranks so replicated blocks
-    stay consistent (Sec. III-B, "send data to neighbors").
+    or ``("delta", bi, bj, delta)`` tuples (pairs in the store's stored
+    orientation, :meth:`~repro.core.interactions.InteractionStore.subtract_schur`)
+    — the distributed workers forward the relevant entries to neighbor
+    ranks so replicated blocks stay consistent (Sec. III-B, "send data
+    to neighbors").
     """
     bidx = store.active_of(box)
     nbrs = [n for n in neighbors if n in store.active and store.nactive(n) > 0]
@@ -232,43 +234,43 @@ def eliminate_box(
         )
     t_h = t_mat.conj().T
 
-    # -- 2. sparsification of the diagonal block ------------------------
+    # -- 2. sparsification (Eq. 8) of the cluster C = [S] + neighbor actives,
+    # gathered as two panels: A[C, B] (rows S of A_BB, then each A[n, B])
+    # and A[B, C] (columns S of A_BB, then each A[B, n])
     a_bb = store.get(box, box)
-    a_rr = a_bb[np.ix_(r_loc, r_loc)]
-    a_sr = a_bb[np.ix_(s_loc, r_loc)]
-    a_rs = a_bb[np.ix_(r_loc, s_loc)]
-    a_ss = a_bb[np.ix_(s_loc, s_loc)]
-    x_rr = a_rr - t_h @ a_sr - a_rs @ t_mat + t_h @ (a_ss @ t_mat)
-    x_sr = a_sr - a_ss @ t_mat
-    x_rs = a_rs - t_h @ a_ss
-    lu = PartialLU(x_rr)
-
-    # -- sparsified cluster blocks X[C, R], X[R, C], C = [S] + neighbor actives
-    cr_segments = [x_sr]
-    rc_segments = [x_rs]
+    cb_panels = [a_bb[s_loc]]
+    bc_panels = [a_bb[:, s_loc]]
     cluster_parts = [bidx[s_loc]]
-    segment_boxes = [box]
     for n in nbrs:
         a_nb, a_bn = store.get_pair(n, box)
-        cr_segments.append(a_nb[:, r_loc] - a_nb[:, s_loc] @ t_mat)
-        rc_segments.append(a_bn[r_loc, :] - t_h @ a_bn[s_loc, :])
+        cb_panels.append(a_nb)
+        bc_panels.append(a_bn)
         cluster_parts.append(store.active_of(n))
-        segment_boxes.append(n)
-    cluster = np.concatenate(cluster_parts) if cluster_parts else np.empty(0, dtype=np.int64)
-    seg_bounds = np.concatenate([[0], np.cumsum([part.size for part in cluster_parts])])
+    a_cb = np.vstack(cb_panels)
+    x_cr = a_cb[:, r_loc] - a_cb[:, s_loc] @ t_mat  # rows [:|S|] are X[S, R]
+    x_rr = (
+        a_bb[np.ix_(r_loc, r_loc)] - a_bb[np.ix_(r_loc, s_loc)] @ t_mat
+        - t_h @ x_cr[: s_loc.size]
+    )
+    lu = PartialLU(x_rr)
+    factors, perm = lu.solve_state()
+    a_bc = np.hstack(bc_panels)
+    px_rc = a_bc[r_loc[perm]] - t_h[perm] @ a_bc[s_loc]  # P X[R, C]
+
+    cluster = np.concatenate(cluster_parts)
+    seg_bounds = np.cumsum([0] + [part.size for part in cluster_parts]).tolist()
     cluster_segments = [
-        (segment_boxes[k], int(seg_bounds[k]), int(seg_bounds[k + 1]))
-        for k in range(len(segment_boxes))
+        (seg_box, seg_bounds[k], seg_bounds[k + 1])
+        for k, seg_box in enumerate([box] + nbrs)
     ]
 
     # -- the multipliers E = X[C, R] U^{-1}, G = L^{-1} P X[R, C] --------
-    factors, perm = lu.solve_state()
     trtrs = trtrs_for(factors.dtype)
     # E^T = U^{-T} X[C, R]^T, in place on the fresh (Fortran-order) X[C, R]^T
-    e_t, info = trtrs(factors, np.vstack(cr_segments).T, trans=1, overwrite_b=1)
+    e_t, info = trtrs(factors, x_cr.T, trans=1, overwrite_b=1)
     if info:
         raise singular(info)
-    g_rc, _ = trtrs(factors, np.hstack(rc_segments)[perm], lower=1, unitdiag=1, overwrite_b=1)
+    g_rc, _ = trtrs(factors, px_rc, lower=1, unitdiag=1, overwrite_b=1)
     e_cr = e_t.T
 
     record = BoxRecord(
@@ -281,21 +283,5 @@ def eliminate_box(
     store.restrict(box, s_loc)
     if update_log is not None:
         update_log.append(("restrict", box, s_loc.copy()))
-
-    seg_boxes = [box] + nbrs
-    sizes = [s_loc.size] + [store.nactive(n) for n in nbrs]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for i, bi in enumerate(seg_boxes):
-        ri = slice(offsets[i], offsets[i + 1])
-        if sizes[i] == 0:
-            continue
-        for j, bj in enumerate(seg_boxes):
-            if sizes[j] == 0:
-                continue
-            cj = slice(offsets[j], offsets[j + 1])
-            blk = store.get_writable(bi, bj)
-            d_ij = delta[ri, cj]
-            blk -= d_ij
-            if update_log is not None:
-                update_log.append(("delta", bi, bj, d_ij.copy()))
+    store.subtract_schur([box] + nbrs, delta, update_log)
     return record

@@ -80,8 +80,11 @@ class KernelMatrix(ABC):
     symmetric: bool = False
 
     #: True when ``A == A^H`` exactly: a ``symmetric`` kernel with real
-    #: entries (Laplace, Gaussian, Yukawa). The batched schedule then
-    #: assembles only ``A[M, B]`` in the compression matrix —
+    #: entries (Laplace, Gaussian, Yukawa). The interaction store then
+    #: keeps one block per unordered box pair and serves the other
+    #: orientation as its transpose (Schur updates inherit the symmetry),
+    #: and the batched schedule assembles only ``A[M, B]`` in the
+    #: compression matrix —
     #: ``A[B, M]^*`` duplicates it row for row, so dropping it halves
     #: the CPQR row count without changing the constraint set of the
     #: ID; the strict schedule keeps both copies. Complex-symmetric

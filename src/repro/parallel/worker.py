@@ -11,8 +11,9 @@ Every rank executes :func:`factor_worker`. Per tree level:
 3. **Color loop** (Sec. III-B) — ranks of the current color factor
    their boundary boxes, then send each neighbor the relevant store
    mutations: ``restrict`` entries for boxes in the neighbor's halo and
-   additive Schur ``delta`` entries for block pairs the neighbor owns a
-   side of. Receivers replay the log in order.
+   additive Schur ``delta`` entries, in stored orientation (one per
+   unordered pair for a hermitian kernel), for block pairs the neighbor
+   owns a side of. Receivers replay the log in order.
 4. **Transition** (Sec. III-C) — 4-to-1 rank reduction once regions are
    down to one parent box (retirees ship their surviving state to the
    sibling-group leader), a halo refresh of skeleton coordinates among

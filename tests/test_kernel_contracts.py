@@ -273,7 +273,12 @@ def test_undeclaring_a_symmetric_kernel_costs_evaluations_not_bits(mode):
         shared, f_shared = _factor_counting(declared, mode, *args, **kw)
         both, f_both = _factor_counting(undeclared, mode, *args, **kw)
         assert _same_records(f_shared, f_both)
-        assert shared < both
+        if declared.hermitian and mode == "batched":
+            # a hermitian store asks for one orientation of every pair and
+            # the halved compression matrix for A[M, B] only: nothing to share
+            assert shared == both
+        else:
+            assert shared < both
 
 
 #: Green's / layer-kernel entries per factor. Batched: read at 4af2780,

@@ -793,21 +793,43 @@ def factor_pair():
 
 
 @pytest.fixture(scope="module")
+def batched_factor_pair():
+    """The same parity under the batched sweep (hermitian kernel)."""
+    prob = LaplaceVolumeProblem(32)
+    opts = SRSOptions(tol=1e-9, leaf_size=32, factor_mode="batched")
+    return _factor_on_both_backends(prob, prob.random_rhs(), opts)
+
+
+@pytest.fixture(scope="module")
 def star_factor_pair():
     """The same parity on a curve kernel (rank-local BIE reconstruction)."""
     prob = InteriorDirichletProblem(StarCurve(1.0, 0.3, 5), 2048)
     return _factor_on_both_backends(prob, prob.default_rhs(), SRSOptions(tol=1e-10))
 
 
-def test_factorization_bitwise_parity(factor_pair, star_factor_pair):
-    for pair in (factor_pair, star_factor_pair):
+def _record_bytes(fact) -> list:
+    return [
+        (rec.box, rec.level, rec.cluster_segments)
+        + tuple(
+            arr.tobytes()
+            for arr in (rec.redundant, rec.skeleton, rec.cluster, rec.T,
+                        rec.lu._lu, rec.lu._piv, rec.e_cr, rec.g_rc)
+        )
+        for w in fact.workers
+        for rec in w.records
+    ]
+
+
+def test_factorization_bitwise_parity(factor_pair, batched_factor_pair, star_factor_pair):
+    for pair in (factor_pair, batched_factor_pair, star_factor_pair):
         x_thread = pair["thread"][1]
         x_process = pair["process"][1]
         assert np.array_equal(x_thread, x_process)  # bitwise, not allclose
+        assert _record_bytes(pair["thread"][0]) == _record_bytes(pair["process"][0])
 
 
-def test_factorization_counter_parity(factor_pair, star_factor_pair):
-    for pair in (factor_pair, star_factor_pair):
+def test_factorization_counter_parity(factor_pair, batched_factor_pair, star_factor_pair):
+    for pair in (factor_pair, batched_factor_pair, star_factor_pair):
         rt = pair["thread"][0].factor_run.reports
         rp = pair["process"][0].factor_run.reports
         for a, c in zip(rt, rp):
@@ -833,6 +855,20 @@ def test_factorization_skeleton_parity(factor_pair):
             assert a.box == c.box and a.level == c.level
             assert np.array_equal(a.skeleton, c.skeleton)
             assert np.array_equal(a.redundant, c.redundant)
+
+
+def test_strict_p4_factor_message_and_byte_counts():
+    """Counts, not clocks: a hermitian store logs and ships one block per
+    unordered pair, so the p = 4 strict factor of the Laplace m = 32
+    problem sends 27 messages and under 3.6 MB (6,183,951 bytes when
+    both orientations travelled)."""
+    prob = LaplaceVolumeProblem(m=32)
+    fact = parallel_srs_factor(
+        prob.kernel, 4, opts=SRSOptions(factor_mode="strict"),
+        domain=prob.parallel_domain, backend="thread",
+    )
+    assert fact.factor_run.total_messages == 27
+    assert fact.factor_run.total_bytes <= 3_600_000
 
 
 def test_worker_result_picklable(factor_pair):
