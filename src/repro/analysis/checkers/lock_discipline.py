@@ -1,9 +1,7 @@
-"""lock-discipline: guarded attributes stay guarded; lock order stays acyclic.
+"""lock-discipline: guarded attributes stay guarded.
 
-Two related analyses over the threaded packages (``repro.service``,
-``repro.vmpi``, ``repro.obs``):
-
-**Guarded-attribute inference.** For every class owning a lock
+Over the threaded packages (``repro.service``, ``repro.vmpi``,
+``repro.obs``, ``repro.store``): for every class owning a lock
 attribute (``self._lock = threading.Lock()`` / ``RLock()`` /
 ``make_lock(...)``), infer which instance attributes the class treats
 as lock-guarded: any attribute written at least once in a *lock-held
@@ -15,21 +13,8 @@ is construction-time and exempt. A guarded attribute written *outside*
 every held context is a data race waiting for a second thread, and is
 reported at the unguarded write.
 
-**Static lock-order graph.** Nodes are class lock attributes
-(``repro.vmpi.pool.RankPool._lock``) and module-level locks
-(``repro.vmpi.pool._POOLS_LOCK``). Acquiring B while holding A adds an
-edge A->B — from nested ``with`` blocks directly, and through one level
-of call resolution: a call made while holding A contributes edges to
-whatever the callee's body acquires. Callees resolve by unique name
-(bare names to module functions in scope; ``x.m()`` to ``m`` when
-exactly one scoped class defines it and ``m`` is not a builtin
-container method, which would alias ``dict.get``/``list.pop`` into
-class APIs). ``self.m()`` re-acquiring the already-held reentrant lock
-is legal and skipped; the same call shape on a *foreign* instance of
-the same class (``other.m()``) is a self-deadlock/ordering hazard on
-two instances of one lock and is reported at the call site. A cycle
-among the surviving edges is reported once per cycle. Suppressing the
-finding at an edge's source line removes that edge from the graph.
+Lock *order* is not checked here: the runtime watcher
+(:mod:`repro.obs.lockwatch`) observes it on real traffic.
 """
 
 from __future__ import annotations
@@ -47,12 +32,11 @@ from repro.analysis.core import (
     register_checker,
 )
 
-#: the packages participating in the whole-program lock-order graph
+#: the threaded packages whose classes are checked
 LOCK_PACKAGES = ("repro.service", "repro.vmpi", "repro.obs", "repro.store")
 
 #: constructors that produce a lock object
 _LOCK_CTORS = {"Lock", "RLock", "make_lock"}
-_REENTRANT_CTORS = {"RLock"}
 
 #: collection-mutation method names treated as writes to the receiver
 _MUTATORS = {
@@ -60,33 +44,13 @@ _MUTATORS = {
     "discard", "extend", "insert", "setdefault", "move_to_end", "sort",
 }
 
-#: builtin container/stdlib method names never resolved to class methods
-#: (a foreign ``_POOLS.get(...)`` must not alias into ``FactorCache.get``)
-_NO_RESOLVE = _MUTATORS | {
-    "get", "items", "keys", "values", "put", "join", "start", "close",
-    "copy", "count", "index", "acquire", "release", "wait", "set",
-    "is_set", "notify", "notify_all", "submit", "result", "cancel",
-    "read", "write", "send", "recv", "flush", "is_alive", "terminate",
-    "kill", "encode", "decode", "strip", "split", "format", "register",
-}
 
-
-def _lock_ctor(value: ast.AST) -> tuple[bool, bool]:
-    """(is_lock, reentrant) for an assigned value expression."""
+def _is_lock_ctor(value: ast.AST) -> bool:
+    """Whether an assigned value expression constructs a lock."""
     if not isinstance(value, ast.Call):
-        return False, False
+        return False
     name = dotted_name(value.func)
-    if name is None:
-        return False, False
-    tail = name.split(".")[-1]
-    if tail not in _LOCK_CTORS:
-        return False, False
-    reentrant = tail in _REENTRANT_CTORS
-    if tail == "make_lock":
-        for kw in value.keywords:
-            if kw.arg == "reentrant" and isinstance(kw.value, ast.Constant):
-                reentrant = bool(kw.value.value)
-    return True, reentrant
+    return name is not None and name.split(".")[-1] in _LOCK_CTORS
 
 
 def _self_attr(node: ast.AST) -> str | None:
@@ -142,16 +106,9 @@ class ClassLocks:
 
     mod: ParsedModule
     node: ast.ClassDef
-    locks: dict[str, bool] = field(default_factory=dict)  #: attr -> reentrant
+    locks: set[str] = field(default_factory=set)  #: lock attribute names
     methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
     held_methods: set[str] = field(default_factory=set)
-
-    @property
-    def sole_lock(self) -> str | None:
-        return next(iter(self.locks)) if len(self.locks) == 1 else None
-
-    def lock_node(self, attr: str) -> str:
-        return f"{self.mod.module}.{self.node.name}.{attr}"
 
 
 def _collect_class(mod: ParsedModule, cls: ast.ClassDef) -> ClassLocks:
@@ -163,10 +120,8 @@ def _collect_class(mod: ParsedModule, cls: ast.ClassDef) -> ClassLocks:
         for node in ast.walk(fn):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 attr = _self_attr(node.targets[0])
-                if attr is not None:
-                    is_lock, reentrant = _lock_ctor(node.value)
-                    if is_lock:
-                        info.locks[attr] = reentrant
+                if attr is not None and _is_lock_ctor(node.value):
+                    info.locks.add(attr)
     # a lock attr used in ``with self.X`` but assigned elsewhere (e.g.
     # injected) still counts, as long as the name says it is a lock
     for fn in info.methods.values():
@@ -175,7 +130,7 @@ def _collect_class(mod: ParsedModule, cls: ast.ClassDef) -> ClassLocks:
                 for item in node.items:
                     attr = _self_attr(item.context_expr)
                     if attr and attr.lower().endswith("lock"):
-                        info.locks.setdefault(attr, False)
+                        info.locks.add(attr)
     return info
 
 
@@ -254,258 +209,15 @@ def _check_guarded_attrs(info: ClassLocks) -> Iterable[Finding]:
             )
 
 
-# ----------------------------------------------------------------------
-# lock-order graph
-# ----------------------------------------------------------------------
-@dataclass
-class _Scope:
-    """Everything the graph walker needs to resolve names."""
-
-    classes: list[ClassLocks]
-    module_locks: dict[str, dict[str, bool]]        #: module -> name -> reentrant
-    methods_by_name: dict[str, list[tuple[ClassLocks, ast.FunctionDef]]]
-    functions: dict[str, list[tuple[ParsedModule, ast.FunctionDef]]]
-    acquires: dict[ast.AST, set[str]]               #: funcdef -> lock nodes
-
-
-@dataclass(frozen=True)
-class _Edge:
-    src: str
-    dst: str
-    mod: ParsedModule
-    line: int
-    via: str
-
-
-def _module_lock_node(mod: ParsedModule, name: str) -> str:
-    return f"{mod.module}.{name}"
-
-
-def _resolve_lock_expr(
-    expr: ast.AST, mod: ParsedModule, cls: ClassLocks | None, scope: _Scope
-) -> tuple[str, bool] | None:
-    """(node, reentrant) for a ``with`` context expression, if a lock."""
-    attr = _self_attr(expr)
-    if attr is not None and cls is not None and attr in cls.locks:
-        return cls.lock_node(attr), cls.locks[attr]
-    if isinstance(expr, ast.Name):
-        mod_locks = scope.module_locks.get(mod.module or "", {})
-        if expr.id in mod_locks:
-            return _module_lock_node(mod, expr.id), mod_locks[expr.id]
-    return None
-
-
-def _direct_acquires(
-    fn: ast.AST, mod: ParsedModule, cls: ClassLocks | None, scope: _Scope
-) -> set[str]:
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.With):
-            for item in node.items:
-                resolved = _resolve_lock_expr(item.context_expr, mod, cls, scope)
-                if resolved is not None:
-                    out.add(resolved[0])
-    return out
-
-
-def _build_scope(project: Project) -> _Scope:
-    classes: list[ClassLocks] = []
-    module_locks: dict[str, dict[str, bool]] = {}
-    functions: dict[str, list[tuple[ParsedModule, ast.FunctionDef]]] = {}
-    for mod in project.in_packages(LOCK_PACKAGES):
-        locks: dict[str, bool] = {}
-        for stmt in mod.tree.body:
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and (
-                isinstance(stmt.targets[0], ast.Name)
-            ):
-                is_lock, reentrant = _lock_ctor(stmt.value)
-                if is_lock:
-                    locks[stmt.targets[0].id] = reentrant
-            if isinstance(stmt, ast.FunctionDef):
-                functions.setdefault(stmt.name, []).append((mod, stmt))
-            if isinstance(stmt, ast.ClassDef):
-                info = _collect_class(mod, stmt)
-                _infer_held_methods(info)
-                classes.append(info)
-        if locks:
-            module_locks[mod.module or ""] = locks
-    methods_by_name: dict[str, list[tuple[ClassLocks, ast.FunctionDef]]] = {}
-    for info in classes:
-        for name, fn in info.methods.items():
-            methods_by_name.setdefault(name, []).append((info, fn))
-    scope = _Scope(classes, module_locks, methods_by_name, functions, {})
-    for info in classes:
-        for fn in info.methods.values():
-            scope.acquires[fn] = _direct_acquires(fn, info.mod, info, scope)
-    for name, defs in functions.items():
-        for mod, fn in defs:
-            scope.acquires[fn] = _direct_acquires(fn, mod, None, scope)
-    return scope
-
-
-def _resolve_call(
-    call: ast.Call, mod: ParsedModule, cls: ClassLocks | None, scope: _Scope
-) -> tuple[ClassLocks | None, ast.FunctionDef, str] | None:
-    """(owning class, funcdef, receiver) for a resolvable callee."""
-    func = call.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        receiver, name = func.value.id, func.attr
-        if receiver == "self" and cls is not None and name in cls.methods:
-            return cls, cls.methods[name], receiver
-        if name in _NO_RESOLVE:
-            return None
-        owners = scope.methods_by_name.get(name, [])
-        if len(owners) == 1:
-            return owners[0][0], owners[0][1], receiver
-        return None
-    if isinstance(func, ast.Name):
-        if cls is not None and func.id in cls.methods:
-            return None  # bare method name: a local, not a call on self
-        defs = scope.functions.get(func.id, [])
-        same_mod = [d for d in defs if d[0] is mod]
-        if len(same_mod) == 1:
-            return None, same_mod[0][1], ""
-        if len(defs) == 1:
-            return None, defs[0][1], ""
-    return None
-
-
-def _walk_function(
-    fn: ast.FunctionDef,
-    mod: ParsedModule,
-    cls: ClassLocks | None,
-    scope: _Scope,
-    initial_held: list[tuple[str, bool]],
-    edges: list[_Edge],
-    findings: list[Finding],
-) -> None:
-    def visit(node: ast.AST, held: list[tuple[str, bool]]) -> None:
-        if isinstance(node, ast.With):
-            acquired: list[tuple[str, bool]] = []
-            for item in node.items:
-                resolved = _resolve_lock_expr(item.context_expr, mod, cls, scope)
-                if resolved is not None:
-                    for src, _re in held + acquired:
-                        if src != resolved[0]:
-                            edges.append(_Edge(
-                                src, resolved[0], mod, node.lineno, "with"
-                            ))
-                    acquired.append(resolved)
-            for child in node.body:
-                visit(child, held + acquired)
-            return
-        if isinstance(node, ast.Call) and held:
-            resolved = _resolve_call(node, mod, cls, scope)
-            if resolved is not None:
-                target_cls, target_fn, receiver = resolved
-                for dst in sorted(scope.acquires.get(target_fn, ())):
-                    skip = False
-                    for src, reentrant in held:
-                        if src != dst:
-                            continue
-                        if receiver == "self" and reentrant:
-                            skip = True  # legal reentrant re-acquire
-                        else:
-                            findings.append(mod.finding(
-                                node, "lock-discipline",
-                                f"call to {target_cls.node.name}."
-                                f"{target_fn.name}() on a foreign instance "
-                                f"while holding this instance's {dst.rsplit('.', 1)[-1]} — "
-                                "two instances of one lock class have no "
-                                "defined order (and a non-reentrant lock "
-                                "would self-deadlock)"
-                                if target_cls is not None else
-                                f"call re-acquires held lock {dst}",
-                                f"foreign:{dst}",
-                            ))
-                            skip = True
-                    if skip:
-                        continue
-                    for src, _re in held:
-                        if src != dst:
-                            edges.append(_Edge(
-                                src, dst, mod, node.lineno,
-                                f"call:{target_fn.name}"
-                            ))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
-            node is not fn
-        ):
-            return  # nested defs execute later, under unknown locks
-        for child in ast.iter_child_nodes(node):
-            visit(child, held)
-
-    for stmt in fn.body:
-        visit(stmt, list(initial_held))
-
-
-def _find_cycles(edges: list[_Edge]) -> list[list[_Edge]]:
-    """One representative edge-path per elementary cycle found by DFS."""
-    graph: dict[str, list[_Edge]] = {}
-    for edge in edges:
-        graph.setdefault(edge.src, []).append(edge)
-    cycles: list[list[_Edge]] = []
-    seen_keys: set[tuple[str, ...]] = set()
-    done: set[str] = set()
-
-    def dfs(node: str, stack: list[_Edge], on_stack: list[str]) -> None:
-        for edge in graph.get(node, ()):
-            if edge.dst in on_stack:
-                start = on_stack.index(edge.dst)
-                cycle = stack[start:] + [edge]
-                key = tuple(sorted({e.src for e in cycle}))
-                if key not in seen_keys:
-                    seen_keys.add(key)
-                    cycles.append(cycle)
-            elif edge.dst not in done:
-                dfs(edge.dst, stack + [edge], on_stack + [edge.dst])
-        done.add(node)
-
-    for node in list(graph):
-        if node not in done:
-            dfs(node, [], [node])
-    return cycles
-
-
 @register_checker
 class LockDisciplineChecker(Checker):
     name = "lock-discipline"
-    description = (
-        "lock-guarded attributes never written unguarded; the "
-        "service/vmpi/obs lock-order graph stays acyclic"
-    )
+    description = "lock-guarded attributes never written unguarded"
 
     def run(self, project: Project) -> Iterable[Finding]:
-        findings: list[Finding] = []
-        scope = _build_scope(project)
-        for info in scope.classes:
-            findings.extend(_check_guarded_attrs(info))
-
-        edges: list[_Edge] = []
-        for info in scope.classes:
-            for name, fn in info.methods.items():
-                initial: list[tuple[str, bool]] = []
-                sole = info.sole_lock
-                if name in info.held_methods and sole is not None:
-                    initial = [(info.lock_node(sole), info.locks[sole])]
-                _walk_function(fn, info.mod, info, scope, initial, edges, findings)
-        for defs in scope.functions.values():
-            for mod, fn in defs:
-                _walk_function(fn, mod, None, scope, [], edges, findings)
-
-        live = [
-            e for e in edges
-            if not e.mod.suppressed(e.line, self.name) and e.src != e.dst
-        ]
-        for cycle in _find_cycles(live):
-            path = " -> ".join([cycle[0].src] + [e.dst for e in cycle])
-            sites = ", ".join(
-                f"{e.mod.rel}:{e.line} ({e.via})" for e in cycle
-            )
-            findings.append(cycle[0].mod.finding(
-                cycle[0].line, self.name,
-                f"lock-order cycle: {path} [edges at {sites}] — two threads "
-                "taking these locks in opposite orders can deadlock; pick "
-                "one order and restructure the odd acquisition",
-                f"cycle:{path}",
-            ))
-        return findings
+        for mod in project.in_packages(LOCK_PACKAGES):
+            for stmt in mod.tree.body:
+                if isinstance(stmt, ast.ClassDef):
+                    info = _collect_class(mod, stmt)
+                    _infer_held_methods(info)
+                    yield from _check_guarded_attrs(info)

@@ -5,8 +5,8 @@ analyzed paths (one :class:`ParsedModule` each, with its AST, source
 lines, dotted module name when the file lives under ``src/``, and the
 inline suppressions scanned from its comments). Checkers are
 project-scoped: each receives the whole :class:`Project`, so
-whole-program checks (the lock-order graph, cross-module dead-code
-references) need no side channel.
+whole-program checks (cross-module dead-code references, the
+env-knob registry) need no side channel.
 
 Suppression syntax, one per physical line, anchored to the finding's
 reported line::

@@ -31,14 +31,8 @@ from repro.core.skel import (
 )
 from repro.core.stats import RankStats
 from repro.kernels.base import KernelMatrix
-from repro.obs import REGISTRY, stopwatch, trace
+from repro.obs import health, stopwatch, trace
 from repro.tree.quadtree import QuadTree
-
-_BOXES_FACTORED = REGISTRY.counter(
-    "repro_factor_boxes_total",
-    "Boxes skeletonized per quadtree level",
-    labelnames=("level",),
-)
 
 
 @dataclass
@@ -172,6 +166,7 @@ def srs_factor(
         raise RuntimeError(
             f"eliminated {fact.eliminated_count()} of {kernel.n} indices"
         )
+    health.record_stats(fact.stats)
     return fact
 
 
@@ -236,10 +231,7 @@ def sweep_level(
                 records.append(rec)
         if task_times is not None:  # strict: ``live`` is the one box
             task_times.append((level, live[0], sw.elapsed))
-    factored = len(records) - before
-    if factored:
-        _BOXES_FACTORED.inc(factored, level=str(level))
-    return factored
+    return len(records) - before
 
 
 def assemble_parents(

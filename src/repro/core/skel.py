@@ -34,7 +34,6 @@ import numpy as np
 from repro.core.interactions import Coord, InteractionStore
 from repro.linalg.interpolative import InterpolativeDecomposition
 from repro.linalg.lu import PartialLU, singular, trtrs_for
-from repro.obs import health
 
 
 @dataclass
@@ -202,8 +201,8 @@ def eliminate_box(
 ) -> BoxRecord:
     """The elimination half of ``Z(A; B)`` for an already compressed box.
 
-    Records the compression (skeleton rank per level, solver health),
-    then runs the partial-LU elimination and the Schur updates.
+    Runs the partial-LU elimination and the Schur updates; the caller
+    records the compression (:meth:`~repro.core.stats.RankStats.record`).
 
     When ``update_log`` is a list, every mutation of the store is also
     appended to it, in execution order, as ``("restrict", box, keep)``
@@ -217,7 +216,6 @@ def eliminate_box(
     nbrs = [n for n in neighbors if n in store.active and store.nactive(n) > 0]
     s_loc, r_loc, t_mat = dec.skeleton, dec.redundant, dec.T
     dtype = t_mat.dtype  # the compression matrix's dtype
-    health.record_box(level, int(bidx.size), int(s_loc.size))
     if r_loc.size == 0:
         # nothing to eliminate; keep the box as is
         return BoxRecord(

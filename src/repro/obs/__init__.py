@@ -27,8 +27,9 @@ Three surfaces over one instrumentation layer:
 Plus one guardrail: ``make_lock`` — the project's lock factory. Plain
 ``threading`` locks by default; under ``REPRO_OBS=on`` they become
 :class:`~repro.obs.lockwatch.WatchedLock` s that record acquisition
-order and warn on lock-order inversions (the runtime complement of the
-static lock-order graph in ``repro.analysis``).
+order and warn on lock-order inversions and on nesting two instances of
+one lock — the project's only lock-order guard
+(``lock_order_edges()`` lists what was observed).
 """
 
 from repro.obs.lockwatch import (
@@ -64,7 +65,6 @@ OBS_KNOBS = (
     "REPRO_OBS_TRACE_PATH",
     "REPRO_OBS_PROFILE_HZ",
     "REPRO_OBS_PROFILE_PATH",
-    "REPRO_OBS_MAX_SPANS",
     "REPRO_OBS_WATCHDOG_MS",
 )
 

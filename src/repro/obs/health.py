@@ -3,8 +3,9 @@
 Spans say where time went; this module says whether the *numerics* are
 drifting. Two feeds:
 
-* the factor sweep (both the strict and the level-batched engine)
-  reports every box compression through :meth:`HealthMonitor.record_box`
+* every finished factorization — sequential or distributed, in
+  whichever mode — folds its per-box ranks into the monitor once, in
+  the process that asked for it (:meth:`HealthMonitor.record_stats`)
   — per-level skeleton-rank and compression-ratio histograms catch rank
   growth long before a benchmark notices;
 * the facade reports every Krylov outcome through
@@ -149,6 +150,13 @@ class HealthMonitor:
             agg["ratio_sum"] += ratio
         self._rank_hist.observe(rank, level=level)
         self._ratio_hist.observe(ratio, level=level)
+
+    def record_stats(self, stats: Any) -> None:
+        """Every box of one finished factorization's
+        :class:`~repro.core.stats.RankStats`."""
+        for level, ranks in stats.ranks.items():
+            for size, rank in zip(stats.box_sizes[level], ranks):
+                self.record_box(level, size, rank)
 
     # -- Krylov --------------------------------------------------------
     def observe_krylov(self, method: str, result: Any) -> None:

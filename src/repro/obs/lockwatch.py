@@ -1,10 +1,9 @@
 """Runtime lock-order watchdog behind the ``REPRO_OBS`` flag.
 
-The static lock-order graph (``repro.analysis``, lock-discipline
-checker) proves ordering over the acquisitions it can resolve; this
-module observes the orders that *actually happen*, including paths the
-static one-level call resolution cannot see. :func:`make_lock` is the
-project's lock factory:
+The project's one lock-order guard: it observes the orders that
+*actually happen*, across every call path, instead of the ones a
+static reading can resolve. :func:`make_lock` is the project's lock
+factory:
 
 * with observability off (the default) it returns a plain
   ``threading.Lock``/``RLock`` — zero overhead, byte-identical
@@ -14,7 +13,10 @@ project's lock factory:
   ``held -> acquired``. An acquisition whose new edge closes a cycle
   logs one warning (per direction pair) on the ``repro.lockwatch``
   logger with both paths — the debugging artifact a once-a-week
-  deadlock hang never leaves behind.
+  deadlock hang never leaves behind. Acquiring a second *instance* of
+  a held lock name (``other.shutdown()`` under ``self._lock``) records
+  a self-edge and warns too: two instances of one lock have no defined
+  order. Re-entering the same instance records nothing.
 
 The flag is read once, at lock *creation*: pools, caches and servers
 create their locks at construction, so toggling ``REPRO_OBS`` later
@@ -39,6 +41,7 @@ _EDGES: set = set()
 #: directions already warned about, so a hot path warns once
 _WARNED: set = set()
 _EDGES_LOCK = threading.Lock()
+#: per thread: the held locks as (name, id(lock)), oldest first
 _HELD = threading.local()
 
 
@@ -75,15 +78,16 @@ class WatchedLock:
         self._note_order()
         got = self._inner.acquire(blocking, timeout)
         if got:
-            _held_stack().append(self.name)
+            _held_stack().append((self.name, id(self)))
         return got
 
     def release(self) -> None:
         stack = _held_stack()
         # release order may differ from acquire order; drop the newest
         # matching entry
+        key = (self.name, id(self))
         for i in range(len(stack) - 1, -1, -1):
-            if stack[i] == self.name:
+            if stack[i] == key:
                 del stack[i]
                 break
         self._inner.release()
@@ -97,8 +101,8 @@ class WatchedLock:
 
     def _note_order(self) -> None:
         held = _held_stack()
-        for prior in held:
-            if prior == self.name:
+        for prior, prior_id in held:
+            if prior_id == id(self):
                 continue  # reentrant re-acquire: no ordering information
             edge = (prior, self.name)
             if edge in _EDGES:
@@ -106,17 +110,28 @@ class WatchedLock:
             with _EDGES_LOCK:
                 if edge in _EDGES:
                     continue
+                # a self-edge (two instances of one name) is a cycle too
                 cycle = _reaches(self.name, prior)
                 _EDGES.add(edge)
-                if cycle and edge not in _WARNED:
-                    _WARNED.add(edge)
-                    logger.warning(
-                        "lock-order inversion: acquiring %r while holding "
-                        "%r, but the opposite order %r -> %r was also "
-                        "observed — two threads interleaving these paths "
-                        "can deadlock (held stack: %r)",
-                        self.name, prior, self.name, prior, list(held),
-                    )
+                if not cycle or edge in _WARNED:
+                    continue
+                _WARNED.add(edge)
+            stack = [name for name, _ in held]
+            if prior == self.name:
+                logger.warning(
+                    "lock-order hazard: acquiring a second instance of %r "
+                    "while holding another — two instances of one lock "
+                    "have no defined order (held stack: %r)",
+                    self.name, stack,
+                )
+            else:
+                logger.warning(
+                    "lock-order inversion: acquiring %r while holding "
+                    "%r, but the opposite order %r -> %r was also "
+                    "observed — two threads interleaving these paths "
+                    "can deadlock (held stack: %r)",
+                    self.name, prior, self.name, prior, stack,
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "RLock" if self.reentrant else "Lock"

@@ -32,7 +32,13 @@ from typing import Any, Iterable
 
 from repro.obs.lockwatch import make_lock
 from repro.obs.metrics import LATENCY_BUCKETS, REGISTRY
-from repro.util.config import obs_enabled, obs_max_spans, obs_trace_path
+from repro.util.config import obs_enabled, obs_trace_path
+
+#: most finished spans a tracer retains: the buffer is a ring, so once
+#: full, recording a span drops the oldest one and bumps
+#: ``repro_obs_spans_dropped_total`` — a long-running service keeps the
+#: most recent window instead of growing without bound
+MAX_SPANS = 65536
 
 
 class Span:
@@ -131,7 +137,8 @@ class Tracer:
         self._enabled = obs_enabled() if enabled is None else enabled
         self._lock = make_lock("obs.tracer")
         #: finished-span ring; at capacity, recording drops the oldest
-        self._spans: deque[Span] = deque(maxlen=obs_max_spans() or None)
+        self._capacity = MAX_SPANS
+        self._spans: deque[Span] = deque(maxlen=self._capacity)
         self._local = threading.local()
         # Cross-thread mirrors of each thread's open-span stack and track
         # label, keyed by thread id, for the sampling profiler. Written
@@ -199,12 +206,8 @@ class Tracer:
         return out
 
     def _record(self, span: Span) -> None:
-        dropped = 0
         with self._lock:
-            if self._spans.maxlen is not None and (
-                len(self._spans) == self._spans.maxlen
-            ):
-                dropped = 1
+            dropped = len(self._spans) == self._capacity
             self._spans.append(span)
         if dropped:
             self._dropped.inc()
@@ -241,8 +244,8 @@ class Tracer:
         return self._dropped.value()
 
     def max_spans(self) -> int:
-        """The ring capacity (0 = unbounded)."""
-        return self._spans.maxlen or 0
+        """The ring capacity."""
+        return self._capacity
 
     def reset_in_child(self) -> None:
         """Start clean in a freshly-started worker process.
@@ -263,11 +266,8 @@ class Tracer:
         spans = list(spans)
         if not spans:
             return
-        dropped = 0
         with self._lock:
-            maxlen = self._spans.maxlen
-            if maxlen is not None:
-                dropped = max(0, len(self._spans) + len(spans) - maxlen)
+            dropped = max(0, len(self._spans) + len(spans) - self._capacity)
             self._spans.extend(spans)
         if dropped:
             self._dropped.inc(dropped)

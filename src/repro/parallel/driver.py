@@ -23,6 +23,7 @@ from repro.core.options import SRSOptions
 from repro.core.stats import RankStats
 from repro.geometry.domain import Square
 from repro.kernels.base import KernelMatrix
+from repro.obs import health
 from repro.parallel.ownership import LevelLayout, max_ranks_for_tree
 from repro.parallel.solve import solve_worker
 from repro.parallel.worker import WorkerResult, factor_worker
@@ -238,4 +239,5 @@ def parallel_srs_factor(
     eliminated = fact.eliminated_count()
     if eliminated != kernel.n:  # pragma: no cover - invariant
         raise RuntimeError(f"eliminated {eliminated} of {kernel.n} indices")
+    health.record_stats(fact.stats)  # once, here: rank processes cannot report
     return fact

@@ -180,7 +180,7 @@ def _tracer_section() -> str:
     info = {
         "enabled": trace.enabled,
         "buffered_spans": len(trace.snapshot()),
-        "max_spans": trace.max_spans() or "unbounded",
+        "max_spans": trace.max_spans(),
         "dropped_spans": trace.dropped_spans(),
     }
     return "<h2>Tracer</h2>" + _kv_table("tracer", info)

@@ -260,20 +260,6 @@ def obs_profile_path() -> str | None:
     return raw
 
 
-def obs_max_spans() -> int:
-    """Most finished spans the tracer retains (``REPRO_OBS_MAX_SPANS``).
-
-    The span buffer is a ring: once full, recording a span drops the
-    oldest one and bumps ``repro_obs_spans_dropped_total`` — a
-    long-running service keeps the most recent window instead of
-    growing without bound (default 65536; 0 means unbounded).
-    """
-    n = env_int("REPRO_OBS_MAX_SPANS", 65536)
-    if n < 0:
-        raise ValueError(f"REPRO_OBS_MAX_SPANS must be >= 0, got {n}")
-    return n
-
-
 def obs_watchdog_s() -> float:
     """Resource-watchdog sampling period (``REPRO_OBS_WATCHDOG_MS``).
 

@@ -337,91 +337,6 @@ def test_lock_guarded_attr_private_helper_propagation(tmp_path):
     assert result.clean
 
 
-def test_lock_order_cycle_detected_and_suppressible(tmp_path):
-    bad = """\
-        import threading
-
-        A_LOCK = threading.Lock()
-        B_LOCK = threading.Lock()
-
-        def forward():
-            with A_LOCK:
-                with B_LOCK:
-                    pass
-
-        def backward():
-            with B_LOCK:
-                with A_LOCK:
-                    pass
-    """
-    result = run(tmp_path, {"src/repro/service/order.py": bad}, ["lock-discipline"])
-    cycles = [f for f in result.findings if f.symbol.startswith("cycle:")]
-    assert len(cycles) == 1
-    assert "A_LOCK" in cycles[0].message and "B_LOCK" in cycles[0].message
-
-    fixed = bad.replace(
-        "                with A_LOCK:",
-        "                with A_LOCK:"
-        "  # repro: allow(lock-discipline) -- fixture edge",
-    )
-    assert fixed != bad
-    result2 = run(
-        tmp_path / "sup", {"src/repro/service/order.py": fixed}, ["lock-discipline"]
-    )
-    assert not [f for f in result2.findings if f.symbol.startswith("cycle:")]
-
-
-def test_lock_order_via_call_resolution(tmp_path):
-    bad = """\
-        import threading
-
-        REG_LOCK = threading.Lock()
-
-        def _forget():
-            with REG_LOCK:
-                pass
-
-        class Pool:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def shutdown(self):
-                with self._lock:
-                    _forget()
-
-        def scan(pool):
-            with REG_LOCK:
-                pool.shutdown()
-    """
-    result = run(tmp_path, {"src/repro/vmpi/pools.py": bad}, ["lock-discipline"])
-    cycles = [f for f in result.findings if f.symbol.startswith("cycle:")]
-    assert len(cycles) == 1
-    assert "Pool._lock" in cycles[0].message and "REG_LOCK" in cycles[0].message
-
-
-def test_lock_foreign_instance_reacquire_flagged(tmp_path):
-    bad = """\
-        import threading
-
-        class Pool:
-            def __init__(self):
-                self._lock = threading.RLock()
-
-            def shutdown(self):
-                with self._lock:
-                    pass
-
-            def revive(self, other):
-                with self._lock:
-                    self.shutdown()
-                    other.shutdown()
-    """
-    result = run(tmp_path, {"src/repro/vmpi/pools.py": bad}, ["lock-discipline"])
-    foreign = [f for f in result.findings if f.symbol.startswith("foreign:")]
-    assert len(foreign) == 1  # self.shutdown() is a legal reentrant re-acquire
-    assert foreign[0].line == 14
-
-
 # ----------------------------------------------------------------------
 # obs-conventions
 # ----------------------------------------------------------------------
@@ -747,8 +662,3 @@ def test_live_src_tree_is_finding_free():
     )
     assert result.clean, f"src/ has findings:\n{details}"
 
-
-def test_live_lock_order_graph_is_acyclic():
-    result = analyze_paths([REPO / "src"], select=["lock-discipline"])
-    cycles = [f for f in result.findings if f.symbol.startswith("cycle:")]
-    assert not cycles

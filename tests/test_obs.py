@@ -355,7 +355,9 @@ def test_service_failure_logs_error_line(caplog):
 def test_factor_metrics_accumulate():
     def boxes_total():
         samples = parse_prometheus(render_prometheus())
-        return sum(v for _l, v in samples.get("repro_factor_boxes_total", []))
+        return sum(
+            v for _l, v in samples.get("repro_health_skeleton_rank_count", [])
+        )
 
     before = boxes_total()
     prob = repro.LaplaceVolumeProblem(m=8)
@@ -394,5 +396,6 @@ def test_one_family_per_signal():
         "repro_service_rejected_total",
         "repro_id_compressions_total",
         "repro_skeleton_rank_count",
+        "repro_factor_boxes_total",  # counted what skeleton_rank_count counts
     ):
         assert alias not in samples
