@@ -19,7 +19,7 @@ The workload mimics a serving mix: ``--problems`` distinct operators
 ``--requests`` total solves with rotating right-hand-side seeds — so
 the factorization cache, the single-flight lock, and the rhs batcher
 all see real concurrency. Tune the service with the ``REPRO_SERVICE_*``
-environment knobs (cache bytes, batch window/size/mode, workers).
+environment knobs (cache bytes, batch window/size, workers).
 
 **Warm restarts.** Point ``--store`` (or ``REPRO_STORE_DIR``) at a
 directory and factorizations outlive the process: entries are published

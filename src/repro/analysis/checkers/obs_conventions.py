@@ -1,7 +1,8 @@
-"""obs-conventions: span and metric names follow one grammar, project-wide.
+"""obs-conventions: span names follow one grammar, project-wide.
 
-The observability layer's exports are only greppable/joinable if names
-are uniform. Enforced:
+Spans exist only under ``REPRO_OBS=on`` and are looked up by name (the
+perf ledger's layers, dashboards, the Chrome export), so their names
+are checked statically rather than at runtime. Enforced:
 
 * ``trace.span(...)`` / ``trace.track(...)`` take a *literal* first
   argument (a dynamic span name defeats both this checker and any
@@ -10,32 +11,13 @@ are uniform. Enforced:
 * span *attributes* are named keyword arguments matching
   ``[a-z][a-z0-9_]*`` — no ``**dynamic`` unpacking (unjoinable keys)
   and no camel/upper-case attribute names.
-* metric families declared through ``REGISTRY.counter/gauge/histogram``
-  (or the module-level helpers) are literal, match
-  ``repro_[a-z][a-z0-9_]*``, counters end in ``_total`` and
-  non-counters do not, and nothing ends in the Prometheus-reserved
-  ``_bucket``/``_sum``/``_count`` suffixes.
-* one family name is declared with one kind and one label set: the
-  same name declared elsewhere with a different kind or different
-  ``labelnames`` would corrupt the shared registry at runtime.
 
 ``trace.track(...)`` names are worker-tag prefixes (``rank{r}``) and
 are exempt from the dotted grammar but must still be literal or a
 single f-string.
 
-Two further contracts:
-
-* **subsystem metric prefixes** — the obs subsystems own a metric
-  namespace each (:data:`MODULE_PREFIXES`): families declared in
-  ``repro.obs.health`` must start ``repro_health_``, the watchdog's
-  ``repro_watchdog_``, the profiler's ``repro_profile_`` — so a
-  family's name alone says which subsystem emits it.
-* **knob registry** — ``repro.obs.OBS_KNOBS`` is the authoritative
-  list of ``REPRO_OBS*`` environment knobs. Every knob listed there
-  must be read by an accessor in ``repro.util.config``, and every
-  ``REPRO_OBS*`` env-var literal in ``repro.util.config`` must appear
-  in ``OBS_KNOBS`` — an unregistered knob is invisible to docs and
-  deployment checklists.
+Metric families are not checked here: ``MetricsRegistry`` enforces
+their grammar, kind suffix and label set whenever a family is declared.
 """
 
 from __future__ import annotations
@@ -57,130 +39,20 @@ from repro.analysis.core import (
 
 SPAN_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
 ATTR_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-METRIC_RE = re.compile(r"^repro_[a-z][a-z0-9_]*$")
-_RESERVED_SUFFIXES = ("_bucket", "_sum", "_count")
-_METRIC_KINDS = {"counter", "gauge", "histogram"}
-
-#: obs subsystems that own a metric namespace (module -> family prefix)
-MODULE_PREFIXES = {
-    "repro.obs.health": "repro_health_",
-    "repro.obs.watchdog": "repro_watchdog_",
-    "repro.obs.profiler": "repro_profile_",
-}
-
-#: the module carrying the authoritative ``OBS_KNOBS`` tuple
-_KNOB_REGISTRY_MODULE = "repro.obs"
-#: the only module allowed to read environment variables
-_CONFIG_MODULE = "repro.util.config"
-#: an observability knob name: REPRO_OBS itself or any REPRO_OBS_* knob
-_OBS_KNOB_RE = re.compile(r"^REPRO_OBS(_[A-Z0-9_]+)?$")
-
-
-def _metric_call_kind(call: ast.Call) -> str | None:
-    """'counter'/'gauge'/'histogram' for a metric-declaration call."""
-    name = dotted_name(call.func)
-    if name is None:
-        return None
-    tail = name.split(".")[-1]
-    return tail if tail in _METRIC_KINDS else None
-
-
-def _labelnames(call: ast.Call) -> tuple[str, ...] | None:
-    """The literal ``labelnames=(...)`` tuple, or () when absent."""
-    for kw in call.keywords:
-        if kw.arg == "labelnames":
-            if isinstance(kw.value, (ast.Tuple, ast.List)):
-                labels = [literal_str(el) for el in kw.value.elts]
-                if all(lbl is not None for lbl in labels):
-                    return tuple(labels)  # type: ignore[arg-type]
-            return None  # dynamic label set: can't verify
-    return ()
 
 
 @register_checker
 class ObsConventionsChecker(Checker):
     name = "obs-conventions"
     description = (
-        "span/metric names are literal and follow the naming grammar; "
-        "no family is re-declared with a conflicting kind or labels"
+        "span names are literal and follow the dotted grammar; span "
+        "attributes are named, lower-case keywords"
     )
 
     def run(self, project: Project) -> Iterable[Finding]:
-        findings: list[Finding] = []
-        #: family name -> (kind, labels, module, line) of first declaration
-        families: dict[str, tuple[str, tuple[str, ...] | None, str, int]] = {}
         for mod in project.modules:
-            if mod.module is not None and mod.module.startswith("repro.analysis"):
-                continue  # the analyzer's own fixtures/grammar constants
             for call in iter_calls(mod.tree):
-                findings.extend(self._check_span(mod, call))
-                findings.extend(self._check_metric(mod, call, families))
-        findings.extend(self._check_knob_registry(project))
-        return findings
-
-    def _check_knob_registry(self, project: Project) -> Iterable[Finding]:
-        """``repro.obs.OBS_KNOBS`` and util.config agree on REPRO_OBS* knobs."""
-        registry_mod = config_mod = None
-        for mod in project.modules:
-            if mod.module == _KNOB_REGISTRY_MODULE:
-                registry_mod = mod
-            elif mod.module == _CONFIG_MODULE:
-                config_mod = mod
-        if registry_mod is None or config_mod is None:
-            return  # partial-tree run (e.g. a single-file invocation)
-
-        declared: dict[str, int] = {}
-        tuple_line = None
-        for node in ast.walk(registry_mod.tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if "OBS_KNOBS" not in targets:
-                continue
-            tuple_line = node.lineno
-            if isinstance(node.value, (ast.Tuple, ast.List)):
-                for el in node.value.elts:
-                    knob = literal_str(el)
-                    if knob is not None:
-                        declared[knob] = el.lineno
-        if tuple_line is None:
-            yield registry_mod.finding(
-                1, self.name,
-                "repro.obs must declare the OBS_KNOBS tuple — the "
-                "authoritative registry of REPRO_OBS* environment knobs",
-                "obs-knobs-missing",
-            )
-            return
-
-        read: dict[str, int] = {}
-        for node in ast.walk(config_mod.tree):
-            value = literal_str(node)
-            if value is not None and _OBS_KNOB_RE.match(value):
-                read.setdefault(value, node.lineno)
-
-        for knob, line in sorted(declared.items()):
-            if not _OBS_KNOB_RE.match(knob):
-                yield registry_mod.finding(
-                    line, self.name,
-                    f"OBS_KNOBS entry {knob!r} is not a REPRO_OBS* name",
-                    f"knob:{knob}",
-                )
-            elif knob not in read:
-                yield registry_mod.finding(
-                    line, self.name,
-                    f"OBS_KNOBS lists {knob!r} but no repro.util.config "
-                    "accessor reads it — stale registry entry",
-                    f"knob:{knob}",
-                )
-        for knob, line in sorted(read.items()):
-            if knob not in declared:
-                yield config_mod.finding(
-                    line, self.name,
-                    f"repro.util.config reads {knob!r} but repro.obs."
-                    "OBS_KNOBS does not list it — register the knob so "
-                    "docs and deployment checks can see it",
-                    f"knob:{knob}",
-                )
+                yield from self._check_span(mod, call)
 
     def _check_span(self, mod: ParsedModule, call: ast.Call) -> Iterable[Finding]:
         func = dotted_name(call.func)
@@ -203,7 +75,9 @@ class ObsConventionsChecker(Checker):
                 f"dynamic-{method}",
             )
             return
-        if method == "span" and not SPAN_RE.match(name):
+        if method != "span":
+            return
+        if not SPAN_RE.match(name):
             yield mod.finding(
                 call, self.name,
                 f"span name {name!r} violates the grammar "
@@ -211,8 +85,6 @@ class ObsConventionsChecker(Checker):
                 "(\\.[a-z][a-z0-9_]*)*$)",
                 f"span:{name}",
             )
-        if method != "span":
-            return
         for kw in call.keywords:
             if kw.arg is None:
                 yield mod.finding(
@@ -229,83 +101,3 @@ class ObsConventionsChecker(Checker):
                     "grammar ^[a-z][a-z0-9_]*$",
                     f"span-attr:{name}.{kw.arg}",
                 )
-
-    def _check_metric(
-        self,
-        mod: ParsedModule,
-        call: ast.Call,
-        families: dict[str, tuple[str, tuple[str, ...] | None, str, int]],
-    ) -> Iterable[Finding]:
-        kind = _metric_call_kind(call)
-        if kind is None or not call.args:
-            return
-        name = literal_str(call.args[0])
-        if name is None:
-            yield mod.finding(
-                call, self.name,
-                f"{kind}() family name is not a string literal; the "
-                "registry contract needs statically known families",
-                f"dynamic-{kind}",
-            )
-            return
-        if not METRIC_RE.match(name):
-            yield mod.finding(
-                call, self.name,
-                f"metric family {name!r} violates the grammar "
-                "^repro_[a-z][a-z0-9_]*$",
-                f"metric:{name}",
-            )
-            return
-        if kind == "counter" and not name.endswith("_total"):
-            yield mod.finding(
-                call, self.name,
-                f"counter {name!r} must end in _total (Prometheus counter "
-                "convention)",
-                f"metric:{name}",
-            )
-        if kind != "counter" and name.endswith("_total"):
-            yield mod.finding(
-                call, self.name,
-                f"{kind} {name!r} must not end in _total — that suffix "
-                "marks counters",
-                f"metric:{name}",
-            )
-        if name.endswith(_RESERVED_SUFFIXES):
-            yield mod.finding(
-                call, self.name,
-                f"metric family {name!r} ends in a Prometheus-reserved "
-                "suffix (_bucket/_sum/_count are synthesized per family)",
-                f"metric:{name}",
-            )
-        prefix = MODULE_PREFIXES.get(mod.module or "")
-        if prefix is not None and not name.startswith(prefix):
-            yield mod.finding(
-                call, self.name,
-                f"metric family {name!r} declared in {mod.module} must "
-                f"start with that subsystem's prefix {prefix!r}",
-                f"prefix:{name}",
-            )
-        labels = _labelnames(call)
-        prior = families.get(name)
-        if prior is None:
-            families[name] = (kind, labels, mod.rel, call.lineno)
-            return
-        prior_kind, prior_labels, prior_rel, prior_line = prior
-        if prior_kind != kind:
-            yield mod.finding(
-                call, self.name,
-                f"metric family {name!r} declared as {kind} here but as "
-                f"{prior_kind} at {prior_rel}:{prior_line} — one family, "
-                "one kind",
-                f"conflict:{name}",
-            )
-        elif labels is not None and prior_labels is not None and (
-            labels != prior_labels
-        ):
-            yield mod.finding(
-                call, self.name,
-                f"metric family {name!r} declared with labels {labels!r} "
-                f"here but {prior_labels!r} at {prior_rel}:{prior_line} — "
-                "label sets must match across declarations",
-                f"conflict:{name}",
-            )

@@ -10,7 +10,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.analysis.baseline import load_baseline, save_baseline
 from repro.analysis.core import all_checkers, analyze_paths
 from repro.analysis.reporters import render_json, render_text
 
@@ -28,12 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also write a JSON report to FILE")
     parser.add_argument("--select", metavar="CHECKERS",
                         help="comma-separated checker names to run (default: all)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="tolerate findings recorded in this baseline file")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="write current findings as a new baseline and exit 0")
     parser.add_argument("--verbose", action="store_true",
-                        help="also list suppressed/baselined findings")
+                        help="also list suppressed findings")
     parser.add_argument("--list-checkers", action="store_true",
                         help="print registered checkers and exit")
     return parser
@@ -48,22 +43,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     select = None
     if args.select:
         select = [s.strip() for s in args.select.split(",") if s.strip()]
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        result = analyze_paths(args.paths, select=select, baseline=baseline)
+        result = analyze_paths(args.paths, select=select)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        save_baseline(result.findings, args.write_baseline)
-        print(f"wrote {len(result.findings)} finding(s) to {args.write_baseline}")
-        return 0
     report = render_json(result) if args.format == "json" else render_text(
         result, verbose=args.verbose
     )

@@ -37,9 +37,9 @@ _SUPPRESS_RE = re.compile(
 class Finding:
     """One rule violation at a source location.
 
-    ``symbol`` is a stable identifier (qualified name, knob name, lock
-    node...) used for baseline matching, so baselined findings survive
-    unrelated line drift.
+    ``symbol`` is a stable identifier (qualified name, knob name, span
+    name...) that says *what* broke the rule independently of the line:
+    tests and the JSON report identify findings by it.
     """
 
     path: str  #: project-relative posix path
@@ -192,9 +192,8 @@ def all_checkers() -> dict[str, Checker]:
 class AnalysisResult:
     """Everything one run produced, pre- and post-filtering."""
 
-    findings: list[Finding]          #: unsuppressed, not baselined — the gate
+    findings: list[Finding]          #: unsuppressed — the gate
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     checkers: tuple[str, ...] = ()
     files: int = 0
 
@@ -302,7 +301,6 @@ def analyze_paths(
     paths: Iterable[str | Path],
     *,
     select: Iterable[str] | None = None,
-    baseline: list[dict] | None = None,
 ) -> AnalysisResult:
     """Run the (selected) checkers over ``paths`` and filter the findings."""
     checkers = all_checkers()
@@ -327,16 +325,9 @@ def analyze_paths(
             suppressed.append(finding)
         else:
             kept.append(finding)
-
-    baselined: list[Finding] = []
-    if baseline:
-        from repro.analysis.baseline import filter_baseline
-
-        kept, baselined = filter_baseline(kept, baseline)
     return AnalysisResult(
         findings=kept,
         suppressed=suppressed,
-        baselined=baselined,
         checkers=tuple(sorted(checkers)),
         files=len(project.modules) + len(errors),
     )

@@ -13,7 +13,7 @@ from collections import Counter
 from repro.analysis.core import AnalysisResult
 
 #: bump when the JSON document shape changes incompatibly
-JSON_SCHEMA = 1
+JSON_SCHEMA = 2
 
 
 def render_text(result: AnalysisResult, *, verbose: bool = False) -> str:
@@ -29,18 +29,13 @@ def render_text(result: AnalysisResult, *, verbose: bool = False) -> str:
                 f"{finding.location()}: [{finding.checker}] suppressed: "
                 f"{finding.message}"
             )
-        for finding in result.baselined:
-            lines.append(
-                f"{finding.location()}: [{finding.checker}] baselined: "
-                f"{finding.message}"
-            )
     counts = Counter(f.checker for f in result.findings)
     summary = ", ".join(f"{name}={n}" for name, n in sorted(counts.items()))
     status = "FAIL" if result.findings else "OK"
     lines.append(
         f"{status}: {len(result.findings)} finding(s) "
         f"({summary or 'none'}) in {result.files} file(s); "
-        f"{len(result.suppressed)} suppressed, {len(result.baselined)} baselined"
+        f"{len(result.suppressed)} suppressed"
     )
     return "\n".join(lines) + "\n"
 
@@ -55,6 +50,5 @@ def render_json(result: AnalysisResult) -> str:
         "counts": dict(Counter(f.checker for f in result.findings)),
         "findings": [f.to_dict() for f in result.findings],
         "suppressed": [f.to_dict() for f in result.suppressed],
-        "baselined": [f.to_dict() for f in result.baselined],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

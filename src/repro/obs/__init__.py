@@ -56,22 +56,9 @@ from repro.obs.profiler import SamplingProfiler, profile
 from repro.obs.health import HealthMonitor, HealthReport, health, solve_health
 from repro.obs.watchdog import ResourceWatchdog, watchdog
 
-#: every ``REPRO_OBS_*`` knob the observability layer reads — the
-#: obs-conventions checker cross-checks this registry against the
-#: accessors in ``repro.util.config``, so an undeclared knob is a CI
-#: finding rather than a silently ignored environment variable.
-OBS_KNOBS = (
-    "REPRO_OBS",
-    "REPRO_OBS_TRACE_PATH",
-    "REPRO_OBS_PROFILE_HZ",
-    "REPRO_OBS_PROFILE_PATH",
-    "REPRO_OBS_WATCHDOG_MS",
-)
-
 __all__ = [
     "HealthMonitor",
     "HealthReport",
-    "OBS_KNOBS",
     "ResourceWatchdog",
     "SamplingProfiler",
     "health",

@@ -19,6 +19,11 @@ import threading
 from typing import Any, Iterable, Mapping
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+#: the project grammar a declared family must follow (stricter than
+#: the exposition format's ``_NAME_RE``, which the parser still uses)
+_FAMILY_RE = re.compile(r"^repro_[a-z][a-z0-9_]*$")
+#: exposition suffixes synthesized per histogram family
+_RESERVED_SUFFIXES = ("_bucket", "_sum", "_count")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: default seconds buckets for latency histograms
@@ -159,6 +164,12 @@ class MetricsRegistry:
     calls with the same name return the same family (so many service
     instances share one counter), and a name registered as one kind
     cannot be re-registered as another.
+
+    Declaring a family checks the project's naming grammar: names match
+    ``repro_[a-z][a-z0-9_]*``, counters end in ``_total`` and nothing
+    else does, and no name ends in ``_bucket``/``_sum``/``_count``.
+    Every family in ``repro`` is declared at import or in a singleton's
+    constructor, so a bad name fails the first test that imports it.
     """
 
     def __init__(self) -> None:
@@ -167,8 +178,20 @@ class MetricsRegistry:
 
     def _get_or_create(self, cls, name: str, help: str,
                        labelnames: Iterable[str], **kwargs) -> _Metric:
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
+        if not _FAMILY_RE.match(name):
+            raise ValueError(
+                f"invalid metric name {name!r}: families match "
+                "^repro_[a-z][a-z0-9_]*$"
+            )
+        if (cls is Counter) != name.endswith("_total"):
+            raise ValueError(
+                f"{cls.kind} {name!r}: counters end in _total and nothing else does"
+            )
+        if name.endswith(_RESERVED_SUFFIXES):
+            raise ValueError(
+                f"metric name {name!r} ends in a suffix the exposition "
+                "synthesizes (_bucket/_sum/_count)"
+            )
         labelnames = tuple(labelnames)
         for label in labelnames:
             if not _LABEL_RE.match(label):

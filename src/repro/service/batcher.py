@@ -10,14 +10,11 @@ worker threads return immediately); the opener then drains the batch
 and solves all collected right-hand sides at once, fanning results back
 per request.
 
-Two execution modes (``SolveConfig``-independent, set per service):
-
-* ``"block"`` — one ``(N, nrhs)`` application per batch. Fastest (one
-  record sweep, BLAS-3 GEMMs), but a multi-column GEMM may differ from
-  a solo solve in the last floating-point bits on most BLAS builds.
-* ``"strict"`` — each rhs is applied at its submitted shape inside the
-  drained batch: bitwise-identical to an unbatched solve, while still
-  amortizing queueing and (for distributed engines) dispatch.
+A batch of several is one ``(N, nrhs)`` application: one record sweep,
+BLAS-3 GEMMs. A multi-column GEMM may differ from a solo solve in the
+last floating-point bits on most BLAS builds, so a caller that needs a
+solo solve's bits sets ``window=0``: every request is then solved alone,
+at its submitted shape, as soon as it arrives.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from typing import Any, Callable, Hashable
 import numpy as np
 
 from repro.obs.lockwatch import make_lock
-from repro.util.config import SERVICE_BATCH_MODES
 
 #: callback fulfilling one request: (x, batch_occupancy, t_solve_batch)
 FinishFn = Callable[[np.ndarray, int, float], None]
@@ -53,12 +49,11 @@ class RhsBatcher:
     ----------
     window:
         Seconds the batch opener waits for joiners; ``0`` disables
-        coalescing (every request solves alone, immediately).
+        coalescing (every request solves alone, immediately, with a solo
+        solve's bits).
     max_batch:
         Occupancy at which a batch dispatches without waiting out the
         window.
-    mode:
-        ``"block"`` or ``"strict"`` (see module docstring).
     on_batch:
         Optional callback receiving each dispatched batch's occupancy.
     """
@@ -68,20 +63,14 @@ class RhsBatcher:
         window: float,
         max_batch: int,
         *,
-        mode: str = "block",
         on_batch: Callable[[int], None] | None = None,
     ):
         if window < 0:
             raise ValueError(f"window must be >= 0, got {window}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if mode not in SERVICE_BATCH_MODES:
-            raise ValueError(
-                f"mode must be one of {'/'.join(SERVICE_BATCH_MODES)}, got {mode!r}"
-            )
         self.window = float(window)
         self.max_batch = int(max_batch)
-        self.mode = mode
         self._on_batch = on_batch
         self._lock = make_lock("service.batcher")
         self._open: dict[Hashable, _Batch] = {}
@@ -135,25 +124,20 @@ class RhsBatcher:
         if self._on_batch is not None:
             self._on_batch(len(items))
         try:
-            if self.mode == "strict" or len(items) == 1:
-                # per-request applies: time each one, so every report's
-                # t_solve is its own apply cost, not the whole loop's
-                xs, t_solves = [], []
-                for b, _fin, _fail in items:
-                    t0 = time.perf_counter()
-                    xs.append(fact.solve(b))
-                    t_solves.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            if len(items) == 1:
+                # at the submitted shape, so window=0 keeps solo bits
+                xs = [fact.solve(items[0][0])]
             else:
-                t0 = time.perf_counter()
                 xs = self._block_solve(fact, [b for b, _fin, _fail in items])
-                # one indivisible block apply: every member reports it
-                t_solves = [time.perf_counter() - t0] * len(items)
+            # one indivisible apply: every member reports it
+            t_solve = time.perf_counter() - t0
         except BaseException as exc:
             for _b, _finish, fail in items:
                 fail(exc)
             return
         size = len(items)
-        for (_b, finish, fail), x, t_solve in zip(items, xs, t_solves):
+        for (_b, finish, fail), x in zip(items, xs):
             try:
                 finish(x, size, t_solve)
             except BaseException as exc:

@@ -43,7 +43,6 @@ from repro.store import FactorizationStore
 from repro.util.config import (
     obs_watchdog_s,
     service_batch_max,
-    service_batch_mode,
     service_batch_window_s,
     service_cache_bytes,
     service_max_pending,
@@ -66,14 +65,11 @@ class ServiceConfig:
         Factorization-cache byte budget (``REPRO_SERVICE_CACHE_BYTES``).
     batch_window:
         Seconds a batch opener waits for joiners
-        (``REPRO_SERVICE_BATCH_WINDOW_MS``; 0 disables coalescing).
+        (``REPRO_SERVICE_BATCH_WINDOW_MS``; 0 disables coalescing, and
+        every solve then has a solo solve's bits).
     batch_max:
         Occupancy at which a batch dispatches early
         (``REPRO_SERVICE_BATCH_MAX``).
-    batch_mode:
-        ``"block"`` (fast BLAS-3 block applies) or ``"strict"``
-        (bitwise-identical to unbatched solves); see
-        :mod:`repro.service.batcher` (``REPRO_SERVICE_BATCH_MODE``).
     workers:
         Solver threads (``REPRO_SERVICE_WORKERS``).
     max_pending:
@@ -88,7 +84,6 @@ class ServiceConfig:
     cache_bytes: int = field(default_factory=service_cache_bytes)
     batch_window: float = field(default_factory=service_batch_window_s)
     batch_max: int = field(default_factory=service_batch_max)
-    batch_mode: str = field(default_factory=service_batch_mode)
     workers: int = field(default_factory=service_workers)
     max_pending: int = field(default_factory=service_max_pending)
     store_dir: str | None = field(default_factory=store_dir)
@@ -147,7 +142,6 @@ class SolveService:
         self._batcher = RhsBatcher(
             config.batch_window,
             config.batch_max,
-            mode=config.batch_mode,
             on_batch=self._stats.record_batch,
         )
         self._executor = ThreadPoolExecutor(

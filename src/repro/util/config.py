@@ -123,33 +123,6 @@ def service_batch_max() -> int:
     return n
 
 
-#: batch execution modes of the service's RhsBatcher
-SERVICE_BATCH_MODES = ("block", "strict")
-
-
-def service_batch_mode() -> str:
-    """How coalesced requests are solved (``REPRO_SERVICE_BATCH_MODE``).
-
-    * ``block`` (default) — one ``(N, nrhs)`` block application per
-      batch: fastest (one sweep over the factorization records, BLAS-3
-      applies), but multi-column GEMM may differ from a solo solve in
-      the last floating-point bits.
-    * ``strict`` — each coalesced rhs is applied at its submitted shape:
-      bitwise-identical to an unbatched solve, still amortizing the
-      queue/dispatch per batch.
-    """
-    raw = os.environ.get("REPRO_SERVICE_BATCH_MODE")
-    if raw is None or raw.strip() == "":
-        return "block"
-    name = raw.strip().lower()
-    if name not in SERVICE_BATCH_MODES:
-        raise ValueError(
-            f"REPRO_SERVICE_BATCH_MODE={raw!r} is not one of "
-            f"{'/'.join(SERVICE_BATCH_MODES)}"
-        )
-    return name
-
-
 def service_workers() -> int:
     """Solver threads of a :class:`~repro.service.SolveService`
     (``REPRO_SERVICE_WORKERS``, default 8). Requests beyond this

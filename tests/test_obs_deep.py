@@ -152,27 +152,6 @@ def test_profiling_does_not_change_solve_bitwise():
     np.testing.assert_array_equal(x_off, x_on)
 
 
-def test_profiler_overhead_guard():
-    # Interleaved min-of-N wall-clock of the same busy loop with the
-    # sampler on (default rate) and off. The bound is generous — CI
-    # boxes are noisy and often single-core — but a runaway sampler
-    # (bad rate, quadratic stack walk) costs far more than this.
-    prof = SamplingProfiler()
-    base, on = [], []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        _busy(0.05)
-        base.append(time.perf_counter() - t0)
-        assert prof.start()  # DEFAULT_HZ
-        try:
-            t0 = time.perf_counter()
-            _busy(0.05)
-            on.append(time.perf_counter() - t0)
-        finally:
-            prof.stop()
-    assert min(on) <= min(base) * 1.25 + 0.01, (base, on)
-
-
 def _profiled_rank_prog(comm):
     with trace.span("work.burn", rank=comm.rank):
         _busy(0.25)

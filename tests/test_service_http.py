@@ -15,7 +15,7 @@ from repro.service.http import ServiceRequestHandler, build_problem, make_server
 
 @pytest.fixture(scope="module")
 def server():
-    service = SolveService(workers=4, batch_window=0.005, batch_mode="strict")
+    service = SolveService(workers=4, batch_window=0.0)
     srv = make_server(service)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()

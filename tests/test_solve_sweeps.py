@@ -50,8 +50,8 @@ def _relerr(a, b):
 def test_sweeps_invert_exactly_and_blocks_match_columns(name, m, leaf_size, tol, mode, seed):
     """Whatever was factored, however loosely: ``solve`` undoes ``matvec``
     to rounding, and a block solve is its columns solved one by one up
-    to GEMM-vs-GEMV rounding (the parity README documents for
-    ``REPRO_SERVICE_BATCH_MODE=block``)."""
+    to GEMM-vs-GEMV rounding (the parity README documents for the
+    service's coalesced batches)."""
     kernel = _kernel(name, m)
     fact = srs_factor(kernel, opts=SRSOptions(tol=tol, leaf_size=leaf_size, factor_mode=mode))
     rng = np.random.default_rng(seed)
