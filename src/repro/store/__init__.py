@@ -13,8 +13,17 @@ refactored per restart. This package keeps it resident at three tiers:
    file; other serving processes attach zero-copy, with refcounted
    unlink and a lockfile single-flight protocol.
 3. **disk spill / warm start** (:mod:`repro.store.disk`) — evicted and
-   shutdown-time entries persist as checksummed files under
-   ``REPRO_STORE_DIR``; cache misses consult them before factoring.
+   shutdown-time entries persist as files under ``REPRO_STORE_DIR`` in
+   the same array layout (a header checked before the body, the arrays
+   at aligned offsets, one SHA-256 over both); cache misses consult them
+   before factoring and rebuild every array as a view of the one mapping
+   the file was read into.
+
+Tiers 2 and 3 and the vmpi transport share one codec: the pickle walk
+that takes the arrays out of band, their aligned layout and the
+zero-copy rebuild live in :mod:`repro.vmpi.process_backend`; the
+sidecar of tier 2 is a tier-3 file whose body is the pickled
+``Packed``.
 
 Tiers 2 and 3 are on exactly when ``REPRO_STORE_DIR`` is set; tier 1 is
 how the process backend solves, always (``REPRO_STORE_*`` knobs,

@@ -6,12 +6,15 @@ the factorization, whatever their total, into **one** named
 ``/dev/shm`` segment, and the resulting
 :class:`~repro.vmpi.process_backend.Packed` (the pickle
 stream, the segment's name, the array offsets) lands in a sidecar file
-under the store root, wrapped in the same self-verifying envelope as a
-disk spill. Another front-end process attaches by unpickling the
-sidecar and running ``unpack`` — the segment maps once, every array is
-a zero-copy view of it, so N servers share one resident factorization
-instead of holding N copies. The mapping stays open in a process while
-any array of the attached factorization is alive there.
+under the store root. The sidecar is a disk-tier store file
+(:func:`~repro.store.disk.spill_entry`), the same header-checked,
+SHA-256-verified format as a spill, whose body is the pickled
+``Packed``. Another front-end process attaches by loading the sidecar
+(:func:`~repro.store.disk.load_spill`) and running ``unpack`` — the
+segment maps once, every array is a zero-copy view of it, so N servers
+share one resident factorization instead of holding N copies. The
+mapping stays open in a process while any array of the attached
+factorization is alive there.
 
 Segment lifetime is refcounted through per-process marker files
 (``<digest>.ref.<pid>``) next to the sidecar: publish and attach each
@@ -29,19 +32,10 @@ under every other holder.
 from __future__ import annotations
 
 import os
-import pickle
 from typing import NamedTuple
 
-from repro.store.disk import (
-    check_envelope,
-    envelope,
-    read_envelope,
-    remove_quiet,
-    write_atomic,
-)
+from repro.store.disk import load_spill, remove_quiet, spill_entry
 from repro.vmpi.process_backend import pack, release_segment, unpack, untrack
-
-_PICKLE = pickle.HIGHEST_PROTOCOL
 
 
 class SharedHold(NamedTuple):
@@ -99,11 +93,7 @@ def publish_entry(root: str, digest: str, key, fact) -> SharedHold:
     try:
         with open(_ref_path(root, digest), "wb") as fh:
             fh.write(b"1")
-        payload = pickle.dumps(packed, protocol=_PICKLE)
-        write_atomic(
-            sidecar_path(root, digest),
-            pickle.dumps(envelope(key, payload), protocol=_PICKLE),
-        )
+        spill_entry(sidecar_path(root, digest), key, packed)
     except Exception:
         release_segment(packed.segment)
         remove_quiet(_ref_path(root, digest))
@@ -118,15 +108,9 @@ def attach_entry(root: str, digest: str, key):
     last clean release) is stale: it is cleaned up and reported as
     ``"stale"`` so the caller falls through to the disk tier.
     """
-    path = sidecar_path(root, digest)
-    env = read_envelope(path)
-    if env is None:
-        return None, None, None
-    reason = "malformed" if env == "malformed" else check_envelope(env, key)
-    if reason is not None:
-        remove_quiet(path)
+    packed, reason = load_spill(sidecar_path(root, digest), key)
+    if packed is None:
         return None, None, reason
-    packed = pickle.loads(env["payload"])
     hold = SharedHold(packed.segment, packed.shm_nbytes)
     # visible to concurrent releasers before we start mapping the segment
     with open(_ref_path(root, digest), "wb") as fh:

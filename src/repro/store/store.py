@@ -6,9 +6,9 @@ objects) and extends it across process and restart boundaries:
 
 * **shared** (tier 2, :mod:`repro.store.shared`) — entries published as
   one named shm segment + sidecar; other processes attach zero-copy.
-* **disk** (tier 3, :mod:`repro.store.disk`) — checksummed spill files
-  under ``REPRO_STORE_DIR``; cache misses consult them before
-  factoring, giving warm restarts.
+* **disk** (tier 3, :mod:`repro.store.disk`) — header-checked,
+  SHA-256-verified spill files under ``REPRO_STORE_DIR``; cache misses
+  consult them before factoring, giving warm restarts.
 
 (Tier 1 — worker-resident shards — attaches to the factorization
 itself; see :mod:`repro.store.resident`.)

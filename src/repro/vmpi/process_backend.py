@@ -14,7 +14,10 @@ segment once while :func:`unpack` rebuilds every array as a view of it
 *without copying*. Any other message creates no segment: its arrays,
 copied when it is packed, travel through the pipe with the stream. A
 segment costs about the same whatever it holds (create, register,
-attach, unlink), which the pipe beats below ~256 KiB.
+attach, unlink), which the pipe beats below ~256 KiB. The layout step
+(:func:`dump_out_of_band`, :func:`aligned_spans`) and the rebuild
+(:func:`load_out_of_band`) are shared with the store's disk tier, which
+lays a spill file's body out the same way.
 
 Lifetime protocol for a segment: the sender creates it, writes its name
 to the pool's registry pipe (a feeder-less ``SimpleQueue``: a
@@ -59,8 +62,8 @@ _SHM_BLOCK_BYTES = REGISTRY.histogram(
     buckets=BYTES_BUCKETS,
 )
 
-#: arrays start on cache-line boundaries inside a segment
-_ALIGN = 64
+#: arrays start on cache-line boundaries inside a segment or a store file
+ALIGN = 64
 
 #: a message whose arrays total at least this many bytes carries them in
 #: one shared-memory segment; a smaller one carries them in the pipe
@@ -129,6 +132,57 @@ def untrack(name: str | None) -> None:
     resource_tracker.unregister("/" + name, "shared_memory")
 
 
+# ----------------------------------------------------------------------
+# the array layout, shared with the store's files: one pickle walk,
+# arrays at aligned offsets, a zero-copy rebuild
+# ----------------------------------------------------------------------
+def dump_out_of_band(obj: Any) -> tuple[bytes, list[memoryview]]:
+    """Pickle ``obj`` once (protocol 5), its arrays out of band.
+
+    Returns the stream and the raw byte view of every array pickle
+    offered, in the order the stream asks for them: each C- or
+    F-contiguous ndarray anywhere in ``obj``, once however often it
+    appears, with dtype, shape, order and writability carried by the
+    stream. 0-byte, 0-d and structured arrays stay in the stream, as do
+    the arrays pickle never offers (object dtypes, and non-contiguous
+    views, which travel as one contiguous copy). The views alias
+    ``obj``'s memory; nothing is copied.
+    """
+    buffers: list[memoryview] = []
+
+    def keep_in_stream(pb) -> bool:
+        view = memoryview(pb)
+        if view.nbytes == 0 or view.ndim == 0 or view.format.startswith("T{"):
+            return True
+        buffers.append(pb.raw())
+        return False  # pickle's contract: falsy = out-of-band
+
+    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL, buffer_callback=keep_in_stream)
+    return blob, buffers
+
+
+def aligned_spans(buffers, start: int = 0) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Lay ``buffers`` end to end from ``start``, each at an
+    :data:`ALIGN`-byte boundary: their ``(offset, nbytes)`` spans and
+    the size of the region, padded to a boundary."""
+    spans, size = [], -(-start // ALIGN) * ALIGN
+    for buf in buffers:
+        spans.append((size, buf.nbytes))
+        size += -(-buf.nbytes // ALIGN) * ALIGN
+    return tuple(spans), size
+
+
+def load_out_of_band(stream, whole: np.ndarray, spans) -> Any:
+    """Rebuild what :func:`dump_out_of_band` took from ``stream`` with its
+    arrays as views of the ``uint8`` array ``whole`` at ``spans``: no
+    array is copied, each keeps its dtype, shape, order and writability,
+    and the base chain of every one of them ends at ``whole``'s."""
+    return pickle.loads(stream, buffers=[whole[o : o + n] for o, n in spans])
+
+
+# ----------------------------------------------------------------------
+# messages
+# ----------------------------------------------------------------------
 class Packed(NamedTuple):
     """Wire form of one message: a pickle stream and its arrays, held
     either in at most one segment or alongside the stream.
@@ -169,18 +223,14 @@ def pack(
 ) -> Packed:
     """Snapshot ``obj`` as a pickle stream plus its arrays.
 
-    Pickle protocol 5 does the walk, once: every C- or F-contiguous
-    ndarray anywhere in ``obj`` — containers, dataclasses, plain classes
-    such as :class:`~repro.linalg.lu.PartialLU` — is offered
-    out-of-band, with dtype, shape, order and writability carried by the
-    stream, and an array that appears twice is sent once. 0-byte, 0-d
-    and structured arrays stay in the stream, as do the arrays pickle
-    never offers (object dtypes, and non-contiguous views, which travel
-    as one contiguous copy). If the offered arrays total at least
-    ``min_bytes`` they all go into one segment; otherwise each is copied
-    into the Packed's ``inline`` bytes. Either way the message is a
-    snapshot: mutating ``obj`` afterwards does not reach the receiver,
-    and ``obj`` is never mutated.
+    :func:`dump_out_of_band` does the walk, once, over containers,
+    dataclasses and plain classes such as
+    :class:`~repro.linalg.lu.PartialLU` alike. If the arrays it offers
+    total at least ``min_bytes`` they all go into one segment, laid out
+    by :func:`aligned_spans`; otherwise each is copied into the Packed's
+    ``inline`` bytes. Either way the message is a snapshot: mutating
+    ``obj`` afterwards does not reach the receiver, and ``obj`` is never
+    mutated.
 
     The stream is complete before the segment exists, so a pickling
     failure leaves nothing behind; the name goes into ``registry``
@@ -188,22 +238,10 @@ def pack(
     ``terminate()`` mid-copy leaves the segment reclaimable; a failing
     copy unlinks it.
     """
-    buffers: list = []
-
-    def keep_in_stream(pb) -> bool:
-        view = memoryview(pb)
-        if view.nbytes == 0 or view.ndim == 0 or view.format.startswith("T{"):
-            return True
-        buffers.append(pb.raw())
-        return False  # pickle's contract: falsy = out-of-band
-
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL, buffer_callback=keep_in_stream)
+    blob, buffers = dump_out_of_band(obj)
     if not buffers or sum(buf.nbytes for buf in buffers) < min_bytes:
         return Packed(blob, inline=tuple(bytes(buf) for buf in buffers))
-    spans, size = [], 0
-    for buf in buffers:
-        spans.append((size, buf.nbytes))
-        size += -(-buf.nbytes // _ALIGN) * _ALIGN
+    spans, size = aligned_spans(buffers)
     shm = _create_shm(size)
     try:
         if registry is not None:
@@ -215,7 +253,7 @@ def pack(
         raise
     finally:
         shm.close()
-    packed = Packed(blob, shm.name, tuple(spans), shared)
+    packed = Packed(blob, shm.name, spans, shared)
     _SHM_BYTES.inc(packed.shm_nbytes)
     _SHM_BLOCK_BYTES.observe(size)
     return packed
@@ -243,7 +281,7 @@ def unpack(packed: Packed) -> Any:
             pass
     whole = np.ndarray((shm.size,), dtype=np.uint8, buffer=shm.buf)
     weakref.finalize(whole, _close_when_collected, shm)
-    return pickle.loads(packed.blob, buffers=[whole[o : o + n] for o, n in packed.spans])
+    return load_out_of_band(packed.blob, whole, packed.spans)
 
 
 def release_segment(name: str | None) -> None:

@@ -29,9 +29,10 @@ from repro.service import ServiceConfig, ServiceOverloadedError, SolveService
 from repro.store import FactorizationStore
 from repro.store.disk import (
     STORE_FORMAT,
-    envelope,
+    header_bytes,
     key_digest,
     load_spill,
+    read_header,
     spill_entry,
     write_atomic,
 )
@@ -54,6 +55,17 @@ def _residue(root) -> list:
         for name in os.listdir(root)
         if not name.endswith(".spill")
     ]
+
+
+def _rewrite_header(path, **fields) -> None:
+    """Rewrite a store file's header with ``fields`` changed, its body
+    kept byte for byte (the digest in the header is kept too)."""
+    with open(path, "rb") as fh:
+        header = read_header(fh)
+        body = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(header_bytes({**header, **fields}))
+        fh.write(body)
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +104,9 @@ def test_spill_rejects_truncation(tmp_path):
     assert not os.path.exists(path)
 
 
-def test_spill_rejects_format_and_version_mismatch(tmp_path):
+def test_spill_rejects_format_and_version_mismatch(tmp_path, monkeypatch):
+    import repro.store.disk as disk
+
     key = "some-key"
     # what a format-1 spill carries: every SRSFactorization pickled a
     # TimingBreakdown, a class this tree no longer has. Each mismatch
@@ -101,6 +115,7 @@ def test_spill_rejects_format_and_version_mismatch(tmp_path):
     stale = b"\x80\x04crepro.util.timing\nTimingBreakdown\n."
     with pytest.raises(ModuleNotFoundError):
         pickle.loads(stale)
+    monkeypatch.setattr(disk, "dump_out_of_band", lambda obj: (stale, []))
     for field, value, expect in (
         ("format", STORE_FORMAT + 1, "format"),
         ("format", STORE_FORMAT - 1, "format"),
@@ -108,9 +123,8 @@ def test_spill_rejects_format_and_version_mismatch(tmp_path):
         ("key", repr("other-key"), "key"),
     ):
         path = str(tmp_path / f"{field}-{value}.spill")
-        env = envelope(key, stale)
-        env[field] = value
-        write_atomic(path, pickle.dumps(env))
+        spill_entry(path, key, None)  # a file whose stream is `stale`
+        _rewrite_header(path, **{field: value})
         loaded, reason = load_spill(path, key)
         assert loaded is None and reason == expect
         assert not os.path.exists(path)
@@ -122,6 +136,137 @@ def test_spill_wrong_key_digest_collision(tmp_path):
     spill_entry(path, ("fp", 1), np.ones(8))
     loaded, reason = load_spill(path, ("fp", 2))
     assert loaded is None and reason == "key"
+
+
+#: bytes before the pickled header: the magic and the header length
+_PREFIX_SIZE = 16
+
+
+def _regions(path):
+    """Byte offsets of a store file's parts: ``(body start, header,
+    stream span, array spans, alignment gaps)``."""
+    with open(path, "rb") as fh:
+        header = read_header(fh)
+        start = fh.tell()
+    stream = (start, start + header["stream"])
+    arrays = [(start + o, start + o + n) for o, n in header["spans"]]
+    ends = [stream[1]] + [hi for _, hi in arrays]
+    starts = [lo for lo, _ in arrays] + [start + header["body"]]
+    gaps = [(hi, lo) for hi, lo in zip(ends, starts) if lo > hi]
+    return start, header, stream, arrays, gaps
+
+
+def _flip(raw: bytes, at: int, mask: int = 0xFF) -> bytes:
+    out = bytearray(raw)
+    out[at] ^= mask
+    return bytes(out)
+
+
+def test_spill_corruption_matrix(tmp_path):
+    """One corruption at a time of a real factorization's spill file:
+    each is a miss with the file's reason, the file is removed, and the
+    store counts the rejection once under that reason."""
+    from repro.obs import REGISTRY
+
+    invalid = REGISTRY.counter("repro_store_invalid_files_total", labelnames=("reason",))
+    prob = LaplaceVolumeProblem(m=16)
+    fact = repro.srs_factor(prob.kernel, prob.factor_tree)
+    store = FactorizationStore(str(tmp_path), shared=False, spill=True)
+    key = ("fp", "setup")
+    path = store._spill_path(key_digest(key))
+    assert store.spill(key, fact)
+    raw = open(path, "rb").read()
+    start, header, stream, arrays, gaps = _regions(path)
+    assert arrays and gaps
+    digest_at = raw.index(header["sha256"].encode(), 0, start)
+
+    def mid(span):
+        return (span[0] + span[1]) // 2
+
+    cases = {
+        "magic": (_flip(raw, 0), "malformed"),
+        "header pickle": (_flip(raw, _PREFIX_SIZE), "malformed"),
+        "header digest": (_flip(raw, digest_at + 10, 0x01), "checksum"),
+        "stream": (_flip(raw, mid(stream)), "checksum"),
+        "array": (_flip(raw, mid(arrays[len(arrays) // 2])), "checksum"),
+        "alignment gap": (_flip(raw, gaps[0][0]), "checksum"),
+        "truncated body": (raw[:-1], "malformed"),
+        "trailing byte": (raw + b"\0", "malformed"),
+    }
+    for case, (data, expect) in cases.items():
+        open(path, "wb").write(data)
+        assert load_spill(path, key) == (None, expect), case
+        assert not os.path.exists(path), case
+        open(path, "wb").write(data)
+        before = {r: invalid.value(reason=r) for r in ("malformed", "checksum")}
+        assert store.load(key) is None, case
+        after = {r: invalid.value(reason=r) for r in before}
+        assert after == {**before, expect: before[expect] + 1}, case
+        assert not os.path.exists(path), case
+    # the untouched file still loads
+    open(path, "wb").write(raw)
+    assert store.load(key)[1] == "disk"
+
+
+def test_spill_header_checked_before_body(tmp_path):
+    """A file naming another key, format or numpy version is refused for
+    that reason even when its body is truncated too: the body is never
+    read (let alone hashed) for a file the header already rules out."""
+    key = ("fp", "setup")
+    for field, value, expect in (
+        ("key", repr(("fp", "other")), "key"),
+        ("format", STORE_FORMAT - 1, "format"),
+        ("numpy", "0.0.0", "version"),
+    ):
+        path = str(tmp_path / f"{field}.spill")
+        spill_entry(path, key, {"a": np.arange(4096, dtype=np.float64)})
+        _rewrite_header(path, **{field: value})
+        raw = open(path, "rb").read()
+        open(path, "wb").write(raw[: len(raw) - 1000])
+        assert load_spill(path, key) == (None, expect)
+        assert not os.path.exists(path)
+
+
+def test_every_flipped_header_byte_is_refused_or_harmless(tmp_path):
+    """No single flipped header byte yields a wrong object: the file is
+    refused with a reason and removed, or — a byte pickle does not read
+    back, such as a frame length — it loads equal to what was spilled."""
+    path = str(tmp_path / "entry.spill")
+    key = ("fp", "setup")
+    obj = {"a": np.arange(300, dtype=np.float64), "b": np.arange(7, dtype=np.int32)}
+    spill_entry(path, key, obj)
+    raw = open(path, "rb").read()
+    start = _regions(path)[0]
+    for at in range(start):
+        open(path, "wb").write(_flip(raw, at))
+        loaded, reason = load_spill(path, key)
+        if loaded is None:
+            assert reason in ("malformed", "checksum", "key", "format", "version"), at
+            assert not os.path.exists(path), at
+        else:
+            assert reason is None and loaded.keys() == obj.keys(), at
+            assert all(np.array_equal(loaded[k], obj[k]) for k in obj), at
+
+
+def test_write_atomic_temp_file_is_per_call(tmp_path):
+    """Two writers of one path never share a temp file (the last to
+    finish wins whole), and a failing write leaves no temp file."""
+    path = str(tmp_path / "entry.spill")
+    with write_atomic(path) as outer:
+        outer.write(b"outer")
+        with write_atomic(path) as inner:
+            inner.write(b"inner")
+            assert len(os.listdir(tmp_path)) == 2  # two distinct temp files
+        assert open(path, "rb").read() == b"inner"
+    assert open(path, "rb").read() == b"outer"
+    assert os.listdir(tmp_path) == ["entry.spill"]
+
+    with pytest.raises(RuntimeError):
+        with write_atomic(path) as fh:
+            fh.write(b"half")
+            raise RuntimeError("disk full")
+    assert os.listdir(tmp_path) == ["entry.spill"]
+    assert open(path, "rb").read() == b"outer"
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +345,6 @@ def test_published_factorization_is_one_segment(tmp_path):
     array bitwise equal, and an old-format sidecar is refused."""
     import hashlib
 
-    from repro.store.disk import read_envelope
     from repro.store.shared import sidecar_path
 
     def digest_of(fact):
@@ -254,8 +398,7 @@ def test_published_factorization_is_one_segment(tmp_path):
     # a sidecar written under the previous format number is rejected as
     # such — never unpickled into classes that no longer exist
     path = sidecar_path(root, key_digest("k"))
-    env = read_envelope(path)
-    write_atomic(path, pickle.dumps({**env, "format": STORE_FORMAT - 1}))
+    _rewrite_header(path, format=STORE_FORMAT - 1)
     assert FactorizationStore(root, shared=True, spill=False).load("k") is None
     assert not os.path.exists(path)
 
@@ -263,52 +406,107 @@ def test_published_factorization_is_one_segment(tmp_path):
     assert _shm_blocks() == before
 
 
+def _record_arrays(fact) -> list:
+    """Every non-empty array a factorization's records hold."""
+    records = (
+        [rec for w in fact.workers for rec in w.records]
+        if hasattr(fact, "workers") else fact.records
+    )
+    arrays = []
+    for rec in records:
+        for arr in (
+            rec.redundant, rec.skeleton, rec.cluster, rec.T,
+            rec.lu._lu, rec.lu._piv, rec.lu._perm, rec.e_cr, rec.g_rc,
+        ):
+            if arr.size:
+                arrays.append(arr)
+    return arrays
+
+
+def _root(arr):
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
 @needs_process
-@pytest.mark.parametrize("execution", ["sequential", "thread"])
-def test_round_trip_through_every_tier_solves_bitwise(tmp_path, execution):
+@pytest.mark.parametrize(
+    "execution, problem",
+    [
+        pytest.param(e, p, id=e if p == "laplace" else f"{e}-{p}")
+        for p in ("laplace", "scattering")
+        for e in ("sequential", "thread", "process")
+    ],
+)
+def test_round_trip_through_every_tier_solves_bitwise(tmp_path, execution, problem):
     """Spilled, reloaded, published and attached, a factorization solves
     bitwise like the in-memory one and reports the same memory — the
-    cached ``memory_bytes`` equals a fresh walk at every stop."""
-    prob = LaplaceVolumeProblem(m=16)
+    cached ``memory_bytes`` equals a fresh walk at every stop. Every
+    array comes back with its dtype, shape and order, aligned and
+    writable, as a view of the one buffer its tier read or mapped."""
+    prob = (
+        LaplaceVolumeProblem(m=16) if problem == "laplace"
+        else repro.ScatteringProblem(16, 9.0)
+    )
     ranks = {} if execution == "sequential" else {"ranks": 4}
     fact = repro.solve(
         prob, prob.random_rhs(0), method="direct", execution=execution, **ranks
     ).factorization
     rhs = [prob.random_rhs(1), prob.random_rhs(2, 3)]
     want = [fact.solve(b) for b in rhs]
+    wanted = _record_arrays(fact)
 
-    def check(other):
+    def check(other, zero_copy=True):
         records = (
             [rec for w in other.workers for rec in w.records]
-            if execution == "thread" else other.records
+            if execution != "sequential" else other.records
         )
         assert other.memory_bytes() == sum(rec.memory_bytes() for rec in records)
         assert other.memory_bytes() == fact.memory_bytes()
         for b, x in zip(rhs, want):
             assert np.array_equal(other.solve(b), x)
+        if zero_copy:
+            got = _record_arrays(other)
+            assert len(got) == len(wanted)
+            for a, w in zip(got, wanted):
+                assert (a.dtype, a.shape) == (w.dtype, w.shape)
+                assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+                    w.flags.c_contiguous, w.flags.f_contiguous
+                )
+                assert a.flags.aligned and a.flags.writeable and not a.flags.owndata
+            assert len({id(_root(a)) for a in got}) == 1
 
-    check(fact)
-    before = _shm_blocks()
-    disk = FactorizationStore(str(tmp_path / "disk"), shared=False, spill=True)
-    assert disk.spill("k", fact)
-    reloaded, tier = disk.load("k")
-    assert tier == "disk"
-    check(reloaded)
+    loaded = []
+    try:
+        check(fact, zero_copy=False)
+        before = _shm_blocks()
+        disk = FactorizationStore(str(tmp_path / "disk"), shared=False, spill=True)
+        assert disk.spill("k", fact)
+        reloaded, tier = disk.load("k")
+        loaded.append(reloaded)
+        assert tier == "disk"
+        check(reloaded)
 
-    shm = FactorizationStore(str(tmp_path / "shm"), shared=True, spill=False)
-    _, tier = shm.fetch_or_build("k", lambda: reloaded)  # publishes the build
-    assert tier is None and shm.shared_published("k")
-    attached, tier = shm.load("k")
-    assert tier == "shared"
-    check(attached)
-    del attached
-    shm.close()
-    assert _shm_blocks() == before
+        shm = FactorizationStore(str(tmp_path / "shm"), shared=True, spill=False)
+        _, tier = shm.fetch_or_build("k", lambda: reloaded)  # publishes the build
+        assert tier is None and shm.shared_published("k")
+        attached, tier = shm.load("k")
+        loaded.append(attached)
+        assert tier == "shared"
+        check(attached)
+        del attached
+        loaded.pop()
+        shm.close()
+        assert _shm_blocks() == before
+    finally:
+        for f in [fact, *loaded]:
+            if getattr(f, "resident", None) is not None:
+                f.resident.drop()
 
 
 def test_previous_format_payload_is_a_format_miss(tmp_path):
     """What format 3 pickled — a ``PartialLU`` without its permutation —
-    would only fail at its first solve; the envelope check refuses it
+    would only fail at its first solve; the header check refuses it
     first, so an old spill is a miss and a rebuild."""
     from repro.linalg import PartialLU
 
@@ -319,8 +517,8 @@ def test_previous_format_payload_is_a_format_miss(tmp_path):
         stale.solve_left(np.ones(3))
 
     path = str(tmp_path / "old.spill")
-    env = envelope("k", pickle.dumps(lu))
-    write_atomic(path, pickle.dumps({**env, "format": STORE_FORMAT - 1}))
+    spill_entry(path, "k", lu)
+    _rewrite_header(path, format=STORE_FORMAT - 1)
     assert load_spill(path, "k") == (None, "format")
     assert not os.path.exists(path)
 
