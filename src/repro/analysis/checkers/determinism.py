@@ -15,8 +15,8 @@ the numerics packages must stay free of every nondeterminism source:
   ``out.fill``) or hands it to a documented out-parameter;
 * function-local ``import time``: a hot loop importing the clock
   inline hides wall-clock usage from review — time a section with
-  :func:`repro.obs.stopwatch` (or a module-level import for
-  reporting), never an ad-hoc local import.
+  ``time.perf_counter()`` from a module-level ``import time``, never
+  an ad-hoc local import.
 
 ``time.perf_counter`` stays allowed: timing *reports* may vary, the
 numbers in the solution vector may not.
@@ -152,8 +152,8 @@ class DeterminismChecker(Checker):
                             node, self.name,
                             "function-local `import time` in a parity "
                             "package hides wall-clock use in a hot loop; "
-                            "time sections with repro.obs.stopwatch (or a "
-                            "module-level import for reporting)",
+                            "time sections with time.perf_counter() from a "
+                            "module-level import",
                             "local-time-import",
                         )
             if isinstance(node, ast.ImportFrom):

@@ -84,10 +84,6 @@ class SolveReport:
     t_queue: float | None = None
     #: request id assigned by the service (echoed by the HTTP front)
     request_id: str | None = None
-    #: per-request phase spans stamped by the service: a list of
-    #: ``{"name": ..., "seconds": ...}`` dicts covering the
-    #: queue -> factor -> solve pipeline of this request
-    spans: list | None = None
     #: per-solve numerical summary (a
     #: :class:`~repro.obs.health.HealthReport`): per-level skeleton
     #: ranks/compression plus the Krylov refinement outcome; ``None``
@@ -152,11 +148,6 @@ class SolveReport:
             out["t_queue"] = float(self.t_queue)
         if self.request_id is not None:
             out["request_id"] = str(self.request_id)
-        if self.spans is not None:
-            out["spans"] = [
-                {"name": str(s["name"]), "seconds": float(s["seconds"])}
-                for s in self.spans
-            ]
         if self.health is not None:
             out["health"] = self.health.to_dict()
         if include_relres:

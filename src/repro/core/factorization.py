@@ -19,6 +19,7 @@ alone halves a Hermitian kernel's compression rows).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.core.skel import (
 )
 from repro.core.stats import RankStats
 from repro.kernels.base import KernelMatrix
-from repro.obs import health, stopwatch, trace
+from repro.obs import health, trace
 from repro.tree.quadtree import QuadTree
 
 
@@ -216,21 +217,21 @@ def sweep_level(
         live = [b for b in group if b in store.active and store.nactive(b) > 0]
         if not live:
             continue
-        with stopwatch() as sw:
-            decs = compress_phase(store, kernel, tree, level, live, opts)
-            for box in live:
-                size_before = store.nactive(box)
-                with trace.span(
-                    "factor.skeletonize", level=level, box=str(box), size=size_before
-                ):
-                    rec = eliminate_box(
-                        store, box, tree.neighbors(level, *box), decs[box],
-                        level=level, update_log=update_log,
-                    )
-                stats.record(level, size_before, rec.rank)
-                records.append(rec)
+        t0 = time.perf_counter()
+        decs = compress_phase(store, kernel, tree, level, live, opts)
+        for box in live:
+            size_before = store.nactive(box)
+            with trace.span(
+                "factor.skeletonize", level=level, box=str(box), size=size_before
+            ):
+                rec = eliminate_box(
+                    store, box, tree.neighbors(level, *box), decs[box],
+                    level=level, update_log=update_log,
+                )
+            stats.record(level, size_before, rec.rank)
+            records.append(rec)
         if task_times is not None:  # strict: ``live`` is the one box
-            task_times.append((level, live[0], sw.elapsed))
+            task_times.append((level, live[0], time.perf_counter() - t0))
     return len(records) - before
 
 

@@ -50,7 +50,7 @@ from repro.obs.metrics import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.obs.tracer import Span, Stopwatch, Tracer, chrome_trace, stopwatch, trace
+from repro.obs.tracer import Span, Tracer, chrome_trace, trace
 from repro.obs.logs import enable_stderr_logs, log_event
 from repro.obs.profiler import SamplingProfiler, profile
 from repro.obs.health import HealthMonitor, HealthReport, health, solve_health
@@ -74,7 +74,6 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "Span",
-    "Stopwatch",
     "Tracer",
     "WatchedLock",
     "chrome_trace",
@@ -85,6 +84,5 @@ __all__ = [
     "parse_prometheus",
     "render_prometheus",
     "reset_lock_watch",
-    "stopwatch",
     "trace",
 ]

@@ -12,8 +12,9 @@ drifting. Two feeds:
   :meth:`HealthMonitor.observe_krylov` — iteration counts, convergence,
   refinement stalls, and final relative residuals per method.
 
-The process-wide :data:`health` monitor backs the ``repro_health_*``
-metric families and the ``/stats`` + ``/debug`` health tables;
+The process-wide :data:`health` monitor records into the
+``repro_health_*`` metric families, which the ``/stats`` + ``/debug``
+health tables read back (:meth:`HealthMonitor.snapshot`);
 :func:`solve_health` builds the per-solve :class:`HealthReport` the
 facade stamps onto :class:`~repro.api.report.SolveReport`.
 """
@@ -24,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.obs.lockwatch import make_lock
-from repro.obs.metrics import COUNT_BUCKETS, REGISTRY
+from repro.obs.metrics import COUNT_BUCKETS, REGISTRY, MetricsRegistry
 
 #: buckets for skeleton-rank / box-size compression ratios (rank/size)
 RATIO_BUCKETS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -94,61 +94,62 @@ def solve_health(fact: Any, krylov: Any) -> HealthReport | None:
 
 
 class HealthMonitor:
-    """Cumulative, process-wide solver-health aggregates + metrics."""
+    """Process-wide solver-health record: the ``repro_health_*`` families.
 
-    def __init__(self) -> None:
-        self._lock = make_lock("obs.health")
-        #: level -> {boxes, rank_sum, max_rank, size_sum, ratio_sum}
-        self._levels: dict[int, dict[str, float]] = {}
-        #: method -> {solves, iterations, converged, stalls, last_relres}
-        self._krylov: dict[str, dict[str, Any]] = {}
-        self._rank_hist = REGISTRY.histogram(
+    The families are the only record; :meth:`snapshot` is a read of
+    them. ``registry`` defaults to the process-wide :data:`REGISTRY`
+    (tests pass a private one).
+    """
+
+    def __init__(self, registry: MetricsRegistry = REGISTRY) -> None:
+        self._rank_hist = registry.histogram(
             "repro_health_skeleton_rank",
             "Skeleton rank selected per compressed box, by tree level",
             labelnames=("level",), buckets=COUNT_BUCKETS,
         )
-        self._ratio_hist = REGISTRY.histogram(
+        self._rank_max = registry.gauge(
+            "repro_health_skeleton_rank_max",
+            "Largest skeleton rank selected at a tree level",
+            labelnames=("level",),
+        )
+        self._ratio_hist = registry.histogram(
             "repro_health_compression_ratio",
             "Skeleton rank over pre-compression box size, by tree level",
             labelnames=("level",), buckets=RATIO_BUCKETS,
         )
-        self._iters = REGISTRY.counter(
+        self._iters = registry.counter(
             "repro_health_krylov_iterations_total",
             "Krylov/refinement iterations spent, by method",
             labelnames=("method",),
         )
-        self._solves = REGISTRY.counter(
+        self._solves = registry.counter(
             "repro_health_krylov_solves_total",
             "Krylov solves observed, by method and convergence outcome",
             labelnames=("method", "converged"),
         )
-        self._stalls = REGISTRY.counter(
+        self._stalls = registry.counter(
             "repro_health_refinement_stalls_total",
             "Krylov solves whose residual stopped improving before "
             "convergence, by method",
             labelnames=("method",),
         )
-        self._relres = REGISTRY.histogram(
+        self._relres = registry.histogram(
             "repro_health_final_relres",
             "Final relative residual of Krylov solves, by method",
             labelnames=("method",), buckets=RELRES_BUCKETS,
+        )
+        self._last_relres = registry.gauge(
+            "repro_health_last_relres",
+            "Final relative residual of the latest finite Krylov solve, by method",
+            labelnames=("method",),
         )
 
     # -- factor sweep --------------------------------------------------
     def record_box(self, level: int, size_before: int, rank: int) -> None:
         """One box compression: pre-compression size and chosen rank."""
         ratio = float(rank) / float(size_before) if size_before else 0.0
-        with self._lock:
-            agg = self._levels.setdefault(level, {
-                "boxes": 0.0, "rank_sum": 0.0, "max_rank": 0.0,
-                "size_sum": 0.0, "ratio_sum": 0.0,
-            })
-            agg["boxes"] += 1
-            agg["rank_sum"] += rank
-            agg["max_rank"] = max(agg["max_rank"], float(rank))
-            agg["size_sum"] += size_before
-            agg["ratio_sum"] += ratio
         self._rank_hist.observe(rank, level=level)
+        self._rank_max.set_max(rank, level=level)
         self._ratio_hist.observe(ratio, level=level)
 
     def record_stats(self, stats: Any) -> None:
@@ -167,17 +168,6 @@ class HealthMonitor:
         final = getattr(result, "final_residual", None)
         if final is not None and not math.isfinite(float(final)):
             final = None
-        with self._lock:
-            agg = self._krylov.setdefault(method, {
-                "solves": 0, "iterations": 0, "converged": 0,
-                "stalls": 0, "last_relres": None,
-            })
-            agg["solves"] += 1
-            agg["iterations"] += iterations
-            agg["converged"] += 1 if converged else 0
-            agg["stalls"] += 1 if stalled else 0
-            if final is not None:
-                agg["last_relres"] = float(final)
         if iterations:
             self._iters.inc(iterations, method=method)
         self._solves.inc(method=method, converged="yes" if converged else "no")
@@ -185,42 +175,42 @@ class HealthMonitor:
             self._stalls.inc(method=method)
         if final is not None:
             self._relres.observe(float(final), method=method)
+            self._last_relres.set(float(final), method=method)
 
     # -- harvest -------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        """``{"levels": [...], "krylov": [...]}`` cumulative rollup."""
-        with self._lock:
-            levels = {lvl: dict(agg) for lvl, agg in self._levels.items()}
-            krylov = {m: dict(agg) for m, agg in self._krylov.items()}
+        """``{"levels": [...], "krylov": [...]}``, read from the families."""
+        ranks = self._rank_hist.series()
+        maxes = self._rank_max.series()
+        ratios = self._ratio_hist.series()
         level_rows = []
-        for lvl in sorted(levels):
-            agg = levels[lvl]
-            boxes = agg["boxes"] or 1.0
+        for key in sorted(ranks, key=lambda k: int(k[0])):
+            boxes = ranks[key]["count"]
+            ratio = ratios.get(key, {"sum": 0.0, "count": 0})
             level_rows.append({
-                "level": int(lvl),
-                "boxes": int(agg["boxes"]),
-                "avg_rank": agg["rank_sum"] / boxes,
-                "max_rank": int(agg["max_rank"]),
-                "avg_compression": agg["ratio_sum"] / boxes,
+                "level": int(key[0]),
+                "boxes": boxes,
+                "avg_rank": ranks[key]["sum"] / boxes,
+                "max_rank": int(maxes.get(key, 0)),
+                "avg_compression": ratio["sum"] / max(ratio["count"], 1),
             })
+        solves = self._solves.series()
+        iters = self._iters.series()
+        stalls = self._stalls.series()
+        last = self._last_relres.series()
         krylov_rows = []
-        for method in sorted(krylov):
-            agg = krylov[method]
+        for method in sorted({m for m, _c in solves}):
+            key = (method,)
+            converged = int(solves.get((method, "yes"), 0))
             krylov_rows.append({
                 "method": method,
-                "solves": int(agg["solves"]),
-                "iterations": int(agg["iterations"]),
-                "converged": int(agg["converged"]),
-                "stalls": int(agg["stalls"]),
-                "last_relres": agg["last_relres"],
+                "solves": converged + int(solves.get((method, "no"), 0)),
+                "iterations": int(iters.get(key, 0)),
+                "converged": converged,
+                "stalls": int(stalls.get(key, 0)),
+                "last_relres": last.get(key),
             })
         return {"levels": level_rows, "krylov": krylov_rows}
-
-    def reset(self) -> None:
-        """Drop the aggregates (tests only; metric families persist)."""
-        with self._lock:
-            self._levels = {}
-            self._krylov = {}
 
 
 #: the process-wide health monitor every layer reports into

@@ -81,6 +81,11 @@ class _Metric:
             )
         return tuple(str(labels[n]) for n in self.labelnames)
 
+    def series(self) -> dict[tuple[str, ...], Any]:
+        """``{label values: value}`` of every label-set seen, read under the lock."""
+        with self._lock:
+            return dict(self._values)
+
 
 class Counter(_Metric):
     """Monotonically increasing value (per label-set)."""
@@ -117,6 +122,12 @@ class Gauge(_Metric):
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
 
+    def set_max(self, value: float, **labels: object) -> None:
+        """Raise the value to ``value`` if it is larger (a running maximum)."""
+        key = self._key(labels)
+        with self._lock:
+            self._values[key] = max(float(self._values.get(key, value)), float(value))
+
     def value(self, **labels: object) -> float:
         with self._lock:
             return float(self._values.get(self._key(labels), 0.0))
@@ -149,12 +160,16 @@ class Histogram(_Metric):
             state["count"] += 1
 
     def snapshot(self, **labels: object) -> dict:
+        state = self.series().get(self._key(labels))
+        if state is None:
+            return {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}
+        return state
+
+    def series(self) -> dict[tuple[str, ...], dict]:
+        """``{label values: {counts, sum, count}}``, each state copied."""
         with self._lock:
-            state = self._values.get(self._key(labels))
-            if state is None:
-                return {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}
-            return {"counts": list(state["counts"]), "sum": state["sum"],
-                    "count": state["count"]}
+            return {key: dict(state, counts=list(state["counts"]))
+                    for key, state in self._values.items()}
 
 
 class MetricsRegistry:
@@ -245,8 +260,7 @@ def render_prometheus(registry: MetricsRegistry | None = None) -> str:
         help_text = (metric.help or metric.name).replace("\\", "\\\\").replace("\n", "\\n")
         lines.append(f"# HELP {metric.name} {help_text}")
         lines.append(f"# TYPE {metric.name} {metric.kind}")
-        with metric._lock:
-            items = sorted(metric._values.items())
+        items = sorted(metric.series().items())
         if isinstance(metric, Histogram):
             for key, state in items:
                 cumulative = 0

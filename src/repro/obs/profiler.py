@@ -33,6 +33,7 @@ from typing import Any, Mapping
 from repro.obs.lockwatch import make_lock
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import trace
+from repro.util import write_atomic
 from repro.util.config import obs_profile_hz, obs_profile_path
 
 #: fallback rate when started without an explicit or configured rate
@@ -301,19 +302,14 @@ class SamplingProfiler:
                           name: str = "repro profile") -> dict[str, Any]:
         """Write :meth:`speedscope` JSON to ``path`` (atomic replace)."""
         doc = self.speedscope(name)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
+        with write_atomic(path) as fh:
+            fh.write(json.dumps(doc).encode())
         return doc
 
     def export_folded(self, path: str) -> None:
         """Write :meth:`folded` text to ``path`` (atomic replace)."""
-        text = self.folded()
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        with write_atomic(path) as fh:
+            fh.write(self.folded().encode())
 
 
 #: the process-wide profiler (what vmpi forwards to rank workers)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import atexit
 import json
-import os
 import threading
 import time
 from collections import deque
@@ -32,6 +31,7 @@ from typing import Any, Iterable
 
 from repro.obs.lockwatch import make_lock
 from repro.obs.metrics import LATENCY_BUCKETS, REGISTRY
+from repro.util import write_atomic
 from repro.util.config import obs_enabled, obs_trace_path
 
 #: most finished spans a tracer retains: the buffer is a ring, so once
@@ -283,10 +283,8 @@ class Tracer:
         spans = self.drain() if drain else self.snapshot()
         doc = chrome_trace(spans)
         if path is not None:
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, path)
+            with write_atomic(path) as fh:
+                fh.write(json.dumps(doc).encode())
         return doc
 
 
@@ -353,34 +351,6 @@ class _TrackCtx:
         self._tracer._local.track = self._prev
         self._tracer._tracks[threading.get_ident()] = self._prev
         return False
-
-
-class Stopwatch:
-    """Monotonic duration of a ``with`` block, in seconds.
-
-    The observability layer's answer to ad-hoc ``perf_counter`` pairs
-    in hot loops: callers that need a measured duration as *data* (the
-    shared-memory comparator's per-task times, batch occupancy attrs)
-    wrap the work in ``with stopwatch() as sw`` and read ``sw.elapsed``
-    afterwards. Uses ``time.perf_counter`` — never the wall clock — so
-    the parity packages stay free of wall-clock reads.
-    """
-
-    __slots__ = ("start", "elapsed")
-
-    def __enter__(self) -> "Stopwatch":
-        self.elapsed = 0.0
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.elapsed = time.perf_counter() - self.start
-        return False
-
-
-def stopwatch() -> Stopwatch:
-    """A fresh :class:`Stopwatch` context manager."""
-    return Stopwatch()
 
 
 def _autosave() -> None:  # pragma: no cover - exercised via subprocess in CI

@@ -18,6 +18,7 @@ barrier, modeled by ``sync_overhead``).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +28,6 @@ from repro.core.interactions import Coord
 from repro.core.options import SRSOptions
 from repro.core.skel import sweep_down, sweep_up
 from repro.kernels.base import KernelMatrix
-from repro.obs import stopwatch
 from repro.tree.quadtree import QuadTree
 
 #: one measured task: ``(level, box, seconds)``
@@ -146,8 +146,9 @@ def shared_memory_factor(
         tree = QuadTree.for_leaf_size(kernel.points, opts.leaf_size)
 
     task_times: list[TaskTime] = []
-    with stopwatch() as sw_fact:
-        fact = srs_factor(kernel, tree, opts, task_times=task_times)
+    t0 = time.perf_counter()
+    fact = srs_factor(kernel, tree, opts, task_times=task_times)
+    t_fact = time.perf_counter() - t0
 
     # --- solve: measure per-record apply times -------------------------
     rng = np.random.default_rng(0)
@@ -155,22 +156,23 @@ def shared_memory_factor(
     x = rng.standard_normal(shape).astype(np.result_type(kernel.dtype, float))
     upward: list[float] = []
     apply_times: list[TaskTime] = []
-    with stopwatch() as sw_solve:
-        for rec in fact.records:
-            with stopwatch() as sw:
-                sweep_up([rec], x)
-            upward.append(sw.elapsed)
-        for rec, up in zip(reversed(fact.records), reversed(upward)):
-            with stopwatch() as sw:
-                sweep_down([rec], x)
-            apply_times.append((rec.level, rec.box, up + sw.elapsed))
+    t_start = time.perf_counter()
+    for rec in fact.records:
+        t0 = time.perf_counter()
+        sweep_up([rec], x)
+        upward.append(time.perf_counter() - t0)
+    for rec, up in zip(reversed(fact.records), reversed(upward)):
+        t0 = time.perf_counter()
+        sweep_down([rec], x)
+        apply_times.append((rec.level, rec.box, up + time.perf_counter() - t0))
+    t_solve = time.perf_counter() - t_start
 
     return SharedMemoryResult(
         factorization=fact,
         nthreads=nthreads,
         task_times=task_times,
         apply_times=apply_times,
-        sequential_t_fact=sw_fact.elapsed,
-        sequential_t_solve=sw_solve.elapsed,
+        sequential_t_fact=t_fact,
+        sequential_t_solve=t_solve,
         sync_overhead=sync_overhead,
     )

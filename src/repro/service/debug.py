@@ -3,9 +3,9 @@
 One self-refreshing page over the service's observability surface:
 request counters and cache/batcher stats, the solver-health rollup
 (per-level skeleton ranks, Krylov convergence), the resource watchdog's
-latest sample, the recent-request ring with per-phase spans, and the
-sampling profiler's status with download links for its speedscope/
-folded exports.
+latest sample, the recent-request ring with each request's queue /
+setup / solve seconds, and the sampling profiler's status with
+download links for its speedscope/folded exports.
 
 The markup is strict XHTML — every element closed, every dynamic value
 escaped, no DOCTYPE, no script — so smoke tests validate it with
@@ -134,19 +134,9 @@ def _watchdog_section() -> str:
 def _requests_section(recent: list[dict[str, Any]]) -> str:
     headers = (
         "request_id", "status", "method", "cache_hit", "batch_size",
-        "duration_s", "spans",
+        "duration_s", "t_queue", "t_setup", "t_solve", "error",
     )
-    rows = []
-    for req in reversed(recent):  # newest first
-        spans = req.get("spans") or []
-        span_text = " ".join(
-            f"{s.get('name')}={float(s.get('seconds', 0.0)):.4f}s" for s in spans
-        ) or req.get("error", "-")
-        rows.append([
-            req.get("request_id"), req.get("status"), req.get("method"),
-            req.get("cache_hit"), req.get("batch_size"),
-            req.get("duration_s"), span_text,
-        ])
+    rows = [[req.get(h) for h in headers] for req in reversed(recent)]  # newest first
     return "<h2>Recent requests</h2>" + _table(
         "recent-requests", headers, rows, empty="no requests yet"
     )

@@ -26,8 +26,10 @@ Routes
 ``GET /stats``
     The service's :class:`~repro.service.stats.ServiceStats` as JSON.
 ``GET /metrics``
-    The process-wide metrics registry in Prometheus text exposition
-    format 0.0.4 (cache residency gauges are refreshed per scrape).
+    The process-wide metrics registry, then the service's own
+    (``repro_service_events_total`` and the latency / batch-occupancy
+    histograms), in Prometheus text exposition format 0.0.4 (cache
+    residency gauges are refreshed per scrape).
 ``GET /healthz``
     ``{"ok": true}`` — liveness probe.
 ``GET /debug``
@@ -361,7 +363,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             _CACHE_ENTRIES.set(stats.entries_resident)
             self._reply_raw(
                 200,
-                render_prometheus().encode(),
+                (render_prometheus()
+                 + render_prometheus(self.server.service.metrics)).encode(),
                 "text/plain; version=0.0.4; charset=utf-8",
                 request_id,
             )

@@ -35,7 +35,7 @@ from repro.api.fingerprint import problem_fingerprint
 from repro.api.problem import check_problem
 from repro.api.report import SolveReport
 from repro.api.strategies import StrategyResult, resolve_execution, resolve_strategy
-from repro.obs import health, log_event, trace, watchdog
+from repro.obs import MetricsRegistry, health, log_event, trace, watchdog
 from repro.service.batcher import RhsBatcher
 from repro.service.cache import FactorizationCache
 from repro.service.stats import ServiceStats, StatsCollector
@@ -233,6 +233,12 @@ class SolveService:
             health=health.snapshot(),
         )
 
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """This service's own metric families (``GET /metrics`` serves
+        them after the process-wide :data:`~repro.obs.REGISTRY`)."""
+        return self._stats.registry
+
     def recent_requests(self) -> list[dict]:
         """The last few completed/failed requests (dashboard feed)."""
         return self._stats.recent_requests()
@@ -303,7 +309,7 @@ class SolveService:
         # note on span scope: for a batched direct solve this request's
         # span covers its worker-thread occupancy (submit -> joined or
         # dispatched); the solve itself runs on the batch opener's
-        # thread, and its timing is stamped into report.spans instead
+        # thread, and its timing is stamped into report.t_solve instead
         with trace.span(
             "service.request", request_id=req.request_id, method=cfg.method
         ):
@@ -375,15 +381,6 @@ class SolveService:
     def _finish(self, req: _Request, report: SolveReport) -> None:
         self._release_slot(req)
         report.request_id = req.request_id
-        # the queue -> factor -> solve pipeline of this one request, in
-        # wall seconds, from quantities measured where each phase ran
-        # (the solve may have executed on another request's opener
-        # thread); queue excludes the factor build it waited on
-        report.spans = [
-            {"name": "queue", "seconds": max((report.t_queue or 0.0) - report.t_setup, 0.0)},
-            {"name": "factor", "seconds": report.t_setup},
-            {"name": "solve", "seconds": report.t_solve},
-        ]
         self._stats.incr("completed")
         duration = time.perf_counter() - req.t_submit
         self._stats.record_latency(duration)
@@ -394,7 +391,9 @@ class SolveService:
             cache_hit=bool(report.cache_hit),
             batch_size=report.batch_size,
             duration_s=duration,
-            spans=[dict(s) for s in report.spans],
+            t_queue=report.t_queue,
+            t_setup=report.t_setup,
+            t_solve=report.t_solve,
         )
         req.future.set_result(report)
         log_event(

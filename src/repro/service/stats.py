@@ -1,9 +1,10 @@
 """Per-service metrics: cache behavior, batching, and latency.
 
 A :class:`SolveService` owns one :class:`StatsCollector`; every request
-records its outcome there, and :meth:`StatsCollector.snapshot` freezes
-the counters into an immutable :class:`ServiceStats` report (the
-``GET /stats`` payload of the HTTP front).
+records its outcome into the collector's private metric families, and
+:meth:`StatsCollector.snapshot` reads them into an immutable
+:class:`ServiceStats` report (the ``GET /stats`` payload of the HTTP
+front, which serves the families themselves on ``GET /metrics``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from repro.obs import COUNT_BUCKETS, LATENCY_BUCKETS, REGISTRY
+from repro.obs import COUNT_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.lockwatch import make_lock
 
 #: how many latency samples back the percentile estimates (fixed memory)
@@ -150,53 +151,52 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[idx]
 
 
+#: the ``kind`` label values of ``repro_service_events_total`` — one
+#: :class:`ServiceStats` count each
+EVENT_KINDS = (
+    "requests", "completed", "failed", "rejected", "cache_hits", "cache_misses",
+    "single_flight_waits", "factorizations", "store_hits_shared", "store_hits_disk",
+)
+
+
 class StatsCollector:
-    """Thread-safe accumulator behind :class:`ServiceStats`."""
+    """Thread-safe recorder behind :class:`ServiceStats`.
+
+    Counts live only in the collector's own :class:`MetricsRegistry`
+    (:attr:`registry`), one per service, so ``/stats`` counts this
+    instance however many services share the process; a snapshot reads
+    them back. Kept beside the families, because no family holds them:
+    the latency reservoir (exact percentiles), the largest batch, the
+    admission count and the recent-requests ring.
+    """
 
     def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self._lock = make_lock("service.stats")
-        self._counts = {
-            "requests": 0,
-            "completed": 0,
-            "failed": 0,
-            "rejected": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "single_flight_waits": 0,
-            "factorizations": 0,
-            "store_hits_shared": 0,
-            "store_hits_disk": 0,
-            "evictions": 0,
-            "batches": 0,
-            "batched_requests": 0,
-        }
         self._max_batch = 0
         self._pending = 0
         self._latencies = _Reservoir()
         self._recent: deque[dict[str, Any]] = deque(maxlen=RECENT_REQUESTS)
-        # every count is mirrored into the process-wide metrics registry
-        # (shared across service instances; /metrics renders cumulative
-        # process totals, /stats renders this instance)
-        self._m_events = REGISTRY.counter(
+        self._m_events = self.registry.counter(
             "repro_service_events_total",
             "Service request lifecycle events by kind",
             labelnames=("kind",),
         )
-        self._m_latency = REGISTRY.histogram(
+        self._m_latency = self.registry.histogram(
             "repro_service_request_seconds",
             "Submit-to-completion latency of service requests",
             buckets=LATENCY_BUCKETS,
         )
-        self._m_occupancy = REGISTRY.histogram(
+        self._m_occupancy = self.registry.histogram(
             "repro_service_batch_occupancy",
             "Requests coalesced per dispatched batch",
             buckets=COUNT_BUCKETS,
         )
 
-    def incr(self, name: str, by: int = 1) -> None:
-        with self._lock:
-            self._counts[name] += by
-        self._m_events.inc(by, kind=name)
+    def incr(self, kind: str) -> None:
+        if kind not in EVENT_KINDS:
+            raise KeyError(f"unknown service event {kind!r}")
+        self._m_events.inc(kind=kind)
 
     # ------------------------------------------------------------------
     # admission control (bounded pending queue)
@@ -227,11 +227,7 @@ class StatsCollector:
 
     def record_batch(self, occupancy: int) -> None:
         with self._lock:
-            self._counts["batches"] += 1
-            self._counts["batched_requests"] += occupancy
             self._max_batch = max(self._max_batch, occupancy)
-        self._m_events.inc(kind="batches")
-        self._m_events.inc(occupancy, kind="batched_requests")
         self._m_occupancy.observe(occupancy)
 
     def record_latency(self, seconds: float) -> None:
@@ -259,26 +255,27 @@ class StatsCollector:
         *,
         bytes_resident: int = 0,
         entries_resident: int = 0,
-        evictions: int | None = None,
+        evictions: int = 0,
         bytes_shared: int = 0,
         health: dict[str, Any] | None = None,
     ) -> ServiceStats:
+        events = self._m_events.series()
+        occupancy = self._m_occupancy.snapshot()
         with self._lock:
-            counts = dict(self._counts)
             lats = sorted(self._latencies.values())
             max_batch = self._max_batch
-        if evictions is not None:  # the cache counts its own evictions
-            counts["evictions"] = int(evictions)
         p50 = _percentile(lats, 0.50) if lats else None
         p95 = _percentile(lats, 0.95) if lats else None
-        batches = counts["batches"]
-        mean_occ = counts["batched_requests"] / batches if batches else 0.0
+        batches = occupancy["count"]
         return ServiceStats(
-            **counts,
+            **{kind: int(events.get((kind,), 0)) for kind in EVENT_KINDS},
+            evictions=int(evictions),
             bytes_resident=int(bytes_resident),
             bytes_shared=int(bytes_shared),
             entries_resident=int(entries_resident),
-            mean_batch_occupancy=mean_occ,
+            batches=batches,
+            batched_requests=int(occupancy["sum"]),
+            mean_batch_occupancy=occupancy["sum"] / batches if batches else 0.0,
             max_batch_occupancy=max_batch,
             p50_latency_s=p50,
             p95_latency_s=p95,

@@ -23,8 +23,9 @@ of that mapping (:func:`~repro.vmpi.process_backend.load_out_of_band`) — no co
 after the read. Any mismatch — truncated or extended file, flipped
 bits, a different numpy, a key-digest collision — removes the file and
 reports a miss, so a corrupt spill can never poison a warm start.
-Writes are atomic (a per-call temp file + ``os.replace``), so a crash
-or a concurrent writer leaves either a whole file or none.
+Writes are atomic (:func:`repro.util.write_atomic`: a per-call temp
+file + ``os.replace``), so a crash or a concurrent writer leaves either
+a whole file or none.
 
 Tier 2 writes its sidecar through the same two functions; its body is
 the pickled :class:`~repro.vmpi.process_backend.Packed`.
@@ -32,16 +33,15 @@ the pickled :class:`~repro.vmpi.process_backend.Packed`.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import mmap
 import os
 import pickle
 import struct
-import tempfile
 
 import numpy as np
 
+from repro.util import write_atomic
 from repro.vmpi.process_backend import (
     ALIGN,
     aligned_spans,
@@ -94,28 +94,6 @@ def header_bytes(header: dict) -> bytes:
     data = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
     prefix = _PREFIX.pack(MAGIC, len(data)) + data
     return prefix + bytes(-len(prefix) % ALIGN)
-
-
-@contextlib.contextmanager
-def write_atomic(path: str):
-    """A binary file that replaces ``path`` when the block exits cleanly.
-
-    Each call writes its own ``mkstemp`` file next to ``path``, so two
-    writers of one path (threads of one process included) never share
-    a temp file; the last to finish wins whole. On any failure the temp
-    file is removed and ``path`` is left as it was.
-    """
-    directory, name = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(prefix=f"{name}.", suffix=".tmp", dir=directory or ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        remove_quiet(tmp)
-        raise
 
 
 def remove_quiet(path: str) -> None:

@@ -418,6 +418,36 @@ def test_recent_request_ring_caps():
     assert recent[-1]["request_id"] == f"r{RECENT_REQUESTS + 7}"
 
 
+def test_two_services_each_count_their_own_requests(prob):
+    """Service counts live once, in each service's own registry: two
+    live services in one process see only their own requests, and what
+    ``/metrics`` renders for a service is what its ``/stats`` reports."""
+    from repro.obs import parse_prometheus, render_prometheus
+
+    with (
+        SolveService(workers=2, store_dir=None) as a,
+        SolveService(workers=2, store_dir=None) as b,
+    ):
+        for seed in range(3):
+            a.solve(prob, prob.random_rhs(seed))
+        b.solve(prob, prob.random_rhs(0))
+        for svc, n in ((a, 3), (b, 1)):
+            st = svc.stats()
+            assert st.requests == st.completed == n
+            assert st.cache_misses == st.factorizations == 1
+            assert st.cache_hits == n - 1
+            samples = parse_prometheus(render_prometheus(svc.metrics))
+            events = {
+                labels["kind"]: v for labels, v in samples["repro_service_events_total"]
+            }
+            assert events["completed"] == st.completed
+            assert "batches" not in events and "batched_requests" not in events
+            ((_, count),) = samples["repro_service_batch_occupancy_count"]
+            ((_, total),) = samples["repro_service_batch_occupancy_sum"]
+            assert (count, total) == (st.batches, st.batched_requests)
+            assert st.batches >= 1
+
+
 def test_stats_carry_health_and_recent_requests(prob):
     bad = LaplaceVolumeProblem(16)
     # a tree over the wrong point set makes srs_factor raise
@@ -432,5 +462,6 @@ def test_stats_carry_health_and_recent_requests(prob):
     assert st.to_dict()["health"]["levels"]
     ok = [r for r in recent if r["status"] == "ok"]
     failed = [r for r in recent if r["status"] == "error"]
-    assert ok and ok[-1]["duration_s"] >= 0 and ok[-1]["spans"]
+    assert ok and ok[-1]["duration_s"] >= 0
+    assert all(ok[-1][k] >= 0 for k in ("t_queue", "t_setup", "t_solve"))
     assert failed and "error" in failed[-1]

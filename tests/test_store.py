@@ -893,12 +893,12 @@ def test_http_429_overloaded(tmp_path):
 
 
 def test_rejected_total_counter_increments():
-    from repro.obs import REGISTRY
-
-    # the one family admission control reports into
-    counter = REGISTRY.counter("repro_service_events_total", labelnames=("kind",))
     prob = LaplaceVolumeProblem(m=16)
     with SolveService(max_pending=1, store_dir=None) as service:
+        # the one family admission control reports into
+        counter = service.metrics.counter(
+            "repro_service_events_total", labelnames=("kind",)
+        )
         before = counter.value(kind="rejected")
         assert service._stats.admit(1)
         with pytest.raises(ServiceOverloadedError):
