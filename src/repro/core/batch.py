@@ -26,7 +26,11 @@ runs the stages across boxes:
    (:meth:`~repro.kernels.base.KernelMatrix.block_stack` /
    ``proxy_*_block_stack``), grouped by block shape across the whole
    phase. Blocks already modified by Schur updates are copied from the
-   store instead.
+   store instead. A box's matrix is the four panels
+   ``[A[M, B]; A[B, M]^*; K[P, B]; K[B, P]^*]``, or for a ``hermitian``
+   kernel the half-height ``[A[M, B]; s K[B, P]^*]`` with the same
+   column Gram matrix up to a factor 2 (hence the same CPQR), see
+   :attr:`~repro.kernels.base.KernelMatrix.hermitian`.
 4. **Grouped ID** — one :func:`~repro.linalg.interpolative.interp_decomp_stack`
    call per group (shared CPQR workspace, one sketch for the
    randomized method).
@@ -46,9 +50,9 @@ sequential and exact. Reordering a level's eliminations is already part
 of the algorithm's contract (the distributed sweep factors interior
 boxes before boundary boxes), so batched agrees with strict to the ID
 tolerance — the two orders compress identical operators, picking
-skeletons that may differ within tolerance. The one arithmetic
-difference is the Hermitian row halving, which only the batched
-schedule applies (:func:`_assemble_and_compress`).
+skeletons that may differ within tolerance. The compress stage itself
+does not depend on the schedule: a box gets the same bits alone or in
+its phase.
 """
 
 from __future__ import annotations
@@ -167,18 +171,18 @@ def _assemble_and_compress(
         key = (plan.bidx.size, p, tuple(plan.m_sizes))
         groups.setdefault(key, []).append(plan)
 
-    # For Hermitian kernel matrices (A == A^H) the outgoing rows
-    # A[B, M]^* duplicate the incoming rows A[M, B] exactly — Schur
-    # deltas inherit the symmetry — so one copy carries the full ID
-    # constraint set at half the CPQR cost.
-    # batched only: halving strict moves relres_max +23 % until it compares like modes
-    herm = kernel.hermitian and opts.factor_mode == "batched"
+    # A hermitian kernel's box is compressed by [A[M, B]; s K[B, P]^*]:
+    # A[B, M]^* repeats A[M, B] (Schur deltas inherit the symmetry) and
+    # K[P, B] = alpha K[B, P]^*, so s^2 = (1 + alpha^2) / 2 gives half the
+    # Gram matrix of the four panels, hence the same CPQR pivots and T.
+    herm = kernel.hermitian
+    proxy_scale = np.sqrt((1.0 + kernel.weight_ratio**2) / 2.0) if herm else None
     #: unmodified pair -> (destination rows, stored conjugate-transposed?)
     block_dests: dict[PairKey, tuple[np.ndarray, bool]] = {}
     proxy_reqs: dict[tuple[int, int], list] = {}
     stacks: list[tuple[np.ndarray, list[_BoxPlan]]] = []
     for (k, p, m_sizes), members in groups.items():
-        m_total = (1 if herm else 2) * sum(m_sizes) + 2 * p
+        m_total = (1 if herm else 2) * (sum(m_sizes) + p)
         for i0 in range(0, len(members), BATCH_MAX):
             chunk = members[i0 : i0 + BATCH_MAX]
             comp = np.empty((len(chunk), m_total, k), dtype=kernel.dtype)
@@ -206,15 +210,13 @@ def _assemble_and_compress(
                     r0 += msize
                 if p:
                     proxy_reqs.setdefault((p, k), []).append(
-                        (plan.proxy, plan.bidx,
-                         comp[slot, r0 : r0 + p, :],
-                         comp[slot, r0 + p : r0 + 2 * p, :])
+                        (plan.proxy, plan.bidx, comp[slot, r0:, :])
                     )
 
     for key, blk in _eval_pairs(store, block_dests):
         dest, conj_t = block_dests[key]
         dest[...] = blk.conj().T if conj_t else blk
-    _flush_proxy_requests(kernel, proxy_reqs)
+    _flush_proxy_requests(kernel, proxy_reqs, proxy_scale)
 
     for comp, chunk in stacks:
         with trace.span(
@@ -328,18 +330,25 @@ def _eval_pairs(
 
 
 def _flush_proxy_requests(
-    kernel: KernelMatrix, reqs: dict[tuple[int, int], list]
+    kernel: KernelMatrix, reqs: dict[tuple[int, int], list], scale: float | None
 ) -> None:
-    """Evaluate queued proxy row/col blocks in same-shape stacks."""
+    """Evaluate queued proxy panels in same-shape stacks.
+
+    Each request's destination takes ``[K[P, B]; K[B, P]^*]``, or only
+    ``scale * K[B, P]^*`` when ``scale`` is given (a hermitian kernel).
+    """
     for (p, k), entries in reqs.items():
         step = max(1, EVAL_CHUNK_ELEMENTS // max(1, p * k))
         for i0 in range(0, len(entries), step):
             part = entries[i0 : i0 + step]
             proxy_stack = np.stack([e[0] for e in part])
             cols_stack = np.stack([e[1] for e in part])
-            row_blks = kernel.proxy_row_block_stack(proxy_stack, cols_stack)
             col_blks = kernel.proxy_col_block_stack(cols_stack, proxy_stack)
-            for entry, rb, cb in zip(part, row_blks, col_blks):
-                dest_row, dest_col = entry[2], entry[3]
-                dest_row[...] = rb
-                dest_col[...] = cb.conj().T
+            if scale is None:
+                row_blks = kernel.proxy_row_block_stack(proxy_stack, cols_stack)
+                for (_, _, dest), rb, cb in zip(part, row_blks, col_blks):
+                    dest[:p] = rb
+                    dest[p:] = cb.conj().T
+            else:
+                for (_, _, dest), cb in zip(part, col_blks):
+                    np.multiply(cb.conj().T, scale, out=dest)

@@ -13,8 +13,7 @@ and :func:`assemble_parents` — behind two outer drivers: ``srs_factor``
 (sequential) and :func:`repro.parallel.worker.factor_worker` (Sec. III).
 Every box is compressed by :func:`repro.core.batch.compress_phase` and
 eliminated by :func:`repro.core.skel.eliminate_box`; the factor modes
-differ in how :func:`sweep_level` groups a level's boxes (and batched
-alone halves a Hermitian kernel's compression rows).
+differ only in how :func:`sweep_level` groups a level's boxes.
 """
 
 from __future__ import annotations
@@ -196,8 +195,8 @@ def sweep_level(
     * ``batched`` — the nine mod-3 colour phases, which the distance-3
       independence argument makes exact.
 
-    Everything else — save the batched-only Hermitian row halving — is
-    the same under both. Returns the number of boxes factored.
+    Everything else is the same under both. Returns the number of boxes
+    factored.
 
     ``task_times`` (when a list) collects ``(level, box, seconds)`` per
     skeletonization (compression plus elimination) — the shared-memory

@@ -36,9 +36,8 @@ class SRSOptions:
         ``"batched"`` compresses each of the nine mod-3 colour phases
         as stacked groups, then eliminates its boxes (faster; agrees
         with strict to the ID tolerance). Both run the same compress
-        stage and elimination — see :mod:`repro.core.batch` — except
-        that only batched halves a Hermitian kernel's compression rows.
-        This field is the only place the mode is said.
+        stage and elimination — see :mod:`repro.core.batch`. This field
+        is the only place the mode is said.
     check_locality:
         Debug switch: assert that the factorization never touches a
         far-field block (Remarks 1–2). Costs a little bookkeeping.

@@ -83,13 +83,27 @@ class KernelMatrix(ABC):
     #: entries (Laplace, Gaussian, Yukawa). The interaction store then
     #: keeps one block per unordered box pair and serves the other
     #: orientation as its transpose (Schur updates inherit the symmetry),
-    #: and the batched schedule assembles only ``A[M, B]`` in the
-    #: compression matrix —
-    #: ``A[B, M]^*`` duplicates it row for row, so dropping it halves
-    #: the CPQR row count without changing the constraint set of the
-    #: ID; the strict schedule keeps both copies. Complex-symmetric
-    #: kernels (Helmholtz: ``A == A^T != A^H``) must leave this False.
+    #: and the compression matrix of a box has half the rows, under
+    #: both factor modes: ``A[B, M]^*`` repeats ``A[M, B]`` row for row
+    #: and the proxy row panel is the column panel times
+    #: :attr:`weight_ratio`, so ``[A[M, B]; s K[B, P]^*]`` with
+    #: ``s = sqrt((1 + weight_ratio^2) / 2)`` has half the Gram matrix
+    #: of the four panels — and CPQR's pivots and ``T`` depend on a
+    #: matrix only through its Gram matrix. Complex-symmetric kernels
+    #: (Helmholtz: ``A == A^T != A^H``) must leave this False.
     hermitian: bool = False
+
+    @property
+    def weight_ratio(self) -> float:
+        """``col_w[i] / row_w[i]``, the one number a ``symmetric`` kernel has.
+
+        ``row_w[i] * col_w[j] == row_w[j] * col_w[i]`` for all ``i, j``
+        makes the ratio the same at every point, so point 0 tells it:
+        ``proxy_row_block(P, B) == weight_ratio * proxy_col_block(B, P).T``.
+        Read only for ``hermitian`` kernels (the compression matrix).
+        """
+        first = np.zeros(1, dtype=np.int64)
+        return float(np.real(self.col_weights(first)[0] / self.row_weights(first)[0]))
 
     def greens_stack(
         self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None

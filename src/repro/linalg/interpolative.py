@@ -14,6 +14,7 @@ Following the paper (Sec. II-B) we use greedy column-pivoted QR
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -100,12 +101,34 @@ def interp_decomp(
         work = a
     else:
         raise ValueError(f"unknown ID method {method!r}")
+    if not np.isfinite(work).all():
+        raise ValueError("array must not contain infs or NaNs")
 
-    r_fact, piv = scipy.linalg.qr(work, mode="r", pivoting=True)
+    # the routine and workspace ``scipy.linalg.qr`` would pick, without
+    # its per-call wrapper; ``overwrite_a`` stays off, so f2py factors a
+    # Fortran-ordered copy and the caller's ``a`` is left untouched
+    geqp3, lwork = _geqp3_for(work.shape[0], n, work.dtype)
+    qr, jpvt, _tau, _work, info = geqp3(work, lwork=lwork)
+    if info != 0:  # pragma: no cover - LAPACK input-validation guard
+        raise RuntimeError(f"geqp3 failed with info={info}")
     return _from_pivoted_qr(
-        r_fact, piv, tol, max_rank=max_rank, n=n,
+        qr, jpvt - 1, tol, max_rank=max_rank, n=n,
         work_rows=work.shape[0], dtype=a.dtype,
     )
+
+
+@lru_cache(maxsize=256)
+def _geqp3_for(m: int, n: int, dtype: np.dtype) -> tuple:
+    """LAPACK ``geqp3`` for ``dtype`` and its blocked workspace for ``(m, n)``.
+
+    The workspace query depends on the shape alone, so one query serves
+    every ``(m, n)`` ID of a process — the size ``scipy.linalg.qr``
+    re-queries on each call, hence the same factorization bits.
+    """
+    probe = np.zeros((m, n), dtype=dtype, order="F")
+    geqp3 = scipy.linalg.lapack.get_lapack_funcs("geqp3", (probe,))
+    work = geqp3(probe, lwork=-1)[-2]
+    return geqp3, int(np.real(work[0]).item())
 
 
 def _from_pivoted_qr(
@@ -119,6 +142,8 @@ def _from_pivoted_qr(
     dtype: np.dtype,
 ) -> InterpolativeDecomposition:
     """Rank cut + interpolation matrix from a pivoted-QR ``R`` factor."""
+    # only the upper triangle of ``r_fact`` is read (the diagonal, ``R11``
+    # and ``R12``): ``geqp3``'s Householder vectors below it are ignored
     r_fact = r_fact[: min(r_fact.shape[0], n), :]
     diag = np.abs(np.diag(r_fact))
     if diag.size == 0 or diag[0] == 0.0:
@@ -159,17 +184,14 @@ def interp_decomp_stack(
 
     The factor sweep's compress stage assembles the compression matrices
     of a whole group of same-shape boxes as one ``(nbox, m, k)`` array
-    and runs their IDs here. A stack of one is :func:`interp_decomp`'s
-    result bit for bit; otherwise the per-matrix result is identical to
-    it up to the LAPACK driver (``geqp3`` is called directly) and the
-    group amortizes two per-call costs:
-
-    * one workspace-size query serves every matrix in the stack
-      (``scipy.linalg.qr`` re-queries per call), and
-    * the randomized method draws a single Gaussian sketch ``Omega``
-      reused across the group (every member has the same row space
-      dimensions), replacing ``nbox`` sketch generations with one
-      batched ``Omega @ stack`` GEMM.
+    and runs their IDs here. A stack of one is :func:`interp_decomp`
+    itself; otherwise every member is factored by the same ``geqp3``
+    call with the same workspace, on its own Fortran-ordered copy
+    (``stack`` is left untouched), so a CPQR member is
+    :func:`interp_decomp` of it. The randomized method draws a single
+    Gaussian sketch ``Omega`` reused across the group (every member has
+    the same row space dimensions), replacing ``nbox`` sketch
+    generations with one batched ``Omega @ stack`` GEMM.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3:
@@ -204,8 +226,7 @@ def interp_decomp_stack(
             work_stack = np.matmul(omega, stack)
             work_rows = height
 
-    geqp3 = scipy.linalg.lapack.get_lapack_funcs("geqp3", (work_stack[0],))
-    lwork = _geqp3_lwork(geqp3, work_rows, n, work_stack.dtype)
+    geqp3, lwork = _geqp3_for(work_rows, n, work_stack.dtype)
     out: list[InterpolativeDecomposition] = []
     for b in range(nb):
         if not np.any(stack[b]):
@@ -217,14 +238,13 @@ def interp_decomp_stack(
                 )
             )
             continue
+        # always a copy: a one-row or one-column member is already
+        # Fortran-contiguous, and ``overwrite_a`` would factor it in place
         qr, jpvt, _tau, _work, info = geqp3(
-            np.asfortranarray(work_stack[b]), lwork=lwork, overwrite_a=True
+            np.array(work_stack[b], order="F"), lwork=lwork, overwrite_a=True
         )
         if info != 0:  # pragma: no cover - LAPACK input-validation guard
             raise RuntimeError(f"geqp3 failed with info={info}")
-        # the strictly-lower Householder vectors in ``qr`` are ignored:
-        # the rank cut reads the diagonal and solve_triangular reads
-        # only the upper triangle
         out.append(
             _from_pivoted_qr(
                 qr, jpvt - 1, tol, max_rank=max_rank, n=n,
@@ -232,14 +252,6 @@ def interp_decomp_stack(
             )
         )
     return out
-
-
-def _geqp3_lwork(geqp3, m: int, n: int, dtype) -> int:
-    """One blocked-workspace query for a whole group of ``(m, n)`` IDs."""
-    probe = np.zeros((m, n), dtype=dtype, order="F")
-    result = geqp3(probe, lwork=-1)
-    work = result[-2]
-    return int(np.real(work[0]).item())
 
 
 def _row_sketch(

@@ -95,6 +95,11 @@ class LocalKernel:
         return self.inner.hermitian
 
     @property
+    def weight_ratio(self) -> float:
+        """The underlying kernel's constant ``col_w / row_w``."""
+        return self.inner.weight_ratio
+
+    @property
     def n_known(self) -> int:
         return self._ids.size
 

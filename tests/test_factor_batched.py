@@ -27,6 +27,15 @@ from repro.parallel import parallel_srs_factor
 from repro.tree import QuadTree
 
 
+from repro.core import batch
+from repro.core.batch import color_phases, compress_phase
+from repro.core.interactions import InteractionStore
+from repro.core.proxy import proxy_point_count
+from repro.core.skel import eliminate_box
+from repro.kernels import YukawaKernelMatrix
+from repro.linalg import interp_decomp
+
+
 def relres(a, x, b):
     return np.linalg.norm(a @ x - b) / np.linalg.norm(b)
 
@@ -291,6 +300,109 @@ def test_hermitian_flags():
     assert LaplaceKernelMatrix(pts, 0.25).hermitian
     assert GaussianKernelMatrix(pts, 0.25).hermitian
     assert not HelmholtzKernelMatrix(pts, 0.25, 2.0, b=gaussian_bump(pts)).hermitian
+
+
+# ----------------------------------------------------------------------
+# one compression arithmetic: the hermitian half-height matrix, both modes
+# ----------------------------------------------------------------------
+def _jittered(m, seed):
+    """An ``m x m`` grid moved by up to a fifth of a cell: no norm ties."""
+    jitter = np.random.default_rng(seed).uniform(-0.1, 0.1, (m * m, 2))
+    return np.clip(uniform_grid(m) + jitter / m, 0.0, 1.0)
+
+
+def _leaf_store(kernel, tree):
+    active = {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()}
+    return InteractionStore(kernel, active, max_modified_distance=None)
+
+
+def _four_panels(kernel, tree, store, level, box, opts):
+    """``[A[M,B]; A[B,M]^*; K[P,B]; K[B,P]^*]`` (Eq. 5/7), per-box calls."""
+    bidx = store.active_of(box)
+    ring = [store.active_of(mb) for mb in tree.dist2_neighbors(level, *box)
+            if mb in store.active and store.nactive(mb) > 0]
+    radius = opts.proxy_radius_factor * tree.box_side(level)
+    proxy = proxy_circle(tree.box_center(level, *box), radius,
+                         proxy_point_count(kernel, radius, opts))
+    return np.vstack(
+        [kernel.block(ix, bidx) for ix in ring]
+        + [kernel.block(bidx, ix).conj().T for ix in ring]
+        + [kernel.proxy_row_block(proxy, bidx),
+           kernel.proxy_col_block(bidx, proxy).conj().T]
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda pts, h: LaplaceKernelMatrix(pts, h),
+    lambda pts, h: YukawaKernelMatrix(pts, h, 3.0),
+    lambda pts, h: GaussianKernelMatrix(pts, h, sigma=0.2),
+], ids=["laplace", "yukawa", "gaussian"])
+def test_hermitian_half_height_matrix_has_the_four_panel_id(make, monkeypatch):
+    m, level = 48, 3
+    pts = _jittered(m, 5)
+    kernel = make(pts, 1.0 / m)
+    assert kernel.hermitian
+    tree = QuadTree(pts, level)
+    store = _leaf_store(kernel, tree)
+    opts = SRSOptions()
+    seen, real = [], batch.interp_decomp_stack
+
+    def spy(stack, *args, **kw):
+        seen.append(stack.copy())
+        return real(stack, *args, **kw)
+
+    monkeypatch.setattr(batch, "interp_decomp_stack", spy)
+    for box in [(3, 4), (0, 0), (7, 2)]:
+        seen.clear()
+        compress_phase(store, kernel, tree, level, [box], opts)
+        (half,) = seen[0]
+        four = _four_panels(kernel, tree, store, level, box, opts)
+        assert 2 * half.shape[0] == four.shape[0]
+        gram_half, gram_four = half.T @ half, four.T @ four
+        assert np.linalg.norm(2 * gram_half - gram_four) <= 1e-14 * np.linalg.norm(gram_four)
+        got, want = interp_decomp(half, opts.tol), interp_decomp(four, opts.tol)
+        assert 0 < want.rank < want.skeleton.size + want.redundant.size
+        assert np.array_equal(got.skeleton, want.skeleton)
+        # pivots past the rank cut may swap (their norms are ~tol): T's
+        # columns are compared by the redundant column they interpolate
+        t_got = got.T[:, np.argsort(got.redundant)]
+        t_want = want.T[:, np.argsort(want.redundant)]
+        assert np.linalg.norm(t_got - t_want) <= 1e-10 * np.linalg.norm(t_want)
+
+
+def _same_decomposition(d1, d2) -> bool:
+    return all(
+        getattr(d1, f).shape == getattr(d2, f).shape
+        and getattr(d1, f).tobytes() == getattr(d2, f).tobytes()
+        for f in ("skeleton", "redundant", "T")
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda pts: LaplaceKernelMatrix(pts, 1.0 / 35),
+    lambda pts: HelmholtzKernelMatrix(pts, 1.0 / 35, 9.0, b=gaussian_bump(pts)),
+], ids=["laplace-hermitian", "helmholtz-two-sided"])
+def test_compression_does_not_depend_on_the_schedule(make):
+    # a box compressed alone (strict's group) and inside its colour phase
+    # (batched's group), against one store, gets the same bits
+    pts = np.random.default_rng(11).random((1200, 2))
+    tree = QuadTree(pts, 3)
+    kernel = make(pts)
+    store = _leaf_store(kernel, tree)
+    level = 3
+    first, phase = color_phases(tree.boxes(level))[:2]
+    strict, batched = SRSOptions(factor_mode="strict"), SRSOptions(factor_mode="batched")
+    # eliminate one phase first, so the second one reads Schur-updated blocks
+    decs = compress_phase(store, kernel, tree, level, first, batched)
+    for box in first:
+        eliminate_box(store, box, tree.neighbors(level, *box), decs[box], level=level)
+    assert store.blocks
+    alone = {box: compress_phase(store, kernel, tree, level, [box], strict)[box]
+             for box in phase}
+    together = compress_phase(store, kernel, tree, level, phase, batched)
+    assert len(phase) > 1 and together.keys() == alone.keys()
+    for box in phase:
+        assert _same_decomposition(alone[box], together[box]), box
 
 
 # ----------------------------------------------------------------------

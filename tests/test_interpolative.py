@@ -110,6 +110,36 @@ def test_stack_of_one_is_the_scalar_id_bitwise(method, complex_):
         assert g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(2, 1, 3), (2, 4, 1), (2, 3, 3)])
+def test_stack_is_left_untouched(shape):
+    # a one-row or one-column member is C- and F-contiguous at once:
+    # factoring it must still happen on a copy
+    stack = np.random.default_rng(4).standard_normal(shape)
+    before = stack.copy()
+    decs = interp_decomp_stack(stack, 1e-8)
+    assert np.array_equal(stack, before)
+    for member, dec in zip(stack, decs):
+        want = interp_decomp(member, 1e-8)
+        assert np.array_equal(dec.skeleton, want.skeleton)
+        assert np.array_equal(dec.T, want.T)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (30, 12), (12, 30)])
+def test_interp_decomp_leaves_its_input_untouched(shape):
+    a = np.random.default_rng(6).standard_normal(shape)
+    before = a.copy()
+    interp_decomp(a, 1e-8)
+    assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        interp_decomp(a, 1e-6)
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         interp_decomp(np.eye(3), 1e-6, method="magic")

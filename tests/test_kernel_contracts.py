@@ -94,6 +94,7 @@ def _all_kernels():
 
 SYMMETRIC = _volume_kernels()
 ALL = _all_kernels()
+HERMITIAN = sorted(name for name, k in ALL.items() if k.hermitian)
 
 
 # ----------------------------------------------------------------------
@@ -116,6 +117,7 @@ def test_block_with_its_diagonal_is_finite_and_silent(name):
 # `symmetric` is a checked contract
 # ----------------------------------------------------------------------
 def test_who_declares_symmetric():
+    assert HERMITIAN == ["complex-weight-yukawa", "gaussian", "laplace", "yukawa"]
     assert all(k.symmetric for k in SYMMETRIC.values())
     assert [k.hermitian for k in SYMMETRIC.values()] == [True, True, True, False]
     assert not KernelMatrix.symmetric
@@ -162,6 +164,31 @@ def test_local_kernel_forwards_symmetric(name):
     ids = np.arange(0, inner.n, 3)
     local = LocalKernel(inner, ids, inner.points[ids], inner.per_point_data(ids))
     assert local.symmetric is inner.symmetric
+
+
+@pytest.mark.parametrize("name", HERMITIAN)
+def test_hermitian_kernel_has_one_weight_ratio(name):
+    # what halving a hermitian box's compression matrix rests on: one
+    # col_w / row_w for the kernel, so the proxy row panel is the column
+    # panel's transpose times it
+    kernel = ALL[name]
+    idx = np.arange(kernel.n, dtype=np.int64)
+    alpha = kernel.weight_ratio
+    assert np.array_equal(kernel.col_weights(idx) / kernel.row_weights(idx),
+                          np.full(kernel.n, alpha))
+    proxy = np.column_stack([np.linspace(-1.0, 2.0, 11), np.full(11, 1.7)])
+    cols = idx[::5]
+    np.testing.assert_allclose(
+        kernel.proxy_row_block(proxy, cols),
+        alpha * kernel.proxy_col_block(cols, proxy).T, rtol=1e-15, atol=0,
+    )
+    np.testing.assert_allclose(
+        kernel.proxy_row_block_stack(proxy[None], cols[None]),
+        alpha * kernel.proxy_col_block_stack(cols[None], proxy[None]).transpose(0, 2, 1),
+        rtol=1e-15, atol=0,
+    )
+    local = LocalKernel(kernel, idx[1::3], kernel.points[1::3], kernel.per_point_data(idx[1::3]))
+    assert local.weight_ratio == alpha
 
 
 class _BlockCalls:
@@ -273,7 +300,7 @@ def test_undeclaring_a_symmetric_kernel_costs_evaluations_not_bits(mode):
         shared, f_shared = _factor_counting(declared, mode, *args, **kw)
         both, f_both = _factor_counting(undeclared, mode, *args, **kw)
         assert _same_records(f_shared, f_both)
-        if declared.hermitian and mode == "batched":
+        if declared.hermitian:
             # a hermitian store asks for one orientation of every pair and
             # the halved compression matrix for A[M, B] only: nothing to share
             assert shared == both
@@ -346,9 +373,11 @@ def test_helmholtz_greens_coincident_is_nan_nan():
 # evaluation counts (Green's entries of one factor; exact, no clock)
 # ----------------------------------------------------------------------
 #: Green's entries per factor at 4af2780 (every pair evaluated in both
-#: directions unless the kernel was Hermitian *and* the sweep batched)
+#: directions unless the kernel was Hermitian *and* the sweep batched);
+#: batched Laplace re-read since a hermitian box evaluates one proxy
+#: panel, not two (620,812 before)
 HELMHOLTZ24_AT_PARENT = {"batched": 408_316, "strict": 414_877}
-LAPLACE32_AT_PARENT = {"batched": 620_812, "strict": 1_065_648}
+LAPLACE32_AT_PARENT = {"batched": 555_276, "strict": 1_065_648}
 
 
 def test_helmholtz_factor_evaluates_each_pair_once():
@@ -367,6 +396,7 @@ def test_laplace_factor_counts():
     batched, _ = _factor_counting(LaplaceKernelMatrix, "batched", p.points, p.h)
     strict, _ = _factor_counting(LaplaceKernelMatrix, "strict", p.points, p.h)
     # batched already shared Hermitian pairs; strict now shares its reads
+    # and, like batched, evaluates one proxy panel a box
     assert batched == LAPLACE32_AT_PARENT["batched"]
     assert strict <= 0.85 * LAPLACE32_AT_PARENT["strict"]
 
