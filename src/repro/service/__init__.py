@@ -11,7 +11,8 @@ right-hand sides. This package turns the facade into that system:
   single-flight, LRU-with-byte-budget factorization sharing; pins the
   rank pools behind process-execution entries.
 * :class:`~repro.service.batcher.RhsBatcher` — coalesces concurrent
-  direct solves against one factorization into block applies.
+  direct solves against one factorization into block applies; a lone
+  request solves at once.
 * :class:`~repro.service.stats.ServiceStats` — hit rate, batch
   occupancy, latency percentiles, resident bytes.
 * :mod:`repro.service.http` — a stdlib JSON endpoint over a service

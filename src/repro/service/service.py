@@ -64,9 +64,11 @@ class ServiceConfig:
     cache_bytes:
         Factorization-cache byte budget (``REPRO_SERVICE_CACHE_BYTES``).
     batch_window:
-        Seconds a batch opener waits for joiners
-        (``REPRO_SERVICE_BATCH_WINDOW_MS``; 0 disables coalescing, and
-        every solve then has a solo solve's bits).
+        Longest a contended batch waits for joiners, in seconds
+        (``REPRO_SERVICE_BATCH_WINDOW_MS``). A request on a
+        factorization no other request is using solves at once, with a
+        solo solve's bits; 0 disables coalescing, and every solve then
+        has a solo solve's bits.
     batch_max:
         Occupancy at which a batch dispatches early
         (``REPRO_SERVICE_BATCH_MAX``).

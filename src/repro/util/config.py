@@ -102,10 +102,11 @@ def service_cache_bytes() -> int:
 def service_batch_window_s() -> float:
     """Batching window in seconds (``REPRO_SERVICE_BATCH_WINDOW_MS``).
 
-    A request that opens a batch waits this long (default 2 ms) for
-    other requests against the same factorization before solving; 0
+    The longest a contended batch waits (default 2 ms) for other
+    requests against the same factorization before solving. A request
+    on a factorization with no concurrent traffic never waits; 0
     disables coalescing. Longer windows raise batch occupancy and
-    throughput at the cost of per-request latency.
+    throughput under concurrency at the cost of per-request latency.
     """
     ms = env_float("REPRO_SERVICE_BATCH_WINDOW_MS", 2.0)
     if ms < 0:

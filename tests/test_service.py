@@ -5,7 +5,10 @@ The contracts under test:
 * **thundering herd** — N concurrent requests for one unfactored
   operator run exactly one builder; everyone shares its product.
 * **batcher parity** — coalesced solves are rounding-level close to
-  sequential ``repro.solve`` calls, and a zero window gives their bits.
+  sequential ``repro.solve`` calls; a lone request, or a zero window,
+  gives their bits.
+* **batch policy** — a request waits for joiners only while its
+  factorization is contended, and idle keys keep no state.
 * **eviction hygiene** — dropping a cache entry releases the
   factorization (weakref dies), unpins its rank pool, and leaves
   ``/dev/shm`` exactly as found.
@@ -14,9 +17,12 @@ The contracts under test:
 
 import gc
 import glob
+import sys
 import threading
 import time
 import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -24,7 +30,7 @@ import pytest
 import repro
 from repro.api import SolveConfig
 from repro.apps import LaplaceVolumeProblem
-from repro.service import FactorizationCache, ServiceConfig, SolveService
+from repro.service import FactorizationCache, RhsBatcher, ServiceConfig, SolveService
 from repro.tree import QuadTree
 from repro.vmpi import process_backend_available
 from repro.vmpi.pool import active_pools
@@ -96,13 +102,47 @@ def test_cross_method_factorization_sharing(prob):
 # ----------------------------------------------------------------------
 # batching
 # ----------------------------------------------------------------------
+@contextmanager
+def _held_first_solve(fact):
+    """Hold ``fact``'s next solve until the block exits.
+
+    Yields an event set once that solve executes. Requests for the same
+    factorization submitted while it is held see a contended key, so
+    they coalesce by construction, not by window timing.
+    """
+    entered, gate = threading.Event(), threading.Event()
+    solve = fact.solve
+
+    def held(b):
+        if not entered.is_set():
+            entered.set()
+            assert gate.wait(60)
+        return solve(b)
+
+    fact.solve = held
+    try:
+        yield entered
+    finally:
+        gate.set()
+        del fact.solve
+
+
 def test_block_batching_close_and_faster_shape(prob, reference_xs):
-    with SolveService(workers=16, batch_window=0.05) as svc:
-        svc.solve(prob, prob.random_rhs(0))
-        futures = [svc.submit(prob, prob.random_rhs(i)) for i in range(12)]
-        reports = [f.result(timeout=120) for f in futures]
+    """Twelve requests queued behind a held solve: one block apply,
+    rounding-close to the facade's one-by-one solves."""
+    with SolveService(workers=16, batch_window=3600.0, batch_max=12) as svc:
+        fact = svc.solve(prob, prob.random_rhs(0)).factorization
+        with _held_first_solve(fact) as entered:
+            first = svc.submit(prob, prob.random_rhs(0))
+            assert entered.wait(60)
+            futures = [svc.submit(prob, prob.random_rhs(i)) for i in range(12)]
+            reports = [f.result(timeout=120) for f in futures]
+        lone = first.result(timeout=120)
         st = svc.stats()
-    assert st.max_batch_occupancy > 1
+    # nothing was executing when it arrived: solo bits at any window
+    assert lone.batch_size == 1 and np.array_equal(lone.x, reference_xs[0])
+    assert [r.batch_size for r in reports] == [12] * 12
+    assert st.max_batch_occupancy == 12
     for i, r in enumerate(reports):
         ref = reference_xs[i]
         rel = np.linalg.norm(r.x - ref) / np.linalg.norm(ref)
@@ -113,23 +153,31 @@ def test_block_batch_preserves_shapes_and_matrix_rhs(prob):
     """(N,) and (N, k) requests coalesce and come back at their shapes."""
     b1 = prob.random_rhs(1)
     b2 = prob.random_rhs(2, nrhs=3)
-    with SolveService(workers=8, batch_window=0.05) as svc:
-        svc.solve(prob, prob.random_rhs(0))  # warm
-        f1 = svc.submit(prob, b1)
-        f2 = svc.submit(prob, b2)
-        x1, x2 = f1.result(timeout=120).x, f2.result(timeout=120).x
-    assert x1.shape == (prob.n,)
-    assert x2.shape == (prob.n, 3)
+    with SolveService(workers=8, batch_window=3600.0, batch_max=2) as svc:
+        fact = svc.solve(prob, prob.random_rhs(0)).factorization
+        with _held_first_solve(fact) as entered:
+            svc.submit(prob, prob.random_rhs(0))
+            assert entered.wait(60)
+            f1 = svc.submit(prob, b1)
+            f2 = svc.submit(prob, b2)
+            r1, r2 = f1.result(timeout=120), f2.result(timeout=120)
+    assert r1.batch_size == r2.batch_size == 2
+    assert r1.x.shape == (prob.n,)
+    assert r2.x.shape == (prob.n, 3)
     ref2 = repro.solve(prob, b2).x
-    assert np.linalg.norm(x2 - ref2) / np.linalg.norm(ref2) < 1e-12
+    assert np.linalg.norm(r2.x - ref2) / np.linalg.norm(ref2) < 1e-12
 
 
 def test_batch_max_dispatches_early(prob):
     """A full batch dispatches at once, not after the hour-long window."""
     with SolveService(workers=8, batch_window=3600.0, batch_max=4) as svc:
-        futures = [svc.submit(prob, prob.random_rhs(i)) for i in range(4)]
-        # the timeout only guards against a hang
-        reports = [f.result(timeout=60) for f in futures]
+        fact = svc.solve(prob, prob.random_rhs(0)).factorization
+        with _held_first_solve(fact) as entered:
+            svc.submit(prob, prob.random_rhs(0))
+            assert entered.wait(60)
+            futures = [svc.submit(prob, prob.random_rhs(i)) for i in range(4)]
+            # the timeout only guards against a hang
+            reports = [f.result(timeout=60) for f in futures]
         st = svc.stats()
     assert [r.batch_size for r in reports] == [4] * 4
     assert st.factorizations == 1
@@ -143,6 +191,179 @@ def test_zero_window_disables_coalescing(prob):
             f.result(timeout=60)
         st = svc.stats()
     assert st.max_batch_occupancy == 1
+
+
+# ----------------------------------------------------------------------
+# batch policy: a stub factorization whose solve blocks on an Event, so
+# no test sleeps or reads a clock; every timeout only guards a hang
+# ----------------------------------------------------------------------
+class _GatedFact:
+    """Solves ``2 b``; each solve waits for ``gate`` and logs its shape."""
+
+    def __init__(self, *, raise_on_block=False):
+        self.gate = threading.Event()
+        self.started = threading.Semaphore(0)
+        self.shapes = []
+        self.raise_on_block = raise_on_block
+
+    def solve(self, b):
+        self.shapes.append(b.shape)
+        self.started.release()
+        assert self.gate.wait(60)
+        if self.raise_on_block and b.ndim == 2:
+            raise FloatingPointError("block apply failed")
+        return 2.0 * b
+
+
+def _submit(batcher, key, fact, b):
+    """Submit from a daemon thread (an opener may block); the future
+    resolves to ``(x, batch_size)`` or the request's error."""
+    fut = Future()
+    threading.Thread(
+        target=batcher.submit,
+        args=(key, fact, b, lambda x, size, _t: fut.set_result((x, size)), fut.set_exception),
+        daemon=True,
+    ).start()
+    return fut
+
+
+def _executing(fact):
+    assert fact.started.acquire(timeout=60)
+
+
+def test_lone_request_solves_at_once():
+    """No company, no wait: an hour-long window is never waited out."""
+    fact = _GatedFact()
+    fact.gate.set()
+    batcher = RhsBatcher(3600.0, 32)
+    b = np.arange(4.0)
+    x, size = _submit(batcher, "k", fact, b).result(timeout=60)
+    assert size == 1 and np.array_equal(x, 2 * b)
+    assert fact.shapes == [(4,)]  # solo, at the submitted shape
+    assert batcher._keys == {}
+
+
+def test_arrivals_during_a_solve_form_the_next_batch():
+    fact = _GatedFact()
+    batcher = RhsBatcher(3600.0, 3)
+    lone = _submit(batcher, "k", fact, np.zeros(4))
+    _executing(fact)
+    bs = [np.full(4, float(i)) for i in range(3)]
+    futures = [_submit(batcher, "k", fact, b) for b in bs]
+    _executing(fact)  # batch_max filled: dispatched without the window
+    fact.gate.set()
+    assert lone.result(timeout=60)[1] == 1
+    results = [f.result(timeout=60) for f in futures]
+    assert [size for _x, size in results] == [3, 3, 3]
+    for b, (x, _size) in zip(bs, results):
+        assert np.array_equal(x, 2 * b)
+    assert fact.shapes == [(4,), (4, 3)]
+
+
+def test_failed_apply_fails_exactly_its_batch():
+    fact = _GatedFact(raise_on_block=True)
+    batcher = RhsBatcher(3600.0, 2)
+    lone = _submit(batcher, "k", fact, np.ones(4))
+    _executing(fact)
+    failing = [_submit(batcher, "k", fact, np.ones(4)) for _ in range(2)]
+    _executing(fact)
+    fact.gate.set()
+    assert lone.result(timeout=60)[1] == 1
+    for f in failing:
+        with pytest.raises(FloatingPointError, match="block apply failed"):
+            f.result(timeout=60)
+    (state,) = batcher._keys.values()
+    assert state.running == 0 and state.open is None  # idle again
+
+
+def test_contention_ends_after_two_lone_batches():
+    fact = _GatedFact()
+    # nobody else submits: each wait below closes with one item
+    batcher = RhsBatcher(1e-3, 2)
+    first = _submit(batcher, "k", fact, np.zeros(4))
+    _executing(fact)
+    pair = [_submit(batcher, "k", fact, np.zeros(4)) for _ in range(2)]
+    _executing(fact)
+    fact.gate.set()
+    assert [f.result(timeout=60)[1] for f in (first, *pair)] == [1, 2, 2]
+    for contended_after in (True, False):
+        assert _submit(batcher, "k", fact, np.zeros(4)).result(timeout=60)[1] == 1
+        assert ("k" in batcher._keys) is contended_after
+    assert fact.shapes == [(4,), (4, 2), (4,), (4,)]
+
+
+def test_request_resubmitted_from_finish_is_not_contended():
+    """The executing mark is cleared before delivery: a closed-loop
+    caller's next request does not see its own predecessor."""
+    fact = _GatedFact()
+    fact.gate.set()
+    batcher = RhsBatcher(3600.0, 32)
+    second = Future()
+
+    def finish(x, size, _t):
+        batcher.submit(
+            "k", fact, x, lambda x2, size2, _t2: second.set_result((x2, size2)),
+            second.set_exception,
+        )
+
+    first_failed = Future()
+    threading.Thread(
+        target=batcher.submit,
+        args=("k", fact, np.ones(4), finish, first_failed.set_result),
+        daemon=True,
+    ).start()
+    x, size = second.result(timeout=60)
+    assert size == 1 and np.array_equal(x, 4 * np.ones(4))
+    assert not first_failed.done()
+    assert fact.shapes == [(4,), (4,)]
+    assert batcher._keys == {}
+
+
+def test_idle_keys_leave_no_state():
+    """A lone key keeps no record once done, and a lone request drops
+    the record of a key that went idle while contended."""
+    fact = _GatedFact()
+    batcher = RhsBatcher(3600.0, 2)
+    first = _submit(batcher, "hot", fact, np.zeros(4))
+    _executing(fact)
+    pair = [_submit(batcher, "hot", fact, np.zeros(4)) for _ in range(2)]
+    _executing(fact)
+    fact.gate.set()
+    assert [f.result(timeout=60)[1] for f in (first, *pair)] == [1, 2, 2]
+    assert batcher._keys["hot"].contended
+    futures = [_submit(batcher, ("k", i), fact, np.full(4, i)) for i in range(100)]
+    assert [f.result(timeout=60)[1] for f in futures] == [1] * 100
+    assert batcher._keys == {}
+
+
+def test_batcher_stress_loses_no_request():
+    """More submitters than cores on few keys, a short switch interval:
+    every request gets its own answer once, the occupancies add up to
+    the requests, and no key is left executing or open."""
+    fact = _GatedFact()
+    fact.gate.set()
+    sizes = []
+    batcher = RhsBatcher(1e-4, 4, on_batch=sizes.append)
+
+    def one(i):
+        out = Future()
+        batcher.submit(
+            i % 3, fact, np.full(4, float(i)),
+            lambda x, _size, _t: out.set_result(x), out.set_exception,
+        )
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(16) as pool:
+            outs = list(pool.map(one, range(400)))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, out in enumerate(outs):
+        assert np.array_equal(out.result(timeout=60), np.full(4, 2.0 * i))
+    assert sum(sizes) == 400
+    assert all(s.running == 0 and s.open is None for s in batcher._keys.values())
 
 
 # ----------------------------------------------------------------------
