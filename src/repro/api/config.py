@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from repro.core.options import SRSOptions
 
 #: execution modes understood by every parallel-capable strategy
-EXECUTIONS = ("sequential", "thread", "process", "shared", "auto")
+EXECUTIONS = ("sequential", "thread", "process", "auto")
 
 #: forward operators available to the iterative strategies
 OPERATORS = ("auto", "dense", "treecode")
@@ -46,17 +46,13 @@ class SolveConfig:
     execution:
         ``"sequential"`` runs the factorization in-process;
         ``"thread"``/``"process"`` run it on ``ranks`` simulated MPI
-        ranks over the matching vmpi backend; ``"shared"`` runs the
-        box-coloring shared-memory comparator
-        (:func:`~repro.parallel.shared.shared_memory_factor`) on
-        ``ranks`` simulated threads; ``"auto"`` picks thread vs process
+        ranks over the matching vmpi backend; ``"auto"`` picks thread vs process
         by the usable-core budget (CPU affinity where the platform
         exposes it, else ``os.cpu_count()``; single core: threads;
         more: processes), mirroring ``REPRO_VMPI_BACKEND=auto``.
     ranks:
         Simulated rank count for parallel execution (a power-of-two
-        squared for the distributed engines: 1, 4, 16, ...; any count
-        for ``"shared"`` threads). ``None`` defaults to 4.
+        squared: 1, 4, 16, ...). ``None`` defaults to 4.
     tol:
         Relative-residual target of the iterative refinement (the
         paper refines to ``1e-12``). Ignored by ``direct``/``dense_lu``.

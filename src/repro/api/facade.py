@@ -48,17 +48,7 @@ def _make_config(config: SolveConfig | None, overrides: dict) -> SolveConfig:
 def _parallel_extras(fact) -> dict:
     """Simulated timings + comm counters when the engine was distributed."""
     from repro.parallel.driver import ParallelFactorization
-    from repro.parallel.shared import SharedMemoryResult
 
-    if isinstance(fact, SharedMemoryResult):
-        # shared-memory comparator: simulated thread-schedule times,
-        # no messages (ranks share the address space)
-        return {
-            "sim_t_fact": fact.t_fact,
-            "sim_t_solve": fact.t_solve,
-            "messages": 0,
-            "comm_bytes": 0,
-        }
     if not isinstance(fact, ParallelFactorization):
         return {}
     return {

@@ -87,13 +87,6 @@ def build_factorization(problem, config: SolveConfig):
     execution = resolve_execution(config.execution)
     if execution == "sequential":
         return srs_factor(problem.kernel, tree=problem.factor_tree, opts=config.srs)
-    if execution == "shared":
-        from repro.parallel.shared import shared_memory_factor
-
-        nthreads = DEFAULT_RANKS if config.ranks is None else config.ranks
-        return shared_memory_factor(
-            problem.kernel, nthreads, opts=config.srs, tree=problem.factor_tree
-        )
     from repro.parallel.driver import parallel_srs_factor
 
     p = DEFAULT_RANKS if config.ranks is None else config.ranks
@@ -109,10 +102,10 @@ def build_factorization(problem, config: SolveConfig):
 def _srs_setup_key(config: SolveConfig) -> tuple:
     """Setup key shared by every strategy whose setup is the RS-S engine.
 
-    The sequential, shared-memory, and distributed engines produce
-    numerically interchangeable factorizations, but they are distinct
-    setup *products* (different timing/counter semantics), so the
-    resolved execution and rank count stay in the key. ``ranks`` is
+    The sequential and distributed engines produce numerically
+    interchangeable factorizations, but they are distinct setup
+    *products* (different timing/counter semantics), so the resolved
+    execution and rank count stay in the key. ``ranks`` is
     normalized to the default it would resolve to. Every
     :class:`~repro.core.options.SRSOptions` field enters the key —
     enumerated via ``dataclasses.fields`` so options added later are

@@ -32,8 +32,7 @@ runs the stages across boxes:
    column Gram matrix up to a factor 2 (hence the same CPQR), see
    :attr:`~repro.kernels.base.KernelMatrix.hermitian`.
 4. **Grouped ID** — one :func:`~repro.linalg.interpolative.interp_decomp_stack`
-   call per group (shared CPQR workspace, one sketch for the
-   randomized method).
+   call per group (one shared CPQR workspace).
 5. **Prefill** — the near-field pairs the phase's eliminations will
    read are evaluated stacked as well.
 
@@ -227,7 +226,7 @@ def _assemble_and_compress(
             cols=int(comp.shape[2]),
         ):
             _BATCH_OCCUPANCY.observe(len(chunk))
-            decs = interp_decomp_stack(comp, opts.tol, method=opts.id_method)
+            decs = interp_decomp_stack(comp, opts.tol)
         for plan, dec in zip(chunk, decs):
             plan.dec = dec
 

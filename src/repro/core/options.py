@@ -26,9 +26,6 @@ class SRSOptions:
         the point count grows to
         ``proxy_oversampling * kappa * radius`` when the kernel exposes
         a wave number ``kappa``.
-    id_method:
-        ``"cpqr"`` (deterministic, the paper's choice) or
-        ``"randomized"`` (sketched, Sec. II-B's randomized alternative).
     factor_mode:
         The schedule of a level's boxes: ``"strict"`` (default)
         compresses and eliminates one box at a time in todo order,
@@ -48,7 +45,6 @@ class SRSOptions:
     proxy_radius_factor: float = 2.5
     n_proxy: int = 64
     proxy_oversampling: float = 3.0
-    id_method: str = "cpqr"
     factor_mode: str = "strict"
     check_locality: bool = False
 
@@ -64,7 +60,5 @@ class SRSOptions:
             )
         if self.n_proxy < 8:
             raise ValueError(f"n_proxy too small: {self.n_proxy}")
-        if self.id_method not in ("cpqr", "randomized"):
-            raise ValueError(f"unknown id_method {self.id_method!r}")
         if self.factor_mode not in ("strict", "batched"):
             raise ValueError(f"unknown factor_mode {self.factor_mode!r}")

@@ -7,8 +7,7 @@ columns ``R = J \\ S`` and an interpolation matrix ``T`` with
 
 Following the paper (Sec. II-B) we use greedy column-pivoted QR
 (Cheng–Gimbutas–Martinsson–Rokhlin 2005) as implemented by LAPACK
-``geqp3``, plus an optional randomized row-sketch variant
-(Dong–Martinsson 2021) that compresses tall matrices before pivoting.
+``geqp3``.
 """
 
 from __future__ import annotations
@@ -51,15 +50,7 @@ class InterpolativeDecomposition:
         return out
 
 
-def interp_decomp(
-    a: np.ndarray,
-    tol: float,
-    *,
-    max_rank: int | None = None,
-    method: str = "cpqr",
-    oversample: int = 10,
-    rng: np.random.Generator | None = None,
-) -> InterpolativeDecomposition:
+def interp_decomp(a: np.ndarray, tol: float) -> InterpolativeDecomposition:
     """Compute a column ID of ``a`` to relative tolerance ``tol``.
 
     Parameters
@@ -71,11 +62,6 @@ def interp_decomp(
     tol:
         Relative spectral-ish tolerance; rank is the smallest ``k`` with
         ``|R[k, k]| <= tol * |R[0, 0]|`` in the pivoted QR.
-    max_rank:
-        Optional hard cap on the skeleton size.
-    method:
-        ``"cpqr"`` (deterministic) or ``"randomized"`` (Gaussian row
-        sketch of height ``min(m, 4 + 2*expected)`` before CPQR).
     """
     a = np.ascontiguousarray(a)
     if a.ndim != 2:
@@ -95,26 +81,17 @@ def interp_decomp(
             np.zeros((0, n), dtype=a.dtype),
         )
 
-    if method == "randomized":
-        work = _row_sketch(a, max_rank=max_rank, oversample=oversample, rng=rng)
-    elif method == "cpqr":
-        work = a
-    else:
-        raise ValueError(f"unknown ID method {method!r}")
-    if not np.isfinite(work).all():
+    if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
 
     # the routine and workspace ``scipy.linalg.qr`` would pick, without
     # its per-call wrapper; ``overwrite_a`` stays off, so f2py factors a
     # Fortran-ordered copy and the caller's ``a`` is left untouched
-    geqp3, lwork = _geqp3_for(work.shape[0], n, work.dtype)
-    qr, jpvt, _tau, _work, info = geqp3(work, lwork=lwork)
+    geqp3, lwork = _geqp3_for(m, n, a.dtype)
+    qr, jpvt, _tau, _work, info = geqp3(a, lwork=lwork)
     if info != 0:  # pragma: no cover - LAPACK input-validation guard
         raise RuntimeError(f"geqp3 failed with info={info}")
-    return _from_pivoted_qr(
-        qr, jpvt - 1, tol, max_rank=max_rank, n=n,
-        work_rows=work.shape[0], dtype=a.dtype,
-    )
+    return _from_pivoted_qr(qr, jpvt - 1, tol, n=n, dtype=a.dtype)
 
 
 @lru_cache(maxsize=256)
@@ -136,9 +113,7 @@ def _from_pivoted_qr(
     piv: np.ndarray,
     tol: float,
     *,
-    max_rank: int | None,
     n: int,
-    work_rows: int,
     dtype: np.dtype,
 ) -> InterpolativeDecomposition:
     """Rank cut + interpolation matrix from a pivoted-QR ``R`` factor."""
@@ -154,9 +129,6 @@ def _from_pivoted_qr(
         k = int(np.count_nonzero(keep))
         if not np.all(keep[:k]):  # non-monotone edge case: first False wins
             k = int(np.argmin(keep))
-    if max_rank is not None:
-        k = min(k, max_rank)
-    k = min(k, n, work_rows)
 
     skeleton = np.asarray(piv[:k], dtype=np.int64)
     redundant = np.asarray(piv[k:], dtype=np.int64)
@@ -171,15 +143,7 @@ def _from_pivoted_qr(
     return InterpolativeDecomposition(skeleton, redundant, t_mat.astype(dtype, copy=False))
 
 
-def interp_decomp_stack(
-    stack: np.ndarray,
-    tol: float,
-    *,
-    max_rank: int | None = None,
-    method: str = "cpqr",
-    oversample: int = 10,
-    rng: np.random.Generator | None = None,
-) -> list[InterpolativeDecomposition]:
+def interp_decomp_stack(stack: np.ndarray, tol: float) -> list[InterpolativeDecomposition]:
     """Grouped column IDs of a stack of equal-shape matrices.
 
     The factor sweep's compress stage assembles the compression matrices
@@ -187,11 +151,8 @@ def interp_decomp_stack(
     and runs their IDs here. A stack of one is :func:`interp_decomp`
     itself; otherwise every member is factored by the same ``geqp3``
     call with the same workspace, on its own Fortran-ordered copy
-    (``stack`` is left untouched), so a CPQR member is
-    :func:`interp_decomp` of it. The randomized method draws a single
-    Gaussian sketch ``Omega`` reused across the group (every member has
-    the same row space dimensions), replacing ``nbox`` sketch
-    generations with one batched ``Omega @ stack`` GEMM.
+    (``stack`` is left untouched), so each member is
+    :func:`interp_decomp` of it.
     """
     stack = np.asarray(stack)
     if stack.ndim != 3:
@@ -199,34 +160,15 @@ def interp_decomp_stack(
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     nb, m, n = stack.shape
-    if method not in ("cpqr", "randomized"):
-        raise ValueError(f"unknown ID method {method!r}")
     if nb == 0:
         return []
     if nb == 1:  # nothing to amortize: the scalar routine, bit for bit
-        kw = dict(max_rank=max_rank, method=method, oversample=oversample, rng=rng)
-        return [interp_decomp(stack[0], tol, **kw)]
+        return [interp_decomp(stack[0], tol)]
     if m == 0 or n == 0:
         # degenerate shapes: the scalar path's early returns cover these
-        return [
-            interp_decomp(stack[b], tol, max_rank=max_rank, method=method)
-            for b in range(nb)
-        ]
+        return [interp_decomp(stack[b], tol) for b in range(nb)]
 
-    work_stack = stack
-    work_rows = m
-    if method == "randomized":
-        target = max_rank if max_rank is not None else min(m, n)
-        height = min(m, target + oversample)
-        if height < m:
-            gen = rng or np.random.default_rng(0x5EED)
-            omega = gen.standard_normal((height, m))
-            if np.iscomplexobj(stack):
-                omega = omega + 1j * gen.standard_normal((height, m))
-            work_stack = np.matmul(omega, stack)
-            work_rows = height
-
-    geqp3, lwork = _geqp3_for(work_rows, n, work_stack.dtype)
+    geqp3, lwork = _geqp3_for(m, n, stack.dtype)
     out: list[InterpolativeDecomposition] = []
     for b in range(nb):
         if not np.any(stack[b]):
@@ -241,37 +183,12 @@ def interp_decomp_stack(
         # always a copy: a one-row or one-column member is already
         # Fortran-contiguous, and ``overwrite_a`` would factor it in place
         qr, jpvt, _tau, _work, info = geqp3(
-            np.array(work_stack[b], order="F"), lwork=lwork, overwrite_a=True
+            np.array(stack[b], order="F"), lwork=lwork, overwrite_a=True
         )
         if info != 0:  # pragma: no cover - LAPACK input-validation guard
             raise RuntimeError(f"geqp3 failed with info={info}")
-        out.append(
-            _from_pivoted_qr(
-                qr, jpvt - 1, tol, max_rank=max_rank, n=n,
-                work_rows=work_rows, dtype=stack.dtype,
-            )
-        )
+        out.append(_from_pivoted_qr(qr, jpvt - 1, tol, n=n, dtype=stack.dtype))
     return out
-
-
-def _row_sketch(
-    a: np.ndarray,
-    *,
-    max_rank: int | None,
-    oversample: int,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    """Gaussian row sketch ``Omega @ a`` preserving the column geometry."""
-    m, n = a.shape
-    target = max_rank if max_rank is not None else min(m, n)
-    height = min(m, target + oversample)
-    if height >= m:
-        return a
-    gen = rng or np.random.default_rng(0x5EED)
-    omega = gen.standard_normal((height, m))
-    if np.iscomplexobj(a):
-        omega = omega + 1j * gen.standard_normal((height, m))
-    return np.ascontiguousarray(omega @ a)
 
 
 def id_error(a: np.ndarray, decomposition: InterpolativeDecomposition) -> float:

@@ -13,7 +13,9 @@ Entry points:
   :class:`ParallelFactorization` whose ``solve`` runs the distributed
   upward/downward sweeps.
 * :func:`repro.parallel.shared.shared_memory_factor` — the
-  box-coloring shared-memory comparator of Table VI.
+  box-coloring shared-memory comparator of Table VI. It is a
+  measurement the paper's comparison needs, not an execution of
+  ``repro.solve``: the Table VI runner calls it directly.
 """
 
 from repro.parallel.driver import ParallelFactorization, parallel_srs_factor

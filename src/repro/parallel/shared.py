@@ -70,12 +70,9 @@ def _schedule(
 class SharedMemoryResult:
     """Outcome of the shared-memory comparator.
 
-    Satisfies the :class:`repro.api.strategies.Factorization` protocol
-    (``solve`` / ``memory_bytes`` delegate to the underlying — and
-    numerically identical — sequential factorization), so the facade
-    can run it as ``SolveConfig(execution="shared", ranks=nthreads)``;
-    ``t_fact``/``t_solve`` are the simulated thread-schedule times the
-    facade surfaces as ``sim_t_fact``/``sim_t_solve``.
+    ``factorization`` is the strict sequential factorization, bit for
+    bit; ``t_fact``/``t_solve`` are the simulated thread-schedule times
+    Table VI sets against the distributed solver's.
 
     The measured durations are kept, and the simulated times are a
     function of them and ``nthreads`` alone: :meth:`schedule` puts the
@@ -111,15 +108,6 @@ class SharedMemoryResult:
     @property
     def speedup(self) -> float:
         return self.sequential_t_fact / self.t_fact if self.t_fact else 1.0
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Apply the compressed inverse (identical to the sequential one)."""
-        return self.factorization.solve(b)
-
-    __call__ = solve
-
-    def memory_bytes(self) -> int:
-        return self.factorization.memory_bytes()
 
 
 def shared_memory_factor(

@@ -367,58 +367,3 @@ def test_auto_env_backend(monkeypatch):
     assert vmpi_backend() == "auto"
     assert resolve_backend(None).name == auto_backend_name()
     assert resolve_backend("auto").name in ("thread", "process")
-
-
-# ----------------------------------------------------------------------
-# shared-memory execution mode
-# ----------------------------------------------------------------------
-def test_shared_execution_bitwise_matches_sequential(volume):
-    """The box-coloring comparator runs the same sequential core.
-
-    The comparator factors strict by construction (it measures per-box
-    task durations), so the sequential reference pins strict too.
-    """
-    prob, b, _ = volume
-    seq = solve(prob, b, SolveConfig(execution="sequential", factor_mode="strict"))
-    shared = solve(prob, b, SolveConfig(execution="shared", ranks=8, factor_mode="strict"))
-    assert np.array_equal(seq.x, shared.x)
-    assert shared.execution == "shared"
-    assert shared.sim_t_fact is not None and shared.sim_t_fact > 0
-    assert shared.sim_t_solve is not None and shared.sim_t_solve > 0
-    assert shared.messages == 0 and shared.comm_bytes == 0
-    assert shared.memory_bytes == seq.memory_bytes
-
-
-def test_shared_execution_bie(boundary):
-    prob, b, x_ref = boundary
-    report = solve(
-        prob, b, SolveConfig(execution="shared", ranks=4, srs=SRSOptions(tol=1e-10))
-    )
-    assert np.allclose(report.x, x_ref, rtol=1e-6, atol=1e-8)
-    from repro.parallel.shared import SharedMemoryResult
-
-    assert isinstance(report.factorization, SharedMemoryResult)
-
-
-def test_shared_execution_preconditions_krylov(volume):
-    prob, b, _ = volume
-    report = solve(
-        prob, b, SolveConfig(method="pcg", execution="shared", ranks=4, tol=1e-10)
-    )
-    assert report.converged and report.iterations > 0
-    assert report.relres < 1e-9
-
-
-def test_shared_execution_rejected_by_sequential_only_methods(volume):
-    prob, b, _ = volume
-    with pytest.raises(ValueError, match="sequential"):
-        solve(prob, b, SolveConfig(method="dense_lu", execution="shared"))
-
-
-def test_shared_solver_caches_comparator(volume):
-    prob, b, _ = volume
-    solver = Solver(prob, SolveConfig(execution="shared", ranks=4))
-    r1 = solver.solve(b)
-    r2 = solver.solve(prob.random_rhs(seed=9))
-    assert r1.factorization is r2.factorization
-    assert r2.t_setup == 0.0

@@ -94,14 +94,6 @@ def test_check_locality_mode(gaussian16, rng, srs_opts):
     assert fact.eliminated_count() == gaussian16.n
 
 
-def test_randomized_id_variant(laplace32, laplace32_dense, rng, srs_opts):
-    fact = srs_factor(
-        laplace32, opts=srs_opts(tol=1e-9, leaf_size=32, id_method="randomized")
-    )
-    b = rng.standard_normal(laplace32.n)
-    assert relres(laplace32_dense, fact.solve(b), b) < 1e-4
-
-
 def test_rank_stats_recorded(laplace32_fact):
     stats = laplace32_fact.stats
     assert stats.levels()  # nonempty

@@ -125,8 +125,8 @@ def test_srs_options_reach_setup_fingerprint():
 def test_execution_reaches_setup_fingerprint():
     seq = setup_fingerprint(SolveConfig())
     par = setup_fingerprint(SolveConfig(execution="thread", ranks=4))
-    shared = setup_fingerprint(SolveConfig(execution="shared", ranks=4))
-    assert len({seq, par, shared}) == 3
+    proc = setup_fingerprint(SolveConfig(execution="process", ranks=4))
+    assert len({seq, par, proc}) == 3
     # ranks=None normalizes to the default rank count
     assert setup_fingerprint(SolveConfig(execution="thread")) == setup_fingerprint(
         SolveConfig(execution="thread", ranks=4)

@@ -71,12 +71,6 @@ def test_full_rank_keeps_everything():
     assert dec.T.shape == (10, 0)
 
 
-def test_max_rank_cap():
-    a = low_rank_matrix(30, 20, 10, 5)
-    dec = interp_decomp(a, 0.0, max_rank=4)
-    assert dec.rank == 4
-
-
 def test_tolerance_monotonicity():
     rng = np.random.default_rng(6)
     # geometric singular value decay
@@ -89,21 +83,12 @@ def test_tolerance_monotonicity():
     assert ranks[0] < ranks[1] < ranks[2]
 
 
-def test_randomized_matches_cpqr_rank():
-    a = low_rank_matrix(500, 40, 12, 7)
-    det = interp_decomp(a, 1e-10)
-    rnd = interp_decomp(a, 1e-10, method="randomized", max_rank=20)
-    assert rnd.rank == det.rank == 12
-    assert id_error(a, rnd) < 1e-8
-
-
-@pytest.mark.parametrize("method", ["cpqr", "randomized"])
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-def test_stack_of_one_is_the_scalar_id_bitwise(method, complex_):
+def test_stack_of_one_is_the_scalar_id_bitwise(complex_):
     # the strict sweep compresses one-box groups: its IDs are interp_decomp's
-    a = low_rank_matrix(60, 20, 6, 8, complex_=complex_)  # tall: the sketch applies
-    (got,) = interp_decomp_stack(a[None], 1e-10, method=method)
-    want = interp_decomp(a, 1e-10, method=method)
+    a = low_rank_matrix(60, 20, 6, 8, complex_=complex_)
+    (got,) = interp_decomp_stack(a[None], 1e-10)
+    want = interp_decomp(a, 1e-10)
     for field in ("skeleton", "redundant", "T"):
         g, w = getattr(got, field), getattr(want, field)
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -138,11 +123,6 @@ def test_non_finite_input_rejected(bad):
     a[1, 2] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         interp_decomp(a, 1e-6)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        interp_decomp(np.eye(3), 1e-6, method="magic")
 
 
 def test_negative_tol_rejected():

@@ -29,10 +29,15 @@ def test_list_names_the_sixteen_artefacts(capsys):
 
 def test_two_cheap_artefacts_run_and_write_their_tables(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0")
-    assert runner.main(["ablation_admissibility", "table3"], results_dir=tmp_path) == 0
+    names = ["ablation_admissibility", "ablation_algorithm", "table3"]
+    assert runner.main(names, results_dir=tmp_path) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    titles = {"ablation_admissibility": "Ablation: weak vs strong", "table3": "Table III"}
+    titles = {
+        "ablation_admissibility": "Ablation: weak vs strong",
+        "ablation_algorithm": "Ablation: leaf_size",
+        "table3": "Table III",
+    }
     for name, title in titles.items():
         text = (tmp_path / f"{name}.txt").read_text()
         assert title in text

@@ -48,8 +48,6 @@ def test_options_validation():
         SRSOptions(leaf_size=0)
     with pytest.raises(ValueError):
         SRSOptions(n_proxy=2)
-    with pytest.raises(ValueError):
-        SRSOptions(id_method="nope")
 
 
 def test_proxy_substitutes_far_field():

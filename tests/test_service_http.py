@@ -209,14 +209,19 @@ def test_unknown_field_is_rejected_with_field_name(server):
 
 
 def test_auto_factor_mode_is_rejected_as_a_bad_field(server):
-    body = {
-        "problem": {"type": "laplace_volume", "m": 16},
-        "srs": {"factor_mode": "auto"},
-    }
-    status, payload = _request(server, "POST", "/solve", body)
-    assert status == 400
-    assert payload["code"] == "bad_field" and payload["field"] == "config"
-    assert "factor_mode" in payload["error"]
+    # a mode the solver does not have (an "auto" sweep, a sketched ID,
+    # the Table VI comparator as an execution) is a bad config, not a
+    # silent fallback
+    for name, config in (
+        ("factor_mode", {"srs": {"factor_mode": "auto"}}),
+        ("id_method", {"srs": {"id_method": "randomized"}}),
+        ("execution", {"execution": "shared"}),
+    ):
+        body = {"problem": {"type": "laplace_volume", "m": 16}, **config}
+        status, payload = _request(server, "POST", "/solve", body)
+        assert status == 400, name
+        assert payload["code"] == "bad_field" and payload["field"] == "config"
+        assert name in payload["error"]
 
 
 def test_direct_request_carries_health_and_is_counted(server):

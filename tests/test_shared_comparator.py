@@ -42,12 +42,16 @@ def test_lpt_makespan_bounds():
 
 
 def test_factorization_identical_to_sequential(rng):
+    """The comparator times the sequential core; it does not change it:
+    its factorization is the strict sequential one, bit for bit."""
     m = 32
     k = LaplaceKernelMatrix(uniform_grid(m), 1.0 / m)
-    res = shared_memory_factor(k, 4, SRSOptions(tol=1e-9, leaf_size=32))
+    opts = SRSOptions(tol=1e-9, leaf_size=32, factor_mode="strict")
+    res = shared_memory_factor(k, 4, opts)
     a = dense_matrix(k)
     b = rng.standard_normal(k.n)
     x = res.factorization.solve(b)
+    assert np.array_equal(x, srs_factor(k, opts=opts).solve(b))
     assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-5
 
 
@@ -95,10 +99,15 @@ def test_comparator_pins_strict_in_its_own_options():
 
 
 def test_single_thread_close_to_sequential():
+    # one thread runs every colour batch serially: the simulated time is
+    # the measured task seconds plus one barrier per (level, colour)
+    # batch, exactly, whatever the clock read
     m = 32
     k = LaplaceKernelMatrix(uniform_grid(m), 1.0 / m)
     res = shared_memory_factor(k, 1, SRSOptions(tol=1e-6, leaf_size=32))
-    assert res.t_fact <= res.sequential_t_fact * 1.1
+    batches = {(level, box_color(box)) for level, box, _s in res.task_times}
+    work = sum(seconds for _l, _b, seconds in res.task_times)
+    assert res.t_fact == pytest.approx(work + len(batches) * res.sync_overhead)
 
 
 def test_invalid_threads():
