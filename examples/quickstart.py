@@ -1,7 +1,7 @@
 """Quickstart: the unified ``repro.solve`` pipeline on a volume IE.
 
 Demonstrates the facade on the paper's Sec. V-A problem — one problem
-object, one config type, four strategies:
+object, one config type, four configurations:
 
 1. build the problem (collocation grid + kernel matrix + FFT matvec),
 2. ``method="direct"``: one application of the O(N) RS-S compressed

@@ -14,7 +14,7 @@ Quickstart (the unified facade)::
     report = repro.solve(prob, prob.random_rhs())   # O(N) direct solve
     print(report.summary())                     # relres ~1e-3 (first-kind IE)
 
-    # same pipeline, different strategy: PCG refinement to 1e-12
+    # same pipeline, different method: PCG refinement to 1e-12
     report = repro.solve(prob, prob.random_rhs(), method="pcg", tol=1e-12)
     print(report.iterations)                    # ~5 iterations
 

@@ -15,9 +15,10 @@ Pieces:
   implement (kernel, fast operator, rhs helpers, geometry hints).
 * :class:`~repro.api.config.SolveConfig` — method + execution +
   refinement knobs composed with :class:`~repro.core.options.SRSOptions`.
-* the strategy registry (:mod:`repro.api.strategies`) — method names
-  mapped to :class:`~repro.api.strategies.SolverStrategy` classes, each
-  producing a common :class:`~repro.api.strategies.Factorization`.
+* the method table :data:`~repro.api.config.METHODS` — each name mapped
+  to the setup product it builds and the Krylov refinement (if any) that
+  runs on it; :mod:`repro.api.strategies` builds and runs them, every
+  setup product a common :class:`~repro.api.strategies.Factorization`.
 * :class:`~repro.api.report.SolveReport` — the uniform outcome record.
 * :func:`~repro.api.facade.solve` / :class:`~repro.api.facade.Solver`
   — one-shot and factorization-caching front doors.
@@ -36,11 +37,8 @@ from repro.api.report import SolveReport
 from repro.api.strategies import (
     DenseLUFactorization,
     Factorization,
-    SolverStrategy,
     StrategyResult,
     available_methods,
-    register_strategy,
-    resolve_strategy,
 )
 
 __all__ = [
@@ -52,12 +50,9 @@ __all__ = [
     "ProblemBase",
     "check_problem",
     "Factorization",
-    "SolverStrategy",
     "StrategyResult",
     "DenseLUFactorization",
     "available_methods",
-    "register_strategy",
-    "resolve_strategy",
     "EXECUTIONS",
     "OPERATORS",
     "fingerprint_kernel",

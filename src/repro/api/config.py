@@ -3,14 +3,44 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from repro.core.options import SRSOptions
 
-#: execution modes understood by every parallel-capable strategy
+#: execution modes of the RS-S setup (every other setup is sequential)
 EXECUTIONS = ("sequential", "thread", "process", "auto")
 
-#: forward operators available to the iterative strategies
+#: forward operators available to the Krylov methods
 OPERATORS = ("auto", "dense", "treecode")
+
+
+class Method(NamedTuple):
+    """One solve method: the setup product it builds, then its refinement."""
+
+    setup: str  # "srs" | "identity" | "dense_lu" | "block_jacobi"
+    krylov: str | None  # None: one application; "cg" | "gmres"; "auto": cg if symmetric
+    symmetric: bool = False
+
+
+#: every solve method by name (:attr:`SolveConfig.method`)
+METHODS = {
+    "direct": Method("srs", None),
+    "pcg": Method("srs", "cg", True),
+    "pgmres": Method("srs", "gmres"),
+    "cg": Method("identity", "cg", True),
+    "gmres": Method("identity", "gmres"),
+    "dense_lu": Method("dense_lu", None),
+    "block_jacobi": Method("block_jacobi", "auto"),
+}
+
+
+def validate_method(name: str) -> None:
+    """Raise unless ``name`` is a row of :data:`METHODS`."""
+    if name not in METHODS:
+        raise ValueError(
+            f"unknown solve method {name!r}; registered methods: "
+            f"{', '.join(sorted(METHODS))}"
+        )
 
 
 @dataclass(frozen=True)
@@ -27,7 +57,7 @@ class SolveConfig:
     Attributes
     ----------
     method:
-        Registered strategy name. Built-ins:
+        A name in :data:`METHODS`:
 
         * ``"direct"`` — one application of the RS-S compressed inverse
           (the paper's O(N) direct solve).
@@ -42,7 +72,7 @@ class SolveConfig:
         * ``"cg"`` / ``"gmres"`` — *unpreconditioned* Krylov baselines
           (the paper's ``nit_cg`` columns and Table V comparison).
 
-        Unknown names raise a :class:`ValueError` listing the registry.
+        Unknown names raise a :class:`ValueError` listing the table.
     execution:
         ``"sequential"`` runs the factorization in-process;
         ``"thread"``/``"process"`` run it on ``ranks`` simulated MPI
@@ -61,7 +91,7 @@ class SolveConfig:
     restart:
         GMRES restart length (the paper uses 50 when preconditioned).
     operator:
-        Forward matvec used by the iterative strategies: ``"auto"``
+        Forward matvec used by the Krylov methods: ``"auto"``
         takes the problem's own fast operator (FFT on grids, dense on
         curves), ``"treecode"`` builds the O(N log N) kernel-independent
         treecode, ``"dense"`` the chunked dense reference.
@@ -89,11 +119,7 @@ class SolveConfig:
     factor_mode: str | None = None
 
     def __post_init__(self) -> None:
-        # deferred import: the registry lives in strategies.py, which
-        # imports this module for the config type
-        from repro.api import strategies
-
-        strategies.validate_method(self.method)
+        validate_method(self.method)
         if self.execution not in EXECUTIONS:
             raise ValueError(
                 f"unknown execution {self.execution!r}; "

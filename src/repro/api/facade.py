@@ -1,4 +1,4 @@
-"""``repro.solve`` — one pipeline over every solver strategy.
+"""``repro.solve`` — one pipeline over every solve method.
 
 The paper presents RS-S as a single factorization wearing three hats:
 a direct solver, a preconditioner, and a distributed solver. The facade
@@ -10,7 +10,7 @@ and every method/execution combination — sequential or distributed
 RS-S, preconditioned CG/GMRES refinement, dense LU, block-Jacobi —
 returns the same :class:`~repro.api.report.SolveReport`.
 
-:class:`Solver` is the stateful variant: it caches the strategy setup
+:class:`Solver` is the stateful variant: it caches the method's setup
 (the expensive factorization) across repeated right-hand sides and
 tolerance refinements, which is exactly the amortization argument the
 paper makes for direct solvers (Sec. I-A).
@@ -24,10 +24,11 @@ from typing import Callable
 
 import numpy as np
 
+from repro.api import strategies
 from repro.api.config import SolveConfig
 from repro.api.problem import check_problem
 from repro.api.report import SolveReport
-from repro.api.strategies import StrategyResult, resolve_execution, resolve_strategy
+from repro.api.strategies import StrategyResult, resolve_execution
 from repro.obs import REGISTRY, health, solve_health, trace
 
 _SOLVES = REGISTRY.counter(
@@ -136,7 +137,7 @@ def solve(
         Pre-built setup product to reuse (skips the setup stage; this
         is the :class:`Solver` cache path).
     operator:
-        Forward matvec for the iterative strategies: a callable
+        Forward matvec for the Krylov methods: a callable
         overrides ``config.operator`` directly, a string
         (``"auto"``/``"dense"``/``"treecode"``) is shorthand for
         setting the config field.
@@ -151,9 +152,7 @@ def solve(
     if isinstance(operator, str):
         config, operator = replace(config, operator=operator), None
     check_problem(problem)
-    strategy = resolve_strategy(config.method)
-    strategy.check_execution(config)
-    strategy.check_compatible(problem, config)
+    strategies.check_method(problem, config)
     execution = resolve_execution(config.execution)
 
     rhs = problem.default_rhs() if b is None else np.asarray(b)
@@ -166,14 +165,14 @@ def solve(
         if factorization is None:
             t0 = time.perf_counter()
             with trace.span("solve.setup", method=config.method):
-                fact = strategy.setup(problem, config)
+                fact = strategies.setup(problem, config)
             t_setup = time.perf_counter() - t0
         else:
             fact, t_setup = factorization, 0.0
 
         t0 = time.perf_counter()
         with trace.span("solve.run", method=config.method):
-            out = strategy.run(problem, rhs, fact, config, operator)
+            out = strategies.run(problem, rhs, fact, config, operator)
         t_solve = time.perf_counter() - t0
         root.set(iterations=out.iterations, converged=out.converged)
 
@@ -186,7 +185,7 @@ class Solver:
     """A problem bound to a config, amortizing the factorization.
 
     The first :meth:`solve` (or touching :attr:`factorization`) builds
-    the strategy's setup product; every later solve — new right-hand
+    the method's setup product; every later solve — new right-hand
     sides, tighter ``tol`` — reuses it::
 
         solver = repro.Solver(prob, method="pcg")
@@ -201,9 +200,7 @@ class Solver:
         check_problem(problem)
         self.problem = problem
         self.config = _make_config(config, overrides)
-        self._strategy = resolve_strategy(self.config.method)
-        self._strategy.check_execution(self.config)
-        self._strategy.check_compatible(problem, self.config)
+        strategies.check_method(problem, self.config)
         self._fact = None
         #: wall seconds of the one-time setup (None until it runs)
         self.setup_time: float | None = None
@@ -214,7 +211,7 @@ class Solver:
         if self._fact is None:
             t0 = time.perf_counter()
             with trace.span("solve.setup", method=self.config.method):
-                self._fact = self._strategy.setup(self.problem, self.config)
+                self._fact = strategies.setup(self.problem, self.config)
             self.setup_time = time.perf_counter() - t0
         return self._fact
 

@@ -98,7 +98,7 @@ def fingerprint_problem(problem) -> str:
 
     Hashes the problem class, the kernel fingerprint, the factorization
     tree geometry, and the parallel root domain — everything a solver
-    strategy's ``setup`` reads. Two independently built problems over
+    method's setup reads. Two independently built problems over
     identical geometry/kernel parameters hash identically.
     """
     h = _new_hash()
@@ -125,18 +125,17 @@ def problem_fingerprint(problem) -> str:
 
 
 def setup_fingerprint(config) -> str:
-    """Hash of everything a strategy's ``setup`` depends on beyond the problem.
+    """Hash of everything a method's setup depends on beyond the problem.
 
-    Strategies sharing a setup family hash identically when their setup
+    Methods sharing a setup product hash identically when their setup
     inputs agree — e.g. ``direct``/``pcg``/``pgmres`` all build the same
     RS-S factorization, so a factorization cached for a direct request
     serves a later preconditioned one. Refinement-only fields
     (``tol``/``maxiter``/``restart``/``operator``) never reach the
     digest.
     """
-    from repro.api.strategies import resolve_strategy
+    from repro.api.strategies import setup_key
 
     h = _new_hash()
-    key = resolve_strategy(config.method).setup_key(config)
-    _update_scalar(h, key)
+    _update_scalar(h, setup_key(config))
     return h.hexdigest()

@@ -1,6 +1,6 @@
 """The :class:`Problem` protocol — what a workload exposes to ``repro.solve``.
 
-Every solver strategy (direct RS-S, preconditioned Krylov, dense LU,
+Every solve method (direct RS-S, preconditioned Krylov, dense LU,
 block-Jacobi) consumes problems through the same narrow surface: a
 kernel matrix, a fast forward operator, rhs helpers, and the geometry
 hints (tree/domain) the factorization engines need. The built-in

@@ -18,7 +18,7 @@ class SolveReport:
     x:
         The computed solution, ``(N,)`` or ``(N, nrhs)``.
     method / execution:
-        The strategy that ran and the *resolved* execution mode
+        The method that ran and the *resolved* execution mode
         (``"auto"`` is reported as the thread/process choice it made).
     relres:
         True relative residual ``||A x - b|| / ||b||`` measured with the

@@ -6,8 +6,8 @@ Three surfaces over one instrumentation layer:
   ``with trace.span("factor.level", level=3): ...`` records nested
   spans when ``REPRO_OBS=on`` (off by default; disabled spans are a
   shared no-op). ``trace.export_chrome(path)`` writes the timeline as
-  Chrome ``trace_event`` JSON; ``REPRO_OBS_TRACE_PATH`` autosaves at
-  process exit.
+  Chrome ``trace_event`` JSON; with ``REPRO_OBS_DIR`` set, it autosaves
+  there as ``trace.json`` at process exit.
 * ``REGISTRY`` — the default :class:`~repro.obs.metrics.MetricsRegistry`
   of counters/gauges/histograms, always live, rendered by the service's
   ``GET /metrics`` in Prometheus text exposition format.
@@ -16,7 +16,7 @@ Three surfaces over one instrumentation layer:
 * ``profile`` — the process-wide sampling
   :class:`~repro.obs.profiler.SamplingProfiler` (span-attributed
   wall-clock samples at ``REPRO_OBS_PROFILE_HZ``, speedscope/folded
-  export).
+  export, autosaved into ``REPRO_OBS_DIR`` at process exit).
 * ``health`` — the :class:`~repro.obs.health.HealthMonitor` of
   numerical solver-health aggregates (skeleton ranks, compression
   ratios, Krylov outcomes).

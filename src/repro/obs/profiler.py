@@ -34,7 +34,7 @@ from repro.obs.lockwatch import make_lock
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import trace
 from repro.util import write_atomic
-from repro.util.config import obs_profile_hz, obs_profile_path
+from repro.util.config import obs_dir, obs_profile_hz
 
 #: fallback rate when started without an explicit or configured rate
 DEFAULT_HZ = 97.0
@@ -320,14 +320,15 @@ if obs_profile_hz() > 0:  # pragma: no cover - exercised via subprocess in CI
 
 
 def _autosave() -> None:  # pragma: no cover - exercised via subprocess in CI
-    path = obs_profile_path()
-    if path is None:
+    root = obs_dir()
+    if root is None:
         return
     profile.stop()
     if profile.snapshot_table():
         try:
-            profile.export_speedscope(path)
-            profile.export_folded(path + ".folded")
+            os.makedirs(root, exist_ok=True)
+            profile.export_speedscope(os.path.join(root, "profile.speedscope.json"))
+            profile.export_folded(os.path.join(root, "profile.folded"))
         except OSError:
             pass
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import atexit
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -32,7 +33,7 @@ from typing import Any, Iterable
 from repro.obs.lockwatch import make_lock
 from repro.obs.metrics import LATENCY_BUCKETS, REGISTRY
 from repro.util import write_atomic
-from repro.util.config import obs_enabled, obs_trace_path
+from repro.util.config import obs_dir, obs_enabled
 
 #: most finished spans a tracer retains: the buffer is a ring, so once
 #: full, recording a span drops the oldest one and bumps
@@ -354,12 +355,13 @@ class _TrackCtx:
 
 
 def _autosave() -> None:  # pragma: no cover - exercised via subprocess in CI
-    path = obs_trace_path()
-    if path is None or not trace.enabled:
+    root = obs_dir()
+    if root is None or not trace.enabled:
         return
     if trace.snapshot():
         try:
-            trace.export_chrome(path)
+            os.makedirs(root, exist_ok=True)
+            trace.export_chrome(os.path.join(root, "trace.json"))
         except OSError:
             pass
 

@@ -2,7 +2,7 @@
 
 The economics the paper leans on — factor once, solve cheaply many
 times — only pay off across *callers* if the expensive product is
-shared. This cache maps ``(problem fingerprint, strategy setup key)``
+shared. This cache maps ``(problem fingerprint, method setup key)``
 to the built :class:`~repro.api.strategies.Factorization`:
 
 * **single-flight**: N concurrent requests for an unfactored operator
@@ -72,7 +72,7 @@ class CacheLookup(NamedTuple):
 
 
 class FactorizationCache:
-    """LRU byte-budget cache of strategy setup products.
+    """LRU byte-budget cache of method setup products.
 
     Parameters
     ----------

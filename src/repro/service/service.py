@@ -28,13 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.api import strategies
 from repro.api.config import SolveConfig
 from repro.api.facade import _make_config, make_report
 from repro.api.facade import solve as facade_solve
 from repro.api.fingerprint import problem_fingerprint
 from repro.api.problem import check_problem
 from repro.api.report import SolveReport
-from repro.api.strategies import StrategyResult, resolve_execution, resolve_strategy
+from repro.api.strategies import StrategyResult, resolve_execution
 from repro.obs import MetricsRegistry, health, log_event, trace, watchdog
 from repro.service.batcher import RhsBatcher
 from repro.service.cache import FactorizationCache
@@ -183,9 +184,7 @@ class SolveService:
             raise RuntimeError("SolveService is closed")
         cfg = _make_config(config, overrides)
         check_problem(problem)
-        strategy = resolve_strategy(cfg.method)
-        strategy.check_execution(cfg)
-        strategy.check_compatible(problem, cfg)
+        strategies.check_method(problem, cfg)
         if not self._stats.admit(self.config.max_pending):
             self._stats.incr("rejected")
             raise ServiceOverloadedError(
@@ -315,11 +314,10 @@ class SolveService:
         with trace.span(
             "service.request", request_id=req.request_id, method=cfg.method
         ):
-            strategy = resolve_strategy(cfg.method)
-            key = (problem_fingerprint(problem), strategy.setup_key(cfg))
+            key = (problem_fingerprint(problem), strategies.setup_key(cfg))
             with trace.span("service.factor", cached="?") as fspan:
                 lookup = self._cache.get_or_build(
-                    key, lambda: strategy.setup(problem, cfg)
+                    key, lambda: strategies.setup(problem, cfg)
                 )
                 fspan.set(cached=lookup.hit, waited=lookup.waited)
             if lookup.hit:

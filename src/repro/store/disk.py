@@ -76,7 +76,7 @@ _FIELDS = ("format", "numpy", "key", "stream", "spans", "body")
 def key_digest(key) -> str:
     """Stable filename digest of a cache key.
 
-    Keys are ``(problem fingerprint, strategy setup key)`` tuples of
+    Keys are ``(problem fingerprint, method setup key)`` tuples of
     strings/numbers/tuples, whose ``repr`` is deterministic across
     processes — the property the cross-process tiers rest on.
     """

@@ -16,7 +16,7 @@ itself; see :mod:`repro.store.resident`.)
 Single-flight is extended across processes with an ``O_CREAT|O_EXCL``
 lockfile per entry: the winner builds and publishes, losers poll the
 store until the entry appears, the owner dies, or
-``REPRO_STORE_LOCK_TIMEOUT_S`` passes — then build locally rather than
+:data:`LOCK_TIMEOUT_S` passes — then build locally rather than
 hang on a peer. All store work happens *outside* the cache lock, and
 the store's own lock is a leaf: nothing in vmpi or service is called
 while holding it except pure file/shm codec operations.
@@ -37,7 +37,11 @@ from repro.store.shared import (
     release_entry,
     sidecar_path,
 )
-from repro.util.config import store_dir, store_lock_timeout_s
+from repro.util.config import store_dir
+
+#: seconds a process waits on another process's in-flight build of the
+#: same entry before giving up and factoring locally
+LOCK_TIMEOUT_S = 30.0
 
 _HITS = REGISTRY.counter(
     "repro_store_hits_total",
@@ -101,14 +105,12 @@ class FactorizationStore:
         *,
         shared: bool = True,
         spill: bool = True,
-        lock_timeout: float | None = None,
+        lock_timeout: float = LOCK_TIMEOUT_S,
     ):
         self.root = str(root)
         self.shared = bool(shared)
         self.spill_enabled = bool(spill)
-        self.lock_timeout = (
-            store_lock_timeout_s() if lock_timeout is None else float(lock_timeout)
-        )
+        self.lock_timeout = float(lock_timeout)
         os.makedirs(self.root, exist_ok=True)
         self._lock = make_lock("store.index")
         #: digest -> [hold, holds] for entries this process published or

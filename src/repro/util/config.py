@@ -168,16 +168,6 @@ def store_dir() -> str | None:
     return raw
 
 
-def store_lock_timeout_s() -> float:
-    """How long a process waits on another process's in-flight build of
-    the same entry before giving up and factoring locally
-    (``REPRO_STORE_LOCK_TIMEOUT_S``, default 30 seconds)."""
-    t = env_float("REPRO_STORE_LOCK_TIMEOUT_S", 30.0)
-    if t < 0:
-        raise ValueError(f"REPRO_STORE_LOCK_TIMEOUT_S must be >= 0, got {t}")
-    return t
-
-
 # ----------------------------------------------------------------------
 # observability (repro.obs) knobs
 # ----------------------------------------------------------------------
@@ -194,14 +184,18 @@ def obs_enabled() -> bool:
     return env_flag("REPRO_OBS", False)
 
 
-def obs_trace_path() -> str | None:
-    """Chrome-trace autosave target (``REPRO_OBS_TRACE_PATH``).
+def obs_dir() -> str | None:
+    """Exit-time observability output directory (``REPRO_OBS_DIR``).
 
-    When set (and tracing is enabled), the process writes every
-    recorded span as Chrome ``trace_event`` JSON to this path at exit
-    — open it in ``chrome://tracing`` or Perfetto.
+    When set, the process writes into this directory at exit (creating
+    it if missing): ``trace.json``, every recorded span as Chrome
+    ``trace_event`` JSON (open it in ``chrome://tracing`` or Perfetto),
+    when tracing is enabled and recorded spans; and
+    ``profile.speedscope.json`` plus collapsed stacks in
+    ``profile.folded`` for flamegraph tooling, when the profiler
+    collected samples.
     """
-    raw = os.environ.get("REPRO_OBS_TRACE_PATH")
+    raw = os.environ.get("REPRO_OBS_DIR")
     if raw is None or raw.strip() == "":
         return None
     return raw
@@ -219,19 +213,6 @@ def obs_profile_hz() -> float:
     if hz < 0:
         raise ValueError(f"REPRO_OBS_PROFILE_HZ must be >= 0, got {hz}")
     return hz
-
-
-def obs_profile_path() -> str | None:
-    """Profiler autosave target (``REPRO_OBS_PROFILE_PATH``).
-
-    When set (and the profiler collected samples), the process writes a
-    speedscope JSON document to this path at exit, plus collapsed
-    stacks at ``<path>.folded`` for flamegraph tooling.
-    """
-    raw = os.environ.get("REPRO_OBS_PROFILE_PATH")
-    if raw is None or raw.strip() == "":
-        return None
-    return raw
 
 
 def obs_watchdog_s() -> float:

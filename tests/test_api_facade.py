@@ -1,30 +1,26 @@
-"""Cross-strategy parity suite for the unified ``repro.solve`` pipeline.
+"""Cross-method parity suite for the unified ``repro.solve`` pipeline.
 
-Every registered method must produce the same solution (to its
+Every method in the table must produce the same solution (to its
 tolerance) on one volume problem and one BIE problem, return a
 well-formed :class:`SolveReport`, and agree bitwise with the
-engine-level call (``srs_factor`` + ``cg``) it wraps. The registry must reject unknown
-method/execution names with errors that name the alternatives.
+engine-level calls (``srs_factor`` + ``cg`` / ``gmres``, ...) it wraps.
+Unknown method/execution names must be rejected with errors that name
+the alternatives.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import repro
 from repro import SolveConfig, Solver, solve
-from repro.api import (
-    ProblemBase,
-    SolverStrategy,
-    StrategyResult,
-    available_methods,
-    check_problem,
-    register_strategy,
-    resolve_strategy,
-)
-from repro.api.strategies import _REGISTRY, DenseLUFactorization, resolve_execution
+from repro.api import ProblemBase, available_methods, check_problem
+from repro.api.config import METHODS, validate_method
+from repro.api.strategies import resolve_execution
+from repro.baselines.block_jacobi import BlockJacobiPreconditioner
 from repro.bie import InteriorDirichletProblem, StarCurve
 from repro.core import SRSOptions, srs_factor
-from repro.iterative import cg
+from repro.iterative import cg, gmres
 from repro.kernels.base import dense_matrix
 
 
@@ -45,7 +41,7 @@ def boundary():
 
 
 def check_report(report, config: SolveConfig, n: int) -> None:
-    """A SolveReport is well-formed whatever strategy produced it."""
+    """A SolveReport is well-formed whatever method produced it."""
     assert report.x.shape[0] == n
     assert report.method == config.method
     assert report.execution in ("sequential", "thread", "process")
@@ -66,7 +62,7 @@ def check_report(report, config: SolveConfig, n: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# cross-strategy parity
+# cross-method parity
 # ----------------------------------------------------------------------
 VOLUME_CONFIGS = [
     SolveConfig(method="direct"),
@@ -136,31 +132,64 @@ def test_operator_string_is_config_shorthand(boundary):
 # ----------------------------------------------------------------------
 # engine-path equivalence (the facade must not change numerics)
 # ----------------------------------------------------------------------
-def test_direct_matches_legacy_bitwise(volume):
-    prob, b, _ = volume
-    legacy = srs_factor(prob.kernel, opts=SRSOptions()).solve(b)
-    report = solve(prob, b, SolveConfig(method="direct"))
-    assert np.array_equal(report.x, legacy)
+def engine_solve(method: str, prob, b: np.ndarray):
+    """The engine calls ``method`` wraps, spelled out at the default config.
+
+    Returns the solution array for a one-application method and the
+    Krylov result otherwise.
+    """
+    if method == "dense_lu":
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(dense_matrix(prob.kernel)), b)
+    if method in ("direct", "pcg", "pgmres"):
+        pre = srs_factor(prob.kernel, tree=prob.factor_tree, opts=SRSOptions()).solve
+    elif method == "block_jacobi":
+        pre = BlockJacobiPreconditioner(prob.kernel, leaf_size=64, tree=prob.factor_tree).solve
+    else:
+        pre = None
+    if method == "direct":
+        return pre(b)
+    if method in ("pcg", "cg") or (method == "block_jacobi" and prob.is_symmetric):
+        return cg(prob.operator(), b, preconditioner=pre, tol=1e-12, maxiter=500)
+    return gmres(prob.operator(), b, preconditioner=pre, tol=1e-12, restart=50, maxiter=500)
 
 
-def test_pcg_matches_legacy_bitwise(volume):
-    prob, b, _ = volume
-    fact = srs_factor(prob.kernel, opts=SRSOptions())
-    legacy = cg(prob.matvec, b, preconditioner=fact.solve, tol=1e-12, maxiter=500)
-    report = solve(prob, b, SolveConfig(method="pcg", tol=1e-12), factorization=fact)
-    assert np.array_equal(report.x, legacy.x)
-    assert report.iterations == legacy.iterations
-    assert report.krylov.residual_history == legacy.residual_history
+@pytest.mark.parametrize(
+    "method, fixture",
+    [
+        ("direct", "volume"),
+        ("pcg", "volume"),
+        ("cg", "volume"),
+        ("dense_lu", "volume"),
+        ("pgmres", "boundary"),
+        ("gmres", "boundary"),
+        ("block_jacobi", "volume"),
+        ("block_jacobi", "boundary"),
+    ],
+)
+def test_method_matches_engine_bitwise(method, fixture, request):
+    """Each method is bitwise its engine calls: the identity setup runs
+    Krylov unpreconditioned, and block_jacobi picks CG exactly when the
+    problem is symmetric."""
+    prob, b, _ = request.getfixturevalue(fixture)
+    ref = engine_solve(method, prob, b)
+    report = solve(prob, b, SolveConfig(method=method))
+    if isinstance(ref, np.ndarray):
+        assert report.krylov is None
+        assert np.array_equal(report.x, ref)
+    else:
+        assert np.array_equal(report.x, ref.x)
+        assert report.iterations == ref.iterations
+        assert report.krylov.residual_history == ref.residual_history
 
 
 # ----------------------------------------------------------------------
-# registry behavior
+# name validation
 # ----------------------------------------------------------------------
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown solve method 'bogus'.*direct"):
         SolveConfig(method="bogus")
     with pytest.raises(ValueError, match="unknown solve method"):
-        resolve_strategy("also-bogus")
+        validate_method("also-bogus")
 
 
 def test_unknown_execution_rejected():
@@ -183,9 +212,9 @@ def test_sequential_only_methods_reject_parallel(volume):
 
 
 def test_available_methods_lists_builtins():
-    names = available_methods()
-    for name in ("direct", "pcg", "pgmres", "dense_lu", "block_jacobi", "cg", "gmres"):
-        assert name in names
+    assert set(available_methods()) == set(METHODS) == {
+        "direct", "pcg", "pgmres", "dense_lu", "block_jacobi", "cg", "gmres"
+    }
 
 
 # ----------------------------------------------------------------------
@@ -257,27 +286,6 @@ def test_report_to_json_parallel_fields(volume):
     assert data["execution"] == "thread"
     assert data["sim_t_fact"] > 0
     assert data["messages"] > 0 and data["comm_bytes"] > 0
-
-
-def test_register_custom_strategy(volume):
-    prob, b, _ = volume
-
-    @register_strategy
-    class EchoStrategy(SolverStrategy):
-        name = "echo-test"
-
-        def setup(self, problem, config):
-            return DenseLUFactorization(problem.kernel)
-
-        def run(self, problem, b, fact, config, operator=None):
-            return StrategyResult(fact.solve(b), 0, True, None)
-
-    try:
-        report = solve(prob, b, SolveConfig(method="echo-test"))
-        assert report.method == "echo-test"
-        assert report.relres < 1e-12
-    finally:
-        del _REGISTRY["echo-test"]
 
 
 # ----------------------------------------------------------------------

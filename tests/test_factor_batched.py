@@ -162,13 +162,13 @@ def test_setup_key_incorporates_resolved_mode():
     """Strict and batched configs never share a cached factorization:
     their setup keys differ; the default config is the strict one."""
     from repro.api.config import SolveConfig
-    from repro.api.strategies import _srs_setup_key
+    from repro.api.strategies import setup_key
 
-    key_strict = _srs_setup_key(SolveConfig(factor_mode="strict"))
-    key_batched = _srs_setup_key(SolveConfig(factor_mode="batched"))
+    key_strict = setup_key(SolveConfig(factor_mode="strict"))
+    key_batched = setup_key(SolveConfig(factor_mode="batched"))
     assert key_strict != key_batched
-    assert _srs_setup_key(SolveConfig()) == key_strict
-    assert _srs_setup_key(SolveConfig(srs=SRSOptions(factor_mode="batched"))) == key_batched
+    assert setup_key(SolveConfig()) == key_strict
+    assert setup_key(SolveConfig(srs=SRSOptions(factor_mode="batched"))) == key_batched
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,11 @@ inverse).
 """
 
 import numpy as np
+import pytest
 
 from repro.api import SolveConfig, setup_fingerprint
 from repro.api.fingerprint import fingerprint_kernel, fingerprint_problem
+from repro.api.strategies import setup_key
 from repro.apps import LaplaceVolumeProblem, ScatteringProblem
 from repro.bie import Circle, InteriorDirichletProblem, StarCurve
 from repro.core import SRSOptions
@@ -143,6 +145,39 @@ def test_non_srs_methods_have_distinct_families():
     assert setup_fingerprint(SolveConfig(method="block_jacobi")) != setup_fingerprint(
         SolveConfig(method="direct")
     )
+
+
+_DEFAULT_SRS_KEY = (
+    ("tol", 1e-06),
+    ("leaf_size", 64),
+    ("proxy_radius_factor", 2.5),
+    ("n_proxy", 64),
+    ("proxy_oversampling", 3.0),
+    ("factor_mode", "strict"),
+    ("check_locality", False),
+)
+
+
+_PINNED_KEYS = [
+    ("direct", "sequential", ("srs", "sequential", None, _DEFAULT_SRS_KEY)),
+    ("pcg", "sequential", ("srs", "sequential", None, _DEFAULT_SRS_KEY)),
+    ("pgmres", "sequential", ("srs", "sequential", None, _DEFAULT_SRS_KEY)),
+    ("pcg", "thread", ("srs", "thread", 4, _DEFAULT_SRS_KEY)),
+    ("cg", "sequential", ("identity",)),
+    ("gmres", "sequential", ("identity",)),
+    ("dense_lu", "sequential", ("dense_lu",)),
+    ("block_jacobi", "sequential", ("block_jacobi", 64)),
+]
+
+
+@pytest.mark.parametrize(
+    "method, execution, key", _PINNED_KEYS, ids=[f"{m}-{e}" for m, e, _ in _PINNED_KEYS]
+)
+def test_setup_key_is_pinned(method, execution, key):
+    """Setup keys are literal tuples that must never drift: the store
+    names spill files by a hash of ``repr`` of the key, so a changed key
+    orphans every spill file written before the change."""
+    assert setup_key(SolveConfig(method=method, execution=execution)) == key
 
 
 def test_bare_protocol_problem_falls_back():

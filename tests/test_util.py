@@ -48,7 +48,7 @@ def test_vmpi_backend_config(monkeypatch):
 
 
 def test_obs_config(monkeypatch):
-    from repro.util.config import obs_enabled, obs_trace_path
+    from repro.util.config import obs_dir, obs_enabled
 
     monkeypatch.delenv("REPRO_OBS", raising=False)
     assert obs_enabled() is False
@@ -57,12 +57,12 @@ def test_obs_config(monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "off")
     assert obs_enabled() is False
 
-    monkeypatch.delenv("REPRO_OBS_TRACE_PATH", raising=False)
-    assert obs_trace_path() is None
-    monkeypatch.setenv("REPRO_OBS_TRACE_PATH", "  ")
-    assert obs_trace_path() is None
-    monkeypatch.setenv("REPRO_OBS_TRACE_PATH", "/tmp/trace.json")
-    assert obs_trace_path() == "/tmp/trace.json"
+    monkeypatch.delenv("REPRO_OBS_DIR", raising=False)
+    assert obs_dir() is None
+    monkeypatch.setenv("REPRO_OBS_DIR", "  ")
+    assert obs_dir() is None
+    monkeypatch.setenv("REPRO_OBS_DIR", "/tmp/obs")
+    assert obs_dir() == "/tmp/obs"
 
 
 def test_vmpi_start_method_config(monkeypatch):
