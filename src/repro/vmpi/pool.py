@@ -30,7 +30,8 @@ Protocol per dispatch (one *job*):
    dataclasses travel zero-copy, one segment per rank; a solve's slice
    of the solution rides the blob), and pre-pickle
    the outcome — so an unpicklable result is reported as that rank's
-   failure instead of dying silently in a queue feeder thread.
+   failure instead of killing the worker on its way to the results
+   mailbox.
 4. The parent collects one outcome per rank, unpacks the results, and
    sweeps the registry: with all workers idle, any registered segment
    that still has a name — the dispatch segment, or an orphan — is
@@ -43,11 +44,13 @@ messages are epoch-guarded). If ranks are missing — stuck in a receive
 that can never complete, or dead — the pool is torn down hard
 (terminate + drain + registry sweep) and the caller gets the error;
 the next dispatch transparently starts a fresh pool. The registry pipe
-is the backstop of that teardown: a terminated rank whose queue-feeder
-thread still buffered messages nobody will ever attach has already
-written their segment names to it, so the parent unlinks them once all
-ranks are gone (on Python 3.13+, where segments are untracked, such
-orphans would otherwise persist in /dev/shm until reboot).
+is the backstop of that teardown: a rank's messages to a full mailbox
+wait in that rank's backlog (:class:`~repro.vmpi.process_backend.Mailbox`),
+so a terminated rank can take frames nobody will ever attach with it —
+but it wrote their segment names to the registry before it copied the
+arrays, so the parent unlinks them once all ranks are gone (on Python
+3.13+, where segments are untracked, such orphans would otherwise
+persist in /dev/shm until reboot).
 
 Pools are cached process-wide, one per ``(nranks, start_method)``
 shape, for the life of the interpreter: a shape's pool
@@ -71,6 +74,7 @@ from repro.vmpi.backend import RankReport, SPMDRun, report_from_comm
 from repro.vmpi.clock import CostModel
 from repro.vmpi.comm import Comm
 from repro.vmpi.process_backend import (
+    Mailbox,
     ProcessTransport,
     _drain_mailbox,
     pack,
@@ -172,11 +176,11 @@ def _unlink_registered(names: set) -> None:
 def _teardown_procs(procs: list, mailboxes: list, results_q, registry, registered: set) -> None:
     """Join/terminate rank processes and reclaim every transport resource.
 
-    Pre-drain mailboxes (unblocks child queue feeders + frees shm), give
-    ranks a short grace to exit, terminate survivors (stuck ranks must
-    not wait out receive timeouts), drain + close every queue, then
-    sweep the registry so blocks stranded in killed feeders or
-    never-drained pipes are unlinked.
+    Pre-drain mailboxes (lets the ranks' writer threads finish their
+    backlogs + frees shm), give ranks a short grace to exit, terminate
+    survivors (stuck ranks must not wait out receive timeouts), drain +
+    close every mailbox, then sweep the registry so blocks stranded in
+    a killed rank's backlog or in never-drained pipes are unlinked.
     """
     for q in mailboxes:
         _drain_mailbox(q)
@@ -189,9 +193,9 @@ def _teardown_procs(procs: list, mailboxes: list, results_q, registry, registere
         if pr.is_alive():
             pr.join(timeout=10.0)
     for q in [*mailboxes, results_q]:
+        q.stop_waiting()
         _drain_mailbox(q)
         q.close()
-        q.join_thread()
     _drain_registry(registry, registered)
     _unlink_registered(registered)
     registry.close()
@@ -332,9 +336,9 @@ class RankPool:
 
         _ensure_resource_tracker()
         ctx = multiprocessing.get_context(self.start_method)
-        self._mailboxes = [ctx.Queue() for _ in range(self.nranks)]
+        self._mailboxes = [Mailbox(ctx) for _ in range(self.nranks)]
         self._cmd_qs = [ctx.SimpleQueue() for _ in range(self.nranks)]
-        self._results_q = ctx.Queue()
+        self._results_q = Mailbox(ctx)
         # feeder-less pipe: shm names written by a rank survive its death
         self._registry_q = ctx.SimpleQueue()
         self._registered = set()

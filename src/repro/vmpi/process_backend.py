@@ -4,8 +4,11 @@ Every rank is an OS process, so rank compute runs truly in parallel
 (no GIL). The processes themselves — how they start, take jobs, die and
 get cleaned up after — are the business of :mod:`repro.vmpi.pool`
 alone; this module is what travels between them. Messages go through
-per-rank ``multiprocessing`` queues as a :class:`Packed`: a pickle
-protocol-5 stream plus the message's arrays. The rule is per message.
+per-rank :class:`Mailbox` pipes as a :class:`Packed`: a pickle
+protocol-5 stream plus the message's arrays. A sender writes the frame
+into the receiver's pipe itself when the pipe has room for it, and
+hands it to a writer thread of its own otherwise, so a send never
+blocks. The rule for the arrays is per message.
 A message whose arrays total at least :data:`SEGMENT_MIN_BYTES` is
 *bulk*: :func:`pack` lays all of them at aligned offsets into **one**
 ``multiprocessing.shared_memory`` segment, the sender paying one
@@ -36,12 +39,20 @@ post-job sweep, the store's last live holder.
 
 from __future__ import annotations
 
+import collections
+import math
+import mmap
 import multiprocessing
+import os
 import pickle
 import queue
+import select
 import sys
+import threading
 import time
 import weakref
+from multiprocessing.context import assert_spawning
+from multiprocessing.util import register_after_fork
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -51,6 +62,12 @@ from repro.util.config import vmpi_start_method
 from repro.vmpi.backend import ExecutionBackend, SPMDRun
 from repro.vmpi.clock import CostModel
 from repro.vmpi.transport import Message
+
+try:
+    import fcntl
+    import termios
+except ImportError:  # pragma: no cover - not a POSIX platform
+    fcntl = termios = None  # type: ignore[assignment]
 
 _SHM_BYTES = REGISTRY.counter(
     "repro_vmpi_shm_bytes_total",
@@ -299,12 +316,164 @@ def release_segment(name: str | None) -> None:
     shm.close()
 
 
-def _drain_mailbox(q) -> None:
+# ----------------------------------------------------------------------
+# the mailbox: a pipe without a feeder thread
+# ----------------------------------------------------------------------
+#: the capacity a mailbox asks its pipe for (the unprivileged ceiling of
+#: a stock Linux kernel), so a message just under SEGMENT_MIN_BYTES fits
+_PIPE_BYTES = 1 << 20
+
+_PAGE = mmap.PAGESIZE
+
+
+def _pipe_capacity(fd: int) -> int | None:
+    """Raise the pipe's capacity to :data:`_PIPE_BYTES` where the kernel
+    allows it; the capacity it has, or ``None`` where it cannot be read."""
+    if fcntl is None or not hasattr(fcntl, "F_GETPIPE_SZ"):
+        return None
+    try:
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except OSError:  # over the per-user pipe allowance: keep the default
+        pass
+    try:
+        return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+    except OSError:  # pragma: no cover - platform-dependent
+        return None
+
+
+class Mailbox:
+    """A many-writer, one-reader queue of objects across processes,
+    without a feeder thread.
+
+    :meth:`put` pickles in the caller and, when this process has nothing
+    queued for the mailbox and the pipe has room for the frame, writes
+    the frame into the pipe itself: a message costs one write and one
+    read, with no thread hand-off on either side. Otherwise the frame
+    joins this process's backlog, which one daemon writer thread
+    (started on first need, then kept) drains in order with blocking
+    writes. Either way ``put`` never blocks — a rank that sends more
+    than the pipe holds before receiving anything cannot deadlock — and
+    never reorders: a frame is written inline only when the backlog is
+    empty, and the thread pops a frame only once it is written. Where
+    the pipe's room cannot be read every frame takes the backlog.
+
+    The pipe and its two cross-process locks travel to the ranks; the
+    backlog and the thread belong to one process and are not pickled.
+    """
+
+    def __init__(self, ctx):
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._rlock = ctx.Lock()
+        self._wlock = ctx.Lock()
+        self._capacity = _pipe_capacity(self._writer.fileno())
+        self._reset()
+        register_after_fork(self, Mailbox._reset)
+
+    def __getstate__(self):
+        assert_spawning(self)
+        return self._reader, self._writer, self._rlock, self._wlock, self._capacity
+
+    def __setstate__(self, state) -> None:
+        self._reader, self._writer, self._rlock, self._wlock, self._capacity = state
+        self._reset()
+
+    def _reset(self) -> None:
+        self._backlog: collections.deque = collections.deque()
+        self._ready = threading.Condition(threading.Lock())
+        self._thread: threading.Thread | None = None
+        # one poll object per process: cheaper per wait than Connection.poll
+        self._readable = select.poll() if hasattr(select, "poll") else None
+        if self._readable is not None:
+            self._readable.register(self._reader, select.POLLIN)
+
+    def _room(self, nbytes: int) -> bool:
+        """Writing an ``nbytes`` frame now cannot block.
+
+        Room is not capacity minus unread bytes: the kernel holds a pipe
+        in page-sized slots and starts a write's whole pages in a fresh
+        slot, so unread bytes may take up to twice their size in slots
+        (any two neighbouring slots but the one being read hold at least
+        a page between them), and the frame takes its size plus at most
+        two part-filled slots (the length header, the tail).
+        """
+        if self._capacity is None:
+            return False
+        try:
+            unread = fcntl.ioctl(self._writer.fileno(), termios.FIONREAD, bytes(4))
+        except OSError:  # pragma: no cover - platform-dependent
+            return False
+        return nbytes + 2 * int.from_bytes(unread, sys.byteorder) + 4 * _PAGE <= self._capacity
+
+    def put(self, obj: Any) -> None:
+        """Queue ``obj`` for the reader; returns without waiting for it."""
+        frame = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        with self._ready:
+            if not self._backlog and self._wlock.acquire(False):
+                try:
+                    if self._room(len(frame)):
+                        self._writer.send_bytes(frame)
+                        return
+                finally:
+                    self._wlock.release()
+            self._backlog.append(frame)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._write_backlog, name="vmpi-mailbox-writer", daemon=True
+                )
+                self._thread.start()
+            self._ready.notify()
+
+    def _write_backlog(self) -> None:
+        while True:
+            with self._ready:
+                while not self._backlog:
+                    self._ready.wait()
+                frame = self._backlog[0]
+            try:
+                with self._wlock:
+                    self._writer.send_bytes(frame)
+            except (OSError, ValueError):  # the pipe closed: nothing more is delivered
+                return
+            with self._ready:
+                self._backlog.popleft()
+
+    def get(self, timeout: float) -> Any:
+        """The next object, waiting at most ``timeout`` seconds for it;
+        :class:`queue.Empty` when none arrived."""
+        deadline = time.monotonic() + timeout
+        if not self._rlock.acquire(True, timeout):
+            raise queue.Empty
+        try:
+            wait = max(deadline - time.monotonic(), 0.0)
+            if self._readable is None:
+                ready = self._reader.poll(wait)
+            else:
+                ready = self._readable.poll(math.ceil(wait * 1000))
+            if not ready:
+                raise queue.Empty
+            frame = self._reader.recv_bytes()
+        finally:
+            self._rlock.release()
+        return pickle.loads(frame)
+
+    def stop_waiting(self) -> None:
+        """Make every later read fail instead of wait: once the writers
+        are gone, a frame a killed one left half-written must end a
+        drain, not hang it."""
+        os.set_blocking(self._reader.fileno(), False)
+
+    def close(self) -> None:
+        """Close this process's ends of the pipe."""
+        self._reader.close()
+        self._writer.close()
+
+
+def _drain_mailbox(box: Mailbox) -> None:
     """Throw away queued messages, unlinking their segments."""
     while True:
         try:
-            item = q.get_nowait()
-        except (queue.Empty, OSError, ValueError):
+            item = box.get(0.0)
+        except (queue.Empty, OSError, ValueError, EOFError):
             return
         # (epoch, Packed) is the mailbox wire format; result-queue items
         # are left to the registry sweep
@@ -316,16 +485,17 @@ def _drain_mailbox(q) -> None:
 # transport + backend
 # ----------------------------------------------------------------------
 class ProcessTransport:
-    """Per-rank ``multiprocessing`` queues carrying :class:`Packed` messages.
+    """One :class:`Mailbox` per rank, carrying :class:`Packed` messages.
 
     Process isolation makes deep-copying payloads on ``put`` redundant,
     hence ``needs_copy = False`` (:class:`~repro.vmpi.comm.Comm` skips
     ``sanitize``). Buffered-send semantics still require snapshotting
     the payload *at put time*: :func:`pack` pickles the message and
     copies its arrays — into the message's segment when it is bulk,
-    into its ``inline`` bytes otherwise — synchronously, rather than
-    lazily in the queue's feeder thread, so a sender mutating an array
-    after ``send`` never leaks the mutation to the receiver.
+    into its ``inline`` bytes otherwise — and the mailbox pickles the
+    frame, all in the sending thread, so a sender mutating an array
+    after ``send`` never leaks the mutation to the receiver, whether
+    the frame is written at once or waits in the sender's backlog.
 
     ``epoch`` stamps every message on the wire. Long-lived pool workers
     bump it per dispatched job, so a message stranded by one SPMD

@@ -8,6 +8,8 @@ results and equal message/byte counters — only the physics of delivery
 import multiprocessing
 import os
 import pickle
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -532,14 +534,98 @@ def _mutate_after_send_prog(comm):
 def test_send_snapshots_payload_at_put_time():
     """Buffered-send semantics: the receiver sees the payload as it was
     at ``send`` time on both transport channels (shm copies happen
-    synchronously; the pickle channel must not serialize lazily in the
-    queue feeder thread)."""
+    synchronously; the mailbox pickles the frame in the sending thread,
+    also when the frame waits in the sender's backlog)."""
     for backend in ("thread", "process"):
         run = run_spmd(2, _mutate_after_send_prog, backend=backend)
         assert run.results[1] == (
             float(np.arange(_INLINE).sum()),
             float(np.arange(_BULK).sum()),
         ), backend
+
+
+#: float64 counts of the stress test's two message sizes, both inline
+_STRESS_LARGE = 200_000 // 8
+_STRESS_SMALL = 16_000 // 8
+
+
+def _stress_message(rank: int, k: int, n: int) -> np.ndarray:
+    return np.arange(n, dtype=np.float64) + 1e6 * k + 1e9 * rank
+
+
+def _send_stream(comm, peer: int) -> None:
+    for k in range(8):
+        comm.send(_stress_message(comm.rank, k, _STRESS_LARGE), peer, tag=1)
+    for k in range(300):
+        comm.send(_stress_message(comm.rank, k, _STRESS_SMALL), peer, tag=2)
+
+
+def _recv_stream(comm, peer: int) -> tuple:
+    large = [comm.recv(peer, tag=1) for _ in range(8)]
+    small = [comm.recv(peer, tag=2) for _ in range(300)]
+    return np.concatenate(large), np.concatenate(small)
+
+
+def _send_all_before_receiving_prog(comm):
+    # ranks 0 and 1 each send the other ~6.4 MB, more than any pipe
+    # holds, before receiving anything: a blocking send deadlocks here.
+    # Rank 2 sends rank 3 the same while rank 3 receives, so later
+    # frames meet a backlog while the pipe drains: an inline write
+    # overtaking the backlog reorders here
+    if comm.rank == 2:
+        _send_stream(comm, 3)
+        return None
+    if comm.rank == 3:
+        return _recv_stream(comm, 2)
+    _send_stream(comm, 1 - comm.rank)
+    return _recv_stream(comm, 1 - comm.rank)
+
+
+@needs_process
+def test_buffered_sends_beyond_pipe_capacity_never_block():
+    """A send never blocks and never reorders, however much the sender
+    has queued: every message arrives, each (source, tag) in send
+    order, and both backends deliver the same bits."""
+    runs = {
+        backend: run_spmd(4, _send_all_before_receiving_prog, backend=backend, timeout=60)
+        for backend in ("thread", "process")
+    }
+    for rank, peer in ((0, 1), (1, 0), (3, 2)):
+        large, small = runs["process"].results[rank]
+        np.testing.assert_array_equal(
+            large, np.concatenate([_stress_message(peer, k, _STRESS_LARGE) for k in range(8)])
+        )
+        np.testing.assert_array_equal(
+            small, np.concatenate([_stress_message(peer, k, _STRESS_SMALL) for k in range(300)])
+        )
+        for got, want in zip(runs["process"].results[rank], runs["thread"].results[rank]):
+            assert got.tobytes() == want.tobytes()
+    assert runs["process"].results[2] is None
+
+
+def _threads_after_sends_prog(comm):
+    before = threading.active_count()
+    for k in range(50):
+        comm.send(np.full(8, float(k)), (comm.rank + 1) % comm.size, tag=5)
+    after = threading.active_count()
+    got = [comm.recv((comm.rank - 1) % comm.size, tag=5) for _ in range(50)]
+    return after - before, [float(a[0]) for a in got]
+
+
+@needs_process
+@pytest.mark.skipif(sys.platform != "linux", reason="the pipe's room is read through Linux fcntl")
+def test_small_sends_start_no_thread():
+    """A send that fits the receiver's pipe is written by the sending
+    thread itself: fresh rank processes sending 50 small messages each
+    start no writer thread."""
+    from repro.vmpi.pool import RankPool
+
+    pool = RankPool(4, ProcessBackend().start_method)
+    try:
+        run = pool.run(_threads_after_sends_prog, (), timeout=60)
+    finally:
+        pool.shutdown()
+    assert run.results == [(0, [float(k) for k in range(50)])] * 4
 
 
 def _boom_prog(comm):
