@@ -40,13 +40,11 @@ post-job sweep, the store's last live holder.
 from __future__ import annotations
 
 import collections
-import math
 import mmap
 import multiprocessing
 import os
 import pickle
 import queue
-import select
 import sys
 import threading
 import time
@@ -319,9 +317,14 @@ def release_segment(name: str | None) -> None:
 # ----------------------------------------------------------------------
 # the mailbox: a pipe without a feeder thread
 # ----------------------------------------------------------------------
-#: the capacity a mailbox asks its pipe for (the unprivileged ceiling of
-#: a stock Linux kernel), so a message just under SEGMENT_MIN_BYTES fits
-_PIPE_BYTES = 1 << 20
+#: the capacity a mailbox asks its pipe for: room for a frame just under
+#: SEGMENT_MIN_BYTES behind up to 120 KiB of unread ones (``Mailbox._room``).
+#: Linux charges these pages to the user's ``pipe-user-pages-soft``
+#: allowance (64 MiB by default) for as long as a cached pool lives, so
+#: this is no larger than the room test needs: a pool has p + 1
+#: mailboxes, and 64 mailboxes take 32 MiB. Past the allowance the kernel
+#: keeps the default capacity and frames that do not fit take the backlog.
+_PIPE_BYTES = 512 * 1024
 
 _PAGE = mmap.PAGESIZE
 
@@ -381,10 +384,6 @@ class Mailbox:
         self._backlog: collections.deque = collections.deque()
         self._ready = threading.Condition(threading.Lock())
         self._thread: threading.Thread | None = None
-        # one poll object per process: cheaper per wait than Connection.poll
-        self._readable = select.poll() if hasattr(select, "poll") else None
-        if self._readable is not None:
-            self._readable.register(self._reader, select.POLLIN)
 
     def _room(self, nbytes: int) -> bool:
         """Writing an ``nbytes`` frame now cannot block.
@@ -444,12 +443,7 @@ class Mailbox:
         if not self._rlock.acquire(True, timeout):
             raise queue.Empty
         try:
-            wait = max(deadline - time.monotonic(), 0.0)
-            if self._readable is None:
-                ready = self._reader.poll(wait)
-            else:
-                ready = self._readable.poll(math.ceil(wait * 1000))
-            if not ready:
+            if not self._reader.poll(max(deadline - time.monotonic(), 0.0)):
                 raise queue.Empty
             frame = self._reader.recv_bytes()
         finally:
@@ -459,8 +453,12 @@ class Mailbox:
     def stop_waiting(self) -> None:
         """Make every later read fail instead of wait: once the writers
         are gone, a frame a killed one left half-written must end a
-        drain, not hang it."""
-        os.set_blocking(self._reader.fileno(), False)
+        drain, not hang it. A no-op where the pipe end is no file
+        descriptor (Windows)."""
+        try:
+            os.set_blocking(self._reader.fileno(), False)
+        except (AttributeError, OSError):  # pragma: no cover - not POSIX
+            pass
 
     def close(self) -> None:
         """Close this process's ends of the pipe."""

