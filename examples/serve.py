@@ -18,8 +18,8 @@ The workload mimics a serving mix: ``--problems`` distinct operators
 (grid sizes m, m+4, ...), ``--threads`` concurrent clients, and
 ``--requests`` total solves with rotating right-hand-side seeds — so
 the factorization cache, the single-flight lock, and the rhs batcher
-all see real concurrency. Tune the service with the ``REPRO_SERVICE_*``
-environment knobs (cache bytes, batch window/size, workers).
+all see real concurrency. Tune the service's cache bytes and batch
+window with the ``REPRO_SERVICE_*`` environment knobs.
 
 **Warm restarts.** Point ``--store`` (or ``REPRO_STORE_DIR``) at a
 directory and factorizations outlive the process: entries are published

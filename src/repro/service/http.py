@@ -47,7 +47,7 @@ Every response carries an ``X-Request-Id`` header (client-supplied
 ``bad_json`` / ``unknown_field`` / ``bad_field`` / ``not_found`` /
 ``overloaded`` / ``solver_error`` / ``internal``, plus a ``field`` key
 when a specific body field is at fault. ``overloaded`` arrives with
-status 429 when admission control (``REPRO_SERVICE_MAX_PENDING``)
+status 429 when admission control (``ServiceConfig.max_pending``)
 refuses the request; back off and retry.
 
 Problem specs are built through a registry (:data:`PROBLEM_TYPES`) and

@@ -43,11 +43,8 @@ from repro.service.stats import ServiceStats, StatsCollector
 from repro.store import FactorizationStore
 from repro.util.config import (
     obs_watchdog_s,
-    service_batch_max,
     service_batch_window_s,
     service_cache_bytes,
-    service_max_pending,
-    service_workers,
     store_dir,
 )
 
@@ -58,7 +55,8 @@ class ServiceOverloadedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Serving knobs; defaults come from the ``REPRO_SERVICE_*`` env.
+    """Serving knobs; ``cache_bytes`` and ``batch_window`` default from
+    the ``REPRO_SERVICE_*`` env and ``store_dir`` from ``REPRO_STORE_DIR``.
 
     Attributes
     ----------
@@ -71,14 +69,13 @@ class ServiceConfig:
         solo solve's bits; 0 disables coalescing, and every solve then
         has a solo solve's bits.
     batch_max:
-        Occupancy at which a batch dispatches early
-        (``REPRO_SERVICE_BATCH_MAX``).
+        Occupancy at which a batch dispatches early (default 32).
     workers:
-        Solver threads (``REPRO_SERVICE_WORKERS``).
+        Solver threads (default 8).
     max_pending:
-        Admission-control bound on requests in flight
-        (``REPRO_SERVICE_MAX_PENDING``; 0 disables). Submissions past
-        the bound raise :class:`ServiceOverloadedError` (HTTP 429).
+        Admission-control bound on requests in flight (default 1024;
+        0 disables). Submissions past the bound raise
+        :class:`ServiceOverloadedError` (HTTP 429).
     store_dir:
         Root of the resident store's shared/disk tiers
         (``REPRO_STORE_DIR``; ``None`` leaves them off).
@@ -86,9 +83,9 @@ class ServiceConfig:
 
     cache_bytes: int = field(default_factory=service_cache_bytes)
     batch_window: float = field(default_factory=service_batch_window_s)
-    batch_max: int = field(default_factory=service_batch_max)
-    workers: int = field(default_factory=service_workers)
-    max_pending: int = field(default_factory=service_max_pending)
+    batch_max: int = 32
+    workers: int = 8
+    max_pending: int = 1024
     store_dir: str | None = field(default_factory=store_dir)
 
     def __post_init__(self) -> None:

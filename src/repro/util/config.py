@@ -114,39 +114,6 @@ def service_batch_window_s() -> float:
     return ms / 1e3
 
 
-def service_batch_max() -> int:
-    """Most right-hand sides coalesced into one block solve
-    (``REPRO_SERVICE_BATCH_MAX``, default 32); a full batch dispatches
-    immediately without waiting out the window."""
-    n = env_int("REPRO_SERVICE_BATCH_MAX", 32)
-    if n < 1:
-        raise ValueError(f"REPRO_SERVICE_BATCH_MAX must be >= 1, got {n}")
-    return n
-
-
-def service_workers() -> int:
-    """Solver threads of a :class:`~repro.service.SolveService`
-    (``REPRO_SERVICE_WORKERS``, default 8). Requests beyond this
-    concurrency queue; threads blocked on an in-flight factorization
-    (single-flight) or parked as batch joiners free up quickly."""
-    n = env_int("REPRO_SERVICE_WORKERS", 8)
-    if n < 1:
-        raise ValueError(f"REPRO_SERVICE_WORKERS must be >= 1, got {n}")
-    return n
-
-
-def service_max_pending() -> int:
-    """Admission-control bound on queued requests
-    (``REPRO_SERVICE_MAX_PENDING``, default 1024; 0 disables). A
-    ``submit`` arriving while this many requests are already pending
-    is rejected with ``ServiceOverloadedError`` (HTTP 429) instead of
-    queuing unbounded work behind a slow cold path."""
-    n = env_int("REPRO_SERVICE_MAX_PENDING", 1024)
-    if n < 0:
-        raise ValueError(f"REPRO_SERVICE_MAX_PENDING must be >= 0, got {n}")
-    return n
-
-
 # ----------------------------------------------------------------------
 # resident factorization store (repro.store) knobs
 # ----------------------------------------------------------------------

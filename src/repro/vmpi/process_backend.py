@@ -552,7 +552,7 @@ def process_backend_available() -> bool:
     # context for it always exists — only shm allocation needs probing
     if _AVAILABLE is None:
         try:
-            shm = _create_shm(16)  # repro: allow(shm-lifecycle) -- availability probe: the block is unlinked on the next line, before any payload protocol begins
+            shm = _create_shm(16)
             shm.unlink()
             shm.close()
             _AVAILABLE = True

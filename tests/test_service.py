@@ -278,8 +278,10 @@ def test_failed_apply_fails_exactly_its_batch():
 
 def test_contention_ends_after_two_lone_batches():
     fact = _GatedFact()
-    # nobody else submits: each wait below closes with one item
-    batcher = RhsBatcher(1e-3, 2)
+    # the window outlasts a thread start, so the pair below always meets
+    # (a full batch dispatches without waiting it out); after the pair
+    # nobody else submits, so each wait closes with one item
+    batcher = RhsBatcher(0.1, 2)
     first = _submit(batcher, "k", fact, np.zeros(4))
     _executing(fact)
     pair = [_submit(batcher, "k", fact, np.zeros(4)) for _ in range(2)]
@@ -573,13 +575,10 @@ def test_stats_snapshot_sanity(prob):
 def test_service_config_env_defaults(monkeypatch):
     monkeypatch.setenv("REPRO_SERVICE_CACHE_BYTES", "12345")
     monkeypatch.setenv("REPRO_SERVICE_BATCH_WINDOW_MS", "7.5")
-    monkeypatch.setenv("REPRO_SERVICE_BATCH_MAX", "9")
-    monkeypatch.setenv("REPRO_SERVICE_WORKERS", "3")
     cfg = ServiceConfig()
     assert cfg.cache_bytes == 12345
     assert cfg.batch_window == pytest.approx(0.0075)
-    assert cfg.batch_max == 9
-    assert cfg.workers == 3
+    assert (cfg.batch_max, cfg.workers, cfg.max_pending) == (32, 8, 1024)
 
 
 def test_service_config_validation():
@@ -587,6 +586,8 @@ def test_service_config_validation():
         ServiceConfig(workers=0)
     with pytest.raises(ValueError, match="batch_max"):
         ServiceConfig(batch_max=0)
+    with pytest.raises(ValueError, match="max_pending"):
+        ServiceConfig(max_pending=-1)
 
 
 def test_concurrent_distinct_problems(prob):
