@@ -1,6 +1,6 @@
 """Observability: span tracing, typed metrics, structured request logs.
 
-Three surfaces over one instrumentation layer:
+Five surfaces over one instrumentation layer:
 
 * ``trace`` — the process-wide :class:`~repro.obs.tracer.Tracer`.
   ``with trace.span("factor.level", level=3): ...`` records nested
@@ -20,9 +20,6 @@ Three surfaces over one instrumentation layer:
 * ``health`` — the :class:`~repro.obs.health.HealthMonitor` of
   numerical solver-health aggregates (skeleton ranks, compression
   ratios, Krylov outcomes).
-* ``watchdog`` — the opt-in :class:`~repro.obs.watchdog.ResourceWatchdog`
-  publishing RSS, tracked /dev/shm bytes, pool liveness, and store
-  residency as gauges (``REPRO_OBS_WATCHDOG_MS``).
 
 Plus one guardrail: ``make_lock`` — the project's lock factory. Plain
 ``threading`` locks by default; under ``REPRO_OBS=on`` they become
@@ -54,17 +51,14 @@ from repro.obs.tracer import Span, Tracer, chrome_trace, trace
 from repro.obs.logs import enable_stderr_logs, log_event
 from repro.obs.profiler import SamplingProfiler, profile
 from repro.obs.health import HealthMonitor, HealthReport, health, solve_health
-from repro.obs.watchdog import ResourceWatchdog, watchdog
 
 __all__ = [
     "HealthMonitor",
     "HealthReport",
-    "ResourceWatchdog",
     "SamplingProfiler",
     "health",
     "profile",
     "solve_health",
-    "watchdog",
     "BYTES_BUCKETS",
     "COUNT_BUCKETS",
     "LATENCY_BUCKETS",

@@ -1,4 +1,4 @@
-"""Runtime lock-order watchdog behind the ``REPRO_OBS`` flag.
+"""Runtime lock-order checker behind the ``REPRO_OBS`` flag.
 
 The project's one lock-order guard: it observes the orders that
 *actually happen*, across every call path, instead of the ones a
@@ -23,7 +23,7 @@ create their locks at construction, so toggling ``REPRO_OBS`` later
 changes new objects only — exactly the tracer's semantics.
 
 Lock names follow the span grammar (``vmpi.pool``, ``service.cache``)
-so watchdog warnings join against trace output.
+so lock-order warnings join against trace output.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def make_lock(name: str, *, reentrant: bool = False) -> Any:
     """The project's lock factory: plain lock, or watched under REPRO_OBS.
 
     ``name`` follows the span grammar (``vmpi.pool.registry``) and is
-    the node label in watchdog warnings.
+    the node label in lock-order warnings.
     """
     if obs_enabled():
         return WatchedLock(name, reentrant=reentrant)

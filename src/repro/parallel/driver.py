@@ -34,8 +34,9 @@ from repro.store.resident import (
     resident_supported,
 )
 from repro.tree.quadtree import QuadTree
+from repro.vmpi.backend import SPMDRun, resolve_backend
 from repro.vmpi.clock import CostModel
-from repro.vmpi.launcher import SPMDRun, resolve_backend, run_spmd
+from repro.vmpi.launcher import run_spmd
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 One self-refreshing page over the service's observability surface:
 request counters and cache/batcher stats, the solver-health rollup
-(per-level skeleton ranks, Krylov convergence), the resource watchdog's
-latest sample, the recent-request ring with each request's queue /
-setup / solve seconds, and the sampling profiler's status with
-download links for its speedscope/folded exports.
+(per-level skeleton ranks, Krylov convergence), the process's resources
+(RSS, rank-pool liveness, store-tier bytes — read afresh on every
+render), the recent-request ring with each request's queue / setup /
+solve seconds, and the sampling profiler's status with download links
+for its speedscope/folded exports.
 
 The markup is strict XHTML — every element closed, every dynamic value
 escaped, no DOCTYPE, no script — so smoke tests validate it with
@@ -16,9 +17,11 @@ renders it (plus auto-refreshes via the ``meta`` tag).
 from __future__ import annotations
 
 import html
+import os
 from typing import Any, Iterable, Sequence
 
-from repro.obs import profile, trace, watchdog
+from repro.obs import profile, trace
+from repro.vmpi.pool import pools_health
 
 #: seconds between browser auto-refreshes of the dashboard
 REFRESH_S = 3
@@ -103,30 +106,34 @@ def _health_section(health_snap: dict[str, Any] | None) -> str:
     )
 
 
-def _watchdog_section() -> str:
-    last = watchdog.last()
-    if not last:
-        state = "running, no sample yet" if watchdog.running else "not running"
-        return (
-            "<h2>Resource watchdog</h2>"
-            f'<p class="empty" id="watchdog">{_esc(state)}'
-            " (enable with REPRO_OBS_WATCHDOG_MS)</p>"
+def _rss_bytes() -> int:
+    """Resident set size of this process (0 where /proc is absent)."""
+    try:
+        with open("/proc/self/statm", "rb") as fh:
+            pages = int(fh.read().split()[1])
+    except (OSError, IndexError, ValueError):  # pragma: no cover - non-Linux
+        return 0
+    return pages * os.sysconf("SC_PAGE_SIZE")
+
+
+def _resources_section(service: Any) -> str:
+    pools = pools_health()
+    keys = list(pools[0]) if pools else []
+    out = (
+        "<h2>Resources</h2>"
+        + _kv_table("resources", {"rss_bytes": _rss_bytes()})
+        + _table(
+            "resources-pools",
+            keys,
+            [[p.get(k) for k in keys] for p in pools],
+            empty="no rank pool started",
         )
-    pools = last.pop("pools", [])
-    store_bytes = last.pop("store_bytes", {})
-    leaked = last.pop("leaked", [])
-    last["leaked"] = ", ".join(leaked) if leaked else "none"
-    out = "<h2>Resource watchdog</h2>" + _kv_table("watchdog", last)
-    if store_bytes:
+    )
+    if service.store is not None:
         out += _table(
-            "watchdog-residency",
+            "resources-store",
             ("tier", "bytes"),
-            sorted(store_bytes.items()),
-        )
-    if pools:
-        keys = list(pools[0])
-        out += _table(
-            "watchdog-pools", keys, [[p.get(k) for k in keys] for p in pools]
+            sorted(service.store.residency().items()),
         )
     return out
 
@@ -195,7 +202,7 @@ def render_debug(service: Any) -> str:
         ' | <a href="/healthz">/healthz</a></p>'
         + _stats_section(stats)
         + _health_section(health_snap)
-        + _watchdog_section()
+        + _resources_section(service)
         + _requests_section(service.recent_requests())
         + _profiler_section()
         + _tracer_section()

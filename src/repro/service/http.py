@@ -34,8 +34,9 @@ Routes
     ``{"ok": true}`` — liveness probe.
 ``GET /debug``
     Live observability dashboard (strict-XHTML, auto-refreshing):
-    service stats, solver health, watchdog readings, recent requests,
-    profiler status. See :mod:`repro.service.debug`.
+    service stats, solver health, resources (RSS, rank pools, store
+    tiers, read per request), recent requests, profiler status. See
+    :mod:`repro.service.debug`.
 ``GET /debug/profile?format=speedscope|folded``
     The process profiler's current sample table as speedscope JSON or
     folded-stack text (empty until ``REPRO_OBS_PROFILE_HZ`` or a manual
@@ -377,8 +378,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._reply_error(404, f"unknown path {self.path}", "not_found", request_id)
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = _parse_body(self.rfile.read(length))
+            length = self.headers.get("Content-Length", "0").strip()
+            if not (length.isascii() and length.isdigit()):
+                # where the body ends is unknown: reply, then hang up
+                self.close_connection = True
+                raise RequestError(
+                    f"Content-Length must be a non-negative integer, got {length!r}",
+                    field="Content-Length",
+                )
+            body = _parse_body(self.rfile.read(int(length)))
             rid = body.get("request_id")
             if rid is not None:
                 if not isinstance(rid, str) or not rid:

@@ -36,13 +36,12 @@ from repro.api.fingerprint import problem_fingerprint
 from repro.api.problem import check_problem
 from repro.api.report import SolveReport
 from repro.api.strategies import StrategyResult, resolve_execution
-from repro.obs import MetricsRegistry, health, log_event, trace, watchdog
+from repro.obs import MetricsRegistry, health, log_event, trace
 from repro.service.batcher import RhsBatcher
 from repro.service.cache import FactorizationCache
 from repro.service.stats import ServiceStats, StatsCollector
 from repro.store import FactorizationStore
 from repro.util.config import (
-    obs_watchdog_s,
     service_batch_window_s,
     service_cache_bytes,
     store_dir,
@@ -148,16 +147,6 @@ class SolveService:
             max_workers=config.workers, thread_name_prefix="repro-service"
         )
         self._closed = threading.Event()
-        # opt-in resource watchdog (REPRO_OBS_WATCHDOG_MS): feed this
-        # service's cache/store residency into the watchdog's per-tier
-        # gauges and make sure the sampler thread is running. Only the
-        # instance that actually started the watchdog stops it on close.
-        self._watchdog_source: str | None = None
-        self._watchdog_started = False
-        if obs_watchdog_s() > 0:
-            self._watchdog_source = f"service-{uuid.uuid4().hex[:8]}"
-            watchdog.add_residency_source(self._watchdog_source, self._residency)
-            self._watchdog_started = watchdog.start(obs_watchdog_s())
 
     # ------------------------------------------------------------------
     # request entry points
@@ -241,13 +230,6 @@ class SolveService:
         """The last few completed/failed requests (dashboard feed)."""
         return self._stats.recent_requests()
 
-    def _residency(self) -> dict[str, int]:
-        """``{tier: bytes}`` for the watchdog's store-residency gauges."""
-        tiers = {"cache": int(self._cache.bytes_resident)}
-        if self._store is not None:
-            tiers.update(self._store.residency())
-        return tiers
-
     @property
     def cache(self) -> FactorizationCache:
         """The factorization cache (introspection/tests)."""
@@ -263,12 +245,6 @@ class SolveService:
         if self._closed.is_set():
             return
         self._closed.set()
-        if self._watchdog_source is not None:
-            watchdog.remove_residency_source(self._watchdog_source)
-            self._watchdog_source = None
-        if self._watchdog_started:
-            watchdog.stop()
-            self._watchdog_started = False
         self._executor.shutdown(wait=wait)
         self._cache.close()
         if self._store is not None:

@@ -147,11 +147,11 @@ class FactorizationStore:
         _SHARED_BYTES.set(sum(hold.nbytes for hold, _ in self._held.values()))
 
     def residency(self) -> dict[str, int]:
-        """``{tier: bytes}`` across the store's tiers (watchdog feed).
+        """``{tier: bytes}`` across the store's tiers (the ``/debug`` feed).
 
         ``shared`` is this process's held shm bytes; ``disk`` totals the
         warm-start spill files currently under :attr:`root` (a readdir
-        per sample — the watchdog's cadence, not a hot path).
+        per dashboard render, not a hot path).
         """
         disk = 0
         try:

@@ -182,21 +182,6 @@ def obs_profile_hz() -> float:
     return hz
 
 
-def obs_watchdog_s() -> float:
-    """Resource-watchdog sampling period (``REPRO_OBS_WATCHDOG_MS``).
-
-    0 (default) keeps the watchdog off. A positive period makes the
-    solve service start a background sampler that publishes RSS,
-    tracked /dev/shm bytes, pool worker liveness, and store-tier
-    residency as gauges, and logs a structured warning when a tracked
-    shm block outlives its registration (a leak).
-    """
-    ms = env_float("REPRO_OBS_WATCHDOG_MS", 0.0)
-    if ms < 0:
-        raise ValueError(f"REPRO_OBS_WATCHDOG_MS must be >= 0, got {ms}")
-    return ms / 1e3
-
-
 def vmpi_start_method() -> str | None:
     """Multiprocessing start-method override (``REPRO_VMPI_START_METHOD``).
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.vmpi.backend import (  # noqa: F401 - re-exported for compatibility
+from repro.vmpi.backend import (
     ExecutionBackend,
     SPMDRun,
     adopt_rank_reports,

@@ -549,19 +549,6 @@ class RankPool:
                 fail_grace = time.monotonic() + 1.0
         return outcomes
 
-    def registered_shm_names(self) -> set:
-        """Names of shm blocks currently registered by this pool's workers.
-
-        A lock-free snapshot for the resource watchdog: racing a
-        dispatch may show a block one beat early or late, which the
-        watchdog's multi-sample persistence requirement absorbs. Never
-        attaches or unlinks anything — observation only.
-        """
-        try:
-            return set(self._registered)
-        except RuntimeError:  # pragma: no cover - set resized mid-copy
-            return set()
-
     def _sweep(self) -> None:
         """Unlink orphaned shm blocks (workers must be idle).
 
@@ -625,11 +612,11 @@ def active_pools() -> list[RankPool]:
 
 
 def pools_health() -> list[dict]:
-    """Liveness rollup of every cached pool (watchdog/debug feed).
+    """Liveness rollup of every cached pool (the ``/debug`` feed).
 
     Lock-free over each pool's worker list: a pool mid-(re)spawn or
-    mid-teardown may report a transient mix, which periodic samplers
-    tolerate by design.
+    mid-teardown may report a transient mix, which a dashboard that
+    re-reads it on every render tolerates by design.
     """
     out = []
     for pool in active_pools():

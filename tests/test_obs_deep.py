@@ -1,7 +1,6 @@
-"""Deep-observability tests: profiler, solver health, watchdog, stalls."""
+"""Deep-observability tests: profiler, solver health, stalls."""
 
 import json
-import logging
 import os
 import time
 from types import SimpleNamespace
@@ -14,7 +13,6 @@ from repro.iterative.stall import refinement_stalled
 from repro.obs import (
     HealthMonitor,
     MetricsRegistry,
-    ResourceWatchdog,
     SamplingProfiler,
     Tracer,
     health,
@@ -29,10 +27,6 @@ from repro.vmpi import ProcessBackend, process_backend_available, run_spmd
 needs_process = pytest.mark.skipif(
     not process_backend_available(),
     reason="multiprocessing.shared_memory unavailable on this platform",
-)
-
-needs_shm_dir = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
 )
 
 
@@ -313,101 +307,6 @@ def test_refinement_stall_detection():
     # a plateau above tolerance is the stall signature
     plateau = [10.0 * 0.5 ** k for k in range(10)] + [1e-3] * 15
     assert refinement_stalled(plateau, False)
-
-
-# ----------------------------------------------------------------------
-# resource watchdog
-# ----------------------------------------------------------------------
-@needs_shm_dir
-def test_watchdog_flags_persistent_shm_drift(caplog):
-    # a deliberately "leaked" block: a tracked name that stays on disk
-    name = f"repro-wd-leak-{os.getpid()}"
-    path = os.path.join("/dev/shm", name)
-    with open(path, "wb") as fh:
-        fh.write(b"\0" * 512)
-    wd = ResourceWatchdog(shm_tracked=lambda: {name}, leak_samples=3)
-    try:
-        with caplog.at_level(logging.INFO, logger="repro.requests"):
-            info = wd.sample()
-            assert info["leaked"] == []  # not persistent long enough yet
-            wd.sample()
-            info = wd.sample()
-        assert info["shm_tracked_blocks"] == 1
-        assert info["shm_tracked_bytes"] == 512
-        assert info["leaked"] == [name]
-        docs = [json.loads(r.getMessage()) for r in caplog.records]
-        leaks = [d for d in docs if d.get("event") == "watchdog_leak"]
-        assert len(leaks) == 1
-        assert leaks[0]["name"] == name and leaks[0]["bytes"] == 512
-        # warned once per name, not once per sample
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="repro.requests"):
-            wd.sample()
-        docs = [json.loads(r.getMessage()) for r in caplog.records]
-        assert not [d for d in docs if d.get("event") == "watchdog_leak"]
-    finally:
-        os.remove(path)
-    # the name is gone from disk; the leak stays on record
-    info = wd.sample()
-    assert info["shm_tracked_blocks"] == 0 and info["leaked"] == [name]
-    wd.reset()
-    assert wd.last() == {}
-
-
-@needs_shm_dir
-def test_watchdog_ignores_transient_blocks(caplog):
-    name = f"repro-wd-transient-{os.getpid()}"
-    path = os.path.join("/dev/shm", name)
-    wd = ResourceWatchdog(shm_tracked=lambda: {name}, leak_samples=3)
-    with caplog.at_level(logging.INFO, logger="repro.requests"):
-        with open(path, "wb") as fh:
-            fh.write(b"\0" * 64)
-        wd.sample()
-        wd.sample()
-        os.remove(path)  # swept in time: never reaches leak_samples
-        for _ in range(3):
-            info = wd.sample()
-    assert info["leaked"] == []
-    docs = [json.loads(r.getMessage()) for r in caplog.records]
-    assert not [d for d in docs if d.get("event") == "watchdog_leak"]
-
-
-def test_watchdog_residency_sources_aggregate():
-    wd = ResourceWatchdog(shm_tracked=set)
-    wd.add_residency_source("svc", lambda: {"cache": 100, "shared": 10})
-    wd.add_residency_source("other", lambda: {"cache": 11})
-    info = wd.sample()
-    assert info["store_bytes"] == {"cache": 111, "shared": 10}
-    assert info["rss_bytes"] > 0
-    wd.remove_residency_source("other")
-    assert wd.sample()["store_bytes"] == {"cache": 100, "shared": 10}
-    assert wd.last()["samples"] == 2
-
-
-def test_watchdog_survives_broken_providers():
-    def boom():
-        raise RuntimeError("provider races teardown")
-
-    wd = ResourceWatchdog(shm_tracked=boom)
-    wd.add_residency_source("bad", boom)
-    info = wd.sample()
-    assert info["shm_tracked_blocks"] == 0
-    assert info["store_bytes"] == {}
-
-
-def test_watchdog_thread_lifecycle():
-    wd = ResourceWatchdog(shm_tracked=set)
-    assert not wd.start(0)  # a zero period keeps the watchdog off
-    assert wd.start(0.01)
-    assert wd.start(0.01)  # idempotent
-    try:
-        deadline = time.perf_counter() + 5.0
-        while not wd.last() and time.perf_counter() < deadline:
-            time.sleep(0.01)
-        assert wd.last().get("samples", 0) >= 1
-    finally:
-        wd.stop()
-    assert not wd.running
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """HTTP front tests: the JSON wire format over a live ThreadingHTTPServer."""
 
 import json
+import os
+import socket
 import threading
+import xml.etree.ElementTree as ET
 
 import http.client
 
@@ -11,6 +14,9 @@ import pytest
 import repro
 from repro.service import SolveService
 from repro.service.http import ServiceRequestHandler, build_problem, make_server
+from repro.vmpi import process_backend_available
+
+XHTML = {"x": "http://www.w3.org/1999/xhtml"}
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +255,33 @@ def test_malformed_json_body(server):
     assert status == 400 and payload["code"] == "bad_json"
 
 
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_a_structured_400(server, length):
+    """A Content-Length that is no byte count gets a 400 naming the
+    header, then the server hangs up (it cannot tell where the body
+    ends). The socket timeout only keeps a regression from hanging the
+    suite."""
+    body = b'{"problem": {"type": "laplace_volume", "m": 16}}'
+    request = (
+        b"POST /solve HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        b"Content-Type: application/json\r\n"
+        + f"Content-Length: {length}\r\n\r\n".encode()
+        + body
+    )
+    with socket.create_connection(
+        ("127.0.0.1", server.server_address[1]), timeout=60
+    ) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), reply
+    doc = json.loads(payload)
+    assert doc["code"] == "bad_field" and doc["field"] == "Content-Length"
+    assert length in doc["error"] and doc["request_id"]
+
+
 def test_bad_rhs_shape_names_the_field(server):
     body = {
         "problem": {"type": "laplace_volume", "m": 16},
@@ -315,8 +348,6 @@ def test_build_problem_cache_reuses_instances(server):
 
 
 def test_debug_dashboard_is_strict_xhtml(server):
-    import xml.etree.ElementTree as ET
-
     # prime with one solve so the health tables have rows
     status, _ = _request(
         server, "POST", "/solve",
@@ -330,15 +361,53 @@ def test_debug_dashboard_is_strict_xhtml(server):
     assert root.tag == "{http://www.w3.org/1999/xhtml}html"
     ids = {el.get("id") for el in root.iter() if el.get("id")}
     assert {
-        "service-stats", "health-levels", "health-krylov", "watchdog",
+        "service-stats", "health-levels", "health-krylov", "resources",
         "recent-requests", "profiler", "profiler-tracks", "tracer",
     } <= ids
-    ns = {"x": "http://www.w3.org/1999/xhtml"}
     (levels,) = [el for el in root.iter() if el.get("id") == "health-levels"]
     assert levels.tag == "{http://www.w3.org/1999/xhtml}table"
-    assert levels.findall("./x:tbody/x:tr", ns)  # non-empty health table
+    assert levels.findall("./x:tbody/x:tr", XHTML)  # non-empty health table
     (recent,) = [el for el in root.iter() if el.get("id") == "recent-requests"]
-    assert recent.findall("./x:tbody/x:tr", ns)
+    assert recent.findall("./x:tbody/x:tr", XHTML)
+
+
+def _debug_table(server, table_id):
+    """``/debug``'s table ``table_id`` as one ``{header: cell}`` per row."""
+    status, _headers, data = _request_full(server, "GET", "/debug")
+    assert status == 200
+    root = ET.fromstring(data.decode("utf-8"))
+    (table,) = [el for el in root.iter() if el.get("id") == table_id]
+    assert table.tag == "{http://www.w3.org/1999/xhtml}table", table_id
+    keys = [th.text for th in table.findall("./x:thead/x:tr/x:th", XHTML)]
+    return [
+        dict(zip(keys, (td.text for td in tr.findall("./x:td", XHTML))))
+        for tr in table.findall("./x:tbody/x:tr", XHTML)
+    ]
+
+
+@pytest.mark.skipif(
+    not process_backend_available(),
+    reason="multiprocessing.shared_memory unavailable on this platform",
+)
+def test_debug_resources_need_no_knob(server, monkeypatch):
+    """The resources section is read on every render: RSS always, and
+    one row per rank pool once a process solve has started one."""
+    for name in [n for n in os.environ if n.startswith("REPRO_OBS")]:
+        monkeypatch.delenv(name)
+    rows = _debug_table(server, "resources")
+    rss = {row["key"]: row["value"] for row in rows}["rss_bytes"]
+    assert int(rss) > 0
+    status, _ = _request(
+        server, "POST", "/solve",
+        {"problem": {"type": "laplace_volume", "m": 16}, "rhs": {"seed": 5},
+         "execution": "process", "ranks": 4},
+    )
+    assert status == 200
+    pools = _debug_table(server, "resources-pools")
+    assert any(
+        row["nranks"] == "4" and row["alive"] == row["workers"] == "4"
+        for row in pools
+    ), pools
 
 
 def test_debug_profile_export_routes(server):

@@ -236,7 +236,7 @@ def test_closure_program_raises_dispatch_encode_error(start_method):
             run_spmd(2, _echo_prog, lambda: 1.0, backend=be)
         assert be.pool is pool and pool.alive
         assert (pool.jobs_run, pool.spawn_count) == (jobs, spawns)
-        assert pool.registered_shm_names() == set() and _shm_blocks() == before
+        assert pool._registered == set() and _shm_blocks() == before
         assert run_spmd(2, _pid_prog, backend=be).results  # still dispatches
         assert (pool.jobs_run, pool.spawn_count) == (jobs + 1, spawns)
     finally:
