@@ -43,7 +43,7 @@ class SRSFactorization:
     n: int
     dtype: np.dtype
     opts: SRSOptions
-    stats: RankStats = field(default_factory=RankStats)
+    _stats: RankStats | None = field(default=None, repr=False, compare=False)
     _memory_bytes: int | None = field(default=None, repr=False, compare=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -99,8 +99,12 @@ class SRSFactorization:
             self._memory_bytes = sum(rec.memory_bytes() for rec in self.records)
         return self._memory_bytes
 
-    def skeleton_sizes(self, level: int) -> list[int]:
-        return [rec.rank for rec in self.records if rec.level == level]
+    @property
+    def stats(self) -> RankStats:
+        """Per-level skeleton ranks (Fig. 9 data), read once off the records."""
+        if self._stats is None:
+            self._stats = RankStats.of(self.records)
+        return self._stats
 
 
 def srs_factor(
@@ -150,7 +154,7 @@ def srs_factor(
             boxes = tree.boxes(level)
             with trace.span("factor.level", level=level, boxes=len(boxes)) as lspan:
                 factored = sweep_level(
-                    store, kernel, tree, level, boxes, opts, fact.records, fact.stats,
+                    store, kernel, tree, level, boxes, opts, fact.records,
                     task_times=task_times,
                 )
                 lspan.set(factored=factored)
@@ -178,7 +182,6 @@ def sweep_level(
     boxes: list[Coord],
     opts: SRSOptions,
     records: list[BoxRecord],
-    stats: RankStats,
     *,
     update_log: list | None = None,
     task_times: list | None = None,
@@ -188,8 +191,8 @@ def sweep_level(
     The level runs as an ordered *schedule* of box groups; per group the
     live boxes are compressed together against the group-start store
     (:func:`~repro.core.batch.compress_phase`), then eliminated one at a
-    time in todo order, each record appended to ``records`` and its
-    rank to ``stats``. ``opts.factor_mode`` picks the schedule:
+    time in todo order, each record appended to ``records``.
+    ``opts.factor_mode`` picks the schedule:
 
     * ``strict`` — singletons in todo order;
     * ``batched`` — the nine mod-3 colour phases, which the distance-3
@@ -219,15 +222,13 @@ def sweep_level(
         t0 = time.perf_counter()
         decs = compress_phase(store, kernel, tree, level, live, opts)
         for box in live:
-            size_before = store.nactive(box)
             with trace.span(
-                "factor.skeletonize", level=level, box=str(box), size=size_before
+                "factor.skeletonize", level=level, box=str(box), size=store.nactive(box)
             ):
                 rec = eliminate_box(
                     store, box, tree.neighbors(level, *box), decs[box],
                     level=level, update_log=update_log,
                 )
-            stats.record(level, size_before, rec.rank)
             records.append(rec)
         if task_times is not None:  # strict: ``live`` is the one box
             task_times.append((level, live[0], time.perf_counter() - t0))

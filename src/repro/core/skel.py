@@ -202,7 +202,8 @@ def eliminate_box(
     """The elimination half of ``Z(A; B)`` for an already compressed box.
 
     Runs the partial-LU elimination and the Schur updates; the caller
-    records the compression (:meth:`~repro.core.stats.RankStats.record`).
+    keeps the returned record, which is all the statistics need
+    (:meth:`~repro.core.stats.RankStats.of`).
 
     When ``update_log`` is a list, every mutation of the store is also
     appended to it, in execution order, as ``("restrict", box, keep)``

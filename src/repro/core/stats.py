@@ -1,15 +1,18 @@
 """Factorization statistics: per-level skeleton ranks and memory.
 
 Figure 9 of the paper reports the average skeleton rank per tree level
-for the Laplace and Helmholtz kernels; :class:`RankStats` captures the
-same quantity during factorization.
+for the Laplace and Helmholtz kernels; :class:`RankStats` reads the
+same quantity off a factorization's records.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.core.skel import BoxRecord
 
 
 @dataclass
@@ -20,13 +23,21 @@ class RankStats:
     ranks: dict[int, list[int]] = field(default_factory=dict)
     #: level -> list of box sizes (active counts) before compression
     box_sizes: dict[int, list[int]] = field(default_factory=dict)
-    #: :meth:`table` of the boxes recorded so far (every solve report reads it)
+    #: :meth:`table`, computed on first read (every solve report reads it)
     _table: list | None = field(default=None, repr=False, compare=False)
 
-    def record(self, level: int, box_size: int, rank: int) -> None:
-        self.ranks.setdefault(level, []).append(rank)
-        self.box_sizes.setdefault(level, []).append(box_size)
-        self._table = None
+    @classmethod
+    def of(cls, records: Iterable[BoxRecord]) -> RankStats:
+        """The statistics of ``records``, in record order.
+
+        A box's size before compression is its skeleton plus the
+        indices it eliminated.
+        """
+        stats = cls()
+        for rec in records:
+            stats.ranks.setdefault(rec.level, []).append(rec.rank)
+            stats.box_sizes.setdefault(rec.level, []).append(rec.rank + rec.redundant.size)
+        return stats
 
     def average_rank(self, level: int) -> float:
         vals = self.ranks.get(level)

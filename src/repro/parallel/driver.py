@@ -63,13 +63,14 @@ class ParallelFactorization:
     #: backend); process-local — dropped on pickling and lazily rebuilt
     #: by ``solve`` in the new process
     resident: object = field(default=None, repr=False)
-    _merged_stats: RankStats | None = field(default=None, repr=False)
+    _stats: RankStats | None = field(default=None, repr=False)
     _memory_bytes: int | None = field(default=None, repr=False)
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["resident"] = None  # holds a live pool + lock
-        return state
+        """What crosses a process boundary (the store's shared and disk
+        tiers): everything but the resident handle, which holds a live
+        pool and lock, and the last solve's run, a per-call result."""
+        return dict(self.__dict__, resident=None, last_solve_run=None)
 
     # -- timing (simulated) ---------------------------------------------
     @property
@@ -142,15 +143,11 @@ class ParallelFactorization:
 
     @property
     def stats(self) -> RankStats:
-        """Skeleton-rank statistics merged across ranks (Fig. 9 data)."""
-        if self._merged_stats is None:
-            merged = RankStats()
-            for w in self.workers:
-                for lvl, ranks in w.stats.ranks.items():
-                    for r, s in zip(ranks, w.stats.box_sizes[lvl]):
-                        merged.record(lvl, s, r)
-            self._merged_stats = merged
-        return self._merged_stats
+        """Skeleton-rank statistics of every rank's records, in rank
+        order (Fig. 9 data); read once, they are immutable."""
+        if self._stats is None:
+            self._stats = RankStats.of(rec for w in self.workers for rec in w.records)
+        return self._stats
 
     def memory_bytes(self) -> int:
         """Bytes of every rank's records; walked once, they are immutable."""
@@ -229,7 +226,9 @@ def parallel_srs_factor(
         nlevels=nlevels,
         opts=opts,
         workers=workers,
-        factor_run=run,
+        # the per-rank reports behind t_fact and the counters; the
+        # results are ``workers`` and are not kept twice
+        factor_run=SPMDRun([], run.reports),
         cost_model=cost_model,
         backend=backend,
     )

@@ -159,7 +159,21 @@ class LevelLayout:
         return (ox % 2) + 2 * (oy % 2)
 
     def colors_in_use(self) -> list[int]:
-        return sorted({self.color(r) for r in self.active_ranks()})
+        """Every parity colour once the active grid is 2x2 or larger."""
+        return [0, 1, 2, 3] if self.grid_side > 1 else [0]
+
+    # -- the 4-to-1 reduction after this level (Sec. III-C) --------------
+    def reduces(self) -> bool:
+        """Whether the next level has a quarter of this level's active ranks."""
+        return self.level > 1 and 4 ** (self.level - 2) < self.p
+
+    def reduction_leader(self, rank: int) -> int:
+        """Where ``rank`` goes when :meth:`reduces`: a leader stays, others retire to it."""
+        return rank - rank % (4 * self.stride)
+
+    def reduction_retirees(self, leader: int) -> list[int]:
+        """The three ranks ``leader`` absorbs when :meth:`reduces`."""
+        return [leader + k * self.stride for k in (1, 2, 3)]
 
     def halo_boxes(self, rank: int, width: int) -> list[Coord]:
         """Boxes within Chebyshev distance ``width`` of the region (outside it)."""

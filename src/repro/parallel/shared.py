@@ -116,8 +116,6 @@ def shared_memory_factor(
     opts: SRSOptions | None = None,
     *,
     tree: QuadTree | None = None,
-    sync_overhead: float = 5.0e-6,
-    nrhs_probe: int = 1,
 ) -> SharedMemoryResult:
     """Factor with the box-coloring shared-memory strategy.
 
@@ -140,8 +138,7 @@ def shared_memory_factor(
 
     # --- solve: measure per-record apply times -------------------------
     rng = np.random.default_rng(0)
-    shape = (kernel.n,) if nrhs_probe == 1 else (kernel.n, nrhs_probe)
-    x = rng.standard_normal(shape).astype(np.result_type(kernel.dtype, float))
+    x = rng.standard_normal(kernel.n).astype(np.result_type(kernel.dtype, float))
     upward: list[float] = []
     apply_times: list[TaskTime] = []
     t_start = time.perf_counter()
@@ -162,5 +159,4 @@ def shared_memory_factor(
         apply_times=apply_times,
         sequential_t_fact=t_fact,
         sequential_t_solve=t_solve,
-        sync_overhead=sync_overhead,
     )

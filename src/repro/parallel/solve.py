@@ -10,13 +10,21 @@ everything, with a value *refresh* before each reverse color round
 The sweeps themselves are the sequential solver's
 (:func:`~repro.core.skel.sweep_up` / :func:`~repro.core.skel.sweep_down`)
 over this rank's slice of records.
+
+Each solve derives the schedule afresh, in O(records) integer
+arithmetic: levels, colours, neighbours and reduction partners from
+each level's :class:`~repro.parallel.ownership.LevelLayout`; the
+interior/boundary split and the ids a message ships from the records.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.core.skel import sweep_down, sweep_up, sweep_view
+from repro.core.skel import BoxRecord, sweep_down, sweep_up, sweep_view
 from repro.parallel.ownership import LevelLayout
 from repro.parallel.worker import WorkerResult
 from repro.vmpi.comm import Comm
@@ -83,92 +91,84 @@ def solve_shards(
     comm.clock.compute_time = 0.0
     comm.clock.comm_time = 0.0
 
+    me = comm.rank
     received_up: dict[tuple[int, int], np.ndarray] = {}
+    levels = _schedule(my, p, me)
 
     # ---------------------------- upward sweep --------------------------
-    for plan in my.plans:
-        layout = LevelLayout(plan.level, p)
+    for lv in levels:
+        layout, level = lv.layout, lv.layout.level
         with comm.clock.compute():
-            sweep_up(my.records[plan.rec_interior[0] : plan.rec_interior[1]], x)
-        for color in plan.colors:
-            if color == plan.my_color:
-                per: dict[int, tuple[list, list]] = {w: ([], []) for w in plan.neighbor_ranks}
+            sweep_up(lv.interior, x)
+        for color in layout.colors_in_use():
+            if color == layout.color(me):
+                per: dict[int, tuple[list, list]] = {w: ([], []) for w in lv.neighbors}
                 with comm.clock.compute():
-                    boundary = my.records[plan.rec_boundary[0] : plan.rec_boundary[1]]
-                    for rec, upd in sweep_up(boundary, x, collect=True):
+                    for rec, upd in sweep_up(lv.boundary, x, collect=True):
                         for seg_box, s, e in rec.cluster_segments:
                             owner = layout.owner(seg_box)
-                            if owner != comm.rank:
+                            if owner != me:
                                 per[owner][0].append(rec.cluster[s:e])
                                 per[owner][1].append(upd[s:e])
-                for w in plan.neighbor_ranks:
+                for w in lv.neighbors:
                     idx_list, delta_list = per[w]
-                    if idx_list:
-                        msg = (np.concatenate(idx_list), np.concatenate(delta_list))
-                    else:
-                        msg = (np.empty(0, dtype=np.int64), None)
-                    comm.send(msg, w, tag=_tag(TAG_UP_COLOR, plan.level, color))
+                    msg = (_ids(idx_list), np.concatenate(delta_list) if delta_list else None)
+                    comm.send(msg, w, tag=_tag(TAG_UP_COLOR, level, color))
             else:
-                for w in plan.neighbor_ranks:
-                    if plan.neighbor_colors[w] == color:
-                        mids, mdelta = comm.recv(w, tag=_tag(TAG_UP_COLOR, plan.level, color))
+                for w, w_color in lv.neighbors.items():
+                    if w_color == color:
+                        mids, mdelta = comm.recv(w, tag=_tag(TAG_UP_COLOR, level, color))
                         if mids.size:
                             # the same entry may appear in several boxes'
                             # update segments; unbuffered accumulation is
                             # required (plain fancy-index -= drops dups)
                             np.subtract.at(x, mids, mdelta)
-        if plan.reduction_after:
-            if plan.retired_after:
-                up_ids = _survivors(my, plan)
-                assert plan.reduction_leader is not None
-                comm.send(
-                    (up_ids, x[up_ids]),
-                    plan.reduction_leader,
-                    tag=_tag(TAG_UP_REDUCE, plan.level),
-                )
+        if layout.reduces():
+            leader = layout.reduction_leader(me)
+            if leader != me:  # retiring: ship the surviving skeletons
+                up_ids = _ids(rec.skeleton for rec in lv.interior + lv.boundary)
+                comm.send((up_ids, x[up_ids]), leader, tag=_tag(TAG_UP_REDUCE, level))
             else:
-                for src in plan.reduction_sources:
-                    rid, rv = comm.recv(src, tag=_tag(TAG_UP_REDUCE, plan.level))
+                for src in layout.reduction_retirees(me):
+                    rid, rv = comm.recv(src, tag=_tag(TAG_UP_REDUCE, level))
                     x[rid] = rv
-                    received_up[(plan.level, src)] = rid
+                    received_up[(level, src)] = rid
 
     # --------------------------- downward sweep -------------------------
-    for plan in reversed(my.plans):
-        layout = LevelLayout(plan.level, p)
-        if plan.reduction_after:
-            if plan.retired_after:
-                rid, rv = comm.recv(
-                    plan.reduction_leader, tag=_tag(TAG_DOWN_REDUCE, plan.level)
-                )
+    for lv in reversed(levels):
+        layout, level = lv.layout, lv.layout.level
+        if layout.reduces():
+            leader = layout.reduction_leader(me)
+            if leader != me:
+                rid, rv = comm.recv(leader, tag=_tag(TAG_DOWN_REDUCE, level))
                 x[rid] = rv
             else:
-                for src in plan.reduction_sources:
-                    rid = received_up[(plan.level, src)]
-                    comm.send((rid, x[rid]), src, tag=_tag(TAG_DOWN_REDUCE, plan.level))
-        for color in reversed(plan.colors):
-            if plan.my_color == color:
-                for w in plan.neighbor_ranks:
-                    rid, rv = comm.recv(w, tag=_tag(TAG_DOWN_REFRESH, plan.level, color))
+                for src in layout.reduction_retirees(me):
+                    rid = received_up[(level, src)]
+                    comm.send((rid, x[rid]), src, tag=_tag(TAG_DOWN_REDUCE, level))
+        for color in reversed(layout.colors_in_use()):
+            if color == layout.color(me):
+                for w in lv.neighbors:
+                    rid, rv = comm.recv(w, tag=_tag(TAG_DOWN_REFRESH, level, color))
                     if rid.size:
                         x[rid] = rv
                 with comm.clock.compute():
-                    sweep_down(my.records[plan.rec_boundary[0] : plan.rec_boundary[1]], x)
+                    sweep_down(lv.boundary, x)
             else:
-                for w in plan.neighbor_ranks:
-                    if plan.neighbor_colors[w] == color:
-                        ids3 = [
-                            pts
-                            for box, pts in plan.level_points.items()
-                            if layout.region_distance(box, w) <= 1 and pts.size
-                        ]
-                        if ids3:
-                            rid = np.concatenate(ids3)
-                            msg = (rid, x[rid])
-                        else:
-                            msg = (np.empty(0, dtype=np.int64), None)
-                        comm.send(msg, w, tag=_tag(TAG_DOWN_REFRESH, plan.level, color))
+                recs = lv.interior + lv.boundary
+                for w, w_color in lv.neighbors.items():
+                    if w_color == color:
+                        # every id the own boxes next to ``w`` held at level start
+                        rid = _ids(
+                            ids
+                            for rec in recs
+                            if layout.region_distance(rec.box, w) <= 1
+                            for ids in (rec.skeleton, rec.redundant)
+                        )
+                        msg = (rid, x[rid]) if rid.size else (rid, None)
+                        comm.send(msg, w, tag=_tag(TAG_DOWN_REFRESH, level, color))
         with comm.clock.compute():
-            sweep_down(my.records[plan.rec_interior[0] : plan.rec_interior[1]], x)
+            sweep_down(lv.interior, x)
 
     # ------------------------------ gather ------------------------------
     gathered = comm.gather((my.leaf_ids, rhs[my.leaf_ids]), 0)
@@ -181,13 +181,36 @@ def solve_shards(
     return out
 
 
-def _survivors(my: WorkerResult, plan) -> np.ndarray:
-    """Global ids still active on this rank after ``plan``'s level."""
-    parts = [
-        rec.skeleton
-        for rec in my.records[plan.rec_interior[0] : plan.rec_boundary[1]]
-        if rec.skeleton.size
-    ]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
+class _Level(NamedTuple):
+    """One level of the factor's schedule on one rank, derived per solve."""
+
+    layout: LevelLayout
+    interior: list[BoxRecord]
+    boundary: list[BoxRecord]
+    #: neighbour rank -> its colour, in the layout's neighbour order
+    neighbors: dict[int, int]
+
+
+def _schedule(my: WorkerResult, p: int, rank: int) -> list[_Level]:
+    """The levels ``rank`` factored at, leaf level first: those at which
+    the layout counts it active, with its records split by the factor's
+    own boundary test, in record order."""
+    levels = []
+    for level in range(my.nlevels, 0, -1):
+        layout = LevelLayout(level, p)
+        if not layout.is_active(rank):
+            break
+        interior: list[BoxRecord] = []
+        boundary: list[BoxRecord] = []
+        for rec in my.records:
+            if rec.level == level:
+                (boundary if layout.is_boundary(rec.box, rank) else interior).append(rec)
+        neighbors = {w: layout.color(w) for w in layout.neighbor_ranks(rank)}
+        levels.append(_Level(layout, interior, boundary, neighbors))
+    return levels
+
+
+def _ids(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """The non-empty index arrays of ``arrays``, concatenated."""
+    parts = [a for a in arrays if a.size]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

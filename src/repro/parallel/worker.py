@@ -28,11 +28,16 @@ work inside a phase is the sequential solver's
 All state a rank touches arrives either from the initial scatter or
 from neighbor messages — the :class:`~repro.parallel.localkernel.LocalKernel`
 raises if the protocol ever under-delivers.
+
+A rank keeps only its records (:class:`WorkerResult`): every choice
+above is a function of the level's
+:class:`~repro.parallel.ownership.LevelLayout` and the box, so the
+solve (:mod:`repro.parallel.solve`) replays it from those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +45,6 @@ from repro.core.factorization import assemble_parents, sweep_level
 from repro.core.interactions import Coord, InteractionStore, PairKey
 from repro.core.options import SRSOptions
 from repro.core.skel import BoxRecord
-from repro.core.stats import RankStats
 from repro.geometry.domain import Square
 from repro.geometry.morton import morton_encode
 from repro.kernels.base import KernelMatrix
@@ -64,36 +68,16 @@ TAG_REDUCE = 5  # 4-to-1 rank reduction
 
 
 @dataclass
-class LevelPlan:
-    """Solve-phase replay information for one level on one rank."""
-
-    level: int
-    my_color: int
-    colors: list[int]
-    neighbor_ranks: list[int]
-    neighbor_colors: dict[int, int]
-    rec_interior: tuple[int, int]
-    rec_boundary: tuple[int, int]
-    #: own boxes' active point ids at level start (downward value refresh)
-    level_points: dict[Coord, np.ndarray]
-    #: set when a 4-to-1 reduction follows this level
-    reduction_after: bool = False
-    #: leader to ship to (if retiring) / retirees to absorb (if leading)
-    reduction_leader: int | None = None
-    reduction_sources: list[int] = field(default_factory=list)
-    retired_after: bool = False
-
-
-@dataclass
 class WorkerResult:
-    """Everything a rank keeps after the factorization."""
+    """Everything a rank keeps after the factorization: its records, plus
+    what the solve needs to re-derive their schedule."""
 
     rank: int
     records: list[BoxRecord]
-    plans: list[LevelPlan]
     leaf_ids: np.ndarray
-    stats: RankStats
     dtype: np.dtype
+    #: the leaf level; a rank may hold no record at a level it takes part in
+    nlevels: int
 
 
 def factor_worker(
@@ -158,8 +142,6 @@ def factor_worker(
     comm.counters.bytes_received = 0
 
     records: list[BoxRecord] = []
-    plans: list[LevelPlan] = []
-    stats = RankStats()
     seed_blocks: dict[PairKey, np.ndarray] | None = None
 
     for level in range(nlevels, 0, -1):
@@ -187,20 +169,17 @@ def factor_worker(
         )
         active = store.active  # single source of truth from here on
 
-        level_points = {b: store.active_of(b).copy() for b in own_boxes if b in store.active}
         interior = [b for b in own_boxes if not layout.is_boundary(b, comm.rank)]
         boundary = [b for b in own_boxes if layout.is_boundary(b, comm.rank)]
 
         # -- phase 1: interior boxes ------------------------------------
-        i0 = len(records)
         interior_log: list = []
         with trace.span("factor.interior", level=level, boxes=len(interior)):
             with comm.clock.compute():
                 sweep_level(
-                    store, local, geometry, level, interior, opts, records, stats,
+                    store, local, geometry, level, interior, opts, records,
                     update_log=interior_log,
                 )
-        i1 = len(records)
 
         # -- phase 1.5: interior-restriction exchange --------------------
         with trace.span("factor.exchange", level=level):
@@ -221,7 +200,7 @@ def factor_worker(
                     log: list = []
                     with comm.clock.compute():
                         sweep_level(
-                            store, local, geometry, level, boundary, opts, records, stats,
+                            store, local, geometry, level, boundary, opts, records,
                             update_log=log,
                         )
                     for w in nbr_ranks:
@@ -234,31 +213,15 @@ def factor_worker(
                             ops = comm.recv(w, tag=_tag(TAG_COLOR, level, color))
                             with comm.clock.compute():
                                 _apply_ops(store, ops, layout, comm.rank)
-        i2 = len(records)
-
-        plan = LevelPlan(
-            level=level,
-            my_color=my_color,
-            colors=colors,
-            neighbor_ranks=nbr_ranks,
-            neighbor_colors={w: layout.color(w) for w in nbr_ranks},
-            rec_interior=(i0, i1),
-            rec_boundary=(i1, i2),
-            level_points=level_points,
-        )
-        plans.append(plan)
 
         if level == 1:
             break
 
         # -- transition ---------------------------------------------------
         next_layout = LevelLayout(level - 1, p)
-        if next_layout.active < layout.active:
-            plan.reduction_after = True
-            if not next_layout.is_active(comm.rank):
-                leader = comm.rank - (comm.rank % next_layout.stride)
-                plan.retired_after = True
-                plan.reduction_leader = leader
+        if layout.reduces():
+            leader = layout.reduction_leader(comm.rank)
+            if leader != comm.rank:
                 known = local.known_ids
                 comm.send(
                     dict(
@@ -274,13 +237,7 @@ def factor_worker(
                 )
                 break  # this rank is done factoring
             # leader absorbs its three sibling retirees
-            retirees = [
-                comm.rank + k * layout.stride
-                for k in range(1, 4)
-                if layout.is_active(comm.rank + k * layout.stride)
-            ]
-            plan.reduction_sources = retirees
-            for src in retirees:
+            for src in layout.reduction_retirees(comm.rank):
                 ship = comm.recv(src, tag=_tag(TAG_REDUCE, level))
                 with comm.clock.compute():
                     own_boxes = own_boxes + list(ship["own"])
@@ -313,10 +270,9 @@ def factor_worker(
     return WorkerResult(
         rank=comm.rank,
         records=records,
-        plans=plans,
         leaf_ids=leaf_ids,
-        stats=stats,
         dtype=np.dtype(local.dtype),
+        nlevels=nlevels,
     )
 
 

@@ -79,9 +79,6 @@ class FactorizationCache:
     max_bytes:
         Eviction high-water mark for the summed ``memory_bytes()`` of
         resident entries.
-    on_evict:
-        Optional callback invoked (outside the cache lock) with each
-        evicted factorization.
     store:
         Optional :class:`~repro.store.FactorizationStore` behind the
         cache: misses consult its shared/disk tiers (and cross-process
@@ -94,13 +91,11 @@ class FactorizationCache:
         self,
         max_bytes: int,
         *,
-        on_evict: Callable[[Any], None] | None = None,
         store: Any = None,
     ):
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         self.max_bytes = int(max_bytes)
-        self._on_evict = on_evict
         #: optional :class:`~repro.store.FactorizationStore`: misses
         #: consult it before building, evicted/shutdown entries spill to
         #: it. All store calls happen outside the cache lock.
@@ -288,5 +283,3 @@ class FactorizationCache:
             handle.drop()
         if self._store is not None:
             self._store.release(entry.key)
-        if self._on_evict is not None and fact is not None:
-            self._on_evict(fact)

@@ -79,6 +79,10 @@ from repro.service.service import ServiceOverloadedError, SolveService
 #: most distinct problem objects kept alive by one server
 PROBLEM_CACHE_SIZE = 32
 
+#: seconds a connection may stay silent while a request is read (or
+#: between kept-alive requests) before the stdlib handler drops it
+READ_TIMEOUT_S = 60.0
+
 #: SolveConfig fields settable through the request body
 _CONFIG_KEYS = ("method", "execution", "ranks", "tol", "maxiter", "restart", "operator")
 
@@ -269,6 +273,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server: ServiceHTTPServer
     protocol_version = "HTTP/1.1"
+
+    def setup(self) -> None:
+        # read per connection; the stdlib ``setup`` applies it to the socket
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
 
     # quiet by default; flip for debugging
     def log_message(self, fmt, *args):  # noqa: D102 - stdlib signature

@@ -61,8 +61,11 @@ from repro.vmpi.process_backend import (
 #: format 4 held the sparsified blocks ``x_cr`` / ``x_rc``. 6: a
 #: header-first file with the arrays out of band at aligned offsets
 #: and a SHA-256 digest, where format 5 was a pickled envelope around
-#: one BLAKE2b-checked payload pickle.
-STORE_FORMAT = 6
+#: one BLAKE2b-checked payload pickle. 7: a ``WorkerResult`` holds its
+#: records and ``nlevels`` only (no per-level plans, no ``RankStats``),
+#: and a ``ParallelFactorization`` pickles itself, without its last
+#: solve run and with its factor run's reports only.
+STORE_FORMAT = 7
 
 #: the first 8 bytes of every store file
 MAGIC = b"REPRO\x00SF"

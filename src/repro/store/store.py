@@ -37,7 +37,6 @@ from repro.store.shared import (
     release_entry,
     sidecar_path,
 )
-from repro.util.config import store_dir
 
 #: seconds a process waits on another process's in-flight build of the
 #: same entry before giving up and factoring locally
@@ -73,29 +72,6 @@ _SHARED_BYTES = REGISTRY.gauge(
 _POLL_S = 0.05
 
 
-def _publishable(fact):
-    """A copy of ``fact`` safe to serialize across processes.
-
-    Drops process-local state (the resident handle's pool references,
-    the last solve run) and the factor run's per-rank results — which
-    alias ``workers`` and would double every array in the payload; the
-    per-rank reports (timings, counters, the data behind ``t_fact``)
-    are kept.
-    """
-    import copy
-
-    out = copy.copy(fact)
-    for attr in ("resident", "last_solve_run"):
-        if getattr(out, attr, None) is not None:
-            setattr(out, attr, None)
-    run = getattr(out, "factor_run", None)
-    if run is not None and getattr(run, "results", None) is getattr(out, "workers", 0):
-        from repro.vmpi.backend import SPMDRun
-
-        out.factor_run = SPMDRun([], run.reports)
-    return out
-
-
 class FactorizationStore:
     """Cross-process + on-disk home for factorization cache entries."""
 
@@ -118,13 +94,6 @@ class FactorizationStore:
         #: ``holds`` counts in-process holders so two caches in one
         #: process release the shm refcount exactly once
         self._held: dict[str, list] = {}
-
-    @classmethod
-    def from_env(cls) -> "FactorizationStore | None":
-        """The store under ``REPRO_STORE_DIR`` (both tiers on), or
-        ``None`` when it is unset."""
-        root = store_dir()
-        return None if root is None else cls(root)
 
     # ------------------------------------------------------------------
     # paths
@@ -229,7 +198,7 @@ class FactorizationStore:
         try:
             if self.shared:
                 with trace.span("store.publish"):
-                    hold = publish_entry(self.root, digest, key, _publishable(fact))
+                    hold = publish_entry(self.root, digest, key, fact)
                 with self._lock:
                     held = self._held.setdefault(digest, [hold, 0])
                     held[1] += 1
@@ -237,7 +206,7 @@ class FactorizationStore:
                 _PUBLISHES.inc()
             elif self.spill_enabled:
                 with trace.span("store.spill"):
-                    spill_entry(self._spill_path(digest), key, _publishable(fact))
+                    spill_entry(self._spill_path(digest), key, fact)
                 _SPILLS.inc()
         except Exception:  # noqa: BLE001 - publishing is an optimization;
             # the build itself succeeded and must be served
@@ -273,7 +242,7 @@ class FactorizationStore:
         digest = key_digest(key)
         try:
             with trace.span("store.spill"):
-                spill_entry(self._spill_path(digest), key, _publishable(fact))
+                spill_entry(self._spill_path(digest), key, fact)
         except Exception:  # noqa: BLE001 - spill failure must not break eviction
             return False
         _SPILLS.inc()

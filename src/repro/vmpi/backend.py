@@ -144,7 +144,6 @@ class ExecutionBackend(ABC):
         args: tuple,
         *,
         cost_model: CostModel | None = None,
-        copy_payloads: bool = True,
         timeout: float = 3600.0,
     ) -> SPMDRun:
         """Execute the SPMD program and collect per-rank results/reports."""
@@ -162,14 +161,10 @@ class ThreadBackend(ExecutionBackend):
         args: tuple,
         *,
         cost_model: CostModel | None = None,
-        copy_payloads: bool = True,
         timeout: float = 3600.0,
     ) -> SPMDRun:
         transport = Transport(nranks)
-        comms = [
-            Comm(transport, r, cost_model=cost_model, copy_payloads=copy_payloads)
-            for r in range(nranks)
-        ]
+        comms = [Comm(transport, r, cost_model=cost_model) for r in range(nranks)]
         results: list[Any] = [None] * nranks
         errors: list[tuple[int, BaseException]] = []
 

@@ -27,14 +27,6 @@ class Counters:
         self.messages_received = 0
         self.bytes_received = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(
-            messages_sent=self.messages_sent,
-            bytes_sent=self.bytes_sent,
-            messages_received=self.messages_received,
-            bytes_received=self.bytes_received,
-        )
-
 
 class Comm:
     """Communicator bound to one rank of an SPMD run."""
@@ -48,14 +40,12 @@ class Comm:
         rank: int,
         *,
         cost_model: CostModel | None = None,
-        copy_payloads: bool = True,
     ):
         self.transport = transport
         self.rank = rank
         self.size = transport.nranks
         self.clock = SimClock(cost_model)
         self.counters = Counters()
-        self.copy_payloads = copy_payloads
         # out-of-order buffer: (source, tag) -> fifo list of messages
         self._pending: dict[tuple[int, int], list[Message]] = {}
 
@@ -67,7 +57,7 @@ class Comm:
         if dest == self.rank:
             raise ValueError("send to self is not supported; keep data local")
         # process-isolated transports make the defensive deep copy redundant
-        needs_copy = self.copy_payloads and getattr(self.transport, "needs_copy", True)
+        needs_copy = getattr(self.transport, "needs_copy", True)
         data = sanitize(payload) if needs_copy else payload
         nbytes = payload_nbytes(data)
         stamp = self.clock.on_send()

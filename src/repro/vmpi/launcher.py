@@ -28,7 +28,6 @@ def run_spmd(
     fn: Callable[..., Any],
     *args: Any,
     cost_model: CostModel | None = None,
-    copy_payloads: bool = True,
     timeout: float = 3600.0,
     backend: str | ExecutionBackend | None = None,
 ) -> SPMDRun:
@@ -48,7 +47,6 @@ def run_spmd(
             fn,
             args,
             cost_model=cost_model,
-            copy_payloads=copy_payloads,
             timeout=timeout,
         )
     )

@@ -12,7 +12,7 @@ queue all stay alive across dispatches.
 
 Protocol per dispatch (one *job*):
 
-1. The parent packs ``(fn, args, cost_model, copy_payloads)`` once
+1. The parent packs ``(fn, args, cost_model)`` once
    (bulk arrays — e.g. the ``WorkerResult`` list a seeding dispatch
    ships — go into one *shared* shared-memory segment, mapped zero-copy
    by every worker; a warm solve's right-hand side is not bulk and
@@ -258,11 +258,9 @@ def _execute_job(rank: int, cmd, mailboxes: list, registry) -> bytes:
         profile.start(profile_hz)
     packed = None
     try:
-        fn, args, cost_model, copy_payloads = unpack(payload)
+        fn, args, cost_model = unpack(payload)
         transport = ProcessTransport(mailboxes, registry=registry, epoch=job_id)
-        comm = Comm(
-            transport, rank, cost_model=cost_model, copy_payloads=copy_payloads
-        )
+        comm = Comm(transport, rank, cost_model=cost_model)
         with trace.track(f"rank{rank}"), trace.span("vmpi.rank", rank=rank, job=job_id):
             result = fn(comm, *args)
         report = report_from_comm(comm)
@@ -410,7 +408,6 @@ class RankPool:
         args: tuple,
         *,
         cost_model: CostModel | None = None,
-        copy_payloads: bool = True,
         timeout: float = 3600.0,
     ) -> SPMDRun:
         """Dispatch one SPMD program to the resident workers.
@@ -420,13 +417,7 @@ class RankPool:
         the same pool blocks until the first job completes.
         """
         with self._lock:
-            return self._run_locked(
-                fn,
-                args,
-                cost_model=cost_model,
-                copy_payloads=copy_payloads,
-                timeout=timeout,
-            )
+            return self._run_locked(fn, args, cost_model=cost_model, timeout=timeout)
 
     def _run_locked(
         self,
@@ -434,7 +425,6 @@ class RankPool:
         args: tuple,
         *,
         cost_model: CostModel | None,
-        copy_payloads: bool,
         timeout: float,
     ) -> SPMDRun:
         self.ensure_started()
@@ -456,7 +446,7 @@ class RankPool:
         try:
             with trace.span("vmpi.encode", ranks=self.nranks) as esp:
                 payload = pack(
-                    (fn, args, cost_model, copy_payloads), self._registry_q, shared=True
+                    (fn, args, cost_model), self._registry_q, shared=True
                 )
                 esp.set(
                     bytes=payload.nbytes,

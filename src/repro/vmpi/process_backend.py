@@ -628,7 +628,6 @@ class ProcessBackend(ExecutionBackend):
         args: tuple,
         *,
         cost_model: CostModel | None = None,
-        copy_payloads: bool = True,
         timeout: float = 3600.0,
     ) -> SPMDRun:
         from repro.vmpi.pool import get_pool
@@ -636,6 +635,4 @@ class ProcessBackend(ExecutionBackend):
         # always (re)acquire through the registry: it returns the same
         # live pool and replaces a dead one transparently
         self._pool = get_pool(nranks, self.start_method)
-        return self._pool.run(
-            fn, args, cost_model=cost_model, copy_payloads=copy_payloads, timeout=timeout
-        )
+        return self._pool.run(fn, args, cost_model=cost_model, timeout=timeout)

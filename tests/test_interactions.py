@@ -9,7 +9,6 @@ from repro.core.batch import compress_phase
 from repro.core.factorization import sweep_level
 from repro.core.interactions import InteractionStore
 from repro.core.skel import eliminate_box
-from repro.core.stats import RankStats
 from repro.geometry import uniform_grid
 from repro.kernels import (
     GaussianKernelMatrix,
@@ -158,7 +157,7 @@ def _swept_level(kernel, nlevels, mode, **store_kw):
     )
     records = []
     opts = SRSOptions(tol=1e-8, leaf_size=16, factor_mode=mode)
-    sweep_level(store, kernel, tree, nlevels, tree.boxes(nlevels), opts, records, RankStats())
+    sweep_level(store, kernel, tree, nlevels, tree.boxes(nlevels), opts, records)
     return store, records
 
 

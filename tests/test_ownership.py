@@ -181,6 +181,19 @@ def test_lookups_agree_with_brute_force(level, p):
             and max(abs(coords[w][0] - coords[r][0]), abs(coords[w][1] - coords[r][1])) == 1
         )
         assert lay.neighbor_ranks(r) == adjacent
+    # the 4-to-1 reduction after this level: each rank's boxes go to the
+    # next level's owner of their parents, the three retirees of a leader
+    nxt = LevelLayout(level - 1, p) if level > 1 else None
+    assert lay.reduces() == (nxt is not None and nxt.active < lay.active)
+    if lay.reduces():
+        for r in ranks:
+            leader = lay.reduction_leader(r)
+            assert (leader == r) == nxt.is_active(r)
+            assert {(bx >> 1, by >> 1) for bx, by in owned[r]} <= set(nxt.owned_boxes(leader))
+        for leader in nxt.active_ranks():
+            assert sorted([leader, *lay.reduction_retirees(leader)]) == [
+                r for r in ranks if lay.reduction_leader(r) == leader
+            ]
     for box in itertools.product(range(lay.nside), repeat=2):
         (holder,) = [r for r in ranks if box in owned[r]]
         assert lay.owner(box) == holder

@@ -95,6 +95,36 @@ def test_stats_match_sequential_totals(laplace32, srs_opts):
         assert abs(s_seq - s_par) <= max(5, 0.1 * s_seq)
 
 
+@pytest.mark.parametrize("p", [None, 16])
+def test_stats_are_a_fold_over_the_records(laplace32, p, srs_opts):
+    """``fact.stats`` reads the records: per level, each box's skeleton
+    rank and its size before compression (skeleton plus eliminated
+    ids), in record order, rank by rank. The sizes at a level add up to
+    the skeletons the level below kept, and the leaf sizes to ``n``."""
+    opts = srs_opts(tol=1e-6, leaf_size=16)
+    if p is None:
+        fact = srs_factor(laplace32, opts=opts)
+        records = fact.records
+    else:
+        fact = parallel_srs_factor(laplace32, p, opts=opts)
+        records = [rec for w in fact.workers for rec in w.records]
+    ranks: dict[int, list[int]] = {}
+    sizes: dict[int, list[int]] = {}
+    for rec in records:
+        ranks.setdefault(rec.level, []).append(rec.rank)
+        sizes.setdefault(rec.level, []).append(rec.rank + rec.redundant.size)
+    stats = fact.stats
+    assert stats.ranks == ranks and stats.box_sizes == sizes
+    assert stats.table() == [
+        (lvl, float(np.mean(ranks[lvl])), int(np.max(ranks[lvl])), float(np.mean(sizes[lvl])))
+        for lvl in sorted(ranks)
+    ]
+    leaf = max(ranks)
+    assert sum(sizes[leaf]) == laplace32.n
+    for lvl in range(1, leaf):
+        assert sum(sizes[lvl]) == sum(ranks[lvl + 1])
+
+
 def test_timing_fields(gaussian16, srs_opts):
     fact = parallel_srs_factor(gaussian16, 4, opts=srs_opts(tol=1e-8, leaf_size=16))
     assert fact.t_fact > 0

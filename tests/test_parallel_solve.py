@@ -1,5 +1,7 @@
 """Tests for the distributed solve phase."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.core import SRSOptions
 from repro.geometry import uniform_grid
 from repro.kernels import GaussianKernelMatrix, LaplaceKernelMatrix, dense_matrix
 from repro.parallel import parallel_srs_factor
-from repro.vmpi import INTER_NODE
+from repro.vmpi import INTER_NODE, process_backend_available
 
 
 def _pfact(factor_mode):
@@ -109,3 +111,28 @@ class TestBatched:
 for _name, _check in list(globals().items()):
     if _name.startswith("test_"):
         setattr(TestBatched, _name, staticmethod(_check))
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_pickled_factorization_keeps_only_the_factor(backend, rng):
+    """Pickling (the store's shared and disk tiers) drops the resident
+    handle, the last solve's run and the factor run's results (they are
+    ``workers`` again); the factor's counters stay and the copy solves
+    bitwise like the original."""
+    if backend == "process" and not process_backend_available():
+        pytest.skip("process backend unavailable")
+    k = LaplaceKernelMatrix(uniform_grid(32), 1.0 / 32)
+    fact = parallel_srs_factor(k, 4, opts=SRSOptions(tol=1e-6, leaf_size=32), backend=backend)
+    b = rng.standard_normal(k.n)
+    x = fact.solve(b)
+    assert fact.last_solve_run is not None
+    copy = pickle.loads(pickle.dumps(fact))
+    assert copy.resident is None and copy.last_solve_run is None
+    assert copy.factor_run.results == []
+    assert copy.factor_run.total_messages == fact.factor_run.total_messages
+    assert copy.factor_run.total_bytes == fact.factor_run.total_bytes
+    try:
+        assert copy.solve(b).tobytes() == x.tobytes()
+    finally:
+        if copy.resident is not None:
+            copy.resident.drop()

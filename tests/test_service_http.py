@@ -13,6 +13,7 @@ import pytest
 
 import repro
 from repro.service import SolveService
+from repro.service import http as http_front
 from repro.service.http import ServiceRequestHandler, build_problem, make_server
 from repro.vmpi import process_backend_available
 
@@ -280,6 +281,25 @@ def test_bad_content_length_is_a_structured_400(server, length):
     doc = json.loads(payload)
     assert doc["code"] == "bad_field" and doc["field"] == "Content-Length"
     assert length in doc["error"] and doc["request_id"]
+
+
+def test_short_body_is_dropped_after_the_read_timeout(server, monkeypatch):
+    """A body shorter than its Content-Length holds its handler thread
+    only for ``READ_TIMEOUT_S``: then the server closes the connection
+    without a reply, and a fresh connection is served. The socket
+    timeout only keeps a regression from hanging the suite."""
+    monkeypatch.setattr(http_front, "READ_TIMEOUT_S", 0.5)
+    request = (
+        b"POST /solve HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n{}"
+    )
+    with socket.create_connection(
+        ("127.0.0.1", server.server_address[1]), timeout=60
+    ) as sock:
+        sock.sendall(request)
+        assert sock.recv(65536) == b""
+    status, payload = _request(server, "GET", "/healthz")
+    assert status == 200 and payload == {"ok": True}
 
 
 def test_bad_rhs_shape_names_the_field(server):
