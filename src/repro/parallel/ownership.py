@@ -36,7 +36,9 @@ class LevelLayout:
 
     Every lookup a rank makes per box or per box pair — owner, region
     distance, boundary test, colour — is integer arithmetic on fields
-    computed once here; none of them reaches numpy.
+    computed once here; none of them reaches numpy. A rank's region
+    bounds are decoded from its Morton index at its first query and
+    kept on the instance.
 
     Attributes
     ----------
@@ -63,6 +65,9 @@ class LevelLayout:
     stride: int = field(init=False, compare=False)
     grid_side: int = field(init=False, compare=False)
     region_side: int = field(init=False, compare=False)
+    _bounds: dict[int, tuple[int, int, int, int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         level, p = self.level, self.p
@@ -112,9 +117,12 @@ class LevelLayout:
 
     def region_bounds(self, rank: int) -> tuple[int, int, int, int]:
         """``(x0, y0, x1, y1)`` box-coordinate bounds (inclusive-exclusive)."""
-        ox, oy = self.rank_coords(rank)
-        w = self.region_side
-        return (ox * w, oy * w, (ox + 1) * w, (oy + 1) * w)
+        bounds = self._bounds.get(rank)
+        if bounds is None:
+            ox, oy = self.rank_coords(rank)
+            w = self.region_side
+            bounds = self._bounds[rank] = (ox * w, oy * w, (ox + 1) * w, (oy + 1) * w)
+        return bounds
 
     def region_distance(self, box: Coord, rank: int) -> int:
         """Chebyshev distance from ``box`` to ``rank``'s region (0 if inside)."""

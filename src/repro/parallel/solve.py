@@ -86,7 +86,6 @@ def solve_shards(
     # real columns when a complex rhs meets a real factorization
     x = sweep_view(rhs, my.dtype)
 
-    comm.barrier()
     comm.clock.local_time = 0.0
     comm.clock.compute_time = 0.0
     comm.clock.comm_time = 0.0

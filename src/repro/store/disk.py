@@ -10,17 +10,21 @@ out like a message of the vmpi codec
 
 The header is a small pickled dict: the store format, the numpy
 version, the cache key's canonical repr, the stream length, the array
-spans, the body size, and a SHA-256 digest over every other header
-field and the whole body (alignment padding included). The body
-starts on a :data:`~repro.vmpi.process_backend.ALIGN`-byte boundary of
-the file, and every array on one of the body.
+spans, the body size, and a hash-list digest: the SHA-256 of every
+other header field's repr followed by the SHA-256 of each
+:data:`CHUNK`-byte slice of the body (alignment padding included),
+counted from the body's start. The body starts on a
+:data:`~repro.vmpi.process_backend.ALIGN`-byte boundary of the file,
+and every array on one of the body.
 
 A load checks the header before it reads the body: a foreign format,
 numpy version or key is rejected without touching the rest of the file.
-Then the body is read once, into one page-aligned anonymous mapping,
-hashed once, and the factorization is rebuilt with every array a view
-of that mapping (:func:`~repro.vmpi.process_backend.load_out_of_band`) — no copy
-after the read. Any mismatch — truncated or extended file, flipped
+Then the body's chunks are read (``os.preadv`` on the descriptor the
+header came from) into one page-aligned anonymous mapping and each is
+hashed as soon as it is read, on as many threads as the process may
+use CPUs; the factorization is rebuilt with every array a view of that
+mapping (:func:`~repro.vmpi.process_backend.load_out_of_band`) — no
+copy after the read. Any mismatch — truncated or extended file, flipped
 bits, a different numpy, a key-digest collision — removes the file and
 reports a miss, so a corrupt spill can never poison a warm start.
 Writes are atomic (:func:`repro.util.write_atomic`: a per-call temp
@@ -38,10 +42,12 @@ import mmap
 import os
 import pickle
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.util import write_atomic
+from repro.vmpi.backend import effective_cpu_count
 from repro.vmpi.process_backend import (
     ALIGN,
     aligned_spans,
@@ -64,8 +70,14 @@ from repro.vmpi.process_backend import (
 #: one BLAKE2b-checked payload pickle. 7: a ``WorkerResult`` holds its
 #: records and ``nlevels`` only (no per-level plans, no ``RankStats``),
 #: and a ``ParallelFactorization`` pickles itself, without its last
-#: solve run and with its factor run's reports only.
-STORE_FORMAT = 7
+#: solve run and with its factor run's reports only. 8: the digest is a
+#: hash list (one SHA-256 per :data:`CHUNK` of the body) where format 7
+#: hashed the whole body in one pass.
+STORE_FORMAT = 8
+
+#: the body is hashed in slices of this many bytes, counted from its
+#: start; a load reads and hashes the slices in parallel
+CHUNK = 4 << 20
 
 #: the first 8 bytes of every store file
 MAGIC = b"REPRO\x00SF"
@@ -110,8 +122,9 @@ def remove_quiet(path: str) -> None:
 def spill_entry(path: str, key, obj) -> None:
     """Write ``obj`` to ``path`` as an atomic, checksummed store file.
 
-    The stream and each array's own buffer go straight to the file, one
-    SHA-256 updated as they do; the header, written first with a
+    The stream and each array's own buffer go straight to the file,
+    each byte hashed once as it does, by the hasher of the
+    :data:`CHUNK` it falls in; the header, written first with a
     placeholder digest, is rewritten in place once the digest is known
     (its length does not change).
     """
@@ -127,20 +140,32 @@ def spill_entry(path: str, key, obj) -> None:
         "sha256": "0" * 64,
     }
     digest = _start_digest(header)
+    chunk, room = hashlib.sha256(), CHUNK
     with write_atomic(path) as fh:
 
-        def put(chunk) -> None:
-            fh.write(chunk)
-            digest.update(chunk)
+        def put(data) -> None:  # bytes, or an array's raw byte view
+            nonlocal chunk, room
+            fh.write(data)
+            if len(data) >= room:
+                data = memoryview(data)
+                while len(data) >= room:
+                    chunk.update(data[:room])
+                    digest.update(chunk.digest())
+                    data, chunk, room = data[room:], hashlib.sha256(), CHUNK
+            chunk.update(data)
+            room -= len(data)
 
         fh.write(header_bytes(header))
         put(stream)
         at = len(stream)
         for (offset, nbytes), buf in zip(spans, buffers):
-            put(bytes(offset - at))
+            if offset > at:
+                put(bytes(offset - at))
             put(buf)
             at = offset + nbytes
         put(bytes(size - at))
+        if room < CHUNK:
+            digest.update(chunk.digest())
         header["sha256"] = digest.hexdigest()
         fh.seek(0)
         fh.write(header_bytes(header))
@@ -185,8 +210,39 @@ def _body_buffer(nbytes: int) -> np.ndarray:
     the heap around it from being returned and raise a serving
     process's peak memory. Private, as heap memory is: a forked child
     gets a copy-on-write view, never the parent's pages to write.
+    Advised ``MADV_HUGEPAGE`` where ``mmap`` has it: fewer page faults
+    while the body is read into it.
     """
-    return np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype=np.uint8)
+    mapping = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        try:
+            mapping.madvise(mmap.MADV_HUGEPAGE)
+        except OSError:  # a kernel built without huge pages: advice only
+            pass
+    return np.frombuffer(mapping, dtype=np.uint8)
+
+
+def _chunk_digests(fd: int, start: int, body: np.ndarray) -> list[bytes | None]:
+    """The SHA-256 of each :data:`CHUNK` of ``body``, read from ``fd``
+    at ``start`` onwards; ``None`` for a chunk that read short.
+
+    Each chunk is hashed by the thread that read it, right after the
+    read; both release the GIL, so one thread per usable CPU reads and
+    hashes in parallel. One chunk or one CPU starts no thread.
+    """
+
+    def one(i: int) -> bytes | None:
+        view = body[i * CHUNK : (i + 1) * CHUNK]
+        if os.preadv(fd, [view], start + i * CHUNK) != len(view):
+            return None
+        return hashlib.sha256(view).digest()
+
+    count = -(-len(body) // CHUNK)
+    workers = min(count, effective_cpu_count())
+    if workers <= 1:
+        return [one(i) for i in range(count)]
+    with ThreadPoolExecutor(workers, thread_name_prefix="repro-spill-read") as pool:
+        return list(pool.map(one, range(count)))
 
 
 def _read_checked(fh, key):
@@ -204,10 +260,12 @@ def _read_checked(fh, key):
     if not 0 < header["stream"] <= size or os.fstat(fh.fileno()).st_size != fh.tell() + size:
         return None, None, "malformed"
     body = _body_buffer(size)
-    if fh.readinto(body) != size:  # shrank under us
+    chunks = _chunk_digests(fh.fileno(), fh.tell(), body)
+    if None in chunks:  # shrank under us
         return None, None, "malformed"
     digest = _start_digest(header)
-    digest.update(body)
+    for chunk in chunks:
+        digest.update(chunk)
     if digest.hexdigest() != header["sha256"]:
         return None, None, "checksum"
     return header, body, None

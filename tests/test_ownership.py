@@ -1,5 +1,6 @@
 """Tests for the level layouts: ownership, boundaries, reduction schedule."""
 
+import collections
 import itertools
 
 import pytest
@@ -238,3 +239,43 @@ def test_per_box_lookups_never_reach_numpy(monkeypatch):
                 assert isinstance(lay.owner(box), int)
                 assert isinstance(lay.region_distance(box, r), int)
                 assert lay.is_boundary(box, r) in (True, False)
+
+
+@pytest.mark.parametrize("p", [1, 4, 16, 64, 256])
+def test_region_lookups_decode_each_rank_once(p, monkeypatch):
+    """region_bounds / region_distance / is_boundary equal their
+    definition from the rank's decoded Morton index, at every level and
+    for every active rank, and a layout decodes a rank at most once."""
+    import repro.parallel.ownership as ownership
+
+    decoded = collections.Counter()
+
+    def counting_decode(code):
+        decoded[code] += 1
+        return morton.morton_decode(code)
+
+    monkeypatch.setattr(ownership, "morton_decode", counting_decode)
+    for level in range(1, 7):
+        lay = LevelLayout(level, p)
+        decoded.clear()
+        n, w = lay.nside, lay.region_side
+        for r in lay.active_ranks():
+            ox, oy = _deinterleave(r // lay.stride)
+            x0, y0, x1, y1 = ox * w, oy * w, (ox + 1) * w, (oy + 1) * w
+            ring = itertools.product(
+                range(max(x0 - 2, 0), min(x1 + 2, n)), range(max(y0 - 2, 0), min(y1 + 2, n))
+            )
+            for box in [*ring, (0, 0), (n - 1, 0), (0, n - 1), (n - 1, n - 1)]:
+                for _ in range(2):
+                    assert lay.region_bounds(r) == (x0, y0, x1, y1)
+                    assert lay.region_distance(box, r) == max(
+                        x0 - box[0], box[0] - (x1 - 1), y0 - box[1], box[1] - (y1 - 1), 0
+                    )
+                    leaves = any(
+                        not (x0 <= box[0] + dx < x1 and y0 <= box[1] + dy < y1)
+                        for dx in (-1, 0, 1)
+                        for dy in (-1, 0, 1)
+                        if 0 <= box[0] + dx < n and 0 <= box[1] + dy < n
+                    )
+                    assert lay.is_boundary(box, r) == leaves
+        assert decoded == collections.Counter(range(lay.active)), (level, p)

@@ -136,3 +136,27 @@ def test_pickled_factorization_keeps_only_the_factor(backend, rng):
     finally:
         if copy.resident is not None:
             copy.resident.drop()
+
+
+@pytest.mark.parametrize(("m", "leaf", "p", "messages"), [(32, 64, 4, 36), (64, 16, 16, 420)])
+def test_solve_message_count_is_pinned_on_both_backends(m, leaf, p, messages, rng):
+    """A solve sends the scatter, the colour rounds, the reductions and
+    the gather, and nothing else (no barrier before the sweeps): the
+    same count on both backends, with the same solution bits."""
+    if not process_backend_available():
+        pytest.skip("process backend unavailable")
+    k = GaussianKernelMatrix(uniform_grid(m), 1.0 / m, sigma=0.05, shift=1.0)
+    b = rng.standard_normal((k.n, 3))
+    runs = {}
+    for backend in ("thread", "process"):
+        fact = parallel_srs_factor(
+            k, p, opts=SRSOptions(tol=1e-10, leaf_size=leaf), backend=backend
+        )
+        try:
+            x = fact.solve(b)
+        finally:
+            if backend == "process" and p != 4:  # an odd pool shape
+                fact.backend._pool.shutdown()
+        runs[backend] = (fact.last_solve_run.total_messages, x.tobytes())
+    assert runs["thread"] == runs["process"]
+    assert runs["thread"][0] == messages

@@ -14,6 +14,7 @@ The acceptance contract of the store subsystem:
 """
 
 import glob
+import hashlib
 import os
 import pickle
 import subprocess
@@ -246,6 +247,139 @@ def test_every_flipped_header_byte_is_refused_or_harmless(tmp_path):
         else:
             assert reason is None and loaded.keys() == obj.keys(), at
             assert all(np.array_equal(loaded[k], obj[k]) for k in obj), at
+
+
+# ----------------------------------------------------------------------
+# the chunked digest (CHUNK shrunk so that a small body spans chunks)
+# ----------------------------------------------------------------------
+def _chunked_obj():
+    rng = np.random.default_rng(7)
+    return {
+        "a": rng.standard_normal(1500),
+        "b": np.arange(777, dtype=np.int32),
+        "c": rng.standard_normal((40, 30)) + 1j,
+    }
+
+
+def _same(loaded, obj) -> bool:
+    return loaded.keys() == obj.keys() and all(np.array_equal(loaded[k], obj[k]) for k in obj)
+
+
+def _hash_list(path, chunk) -> str:
+    """The digest a store file's header must hold, from the definition:
+    SHA-256 of the other header fields' repr, then of each ``chunk``
+    bytes of the body's SHA-256, in order."""
+    import repro.store.disk as disk
+
+    with open(path, "rb") as fh:
+        header = read_header(fh)
+        body = fh.read()
+    assert len(body) == header["body"]
+    digest = hashlib.sha256(repr(tuple(header[f] for f in disk._FIELDS)).encode())
+    for at in range(0, len(body), chunk):
+        digest.update(hashlib.sha256(body[at : at + chunk]).digest())
+    return digest.hexdigest()
+
+
+def test_chunked_digest_round_trips_around_chunk_boundaries(tmp_path, monkeypatch):
+    """Bodies of CHUNK - 1, CHUNK and CHUNK + 1 bytes, and of three
+    chunks and more, load back equal, their header holding the hash
+    list of the body's chunks."""
+    import repro.store.disk as disk
+
+    path = str(tmp_path / "entry.spill")
+    key = ("fp", "setup")
+    obj = _chunked_obj()
+    spill_entry(path, key, obj)
+    size = _regions(path)[1]["body"]
+    for chunk in (size + 1, size, size - 1, size // 3, 4096):
+        monkeypatch.setattr(disk, "CHUNK", chunk)
+        spill_entry(path, key, obj)
+        assert _regions(path)[1]["sha256"] == _hash_list(path, chunk), chunk
+        loaded, reason = load_spill(path, key)
+        assert reason is None and _same(loaded, obj), chunk
+    assert -(-size // 4096) >= 3
+
+
+def test_chunked_digest_rejects_a_flip_in_any_chunk(tmp_path, monkeypatch):
+    """One byte flipped in an interior chunk or in the last one changes
+    that chunk's digest: a checksum miss, and the file is removed."""
+    import repro.store.disk as disk
+
+    monkeypatch.setattr(disk, "CHUNK", 4096)
+    path = str(tmp_path / "entry.spill")
+    key = ("fp", "setup")
+    spill_entry(path, key, _chunked_obj())
+    raw = open(path, "rb").read()
+    start, header = _regions(path)[:2]
+    last = (header["body"] - 1) // 4096
+    assert last >= 2
+    for at in (start + 4096 + 100, start + last * 4096 + 5, len(raw) - 1):
+        open(path, "wb").write(_flip(raw, at, 0x01))
+        assert load_spill(path, key) == (None, "checksum"), at
+        assert not os.path.exists(path), at
+
+
+def test_chunked_load_on_one_cpu_starts_no_thread(tmp_path, monkeypatch):
+    """Several usable CPUs read the chunks on threads; one CPU (or none
+    known) reads them on the caller's thread, to the same arrays."""
+    import threading
+
+    import repro.store.disk as disk
+
+    monkeypatch.setattr(disk, "CHUNK", 4096)
+    path = str(tmp_path / "entry.spill")
+    key = ("fp", "setup")
+    obj = _chunked_obj()
+    starts = []
+    real_start = threading.Thread.start
+
+    def counted_start(thread):
+        starts.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    spill_entry(path, key, obj)
+    parallel, reason = load_spill(path, key)
+    assert reason is None and _same(parallel, obj)
+    assert starts and not any(t.is_alive() for t in starts)  # joined
+
+    def no_thread(thread):
+        raise AssertionError("a one-CPU load started a thread")
+
+    def no_affinity(pid):
+        raise OSError("affinity unavailable")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for affinity, cpus in ((lambda pid: {0}, 8), (no_affinity, 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spill_entry(path, key, obj)
+        serial, reason = load_spill(path, key)
+        assert reason is None and _same(serial, obj)
+        assert all(np.array_equal(serial[k], parallel[k]) for k in obj)
+
+
+def test_chunked_load_short_read_is_malformed(tmp_path, monkeypatch):
+    """A chunk that reads short (the file shrank after its size was
+    checked) is a malformed file, removed, never hashed as whole."""
+    import repro.store.disk as disk
+
+    monkeypatch.setattr(disk, "CHUNK", 4096)
+    path = str(tmp_path / "entry.spill")
+    spill_entry(path, "k", _chunked_obj())
+    real_preadv = os.preadv
+
+    def short_last(fd, buffers, offset):
+        (view,) = buffers
+        if len(view) < 4096:  # the last chunk
+            view = view[:-1]
+        return real_preadv(fd, [view], offset)
+
+    monkeypatch.setattr(os, "preadv", short_last)
+    assert load_spill(path, "k") == (None, "malformed")
+    assert not os.path.exists(path)
 
 
 def test_write_atomic_temp_file_is_per_call(tmp_path):
