@@ -1,11 +1,10 @@
-"""Non-uniform point clouds: the adaptive-tree extension.
+"""Non-uniform point clouds on the perfect quadtree.
 
 The paper presents the algorithm for uniformly distributed points on a
-perfect quadtree and notes the adaptive extension is "straightforward
-but quite tedious" (Sec. II-A). This example exercises both halves of
-that statement: the adaptive quadtree substrate on a clustered cloud,
-and the perfect-tree factorization on the same cloud (which still works
-— leaves are simply unevenly filled — at some extra rank cost).
+perfect quadtree (Sec. II-A). This example factors a clustered cloud on
+that same tree: the leaves fill unevenly (many are empty, a few are
+crowded), and the factorization still solves to the requested
+tolerance, which a dense residual check confirms for N <= 4000.
 
 Run:  python examples/nonuniform_points.py [n_points]
 """
@@ -18,24 +17,17 @@ import numpy as np
 from repro import SRSOptions, srs_factor
 from repro.geometry import clustered_points
 from repro.kernels import GaussianKernelMatrix, dense_matrix
-from repro.tree import AdaptiveQuadTree, QuadTree
+from repro.tree import QuadTree
 
 
 def main(n: int = 2000) -> None:
     pts = clustered_points(n, n_clusters=4, spread=0.04, seed=42)
     print(f"{n} points in 4 Gaussian clusters")
 
-    adaptive = AdaptiveQuadTree(pts, leaf_size=64)
-    leaf_sizes = [leaf.index.size for leaf in adaptive.leaves()]
-    print(
-        f"adaptive tree: {adaptive.nlevels} levels, {len(leaf_sizes)} leaves, "
-        f"occupancy {min(leaf_sizes)}..{max(leaf_sizes)}"
-    )
-
     perfect = QuadTree.for_leaf_size(pts, 64)
     occ = [perfect.leaf_points(*c).size for c in perfect.nonempty_leaves()]
     print(
-        f"perfect tree:  {perfect.nlevels} levels, {len(occ)} nonempty leaves, "
+        f"perfect tree: {perfect.nlevels} levels, {len(occ)} nonempty leaves, "
         f"occupancy {min(occ)}..{max(occ)} (uneven, as expected)"
     )
 

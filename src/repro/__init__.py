@@ -60,7 +60,7 @@ from repro.kernels import (
 from repro.geometry import uniform_grid
 from repro.matvec import DenseMatVec, FFTMatVec
 from repro.iterative import cg, gmres
-from repro.tree import AdaptiveQuadTree, QuadTree
+from repro.tree import QuadTree
 
 __version__ = "1.0.0"
 
@@ -101,6 +101,5 @@ __all__ = [
     "cg",
     "gmres",
     "QuadTree",
-    "AdaptiveQuadTree",
     "__version__",
 ]

@@ -5,7 +5,6 @@ from repro.geometry.points import (
     uniform_grid,
     random_points,
     clustered_points,
-    annulus_points,
 )
 from repro.geometry.morton import morton_encode, morton_decode, morton_argsort
 
@@ -14,7 +13,6 @@ __all__ = [
     "uniform_grid",
     "random_points",
     "clustered_points",
-    "annulus_points",
     "morton_encode",
     "morton_decode",
     "morton_argsort",

@@ -49,13 +49,3 @@ class Square:
         size = float(max(hi[0] - lo[0], hi[1] - lo[1]))
         size = max(size, pad) * (1.0 + pad)
         return cls(float(lo[0]), float(lo[1]), size)
-
-    def subdivide(self) -> list["Square"]:
-        """The four child quadrants, ordered (SW, SE, NW, NE)."""
-        h = 0.5 * self.size
-        return [
-            Square(self.x0, self.y0, h),
-            Square(self.x0 + h, self.y0, h),
-            Square(self.x0, self.y0 + h, h),
-            Square(self.x0 + h, self.y0 + h, h),
-        ]

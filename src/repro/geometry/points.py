@@ -2,8 +2,8 @@
 
 ``uniform_grid`` reproduces the paper's collocation setup: a
 ``sqrt(N) x sqrt(N)`` grid of cell centers on the unit square with
-spacing ``h = 1/sqrt(N)``. The other generators exercise the adaptive
-tree and the kernel code on non-uniform clouds.
+spacing ``h = 1/sqrt(N)``. The other generators give non-uniform
+clouds, on which the perfect quadtree's leaves fill unevenly.
 """
 
 from __future__ import annotations
@@ -63,13 +63,3 @@ def clustered_points(
     pts = centers[which] + rng.normal(scale=spread * dom.size, size=(n, 2))
     eps = 1e-9 * dom.size
     return np.clip(pts, lo + eps, hi - eps)
-
-
-def annulus_points(n: int, *, r_inner: float = 0.25, r_outer: float = 0.45, seed: int = 0) -> np.ndarray:
-    """Points on an annulus centered in the unit square (curve-like cloud)."""
-    rng = np.random.default_rng(seed)
-    theta = rng.random(n) * 2 * np.pi
-    # sample radius with correct area weighting
-    u = rng.random(n)
-    r = np.sqrt(r_inner**2 + u * (r_outer**2 - r_inner**2))
-    return np.column_stack([0.5 + r * np.cos(theta), 0.5 + r * np.sin(theta)])

@@ -13,7 +13,6 @@ from repro.kernels.helmholtz import HelmholtzKernelMatrix, helmholtz_greens, pla
 from repro.kernels.yukawa import YukawaKernelMatrix
 from repro.kernels.gaussian import GaussianKernelMatrix
 from repro.kernels.selfquad import square_self_integral
-from repro.kernels.stokes import stokeslet_matrix
 
 __all__ = [
     "KernelMatrix",
@@ -26,5 +25,4 @@ __all__ = [
     "YukawaKernelMatrix",
     "GaussianKernelMatrix",
     "square_self_integral",
-    "stokeslet_matrix",
 ]

@@ -1,6 +1,5 @@
 """Hierarchical domain decomposition (quadtrees) for planar point sets."""
 
 from repro.tree.quadtree import QuadTree
-from repro.tree.adaptive import AdaptiveQuadTree, AdaptiveNode
 
-__all__ = ["QuadTree", "AdaptiveQuadTree", "AdaptiveNode"]
+__all__ = ["QuadTree"]

@@ -1,8 +1,13 @@
-"""Shared fixtures: point sets, kernels, and (expensive) factorizations."""
+"""Shared fixtures: point sets, kernels, and (expensive) factorizations;
+and :func:`shm_blocks`, the ``/dev/shm`` listing of the "left as found"
+checks."""
 
 from __future__ import annotations
 
 import functools
+import glob
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from repro.kernels import (
     dense_matrix,
 )
 from repro.kernels.helmholtz import gaussian_bump
+from repro.vmpi import process_backend
 
 
 @pytest.fixture(scope="session")
@@ -80,3 +86,64 @@ def gaussian16_dense(gaussian16):
 @pytest.fixture(scope="session")
 def laplace32_fact(laplace32):
     return srs_factor(laplace32, opts=SRSOptions(tol=1e-9, leaf_size=32))
+
+
+# ----------------------------------------------------------------------
+# /dev/shm segments this test process and its rank processes created
+# ----------------------------------------------------------------------
+_SHM_LOG = ""
+_recorder = pytest.MonkeyPatch()
+
+
+def _recording(create_shm):
+    """``_create_shm`` that also appends the new segment's name to the
+    session's log, from whichever process calls it: a rank process
+    forked after :func:`pytest_configure` inherits the wrapper, and a
+    line this short is appended whole."""
+    log = _SHM_LOG
+
+    def create(nbytes: int):
+        shm = create_shm(nbytes)
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, f"{shm.name}\n".encode())
+        finally:
+            os.close(fd)
+        return shm
+
+    return create
+
+
+def pytest_configure(config):
+    # before any test runs, so before any rank pool is forked
+    global _SHM_LOG
+    fd, _SHM_LOG = tempfile.mkstemp(prefix="repro-shm-", suffix=".log")
+    os.close(fd)
+    _recorder.setattr(process_backend, "_create_shm", _recording(process_backend._create_shm))
+
+
+def pytest_unconfigure(config):
+    _recorder.undo()
+    os.unlink(_SHM_LOG)
+
+
+def shm_blocks(*, machine_wide: bool = False) -> set[str]:
+    """Names of the ``psm_*`` segments in ``/dev/shm`` that this test
+    process or one of its rank processes created, so a check that
+    ``/dev/shm`` is left as found ignores what other programs on the
+    machine (a server, a second test run) make meanwhile.
+
+    Every segment is made by ``process_backend._create_shm`` (a rule of
+    ``tests/test_invariants.py``), which :func:`pytest_configure`
+    wraps. A process that does not inherit the wrapper cannot be told
+    apart from a stranger: ranks started by spawn, or a program a test
+    starts by exec. A test whose segments come from one passes
+    ``machine_wide=True`` and gets the whole machine's listing, which
+    is also the answer whenever the backend's default start method is
+    not fork.
+    """
+    listing = {os.path.basename(path) for path in glob.glob("/dev/shm/psm_*")}
+    if machine_wide or process_backend._pick_start_method() != "fork":
+        return listing
+    with open(_SHM_LOG) as log:
+        return listing & set(log.read().split())

@@ -33,16 +33,6 @@ def test_contains_with_tolerance():
     assert s.contains(pts, tol=1e-6)[0]
 
 
-def test_subdivide_covers_parent():
-    s = Square(1.0, 2.0, 4.0)
-    quads = s.subdivide()
-    assert len(quads) == 4
-    assert all(q.size == 2.0 for q in quads)
-    # corners of children tile the parent
-    corners = sorted((q.x0, q.y0) for q in quads)
-    assert corners == [(1.0, 2.0), (1.0, 4.0), (3.0, 2.0), (3.0, 4.0)]
-
-
 def test_bounding_square_contains_all_points():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(100, 2)) * 3.0

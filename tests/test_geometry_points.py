@@ -5,7 +5,6 @@ import pytest
 
 from repro.geometry.domain import Square
 from repro.geometry.points import (
-    annulus_points,
     clustered_points,
     grid_spacing,
     random_points,
@@ -52,10 +51,3 @@ def test_clustered_points_inside_domain():
     pts = clustered_points(200, n_clusters=3, seed=1)
     assert Square().contains(pts).all()
     assert pts.shape == (200, 2)
-
-
-def test_annulus_points_radii():
-    pts = annulus_points(500, r_inner=0.2, r_outer=0.4, seed=2)
-    r = np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5)
-    assert r.min() >= 0.2 - 1e-12
-    assert r.max() <= 0.4 + 1e-12

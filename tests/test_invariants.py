@@ -1,7 +1,7 @@
 """Project invariants that no runtime check sees, one tier-1 test per rule.
 
-Each rule is a function that walks the ASTs of ``src/`` (parsed once)
-and returns one ``(path, line, tag, message)`` tuple per violation; its
+Each rule is a function that walks the ASTs of ``src/`` (parsed once;
+the wall-clock rule walks ``tests/``) and returns one ``(path, line, tag, message)`` tuple per violation; its
 ``test_<rule>`` asserts the live tree yields none. INVARIANTS.md says
 what each rule guards. Every rule also runs on planted snippets: a bad
 one is flagged at the pinned line, a clean one passes. There is no
@@ -1001,3 +1001,184 @@ def test_dead_code_init_reexports_exempt():
         "src/repro/util/helpers.py": "def thing():\n    return 1\n",
     }))
     assert_clean(hits)
+
+
+# ----------------------------------------------------------------------
+# wall-clock: tier-1 asserts nothing about the wall clock, read from a
+# clock or off a report's timing fields
+# ----------------------------------------------------------------------
+CLOCKS = {"perf_counter", "time", "monotonic"}
+#: fields that carry measured seconds: the reports' ``t_setup``,
+#: ``t_solve``, ``t_queue``, the factorizations' ``t_fact`` / ``t_solve``
+#: and their parts (``t_fact_comp``, ``sequential_t_fact``), and every
+#: simulated ``sim_t_*`` (measured compute plus modelled messages)
+TIMING_FIELD_RE = re.compile(r"^(sim_t_\w+|(\w+_)?t_(fact|setup|solve|queue)(_\w+)?)$")
+#: list methods that fold a value into the receiver
+COLLECT = {"append", "extend", "insert", "add"}
+BOUNDS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _is_clock_call(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return (func.attr in CLOCKS and isinstance(func.value, ast.Name)
+                and func.value.id == "time")
+    return isinstance(func, ast.Name) and func.id in CLOCKS - {"time"}
+
+
+def _is_timing_field(node: ast.AST) -> bool:
+    """``x.t_solve`` or ``x["t_solve"]``."""
+    if isinstance(node, ast.Attribute):
+        key = node.attr
+    elif isinstance(node, ast.Subscript):
+        key = literal_str(node.slice)
+    else:
+        return False
+    return key is not None and TIMING_FIELD_RE.match(key) is not None
+
+
+def _reads(node: ast.AST, source, tainted: set[str]) -> bool:
+    return any(
+        source(sub) or (isinstance(sub, ast.Name) and sub.id in tainted)
+        for sub in ast.walk(node)
+    )
+
+
+def _tainted(func: ast.AST, source) -> set[str]:
+    """Names ``func`` binds from a ``source`` read, followed to a fixpoint."""
+    tainted: set[str] = set()
+    while True:
+        before = len(tainted)
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if node.value is not None and _reads(node.value, source, tainted):
+                    tainted.update(
+                        sub.id for t in targets for sub in ast.walk(t)
+                        if isinstance(sub, ast.Name)
+                    )
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in COLLECT
+                  and isinstance(node.func.value, ast.Name)
+                  and any(_reads(arg, source, tainted) for arg in node.args)):
+                tainted.add(node.func.value.id)
+        if len(tainted) == before:
+            return tainted
+
+
+def _is_zero(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == 0)
+
+
+def _timing_bound(test: ast.AST, tainted: set[str]) -> bool:
+    """Does ``test`` order a timing field against anything but 0? (That a
+    time is positive or non-negative holds on any machine.)"""
+    for cmp in ast.walk(test):
+        if not isinstance(cmp, ast.Compare):
+            continue
+        sides = [cmp.left, *cmp.comparators]
+        for op, a, b in zip(cmp.ops, sides, sides[1:]):
+            if isinstance(op, BOUNDS) and any(
+                _reads(x, _is_timing_field, tainted) and not _is_zero(y)
+                for x, y in ((a, b), (b, a))
+            ):
+                return True
+    return False
+
+
+def wall_clock(mods: list[Module]) -> list:
+    hits = {}
+    for mod in mods:
+        for func in mod.nodes:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            clocked = _tainted(func, _is_clock_call)
+            timed = _tainted(func, _is_timing_field)
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Assert) or (mod.rel, node.lineno) in hits:
+                    continue  # an enclosing function reported it already
+                if _reads(node.test, _is_clock_call, clocked):
+                    hits[mod.rel, node.lineno] = hit(
+                        mod, node, f"clock:{func.name}",
+                        "asserts on a wall-clock reading; it fails on a slow "
+                        "machine without a code change (timing claims belong "
+                        "to the perf ledger)")
+                elif _timing_bound(node.test, timed):
+                    hits[mod.rel, node.lineno] = hit(
+                        mod, node, f"timing-bound:{func.name}",
+                        "bounds a measured time (t_fact, t_setup, t_solve, "
+                        "t_queue, sim_t_*); assert a count, a rank or a "
+                        "residual instead, or move the claim to the perf ledger")
+    return list(hits.values())
+
+
+@cache
+def live_tests() -> list[Module]:
+    return parse({
+        p.relative_to(REPO).as_posix(): p.read_text(encoding="utf-8")
+        for p in (REPO / "tests").glob("*.py")
+    })
+
+
+def test_wall_clock():
+    assert_clean(wall_clock(live_tests()))
+
+
+WALL_CLOCK_BAD = """\
+    import time
+
+    def test_fast():
+        t0 = time.perf_counter()
+        work()
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0
+
+    def test_collected():
+        runs = []
+        t0 = time.monotonic()
+        runs.append(time.monotonic() - t0)
+        assert min(runs) < 1.0
+
+    def test_report_fields(report, fact, payload, runs):
+        assert report.t_solve < 0.5
+        assert payload["report"]["t_queue"] <= 0.01
+        assert fact.t_solve < fact.t_fact
+        sims = [run.sim_t_fact for run in runs]
+        assert max(sims) < 2.0 * min(sims)
+        assert 0 < fact.t_fact_comp < 3.0
+"""
+
+
+def test_wall_clock_bad():
+    hits = wall_clock(planted({"tests/test_timed.py": WALL_CLOCK_BAD}))
+    assert lines_tags(hits) == {
+        (7, "clock:test_fast"), (13, "clock:test_collected"),
+        (16, "timing-bound:test_report_fields"), (17, "timing-bound:test_report_fields"),
+        (18, "timing-bound:test_report_fields"), (20, "timing-bound:test_report_fields"),
+        (21, "timing-bound:test_report_fields"),
+    }
+
+
+def test_wall_clock_clean():
+    good = """\
+        import time
+        import pytest
+
+        def test_eventually():
+            deadline = time.time() + 5.0
+            while not done() and time.time() < deadline:
+                pass
+            assert done()
+
+        def test_report_fields(report, fact, payload, work):
+            assert report.t_setup >= 0.0 and report.sim_t_fact > 0
+            assert fact.t_fact == pytest.approx(fact.t_fact_comp + fact.t_fact_other)
+            assert [fact.schedule(t).t_fact for t in (1, 4)] == [4.0, 1.0]
+            assert {"t_queue", "t_setup", "t_solve"} <= set(payload["report"])
+            assert fact.last_solve_run.total_bytes < fact.factor_run.total_bytes
+    """
+    assert_clean(wall_clock(planted({"tests/test_ok.py": good})))

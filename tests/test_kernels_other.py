@@ -1,4 +1,4 @@
-"""Tests for the Yukawa, Gaussian, and Stokeslet kernels."""
+"""Tests for the Yukawa and Gaussian kernels."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.kernels import (
     GaussianKernelMatrix,
     YukawaKernelMatrix,
     dense_matrix,
-    stokeslet_matrix,
 )
 
 
@@ -68,34 +67,3 @@ def test_gaussian_spawn():
     sub = np.array([0, 10, 20])
     sp = k.spawn(k.points[sub], {})
     assert np.allclose(sp.block(np.arange(3), np.arange(3)), k.block(sub, sub))
-
-
-# -- Stokeslet ---------------------------------------------------------
-def test_stokeslet_shape_and_symmetry():
-    x = np.array([[0.0, 0.0], [1.0, 0.0]])
-    g = stokeslet_matrix(x, x)
-    assert g.shape == (4, 4)
-    assert np.allclose(g, g.T)
-
-
-def test_stokeslet_known_value():
-    # points separated along x by r: G_xx = (-ln r + 1)/4pi, G_yy = -ln r/4pi
-    r = 0.5
-    x = np.array([[0.0, 0.0]])
-    y = np.array([[r, 0.0]])
-    g = stokeslet_matrix(x, y)
-    assert g[0, 0] == pytest.approx((-np.log(r) + 1.0) / (4 * np.pi))
-    assert g[1, 1] == pytest.approx(-np.log(r) / (4 * np.pi))
-    assert g[0, 1] == pytest.approx(0.0)
-
-
-def test_stokeslet_coincident_points_zeroed():
-    x = np.array([[0.3, 0.3]])
-    g = stokeslet_matrix(x, x)
-    assert np.all(g == 0.0)
-
-
-def test_stokeslet_viscosity_scaling():
-    x = np.array([[0.0, 0.0]])
-    y = np.array([[0.4, 0.1]])
-    assert np.allclose(stokeslet_matrix(x, y, viscosity=2.0) * 2.0, stokeslet_matrix(x, y))

@@ -9,6 +9,7 @@ from repro.core import SRSOptions
 from repro.geometry import uniform_grid
 from repro.kernels import GaussianKernelMatrix, LaplaceKernelMatrix, dense_matrix
 from repro.parallel import parallel_srs_factor
+from repro.parallel.ownership import LevelLayout
 from repro.vmpi import INTER_NODE, process_backend_available
 
 
@@ -74,10 +75,12 @@ def test_solve_wrong_size(pfact):
 
 
 def test_solve_cheaper_than_factor(pfact, rng):
-    """t_solve << t_fact — the direct-solver selling point (Sec. I-A)."""
+    """A solve costs a sliver of the factor — the direct-solver selling
+    point (Sec. I-A) — read off the byte counters, which no machine's
+    speed moves (the simulated times are measured compute)."""
     k, _, fact = pfact
     fact.solve(rng.standard_normal(k.n))
-    assert fact.t_solve < fact.t_fact
+    assert 10 * fact.last_solve_run.total_bytes < fact.factor_run.total_bytes
 
 
 def test_inter_node_cost_model_slower(rng, srs_opts):
@@ -138,11 +141,13 @@ def test_pickled_factorization_keeps_only_the_factor(backend, rng):
             copy.resident.drop()
 
 
-@pytest.mark.parametrize(("m", "leaf", "p", "messages"), [(32, 64, 4, 36), (64, 16, 16, 420)])
+@pytest.mark.parametrize(("m", "leaf", "p", "messages"), [(32, 64, 4, 36), (32, 4, 16, 420)])
 def test_solve_message_count_is_pinned_on_both_backends(m, leaf, p, messages, rng):
     """A solve sends the scatter, the colour rounds, the reductions and
     the gather, and nothing else (no barrier before the sweeps): the
-    same count on both backends, with the same solution bits."""
+    same count on both backends, with the same solution bits. At p = 16
+    the leaf level is 16 x 16 boxes, so every rank holds interior and
+    boundary records there and runs both halves of each colour round."""
     if not process_backend_available():
         pytest.skip("process backend unavailable")
     k = GaussianKernelMatrix(uniform_grid(m), 1.0 / m, sigma=0.05, shift=1.0)
@@ -158,5 +163,13 @@ def test_solve_message_count_is_pinned_on_both_backends(m, leaf, p, messages, rn
             if backend == "process" and p != 4:  # an odd pool shape
                 fact.backend._pool.shutdown()
         runs[backend] = (fact.last_solve_run.total_messages, x.tobytes())
+        if backend == "thread" and p == 16:
+            leaves = LevelLayout(fact.nlevels, p)
+            assert fact.nlevels == 4 and len(fact.workers) == p
+            for worker in fact.workers:
+                assert {
+                    leaves.is_boundary(rec.box, worker.rank)
+                    for rec in worker.records if rec.level == fact.nlevels
+                } == {False, True}
     assert runs["thread"] == runs["process"]
     assert runs["thread"][0] == messages

@@ -16,7 +16,6 @@ The contracts under test:
 """
 
 import gc
-import glob
 import sys
 import threading
 import time
@@ -35,14 +34,12 @@ from repro.tree import QuadTree
 from repro.vmpi import process_backend_available
 from repro.vmpi.pool import active_pools
 
+from conftest import shm_blocks
+
 needs_process = pytest.mark.skipif(
     not process_backend_available(),
     reason="multiprocessing.shared_memory unavailable on this platform",
 )
-
-
-def _shm_blocks() -> set:
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +462,7 @@ def test_oversized_entry_stays_resident():
 
 @needs_process
 def test_process_eviction_frees_shm(prob):
-    before = _shm_blocks()
+    before = shm_blocks()
     cfg = SolveConfig(method="direct", execution="process", ranks=4)
     svc = SolveService(workers=4, batch_window=0.0)
     r1 = svc.solve(prob, prob.random_rhs(0), cfg)
@@ -485,7 +482,7 @@ def test_process_eviction_frees_shm(prob):
     assert fact_ref() is None
     # the ranks outlive every entry they served: one pool per shape until exit
     assert pool in active_pools() and pool.alive and pool.spawn_count == 4
-    assert _shm_blocks() == before  # eviction leaves /dev/shm as found
+    assert shm_blocks() == before  # eviction leaves /dev/shm as found
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ The acceptance contract of the store subsystem:
   hold nothing but the intended warm-start spill files.
 """
 
-import glob
 import hashlib
 import os
 import pickle
@@ -39,14 +38,12 @@ from repro.store.disk import (
 )
 from repro.vmpi import process_backend_available
 
+from conftest import shm_blocks
+
 needs_process = pytest.mark.skipif(
     not process_backend_available(),
     reason="multiprocessing.shared_memory unavailable on this platform",
 )
-
-
-def _shm_blocks() -> set:
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 def _residue(root) -> list:
@@ -456,7 +453,7 @@ def test_lock_timeout_builds_privately(tmp_path):
 @needs_process
 def test_shared_publish_release_leaves_shm_as_found(tmp_path):
     root = str(tmp_path)
-    before = _shm_blocks()
+    before = shm_blocks()
     store = FactorizationStore(root, shared=True, spill=False)
     fact, tier = store.fetch_or_build(
         "k", lambda: {"a": np.arange(4096, dtype=np.float64)}
@@ -465,10 +462,10 @@ def test_shared_publish_release_leaves_shm_as_found(tmp_path):
     assert store.shared_published("k") and store.holds_shared("k")
     assert store.shared_bytes() == 4096 * 8
     # a publish is one segment, however few bytes, live while held
-    assert len(_shm_blocks() - before) == 1
+    assert len(shm_blocks() - before) == 1
     store.release("k")
     assert not store.holds_shared("k") and not store.shared_published("k")
-    assert _shm_blocks() == before
+    assert shm_blocks() == before
     assert _residue(root) == []
 
 
@@ -490,13 +487,13 @@ def test_published_factorization_is_one_segment(tmp_path):
 
     root = str(tmp_path / "store")
     prob = LaplaceVolumeProblem(m=16)
-    before = _shm_blocks()
+    before = shm_blocks(machine_wide=True)
     store = FactorizationStore(root, shared=True, spill=False)
     fact, tier = store.fetch_or_build(
         "k", lambda: repro.srs_factor(prob.kernel, prob.factor_tree)
     )
     assert tier is None and len(fact.records) > 10
-    assert len(_shm_blocks() - before) == 1
+    assert len(shm_blocks(machine_wide=True) - before) == 1
 
     code = textwrap.dedent(
         f"""
@@ -537,7 +534,7 @@ def test_published_factorization_is_one_segment(tmp_path):
     assert not os.path.exists(path)
 
     store.close()
-    assert _shm_blocks() == before
+    assert shm_blocks(machine_wide=True) == before
 
 
 def _record_arrays(fact) -> list:
@@ -613,7 +610,7 @@ def test_round_trip_through_every_tier_solves_bitwise(tmp_path, execution, probl
     loaded = []
     try:
         check(fact, zero_copy=False)
-        before = _shm_blocks()
+        before = shm_blocks()
         disk = FactorizationStore(str(tmp_path / "disk"), shared=False, spill=True)
         assert disk.spill("k", fact)
         reloaded, tier = disk.load("k")
@@ -631,7 +628,7 @@ def test_round_trip_through_every_tier_solves_bitwise(tmp_path, execution, probl
         del attached
         loaded.pop()
         shm.close()
-        assert _shm_blocks() == before
+        assert shm_blocks() == before
     finally:
         for f in [fact, *loaded]:
             if getattr(f, "resident", None) is not None:
@@ -664,7 +661,7 @@ def test_shared_attach_in_second_process_is_bitwise(tmp_path):
     prob = LaplaceVolumeProblem(m=16)
     b = prob.random_rhs(0)
     np.save(tmp_path / "rhs.npy", b)
-    before = _shm_blocks()
+    before = shm_blocks(machine_wide=True)
 
     with SolveService(ServiceConfig(store_dir=root)) as service:
         report = service.solve(prob, b)
@@ -703,7 +700,7 @@ def test_shared_attach_in_second_process_is_bitwise(tmp_path):
         assert np.array_equal(x_child, report.x)  # bitwise, not approx
 
     # parent was the last holder: blocks unlinked, only spills remain
-    assert _shm_blocks() == before
+    assert shm_blocks(machine_wide=True) == before
     assert _residue(root) == []
 
 
@@ -744,11 +741,13 @@ def test_shared_segment_outlives_foreign_holders(tmp_path):
     3.13 a ``SharedMemory`` handle also registers the name with its
     process's resource tracker, which unlinks it when that process
     exits: a front end that attached and left — or published and left —
-    must not take the entry from the holders that remain."""
+    must not take the entry from the holders that remain. The segments
+    here are made by programs this test starts by exec, so the listing
+    is the machine's."""
     import hashlib
 
     root = str(tmp_path / "store")
-    before = _shm_blocks()
+    before = shm_blocks(machine_wide=True)
     payload = np.arange(4096, dtype=np.float64)
     want = hashlib.blake2b(payload.tobytes(), digest_size=16).hexdigest()
     stderr = []
@@ -757,7 +756,7 @@ def test_shared_segment_outlives_foreign_holders(tmp_path):
         out, err = _foreign(root, "attach").communicate(timeout=120)
         stderr.append(err)
         assert out.split() == ["shared", want], (out, err)
-        assert _shm_blocks() - before == {segment}  # still listed
+        assert shm_blocks(machine_wide=True) - before == {segment}  # still listed
 
     def publish():
         publisher = _foreign(root, "publish", stdin=subprocess.PIPE)
@@ -771,15 +770,15 @@ def test_shared_segment_outlives_foreign_holders(tmp_path):
 
     # two attachers come and go, one after the other, under a publisher
     publisher = publish()
-    (segment,) = _shm_blocks() - before
+    (segment,) = shm_blocks(machine_wide=True) - before
     attach_and_leave()
     attach_and_leave()
     leave(publisher)
-    assert _shm_blocks() == before and _residue(root) == []
+    assert shm_blocks(machine_wide=True) == before and _residue(root) == []
 
     # the mirrored order: the publisher leaves while this process holds
     publisher = publish()
-    (segment,) = _shm_blocks() - before
+    (segment,) = shm_blocks(machine_wide=True) - before
     store = FactorizationStore(root, shared=True, spill=False)
     held, tier = store.load("k")
     assert tier == "shared"
@@ -788,7 +787,7 @@ def test_shared_segment_outlives_foreign_holders(tmp_path):
     assert np.array_equal(held["a"], payload)
     del held
     store.close()
-    assert _shm_blocks() == before and _residue(root) == []
+    assert shm_blocks(machine_wide=True) == before and _residue(root) == []
     assert not any("resource_tracker" in err for err in stderr), stderr
 
 
@@ -844,7 +843,7 @@ def _resident_ids_prog(comm):
 def test_eviction_invalidates_worker_registry():
     from repro.service.cache import FactorizationCache
 
-    before = _shm_blocks()
+    before = shm_blocks()
     prob = LaplaceVolumeProblem(m=24)
     cache = FactorizationCache(1 << 40)
     lookup = cache.get_or_build(
@@ -870,7 +869,7 @@ def test_eviction_invalidates_worker_registry():
     assert np.array_equal(x1, x2)
     fact.resident.drop()
     pool.shutdown()
-    assert _shm_blocks() == before
+    assert shm_blocks() == before
 
 
 @needs_process

@@ -28,6 +28,8 @@ from repro.vmpi import (
 )
 from repro.vmpi.process_backend import SEGMENT_MIN_BYTES, pack, release_segment, unpack
 
+from conftest import shm_blocks
+
 needs_process = pytest.mark.skipif(
     not process_backend_available(),
     reason="multiprocessing.shared_memory unavailable on this platform",
@@ -70,10 +72,6 @@ def test_resolve_backend_normalizes_strings(monkeypatch):
 # ----------------------------------------------------------------------
 # pack / unpack: one pickle stream + at most one shared-memory segment
 # ----------------------------------------------------------------------
-def _shm_names() -> set:
-    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-
-
 def _registry():
     return multiprocessing.get_context().SimpleQueue()
 
@@ -117,7 +115,7 @@ def test_shm_codec_roundtrip_nested():
     assert decoded["scalars"] == payload["scalars"]
     # zero-copy: both large arrays are views of the one mapping
     assert decoded["big"].base is not None and not decoded["big"].flags.owndata
-    assert packed.segment not in _shm_names()  # the single receiver unlinked it
+    assert packed.segment not in shm_blocks()  # the single receiver unlinked it
 
 
 @needs_process
@@ -202,14 +200,14 @@ def test_shm_codec_below_threshold_travels_inline_and_isolated():
     big = np.arange(_INLINE, dtype=np.float64)
     rec = np.zeros(100, dtype=[("a", "f8"), ("b", "i8")])
     registry = _registry()
-    before = _shm_names()
+    before = shm_blocks()
     packed = pack(
         {"big": big, "empty": np.empty(0), "s": np.array(1.5), "rec": rec},
         registry=registry,
     )
     assert packed.segment is None and packed.spans == ()
     assert [len(b) for b in packed.inline] == [big.nbytes]
-    assert _registered(registry) == [] and _shm_names() == before
+    assert _registered(registry) == [] and shm_blocks() == before
     big[:] = -1.0  # after pack: must not reach the receiver
     decoded = _roundtrip(packed)
     assert decoded["big"].flags.writeable
@@ -255,14 +253,14 @@ def test_shm_codec_one_segment_for_fifty_arrays():
     arrays = [np.full(700 + i, float(i)) for i in range(50)]
     assert sum(a.nbytes for a in arrays) >= SEGMENT_MIN_BYTES
     registry = _registry()
-    before = _shm_names()
+    before = shm_blocks()
     packed = pack({"arrays": arrays, "tag": 3}, registry=registry)
     assert _registered(registry) == [packed.segment]
-    assert _shm_names() - before == {packed.segment}
+    assert shm_blocks() - before == {packed.segment}
     assert len(packed.spans) == 50
     assert all(offset % 64 == 0 for offset, _ in packed.spans)
     decoded = unpack(packed)
-    assert _shm_names() == before
+    assert shm_blocks() == before
     for got, want in zip(decoded["arrays"], arrays):
         np.testing.assert_array_equal(got, want)
     registry.close()
@@ -385,11 +383,11 @@ def test_shm_codec_identity_on_arrayless_payloads():
     rec = _make_box_record()
     payload = {"tag": 7, "coords": [(1, 2), (3, 4)], "rec": rec}
     registry = _registry()
-    before = _shm_names()
+    before = shm_blocks()
     packed = pack(payload, min_bytes=10**9, registry=registry)
     assert packed.segment is None and packed.spans == () and packed.shm_nbytes == 0
     assert len(packed.inline) == 9  # the record's arrays ride the stream
-    assert _registered(registry) == [] and _shm_names() == before
+    assert _registered(registry) == [] and shm_blocks() == before
     decoded = unpack(packed)
     assert decoded["tag"] == 7 and decoded["coords"] == payload["coords"]
     np.testing.assert_array_equal(decoded["rec"].T, rec.T)
@@ -402,10 +400,10 @@ def test_shm_codec_pickling_failure_leaves_no_segment():
     payload — even one holding large arrays — registers and leaves
     nothing."""
     registry = _registry()
-    before = _shm_names()
+    before = shm_blocks()
     with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
         pack({"big": np.zeros(5000), "cb": lambda: 1}, min_bytes=0, registry=registry)
-    assert _registered(registry) == [] and _shm_names() == before
+    assert _registered(registry) == [] and shm_blocks() == before
     registry.close()
 
 
@@ -422,10 +420,10 @@ def test_shm_codec_failure_after_create_unlinks_segment(monkeypatch):
         def put(self, name):
             raise OSError(errno.EPIPE, "registry pipe closed")
 
-    before = _shm_names()
+    before = shm_blocks()
     with pytest.raises(OSError):
         pack(np.zeros(5000), min_bytes=0, registry=BrokenPipe())
-    assert _shm_names() == before
+    assert shm_blocks() == before
 
     def no_space(nbytes):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -434,7 +432,7 @@ def test_shm_codec_failure_after_create_unlinks_segment(monkeypatch):
     registry = _registry()
     with pytest.raises(OSError):
         pack(np.zeros(5000), min_bytes=0, registry=registry)
-    assert _registered(registry) == [] and _shm_names() == before
+    assert _registered(registry) == [] and shm_blocks() == before
     registry.close()
 
 
@@ -657,12 +655,10 @@ def _unpicklable_payload_prog(comm):
 def test_put_releases_shm_blocks_on_pickle_failure():
     """If pickling fails after large arrays were carved into shm blocks,
     the blocks must be unlinked, not orphaned in /dev/shm."""
-    import glob
-
-    before = set(glob.glob("/dev/shm/psm_*"))
+    before = shm_blocks()
     run = run_spmd(2, _unpicklable_payload_prog, backend="process")
     assert run.results[1] == "done"
-    leaked = set(glob.glob("/dev/shm/psm_*")) - before
+    leaked = shm_blocks() - before
     assert not leaked, leaked
     # the failed send must not have been counted
     assert run.reports[0].messages_sent == 1
@@ -682,12 +678,10 @@ def test_abnormal_teardown_unlinks_registered_blocks():
 
     The sender-side name registry lets the parent unlink whatever the
     normal receiver/drain paths could not reach."""
-    import glob
-
-    before = set(glob.glob("/dev/shm/psm_*"))
+    before = shm_blocks()
     with pytest.raises(RuntimeError, match="rank 0"):
         run_spmd(2, _orphan_send_prog, backend="process")
-    leaked = set(glob.glob("/dev/shm/psm_*")) - before
+    leaked = shm_blocks() - before
     assert not leaked, leaked
 
 
@@ -731,16 +725,14 @@ def test_process_backend_unpicklable_result_fails_fast():
     result is not such a case — packing pickles it inside the rank's
     failure-reporting path, so it surfaces as that rank's failure with
     the pickling error."""
-    import glob
-
     be = ProcessBackend()
     assert run_spmd(2, _empty_send_prog, backend=be).results[1] == 0
     doomed = be.pool
-    before = set(glob.glob("/dev/shm/psm_*"))
+    before = shm_blocks()
     with pytest.raises(RuntimeError, match="pool rank [01] died with exit code 0"):
         run_spmd(2, _silent_exit_prog, backend=be, timeout=30.0)
     assert not doomed.alive
-    assert set(glob.glob("/dev/shm/psm_*")) == before
+    assert shm_blocks() == before
     assert run_spmd(2, _empty_send_prog, backend=be).results[1] == 0
     # two workers lost, two started: the dead cohort's pool was dropped
     assert be.pool is not doomed and be.pool.alive and be.pool.spawn_count == 2

@@ -7,7 +7,6 @@ to the thread backend, and repeated dispatches leave zero orphaned
 ``/dev/shm`` blocks.
 """
 
-import glob
 import os
 import subprocess
 import sys
@@ -24,11 +23,14 @@ from repro.parallel import parallel_srs_factor
 from repro.vmpi import (
     DispatchEncodeError,
     ProcessBackend,
+    process_backend,
     process_backend_available,
     run_spmd,
 )
 from repro.vmpi.pool import RankPool, active_pools, get_pool
-from repro.vmpi.process_backend import SEGMENT_MIN_BYTES
+from repro.vmpi.process_backend import SEGMENT_MIN_BYTES, release_segment
+
+from conftest import shm_blocks
 
 needs_process = pytest.mark.skipif(
     not process_backend_available(),
@@ -39,10 +41,6 @@ pytestmark = needs_process
 
 #: float64 count of a message bulk enough for a shared-memory segment
 _BULK = SEGMENT_MIN_BYTES // 8 + 1
-
-
-def _shm_blocks() -> set:
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 def _fresh_pool(nranks: int, start_method: str) -> None:
@@ -106,7 +104,7 @@ def _partial_boom_prog(comm):
 # dispatch reuse
 # ----------------------------------------------------------------------
 def test_run_spmd_reuses_one_pool():
-    before = _shm_blocks()
+    before = shm_blocks()
     be = ProcessBackend()
     r1 = run_spmd(2, _echo_prog, 1.0, backend=be)
     pool = be._pool
@@ -119,7 +117,7 @@ def test_run_spmd_reuses_one_pool():
     assert pool.spawn_count == spawns  # and nothing was respawned
     r2 = run_spmd(2, _echo_prog, 1.0, backend=be)
     assert r1.results == r2.results
-    assert _shm_blocks() - before == set()
+    assert shm_blocks() - before == set()
 
 
 @dataclass
@@ -140,7 +138,7 @@ def test_job_registers_one_segment_per_dispatch_and_per_result(monkeypatch):
     the dispatch segment, and one per rank result — counted in the
     registry pipe's sweep."""
     swept = _count_swept(monkeypatch)
-    before = _shm_blocks()
+    before = shm_blocks()
     table = np.arange(_BULK, dtype=np.float64)
     assert 30 * 1200 * 8 >= SEGMENT_MIN_BYTES
     run = run_spmd(4, _thirty_arrays_prog, table, backend=ProcessBackend())
@@ -149,7 +147,7 @@ def test_job_registers_one_segment_per_dispatch_and_per_result(monkeypatch):
         assert result.rank == rank and len(result.arrays) == 30
         for i, arr in enumerate(result.arrays):
             np.testing.assert_array_equal(arr, table[: 1200 + i] * (rank + 1))
-    assert _shm_blocks() == before
+    assert shm_blocks() == before
 
 
 def test_only_bulk_messages_take_a_segment(monkeypatch):
@@ -159,7 +157,7 @@ def test_only_bulk_messages_take_a_segment(monkeypatch):
     at most 10, a warm solve and a 16-column block solve none — exact
     counts from the registry sweep, not timings."""
     prob = LaplaceVolumeProblem(m=32)
-    before = _shm_blocks()
+    before = shm_blocks()
     assert run_spmd(4, _pid_prog, backend="process").results  # pool up first
     swept = _count_swept(monkeypatch)
     fact = parallel_srs_factor(
@@ -172,7 +170,7 @@ def test_only_bulk_messages_take_a_segment(monkeypatch):
     factor_job, warm_solve, block_solve = (len(names) for names in swept)
     assert factor_job <= 10 and warm_solve == 0 and block_solve == 0, swept
     fact.resident.drop()
-    assert _shm_blocks() == before
+    assert shm_blocks() == before
 
 
 def test_string_spec_shares_the_registry_pool():
@@ -218,7 +216,8 @@ def test_closure_program_raises_dispatch_encode_error(start_method):
 
     if start_method == "spawn" and "spawn" not in multiprocessing.get_all_start_methods():
         pytest.skip("spawn start method unavailable")
-    before = _shm_blocks()
+    spawned = start_method == "spawn"
+    before = shm_blocks(machine_wide=spawned)
     be = ProcessBackend(start_method=start_method)
     try:
         assert run_spmd(2, _pid_prog, backend=be).results
@@ -236,11 +235,11 @@ def test_closure_program_raises_dispatch_encode_error(start_method):
             run_spmd(2, _echo_prog, lambda: 1.0, backend=be)
         assert be.pool is pool and pool.alive
         assert (pool.jobs_run, pool.spawn_count) == (jobs, spawns)
-        assert pool._registered == set() and _shm_blocks() == before
+        assert pool._registered == set() and shm_blocks(machine_wide=spawned) == before
         assert run_spmd(2, _pid_prog, backend=be).results  # still dispatches
         assert (pool.jobs_run, pool.spawn_count) == (jobs + 1, spawns)
     finally:
-        if start_method == "spawn":  # an odd shape: nothing else would retire it
+        if spawned:  # an odd shape: nothing else would retire it
             be.pool.shutdown()
 
 
@@ -270,7 +269,7 @@ def solver_runs():
     prob = LaplaceVolumeProblem(32)
     rng = np.random.default_rng(11)
     bs = [rng.standard_normal(prob.n) for _ in range(3)]
-    before = _shm_blocks()
+    before = shm_blocks()
     solver = Solver(
         prob,
         SolveConfig(
@@ -298,7 +297,7 @@ def test_solver_pool_spawns_once(solver_runs):
 
 
 def test_solver_pool_no_shm_orphans(solver_runs):
-    assert _shm_blocks() - solver_runs["before"] == set()
+    assert shm_blocks() - solver_runs["before"] == set()
 
 
 def test_solver_pool_counters_match_thread(solver_runs):
@@ -322,16 +321,16 @@ def test_stale_messages_cannot_cross_jobs():
     """A message stranded by job k (sent, never received) must not be
     matched by job k+1 reusing the same (source, tag) — the epoch stamp
     discards it and unlinks its block."""
-    before = _shm_blocks()
+    before = shm_blocks()
     be = ProcessBackend()
     run_spmd(2, _fire_and_forget_prog, -1.0, backend=be)
     got = run_spmd(2, _recv_prog, 42.0, backend=be).results[1]
     assert got == 42.0  # job 2's payload, not job 1's strays
-    assert _shm_blocks() - before == set()
+    assert shm_blocks() - before == set()
 
 
 def test_pool_survives_clean_rank_failure():
-    before = _shm_blocks()
+    before = shm_blocks()
     be = ProcessBackend()
     with pytest.raises(RuntimeError, match="rank 0 failed"):
         run_spmd(2, _partial_boom_prog, backend=be)
@@ -340,11 +339,11 @@ def test_pool_survives_clean_rank_failure():
     spawns = pool.spawn_count
     assert run_spmd(2, _pid_prog, backend=be).results  # still dispatches
     assert pool.spawn_count == spawns
-    assert _shm_blocks() - before == set()
+    assert shm_blocks() - before == set()
 
 
 def test_pool_restarts_after_worker_death():
-    before = _shm_blocks()
+    before = shm_blocks()
     pool = RankPool(2, ProcessBackend().start_method)
     try:
         run = pool.run(_pid_prog, ())
@@ -356,7 +355,7 @@ def test_pool_restarts_after_worker_death():
         assert len(run.results) == 2 and pool.spawn_count == 4
     finally:
         pool.shutdown()
-    assert _shm_blocks() - before == set()
+    assert shm_blocks() - before == set()
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +394,7 @@ def test_dead_pool_is_replaced_and_swept():
     ``get_pool``; the names the old cohort registered are unlinked."""
     from repro.vmpi.process_backend import _attach_shm, _create_shm
 
-    before = _shm_blocks()
+    before = shm_blocks()
     start = ProcessBackend().start_method
     _fresh_pool(3, start)
     old = get_pool(3, start)
@@ -421,7 +420,7 @@ def test_dead_pool_is_replaced_and_swept():
         old.shutdown()
         if replacement is not None:
             replacement.shutdown()
-    assert _shm_blocks() == before
+    assert shm_blocks() == before
 
 
 def test_every_shape_stays_live_until_shutdown_all_pools():
@@ -429,7 +428,7 @@ def test_every_shape_stays_live_until_shutdown_all_pools():
     with their first cohort, until the exit hook runs."""
     from repro.vmpi.pool import shutdown_all_pools
 
-    before = _shm_blocks()
+    before = shm_blocks()
     start = ProcessBackend().start_method
     shapes = [(n, start) for n in range(1, 6)]
     shutdown_all_pools()  # every shape below starts on its first cohort
@@ -444,7 +443,7 @@ def test_every_shape_stays_live_until_shutdown_all_pools():
         shutdown_all_pools()
     assert active_pools() == []
     assert not any(p.alive for p in pools)
-    assert _shm_blocks() == before
+    assert shm_blocks() == before
 
 
 @pytest.mark.parametrize("start_method", [None, "spawn"], ids=["default", "spawn"])
@@ -461,7 +460,8 @@ def test_two_shapes_from_two_threads_spawn_once_each(start_method):
 
     if start_method and start_method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"{start_method} start method unavailable")
-    before = _shm_blocks()
+    spawned = start_method == "spawn"
+    before = shm_blocks(machine_wide=spawned)
     be = ProcessBackend(start_method=start_method)
     method = be.start_method
     sizes = (2, 4)  # _echo_prog pairs ranks: even counts only
@@ -497,11 +497,11 @@ def test_two_shapes_from_two_threads_spawn_once_each(start_method):
         sys.setswitchinterval(interval)
         for n in sizes:
             _fresh_pool(n, method)
-    assert _shm_blocks() == before
+    assert shm_blocks(machine_wide=spawned) == before
 
 
 def test_pool_shutdown_reclaims_everything():
-    before = _shm_blocks()
+    before = shm_blocks()
     pool = RankPool(2, ProcessBackend().start_method)
     try:
         pool.run(_echo_prog, (1.0,))
@@ -509,7 +509,70 @@ def test_pool_shutdown_reclaims_everything():
     finally:
         pool.shutdown()
     assert not pool.alive
-    assert _shm_blocks() - before == set()
+    assert shm_blocks() - before == set()
+
+
+# ----------------------------------------------------------------------
+# the "/dev/shm as found" listing itself (tests/conftest.py)
+# ----------------------------------------------------------------------
+needs_fork = pytest.mark.skipif(
+    process_backend._pick_start_method() != "fork",
+    reason="ranks inherit the recording wrapper only under fork",
+)
+
+
+def _leak_prog(comm):
+    """Rank 1 makes a segment and leaves it behind."""
+    if comm.rank != 1:
+        return None
+    shm = process_backend._create_shm(4096)
+    shm.close()
+    return shm.name
+
+
+@needs_fork
+def test_shm_blocks_sees_leaks_of_this_process_and_its_ranks():
+    before = shm_blocks()
+    mine = process_backend._create_shm(4096)
+    mine.close()
+    leaked = {mine.name}
+    try:
+        leaked.add(run_spmd(2, _leak_prog, backend="process").results[1])
+        assert shm_blocks() - before == leaked
+    finally:
+        for name in leaked:
+            release_segment(name)
+    assert shm_blocks() == before
+
+
+_STRANGER = """
+from repro.vmpi.process_backend import _create_shm, untrack
+
+shm = _create_shm(4096)
+untrack(shm.name)  # outlive this process
+print(shm.name)
+"""
+
+
+@needs_fork
+def test_shm_blocks_ignores_a_segment_of_an_unrelated_process():
+    before = shm_blocks()
+    cwd = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _STRANGER],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(cwd, "src")},
+        cwd=cwd,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    name = out.stdout.strip()
+    try:
+        assert name in shm_blocks(machine_wide=True)
+        assert shm_blocks() == before
+    finally:
+        release_segment(name)
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +605,7 @@ def test_pool_interpreter_exit_is_clean(tmp_path):
     shm blocks and no resource-tracker complaints."""
     script = tmp_path / "pool_exit.py"
     script.write_text(_EXIT_SCRIPT)
-    before = _shm_blocks()
+    before = shm_blocks(machine_wide=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         os.path.join(os.path.dirname(repro.__file__), os.pardir)
@@ -559,7 +622,7 @@ def test_pool_interpreter_exit_is_clean(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("OK")
     assert "leaked" not in out.stderr, out.stderr  # resource_tracker noise
-    assert _shm_blocks() - before == set()
+    assert shm_blocks(machine_wide=True) - before == set()
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +633,7 @@ def test_pool_amortizes_spawn_start_method():
 
     if "spawn" not in multiprocessing.get_all_start_methods():
         pytest.skip("spawn start method unavailable")
-    before = _shm_blocks()
+    before = shm_blocks(machine_wide=True)
     pool = RankPool(2, "spawn")
     try:
         r1 = pool.run(_echo_prog, (1.0,))
@@ -580,4 +643,4 @@ def test_pool_amortizes_spawn_start_method():
         assert pool.jobs_run == 2
     finally:
         pool.shutdown()
-    assert _shm_blocks() - before == set()
+    assert shm_blocks(machine_wide=True) - before == set()
