@@ -30,7 +30,6 @@ from repro.api.fingerprint import (
     fingerprint_kernel,
     fingerprint_problem,
     problem_fingerprint,
-    setup_fingerprint,
 )
 from repro.api.problem import Problem, ProblemBase, check_problem
 from repro.api.report import SolveReport
@@ -58,5 +57,4 @@ __all__ = [
     "fingerprint_kernel",
     "fingerprint_problem",
     "problem_fingerprint",
-    "setup_fingerprint",
 ]

@@ -1,4 +1,4 @@
-"""Stable content fingerprints of problems, kernels, and configs.
+"""Stable content fingerprints of problems and kernels.
 
 The serving layer (:mod:`repro.service`) amortizes factorizations
 across callers, so it needs an equality notion stronger than object
@@ -123,19 +123,3 @@ def problem_fingerprint(problem) -> str:
         return method()
     return fingerprint_problem(problem)
 
-
-def setup_fingerprint(config) -> str:
-    """Hash of everything a method's setup depends on beyond the problem.
-
-    Methods sharing a setup product hash identically when their setup
-    inputs agree — e.g. ``direct``/``pcg``/``pgmres`` all build the same
-    RS-S factorization, so a factorization cached for a direct request
-    serves a later preconditioned one. Refinement-only fields
-    (``tol``/``maxiter``/``restart``/``operator``) never reach the
-    digest.
-    """
-    from repro.api.strategies import setup_key
-
-    h = _new_hash()
-    _update_scalar(h, setup_key(config))
-    return h.hexdigest()

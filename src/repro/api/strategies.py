@@ -10,7 +10,8 @@ built-in engines already do
 (:class:`~repro.core.factorization.SRSFactorization`,
 :class:`~repro.parallel.driver.ParallelFactorization`,
 :class:`~repro.baselines.block_jacobi.BlockJacobiPreconditioner`), and
-:class:`DenseLUFactorization` adapts scipy's pivoted LU.
+:class:`DenseLUFactorization` holds the dense matrix's
+:class:`~repro.linalg.lu.PartialLU`.
 
 A new method is one row of the table; a new kind of setup product is
 also one branch in :func:`setup` (and :func:`setup_key`).
@@ -22,7 +23,6 @@ from dataclasses import fields
 from typing import Any, Callable, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
-import scipy.linalg
 
 from repro.api.config import EXECUTIONS, METHODS, SolveConfig
 from repro.baselines.block_jacobi import BlockJacobiPreconditioner
@@ -30,6 +30,7 @@ from repro.core.factorization import srs_factor
 from repro.iterative.cg import cg
 from repro.iterative.gmres import gmres
 from repro.kernels.base import dense_matrix
+from repro.linalg.lu import PartialLU
 from repro.matvec.dense import DenseMatVec
 from repro.matvec.treecode import TreecodeMatVec
 
@@ -75,20 +76,18 @@ class DenseLUFactorization:
     """Pivoted LU of the assembled dense matrix, behind the protocol."""
 
     def __init__(self, kernel):
-        self.n = kernel.n
-        self._lu = scipy.linalg.lu_factor(dense_matrix(kernel))
+        A = dense_matrix(kernel)
+        if not np.isfinite(A).all():
+            raise ValueError("dense_lu: the assembled matrix holds a NaN or inf")
+        self._lu = PartialLU(A)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b)
-        if b.shape[0] != self.n:
-            raise ValueError(f"rhs has {b.shape[0]} rows, expected {self.n}")
-        return scipy.linalg.lu_solve(self._lu, b)
+        return self._lu.solve_left(np.asarray(b))
 
     __call__ = solve
 
     def memory_bytes(self) -> int:
-        lu, piv = self._lu
-        return int(lu.nbytes + piv.nbytes)
+        return self._lu.memory_bytes()
 
 
 def available_methods() -> list[str]:

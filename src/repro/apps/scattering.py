@@ -18,8 +18,6 @@ from repro.geometry.points import uniform_grid
 from repro.kernels.helmholtz import (
     HelmholtzKernelMatrix,
     gaussian_bump,
-    hankel_cell_self_integral,
-    helmholtz_greens,
     plane_wave,
 )
 from repro.matvec.toeplitz import FFTMatVec
@@ -82,15 +80,17 @@ class ScatteringProblem(ProblemBase):
     def total_field(self, mu: np.ndarray) -> np.ndarray:
         """Total field ``u = u_in + Integral K sigma`` on the grid (Fig. 7b).
 
-        The convolution with the free-space kernel is evaluated with the
-        same FFT embedding used for the system matvec; the singular cell
-        is integrated exactly.
+        The convolution with the free-space kernel is the system
+        matvec's FFT embedding at weight ``h^2``; the singular cell is
+        integrated exactly.
         """
         sigma = self.sigma_from_mu(mu)
         uin = plane_wave(self.points, self.kappa, self.direction)
-        # volume potential: sum_j h^2 g(x_i - x_j) sigma_j + self-cell term
-        conv = _volume_potential(self.m, self.h, self.kappa, sigma)
-        return uin + conv
+        return (
+            uin
+            + self.h**2 * self.matvec.convolve(sigma)
+            + self.kernel._cell_integral * sigma
+        )
 
     def field_magnitude_grid(self, mu: np.ndarray) -> np.ndarray:
         """``|u|`` reshaped to the grid (row-major ``(i, j)``), for plotting."""
@@ -100,20 +100,3 @@ class ScatteringProblem(ProblemBase):
         """The scattering potential on the grid (Fig. 7a)."""
         return self.b.reshape(self.m, self.m)
 
-
-def _volume_potential(m: int, h: float, kappa: float, density: np.ndarray) -> np.ndarray:
-    """``Integral K(|x - y|) density(y) dy`` on the grid via FFT convolution."""
-    offs = np.arange(2 * m)
-    offs = np.where(offs < m, offs, offs - 2 * m).astype(float) * h
-    ox, oy = np.meshgrid(offs, offs, indexing="ij")
-    pts = np.column_stack([ox.ravel(), oy.ravel()])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = helmholtz_greens(pts, np.zeros((1, 2)), kappa)[:, 0].reshape(2 * m, 2 * m)
-        table *= h * h
-    table[0, 0] = hankel_cell_self_integral(kappa, h)
-    table[~np.isfinite(table)] = 0.0
-    ghat = np.fft.fft2(table)
-    pad = np.zeros((2 * m, 2 * m), dtype=complex)
-    pad[:m, :m] = density.reshape(m, m)
-    out = np.fft.ifft2(np.fft.fft2(pad) * ghat)[:m, :m]
-    return out.ravel()

@@ -145,12 +145,7 @@ def srs_factor(
 
     with trace.span("factor", n=kernel.n, levels=tree.nlevels):
         for level in range(tree.nlevels, 0, -1):
-            store = InteractionStore(
-                kernel,
-                active,
-                blocks=seed_blocks,
-                max_modified_distance=2 if opts.check_locality else None,
-            )
+            store = InteractionStore(kernel, active, blocks=seed_blocks)
             boxes = tree.boxes(level)
             with trace.span("factor.level", level=level, boxes=len(boxes)) as lspan:
                 factored = sweep_level(

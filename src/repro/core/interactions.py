@@ -46,9 +46,6 @@ class InteractionStore:
         ``hermitian`` flag selects the one-block-per-pair layout.
     active:
         Mapping box -> global indices currently owned by the box.
-    max_modified_distance:
-        Debug guard (Remark 2 / Theorem 1): creating a modified block
-        between boxes farther apart than this Chebyshev distance raises.
     store_predicate:
         Distributed mode: decides whether this rank *holds* a pair.
         Schur updates of pairs it rejects are not stored here (the
@@ -61,7 +58,6 @@ class InteractionStore:
         active: dict[Coord, np.ndarray],
         *,
         blocks: dict[PairKey, np.ndarray] | None = None,
-        max_modified_distance: int | None = 2,
         store_predicate=None,
     ):
         self.kernel = kernel
@@ -69,7 +65,6 @@ class InteractionStore:
         #: modified blocks, keyed by :meth:`stored_key`
         self.blocks: dict[PairKey, np.ndarray] = {}
         self.partners: dict[Coord, set[Coord]] = {}
-        self.max_modified_distance = max_modified_distance
         self.store_predicate = store_predicate
         self._one_sided = bool(kernel.hermitian)
         if blocks:
@@ -145,12 +140,13 @@ class InteractionStore:
 
     def _materialize(self, key: PairKey) -> np.ndarray:
         bi, bj = key
-        if self.max_modified_distance is not None:
-            d = max(abs(bi[0] - bj[0]), abs(bi[1] - bj[1]))
-            if d > self.max_modified_distance:
-                raise RuntimeError(
-                    f"locality violation: modifying far-field block {bi} x {bj} (distance {d})"
-                )
+        # Theorem 1 / Remark 2: Schur updates reach only box pairs at
+        # Chebyshev distance <= 2, so a farther block stays pure kernel
+        d = max(abs(bi[0] - bj[0]), abs(bi[1] - bj[1]))
+        if d > 2:
+            raise RuntimeError(
+                f"locality violation: modifying far-field block {bi} x {bj} (distance {d})"
+            )
         blk = self.kernel.block(self.active[bi], self.active[bj]).copy()
         self._put(key, blk)
         return blk

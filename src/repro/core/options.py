@@ -35,9 +35,6 @@ class SRSOptions:
         with strict to the ID tolerance). Both run the same compress
         stage and elimination — see :mod:`repro.core.batch`. This field
         is the only place the mode is said.
-    check_locality:
-        Debug switch: assert that the factorization never touches a
-        far-field block (Remarks 1–2). Costs a little bookkeeping.
     """
 
     tol: float = 1e-6
@@ -46,7 +43,6 @@ class SRSOptions:
     n_proxy: int = 64
     proxy_oversampling: float = 3.0
     factor_mode: str = "strict"
-    check_locality: bool = False
 
     def __post_init__(self) -> None:
         if self.tol < 0:

@@ -31,7 +31,9 @@ def trtrs_for(dtype: np.dtype) -> Callable:
 
 
 class PartialLU:
-    """LU factorization ``P X = L U`` of a (small, dense) diagonal block."""
+    """LU factorization ``P X = L U`` of a dense square block: a box's
+    redundant diagonal block, a block-Jacobi leaf block, or a whole
+    assembled matrix (``dense_lu``)."""
 
     def __init__(self, x_rr: np.ndarray):
         x_rr = np.asarray(x_rr)

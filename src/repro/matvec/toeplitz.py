@@ -62,21 +62,24 @@ class FFTMatVec:
         table[~np.isfinite(table)] = 0.0  # unused wrap row/col (offset +-m)
         return np.fft.fft2(table)
 
+    def convolve(self, v: np.ndarray) -> np.ndarray:
+        """``G v`` for one grid vector: the unweighted convolution with the
+        offset table, zero on the exact diagonal."""
+        m = self.m
+        pad = np.zeros((2 * m, 2 * m), dtype=np.complex128)
+        pad[:m, :m] = v.reshape(m, m)
+        return np.fft.ifft2(np.fft.fft2(pad) * self._ghat)[:m, :m].ravel()
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         squeeze = x.ndim == 1
         xm = x[:, None] if squeeze else x
         if xm.shape[0] != self.kernel.n:
             raise ValueError("dimension mismatch")
-        m = self.m
         out_dtype = np.result_type(self.dtype, xm.dtype)
         out = np.empty((self.kernel.n, xm.shape[1]), dtype=np.complex128)
         for k in range(xm.shape[1]):
-            xw = (self._col_w * xm[:, k]).reshape(m, m)
-            pad = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-            pad[:m, :m] = xw
-            conv = np.fft.ifft2(np.fft.fft2(pad) * self._ghat)[:m, :m]
-            out[:, k] = self._row_w * conv.ravel()
+            out[:, k] = self._row_w * self.convolve(self._col_w * xm[:, k])
         out += self._diag[:, None] * xm
         if not np.iscomplexobj(np.empty(0, dtype=out_dtype)):
             out = out.real

@@ -154,15 +154,22 @@ def factor_worker(
         colors = layout.colors_in_use()
 
         # -- level-start halo refresh (width 2, current level units) ----
+        # drop the previous level's halo, keep own boxes, then refill it
         if level < nlevels:
-            _halo_refresh(comm, local, active, layout, own_boxes, nbr_ranks, level, width=2)
+            own_set = set(own_boxes)
+            for b in [b for b in active if b not in own_set]:
+                del active[b]
+            _exchange_boxes(
+                comm, local, active,
+                {w: layout.strip_boxes(comm.rank, w, 2) for w in nbr_ranks},
+                _tag(TAG_HALO, level),
+            )
 
         rank = comm.rank
         store = InteractionStore(
             local,
             active,
             blocks=seed_blocks,
-            max_modified_distance=None,
             store_predicate=lambda bi, bj, _l=layout, _r=rank: (
                 _l.owner(bi) == _r or _l.owner(bj) == _r
             ),
@@ -251,9 +258,17 @@ def factor_worker(
             active = store.active
 
         # -- pre-assembly strip refresh (width 3, child units) ------------
-        _strip_refresh(
-            comm, local, store, next_layout, own_boxes, level, width=3
-        )
+        # own boxes within 3 child boxes of each next-level neighbour's
+        # merged region; a box the store does not know is not sent
+        strips = {}
+        for w in next_layout.neighbor_ranks(comm.rank):
+            x0, y0, x1, y1 = (2 * c for c in next_layout.region_bounds(w))
+            strips[w] = [
+                b for b in own_boxes
+                if b in active
+                and max(x0 - b[0], b[0] - x1 + 1, y0 - b[1], b[1] - y1 + 1) <= 3
+            ]
+        _exchange_boxes(comm, local, active, strips, _tag(TAG_STRIP, level))
 
         # -- parent assembly ----------------------------------------------
         # the next level's active map holds own parents only; its halo is
@@ -315,26 +330,17 @@ def _apply_ops(store: InteractionStore, ops: list, layout: LevelLayout, rank: in
             blk -= delta
 
 
-def _halo_refresh(
+def _exchange_boxes(
     comm: Comm,
     local: LocalKernel,
     active: dict[Coord, np.ndarray],
-    layout: LevelLayout,
-    own_boxes: list[Coord],
-    nbr_ranks: list[int],
-    level: int,
-    *,
-    width: int,
+    picks: dict[int, list[Coord]],
+    tag: int,
 ) -> None:
-    """Exchange (ids, coords, per-point) of own boxes in neighbors' halos.
-
-    Also prunes halo entries of the previous level from ``active`` —
-    after this call ``active`` holds exactly own boxes plus the
-    refreshed distance-``width`` halo.
-    """
-    own_set = set(own_boxes)
-    for w in nbr_ranks:
-        boxes = [b for b in own_boxes if layout.region_distance(b, w) <= width]
+    """Send each neighbour ``w`` the ``(ids, coords, per-point)`` of the own
+    boxes ``picks[w]``, then merge what comes back into ``active`` and
+    ``local``. A box with no active indices goes as an empty triple."""
+    for w, boxes in picks.items():
         msg = {}
         for b in boxes:
             ids = active.get(b)
@@ -342,54 +348,10 @@ def _halo_refresh(
                 msg[b] = (np.empty(0, dtype=np.int64), np.empty((0, 2)), {})
             else:
                 msg[b] = (ids, local.coords_of(ids), local.per_point_of(ids))
-        comm.send(msg, w, tag=_tag(TAG_HALO, level))
-    # drop stale halo knowledge, keep own boxes
-    for b in list(active):
-        if b not in own_set:
-            del active[b]
-    for w in nbr_ranks:
-        msg = comm.recv(w, tag=_tag(TAG_HALO, level))
+        comm.send(msg, w, tag=tag)
+    for w in picks:
+        msg = comm.recv(w, tag=tag)
         for b, (ids, coords, per_point) in msg.items():
             active[b] = np.asarray(ids, dtype=np.int64)
-            if len(ids):
-                local.extend(ids, coords, per_point)
-
-
-def _strip_refresh(
-    comm: Comm,
-    local: LocalKernel,
-    store: InteractionStore,
-    next_layout: LevelLayout,
-    own_boxes: list[Coord],
-    level: int,
-    *,
-    width: int,
-) -> None:
-    """Pre-assembly exchange: child-level skeleton data within ``width``
-    of each (next-level) neighbor's merged region."""
-    me = comm.rank
-    nbrs = next_layout.neighbor_ranks(me)
-    for w in nbrs:
-        x0, y0, x1, y1 = next_layout.region_bounds(w)
-        # scale parent-level bounds to child-level box units
-        cx0, cy0, cx1, cy1 = 2 * x0, 2 * y0, 2 * x1, 2 * y1
-        msg = {}
-        for b in own_boxes:
-            dx = max(cx0 - b[0], 0, b[0] - (cx1 - 1))
-            dy = max(cy0 - b[1], 0, b[1] - (cy1 - 1))
-            if max(dx, dy) > width:
-                continue
-            ids = store.active.get(b)
-            if ids is None:
-                continue
-            if ids.size == 0:
-                msg[b] = (np.empty(0, dtype=np.int64), np.empty((0, 2)), {})
-            else:
-                msg[b] = (ids, local.coords_of(ids), local.per_point_of(ids))
-        comm.send(msg, w, tag=_tag(TAG_STRIP, level))
-    for w in nbrs:
-        msg = comm.recv(w, tag=_tag(TAG_STRIP, level))
-        for b, (ids, coords, per_point) in msg.items():
-            store.active[b] = np.asarray(ids, dtype=np.int64)
             if len(ids):
                 local.extend(ids, coords, per_point)

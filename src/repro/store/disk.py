@@ -72,8 +72,10 @@ from repro.vmpi.process_backend import (
 #: and a ``ParallelFactorization`` pickles itself, without its last
 #: solve run and with its factor run's reports only. 8: the digest is a
 #: hash list (one SHA-256 per :data:`CHUNK` of the body) where format 7
-#: hashed the whole body in one pass.
-STORE_FORMAT = 8
+#: hashed the whole body in one pass. 9: a ``DenseLUFactorization``
+#: holds one ``PartialLU`` (``_lu``) where format 8 held ``n`` and a
+#: ``(lu, piv)`` tuple; a format-8 one fails at ``memory_bytes()``.
+STORE_FORMAT = 9
 
 #: the body is hashed in slices of this many bytes, counted from its
 #: start; a load reads and hashes the slices in parallel

@@ -8,9 +8,13 @@ Unknown method/execution names must be rejected with errors that name
 the alternatives.
 """
 
+import os
+import subprocess
+import sys
+from textwrap import dedent
+
 import numpy as np
 import pytest
-import scipy.linalg
 
 import repro
 from repro import SolveConfig, Solver, solve
@@ -22,6 +26,7 @@ from repro.bie import InteriorDirichletProblem, StarCurve
 from repro.core import SRSOptions, srs_factor
 from repro.iterative import cg, gmres
 from repro.kernels.base import dense_matrix
+from repro.linalg.lu import PartialLU
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +144,7 @@ def engine_solve(method: str, prob, b: np.ndarray):
     Krylov result otherwise.
     """
     if method == "dense_lu":
-        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(dense_matrix(prob.kernel)), b)
+        return PartialLU(dense_matrix(prob.kernel)).solve_left(b)
     if method in ("direct", "pcg", "pgmres"):
         pre = srs_factor(prob.kernel, tree=prob.factor_tree, opts=SRSOptions()).solve
     elif method == "block_jacobi":
@@ -375,3 +380,89 @@ def test_auto_env_backend(monkeypatch):
     assert vmpi_backend() == "auto"
     assert resolve_backend(None).name == auto_backend_name()
     assert resolve_backend("auto").name in ("thread", "process")
+
+
+# ----------------------------------------------------------------------
+# concurrent solves on one setup product (INVARIANTS.md)
+# ----------------------------------------------------------------------
+_CONCURRENT_SOLVES = dedent(
+    """
+    import sys
+    import threading
+
+    import numpy as np
+
+    import repro
+    from repro.api.config import METHODS
+    from repro.api.strategies import setup
+
+    kind = sys.argv[1]
+    method = next(name for name, row in METHODS.items() if row.setup == kind)
+    prob = repro.LaplaceVolumeProblem(m=24)
+    fact = setup(prob, repro.SolveConfig(method=method))
+    rhs = [prob.random_rhs(seed=t) for t in range(4)]
+    serial = [fact.solve(b) for b in rhs]
+    start = threading.Barrier(4)
+    wrong = []
+
+    def solver(t):
+        start.wait()
+        for _ in range(100):
+            if not np.array_equal(fact.solve(rhs[t]), serial[t]):
+                wrong.append(t)
+
+    threads = [threading.Thread(target=solver, args=(t,)) for t in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    print(f"{len(wrong)} of 400 solves differ from the serial x")
+    sys.exit(1 if wrong else 0)
+    """
+)
+
+
+@pytest.mark.parametrize("kind", sorted({row.setup for row in METHODS.values()}))
+def test_concurrent_solves_on_one_setup_product_are_bitwise_serial(kind):
+    """Four threads, 100 solves each, each thread on its own rhs, all on
+    one setup product: every ``x`` is bitwise the serial solve's. The
+    threads run in a child interpreter, so heap corruption in a solve
+    fails this test with the child's exit code instead of killing pytest."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONCURRENT_SOLVES, kind],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        cwd=root,
+    )
+    assert proc.returncode == 0, (
+        f"exit code {proc.returncode}: {proc.stdout.strip()} {proc.stderr[-2000:]}"
+    )
+
+
+class _PlantedKernel:
+    """A 4 x 4 kernel that is the identity but for one planted entry."""
+
+    n = 4
+
+    def __init__(self, value):
+        self.value = value
+
+    def block(self, rows, cols):
+        A = np.eye(self.n)
+        A[0, 1] = self.value
+        return A[np.ix_(rows, cols)]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dense_lu_rejects_a_non_finite_matrix(value):
+    """A NaN or inf in the assembled matrix fails the setup, not every
+    later solve."""
+    from repro.api import DenseLUFactorization
+
+    with pytest.raises(ValueError, match="NaN or inf"):
+        DenseLUFactorization(_PlantedKernel(value))
+    x = DenseLUFactorization(_PlantedKernel(0.5)).solve(np.ones(4))
+    assert np.allclose(x, [0.5, 1.0, 1.0, 1.0])

@@ -127,18 +127,22 @@ def test_cfie_preconditioned_gmres_iteration_counts(star_cfie):
     """Acceptance criterion: RS-S-preconditioned CFIE GMRES converges in
     <= 10 iterations where the unpreconditioned baseline needs >= 3x
     (shown by capping the baseline at 3x and seeing it not converge: each
-    of its iterations is a dense Hankel matvec)."""
+    of its iterations is a dense Hankel matvec). Both run on the matrix
+    assembled once: the iterates are bitwise those of ``prob.matvec``,
+    which assembles the whole CFIE again on every application."""
     prob, fact = star_cfie
     b = prob.rhs_plane_wave()
-    pre = pgmres(prob, fact, b)
+    A = prob.dense()
+    pre = pgmres(prob, fact, b, operator=lambda x: A @ x)
     assert pre.converged
     assert pre.iterations <= 10
     plain = repro.solve(
-        prob, b, method="gmres", tol=1e-10, restart=50, maxiter=3 * pre.iterations
+        prob, b, method="gmres", tol=1e-10, restart=50, maxiter=3 * pre.iterations,
+        operator=lambda x: A @ x,
     )
     assert not plain.converged and plain.iterations == 3 * pre.iterations
     # the preconditioned iterate solves the system
-    sigma_p = prob.matvec(pre.x) - b
+    sigma_p = A @ pre.x - b
     assert np.linalg.norm(sigma_p) / np.linalg.norm(b) < 1e-9
 
 

@@ -313,7 +313,7 @@ def _jittered(m, seed):
 
 def _leaf_store(kernel, tree):
     active = {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()}
-    return InteractionStore(kernel, active, max_modified_distance=None)
+    return InteractionStore(kernel, active)
 
 
 def _four_panels(kernel, tree, store, level, box, opts):

@@ -88,9 +88,10 @@ def test_tree_kernel_mismatch_rejected(laplace32):
         srs_factor(laplace32, tree=tree)
 
 
-def test_check_locality_mode(gaussian16, rng, srs_opts):
-    """Debug locality assertion passes on a clean run (Remark 2 holds)."""
-    fact = srs_factor(gaussian16, opts=srs_opts(tol=1e-8, leaf_size=16, check_locality=True))
+def test_locality_guard_holds_on_a_clean_run(gaussian16, srs_opts):
+    """Every store raises on a far-field block (``test_locality_guard``),
+    and a whole factorization runs under that guard (Remark 2 holds)."""
+    fact = srs_factor(gaussian16, opts=srs_opts(tol=1e-8, leaf_size=16))
     assert fact.eliminated_count() == gaussian16.n
 
 

@@ -11,7 +11,7 @@ inverse).
 import numpy as np
 import pytest
 
-from repro.api import SolveConfig, setup_fingerprint
+from repro.api import SolveConfig
 from repro.api.fingerprint import fingerprint_kernel, fingerprint_problem
 from repro.api.strategies import setup_key
 from repro.apps import LaplaceVolumeProblem, ScatteringProblem
@@ -100,49 +100,47 @@ def test_offdiagonal_only_scalar_detected():
 # ----------------------------------------------------------------------
 # config setup keys
 # ----------------------------------------------------------------------
-def test_srs_strategies_share_setup_fingerprint():
+def test_srs_strategies_share_setup_key():
     """direct/pcg/pgmres build the same RS-S product: one cache entry."""
     assert (
-        setup_fingerprint(SolveConfig(method="direct"))
-        == setup_fingerprint(SolveConfig(method="pcg"))
-        == setup_fingerprint(SolveConfig(method="pgmres"))
+        setup_key(SolveConfig(method="direct"))
+        == setup_key(SolveConfig(method="pcg"))
+        == setup_key(SolveConfig(method="pgmres"))
     )
 
 
-def test_refinement_fields_stay_out_of_setup_fingerprint():
-    base = setup_fingerprint(SolveConfig(method="pcg"))
-    assert base == setup_fingerprint(
+def test_refinement_fields_stay_out_of_setup_key():
+    base = setup_key(SolveConfig(method="pcg"))
+    assert base == setup_key(
         SolveConfig(method="pcg", tol=1e-4, maxiter=7, restart=3, operator="dense")
     )
 
 
-def test_srs_options_reach_setup_fingerprint():
-    base = setup_fingerprint(SolveConfig())
-    assert base != setup_fingerprint(SolveConfig(srs=SRSOptions(tol=1e-9)))
-    assert base != setup_fingerprint(SolveConfig(srs=SRSOptions(leaf_size=32)))
-    # every SRSOptions field enters the key, debug flags included
-    assert base != setup_fingerprint(SolveConfig(srs=SRSOptions(check_locality=True)))
+def test_srs_options_reach_setup_key():
+    base = setup_key(SolveConfig())
+    assert base != setup_key(SolveConfig(srs=SRSOptions(tol=1e-9)))
+    assert base != setup_key(SolveConfig(srs=SRSOptions(leaf_size=32)))
+    # every SRSOptions field enters the key, the sweep mode included
+    assert base != setup_key(SolveConfig(srs=SRSOptions(factor_mode="batched")))
 
 
-def test_execution_reaches_setup_fingerprint():
-    seq = setup_fingerprint(SolveConfig())
-    par = setup_fingerprint(SolveConfig(execution="thread", ranks=4))
-    proc = setup_fingerprint(SolveConfig(execution="process", ranks=4))
+def test_execution_reaches_setup_key():
+    seq = setup_key(SolveConfig())
+    par = setup_key(SolveConfig(execution="thread", ranks=4))
+    proc = setup_key(SolveConfig(execution="process", ranks=4))
     assert len({seq, par, proc}) == 3
     # ranks=None normalizes to the default rank count
-    assert setup_fingerprint(SolveConfig(execution="thread")) == setup_fingerprint(
+    assert setup_key(SolveConfig(execution="thread")) == setup_key(
         SolveConfig(execution="thread", ranks=4)
     )
 
 
 def test_non_srs_methods_have_distinct_families():
-    assert setup_fingerprint(SolveConfig(method="cg")) == setup_fingerprint(
-        SolveConfig(method="gmres")
-    )
-    assert setup_fingerprint(SolveConfig(method="dense_lu")) != setup_fingerprint(
+    assert setup_key(SolveConfig(method="cg")) == setup_key(SolveConfig(method="gmres"))
+    assert setup_key(SolveConfig(method="dense_lu")) != setup_key(
         SolveConfig(method="direct")
     )
-    assert setup_fingerprint(SolveConfig(method="block_jacobi")) != setup_fingerprint(
+    assert setup_key(SolveConfig(method="block_jacobi")) != setup_key(
         SolveConfig(method="direct")
     )
 
@@ -154,7 +152,6 @@ _DEFAULT_SRS_KEY = (
     ("n_proxy", 64),
     ("proxy_oversampling", 3.0),
     ("factor_mode", "strict"),
-    ("check_locality", False),
 )
 
 

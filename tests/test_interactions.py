@@ -50,7 +50,7 @@ def test_get_writable_materializes_and_persists(setup):
 
 def test_locality_guard(setup):
     kernel, tree, active = setup
-    store = InteractionStore(kernel, active, max_modified_distance=2)
+    store = InteractionStore(kernel, active)
     with pytest.raises(RuntimeError, match="locality"):
         store.get_writable((0, 0), (3, 3))
     # distance-2 is allowed
@@ -256,7 +256,6 @@ def _skeletonize_in_order(kernel, tree, level, order):
     store = InteractionStore(
         kernel,
         {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()},
-        max_modified_distance=None,
     )
     records = {}
     for box in order:  # the strict sweep: one-box groups

@@ -1004,6 +1004,84 @@ def test_dead_code_init_reexports_exempt():
 
 
 # ----------------------------------------------------------------------
+# lu-home: LAPACK's pivoted LU (scipy's lu_factor / lu_solve, getrf /
+# getrs) is reached only from repro.linalg.lu, where no solve writes to
+# the factors
+# ----------------------------------------------------------------------
+LU_HOME = "repro.linalg.lu"
+LU_WRAPPERS = ("lu_factor", "lu_solve")
+LAPACK_LU = re.compile(r"[sdcz?]?getr[fs]")
+
+
+def lu_home(mods: list[Module]) -> list:
+    hits = []
+    for mod in mods:
+        if mod.name == LU_HOME:
+            continue
+        for node in mod.nodes:
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif (isinstance(node, ast.Call)
+                  and (dotted(node.func) or "").endswith("get_lapack_funcs")):
+                names = [s for arg in node.args[:1] for n in ast.walk(arg)
+                         if (s := literal_str(n))]
+            else:
+                continue
+            for name in names:
+                if name in LU_WRAPPERS or LAPACK_LU.fullmatch(name):
+                    hits.append(hit(
+                        mod, node, f"lu:{name}",
+                        f"{name} outside {LU_HOME}: scipy's getrs wrapper "
+                        "shifts the pivot array in place, so concurrent solves "
+                        "on one factorization race; factor with PartialLU"))
+    return hits
+
+
+def test_lu_home():
+    assert_clean(lu_home(live()))
+
+
+def test_lu_home_bad():
+    bad = """\
+        import scipy.linalg
+        from scipy.linalg import lu_solve
+        from scipy.linalg.lapack import dgetrf
+
+        def factor(a):
+            return scipy.linalg.lu_factor(a)
+
+        def solver(dtype):
+            return scipy.linalg.get_lapack_funcs(("getrs",), dtype=dtype)
+    """
+    hits = lu_home(planted({"src/repro/api/rogue.py": bad}))
+    assert lines_tags(hits) == {
+        (2, "lu:lu_solve"), (3, "lu:dgetrf"), (6, "lu:lu_factor"), (9, "lu:getrs"),
+    }
+
+
+def test_lu_home_clean():
+    good = """\
+        import scipy.linalg
+
+        from repro.linalg.lu import PartialLU
+
+        def factor(a):
+            return PartialLU(a)
+
+        def triangular(dtype):
+            return scipy.linalg.get_lapack_funcs(("trtrs",), dtype=dtype)
+    """
+    assert_clean(lu_home(planted({"src/repro/api/user.py": good})))
+    # the home module itself may call LAPACK's LU
+    home = "import scipy.linalg\nlu = scipy.linalg.lu_factor\n"
+    assert_clean(lu_home(planted({"src/repro/linalg/lu.py": home})))
+
+
+# ----------------------------------------------------------------------
 # wall-clock: tier-1 asserts nothing about the wall clock, read from a
 # clock or off a report's timing fields
 # ----------------------------------------------------------------------

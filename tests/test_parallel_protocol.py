@@ -45,7 +45,7 @@ def test_apply_ops_replays_restrict_and_delta(layout):
     kernel = GaussianKernelMatrix(pts, 1.0 / m, sigma=0.1)
     tree = QuadTree(pts, 3)
     active = {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()}
-    store = InteractionStore(kernel, active, max_modified_distance=None)
+    store = InteractionStore(kernel, active)
     me = layout.owner((0, 0))
 
     b1, b2 = (3, 0), (4, 0)
@@ -68,7 +68,7 @@ def test_apply_ops_skips_unheld_pairs(layout):
     kernel = GaussianKernelMatrix(pts, 1.0 / m, sigma=0.1)
     tree = QuadTree(pts, 3)
     active = {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()}
-    store = InteractionStore(kernel, active, max_modified_distance=None)
+    store = InteractionStore(kernel, active)
     rank0 = layout.owner((0, 0))
     # pair fully owned by the other rank: must be ignored by rank 0
     b1, b2 = (4, 0), (5, 0)
@@ -83,7 +83,7 @@ def test_apply_ops_shape_mismatch_raises(layout):
     kernel = GaussianKernelMatrix(pts, 1.0 / m, sigma=0.1)
     tree = QuadTree(pts, 3)
     active = {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()}
-    store = InteractionStore(kernel, active, max_modified_distance=None)
+    store = InteractionStore(kernel, active)
     b1, b2 = (3, 0), (4, 0)
     ops = [("delta", b1, b2, np.ones((1, 1)))]
     with pytest.raises(RuntimeError, match="shape mismatch"):

@@ -25,7 +25,7 @@ def env():
     kernel = GaussianKernelMatrix(pts, 1.0 / m, sigma=0.05, shift=1.0)
     tree = QuadTree(pts, 2)  # 4x4 leaves, 16 points each
     active = {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()}
-    store = InteractionStore(kernel, active, max_modified_distance=None)
+    store = InteractionStore(kernel, active)
     opts = SRSOptions(tol=1e-10, leaf_size=16)
     return kernel, tree, store, opts
 
@@ -84,7 +84,7 @@ def test_update_log_matches_mutations(env):
     assert all(k == "delta" for k in kinds[1:])
     # replaying the log on a fresh store reproduces the state
     active2 = {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()}
-    store2 = InteractionStore(kernel, active2, max_modified_distance=None)
+    store2 = InteractionStore(kernel, active2)
     for op in log:
         if op[0] == "restrict":
             store2.restrict(op[1], op[2])
@@ -102,7 +102,6 @@ def test_empty_far_field_eliminates_everything(env):
     store = InteractionStore(
         kernel,
         {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()},
-        max_modified_distance=None,
     )
     box = (0, 0)
     rec = skeletonize(store, kernel, tree, 1, box, opts)
@@ -149,7 +148,7 @@ def _first_box_record(kernel, tree, level, box):
     """The record of the first box eliminated on a fresh store, whose
     blocks are still the kernel's own entries."""
     active = {c: tree.leaf_points(*c) for c in tree.nonempty_leaves()}
-    store = InteractionStore(kernel, active, max_modified_distance=None)
+    store = InteractionStore(kernel, active)
     return skeletonize(store, kernel, tree, level, box, SRSOptions(tol=1e-10, leaf_size=16))
 
 

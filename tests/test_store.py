@@ -654,6 +654,42 @@ def test_previous_format_payload_is_a_format_miss(tmp_path):
     assert not os.path.exists(path)
 
 
+def test_format_8_dense_lu_payload_is_a_miss_and_rebuilt(tmp_path):
+    """Format 8 pickled a ``DenseLUFactorization`` as ``n`` and a
+    ``(lu, piv)`` tuple; unpickled now, it fails at ``memory_bytes()``,
+    which the cache calls on every fresh entry. Its header names format
+    8, so the store refuses the file as a miss and builds afresh."""
+    from repro.api import DenseLUFactorization
+
+    stale = DenseLUFactorization.__new__(DenseLUFactorization)
+    stale.__dict__.update(n=3, _lu=(np.eye(3), np.arange(3, dtype=np.int32)))
+    with pytest.raises(AttributeError):
+        pickle.loads(pickle.dumps(stale)).memory_bytes()
+
+    root = str(tmp_path / "store")
+    store = FactorizationStore(root, shared=False)
+    key = ("dense_lu",)
+    path = store._spill_path(key_digest(key))
+    spill_entry(path, key, stale)
+    _rewrite_header(path, format=8)
+    assert load_spill(path, key) == (None, "format")
+    assert not os.path.exists(path)
+
+    spill_entry(path, key, stale)
+    _rewrite_header(path, format=8)
+    fresh = DenseLUFactorization(_IdentityKernel())
+    fact, tier = store.fetch_or_build(key, lambda: fresh)
+    assert fact is fresh and tier is None
+    assert fact.memory_bytes() == fresh.memory_bytes()
+
+
+class _IdentityKernel:
+    n = 3
+
+    def block(self, rows, cols):
+        return np.eye(self.n)[np.ix_(rows, cols)]
+
+
 @needs_process
 def test_shared_attach_in_second_process_is_bitwise(tmp_path):
     """A fresh interpreter attaches the published entry, no refactor."""
