@@ -27,10 +27,13 @@ runs the stages across boxes:
    ``proxy_*_block_stack``), grouped by block shape across the whole
    phase. Blocks already modified by Schur updates are copied from the
    store instead. A box's matrix is the four panels
-   ``[A[M, B]; A[B, M]^*; K[P, B]; K[B, P]^*]``, or for a ``hermitian``
-   kernel the half-height ``[A[M, B]; s K[B, P]^*]`` with the same
-   column Gram matrix up to a factor 2 (hence the same CPQR), see
-   :attr:`~repro.kernels.base.KernelMatrix.hermitian`.
+   ``[A[M, B]; A[B, M]^*; K[P, B]; K[B, P]^*]``, or for a ``symmetric``
+   or ``hermitian`` kernel the half-height ``[A[M, B]; s K[B, P]^*]``
+   with the same column Gram matrix up to a factor 2 (hence the same
+   CPQR), see :attr:`~repro.kernels.base.KernelMatrix.hermitian`. A
+   symmetric kernel that is not hermitian (complex-symmetric Helmholtz)
+   is compressed by the real ``[Re; Im]`` stack of that matrix, so its
+   ID runs in real arithmetic and its ``T`` is real.
 4. **Grouped ID** — one :func:`~repro.linalg.interpolative.interp_decomp_stack`
    call per group (one shared CPQR workspace).
 5. **Prefill** — the near-field pairs the phase's eliminations will
@@ -170,18 +173,24 @@ def _assemble_and_compress(
         key = (plan.bidx.size, p, tuple(plan.m_sizes))
         groups.setdefault(key, []).append(plan)
 
-    # A hermitian kernel's box is compressed by [A[M, B]; s K[B, P]^*]:
-    # A[B, M]^* repeats A[M, B] (Schur deltas inherit the symmetry) and
-    # K[P, B] = alpha K[B, P]^*, so s^2 = (1 + alpha^2) / 2 gives half the
-    # Gram matrix of the four panels, hence the same CPQR pivots and T.
-    herm = kernel.hermitian
-    proxy_scale = np.sqrt((1.0 + kernel.weight_ratio**2) / 2.0) if herm else None
+    # A symmetric kernel's box is compressed by [A[M, B]; s K[B, P]^*]:
+    # A[B, M]^* repeats A[M, B] (conjugated if A is complex symmetric;
+    # Schur deltas inherit either symmetry) and K[P, B] = alpha K[B, P]^T,
+    # so s^2 = (1 + alpha^2) / 2 makes the real part of its Gram matrix
+    # half the four panels' one, which is real for a hermitian kernel
+    # and, at alpha = 1 (Helmholtz), for a complex-symmetric one, whose
+    # real [Re; Im] stack has that real part as its Gram matrix. Either
+    # way CPQR picks the four panels' pivots and T, and the stack's T is
+    # real.
+    sym = kernel.symmetric or kernel.hermitian
+    split = sym and not kernel.hermitian
+    proxy_scale = np.sqrt((1.0 + kernel.weight_ratio**2) / 2.0) if sym else None
     #: unmodified pair -> (destination rows, stored conjugate-transposed?)
     block_dests: dict[PairKey, tuple[np.ndarray, bool]] = {}
     proxy_reqs: dict[tuple[int, int], list] = {}
     stacks: list[tuple[np.ndarray, list[_BoxPlan]]] = []
     for (k, p, m_sizes), members in groups.items():
-        m_total = (1 if herm else 2) * (sum(m_sizes) + p)
+        m_total = (1 if sym else 2) * (sum(m_sizes) + p)
         for i0 in range(0, len(members), BATCH_MAX):
             chunk = members[i0 : i0 + BATCH_MAX]
             comp = np.empty((len(chunk), m_total, k), dtype=kernel.dtype)
@@ -196,7 +205,7 @@ def _assemble_and_compress(
                             comp[slot, r0 : r0 + msize, :], False
                         )
                     r0 += msize
-                    if herm:
+                    if sym:
                         continue
                     if store.is_modified(plan.box, mb):
                         comp[slot, r0 : r0 + msize, :] = (
@@ -218,6 +227,8 @@ def _assemble_and_compress(
     _flush_proxy_requests(kernel, proxy_reqs, proxy_scale)
 
     for comp, chunk in stacks:
+        if split:
+            comp = np.concatenate((comp.real, comp.imag), axis=1)
         with trace.span(
             "factor.batch",
             level=level,
@@ -228,6 +239,8 @@ def _assemble_and_compress(
             _BATCH_OCCUPANCY.observe(len(chunk))
             decs = interp_decomp_stack(comp, opts.tol)
         for plan, dec in zip(chunk, decs):
+            # records keep T in the kernel dtype, whatever the ID ran on
+            dec.T = dec.T.astype(kernel.dtype, copy=False)
             plan.dec = dec
 
 
@@ -242,7 +255,7 @@ def _prefill_near(
     Same-phase boxes cannot touch each other's near pairs (module
     docstring), so evaluating them all here — stacked, grouped by shape
     — stores exactly the values the lazy path would have produced.
-    Only stored orientations are asked for (one per pair of a hermitian
+    Only stored orientations are asked for (one per pair of a symmetric
     store), and pairs a ``store_predicate`` rejects are left alone:
     this rank does not hold them.
     """
@@ -334,7 +347,7 @@ def _flush_proxy_requests(
     """Evaluate queued proxy panels in same-shape stacks.
 
     Each request's destination takes ``[K[P, B]; K[B, P]^*]``, or only
-    ``scale * K[B, P]^*`` when ``scale`` is given (a hermitian kernel).
+    ``scale * K[B, P]^*`` when ``scale`` is given (a symmetric kernel).
     """
     for (p, k), entries in reqs.items():
         step = max(1, EVAL_CHUNK_ELEMENTS // max(1, p * k))

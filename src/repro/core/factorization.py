@@ -245,7 +245,7 @@ def assemble_parents(
     owned parent and a near one is assembled in both key orders (a rank
     holds a pair when it owns either side). Keys follow the store's
     orientation rule (:meth:`~repro.core.interactions.InteractionStore.stored_key`),
-    so for a hermitian store both orders are one block.
+    so for a symmetric store both orders are one block.
 
     Only parent pairs at distance <= 1 can contain modified child
     blocks (child pairs at distance <= 2 have parents at distance

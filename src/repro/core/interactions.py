@@ -9,10 +9,14 @@ legitimate because Theorem 1/2 guarantee untouched blocks are pure
 kernel evaluations at every level.
 
 This module is the one place that knows a block's *orientation*. For a
-``hermitian`` kernel (``A == A^H``, real) the Schur update of Remark 2
-is symmetric, so the store keeps one block per unordered pair, under
-``(bi, bj)`` with ``bi <= bj``, and serves ``(bj, bi)`` as its ``.T``
-view; every other kernel keeps both orientations. Callers read and
+``symmetric`` or ``hermitian`` kernel (``A == A^T``: the real hermitian
+kernels and the complex-symmetric Helmholtz volume kernel) the Schur
+update ``X[C, R] X_RR^{-1} X[R, C]`` of Remark 2 is transpose-symmetric
+to rounding — the sparsified ``X`` is, because such a kernel's
+interpolation matrix ``T`` is real (:mod:`repro.core.batch`) — so the
+store keeps one block per unordered pair, under ``(bi, bj)`` with
+``bi <= bj``, and serves ``(bj, bi)`` as its ``.T`` view; every other
+kernel keeps both orientations. Callers read and
 write through :meth:`InteractionStore.get`, :meth:`~InteractionStore.get_pair`,
 :meth:`~InteractionStore.set` and :meth:`~InteractionStore.subtract_schur`
 and never see the difference, except that the update log and
@@ -21,7 +25,7 @@ and never see the difference, except that the update log and
 
 Invariant: a stored block always covers exactly the *current* active
 sets of its box pair, and exactly one block is stored per unordered
-pair of a hermitian store. When a box is skeletonized, its redundant
+pair of a symmetric store. When a box is skeletonized, its redundant
 rows and columns are dropped from every stored block that touches it
 (the solve-phase copies are recorded first by the caller).
 """
@@ -43,7 +47,8 @@ class InteractionStore:
     ----------
     kernel:
         Source of unmodified entries (global point indexing); its
-        ``hermitian`` flag selects the one-block-per-pair layout.
+        ``symmetric`` or ``hermitian`` flag selects the one-block-per-pair
+        layout.
     active:
         Mapping box -> global indices currently owned by the box.
     store_predicate:
@@ -66,7 +71,7 @@ class InteractionStore:
         self.blocks: dict[PairKey, np.ndarray] = {}
         self.partners: dict[Coord, set[Coord]] = {}
         self.store_predicate = store_predicate
-        self._one_sided = bool(kernel.hermitian)
+        self._one_sided = bool(kernel.symmetric or kernel.hermitian)
         if blocks:
             for (bi, bj), value in blocks.items():
                 self.set(bi, bj, value)
@@ -108,7 +113,7 @@ class InteractionStore:
     def get_pair(self, bi: Coord, bj: Coord) -> tuple[np.ndarray, np.ndarray]:
         """``(get(bi, bj), get(bj, bi))`` at one kernel evaluation if possible.
 
-        Modified blocks are returned as stored — for a hermitian store
+        Modified blocks are returned as stored — for a symmetric store
         that is one array and its ``.T`` view, no copy. When neither
         direction is modified and the kernel is ``symmetric``, the
         reverse block is a C-ordered copy of the transpose — the array a
@@ -127,7 +132,7 @@ class InteractionStore:
     def get_writable(self, bi: Coord, bj: Coord) -> np.ndarray:
         """Like :meth:`get` but materialized in the store for in-place update.
 
-        For the non-stored orientation of a hermitian pair this is the
+        For the non-stored orientation of a symmetric pair this is the
         ``.T`` view of the stored block, so writes land in the store.
         """
         blk = self._stored(bi, bj)
@@ -154,7 +159,7 @@ class InteractionStore:
     def set(self, bi: Coord, bj: Coord, value: np.ndarray) -> None:
         """Overwrite a block (value must match the current active shapes).
 
-        The non-stored orientation of a hermitian pair is stored as one
+        The non-stored orientation of a symmetric pair is stored as one
         contiguous copy of ``value.T``.
         """
         expected = (self.active[bi].size, self.active[bj].size)
@@ -178,8 +183,8 @@ class InteractionStore:
         ``delta`` is indexed by the concatenated *current* active sets of
         ``boxes`` (empty boxes contribute nothing). Every pair among them
         is updated in its stored orientation(s): both for a general
-        kernel, the one stored block for a hermitian kernel (``delta`` is
-        symmetric to rounding; the stored block takes its own rows and
+        kernel, the one stored block for a symmetric kernel (``delta`` is
+        transpose-symmetric to rounding; the stored block takes its own rows and
         columns of it). A pair the ``store_predicate`` rejects is neither
         stored nor evaluated. When ``update_log`` is a list, each pair's
         update is appended as ``("delta", bi, bj, d)`` in stored
@@ -211,7 +216,7 @@ class InteractionStore:
         """Shrink ``active(box)`` to ``active(box)[keep_positions]``.
 
         Drops the complementary rows/columns from every stored block
-        touching ``box`` — one array per partner in a hermitian store.
+        touching ``box`` — one array per partner in a symmetric store.
         Called right after the box is skeletonized (``keep_positions``
         are the skeleton positions within the old active set).
         """

@@ -216,7 +216,7 @@ def eliminate_box(
     bidx = store.active_of(box)
     nbrs = [n for n in neighbors if n in store.active and store.nactive(n) > 0]
     s_loc, r_loc, t_mat = dec.skeleton, dec.redundant, dec.T
-    dtype = t_mat.dtype  # the compression matrix's dtype
+    dtype = t_mat.dtype  # the kernel dtype (a real ID's T is cast to it)
     if r_loc.size == 0:
         # nothing to eliminate; keep the box as is
         return BoxRecord(

@@ -76,21 +76,27 @@ class KernelMatrix(ABC):
     #: direct evaluation, so who asks first cannot matter. Laplace,
     #: Yukawa, Gaussian and the (complex symmetric) Helmholtz volume
     #: kernel declare it; layer potentials weight columns only and
-    #: leave it False.
+    #: leave it False. It also selects the one-block-per-pair store and
+    #: the half-height compression matrix (see :attr:`hermitian`).
     symmetric: bool = False
 
     #: True when ``A == A^H`` exactly: a ``symmetric`` kernel with real
-    #: entries (Laplace, Gaussian, Yukawa). The interaction store then
-    #: keeps one block per unordered box pair and serves the other
-    #: orientation as its transpose (Schur updates inherit the symmetry),
-    #: and the compression matrix of a box has half the rows, under
-    #: both factor modes: ``A[B, M]^*`` repeats ``A[M, B]`` row for row
-    #: and the proxy row panel is the column panel times
-    #: :attr:`weight_ratio`, so ``[A[M, B]; s K[B, P]^*]`` with
-    #: ``s = sqrt((1 + weight_ratio^2) / 2)`` has half the Gram matrix
-    #: of the four panels — and CPQR's pivots and ``T`` depend on a
-    #: matrix only through its Gram matrix. Complex-symmetric kernels
-    #: (Helmholtz: ``A == A^T != A^H``) must leave this False.
+    #: entries (Laplace, Gaussian, Yukawa). A ``symmetric`` or
+    #: ``hermitian`` kernel gets an interaction store with one block per
+    #: unordered box pair, the other orientation served as its
+    #: transpose (Schur updates inherit the symmetry), and a compression
+    #: matrix of half the rows, under both factor modes: ``A[B, M]^*``
+    #: repeats ``A[M, B]`` row for row (is its conjugate, if ``A`` is
+    #: complex symmetric) and the proxy row panel is the column panel's
+    #: transpose times :attr:`weight_ratio`, so ``[A[M, B]; s K[B, P]^*]``
+    #: with ``s = sqrt((1 + weight_ratio^2) / 2)`` has half the real part
+    #: of the four panels' Gram matrix — and CPQR's pivots and ``T``
+    #: depend on a matrix only through its Gram matrix. This flag selects
+    #: how that matrix is compressed: as it is when True; when False (a
+    #: complex-symmetric kernel: Helmholtz, ``A == A^T != A^H``, whose
+    #: four panels have a real Gram matrix at ``weight_ratio == 1``) as
+    #: its real ``[Re; Im]`` stack, whose Gram matrix is the same, so
+    #: the ID runs in real arithmetic and ``T`` is real.
     hermitian: bool = False
 
     @property
@@ -100,7 +106,8 @@ class KernelMatrix(ABC):
         ``row_w[i] * col_w[j] == row_w[j] * col_w[i]`` for all ``i, j``
         makes the ratio the same at every point, so point 0 tells it:
         ``proxy_row_block(P, B) == weight_ratio * proxy_col_block(B, P).T``.
-        Read only for ``hermitian`` kernels (the compression matrix).
+        Read only for ``symmetric`` and ``hermitian`` kernels (the
+        compression matrix).
         """
         first = np.zeros(1, dtype=np.int64)
         return float(np.real(self.col_weights(first)[0] / self.row_weights(first)[0]))

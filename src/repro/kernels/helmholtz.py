@@ -123,6 +123,21 @@ class HelmholtzKernelMatrix(KernelMatrix):
     def greens(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return helmholtz_greens(x, y, self.kappa)
 
+    def greens_stack(self, x, y, out=None) -> np.ndarray:
+        # helmholtz_greens written into ``out``: J0 into the imaginary
+        # part, Y0 into the real part, each scaled by its +-1/4 (the same
+        # bits, NaN self entries included), instead of complex temporaries
+        if out is None:
+            return self.greens(x, y)
+        z = pairwise_distances(x, y)
+        np.multiply(z, self.kappa, out=z)
+        z[z == 0.0] = np.nan
+        j0(z, out=out.imag)
+        y0(z, out=out.real)
+        out.imag *= 0.25
+        out.real *= -0.25
+        return out
+
     def row_weights(self, index: np.ndarray) -> np.ndarray:
         return (self.kappa * self.h * self._sqrt_b[index]).astype(self.dtype)
 

@@ -12,7 +12,7 @@ Every rank executes :func:`factor_worker`. Per tree level:
    their boundary boxes, then send each neighbor the relevant store
    mutations: ``restrict`` entries for boxes in the neighbor's halo and
    additive Schur ``delta`` entries, in stored orientation (one per
-   unordered pair for a hermitian kernel), for block pairs the neighbor
+   unordered pair for a symmetric kernel), for block pairs the neighbor
    owns a side of. Receivers replay the log in order.
 4. **Transition** (Sec. III-C) — 4-to-1 rank reduction once regions are
    down to one parent box (retirees ship their surviving state to the

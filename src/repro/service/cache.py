@@ -168,6 +168,9 @@ class FactorizationCache:
                 # cache lock (it can factor, publish, or poll a peer)
                 fact, tier = self._store.fetch_or_build(key, builder)
             entry.build_seconds = time.perf_counter() - t0
+            # the accounting is part of the build: if it raises, the
+            # followers must see that error, not wait for their timeout
+            nbytes = int(fact.memory_bytes()) if hasattr(fact, "memory_bytes") else 0
         except BaseException as exc:
             entry.error = exc
             with self._lock:
@@ -178,9 +181,7 @@ class FactorizationCache:
             raise
         entry.fact = fact
         entry.store_tier = tier
-        entry.nbytes = (
-            int(fact.memory_bytes()) if hasattr(fact, "memory_bytes") else 0
-        )
+        entry.nbytes = nbytes
         # an shm-attached entry's arrays live in store-owned shared
         # blocks: charge them to the budget once process-wide (the
         # store's gauge), not once per cache

@@ -1,6 +1,6 @@
 """Shared fixtures: point sets, kernels, and (expensive) factorizations;
-and :func:`shm_blocks`, the ``/dev/shm`` listing of the "left as found"
-checks."""
+:class:`Lopsided`, the asymmetric test kernel; and :func:`shm_blocks`,
+the ``/dev/shm`` listing of the "left as found" checks."""
 
 from __future__ import annotations
 
@@ -22,6 +22,19 @@ from repro.kernels import (
 )
 from repro.kernels.helmholtz import gaussian_bump
 from repro.vmpi import process_backend
+
+
+class Lopsided(GaussianKernelMatrix):
+    """Deliberately asymmetric: the column weight grows with ``x``."""
+
+    symmetric = False
+    hermitian = False
+
+    def col_weights(self, index):
+        return self.h * self.h * (1.0 + self.points[index, 0])
+
+    def spawn(self, points, data):
+        return type(self)(points, self.h, sigma=self.sigma, shift=self.shift)
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,9 @@
 The contract under test (INVARIANTS.md, "factor-batching"): batching
 reorders assembly and compression, never elimination. ``strict`` stays
 bitwise-reproducible; ``batched`` agrees to the ID tolerance on every
-kernel family and execution backend, including the Hermitian fast path
-(Laplace/Gaussian) and the two-sided complex path (Helmholtz).
+kernel family and execution backend: the hermitian half-height
+compression (Laplace/Gaussian), its complex-symmetric real form
+(Helmholtz) and the general four-panel one (layer potentials).
 """
 
 import numpy as np
@@ -64,10 +65,9 @@ def test_gaussian_parity_machine_precision(gaussian16, gaussian16_dense, rng):
     assert relres(gaussian16_dense, batched.solve(b), b) < 1e-12
 
 
-def test_helmholtz_parity_complex_two_sided(helmholtz24, helmholtz24_dense, rng):
-    # complex symmetric but NOT Hermitian: exercises the two-sided
-    # assembly (A[M,B] and A[B,M]^* both in the compression matrix,
-    # from one evaluation of the pair)
+def test_helmholtz_parity_complex_symmetric(helmholtz24, helmholtz24_dense, rng):
+    # complex symmetric but NOT Hermitian: exercises the real [Re; Im]
+    # half-height ID and the one-sided store of complex blocks
     assert helmholtz24.symmetric and not helmholtz24.hermitian
     strict, batched = factor_pair(helmholtz24, tol=1e-8, leaf_size=24)
     b = rng.standard_normal(helmholtz24.n) + 1j * rng.standard_normal(helmholtz24.n)
@@ -188,7 +188,7 @@ def test_parallel_backend_mode_matrix(backend, mode, gaussian16, rng):
 @pytest.mark.parametrize(
     "make_problem",
     [lambda: LaplaceVolumeProblem(m=32), lambda: ScatteringProblem(32, 10.0)],
-    ids=["laplace-hermitian", "scattering-two-sided"],
+    ids=["laplace-hermitian", "scattering"],
 )
 def test_one_rank_is_the_sequential_sweep_bitwise(make_problem, mode):
     # the gate on "one sweep engine": with p=1 every box is interior, the
@@ -303,7 +303,7 @@ def test_hermitian_flags():
 
 
 # ----------------------------------------------------------------------
-# one compression arithmetic: the hermitian half-height matrix, both modes
+# one compression arithmetic: the half-height matrix of a symmetric kernel
 # ----------------------------------------------------------------------
 def _jittered(m, seed):
     """An ``m x m`` grid moved by up to a fifth of a cell: no norm ties."""
@@ -332,17 +332,14 @@ def _four_panels(kernel, tree, store, level, box, opts):
     )
 
 
-@pytest.mark.parametrize("make", [
-    lambda pts, h: LaplaceKernelMatrix(pts, h),
-    lambda pts, h: YukawaKernelMatrix(pts, h, 3.0),
-    lambda pts, h: GaussianKernelMatrix(pts, h, sigma=0.2),
-], ids=["laplace", "yukawa", "gaussian"])
-def test_hermitian_half_height_matrix_has_the_four_panel_id(make, monkeypatch):
-    m, level = 48, 3
-    pts = _jittered(m, 5)
-    kernel = make(pts, 1.0 / m)
-    assert kernel.hermitian
-    tree = QuadTree(pts, level)
+def _half_height_matches_four_panels(kernel, tree, level, monkeypatch):
+    """The stack a box's ID runs on against the four panels, box by box.
+
+    The stack is the half-height matrix for a hermitian kernel and its
+    real ``[Re; Im]`` stack for a complex-symmetric one; either way its
+    Gram matrix is half the four panels' one, which is real, so CPQR
+    picks the same skeleton and a real ``T``.
+    """
     store = _leaf_store(kernel, tree)
     opts = SRSOptions()
     seen, real = [], batch.interp_decomp_stack
@@ -354,20 +351,46 @@ def test_hermitian_half_height_matrix_has_the_four_panel_id(make, monkeypatch):
     monkeypatch.setattr(batch, "interp_decomp_stack", spy)
     for box in [(3, 4), (0, 0), (7, 2)]:
         seen.clear()
-        compress_phase(store, kernel, tree, level, [box], opts)
+        dec = compress_phase(store, kernel, tree, level, [box], opts)[box]
         (half,) = seen[0]
         four = _four_panels(kernel, tree, store, level, box, opts)
-        assert 2 * half.shape[0] == four.shape[0]
-        gram_half, gram_four = half.T @ half, four.T @ four
-        assert np.linalg.norm(2 * gram_half - gram_four) <= 1e-14 * np.linalg.norm(gram_four)
+        assert half.shape[0] == four.shape[0] // (2 if kernel.hermitian else 1)
+        gram_half, gram_four = half.conj().T @ half, four.conj().T @ four
+        scale = np.linalg.norm(gram_four)
+        assert np.linalg.norm(gram_four.imag) <= 1e-14 * scale
+        assert np.linalg.norm(2 * gram_half - gram_four) <= 1e-14 * scale
         got, want = interp_decomp(half, opts.tol), interp_decomp(four, opts.tol)
         assert 0 < want.rank < want.skeleton.size + want.redundant.size
         assert np.array_equal(got.skeleton, want.skeleton)
+        assert np.isrealobj(got.T) and not dec.T.imag.any()
+        assert dec.T.dtype == kernel.dtype and np.array_equal(dec.T.real, got.T)
         # pivots past the rank cut may swap (their norms are ~tol): T's
         # columns are compared by the redundant column they interpolate
         t_got = got.T[:, np.argsort(got.redundant)]
         t_want = want.T[:, np.argsort(want.redundant)]
         assert np.linalg.norm(t_got - t_want) <= 1e-10 * np.linalg.norm(t_want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda pts, h: LaplaceKernelMatrix(pts, h),
+    lambda pts, h: YukawaKernelMatrix(pts, h, 3.0),
+    lambda pts, h: GaussianKernelMatrix(pts, h, sigma=0.2),
+], ids=["laplace", "yukawa", "gaussian"])
+def test_hermitian_half_height_matrix_has_the_four_panel_id(make, monkeypatch):
+    m, level = 48, 3
+    pts = _jittered(m, 5)
+    kernel = make(pts, 1.0 / m)
+    assert kernel.hermitian
+    _half_height_matches_four_panels(kernel, QuadTree(pts, level), level, monkeypatch)
+
+
+def test_complex_symmetric_half_height_matrix_has_the_four_panel_id(monkeypatch):
+    # [Re; Im] of [A[M, B]; s K[B, P]^*]: a real (2m x k) stack
+    m, level = 48, 3
+    pts = _jittered(m, 5)
+    kernel = HelmholtzKernelMatrix(pts, 1.0 / m, 25.0, b=gaussian_bump(pts))
+    assert kernel.symmetric and not kernel.hermitian
+    _half_height_matches_four_panels(kernel, QuadTree(pts, level), level, monkeypatch)
 
 
 def _same_decomposition(d1, d2) -> bool:
@@ -381,7 +404,7 @@ def _same_decomposition(d1, d2) -> bool:
 @pytest.mark.parametrize("make", [
     lambda pts: LaplaceKernelMatrix(pts, 1.0 / 35),
     lambda pts: HelmholtzKernelMatrix(pts, 1.0 / 35, 9.0, b=gaussian_bump(pts)),
-], ids=["laplace-hermitian", "helmholtz-two-sided"])
+], ids=["laplace-hermitian", "helmholtz-symmetric"])
 def test_compression_does_not_depend_on_the_schedule(make):
     # a box compressed alone (strict's group) and inside its colour phase
     # (batched's group), against one store, gets the same bits

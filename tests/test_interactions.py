@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import Lopsided
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import SRSOptions
+from repro.core import SRSOptions, srs_factor
 from repro.core.batch import compress_phase
 from repro.core.factorization import sweep_level
 from repro.core.interactions import InteractionStore
@@ -62,8 +63,9 @@ def test_restrict_shrinks_all_touching_blocks(setup):
     helmholtz = HelmholtzKernelMatrix(
         kernel.points, 1.0 / 8, 5.0, b=gaussian_bump(kernel.points)
     )
-    # hermitian: one array per partner; general: both orientations
-    for k, stored_per_partner in ((kernel, 1), (helmholtz, 2)):
+    lopsided = Lopsided(kernel.points, 1.0 / 8, sigma=0.1)
+    # symmetric: one array per partner; general: both orientations
+    for k, stored_per_partner in ((kernel, 1), (helmholtz, 1), (lopsided, 2)):
         store = InteractionStore(k, active)
         b0, b1, b2 = (0, 0), (0, 1), (1, 0)
         store.get_writable(b0, b1)
@@ -138,7 +140,7 @@ def test_memory_accounting(setup):
 
 
 # ----------------------------------------------------------------------
-# orientation: a hermitian store keeps one block per unordered pair
+# orientation: a symmetric store keeps one block per unordered pair
 # ----------------------------------------------------------------------
 def _kernel(name, m):
     pts = uniform_grid(m)
@@ -146,6 +148,8 @@ def _kernel(name, m):
         return LaplaceKernelMatrix(pts, 1.0 / m)
     if name == "gaussian":
         return GaussianKernelMatrix(pts, 1.0 / m, sigma=0.05, shift=1.0)
+    if name == "lopsided":
+        return Lopsided(pts, 1.0 / m, sigma=0.05, shift=1.0)
     return HelmholtzKernelMatrix(pts, 1.0 / m, 6.0, b=gaussian_bump(pts))
 
 
@@ -162,7 +166,7 @@ def _swept_level(kernel, nlevels, mode, **store_kw):
 
 
 @pytest.mark.parametrize("mode", ["strict", "batched"])
-@pytest.mark.parametrize("name", ["laplace", "gaussian"])
+@pytest.mark.parametrize("name", ["laplace", "gaussian", "helmholtz"])
 def test_hermitian_store_keeps_one_block_per_unordered_pair(name, mode):
     store, _ = _swept_level(_kernel(name, 32), 3, mode)
     assert store.blocks
@@ -178,8 +182,27 @@ def test_hermitian_store_keeps_one_block_per_unordered_pair(name, mode):
 
 
 @pytest.mark.parametrize("mode", ["strict", "batched"])
+def test_complex_symmetric_schur_deltas_are_transpose_symmetric(mode, monkeypatch):
+    # what keeping one block per pair of a Helmholtz store rests on,
+    # measured: with a real T the sparsified X = X^T, so every delta
+    # X[C, R] X_RR^{-1} X[R, C] of the factor is its own transpose
+    deltas = []
+    subtract = InteractionStore.subtract_schur
+
+    def spy(self, boxes, delta, update_log=None):
+        deltas.append(delta.copy())
+        return subtract(self, boxes, delta, update_log)
+
+    monkeypatch.setattr(InteractionStore, "subtract_schur", spy)
+    srs_factor(_kernel("helmholtz", 24), opts=SRSOptions(leaf_size=16, factor_mode=mode))
+    assert len(deltas) > 40 and all(np.iscomplexobj(d) for d in deltas)
+    for d in deltas:
+        assert np.linalg.norm(d - d.T) <= 1e-12 * np.linalg.norm(d)
+
+
+@pytest.mark.parametrize("mode", ["strict", "batched"])
 def test_general_store_keeps_both_orientations(mode):
-    store, _ = _swept_level(_kernel("helmholtz", 32), 3, mode)
+    store, _ = _swept_level(_kernel("lopsided", 32), 3, mode)
     assert any(bi > bj for bi, bj in store.blocks)
     for bi, bj in store.blocks:
         assert (bj, bi) in store.blocks

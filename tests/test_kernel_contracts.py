@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import Lopsided
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hankel1
@@ -54,19 +55,6 @@ class ComplexWeightYukawa(YukawaKernelMatrix):
     def __init__(self, points, h, lam):
         super().__init__(points, h, lam)
         self.dtype = np.dtype(np.complex128)
-
-
-class Lopsided(GaussianKernelMatrix):
-    """Deliberately asymmetric: the column weight grows with ``x``."""
-
-    symmetric = False
-    hermitian = False
-
-    def col_weights(self, index):
-        return self.h * self.h * (1.0 + self.points[index, 0])
-
-    def spawn(self, points, data):
-        return type(self)(points, self.h, sigma=self.sigma, shift=self.shift)
 
 
 def _volume_kernels():
@@ -226,7 +214,7 @@ def test_get_pair_evaluates_both_directions_of_an_asymmetric_pair():
 
 
 def test_get_pair_returns_modified_blocks_as_stored():
-    kernel, store = _two_box_store(HelmholtzKernelMatrix, 7.0, b=gaussian_bump(PTS))
+    kernel, store = _two_box_store(Lopsided, sigma=0.2)
     stored = store.get_writable((2, 0), (0, 0))
     stored += 1.0
     kernel.calls = 0
@@ -282,30 +270,35 @@ def _same_records(f1, f2) -> bool:
 
 
 class UndeclaredLaplace(LaplaceKernelMatrix):
-    symmetric = False  # still Hermitian: the CPQR halving does not depend on it
+    symmetric = False  # still Hermitian: the store and the CPQR halving read that
 
 
 class UndeclaredHelmholtz(HelmholtzKernelMatrix):
-    symmetric = False
+    symmetric = False  # so a general kernel: both orientations, four panels
 
 
 @pytest.mark.parametrize("mode", ["strict", "batched"])
 def test_undeclaring_a_symmetric_kernel_costs_evaluations_not_bits(mode):
     pts = uniform_grid(16)
-    for declared, undeclared, args, kw in (
-        (LaplaceKernelMatrix, UndeclaredLaplace, (pts, 1 / 16), {}),
-        (HelmholtzKernelMatrix, UndeclaredHelmholtz, (pts, 1 / 16, 9.0),
-         {"b": gaussian_bump(pts)}),
-    ):
-        shared, f_shared = _factor_counting(declared, mode, *args, **kw)
-        both, f_both = _factor_counting(undeclared, mode, *args, **kw)
-        assert _same_records(f_shared, f_both)
-        if declared.hermitian:
-            # a hermitian store asks for one orientation of every pair and
-            # the halved compression matrix for A[M, B] only: nothing to share
-            assert shared == both
-        else:
-            assert shared < both
+    # a hermitian kernel's store asks for one orientation of every pair
+    # and the halved compression matrix for A[M, B] only: nothing to
+    # share, and nothing else depends on the declaration
+    shared, f_shared = _factor_counting(LaplaceKernelMatrix, mode, pts, 1 / 16)
+    both, f_both = _factor_counting(UndeclaredLaplace, mode, pts, 1 / 16)
+    assert _same_records(f_shared, f_both)
+    assert shared == both
+    # undeclared, Helmholtz also loses its one-sided store and real
+    # half-height ID: other bits, the same operator to the ID tolerance
+    args, kw = (pts, 1 / 16, 9.0), {"b": gaussian_bump(pts)}
+    shared, f_shared = _factor_counting(HelmholtzKernelMatrix, mode, *args, **kw)
+    both, f_both = _factor_counting(UndeclaredHelmholtz, mode, *args, **kw)
+    assert shared < 0.6 * both
+    # T is stored complex either way; a real ID's has no imaginary part
+    assert not any(r.T.imag.any() for r in f_shared.records)
+    assert any(r.T.imag.any() for r in f_both.records)
+    b = np.random.default_rng(2).standard_normal(pts.shape[0]) + 0j
+    x_shared, x_both = f_shared.solve(b), f_both.solve(b)
+    assert np.linalg.norm(x_shared - x_both) <= 1e-6 * np.linalg.norm(x_both)
 
 
 #: Green's / layer-kernel entries per factor. Batched: read at 4af2780,
@@ -375,7 +368,8 @@ def test_helmholtz_greens_coincident_is_nan_nan():
 #: Green's entries per factor at 4af2780 (every pair evaluated in both
 #: directions unless the kernel was Hermitian *and* the sweep batched);
 #: batched Laplace re-read since a hermitian box evaluates one proxy
-#: panel, not two (620,812 before)
+#: panel, not two (620,812 before); a Helmholtz box does too since its
+#: ID became real
 HELMHOLTZ24_AT_PARENT = {"batched": 408_316, "strict": 414_877}
 LAPLACE32_AT_PARENT = {"batched": 555_276, "strict": 1_065_648}
 
@@ -385,10 +379,11 @@ def test_helmholtz_factor_evaluates_each_pair_once():
     args = (p.points, p.h, p.kappa)
     batched, _ = _factor_counting(HelmholtzKernelMatrix, "batched", *args, b=p.b)
     strict, _ = _factor_counting(HelmholtzKernelMatrix, "strict", *args, b=p.b)
-    # what sharing cannot reach: the proxy stacks (73,728 entries either
-    # way); strict reads 244,770 since its near field is prefilled too
-    assert batched <= 0.62 * HELMHOLTZ24_AT_PARENT["batched"]
-    assert strict <= 0.84 * HELMHOLTZ24_AT_PARENT["strict"]
+    # read 214,526 batched / 207,906 strict: sharing plus one proxy panel
+    # a box (the proxy stacks went 73,728 -> 36,864 entries with the
+    # complex-symmetric half-height ID; 251,390 / 244,770 before)
+    assert batched <= 0.53 * HELMHOLTZ24_AT_PARENT["batched"]
+    assert strict <= 0.51 * HELMHOLTZ24_AT_PARENT["strict"]
 
 
 def test_laplace_factor_counts():

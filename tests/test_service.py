@@ -448,6 +448,58 @@ def test_build_finishing_after_close_is_released():
     assert dropped == [True]  # and the rank workers let go of it
 
 
+def test_failed_accounting_fails_the_flight_and_caches_nothing():
+    """A product whose ``memory_bytes()`` raises fails its build: the
+    leader and a waiting follower both see the error at once, and the
+    next request builds afresh."""
+    cache = FactorizationCache(max_bytes=1 << 20)
+    started, gate, following = threading.Event(), threading.Event(), threading.Event()
+
+    class Planted:
+        def memory_bytes(self):
+            raise RuntimeError("planted accounting fault")
+
+    class Good:
+        def memory_bytes(self):
+            return 10
+
+    def planted_build():
+        started.set()
+        gate.wait(10)
+        return Planted()
+
+    class Watched(threading.Event):
+        def wait(self, timeout=None):
+            following.set()
+            return super().wait(timeout)
+
+    outcomes = {}
+
+    def call(name, builder):
+        try:
+            outcomes[name] = cache.get_or_build("k", builder, timeout=10)
+        except BaseException as exc:  # noqa: BLE001 - the outcome under test
+            outcomes[name] = exc
+
+    leader = threading.Thread(target=call, args=("leader", planted_build))
+    leader.start()
+    assert started.wait(10)
+    cache._entries["k"].event = Watched()  # tells when the follower waits
+    follower = threading.Thread(target=call, args=("follower", Good))
+    follower.start()
+    assert following.wait(10)
+    gate.set()
+    leader.join(10)
+    follower.join(10)
+    for name in ("leader", "follower"):
+        assert isinstance(outcomes[name], RuntimeError), outcomes[name]
+        assert "planted" in str(outcomes[name])
+    assert len(cache) == 0
+    lookup = cache.get_or_build("k", Good)
+    assert not lookup.hit and isinstance(lookup.fact, Good) and lookup.nbytes == 10
+    assert "k" in cache
+
+
 def test_oversized_entry_stays_resident():
     cache = FactorizationCache(max_bytes=10)
 
