@@ -49,16 +49,8 @@ def main(n: int = 2048) -> None:
     pre = solver.solve(scat.rhs_plane_wave())
     print(f"factorization: {solver.setup_time:.2f} s")
     print(f"point-source validation error: {scat.point_source_error(solver.factorization):.2e}")
-    # the default matvec assembles the whole CFIE again on every
-    # application; up to the dense-LU size, assemble it once instead
-    # (the same products, so the same iterates)
-    operator = None
-    if n <= 2048:
-        A = scat.dense()
-        operator = lambda x: A @ x
     plain = repro.solve(
-        scat, scat.rhs_plane_wave(), method="gmres", tol=1e-10, restart=50, maxiter=2000,
-        operator=operator,
+        scat, scat.rhs_plane_wave(), method="gmres", tol=1e-10, restart=50, maxiter=2000
     )
     print(f"preconditioned GMRES:   {pre.iterations} iterations")
     print(f"unpreconditioned GMRES: {plain.iterations} iterations")

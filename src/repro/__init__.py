@@ -58,7 +58,7 @@ from repro.kernels import (
     YukawaKernelMatrix,
 )
 from repro.geometry import uniform_grid
-from repro.matvec import DenseMatVec, FFTMatVec
+from repro.matvec import FFTMatVec
 from repro.iterative import cg, gmres
 from repro.tree import QuadTree
 
@@ -96,7 +96,6 @@ __all__ = [
     "GaussianKernelMatrix",
     "YukawaKernelMatrix",
     "uniform_grid",
-    "DenseMatVec",
     "FFTMatVec",
     "cg",
     "gmres",

@@ -12,7 +12,7 @@ One composable entry point over every solver the repo implements::
 Pieces:
 
 * :class:`~repro.api.problem.Problem` — the protocol workloads
-  implement (kernel, fast operator, rhs helpers, geometry hints).
+  implement (kernel, forward operator, rhs helpers, geometry hints).
 * :class:`~repro.api.config.SolveConfig` — method + execution +
   refinement knobs composed with :class:`~repro.core.options.SRSOptions`.
 * the method table :data:`~repro.api.config.METHODS` — each name mapped
@@ -24,7 +24,7 @@ Pieces:
   — one-shot and factorization-caching front doors.
 """
 
-from repro.api.config import EXECUTIONS, OPERATORS, SolveConfig
+from repro.api.config import EXECUTIONS, SolveConfig
 from repro.api.facade import Solver, solve
 from repro.api.fingerprint import (
     fingerprint_kernel,
@@ -53,7 +53,6 @@ __all__ = [
     "DenseLUFactorization",
     "available_methods",
     "EXECUTIONS",
-    "OPERATORS",
     "fingerprint_kernel",
     "fingerprint_problem",
     "problem_fingerprint",

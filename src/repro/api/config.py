@@ -10,9 +10,6 @@ from repro.core.options import SRSOptions
 #: execution modes of the RS-S setup (every other setup is sequential)
 EXECUTIONS = ("sequential", "thread", "process", "auto")
 
-#: forward operators available to the Krylov methods
-OPERATORS = ("auto", "dense", "treecode")
-
 
 class Method(NamedTuple):
     """One solve method: the setup product it builds, then its refinement."""
@@ -90,11 +87,6 @@ class SolveConfig:
         Iteration cap for the Krylov methods.
     restart:
         GMRES restart length (the paper uses 50 when preconditioned).
-    operator:
-        Forward matvec used by the Krylov methods: ``"auto"``
-        takes the problem's own fast operator (FFT on grids, dense on
-        curves), ``"treecode"`` builds the O(N log N) kernel-independent
-        treecode, ``"dense"`` the chunked dense reference.
     srs:
         Factorization options (ID tolerance, leaf size, proxy
         parameters) passed to the RS-S engines, and the leaf size used
@@ -114,7 +106,6 @@ class SolveConfig:
     tol: float = 1e-12
     maxiter: int = 500
     restart: int = 50
-    operator: str = "auto"
     srs: SRSOptions = field(default_factory=SRSOptions)
     factor_mode: str | None = None
 
@@ -124,11 +115,6 @@ class SolveConfig:
             raise ValueError(
                 f"unknown execution {self.execution!r}; "
                 f"expected one of {', '.join(EXECUTIONS)}"
-            )
-        if self.operator not in OPERATORS:
-            raise ValueError(
-                f"unknown operator {self.operator!r}; "
-                f"expected one of {', '.join(OPERATORS)}"
             )
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")

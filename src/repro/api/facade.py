@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Callable
 
 import numpy as np
 
@@ -117,7 +116,6 @@ def solve(
     config: SolveConfig | None = None,
     *,
     factorization=None,
-    operator: Callable | None = None,
     **overrides,
 ) -> SolveReport:
     """Solve the problem's linear system through the unified pipeline.
@@ -136,11 +134,6 @@ def solve(
     factorization:
         Pre-built setup product to reuse (skips the setup stage; this
         is the :class:`Solver` cache path).
-    operator:
-        Forward matvec for the Krylov methods: a callable
-        overrides ``config.operator`` directly, a string
-        (``"auto"``/``"dense"``/``"treecode"``) is shorthand for
-        setting the config field.
 
     Returns
     -------
@@ -149,8 +142,6 @@ def solve(
         communication metadata.
     """
     config = _make_config(config, overrides)
-    if isinstance(operator, str):
-        config, operator = replace(config, operator=operator), None
     check_problem(problem)
     strategies.check_method(problem, config)
     execution = resolve_execution(config.execution)
@@ -172,7 +163,7 @@ def solve(
 
         t0 = time.perf_counter()
         with trace.span("solve.run", method=config.method):
-            out = strategies.run(problem, rhs, fact, config, operator)
+            out = strategies.run(problem, rhs, fact, config)
         t_solve = time.perf_counter() - t0
         root.set(iterations=out.iterations, converged=out.converged)
 
@@ -221,7 +212,6 @@ class Solver:
         *,
         tol: float | None = None,
         maxiter: int | None = None,
-        operator: Callable | None = None,
     ) -> SolveReport:
         """Solve one rhs on the cached factorization.
 
@@ -234,12 +224,8 @@ class Solver:
             updates["tol"] = tol
         if maxiter is not None:
             updates["maxiter"] = maxiter
-        if isinstance(operator, str):
-            updates["operator"], operator = operator, None
         if updates:
             cfg = replace(cfg, **updates)
-        return solve(
-            self.problem, b, cfg, factorization=self.factorization, operator=operator
-        )
+        return solve(self.problem, b, cfg, factorization=self.factorization)
 
     __call__ = solve

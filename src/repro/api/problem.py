@@ -2,7 +2,7 @@
 
 Every solve method (direct RS-S, preconditioned Krylov, dense LU,
 block-Jacobi) consumes problems through the same narrow surface: a
-kernel matrix, a fast forward operator, rhs helpers, and the geometry
+kernel matrix, its forward operator, rhs helpers, and the geometry
 hints (tree/domain) the factorization engines need. The built-in
 workloads — :class:`~repro.apps.laplace_volume.LaplaceVolumeProblem`,
 :class:`~repro.apps.scattering.ScatteringProblem`,
@@ -13,8 +13,8 @@ any user class that does too plugs straight into
 
 :class:`ProblemBase` is an optional mixin supplying sensible defaults
 (bounding-box parallel domain, the problem's ``matvec`` as operator,
-random right-hand sides) so new problems only define what is special
-about them.
+random right-hand sides, the relative residual) so new problems only
+define what is special about them.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class Problem(Protocol):
         ...
 
     def operator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The fast forward matvec ``x -> A x`` used by iterative methods."""
+        """The forward matvec ``x -> A x``: the one operator every Krylov
+        method and every residual of this problem applies."""
         ...
 
     def default_rhs(self) -> np.ndarray:
@@ -62,7 +63,8 @@ class Problem(Protocol):
         ...
 
     def relres(self, x: np.ndarray, b: np.ndarray) -> float:
-        """True relative residual ``||A x - b|| / ||b||``."""
+        """True relative residual ``||A x - b|| / ||b||`` (``||A x||`` when
+        ``b = 0``)."""
         ...
 
     # Optional: ``fingerprint() -> str`` — a stable content hash of the
@@ -103,8 +105,9 @@ class ProblemBase:
     Defaults: non-symmetric operator, factorization tree taken from a
     ``tree`` attribute when present (else derived from the options),
     unit-square parallel domain, the problem's ``matvec`` attribute as
-    the forward operator, and uniform random right-hand sides (complex
-    when the kernel is).
+    the forward operator, uniform random right-hand sides (complex when
+    the kernel is), and the relative residual on that operator — the
+    only ``relres`` a built-in problem has.
     """
 
     is_symmetric = False
@@ -124,6 +127,8 @@ class ProblemBase:
         return self.random_rhs()
 
     def random_rhs(self, seed: int = 0, nrhs: int = 1) -> np.ndarray:
+        if nrhs < 1:
+            raise ValueError(f"nrhs must be >= 1, got {nrhs}")
         rng = np.random.default_rng(seed)
         shape = (self.n,) if nrhs == 1 else (self.n, nrhs)
         out = rng.random(shape)
@@ -132,8 +137,10 @@ class ProblemBase:
         return out
 
     def relres(self, x: np.ndarray, b: np.ndarray) -> float:
-        r = self.operator()(x) - b
-        return float(np.linalg.norm(r) / np.linalg.norm(b))
+        r = float(np.linalg.norm(self.operator()(x) - b))
+        nb = float(np.linalg.norm(b))
+        # a zero rhs has no scale: the absolute residual, 0.0 for x = 0
+        return r / nb if nb else r
 
     def fingerprint(self) -> str:
         """Stable content hash of the operator this problem defines.

@@ -20,7 +20,7 @@ also one branch in :func:`setup` (and :func:`setup_key`).
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, Callable, NamedTuple, Protocol, runtime_checkable
+from typing import Any, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from repro.iterative.cg import cg
 from repro.iterative.gmres import gmres
 from repro.kernels.base import dense_matrix
 from repro.linalg.lu import PartialLU
-from repro.matvec.dense import DenseMatVec
-from repro.matvec.treecode import TreecodeMatVec
 
 #: default simulated rank count for parallel execution
 DEFAULT_RANKS = 4
@@ -132,21 +130,6 @@ def build_factorization(problem, config: SolveConfig):
     )
 
 
-def get_operator(
-    problem, config: SolveConfig, override: Callable | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Forward matvec for the Krylov methods."""
-    if override is not None:
-        return override
-    if config.operator == "auto":
-        return problem.operator()
-    if config.operator == "dense":
-        return DenseMatVec(problem.kernel)
-    return TreecodeMatVec(
-        problem.kernel, tree=problem.factor_tree, leaf_size=config.srs.leaf_size
-    )
-
-
 def check_method(problem, config: SolveConfig) -> None:
     """Reject an execution or a problem the method cannot honour.
 
@@ -193,8 +176,7 @@ def setup_key(config: SolveConfig) -> tuple:
     by :mod:`repro.service`, and hashed into spill-file names by the
     store: two configs with equal setup keys share one setup product,
     so ``direct``/``pcg``/``pgmres`` share an RS-S factorization.
-    Refinement-only fields (``tol``/``maxiter``/``restart``/``operator``)
-    stay out.
+    Refinement-only fields (``tol``/``maxiter``/``restart``) stay out.
 
     The sequential and distributed RS-S engines produce numerically
     interchangeable factorizations, but they are distinct setup
@@ -223,19 +205,19 @@ def run(
     b: np.ndarray,
     fact: Factorization,
     config: SolveConfig,
-    operator: Callable | None = None,
 ) -> StrategyResult:
     """Produce the solution from the setup product.
 
     One application of ``fact`` when the method has no Krylov
-    refinement; otherwise CG or GMRES to ``config.tol``, preconditioned
-    by ``fact`` (unpreconditioned on the identity setup). ``"auto"``
-    runs CG exactly when the problem is symmetric.
+    refinement; otherwise CG or GMRES to ``config.tol`` on the
+    problem's ``operator()``, preconditioned by ``fact``
+    (unpreconditioned on the identity setup). ``"auto"`` runs CG
+    exactly when the problem is symmetric.
     """
     row = METHODS[config.method]
     if row.krylov is None:
         return StrategyResult(fact.solve(b), 0, True, None)
-    op = get_operator(problem, config, operator)
+    op = problem.operator()
     pre = None if row.setup == "identity" else fact.solve
     krylov = row.krylov
     if krylov == "auto":

@@ -66,11 +66,8 @@ class ScatteringProblem(ProblemBase):
 
     default_rhs = rhs
 
-    # random_rhs (complex uniform, matching the kernel dtype) comes
-    # from ProblemBase
-
-    def relres(self, x: np.ndarray, b: np.ndarray) -> float:
-        return self.matvec.residual_norm(x, b)
+    # random_rhs (complex uniform, matching the kernel dtype) and
+    # relres (on the FFT matvec) come from ProblemBase
 
     # ------------------------------------------------------------------
     def sigma_from_mu(self, mu: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Curve geometries, periodic-trapezoid Nystrom quadrature with
 Kapur--Rokhlin corrections, layer-potential kernel matrices that plug
-into the RS-S factorization / treecode / GMRES machinery, and
+into the RS-S factorization / GMRES machinery, and
 high-level second-kind solvers (interior Laplace Dirichlet, exterior
 sound-soft Helmholtz via the combined-field equation).
 """

@@ -3,15 +3,15 @@
 Single/double-layer operators for Laplace and Helmholtz (plus the
 combined-field operator ``D - i eta S``) as
 :class:`~repro.kernels.base.KernelMatrix` subclasses, so they plug
-unchanged into ``srs_factor``, the treecode matvec, and GMRES.
+unchanged into ``srs_factor`` and GMRES.
 
 The ``KernelMatrix`` contract is bent in two places, both documented in
 the base-class docstring below:
 
 * ``greens(x, y)`` returns the *monopole* Green's function of the
   underlying PDE rather than the (direction-dependent) layer kernel.
-  The factorization and the treecode only call ``greens`` on artificial
-  point pairs (proxy/check circles), where a monopole basis is exactly
+  The factorization only calls ``greens`` on artificial point pairs
+  (proxy circles), where a monopole basis is exactly
   what is wanted: fields radiated by curve sources satisfy the PDE away
   from the curve, so monopoles on a separating circle span them.
 * ``block`` / ``proxy_row_block`` are overridden to evaluate the true

@@ -17,6 +17,8 @@ iteratively with (RS-S preconditioned) GMRES (``method="pgmres"``).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.api.facade import solve
@@ -28,8 +30,6 @@ from repro.core.options import SRSOptions
 from repro.geometry.domain import Square
 from repro.kernels.base import dense_matrix
 from repro.kernels.helmholtz import helmholtz_greens, plane_wave
-from repro.matvec.dense import DenseMatVec
-from repro.matvec.treecode import TreecodeMatVec
 from repro.tree.quadtree import QuadTree
 
 
@@ -62,7 +62,7 @@ _DEFAULT_SRS = SRSOptions(tol=1e-10)
 
 # ----------------------------------------------------------------------
 class _BoundaryProblem(ProblemBase):
-    """Shared plumbing: discretization, tree, factorization, matvecs.
+    """Shared plumbing: discretization, tree, factorization, operator.
 
     Implements the :class:`repro.api.Problem` protocol: the
     factorization tree is the curve's bounding-box quadtree and the
@@ -77,7 +77,6 @@ class _BoundaryProblem(ProblemBase):
         self.kernel = self._build_kernel()
         self.tree = QuadTree.for_leaf_size(self.bd.points, self.leaf_size)
         self.kernel.check_tree_resolution(self.tree)  # fail at construction
-        self.matvec = DenseMatVec(self.kernel)
 
     def _build_kernel(self):
         raise NotImplementedError
@@ -90,11 +89,15 @@ class _BoundaryProblem(ProblemBase):
         """Full Nystrom matrix (small problems / reference only)."""
         return dense_matrix(self.kernel)
 
-    def treecode(self, **kwargs) -> TreecodeMatVec:
-        """O(N log N) matvec sharing the factorization's tree."""
-        return TreecodeMatVec(self.kernel, tree=self.tree, **kwargs)
+    def operator(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``x -> A x`` on the Nystrom matrix assembled by this call.
 
-    # relres (dense-matvec residual norm) comes from ProblemBase
+        Only the returned callable holds the matrix, so a Krylov solve
+        assembles once and a cached problem holds no ``N x N`` array.
+        """
+        return self.dense().__matmul__
+
+    # relres (one assembly, via operator()) comes from ProblemBase
 
     def _shifted_targets(self, factor: float, k: int) -> np.ndarray:
         """Curve scaled about its centroid — inside (<1) or outside (>1)."""

@@ -65,10 +65,10 @@ class SRSFactorization:
 
         The factorization stores ``A ~= V_1^{-1} .. V_K^{-1} W_K^{-1} .. W_1^{-1}``,
         so the forward product applies the exact inverses of the solve
-        sweeps in opposite order. Agreement with an independent matvec
-        (FFT/dense/treecode) to roughly the ID tolerance is a cheap
-        end-to-end sanity check of a factorization; it is *not* a fast
-        general-purpose matvec (use :mod:`repro.matvec` for that).
+        sweeps in opposite order. Agreement with the problem's own
+        ``operator()`` (FFT on grids, the assembled matrix on curves)
+        to roughly the ID tolerance is a cheap end-to-end sanity check
+        of a factorization; it is *not* a fast general-purpose matvec.
 
         Accepts ``(N,)`` vectors or ``(N, nrhs)`` blocks, promoting the
         dtype like :meth:`solve` (complex RHS on a real factorization

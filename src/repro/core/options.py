@@ -20,12 +20,9 @@ class SRSOptions:
         Proxy-circle radius as a multiple of the box side; the paper
         chooses ``2.5 L`` (Sec. II-C).
     n_proxy:
-        Baseline number of points on the proxy circle.
-    proxy_oversampling:
-        For oscillatory kernels the circle must resolve the wavelength:
-        the point count grows to
-        ``proxy_oversampling * kappa * radius`` when the kernel exposes
-        a wave number ``kappa``.
+        Baseline number of points on the proxy circle; on a wave kernel
+        it grows with ``kappa * radius`` (see
+        :func:`repro.core.proxy.proxy_point_count`).
     factor_mode:
         The schedule of a level's boxes: ``"strict"`` (default)
         compresses and eliminates one box at a time in todo order,
@@ -41,7 +38,6 @@ class SRSOptions:
     leaf_size: int = 64
     proxy_radius_factor: float = 2.5
     n_proxy: int = 64
-    proxy_oversampling: float = 3.0
     factor_mode: str = "strict"
 
     def __post_init__(self) -> None:

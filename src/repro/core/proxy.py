@@ -15,13 +15,19 @@ import numpy as np
 from repro.core.options import SRSOptions
 from repro.kernels.base import KernelMatrix
 
+#: proxy points per unit of ``kappa * radius`` on a wave kernel's circle,
+#: so the circle resolves the wavelength
+PROXY_OVERSAMPLING = 3.0
+
 
 def proxy_point_count(kernel: KernelMatrix, radius: float, opts: SRSOptions) -> int:
-    """Number of proxy points; grows with ``kappa * radius`` for wave kernels."""
+    """Number of proxy points: ``opts.n_proxy``, raised to
+    ``PROXY_OVERSAMPLING * kappa * radius`` when the kernel exposes a
+    wave number ``kappa``."""
     n = opts.n_proxy
     kappa = getattr(kernel, "kappa", None)
     if kappa is not None:
-        n = max(n, int(np.ceil(opts.proxy_oversampling * float(kappa) * radius)))
+        n = max(n, int(np.ceil(PROXY_OVERSAMPLING * float(kappa) * radius)))
     return n
 
 

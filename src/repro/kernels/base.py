@@ -163,8 +163,8 @@ class KernelMatrix(ABC):
     def check_tree_resolution(self, tree) -> None:
         """Validate a quadtree against this kernel's locality assumptions.
 
-        Tree consumers (``srs_factor``, ``TreecodeMatVec``) call this
-        before use. The default kernel entries are pure evaluations of
+        ``srs_factor`` (and the distributed driver) call this before
+        use. The default kernel entries are pure evaluations of
         ``g``, so any tree works; kernels with locally corrected
         quadrature (:mod:`repro.bie`) override this to require the
         corrected band to stay inside the leaf-level near field.

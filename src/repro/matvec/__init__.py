@@ -2,12 +2,9 @@
 
 The paper evaluates residuals and runs unpreconditioned iterations with
 an FFT-based matvec (uniform grid => ``A`` is block Toeplitz up to
-diagonal scaling). ``DenseMatVec`` is the quadratic-cost reference used
-in tests.
+diagonal scaling).
 """
 
-from repro.matvec.dense import DenseMatVec
 from repro.matvec.toeplitz import FFTMatVec
-from repro.matvec.treecode import TreecodeMatVec
 
-__all__ = ["DenseMatVec", "FFTMatVec", "TreecodeMatVec"]
+__all__ = ["FFTMatVec"]

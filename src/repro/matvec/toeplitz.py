@@ -87,8 +87,3 @@ class FFTMatVec:
         return out[:, 0] if squeeze else out
 
     __call__ = matvec
-
-    def residual_norm(self, x: np.ndarray, b: np.ndarray) -> float:
-        """Relative residual ``||A x - b|| / ||b||`` (the paper's ``relres``)."""
-        r = self.matvec(x) - b
-        return float(np.linalg.norm(r) / np.linalg.norm(b))

@@ -17,7 +17,7 @@ Routes
                                                # {"re": [...], "im": [...]},
                                                # or omitted (default_rhs)
           "method": "direct",                  # + tol/maxiter/restart/
-          "execution": "sequential",           #   ranks/operator/srs {...}
+          "execution": "sequential",           #   ranks/srs {...}
           "return_x": false,                   # ship the solution vector
           "relres": true                       # evaluate the true residual
         }
@@ -84,7 +84,7 @@ PROBLEM_CACHE_SIZE = 32
 READ_TIMEOUT_S = 60.0
 
 #: SolveConfig fields settable through the request body
-_CONFIG_KEYS = ("method", "execution", "ranks", "tol", "maxiter", "restart", "operator")
+_CONFIG_KEYS = ("method", "execution", "ranks", "tol", "maxiter", "restart")
 
 #: every key a /solve body may carry; anything else is rejected with
 #: an ``unknown_field`` error naming the offender

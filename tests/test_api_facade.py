@@ -121,19 +121,6 @@ def test_pcg_rejects_nonsymmetric(boundary):
         Solver(prob, method="pcg")
 
 
-def test_operator_string_is_config_shorthand(boundary):
-    """solve(..., operator="treecode") selects the treecode matvec."""
-    prob, b, x_ref = boundary
-    report = solve(
-        prob, b, method="pgmres", operator="treecode", tol=1e-10,
-        srs=SRSOptions(tol=1e-8),
-    )
-    assert report.config.operator == "treecode"
-    assert np.linalg.norm(report.x - x_ref) / np.linalg.norm(x_ref) < 1e-5
-    with pytest.raises(ValueError, match="unknown operator"):
-        solve(prob, b, method="pgmres", operator="bogus")
-
-
 # ----------------------------------------------------------------------
 # engine-path equivalence (the facade must not change numerics)
 # ----------------------------------------------------------------------
@@ -202,11 +189,6 @@ def test_unknown_execution_rejected():
         SolveConfig(execution="bogus")
     with pytest.raises(ValueError, match="unknown execution"):
         resolve_execution("bogus")
-
-
-def test_unknown_operator_rejected():
-    with pytest.raises(ValueError, match="unknown operator"):
-        SolveConfig(operator="bogus")
 
 
 def test_sequential_only_methods_reject_parallel(volume):

@@ -133,19 +133,16 @@ def test_check_tree_resolution(star_bd):
     LaplaceDLP(star_bd).check_tree_resolution(deep)
 
 
-def test_resolution_guard_fires_from_factorization_and_treecode():
-    """srs_factor and TreecodeMatVec invoke the guard themselves, so a
-    direct (non-driver) user cannot silently break proxy locality."""
+def test_resolution_guard_fires_from_factorization():
+    """srs_factor invokes the guard itself, so a direct (non-driver)
+    user cannot silently break proxy locality."""
     from repro.core import srs_factor
-    from repro.matvec import TreecodeMatVec
 
     bd = Circle().discretize(64)
     slp = LaplaceSLP(bd, kr_order=10)
     deep = QuadTree(bd.points, 4)
     with pytest.raises(ValueError, match="Kapur-Rokhlin band"):
         srs_factor(slp, tree=deep)
-    with pytest.raises(ValueError, match="Kapur-Rokhlin band"):
-        TreecodeMatVec(slp, tree=deep)
 
 
 def test_validation():

@@ -26,11 +26,11 @@ def factor(prob, tol):
     return repro.Solver(prob, srs=SRSOptions(tol=tol)).factorization
 
 
-def pgmres(prob, fact, b, *, tol=1e-10, operator=None):
+def pgmres(prob, fact, b, *, tol=1e-10):
     """RS-S right-preconditioned GMRES(50) on a prebuilt factorization."""
     return repro.solve(
         prob, b, method="pgmres", tol=tol, restart=50, maxiter=300,
-        factorization=fact, operator=operator,
+        factorization=fact,
     )
 
 
@@ -127,33 +127,45 @@ def test_cfie_preconditioned_gmres_iteration_counts(star_cfie):
     """Acceptance criterion: RS-S-preconditioned CFIE GMRES converges in
     <= 10 iterations where the unpreconditioned baseline needs >= 3x
     (shown by capping the baseline at 3x and seeing it not converge: each
-    of its iterations is a dense Hankel matvec). Both run on the matrix
-    assembled once: the iterates are bitwise those of ``prob.matvec``,
-    which assembles the whole CFIE again on every application."""
+    of its iterations is a dense Hankel matvec on the matrix the solve
+    assembled once)."""
     prob, fact = star_cfie
     b = prob.rhs_plane_wave()
-    A = prob.dense()
-    pre = pgmres(prob, fact, b, operator=lambda x: A @ x)
+    pre = pgmres(prob, fact, b)
     assert pre.converged
     assert pre.iterations <= 10
     plain = repro.solve(
         prob, b, method="gmres", tol=1e-10, restart=50, maxiter=3 * pre.iterations,
-        operator=lambda x: A @ x,
     )
     assert not plain.converged and plain.iterations == 3 * pre.iterations
     # the preconditioned iterate solves the system
-    sigma_p = A @ pre.x - b
+    sigma_p = prob.operator()(pre.x) - b
     assert np.linalg.norm(sigma_p) / np.linalg.norm(b) < 1e-9
 
 
-def test_cfie_gmres_with_treecode_matvec(star_cfie):
-    """The O(N log N) treecode drives the same preconditioned iteration."""
-    prob, fact = star_cfie
+def test_krylov_solve_assembles_the_curve_operator_once(monkeypatch):
+    """A curve problem's operator() is the matrix assembled by that call:
+    a GMRES solve evaluates the Nystrom matrix once, not once per
+    application, and iterates on exactly those products."""
+    prob = SoundSoftScattering(StarCurve(1.0, 0.3, 5), 512, 8.0)
     b = prob.rhs_plane_wave()
-    res = pgmres(prob, fact, b, tol=1e-8, operator=prob.treecode())
-    assert res.converged
-    assert res.iterations <= 10
-    assert prob.relres(res.x, b) < 1e-7
+    cls = type(prob.kernel)
+    block = cls.block
+    shapes = []
+
+    def counted(self, rows, cols, *args, **kwargs):
+        shapes.append((len(rows), len(cols)))
+        return block(self, rows, cols, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "block", counted)
+    report = repro.solve(prob, b, method="gmres", maxiter=30)
+    assert shapes == [(prob.n, prob.n)]
+    monkeypatch.undo()
+    ref = repro.iterative.gmres(
+        prob.dense().__matmul__, b, tol=1e-12, restart=50, maxiter=30
+    )
+    assert report.iterations == ref.iterations
+    assert np.array_equal(report.x, ref.x)
 
 
 def test_scattered_field_radiates():

@@ -112,7 +112,7 @@ def test_srs_strategies_share_setup_key():
 def test_refinement_fields_stay_out_of_setup_key():
     base = setup_key(SolveConfig(method="pcg"))
     assert base == setup_key(
-        SolveConfig(method="pcg", tol=1e-4, maxiter=7, restart=3, operator="dense")
+        SolveConfig(method="pcg", tol=1e-4, maxiter=7, restart=3)
     )
 
 
@@ -150,7 +150,6 @@ _DEFAULT_SRS_KEY = (
     ("leaf_size", 64),
     ("proxy_radius_factor", 2.5),
     ("n_proxy", 64),
-    ("proxy_oversampling", 3.0),
     ("factor_mode", "strict"),
 )
 

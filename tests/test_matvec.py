@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.laplace_volume import LaplaceVolumeProblem
 from repro.geometry import uniform_grid
 from repro.kernels import (
     GaussianKernelMatrix,
@@ -13,7 +14,7 @@ from repro.kernels import (
     dense_matrix,
 )
 from repro.kernels.helmholtz import gaussian_bump
-from repro.matvec import DenseMatVec, FFTMatVec
+from repro.matvec import FFTMatVec
 
 
 @pytest.mark.parametrize("m", [4, 8, 16])
@@ -53,24 +54,14 @@ def test_multiple_rhs(rng):
     assert np.allclose(out, a @ xs)
 
 
-def test_dense_matvec_chunking_irrelevant(rng):
-    m = 8
-    k = GaussianKernelMatrix(uniform_grid(m), 1.0 / m)
-    x = rng.standard_normal(m * m)
-    a = dense_matrix(k)
-    for chunk in (1, 7, 64, 1000):
-        assert np.allclose(DenseMatVec(k, chunk=chunk)(x), a @ x)
-
-
 def test_residual_norm(rng):
-    m = 8
-    k = LaplaceKernelMatrix(uniform_grid(m), 1.0 / m)
-    fv = FFTMatVec(k, m)
-    a = dense_matrix(k)
-    x = rng.standard_normal(m * m)
+    """``ProblemBase.relres`` on the FFT operator is the paper's relres."""
+    prob = LaplaceVolumeProblem(8)
+    a = dense_matrix(prob.kernel)
+    x = rng.standard_normal(prob.n)
     b = a @ x
-    assert fv.residual_norm(x, b) < 1e-12
-    assert fv.residual_norm(np.zeros_like(x), b) == pytest.approx(1.0)
+    assert prob.relres(x, b) < 1e-12
+    assert prob.relres(np.zeros_like(x), b) == pytest.approx(1.0)
 
 
 def test_dimension_mismatch_rejected(rng):
@@ -96,4 +87,4 @@ def test_fft_dense_agreement_property(m, seed):
     rng = np.random.default_rng(seed)
     k = GaussianKernelMatrix(uniform_grid(m), 1.0 / m, sigma=0.2)
     x = rng.standard_normal(m * m)
-    assert np.allclose(FFTMatVec(k, m)(x), DenseMatVec(k)(x), rtol=1e-11, atol=1e-12)
+    assert np.allclose(FFTMatVec(k, m)(x), dense_matrix(k) @ x, rtol=1e-11, atol=1e-12)

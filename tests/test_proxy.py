@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SRSOptions, proxy_circle, proxy_point_count
-from repro.core.proxy import proxy_circle_stack
+from repro.core.proxy import PROXY_OVERSAMPLING, proxy_circle_stack
 from repro.geometry import uniform_grid
 from repro.kernels import HelmholtzKernelMatrix, LaplaceKernelMatrix
 from repro.linalg import interp_decomp
@@ -36,7 +36,7 @@ def test_point_count_scales_with_kappa():
     k = HelmholtzKernelMatrix(pts, 1.0 / 8, 200.0)
     opts = SRSOptions()
     big = proxy_point_count(k, 1.0, opts)
-    assert big >= opts.proxy_oversampling * 200.0
+    assert big >= PROXY_OVERSAMPLING * 200.0
 
 
 def test_options_validation():

@@ -312,6 +312,48 @@ def test_bad_rhs_shape_names_the_field(server):
     assert payload["code"] == "bad_field" and payload["field"] == "rhs"
 
 
+def _strict_json(data: bytes):
+    """``json.loads`` that refuses ``NaN`` / ``Infinity`` like strict parsers."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(data, parse_constant=reject)
+
+
+def test_zero_rhs_reply_is_strict_json(server):
+    body = {"problem": {"type": "laplace_volume", "m": 16}, "rhs": {"values": [0.0] * 256}}
+    status, _headers, data = _request_full(server, "POST", "/solve", body)
+    payload = _strict_json(data)
+    assert status == 200
+    assert payload["report"]["relres"] == 0.0
+
+
+def test_empty_rhs_block_is_a_bad_field(server):
+    body = {"problem": {"type": "laplace_volume", "m": 16}, "rhs": {"seed": 1, "nrhs": 0}}
+    status, _headers, data = _request_full(server, "POST", "/solve", body)
+    payload = _strict_json(data)
+    assert status == 400
+    assert payload["code"] == "bad_field" and payload["field"] == "rhs"
+    assert "nrhs" in payload["error"]
+
+
+def test_operator_is_an_unknown_field(server):
+    # a problem has one forward operator; a body cannot pick another
+    body = {"problem": {"type": "laplace_volume", "m": 16}, "operator": "dense"}
+    status, payload = _request(server, "POST", "/solve", body)
+    assert status == 400
+    assert payload["code"] == "unknown_field" and payload["field"] == "operator"
+
+
+def test_proxy_oversampling_is_a_bad_field(server):
+    body = {"problem": {"type": "laplace_volume", "m": 16}, "srs": {"proxy_oversampling": 3.0}}
+    status, payload = _request(server, "POST", "/solve", body)
+    assert status == 400
+    assert payload["code"] == "bad_field" and payload["field"] == "config"
+    assert "proxy_oversampling" in payload["error"]
+
+
 def test_request_id_is_echoed_everywhere(server):
     body = {
         "problem": {"type": "laplace_volume", "m": 16},
