@@ -46,11 +46,13 @@ class InteractionStore:
     Parameters
     ----------
     kernel:
-        Source of unmodified entries (global point indexing); its
-        ``symmetric`` or ``hermitian`` flag selects the one-block-per-pair
-        layout.
+        Source of unmodified entries, indexed in the kernel's own
+        numbering (a distributed rank's kernel numbers its points
+        locally); its ``symmetric`` or ``hermitian`` flag selects the
+        one-block-per-pair layout.
     active:
-        Mapping box -> global indices currently owned by the box.
+        Mapping box -> indices (the kernel's own numbering) currently
+        owned by the box.
     store_predicate:
         Distributed mode: decides whether this rank *holds* a pair.
         Schur updates of pairs it rejects are not stored here (the

@@ -185,9 +185,11 @@ class KernelMatrix(ABC):
         """Rebuild the same kernel over a different point set.
 
         Used by the distributed workers: a rank reconstructs a local
-        kernel from the coordinates (+ ``per_point_data``) it received.
-        Scalar parameters (``h``, ``kappa``, …) are program constants
-        shared by all ranks.
+        kernel from the coordinates (+ ``per_point_data``) it received,
+        indexed in its own arrival-order numbering, and re-spawns it on
+        the concatenated arrays whenever new points arrive. Scalar
+        parameters (``h``, ``kappa``, …) are program constants shared
+        by all ranks.
         """
         raise NotImplementedError(f"{type(self).__name__} does not support spawn()")
 

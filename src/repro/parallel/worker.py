@@ -25,9 +25,10 @@ work inside a phase is the sequential solver's
 :func:`~repro.core.factorization.assemble_parents` in step 4), so with
 ``p = 1`` the records are bitwise those of ``srs_factor``.
 
-All state a rank touches arrives either from the initial scatter or
-from neighbor messages — the :class:`~repro.parallel.localkernel.LocalKernel`
-raises if the protocol ever under-delivers.
+A rank numbers the points it knows in arrival order
+(:class:`RankPoints`) and runs that code on a plain ``kernel.spawn``
+kernel. Messages carry global ids, mapped on receipt; the map raises
+``KeyError``, naming the message, if the protocol ever under-delivers.
 
 A rank keeps only its records (:class:`WorkerResult`): every choice
 above is a function of the level's
@@ -37,6 +38,7 @@ solve (:mod:`repro.parallel.solve`) replays it from those.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +51,6 @@ from repro.geometry.domain import Square
 from repro.geometry.morton import morton_encode
 from repro.kernels.base import KernelMatrix
 from repro.obs import trace
-from repro.parallel.localkernel import LocalKernel
 from repro.parallel.ownership import LevelLayout
 from repro.tree.quadtree import QuadTree
 from repro.vmpi.comm import Comm
@@ -90,45 +91,18 @@ def factor_worker(
     """SPMD entry point for the distributed factorization."""
     p = comm.size
     geometry = QuadTree(np.zeros((0, 2)), nlevels, domain=domain)
-    leaf_layout = LevelLayout(nlevels, p)
 
     # ------------------------------------------------------------------
     # setup: rank 0 scatters regions + distance-2 leaf halos
     # ------------------------------------------------------------------
-    payloads = None
-    if comm.rank == 0:
-        tree = QuadTree(kernel.points, nlevels, domain=domain)
-        payloads = []
-        for r in range(p):
-            own = leaf_layout.owned_boxes(r)
-            halo = leaf_layout.halo_boxes(r, 2)
-            active = {b: tree.leaf_points(*b) for b in own + halo}
-            all_ids = (
-                np.concatenate([v for v in active.values() if v.size])
-                if active
-                else np.empty(0, dtype=np.int64)
-            )
-            all_ids = np.unique(all_ids)
-            payloads.append(
-                dict(
-                    own=own,
-                    active=active,
-                    ids=all_ids,
-                    coords=kernel.points[all_ids],
-                    per_point=kernel.per_point_data(all_ids),
-                )
-            )
+    payloads = scatter_payloads(kernel, nlevels, domain, p) if comm.rank == 0 else None
     payload = comm.scatter(payloads, 0)
-    local = LocalKernel(kernel, payload["ids"], payload["coords"], payload["per_point"])
+    known = RankPoints(kernel.spawn(payload["coords"], payload["per_point"]), payload["ids"])
     active: dict[Coord, np.ndarray] = {
-        b: np.asarray(v, dtype=np.int64) for b, v in payload["active"].items()
+        b: known.local(ids, "the scatter") for b, ids in payload["active"].items()
     }
     own_boxes: list[Coord] = list(payload["own"])
-    leaf_ids = (
-        np.concatenate([active[b] for b in own_boxes if active[b].size])
-        if own_boxes
-        else np.empty(0, dtype=np.int64)
-    )
+    leaf_ids = payload["ids"][: sum(active[b].size for b in own_boxes)]  # own boxes first
 
     comm.barrier()
     # exclude setup (point distribution) from t_fact and from the
@@ -160,14 +134,14 @@ def factor_worker(
             for b in [b for b in active if b not in own_set]:
                 del active[b]
             _exchange_boxes(
-                comm, local, active,
+                comm, known, active,
                 {w: layout.strip_boxes(comm.rank, w, 2) for w in nbr_ranks},
                 _tag(TAG_HALO, level),
             )
 
         rank = comm.rank
         store = InteractionStore(
-            local,
+            known.kernel,
             active,
             blocks=seed_blocks,
             store_predicate=lambda bi, bj, _l=layout, _r=rank: (
@@ -184,7 +158,7 @@ def factor_worker(
         with trace.span("factor.interior", level=level, boxes=len(interior)):
             with comm.clock.compute():
                 sweep_level(
-                    store, local, geometry, level, interior, opts, records,
+                    store, known.kernel, geometry, level, interior, opts, records,
                     update_log=interior_log,
                 )
 
@@ -207,7 +181,7 @@ def factor_worker(
                     log: list = []
                     with comm.clock.compute():
                         sweep_level(
-                            store, local, geometry, level, boundary, opts, records,
+                            store, known.kernel, geometry, level, boundary, opts, records,
                             update_log=log,
                         )
                     for w in nbr_ranks:
@@ -229,28 +203,33 @@ def factor_worker(
         if layout.reduces():
             leader = layout.reduction_leader(comm.rank)
             if leader != comm.rank:
-                known = local.known_ids
+                ids, coords, per_point = known.outgoing()
                 comm.send(
                     dict(
                         own=own_boxes,
-                        active={b: store.active_of(b) for b in store.active},
+                        active={b: known.local_to_global[ix] for b, ix in store.active.items()},
                         blocks=store.blocks,
-                        ids=known,
-                        coords=local.coords_of(known),
-                        per_point=local.per_point_of(known),
+                        ids=ids,
+                        coords=coords,
+                        per_point=per_point,
                     ),
                     leader,
                     tag=_tag(TAG_REDUCE, level),
                 )
                 break  # this rank is done factoring
             # leader absorbs its three sibling retirees
-            for src in layout.reduction_retirees(comm.rank):
-                ship = comm.recv(src, tag=_tag(TAG_REDUCE, level))
-                with comm.clock.compute():
+            ships = {
+                src: comm.recv(src, tag=_tag(TAG_REDUCE, level))
+                for src in layout.reduction_retirees(comm.rank)
+            }
+            with comm.clock.compute():
+                known.append(
+                    (ship["ids"], ship["coords"], ship["per_point"]) for ship in ships.values()
+                )
+                for src, ship in ships.items():
                     own_boxes = own_boxes + list(ship["own"])
-                    local.extend(ship["ids"], ship["coords"], ship["per_point"])
                     for b, ids in ship["active"].items():
-                        store.active[b] = np.asarray(ids, dtype=np.int64)
+                        store.active[b] = known.local(ids, f"the reduction from rank {src}")
                     for key, blk in ship["blocks"].items():
                         if key not in store.blocks:
                             store.set(key[0], key[1], blk)
@@ -268,7 +247,7 @@ def factor_worker(
                 if b in active
                 and max(x0 - b[0], b[0] - x1 + 1, y0 - b[1], b[1] - y1 + 1) <= 3
             ]
-        _exchange_boxes(comm, local, active, strips, _tag(TAG_STRIP, level))
+        _exchange_boxes(comm, known, active, strips, _tag(TAG_STRIP, level))
 
         # -- parent assembly ----------------------------------------------
         # the next level's active map holds own parents only; its halo is
@@ -278,17 +257,78 @@ def factor_worker(
                 {(b[0] >> 1, b[1] >> 1) for b in own_boxes},
                 key=lambda c: morton_encode(c[0], c[1]),
             )
+            store.kernel = known.kernel  # grown by the reduction and the strip
             active, seed_blocks = assemble_parents(
                 store, geometry, level, own=own_boxes
             )
 
+    for rec in records:  # records leave the rank in global ids
+        rec.redundant, rec.skeleton, rec.cluster = (
+            known.local_to_global[ix] for ix in (rec.redundant, rec.skeleton, rec.cluster)
+        )
     return WorkerResult(
         rank=comm.rank,
         records=records,
         leaf_ids=leaf_ids,
-        dtype=np.dtype(local.dtype),
+        dtype=np.dtype(known.kernel.dtype),
         nlevels=nlevels,
     )
+
+
+def scatter_payloads(kernel: KernelMatrix, nlevels: int, domain: Square, p: int) -> list[dict]:
+    """Each rank's own leaf boxes (Morton order) and distance-2 halo, with
+    their points in the rank's local numbering: own boxes' first."""
+    tree = QuadTree(kernel.points, nlevels, domain=domain)
+    layout = LevelLayout(nlevels, p)
+    payloads = []
+    for r in range(p):
+        own = layout.owned_boxes(r)
+        active = {b: tree.leaf_points(*b) for b in own + layout.halo_boxes(r, 2)}
+        ids = np.concatenate([np.empty(0, dtype=np.int64), *active.values()])
+        coords, per_point = kernel.points[ids], kernel.per_point_data(ids)
+        payloads.append(dict(own=own, active=active, ids=ids, coords=coords, per_point=per_point))
+    return payloads
+
+
+class RankPoints:
+    """The points one rank knows, numbered in arrival order and never
+    renumbered: local id ``i`` is ``local_to_global[i]``, and ``kernel``
+    is the problem's kernel spawned over them."""
+
+    def __init__(self, kernel: KernelMatrix, ids: np.ndarray):
+        self.kernel = kernel
+        self.local_to_global = np.asarray(ids, dtype=np.int64)
+        self._g2l = {g: i for i, g in enumerate(self.local_to_global.tolist())}
+
+    def local(self, ids: np.ndarray, message: str) -> np.ndarray:
+        """Local ids of the global ``ids`` that ``message`` names."""
+        try:
+            return np.array([self._g2l[g] for g in ids.tolist()], dtype=np.int64)
+        except KeyError as exc:
+            raise KeyError(f"{message} names global point {exc.args[0]}, "
+                           "which this rank was never sent") from None
+
+    def outgoing(self, ids: np.ndarray | None = None) -> tuple:
+        """``(global ids, coords, per-point data)`` of local ``ids`` (default all)."""
+        ids = np.arange(self.local_to_global.size) if ids is None else ids
+        return self.local_to_global[ids], self.kernel.points[ids], self.kernel.per_point_data(ids)
+
+    def append(self, arrivals: Iterable[tuple[np.ndarray, np.ndarray, dict]]) -> None:
+        """Number the unknown points of ``(distinct global ids, coords,
+        per-point data)`` arrivals next; re-spawn the kernel once."""
+        new = []
+        for ids, coords, data in arrivals:
+            take = [i for i, g in enumerate(ids.tolist()) if g not in self._g2l]
+            if take:
+                n = len(self._g2l)
+                self._g2l.update(zip(ids[take].tolist(), range(n, n + len(take))))
+                new.append((ids[take], coords[take], {k: v[take] for k, v in data.items()}))
+        if new:
+            ids, coords, data = zip(self.outgoing(), *new)
+            self.local_to_global = np.concatenate(ids)
+            self.kernel = self.kernel.spawn(
+                np.concatenate(coords), {k: np.concatenate([d[k] for d in data]) for k in data[0]}
+            )
 
 
 # ----------------------------------------------------------------------
@@ -332,26 +372,21 @@ def _apply_ops(store: InteractionStore, ops: list, layout: LevelLayout, rank: in
 
 def _exchange_boxes(
     comm: Comm,
-    local: LocalKernel,
+    known: RankPoints,
     active: dict[Coord, np.ndarray],
     picks: dict[int, list[Coord]],
     tag: int,
 ) -> None:
-    """Send each neighbour ``w`` the ``(ids, coords, per-point)`` of the own
-    boxes ``picks[w]``, then merge what comes back into ``active`` and
-    ``local``. A box with no active indices goes as an empty triple."""
+    """Send each neighbour ``w`` the ``(global ids, coords, per-point)`` of
+    the own boxes ``picks[w]``, then number what comes back and merge it
+    into ``active``. A box with no active indices goes as an empty triple."""
+    empty = (np.empty(0, dtype=np.int64), np.empty((0, 2)), {})
     for w, boxes in picks.items():
-        msg = {}
-        for b in boxes:
-            ids = active.get(b)
-            if ids is None or ids.size == 0:
-                msg[b] = (np.empty(0, dtype=np.int64), np.empty((0, 2)), {})
-            else:
-                msg[b] = (ids, local.coords_of(ids), local.per_point_of(ids))
+        msg = {b: known.outgoing(active[b]) if b in active and active[b].size else empty
+               for b in boxes}
         comm.send(msg, w, tag=tag)
-    for w in picks:
-        msg = comm.recv(w, tag=tag)
-        for b, (ids, coords, per_point) in msg.items():
-            active[b] = np.asarray(ids, dtype=np.int64)
-            if len(ids):
-                local.extend(ids, coords, per_point)
+    msgs = {w: comm.recv(w, tag=tag) for w in picks}
+    known.append(triple for msg in msgs.values() for triple in msg.values())
+    for w, msg in msgs.items():
+        for b, (ids, _, _) in msg.items():
+            active[b] = known.local(ids, f"message {tag} from rank {w}")

@@ -204,13 +204,10 @@ def _encode_x(x: np.ndarray):
     return x.tolist()
 
 
-def _decode_config(body: dict) -> SolveConfig:
-    overrides = {k: body[k] for k in _CONFIG_KEYS if k in body}
-    if "srs" in body:
-        if not isinstance(body["srs"], dict):
-            raise RequestError("srs must be an object of SRSOptions fields", field="srs")
-        overrides["srs"] = SRSOptions(**body["srs"])
-    return SolveConfig(**overrides)
+def _decode_srs(body: dict) -> SRSOptions:
+    if not isinstance(body.get("srs", {}), dict):
+        raise RequestError("srs must be an object of SRSOptions fields", field="srs")
+    return SRSOptions(**body.get("srs", {}))
 
 
 def _checked(field: str, fn):
@@ -407,7 +404,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 "problem", lambda: self.server.problem_for(body.get("problem", {}))
             )
             rhs = _checked("rhs", lambda: _decode_rhs(problem, body.get("rhs")))
-            config = _checked("config", lambda: _decode_config(body))
+            srs = _checked("srs", lambda: _decode_srs(body))
+            config = _checked("config", lambda: SolveConfig(
+                srs=srs, **{k: body[k] for k in _CONFIG_KEYS if k in body}
+            ))
         except RequestError as exc:
             self._reply_error(400, str(exc), exc.code, request_id, exc.field)
             return

@@ -1,9 +1,11 @@
 """Simulated per-rank clocks and the alpha-beta communication model.
 
 Each rank owns a :class:`SimClock`. Compute sections are timed with
-``time.thread_time`` (per-thread CPU time, which under the GIL measures
-exactly the work this rank performed, regardless of interleaving) and
-advance the simulated clock. Message delivery follows the classic
+``time.thread_time`` (per-thread CPU time) and advance the simulated
+clock. That is not backend-neutral for numpy-heavy work: at N = 16384
+(Laplace volume, strict), thread ranks read ``sim_t_fact`` 19 % (p = 4)
+and 54 % (p = 16) above process ranks on the same factorization, and
+the cause is not identified. Message delivery follows the classic
 postal/LogP model: a message sent at sender-time ``t`` with ``n``
 payload bytes becomes available to the receiver at
 ``t + alpha + beta * n``; a blocking receive advances the receiver's

@@ -25,7 +25,9 @@ from repro.kernels import (
 )
 from repro.kernels.helmholtz import gaussian_bump
 from repro.parallel import parallel_srs_factor
+from repro.parallel.worker import scatter_payloads
 from repro.tree import QuadTree
+from repro.vmpi import process_backend_available
 
 
 from repro.core import batch
@@ -184,13 +186,25 @@ def test_parallel_backend_mode_matrix(backend, mode, gaussian16, rng):
     assert relres(a, fact.solve(b), b) < 1e-10
 
 
-@pytest.mark.parametrize("mode", ["strict", "batched"])
+@pytest.mark.parametrize(
+    "mode, backend",
+    [pytest.param(mode, "thread", id=mode) for mode in ("strict", "batched")]
+    + [
+        pytest.param(
+            mode, "process", id=f"{mode}-process",
+            marks=pytest.mark.skipif(
+                not process_backend_available(), reason="no process backend here"
+            ),
+        )
+        for mode in ("strict", "batched")
+    ],
+)
 @pytest.mark.parametrize(
     "make_problem",
     [lambda: LaplaceVolumeProblem(m=32), lambda: ScatteringProblem(32, 10.0)],
     ids=["laplace-hermitian", "scattering"],
 )
-def test_one_rank_is_the_sequential_sweep_bitwise(make_problem, mode):
+def test_one_rank_is_the_sequential_sweep_bitwise(make_problem, mode, backend):
     # the gate on "one sweep engine": with p=1 every box is interior, the
     # halo is empty and no message is sent, so the distributed driver
     # must reduce to srs_factor — same sweep, same parent assembly, in
@@ -199,10 +213,14 @@ def test_one_rank_is_the_sequential_sweep_bitwise(make_problem, mode):
     opts = SRSOptions(tol=1e-6, leaf_size=16, factor_mode=mode)
     seq = srs_factor(prob.kernel, opts=opts)
     par = parallel_srs_factor(
-        prob.kernel, 1, opts=opts, backend="thread", domain=prob.parallel_domain
+        prob.kernel, 1, opts=opts, backend=backend, domain=prob.parallel_domain
     )
     assert par.factor_run.total_messages == 0
     assert _record_state(par.workers[0]) == _record_state(seq)
+    # the rank factors in its own (Morton, own-first) numbering, so the
+    # equality above also checks the map back to global ids
+    (scatter,) = scatter_payloads(prob.kernel, par.nlevels, prob.parallel_domain, 1)
+    assert not np.array_equal(scatter["ids"], np.arange(prob.kernel.n))
 
 
 def test_parallel_batched_matches_sequential_quality(laplace32, laplace32_dense, rng):

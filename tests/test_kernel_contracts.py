@@ -5,6 +5,7 @@
 * ``symmetric`` is checked, not trusted: the transposed block *is* the
   direct evaluation, scalar and stacked, and the two sweeps evaluate a
   pair once only for kernels that declare it;
+* ``spawn`` over a renumbered subset is the same matrix, flags included;
 * ``helmholtz_greens`` (``J0 + i Y0``) against 30-digit ``mpmath``;
 * Green's-entry counts of a factor, against the counts of the commit
   before pair sharing — exact counts, no wall clock;
@@ -42,7 +43,6 @@ from repro.kernels import (
 )
 from repro.kernels.base import KernelMatrix
 from repro.kernels.helmholtz import gaussian_bump
-from repro.parallel.localkernel import LocalKernel
 
 M = 8
 PTS = uniform_grid(M)
@@ -55,6 +55,9 @@ class ComplexWeightYukawa(YukawaKernelMatrix):
     def __init__(self, points, h, lam):
         super().__init__(points, h, lam)
         self.dtype = np.dtype(np.complex128)
+
+    def spawn(self, points, data):
+        return type(self)(points, self.h, self.lam)
 
 
 def _volume_kernels():
@@ -146,12 +149,20 @@ def test_transposed_block_is_the_direct_evaluation(name, stacks):
             assert np.allclose(stack[b], blk, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("name", ["helmholtz", "laplace", "lopsided"])
-def test_local_kernel_forwards_symmetric(name):
-    inner = ALL[name]
-    ids = np.arange(0, inner.n, 3)
-    local = LocalKernel(inner, ids, inner.points[ids], inner.per_point_data(ids))
-    assert local.symmetric is inner.symmetric
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_spawn_is_the_same_matrix_in_a_new_numbering(name):
+    # a distributed rank factors on the kernel spawned over the points it
+    # knows, numbered in arrival order: same flags, same entries
+    kernel = ALL[name]
+    sub = np.random.default_rng(5).permutation(kernel.n)[: kernel.n // 2]
+    spawned = kernel.spawn(kernel.points[sub], kernel.per_point_data(sub))
+    assert spawned.symmetric is kernel.symmetric
+    assert spawned.hermitian is kernel.hermitian
+    assert spawned.dtype == kernel.dtype
+    if kernel.symmetric or kernel.hermitian:
+        assert spawned.weight_ratio == kernel.weight_ratio
+    local = np.arange(sub.size)
+    assert np.array_equal(spawned.block(local, local), kernel.block(sub, sub))
 
 
 @pytest.mark.parametrize("name", HERMITIAN)
@@ -175,8 +186,6 @@ def test_hermitian_kernel_has_one_weight_ratio(name):
         alpha * kernel.proxy_col_block_stack(cols[None], proxy[None]).transpose(0, 2, 1),
         rtol=1e-15, atol=0,
     )
-    local = LocalKernel(kernel, idx[1::3], kernel.points[1::3], kernel.per_point_data(idx[1::3]))
-    assert local.weight_ratio == alpha
 
 
 class _BlockCalls:

@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.interactions import InteractionStore
 from repro.geometry import uniform_grid
-from repro.kernels import GaussianKernelMatrix
+from repro.kernels import GaussianKernelMatrix, HelmholtzKernelMatrix
+from repro.kernels.helmholtz import gaussian_bump
 from repro.parallel.ownership import LevelLayout
-from repro.parallel.worker import _apply_ops, _filter_ops
+from repro.parallel.worker import RankPoints, _apply_ops, _filter_ops
 from repro.tree import QuadTree
 
 
@@ -109,3 +110,26 @@ def test_cluster_segments_cover_cluster():
         # first segment is the box's own skeleton
         assert segs[0][0] == rec.box
         assert np.array_equal(rec.cluster[segs[0][1] : segs[0][2]], rec.skeleton)
+
+
+def test_arrivals_are_numbered_in_order_and_an_unsent_point_raises():
+    m = 8
+    pts = uniform_grid(m)
+    full = HelmholtzKernelMatrix(pts, 1.0 / m, 6.0, b=gaussian_bump(pts))
+    first = np.array([40, 3, 17])
+    known = RankPoints(full.spawn(full.points[first], full.per_point_data(first)), first)
+    # a refresh that repeats a known point, then an empty box
+    again = np.array([17, 50, 2])
+    known.append([
+        (again, full.points[again], full.per_point_data(again)),
+        (np.empty(0, dtype=np.int64), np.empty((0, 2)), {}),
+    ])
+    assert known.local_to_global.tolist() == [40, 3, 17, 50, 2]
+    ids = np.array([2, 40, 17, 50])
+    loc = known.local(ids, "a refresh")
+    assert loc.tolist() == [4, 0, 2, 3]
+    assert np.array_equal(known.kernel.block(loc, loc), full.block(ids, ids))
+    # ids that arrive without coordinates (a reduction's active sets)
+    # must already be known
+    with pytest.raises(KeyError, match="the reduction message from rank 3 names global point 99"):
+        known.local(np.array([2, 99]), "the reduction message from rank 3")

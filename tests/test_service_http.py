@@ -219,15 +219,15 @@ def test_auto_factor_mode_is_rejected_as_a_bad_field(server):
     # a mode the solver does not have (an "auto" sweep, a sketched ID,
     # the Table VI comparator as an execution) is a bad config, not a
     # silent fallback
-    for name, config in (
-        ("factor_mode", {"srs": {"factor_mode": "auto"}}),
-        ("id_method", {"srs": {"id_method": "randomized"}}),
-        ("execution", {"execution": "shared"}),
+    for name, config, field in (
+        ("factor_mode", {"srs": {"factor_mode": "auto"}}, "srs"),
+        ("id_method", {"srs": {"id_method": "randomized"}}, "srs"),
+        ("execution", {"execution": "shared"}, "config"),
     ):
         body = {"problem": {"type": "laplace_volume", "m": 16}, **config}
         status, payload = _request(server, "POST", "/solve", body)
         assert status == 400, name
-        assert payload["code"] == "bad_field" and payload["field"] == "config"
+        assert payload["code"] == "bad_field" and payload["field"] == field
         assert name in payload["error"]
 
 
@@ -350,7 +350,7 @@ def test_proxy_oversampling_is_a_bad_field(server):
     body = {"problem": {"type": "laplace_volume", "m": 16}, "srs": {"proxy_oversampling": 3.0}}
     status, payload = _request(server, "POST", "/solve", body)
     assert status == 400
-    assert payload["code"] == "bad_field" and payload["field"] == "config"
+    assert payload["code"] == "bad_field" and payload["field"] == "srs"
     assert "proxy_oversampling" in payload["error"]
 
 
