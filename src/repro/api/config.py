@@ -61,7 +61,10 @@ class SolveConfig:
         * ``"pcg"`` — CG to ``tol``, RS-S-preconditioned (symmetric
           problems; Tables II/III).
         * ``"pgmres"`` — restarted GMRES to ``tol``, RS-S right
-          preconditioner (Tables IV/V and the BIE workloads).
+          preconditioner (Tables IV/V and the BIE workloads), in
+          flexible form: one factorization solve and one operator
+          application per iteration, plus one operator application
+          per restart cycle; an ``(N, nrhs)`` rhs runs column by column.
         * ``"dense_lu"`` — pivoted LU of the assembled dense matrix
           (small problems / reference).
         * ``"block_jacobi"`` — leaf-block-diagonal preconditioner +

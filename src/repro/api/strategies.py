@@ -28,7 +28,7 @@ from repro.api.config import EXECUTIONS, METHODS, SolveConfig
 from repro.baselines.block_jacobi import BlockJacobiPreconditioner
 from repro.core.factorization import srs_factor
 from repro.iterative.cg import cg
-from repro.iterative.gmres import gmres
+from repro.iterative.gmres import GMRESResult, gmres
 from repro.kernels.base import dense_matrix
 from repro.linalg.lu import PartialLU
 
@@ -212,7 +212,11 @@ def run(
     refinement; otherwise CG or GMRES to ``config.tol`` on the
     problem's ``operator()``, preconditioned by ``fact``
     (unpreconditioned on the identity setup). ``"auto"`` runs CG
-    exactly when the problem is symmetric.
+    exactly when the problem is symmetric. CG iterates on an
+    ``(N, nrhs)`` block as one stacked vector; GMRES solves each column
+    on its own, reports the largest column's iteration count, converges
+    when every column does, and keeps the residual history of its
+    slowest column (an unconverged one first).
     """
     row = METHODS[config.method]
     if row.krylov is None:
@@ -224,13 +228,33 @@ def run(
         krylov = "cg" if getattr(problem, "is_symmetric", False) else "gmres"
     if krylov == "cg":
         res = cg(op, b, preconditioner=pre, tol=config.tol, maxiter=config.maxiter)
-    else:
-        res = gmres(
+        return StrategyResult(res.x, res.iterations, res.converged, res)
+
+    # GMRES builds its basis in the rhs dtype: a real rhs of a complex
+    # problem is promoted, not truncated to the real part
+    b = b.astype(np.result_type(b.dtype, problem.kernel.dtype), copy=False)
+
+    def column(rhs: np.ndarray) -> GMRESResult:
+        return gmres(
             op,
-            b,
+            rhs,
             preconditioner=pre,
             tol=config.tol,
             restart=config.restart,
             maxiter=config.maxiter,
+        )
+
+    if b.ndim == 1:
+        res = column(b)
+    else:
+        # a Krylov space belongs to one vector: each column of a block
+        # rhs runs on its own, to its own ``tol``
+        cols = [column(np.ascontiguousarray(c)) for c in b.T]
+        worst = max(cols, key=lambda c: (not c.converged, c.iterations))
+        res = GMRESResult(
+            np.stack([c.x for c in cols], axis=1),
+            max(c.iterations for c in cols),
+            all(c.converged for c in cols),
+            worst.residual_history,
         )
     return StrategyResult(res.x, res.iterations, res.converged, res)

@@ -11,6 +11,7 @@ the alternatives.
 import os
 import subprocess
 import sys
+import warnings
 from textwrap import dedent
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.core import SRSOptions, srs_factor
 from repro.iterative import cg, gmres
 from repro.kernels.base import dense_matrix
 from repro.linalg.lu import PartialLU
+from repro.vmpi import process_backend_available
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,13 @@ VOLUME_CONFIGS = [
     SolveConfig(method="block_jacobi", tol=1e-11, maxiter=4000),
     SolveConfig(method="direct", execution="thread", ranks=4),
     SolveConfig(method="pcg", tol=1e-12, execution="thread", ranks=4),
+    SolveConfig(method="pgmres", tol=1e-12, execution="thread", ranks=4),
+    pytest.param(
+        SolveConfig(method="pgmres", tol=1e-12, execution="process", ranks=4),
+        marks=pytest.mark.skipif(
+            not process_backend_available(), reason="process backend unavailable"
+        ),
+    ),
 ]
 
 
@@ -92,6 +101,11 @@ def test_volume_parity(volume, config):
     assert np.linalg.norm(report.x - x_ref) / scale < tol
     if config.method != "direct":
         assert report.converged
+    if config.method == "pgmres" and config.execution != "sequential":
+        # a distributed factorization preconditions as well as the
+        # sequential one, whose numbering differs in the last digits
+        seq = solve(prob, b, SolveConfig(method="pgmres", tol=config.tol))
+        assert report.iterations <= seq.iterations + 1
 
 
 BOUNDARY_CONFIGS = [
@@ -341,6 +355,37 @@ def test_multiple_rhs_block(volume):
     B = prob.random_rhs(seed=5, nrhs=3)
     report = solve(prob, B)
     assert report.x.shape == B.shape
+
+
+@pytest.mark.parametrize("method", ["pgmres", "gmres"])
+def test_gmres_block_rhs_runs_column_by_column(method):
+    """GMRES refines each column of an ``(N, nrhs)`` block to its own
+    ``tol``: a column 1e6 times the other is not judged against their
+    joint norm, and each column is its single-rhs solve."""
+    prob = repro.ScatteringProblem(16, 5.0)
+    B = prob.random_rhs(seed=1, nrhs=2)
+    B[:, 1] *= 1e6
+    tol = 1e-12
+    report = solve(prob, B, SolveConfig(method=method, tol=tol))
+    assert report.x.shape == B.shape and report.converged
+    singles = [solve(prob, B[:, i], SolveConfig(method=method, tol=tol)) for i in range(2)]
+    assert report.iterations == max(s.iterations for s in singles)
+    for i, single in enumerate(singles):
+        assert prob.relres(report.x[:, i], B[:, i]) <= tol
+        err = np.linalg.norm(report.x[:, i] - single.x) / np.linalg.norm(single.x)
+        assert err <= 1e-13
+
+
+def test_gmres_promotes_a_real_rhs_of_a_complex_problem():
+    """A real rhs of a complex operator is refined in complex
+    arithmetic, not truncated to the real part of every direction."""
+    prob = repro.ScatteringProblem(16, 5.0)
+    b = prob.random_rhs(seed=1).real
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(prob, b, SolveConfig(method="pgmres", tol=1e-12))
+    assert report.converged and report.iterations <= 3
+    assert report.relres <= 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -222,3 +222,91 @@ def test_gmres_matches_scipy(complex_system):
     theirs, info = spla.gmres(op, b, rtol=1e-10, restart=20)
     assert info == 0
     assert np.linalg.norm(ours.x - theirs) / np.linalg.norm(theirs) < 1e-6
+
+
+# -- GMRES application counts ------------------------------------------
+class Counted:
+    """An operator that counts its applications."""
+
+    def __init__(self, apply):
+        self.apply, self.calls = apply, 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.apply(v)
+
+
+@pytest.fixture
+def preconditioned_system(complex_system, rng):
+    """A complex system and an approximate inverse that leaves ~12
+    preconditioned iterations to 1e-13."""
+    a, b = complex_system
+    p = np.linalg.inv(a + 0.3 * np.diag(rng.standard_normal(a.shape[0])))
+    return a, p, b
+
+
+def cycles(res) -> int:
+    """Restart cycles run: the history holds the start residual, one
+    estimate per iteration and one true residual per cycle."""
+    return len(res.residual_history) - 1 - res.iterations
+
+
+def test_gmres_applies_preconditioner_and_operator_once_per_iteration(preconditioned_system):
+    a, p, b = preconditioned_system
+    op, pre = Counted(lambda v: a @ v), Counted(lambda v: p @ v)
+    res = gmres(op, b, preconditioner=pre, tol=1e-13, restart=3)
+    assert res.converged and res.iterations > 3
+    assert cycles(res) == -(-res.iterations // 3)
+    assert pre.calls == res.iterations
+    assert op.calls == res.iterations + cycles(res)
+    assert np.linalg.norm(a @ res.x - b) / np.linalg.norm(b) <= 1e-13
+
+    # a given initial guess costs one operator application more
+    op.calls = pre.calls = 0
+    x0 = np.full_like(b, 0.1)
+    res = gmres(op, b, preconditioner=pre, tol=1e-13, restart=3, x0=x0)
+    assert res.converged
+    assert pre.calls == res.iterations
+    assert op.calls == res.iterations + cycles(res) + 1
+
+
+def test_unpreconditioned_gmres_applies_the_operator_once_per_iteration(complex_system):
+    a, b = complex_system
+    op = Counted(lambda v: a @ v)
+    res = gmres(op, b, tol=1e-13, restart=5)
+    assert res.converged and res.iterations > 5
+    assert op.calls == res.iterations + cycles(res)
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_gmres_stops_close_with_one_true_residual(preconditioned, preconditioned_system):
+    """A happy breakdown and a ``maxiter`` stop each end with exactly
+    one true-residual application, not one per exit path."""
+    b = np.ones(4)  # |b| = 2 exactly, so Arnoldi breaks down exactly
+    op = Counted(lambda v: v.copy())
+    pre = Counted(lambda v: v.copy()) if preconditioned else None
+    res = gmres(op, b, preconditioner=pre, tol=0.0, restart=4, maxiter=16)
+    assert res.iterations == 1 and cycles(res) == 1
+    assert op.calls == 2
+    assert pre is None or pre.calls == 1
+    np.testing.assert_allclose(res.x, b, rtol=1e-14)
+
+    a, p, b = preconditioned_system
+    op = Counted(lambda v: a @ v)
+    pre = Counted(lambda v: p @ v) if preconditioned else None
+    res = gmres(op, b, preconditioner=pre, tol=1e-15, restart=5, maxiter=7)
+    assert not res.converged and res.iterations == 7 and cycles(res) == 2
+    assert op.calls == 9
+    assert pre is None or pre.calls == 7
+
+
+def test_preconditioned_arnoldi_is_gmres_on_the_composed_operator(preconditioned_system):
+    """Right preconditioning runs GMRES on ``A M^{-1}`` bit for bit:
+    only the closing true residual, of ``A x = b`` rather than of
+    ``A M^{-1} y = b``, may differ."""
+    a, p, b = preconditioned_system
+    res = gmres(lambda v: a @ v, b, preconditioner=lambda v: p @ v, tol=1e-13, restart=40)
+    composed = gmres(lambda v: a @ (p @ v), b, tol=1e-13, restart=40)
+    assert res.iterations == composed.iterations < 40
+    assert res.residual_history[:-1] == composed.residual_history[:-1]
+    np.testing.assert_allclose(res.x, p @ composed.x, rtol=1e-12)

@@ -143,6 +143,19 @@ def test_complex_problem_and_pgmres(server):
     assert len(x["re"]) == 256
 
 
+def test_pgmres_block_rhs(server):
+    # GMRES refines a block column by column: a solve, not a 400
+    body = {
+        "problem": {"type": "scattering", "m": 16, "kappa": 9.0},
+        "rhs": {"seed": 2, "nrhs": 2},
+        "method": "pgmres",
+        "tol": 1e-10,
+    }
+    status, payload = _request(server, "POST", "/solve", body)
+    assert status == 200
+    assert payload["report"]["converged"] and payload["report"]["relres"] <= 1e-10
+
+
 def test_explicit_rhs_values(server):
     n = 256
     values = [float(i) / n for i in range(n)]
